@@ -125,42 +125,46 @@ impl Deserialize for CoinSpec {
 /// * [`Engine::EventDriven`] — the default: each process is a resumable
 ///   `ofa_core::sm` state machine ([`ofa_core::sm::ConsensusSm`],
 ///   [`ofa_core::sm::MultivaluedSm`], [`ofa_core::sm::LogSm`], matching
-///   the body) stepped directly off the event heap on a single thread:
-///   no spawned threads, no baton, no channels. Scales to tens of
-///   thousands of processes (the `escale` / `smrscale` experiments).
-///   Custom protocol bodies ([`crate::Body::Custom`]) are blocking code
-///   and fall back to [`Engine::Threads`] —
-///   [`crate::Outcome::engine_used`] records which engine actually ran.
-/// * [`Engine::ParallelEvent`] — the event-driven engine sharded by
-///   cluster across a worker pool: each shard owns its clusters'
-///   machines, shared memories, and scheduler heap, and shards exchange
+///   the body) stepped directly off a heap of pending events. It is the
+///   cluster-sharded event loop below with **one shard** that owns every
+///   cluster, driven on the calling thread: no spawned threads, no
+///   baton, no channels. Scales to tens of thousands of processes (the
+///   `escale` / `smrscale` experiments). Custom protocol bodies
+///   ([`crate::Body::Custom`]) are blocking code and fall back to
+///   [`Engine::Threads`] — [`crate::Outcome::engine_used`] records which
+///   engine actually ran.
+/// * [`Engine::ParallelEvent`] — the same event loop with several
+///   shards, one per worker thread: each shard owns its clusters'
+///   machines, shared memories, and event heap, and shards exchange
 ///   cross-shard deliveries at deterministic virtual-time epoch barriers
 ///   (conservative lookahead = [`crate::DelayModel::min_delay`]).
 ///   Bit-for-bit identical to [`Engine::EventDriven`] for any seed *and
 ///   any worker count* — the cluster partition is exactly the paper's
 ///   communication structure, so shards only interact through the
-///   message schedule, which is a pure function of the scenario. Falls
-///   back (observably, via [`crate::Outcome::engine_used`]) to
-///   [`Engine::EventDriven`] when parallelism cannot help or cannot be
-///   exact: fewer than two shards, a delay model whose
-///   [`crate::DelayModel::min_delay`] is zero (no lookahead), or
-///   [`crate::Scenario::keep_trace`] (event *order* is reconstructed
-///   only by the sequential engines); and to [`Engine::Threads`] for
-///   custom bodies. One caveat survives on purpose: an attached
+///   message schedule, which is a pure function of the scenario.
+///   Resolves to one shard — reported, via
+///   [`crate::Outcome::engine_used`], as [`Engine::EventDriven`] — when
+///   several cannot help or cannot be exact: a single cluster, more
+///   shards than the host has cores, a delay model whose
+///   [`crate::DelayModel::min_delay`] is zero (no lookahead window), or
+///   [`crate::Scenario::keep_trace`] (only one shard records events in
+///   dispatch *order*); and to [`Engine::Threads`] for custom bodies.
+///   One caveat survives on purpose: with several shards an attached
 ///   [`crate::Scenario::observer`] is invoked from shard threads
 ///   concurrently, so while every *per-process* event subsequence (and
 ///   the whole [`crate::Outcome`]) is deterministic, the global
 ///   interleaving of callbacks across processes is not — per-process
 ///   collectors (e.g. `ofa-smr`'s `LogCollector`, which large SMR runs
-///   rely on) are unaffected; use a sequential engine for
+///   rely on) are unaffected; use [`Engine::EventDriven`] for
 ///   order-sensitive observers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// One OS thread per process + conductor baton (the reference).
     Threads,
-    /// Single-threaded resumable-state-machine engine (the default).
+    /// The state-machine event loop on one shard, on the calling thread
+    /// (the default).
     EventDriven,
-    /// Cluster-sharded event engine on a worker pool.
+    /// The same event loop sharded by cluster over worker threads.
     ParallelEvent {
         /// Worker threads to use; `0` = auto (one per available core,
         /// capped by the number of clusters).

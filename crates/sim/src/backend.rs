@@ -3,8 +3,7 @@
 
 use crate::checkpoint::EngineSnap;
 use crate::conductor::{conduct, RawOutcome, RunSpec, TimedScheduler};
-use crate::engine::{conduct_event_driven, conduct_event_driven_leg, LegResult};
-use crate::par::{conduct_parallel, conduct_parallel_leg};
+use crate::par::{conduct_sharded, LegResult};
 use ofa_scenario::{
     default_workers, Backend, BackendKind, CoinSpec, DivergeSpec, Engine, Outcome, Scenario,
     Snapshot, VirtualTime, SNAPSHOT_VERSION,
@@ -122,59 +121,75 @@ impl Backend for Sim {
     }
 }
 
-/// Decides which engine will actually run `scenario` — the observable
-/// value recorded in [`Outcome::engine_used`]. The fallback ladder:
+/// How `scenario` will execute — the decision recorded, under its
+/// engine name, in [`Outcome::engine_used`]: `None` is the thread
+/// conductor, `Some(shards)` the sharded event loop on that many shards.
+/// The ladder:
 ///
 /// * [`Body::Custom`](ofa_scenario::Body::Custom) bodies are blocking
-///   code → [`Engine::Threads`], whatever was requested.
-/// * [`Engine::ParallelEvent`] degrades to [`Engine::EventDriven`] when
-///   parallelism cannot help or cannot be exact: fewer than two shards
-///   (auto workers resolve to the host parallelism, capped by the
-///   cluster count `m`), more shards than the host has cores (epoch
-///   barriers on an oversubscribed box cost more than they buy — the
-///   `parscale` single-core regression), a zero
-///   [`ofa_scenario::NetworkModel::min_delay`] (no conservative
-///   lookahead), or a retained trace ([`Scenario::keep_trace`] — only
-///   the sequential engines reproduce event *order*; the hash needs no
-///   order and is always computed).
-/// * Otherwise the requested engine runs, with `ParallelEvent` carrying
-///   the resolved shard count.
+///   code → the conductor, whatever was requested.
+/// * [`Engine::Threads`] → the conductor; [`Engine::EventDriven`] → one
+///   shard, on the calling thread.
+/// * [`Engine::ParallelEvent`] → as many shards as requested (auto
+///   workers resolve to the host parallelism), capped by the cluster
+///   count `m` — see [`parallel_shards`] for when that is one.
 ///
 /// Every fallback is observable in [`Outcome::engine_used`], never
 /// silent.
-fn resolve_engine(scenario: &Scenario) -> Engine {
+fn resolve_shards(scenario: &Scenario) -> Option<usize> {
     if !scenario.body.has_state_machine() {
-        return Engine::Threads;
+        return None;
     }
     match scenario.engine {
-        Engine::Threads => Engine::Threads,
-        Engine::EventDriven => Engine::EventDriven,
-        Engine::ParallelEvent { workers } => resolve_parallel(scenario, workers, available_cores()),
+        Engine::Threads => None,
+        Engine::EventDriven => Some(1),
+        Engine::ParallelEvent { workers } => {
+            Some(parallel_shards(scenario, workers, available_cores()))
+        }
     }
 }
 
-/// The `ParallelEvent` arm of [`resolve_engine`], with the host core
-/// count passed in so the guard is a pure, testable function.
-fn resolve_parallel(scenario: &Scenario, workers: u64, cores: usize) -> Engine {
+/// The [`Outcome::engine_used`] name of a [`resolve_shards`] decision:
+/// one shard *is* [`Engine::EventDriven`]; [`Engine::ParallelEvent`]
+/// carries the resolved shard count.
+fn engine_used(shards: Option<usize>) -> Engine {
+    match shards {
+        None => Engine::Threads,
+        Some(1) => Engine::EventDriven,
+        Some(shards) => Engine::ParallelEvent {
+            workers: shards as u64,
+        },
+    }
+}
+
+/// The shard count of a `ParallelEvent` request, with the host core
+/// count passed in so the guard is a pure, testable function. It is one
+/// shard when several cannot help or cannot be exact: a single cluster
+/// (nothing to split), more shards than the host has cores (epoch
+/// barriers on an oversubscribed box cost more than they buy — the
+/// `parscale` single-core regression), a zero
+/// [`ofa_scenario::NetworkModel::min_delay`] (no conservative lookahead
+/// window between shards), or a retained trace
+/// ([`Scenario::keep_trace`] — only one shard records events in
+/// dispatch *order*; the hash needs no order and is always computed).
+fn parallel_shards(scenario: &Scenario, workers: u64, cores: usize) -> usize {
     let requested = if workers == 0 {
         default_workers()
     } else {
         workers as usize
     };
     let shards = requested.min(scenario.partition.m());
-    if shards < 2 || shards > cores || scenario.network.min_delay() == 0 || scenario.keep_trace {
-        Engine::EventDriven
+    if shards > cores || scenario.network.min_delay() == 0 || scenario.keep_trace {
+        1
     } else {
-        Engine::ParallelEvent {
-            workers: shards as u64,
-        }
+        shards
     }
 }
 
 /// Process-wide override for [`available_cores`]; `0` = no override.
 static CORES_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
-/// Overrides the core count [`resolve_engine`]'s parallel-engine guard
+/// Overrides the core count [`parallel_shards`]' guard
 /// sees. `0` clears the override. The determinism contract does not
 /// depend on the host's parallelism — this exists so equivalence tests
 /// can exercise the parallel engine on small CI boxes, and is hidden
@@ -204,47 +219,73 @@ pub(crate) fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |c| c.get())
 }
 
-/// Executes `scenario` under the timed scheduler and shapes the raw
-/// conductor result into the unified [`Outcome`].
+impl RunSpec {
+    /// Everything an engine needs of `scenario`, built exactly once per
+    /// run (the body, proposals and crash plan are cloned here and
+    /// nowhere else).
+    fn from_scenario(scenario: &Scenario) -> Self {
+        RunSpec {
+            partition: scenario.partition.clone(),
+            body: scenario.body.clone(),
+            config: scenario.config,
+            proposals: scenario.proposals.clone(),
+            seed: scenario.seed,
+            costs: scenario.costs,
+            crash_plan: scenario.crashes.clone(),
+            // Poisson churn arrivals expand into explicit events here,
+            // once, before any engine sees the plan — the expansion is a
+            // pure PRF of the scenario seed, so a leg resumed from a
+            // snapshot re-derives the identical plan.
+            churn: scenario
+                .churn
+                .resolve(scenario.seed, scenario.partition.n(), &scenario.crashes),
+            common_coin: scenario.build_coin(),
+            observer: scenario.observer.clone(),
+            keep_trace: scenario.keep_trace,
+            max_events: scenario.max_events,
+        }
+    }
+}
+
+/// Executes `scenario` on the engine it resolves to and shapes the raw
+/// result into the unified [`Outcome`].
 pub(crate) fn run_scenario(scenario: &Scenario) -> Outcome {
     scenario.assert_valid();
     let started = Instant::now();
-    // Resolve the engine first, then build the run spec exactly once —
-    // the fallback paths must not re-clone the scenario's body,
-    // proposals, and crash plan per attempted engine.
-    let engine = resolve_engine(scenario);
-    let spec = RunSpec {
-        partition: scenario.partition.clone(),
-        body: scenario.body.clone(),
-        config: scenario.config,
-        proposals: scenario.proposals.clone(),
-        seed: scenario.seed,
-        costs: scenario.costs,
-        crash_plan: scenario.crashes.clone(),
-        // Poisson churn arrivals expand into explicit events here, once,
-        // before any engine sees the plan — the expansion is a pure PRF
-        // of the scenario seed, so resumes re-derive it identically.
-        churn: scenario
-            .churn
-            .resolve(scenario.seed, scenario.partition.n(), &scenario.crashes),
-        common_coin: scenario.build_coin(),
-        observer: scenario.observer.clone(),
-        keep_trace: scenario.keep_trace,
-        max_events: scenario.max_events,
-    };
+    match resolve_shards(scenario) {
+        None => {
+            let net = scenario.network.compile(&scenario.partition);
+            let mut scheduler = TimedScheduler::new(scenario.seed, net);
+            let raw = conduct(RunSpec::from_scenario(scenario), &mut scheduler);
+            finish_outcome(Engine::Threads, raw, started)
+        }
+        Some(shards) => expect_done(run_sharded(scenario, shards, None, None, started)),
+    }
+}
+
+/// Runs one leg — fresh or resumed, to completion or to a cut — on
+/// `shards` shards of the event loop, and shapes the result.
+fn run_sharded(
+    scenario: &Scenario,
+    shards: usize,
+    resume: Option<&EngineSnap>,
+    stop_at: Option<VirtualTime>,
+    started: Instant,
+) -> RunOutcome {
+    let spec = RunSpec::from_scenario(scenario);
     let net = scenario.network.compile(&scenario.partition);
-    let raw = match engine {
-        Engine::Threads => {
-            let mut scheduler = TimedScheduler::new(scenario.seed, net);
-            conduct(spec, &mut scheduler)
+    let cut = stop_at.map(|t| t.ticks());
+    match conduct_sharded(spec, &net, shards, resume, cut) {
+        LegResult::Done(raw) => {
+            RunOutcome::Done(finish_outcome(engine_used(Some(shards)), raw, started))
         }
-        Engine::EventDriven => {
-            let mut scheduler = TimedScheduler::new(scenario.seed, net);
-            conduct_event_driven(spec, &mut scheduler)
-        }
-        Engine::ParallelEvent { workers } => conduct_parallel(spec, &net, workers as usize),
-    };
-    finish_outcome(engine, raw, started)
+        LegResult::Paused(snap) => RunOutcome::Paused(Box::new(Snapshot {
+            version: SNAPSHOT_VERSION,
+            scenario: scenario.clone(),
+            at: VirtualTime::from_ticks(snap.at),
+            engine_state: snap.to_value(),
+        })),
+    }
 }
 
 /// Shapes a raw engine result into the unified [`Outcome`].
@@ -265,9 +306,8 @@ fn finish_outcome(engine: Engine, raw: RawOutcome, started: Instant) -> Outcome 
         raw.sm_proposes,
     );
     // Record which engine actually ran — every fallback (custom body →
-    // conductor, unparallelizable scenario → single-threaded event
-    // engine) is observable here, not silent. `ParallelEvent` carries
-    // the resolved shard count.
+    // conductor, unparallelizable scenario → one shard) is observable
+    // here, not silent.
     out.engine_used = Some(engine);
     out.service = raw.service;
     out.latest_decision_time = VirtualTime::from_ticks(latest_decision_ticks);
@@ -283,9 +323,9 @@ fn finish_outcome(engine: Engine, raw: RawOutcome, started: Instant) -> Outcome 
     out
 }
 
-/// Resolves the engine for a checkpoint-capable leg and rejects what
-/// snapshots cannot capture.
-fn checkpoint_engine(scenario: &Scenario) -> Engine {
+/// Resolves the shard count for a checkpoint-capable leg and rejects
+/// what snapshots cannot capture.
+fn checkpoint_shards(scenario: &Scenario) -> usize {
     assert!(
         scenario.body.has_state_machine(),
         "checkpointing requires a declarative body (custom bodies are blocking code)"
@@ -302,14 +342,11 @@ fn checkpoint_engine(scenario: &Scenario) -> Engine {
         !matches!(scenario.coin, CoinSpec::Custom(_)),
         "checkpointing requires a serializable coin spec"
     );
-    match resolve_engine(scenario) {
-        Engine::Threads => panic!("the thread engine cannot checkpoint; use an event engine"),
-        engine => engine,
-    }
+    resolve_shards(scenario).expect("the thread engine cannot checkpoint; use an event engine")
 }
 
-/// Runs one leg — fresh or resumed, to completion or to a cut — and
-/// shapes the result.
+/// Runs one checkpoint-capable leg — fresh or resumed, to completion or
+/// to a cut.
 fn run_leg(
     scenario: &Scenario,
     resume: Option<&EngineSnap>,
@@ -317,46 +354,13 @@ fn run_leg(
 ) -> RunOutcome {
     scenario.assert_valid();
     let started = Instant::now();
-    let engine = checkpoint_engine(scenario);
-    let spec = RunSpec {
-        partition: scenario.partition.clone(),
-        body: scenario.body.clone(),
-        config: scenario.config,
-        proposals: scenario.proposals.clone(),
-        seed: scenario.seed,
-        costs: scenario.costs,
-        crash_plan: scenario.crashes.clone(),
-        // Same Poisson expansion as the straight-through path: a leg
-        // resumed from a snapshot re-derives the identical explicit plan.
-        churn: scenario
-            .churn
-            .resolve(scenario.seed, scenario.partition.n(), &scenario.crashes),
-        common_coin: scenario.build_coin(),
-        observer: None,
-        keep_trace: false,
-        max_events: scenario.max_events,
-    };
-    let net = scenario.network.compile(&scenario.partition);
-    let cut = stop_at.map(|t| t.ticks());
-    let leg = match engine {
-        Engine::EventDriven => {
-            let mut scheduler = TimedScheduler::new(scenario.seed, net);
-            conduct_event_driven_leg(spec, &mut scheduler, resume, cut)
-        }
-        Engine::ParallelEvent { workers } => {
-            conduct_parallel_leg(spec, &net, workers as usize, resume, cut)
-        }
-        Engine::Threads => unreachable!("checkpoint_engine rejects the thread engine"),
-    };
-    match leg {
-        LegResult::Done(raw) => RunOutcome::Done(finish_outcome(engine, raw, started)),
-        LegResult::Paused(snap) => RunOutcome::Paused(Box::new(Snapshot {
-            version: SNAPSHOT_VERSION,
-            scenario: scenario.clone(),
-            at: VirtualTime::from_ticks(snap.at),
-            engine_state: snap.to_value(),
-        })),
-    }
+    run_sharded(
+        scenario,
+        checkpoint_shards(scenario),
+        resume,
+        stop_at,
+        started,
+    )
 }
 
 /// Decodes a snapshot's engine state and continues it under `scenario`
@@ -398,25 +402,27 @@ mod tests {
             .proposals_split(5)
             .parallel(4);
         assert_eq!(
-            resolve_parallel(&scenario, 4, 1),
-            Engine::EventDriven,
+            parallel_shards(&scenario, 4, 1),
+            1,
             "4 shards on 1 core must fall back"
         );
         assert_eq!(
-            resolve_parallel(&scenario, 4, 2),
-            Engine::EventDriven,
+            parallel_shards(&scenario, 4, 2),
+            1,
             "4 shards on 2 cores must fall back"
         );
         assert_eq!(
-            resolve_parallel(&scenario, 4, 4),
-            Engine::ParallelEvent { workers: 4 },
+            parallel_shards(&scenario, 4, 4),
+            4,
             "4 shards on 4 cores run as requested"
         );
         assert_eq!(
-            resolve_parallel(&scenario, 9, 64),
-            Engine::ParallelEvent { workers: 4 },
+            parallel_shards(&scenario, 9, 64),
+            4,
             "shards cap at the cluster count"
         );
+        assert_eq!(engine_used(Some(1)), Engine::EventDriven);
+        assert_eq!(engine_used(Some(4)), Engine::ParallelEvent { workers: 4 });
     }
 
     #[test]

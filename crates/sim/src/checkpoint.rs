@@ -6,20 +6,20 @@
 //! live at that cut — per-process machine snapshots, process accounting
 //! (clocks, steps, coin streams, metric counters), shared-memory
 //! contents, per-sender PRF send counters, the trace-hash accumulator,
-//! and the pending event set in canonical [`CanonEvent`] form. Both the
-//! single-threaded event engine and the cluster-sharded parallel engine
-//! capture into and restore from this one shape, which is what lets a
-//! sequential run resume a parallel checkpoint and vice versa.
+//! and the pending event set in canonical [`CanonEvent`] form. Every
+//! shard of the event loop (`par.rs`) exports its slice of this one
+//! shape and restores from the whole, which is what lets a run paused on
+//! one shard resume on several and vice versa.
 //!
 //! Two normalizations make the encoding canonical:
 //!
 //! * **Events are sorted** by `(time, sender, counter, destination)` —
-//!   the same total order the schedulers dispatch in — so the byte
+//!   the same total order the shard heaps dispatch in — so the byte
 //!   encoding is independent of heap iteration order and shard count.
 //!   Batched broadcasts stay batched: one [`CanonEvent::Broadcast`]
 //!   descriptor (destinations `0..n` implied, destination `g` holding
 //!   sender-counter `k0 + g`), deduplicated across the per-shard copies
-//!   the parallel engine keeps.
+//!   several shards keep.
 //! * **Timed crashes are excluded.** They are a pure function of the
 //!   scenario's crash plan, so the resume path re-seeds `AtTime`
 //!   triggers with `at >= T` from the *resume* scenario — which is
@@ -68,7 +68,7 @@ pub(crate) enum CanonEvent {
 impl CanonEvent {
     /// The canonical dispatch order: `(time, sender, counter,
     /// destination)` — every pending event is a delivery (class 1), so
-    /// this is exactly the schedulers' `(at, EventKey)` order.
+    /// this is exactly the shard heaps' `(at, EventKey)` order.
     pub(crate) fn sort_key(&self) -> (u64, u32, u64, u32) {
         match *self {
             CanonEvent::One {
@@ -274,9 +274,9 @@ pub(crate) struct EngineSnap {
 
 impl EngineSnap {
     /// Sorts the pending events into canonical dispatch order and
-    /// collapses the per-shard copies of each batched broadcast (the
-    /// parallel engine keeps one descriptor per shard for the same
-    /// logical broadcast; `(from, k0)` identifies it globally).
+    /// collapses the per-shard copies of each batched broadcast (every
+    /// shard keeps its own descriptor of the same logical broadcast;
+    /// `(from, k0)` identifies it globally).
     pub(crate) fn normalize(&mut self) {
         self.events.sort_unstable_by_key(CanonEvent::sort_key);
         self.events.dedup_by(|a, b| {
@@ -415,7 +415,28 @@ mod tests {
 
     #[test]
     fn canon_events_sort_and_dedupe_like_the_schedulers() {
+        use crate::par::SEntry;
+        use std::collections::BinaryHeap;
+
         let msg = sample_msg();
+        let one = |at, from, k, to| CanonEvent::One {
+            at,
+            from,
+            k,
+            to,
+            msg,
+        };
+        let broadcast = CanonEvent::Broadcast {
+            at: 20,
+            from: 1,
+            k0: 4,
+            msg,
+        };
+        // Two shards' heaps at a pause: each holds its own deliveries
+        // and its own copy of the in-flight broadcast.
+        let shard_a = [broadcast, one(15, 2, 0, 1), one(20, 1, 3, 0)];
+        let shard_b = [one(15, 0, 7, 2), broadcast];
+        // What the shards export…
         let mut snap = EngineSnap {
             at: 10,
             events_processed: 0,
@@ -426,44 +447,29 @@ mod tests {
             machines: vec![],
             procs: vec![],
             memory: vec![],
-            events: vec![
-                CanonEvent::Broadcast {
-                    at: 20,
-                    from: 1,
-                    k0: 4,
-                    msg,
-                },
-                CanonEvent::One {
-                    at: 15,
-                    from: 2,
-                    k: 0,
-                    to: 1,
-                    msg,
-                },
-                // The same broadcast as seen from another shard.
-                CanonEvent::Broadcast {
-                    at: 20,
-                    from: 1,
-                    k0: 4,
-                    msg,
-                },
-                CanonEvent::One {
-                    at: 15,
-                    from: 0,
-                    k: 7,
-                    to: 2,
-                    msg,
-                },
-            ],
+            events: shard_a
+                .iter()
+                .chain(&shard_b)
+                .map(|ev| {
+                    SEntry::from_canon(ev)
+                        .to_canon()
+                        .expect("deliveries export")
+                })
+                .collect(),
         };
         snap.normalize();
-        assert_eq!(snap.events.len(), 3, "shard copies collapse");
+        assert_eq!(snap.events.len(), 4, "shard copies collapse");
+        // …normalizes into the order one shard's heap pops them in.
+        let mut heap: BinaryHeap<SEntry> = snap.events.iter().map(SEntry::from_canon).collect();
+        let popped: Vec<CanonEvent> =
+            std::iter::from_fn(|| heap.pop().and_then(|e| e.to_canon())).collect();
+        assert_eq!(popped, snap.events);
         assert_eq!(
             snap.events
                 .iter()
                 .map(CanonEvent::sort_key)
                 .collect::<Vec<_>>(),
-            vec![(15, 0, 7, 2), (15, 2, 0, 1), (20, 1, 4, 0)],
+            vec![(15, 0, 7, 2), (15, 2, 0, 1), (20, 1, 3, 0), (20, 1, 4, 0)],
         );
     }
 

@@ -64,15 +64,6 @@ pub(crate) trait Scheduler {
     /// Registers a sent message (called in send order while draining the
     /// outbox — the only place delay randomness is consumed).
     fn push_send(&mut self, from: ProcessId, to: ProcessId, msg: MsgKind, sent_at: u64);
-    /// Registers one broadcast: `msg` to every process `p_0 … p_{n-1}` in
-    /// index order, all handed to the network at `sent_at`. Semantically
-    /// identical to `n` [`Scheduler::push_send`] calls (the default does
-    /// exactly that); schedulers may store it more compactly.
-    fn push_broadcast(&mut self, from: ProcessId, msg: MsgKind, sent_at: u64, n: usize) {
-        for j in 0..n {
-            self.push_send(from, ProcessId(j), msg, sent_at);
-        }
-    }
     /// Registers a timed crash.
     fn push_crash(&mut self, pid: ProcessId, at: u64);
     /// Registers a churn rejoin. Only schedulers driving churn-capable
@@ -88,9 +79,9 @@ pub(crate) trait Scheduler {
 /// Deterministic total-order tie-break for events that share a delivery
 /// time. The key is *locally computable by the sender* — `(class, sender,
 /// sender's send-op counter, destination)` — rather than a global
-/// registration sequence number, so every engine (and every shard of the
-/// parallel engine) derives the identical dispatch order for the same
-/// logical sends, no matter in which real-time order they were pushed.
+/// registration sequence number, so the conductor and every shard of the
+/// event loop derive the identical dispatch order for the same logical
+/// sends, no matter in which real-time order they were pushed.
 ///
 /// Field order is the comparison order (derived lexicographic `Ord`):
 /// crashes (`class` 0) sort before deliveries (`class` 1) at equal times;
@@ -144,29 +135,10 @@ impl EventKey {
     }
 }
 
-/// What a heap slot holds: one event, or a whole uniform broadcast kept
-/// as a single entry (constant-delay fast path for the event-driven
-/// engines — O(n) instead of O(n²) heap residency per all-to-all round).
-#[derive(Debug)]
-enum Pending {
-    One(SchedEvent),
-    /// `msg` from `from` delivered to `p_0 … p_{n-1}`, all at `at`. The
-    /// entry's key carries the *first* of `n` consecutive sender-counter
-    /// values (destination `j` conceptually holds `k + j`), so expanding
-    /// destination-by-destination reproduces exactly the order `n`
-    /// individual entries would have had (see [`EventKey`]).
-    Broadcast {
-        from: ProcessId,
-        msg: MsgKind,
-        at: u64,
-        n: u32,
-    },
-}
-
 /// A heap slot ordered **earliest-first** by `(at, key)` — `BinaryHeap`
 /// is a max-heap, so the comparison is inverted. One definition shared
-/// by the sequential scheduler and the parallel engine's per-shard
-/// heaps, so their pop orders can never diverge.
+/// by the conductor's scheduler and the event loop's per-shard heaps, so
+/// their pop orders can never diverge.
 #[derive(Debug)]
 pub(crate) struct Keyed<E> {
     pub(crate) at: u64,
@@ -189,26 +161,6 @@ impl<E> Ord for Keyed<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (other.at, other.key).cmp(&(self.at, self.key))
     }
-}
-
-type HeapEntry = Keyed<Pending>;
-
-/// A popped [`Pending::Broadcast`] being expanded destination by
-/// destination. Invariant under loss: `next` always indexes a
-/// destination whose send-time fate is *not* [`Fate::Lost`] (lost
-/// destinations are skipped eagerly when the drain advances), so
-/// [`TimedScheduler::next_at`] never promises an event the next
-/// [`Scheduler::pop`] would not release.
-#[derive(Debug)]
-struct Draining {
-    from: ProcessId,
-    msg: MsgKind,
-    at: u64,
-    /// The sender's counter for destination 0 (destination `j` holds
-    /// `k0 + j`), needed to evaluate per-destination fates mid-drain.
-    k0: u64,
-    next: u32,
-    n: u32,
 }
 
 /// Per-sender send-op counters: the `k` component of [`EventKey`] and the
@@ -243,14 +195,13 @@ impl SendCounters {
 /// The production scheduler: delivery time = send time + the keyed delay
 /// of the compiled [`NetIndex`]; ties broken by [`EventKey`]. Loss,
 /// duplication, and delay are all pure functions of the sender's local
-/// history, which is what makes the single-threaded engines and the
-/// sharded parallel engine agree on one global event order.
+/// history, which is what makes the conductor and the sharded event
+/// loop agree on one global event order.
 pub(crate) struct TimedScheduler {
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Keyed<SchedEvent>>,
     seed: u64,
     net: NetIndex,
     counters: SendCounters,
-    draining: Option<Draining>,
 }
 
 impl TimedScheduler {
@@ -260,144 +211,15 @@ impl TimedScheduler {
             seed,
             net,
             counters: SendCounters::default(),
-            draining: None,
         }
     }
 
-    /// First destination `>= start` of a batched broadcast whose
-    /// send-time fate is not [`Fate::Lost`]. With loss disabled (the
-    /// common case) this returns `Some(start)` without sampling.
-    fn next_survivor(&self, from: ProcessId, k0: u64, start: u32, n: u32) -> Option<u32> {
-        (start..n).find(|&j| {
-            self.net
-                .fate_of(self.seed, from, ProcessId(j as usize), k0 + u64::from(j))
-                != Fate::Lost
-        })
-    }
-
-    /// If `(from, to, k)` was fated [`Fate::Dup`], schedules the second
-    /// copy. The extra delay is a fresh link-class sample, so it is at
-    /// least the class floor — which keeps duplicates at or beyond the
-    /// parallel engine's `min_delay` lookahead horizon.
-    fn maybe_push_dup(&mut self, from: ProcessId, to: ProcessId, k: u64, msg: MsgKind, at: u64) {
-        if self.net.fate_of(self.seed, from, to, k) == Fate::Dup {
-            let at2 = at + self.net.dup_extra_of(self.seed, from, to, k);
-            self.heap.push(HeapEntry {
-                at: at2,
-                key: EventKey::deliver(from, k, to),
-                ev: Pending::One(SchedEvent::Deliver {
-                    to,
-                    from,
-                    msg,
-                    at: at2,
-                }),
-            });
-        }
-    }
-
-    /// The timestamp of the next event [`Scheduler::pop`] would release,
-    /// without releasing it. Used to pause a run at a virtual-time cut:
-    /// a mid-expansion broadcast reports the shared delivery time of its
-    /// remaining destinations.
-    pub(crate) fn next_at(&self) -> Option<u64> {
-        if let Some(b) = &self.draining {
-            return Some(b.at);
-        }
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// The per-sender send counters, for checkpointing.
-    pub(crate) fn counter_values(&self) -> &[u64] {
-        self.counters.values()
-    }
-
-    /// Exports every pending delivery in the canonical engine-independent
-    /// checkpoint form (unsorted — the checkpoint codec sorts). Timed
-    /// crashes and churn rejoins are *excluded*: they are re-derived
-    /// from the resume scenario's crash and churn plans, which is what
-    /// lets a divergent replay swap the failure pattern of the tail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a broadcast is mid-expansion — checkpoint cuts land on
-    /// time boundaries, and every destination of a broadcast shares one
-    /// delivery time, so an active drain means the caller cut mid-time.
-    pub(crate) fn checkpoint_events(&self) -> Vec<crate::checkpoint::CanonEvent> {
-        assert!(
-            self.draining.is_none(),
-            "checkpoint cut mid-broadcast (cuts must land on time boundaries)"
-        );
-        self.heap
-            .iter()
-            .filter_map(|entry| match &entry.ev {
-                Pending::One(SchedEvent::Deliver { to, from, msg, at }) => {
-                    Some(crate::checkpoint::CanonEvent::One {
-                        at: *at,
-                        from: from.index() as u32,
-                        k: entry.key.k,
-                        to: to.index() as u32,
-                        msg: *msg,
-                    })
-                }
-                Pending::One(SchedEvent::Crash { .. })
-                | Pending::One(SchedEvent::Rejoin { .. }) => None,
-                Pending::Broadcast { from, msg, at, .. } => {
-                    Some(crate::checkpoint::CanonEvent::Broadcast {
-                        at: *at,
-                        from: from.index() as u32,
-                        k0: entry.key.k,
-                        msg: *msg,
-                    })
-                }
-            })
-            .collect()
-    }
-
-    /// Restores checkpointed state: pending deliveries re-enter the heap
-    /// under their original keys and timestamps (no delay randomness is
-    /// re-drawn), and the send counters resume mid-stream. Broadcasts
-    /// fan back out to all `n` processes, like the entry they were
-    /// captured from.
-    pub(crate) fn restore(
-        &mut self,
-        events: &[crate::checkpoint::CanonEvent],
-        counters: Vec<u64>,
-        n: u32,
-    ) {
-        self.counters = SendCounters::from_values(counters);
-        for ev in events {
-            match *ev {
-                crate::checkpoint::CanonEvent::One {
-                    at,
-                    from,
-                    k,
-                    to,
-                    msg,
-                } => {
-                    let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
-                    self.heap.push(HeapEntry {
-                        at,
-                        key: EventKey::deliver(from, k, to),
-                        ev: Pending::One(SchedEvent::Deliver { to, from, msg, at }),
-                    });
-                }
-                crate::checkpoint::CanonEvent::Broadcast { at, from, k0, msg } => {
-                    let from = ProcessId(from as usize);
-                    // Re-check survivorship under the restoring seed: a
-                    // divergent resume may change per-destination fates,
-                    // and the heap invariant is that every enqueued
-                    // broadcast delivers to at least one destination.
-                    if self.next_survivor(from, k0, 0, n).is_none() {
-                        continue;
-                    }
-                    self.heap.push(HeapEntry {
-                        at,
-                        key: EventKey::deliver(from, k0, ProcessId(0)),
-                        ev: Pending::Broadcast { from, msg, at, n },
-                    });
-                }
-            }
-        }
+    fn push_delivery(&mut self, from: ProcessId, to: ProcessId, k: u64, msg: MsgKind, at: u64) {
+        self.heap.push(Keyed {
+            at,
+            key: EventKey::deliver(from, k, to),
+            ev: SchedEvent::Deliver { to, from, msg, at },
+        });
     }
 }
 
@@ -410,108 +232,37 @@ impl Scheduler for TimedScheduler {
             Fate::Lost => {}
             fate => {
                 let at = sent_at + self.net.delay_of(self.seed, from, to, k);
-                self.heap.push(HeapEntry {
-                    at,
-                    key: EventKey::deliver(from, k, to),
-                    ev: Pending::One(SchedEvent::Deliver { to, from, msg, at }),
-                });
+                self.push_delivery(from, to, k, msg, at);
                 if fate == Fate::Dup {
-                    self.maybe_push_dup(from, to, k, msg, at);
+                    // The copy shares the key; its extra delay is a
+                    // fresh link-class sample, so it is at least the
+                    // class floor — which keeps duplicates at or beyond
+                    // the sharded loop's `min_delay` lookahead horizon.
+                    let at2 = at + self.net.dup_extra_of(self.seed, from, to, k);
+                    self.push_delivery(from, to, k, msg, at2);
                 }
-            }
-        }
-    }
-
-    fn push_broadcast(&mut self, from: ProcessId, msg: MsgKind, sent_at: u64, n: usize) {
-        if n == 0 {
-            return;
-        }
-        if let Some(d) = self.net.constant_broadcast_delay() {
-            // Every destination shares one delivery time, so the whole
-            // broadcast is a single heap entry occupying `n` consecutive
-            // sender-counter values (see `Pending::Broadcast` for why the
-            // expansion order is exact). Under loss, a broadcast whose
-            // every destination is fated lost is never enqueued at all —
-            // that keeps `next_at` honest (the heap never holds an entry
-            // that would release no event).
-            let at = sent_at + d;
-            let k = self.counters.take(from, n as u64);
-            if self.next_survivor(from, k, 0, n as u32).is_none() {
-                return;
-            }
-            self.heap.push(HeapEntry {
-                at,
-                key: EventKey::deliver(from, k, ProcessId(0)),
-                ev: Pending::Broadcast {
-                    from,
-                    msg,
-                    at,
-                    n: n as u32,
-                },
-            });
-        } else {
-            // Varying delays: fall back to per-destination entries; the
-            // keyed delay derivation makes the order of these pushes
-            // irrelevant.
-            for j in 0..n {
-                self.push_send(from, ProcessId(j), msg, sent_at);
             }
         }
     }
 
     fn push_crash(&mut self, pid: ProcessId, at: u64) {
-        self.heap.push(HeapEntry {
+        self.heap.push(Keyed {
             at,
             key: EventKey::crash(pid),
-            ev: Pending::One(SchedEvent::Crash { pid, at }),
+            ev: SchedEvent::Crash { pid, at },
         });
     }
 
     fn push_rejoin(&mut self, pid: ProcessId, at: u64) {
-        self.heap.push(HeapEntry {
+        self.heap.push(Keyed {
             at,
             key: EventKey::rejoin(pid),
-            ev: Pending::One(SchedEvent::Rejoin { pid, at }),
+            ev: SchedEvent::Rejoin { pid, at },
         });
     }
 
     fn pop(&mut self) -> Option<SchedEvent> {
-        if let Some(b) = &self.draining {
-            let (from, msg, at, k0, j, n) = (b.from, b.msg, b.at, b.k0, b.next, b.n);
-            let to = ProcessId(j as usize);
-            let k = k0 + u64::from(j);
-            // Advance to the next *surviving* destination (or finish),
-            // preserving the `Draining` invariant for `next_at`.
-            match self.next_survivor(from, k0, j + 1, n) {
-                Some(nj) => self.draining.as_mut().expect("drain active").next = nj,
-                None => self.draining = None,
-            }
-            self.maybe_push_dup(from, to, k, msg, at);
-            return Some(SchedEvent::Deliver { to, from, msg, at });
-        }
-        let entry = self.heap.pop()?;
-        match entry.ev {
-            Pending::One(ev) => Some(ev),
-            Pending::Broadcast { from, msg, at, n } => {
-                let k0 = entry.key.k;
-                let first = self
-                    .next_survivor(from, k0, 0, n)
-                    .expect("broadcasts with no surviving destination are never enqueued");
-                if let Some(nj) = self.next_survivor(from, k0, first + 1, n) {
-                    self.draining = Some(Draining {
-                        from,
-                        msg,
-                        at,
-                        k0,
-                        next: nj,
-                        n,
-                    });
-                }
-                let to = ProcessId(first as usize);
-                self.maybe_push_dup(from, to, k0 + u64::from(first), msg, at);
-                Some(SchedEvent::Deliver { to, from, msg, at })
-            }
-        }
+        self.heap.pop().map(|entry| entry.ev)
     }
 }
 

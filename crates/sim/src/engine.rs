@@ -1,14 +1,19 @@
-//! The event-driven engine: resumable state machines, no threads.
+//! The event engines' per-process half: resumable state machines, no
+//! threads.
 //!
 //! The thread conductor (`conductor.rs`) runs the blocking `Env`-trait
 //! algorithms by giving every simulated process its own OS thread and
 //! serializing them with a rendezvous baton — two context switches per
-//! burst, a few thousand processes at most. This engine replaces the
-//! thread per process with an `ofa_core::sm` state machine — a
+//! burst, a few thousand processes at most. The event engines replace
+//! the thread per process with an `ofa_core::sm` state machine — a
 //! [`ConsensusSm`] for binary bodies, a [`MultivaluedSm`] for
-//! multivalued workloads, a [`LogSm`] for replicated logs — and
-//! dispatches steps straight off the scheduler heap on a single thread:
-//! no spawned threads, no baton, no channels.
+//! multivalued workloads, a [`LogSm`] for replicated logs — wrapped here
+//! as a [`Machine`], with its accounting in a [`ProcState`] and its
+//! per-step services in an [`EventCtx`]. The loop that dispatches their
+//! steps straight off a heap of pending events is the sharded event
+//! loop in `par.rs`; [`Engine::EventDriven`](ofa_scenario::Engine) is
+//! that loop with one shard on the calling thread — no spawned threads,
+//! no baton, no channels.
 //!
 //! It is **observationally identical** to the conductor: the per-process
 //! [`EventCtx`] charges the same steps and virtual-time costs in the same
@@ -23,10 +28,7 @@
 //! `escale` experiment) and replicated KV runs reach `n >= 5 000` (the
 //! `smrscale` experiment).
 
-use crate::checkpoint::{EngineSnap, ProcSnap};
-use crate::conductor::{
-    rejoin_coin_seed, RawOutcome, RunSpec, SchedEvent, Scheduler, TimedScheduler,
-};
+use crate::checkpoint::ProcSnap;
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
 use ofa_core::sm::{
     ConsensusSm, LogSm, MultivaluedSm, MvProgress, OutItem, Progress, SmCtx, SmTopology,
@@ -39,8 +41,8 @@ use ofa_metrics::{CounterSnapshot, ServiceStats};
 use ofa_scenario::{
     Body, CostModel, CrashPlan, CrashTrigger, TraceEvent, TraceRecorder, VirtualTime,
 };
-use ofa_sharedmem::{ClusterMemory, MemoryBank, Slot};
-use ofa_topology::{Partition, ProcessId};
+use ofa_sharedmem::{ClusterMemory, Slot};
+use ofa_topology::ProcessId;
 use std::sync::Arc;
 
 /// One process's machine, shaped by the scenario body. The multivalued
@@ -58,9 +60,7 @@ pub(crate) enum Machine {
 }
 
 impl Machine {
-    /// Builds process `i`'s machine for a declarative body — shared by
-    /// the single-threaded engine and the per-shard construction of the
-    /// parallel engine.
+    /// Builds process `i`'s machine for a declarative body.
     ///
     /// # Panics
     ///
@@ -308,8 +308,6 @@ impl ProcState {
 
     /// Wake-up + receive accounting for one delivery — the conductor
     /// charges these inside the blocked `recv` when the baton returns.
-    /// Shared by both event-driven engines so the charging can never
-    /// drift between them.
     pub(crate) fn on_delivered(&mut self, at: u64, recv_cost: u64) {
         self.clock = self.clock.max(at);
         self.clock += recv_cost;
@@ -337,8 +335,7 @@ impl ProcState {
     }
 
     /// Records the terminal trace event and stores the result — what the
-    /// conductor does when a process thread reports `Finished`. Shared by
-    /// both event-driven engines.
+    /// conductor does when a process thread reports `Finished`.
     pub(crate) fn finish(
         &mut self,
         who: ProcessId,
@@ -356,7 +353,7 @@ impl ProcState {
 
     /// Assembles the per-step [`SmCtx`] over this state — the one place
     /// the borrow split between process state and run-wide services is
-    /// spelled out, shared by both event-driven engines.
+    /// spelled out.
     pub(crate) fn ctx<'a>(
         &'a mut self,
         me: ProcessId,
@@ -539,394 +536,6 @@ impl SmCtx for EventCtx<'_> {
     fn service_stats(&mut self, stats: &ServiceStats) {
         self.service.merge(stats);
     }
-}
-
-/// Everything one event-driven execution owns.
-struct Engine<'a, S: Scheduler> {
-    machines: Vec<Machine>,
-    procs: Vec<ProcState>,
-    partition: Partition,
-    memory: MemoryBank,
-    costs: CostModel,
-    crash_plan: CrashPlan,
-    common_coin: Arc<dyn CommonCoin>,
-    observer: Option<Arc<dyn Observer>>,
-    trace: TraceRecorder,
-    scheduler: &'a mut S,
-    n: usize,
-    // Rejoin inputs: a churned process restarts from its original
-    // proposal with a freshly built machine.
-    topo: Arc<SmTopology>,
-    body: Body,
-    proposals: Vec<Bit>,
-    config: ProtocolConfig,
-    seed: u64,
-}
-
-impl<S: Scheduler> Engine<'_, S> {
-    /// Runs one machine step with a freshly assembled context, then
-    /// routes the resulting progress (sends, termination records).
-    fn dispatch(&mut self, i: usize, input: Input) {
-        let me = ProcessId(i);
-        let mut ctx = self.procs[i].ctx(
-            me,
-            self.costs,
-            self.memory.memory_of(&self.partition, me),
-            self.common_coin.as_ref(),
-            self.observer.as_deref(),
-            &mut self.trace,
-        );
-        let sm = &mut self.machines[i];
-        let progress = match input {
-            Input::Start => sm.start(&mut ctx),
-            Input::Deliver(msg) => sm.on_msg(msg, &mut ctx),
-            Input::End(halt) => sm.halt(halt, &mut ctx),
-        };
-        match progress {
-            Progress::NeedMsg => {}
-            Progress::Sent(mut outbox) => {
-                self.drain(i, &mut outbox);
-                // Hand the drained buffer back: the next step's sends
-                // reuse its capacity instead of allocating.
-                self.machines[i].recycle_outbox(outbox);
-            }
-            Progress::Decided(decision, mut outbox) => {
-                self.drain(i, &mut outbox);
-                self.finish(i, Ok(decision));
-            }
-            Progress::Halted(halt, mut outbox) => {
-                self.drain(i, &mut outbox);
-                self.finish(i, Err(halt));
-            }
-        }
-    }
-
-    /// Hands a step's sends to the scheduler, in send order, leaving the
-    /// buffer empty for recycling.
-    fn drain(&mut self, i: usize, outbox: &mut Vec<OutItem>) {
-        let from = ProcessId(i);
-        for item in outbox.drain(..) {
-            match item {
-                OutItem::One(o) => self.scheduler.push_send(from, o.to, o.msg, o.sent_at),
-                OutItem::Broadcast { msg, sent_at } => {
-                    self.scheduler.push_broadcast(from, msg, sent_at, self.n)
-                }
-            }
-        }
-    }
-
-    /// Records a terminal result via the shared [`ProcState::finish`].
-    fn finish(&mut self, i: usize, result: Result<Decision, Halt>) {
-        self.procs[i].finish(ProcessId(i), result, &mut self.trace);
-    }
-}
-
-/// How a [`conduct_event_driven_leg`] ended: ran to completion, or
-/// paused at the requested virtual-time cut with the full engine state
-/// captured.
-pub(crate) enum LegResult {
-    Done(RawOutcome),
-    Paused(Box<EngineSnap>),
-}
-
-/// Runs a spec on the event-driven engine under the given scheduler.
-///
-/// # Panics
-///
-/// Panics if the spec's body is [`Body::Custom`] — custom bodies are
-/// blocking code; route them to the thread conductor.
-pub(crate) fn conduct_event_driven(spec: RunSpec, scheduler: &mut TimedScheduler) -> RawOutcome {
-    match conduct_event_driven_leg(spec, scheduler, None, None) {
-        LegResult::Done(out) => out,
-        LegResult::Paused(_) => unreachable!("no cut was requested"),
-    }
-}
-
-/// Runs one *leg* of an event-driven execution: optionally starting from
-/// a checkpoint (`resume`), optionally pausing at a virtual-time cut
-/// (`stop_at`). The cut contract: every event scheduled strictly before
-/// `stop_at` is processed, none at `>= stop_at` is. A leg that reaches
-/// quiescence (or the event budget) before the cut completes normally —
-/// exactly like the straight-through run.
-///
-/// # Panics
-///
-/// Panics if the spec's body is [`Body::Custom`], or if a resume
-/// snapshot's shape does not match the spec (wrong process count,
-/// undecodable machine state).
-pub(crate) fn conduct_event_driven_leg(
-    spec: RunSpec,
-    scheduler: &mut TimedScheduler,
-    resume: Option<&EngineSnap>,
-    stop_at: Option<u64>,
-) -> LegResult {
-    let n = spec.partition.n();
-    assert_eq!(
-        spec.proposals.len(),
-        n,
-        "need one proposal per process (got {} for n={n})",
-        spec.proposals.len()
-    );
-
-    let topo = Arc::new(SmTopology::new(spec.partition.clone()));
-    let config: ProtocolConfig = spec.config;
-    let serves = |i: usize| spec.churn.event(ProcessId(i)).is_none();
-    let machines: Vec<Machine> = match resume {
-        None => (0..n)
-            .map(|i| {
-                Machine::build(
-                    &spec.body,
-                    i,
-                    &topo,
-                    &spec.proposals,
-                    config,
-                    spec.seed,
-                    serves(i),
-                )
-            })
-            .collect(),
-        Some(snap) => {
-            assert_eq!(snap.machines.len(), n, "snapshot is for a different n");
-            (0..n)
-                .map(|i| match &snap.machines[i] {
-                    // Finished processes are never dispatched again; a
-                    // fresh machine is a placeholder, not state.
-                    serde::Value::Null => Machine::build(
-                        &spec.body,
-                        i,
-                        &topo,
-                        &spec.proposals,
-                        config,
-                        spec.seed,
-                        serves(i),
-                    ),
-                    v => Machine::from_snapshot(
-                        &spec.body,
-                        i,
-                        &topo,
-                        config,
-                        spec.seed,
-                        serves(i),
-                        v,
-                    )
-                    .expect("resume: machine snapshot decodes"),
-                })
-                .collect()
-        }
-    };
-    let mut engine = Engine {
-        machines,
-        procs: match resume {
-            None => (0..n)
-                .map(|i| ProcState::for_process(spec.seed, ProcessId(i), &spec.crash_plan))
-                .collect(),
-            Some(snap) => (0..n)
-                .map(|i| ProcState::restore(&snap.procs[i], ProcessId(i), &spec.crash_plan))
-                .collect(),
-        },
-        partition: spec.partition,
-        memory: match resume {
-            None => MemoryBank::for_partition(topo.partition()),
-            Some(snap) => MemoryBank::restore(&snap.memory),
-        },
-        costs: spec.costs,
-        crash_plan: spec.crash_plan,
-        common_coin: spec.common_coin,
-        observer: spec.observer,
-        trace: match resume {
-            None => TraceRecorder::new(spec.keep_trace),
-            Some(snap) => TraceRecorder::resume(snap.trace_hash, snap.trace_count),
-        },
-        scheduler,
-        n,
-        topo,
-        body: spec.body,
-        proposals: spec.proposals,
-        config,
-        seed: spec.seed,
-    };
-
-    if let Some(snap) = resume {
-        // Pending deliveries re-enter the heap under their captured keys
-        // and timestamps; send counters resume mid-stream.
-        engine
-            .scheduler
-            .restore(&snap.events, snap.send_counters.clone(), n as u32);
-        // Timed crashes are not stored: re-seed the cut's future from
-        // the *resume* plan (this is what lets a diverge swap the tail's
-        // failure pattern). Triggers before the cut already happened.
-        for (pid, trig) in engine.crash_plan.iter() {
-            if let CrashTrigger::AtTime(t) = trig {
-                if t.ticks() >= snap.at {
-                    engine.scheduler.push_crash(pid, t.ticks());
-                }
-            }
-        }
-        // Churn is re-seeded the same way. A rejoin after the cut whose
-        // leave was *before* the cut still fires: the leave is already
-        // in the trace, the rejoin is not.
-        for (pid, e) in spec.churn.iter() {
-            if e.leave.ticks() >= snap.at {
-                engine.scheduler.push_crash(pid, e.leave.ticks());
-            }
-            if let Some(r) = e.rejoin {
-                if r.ticks() >= snap.at {
-                    engine.scheduler.push_rejoin(pid, r.ticks());
-                }
-            }
-        }
-    } else {
-        // Schedule the timed crashes up front.
-        for (pid, trig) in engine.crash_plan.iter() {
-            if let CrashTrigger::AtTime(t) = trig {
-                engine.scheduler.push_crash(pid, t.ticks());
-            }
-        }
-        // Churn leaves are crashes; rejoins restart the process.
-        for (pid, e) in spec.churn.iter() {
-            engine.scheduler.push_crash(pid, e.leave.ticks());
-            if let Some(r) = e.rejoin {
-                engine.scheduler.push_rejoin(pid, r.ticks());
-            }
-        }
-
-        // Initial steps, in process order (each drains its sends before
-        // the next process starts, like the conductor's initial bursts).
-        for i in 0..n {
-            engine.dispatch(i, Input::Start);
-        }
-    }
-
-    // Main event loop.
-    let mut events_processed: u64 = resume.map_or(0, |s| s.events_processed);
-    let mut end_time: u64 = resume.map_or(0, |s| s.end_time);
-    while events_processed < spec.max_events {
-        if let Some(cut) = stop_at {
-            match engine.scheduler.next_at() {
-                Some(next) if next >= cut => {
-                    let mut snap = EngineSnap {
-                        at: cut,
-                        events_processed,
-                        end_time,
-                        trace_hash: engine.trace.hash(),
-                        trace_count: engine.trace.count(),
-                        send_counters: engine.scheduler.counter_values().to_vec(),
-                        machines: engine
-                            .machines
-                            .iter()
-                            .zip(&engine.procs)
-                            .map(|(m, p)| {
-                                if p.finished.is_some() {
-                                    serde::Value::Null
-                                } else {
-                                    m.snapshot()
-                                }
-                            })
-                            .collect(),
-                        procs: engine.procs.iter().map(ProcState::snapshot).collect(),
-                        memory: engine.memory.checkpoint(),
-                        events: engine.scheduler.checkpoint_events(),
-                    };
-                    snap.normalize();
-                    return LegResult::Paused(Box::new(snap));
-                }
-                _ => {}
-            }
-        }
-        let Some(ev) = engine.scheduler.pop() else {
-            break;
-        };
-        events_processed += 1;
-        match ev {
-            SchedEvent::Deliver { to, from, msg, at } => {
-                end_time = end_time.max(at);
-                let i = to.index();
-                // Crashed processes are finished too (a Crash event halts
-                // the machine in the same dispatch), so one check covers
-                // the conductor's `finished || crashed[]` pair.
-                if engine.procs[i].finished.is_some() {
-                    continue; // dropped on the floor
-                }
-                engine.trace.record(
-                    VirtualTime::from_ticks(at),
-                    TraceEvent::Deliver { who: to, from, msg },
-                );
-                engine.procs[i].on_delivered(at, engine.costs.recv_cost);
-                engine.dispatch(i, Input::Deliver(Msg { from, kind: msg }));
-            }
-            SchedEvent::Crash { pid, at } => {
-                end_time = end_time.max(at);
-                let i = pid.index();
-                if engine.procs[i].finished.is_some() {
-                    continue;
-                }
-                engine
-                    .trace
-                    .record(VirtualTime::from_ticks(at), TraceEvent::Crash { who: pid });
-                engine.procs[i].on_crash_event(at);
-                engine.dispatch(i, Input::End(Halt::Crashed));
-            }
-            SchedEvent::Rejoin { pid, at } => {
-                end_time = end_time.max(at);
-                let i = pid.index();
-                // A process that decided before its scheduled leave
-                // ignored the leave; it ignores the rejoin too.
-                if !matches!(engine.procs[i].finished, Some((Err(Halt::Crashed), _))) {
-                    continue;
-                }
-                engine
-                    .trace
-                    .record(VirtualTime::from_ticks(at), TraceEvent::Rejoin { who: pid });
-                // Fresh machine (fresh mailbox, original proposal),
-                // reset runtime state, rejoin-domain coin stream —
-                // exactly the conductor's fresh seat. Only churn-planned
-                // processes rejoin, and those never serve traffic.
-                engine.machines[i] = Machine::build(
-                    &engine.body,
-                    i,
-                    &engine.topo,
-                    &engine.proposals,
-                    engine.config,
-                    engine.seed,
-                    false,
-                );
-                engine.procs[i].rejoin(rejoin_coin_seed(engine.seed), pid, at);
-                engine.dispatch(i, Input::Start);
-            }
-        }
-    }
-
-    // Quiescent or budget exhausted: stop the stragglers, in process
-    // order (the conductor's final baton round).
-    for i in 0..n {
-        if engine.procs[i].finished.is_none() {
-            engine.dispatch(i, Input::End(Halt::Stopped));
-        }
-    }
-
-    let results: Vec<(Result<Decision, Halt>, u64)> = engine
-        .procs
-        .iter_mut()
-        .map(|s| s.finished.take().expect("all machines have terminated"))
-        .collect();
-    let counters = engine.procs.iter().map(|s| s.counters).collect();
-    let mut service = ServiceStats::new();
-    for s in &engine.procs {
-        service.merge(&s.service);
-    }
-    let trace_hash = engine.trace.hash();
-    let end_time = end_time.max(results.iter().map(|(_, c)| *c).max().unwrap_or(0));
-    LegResult::Done(RawOutcome {
-        results,
-        counters,
-        service,
-        trace_hash,
-        trace_events: engine.trace.into_events(),
-        events_processed,
-        end_time,
-        sm_objects: engine.memory.total_objects(),
-        sm_proposes: engine.memory.total_proposes(),
-    })
 }
 
 #[cfg(test)]

@@ -7,21 +7,23 @@
 //! and get back the same [`ofa_scenario::Outcome`] shape either way.
 //!
 //! The simulator itself has **three interchangeable engines**, selected
-//! by [`ofa_scenario::Scenario::engine`]:
+//! by [`ofa_scenario::Scenario::engine`] and implemented by two loops:
 //!
-//! * [`Engine::Threads`] — the reference: each process runs the *actual*
-//!   blocking `ofa-core` algorithm on its own OS thread, serialized by a
-//!   conductor baton (exercises the real concurrent `ofa-sharedmem`
-//!   objects);
-//! * [`Engine::EventDriven`] — each process is a resumable
-//!   `ofa_core::sm::ConsensusSm` state machine stepped on a single
-//!   thread straight off the event heap — no threads, no baton — which
-//!   lifts the process-count ceiling from thousands to tens of
-//!   thousands (the `escale` experiment runs `n = 10 000+`);
-//! * [`Engine::ParallelEvent`] — the event engine sharded by *cluster*
-//!   over a worker pool, exchanging cross-shard deliveries at
-//!   deterministic virtual-time epoch barriers; pushes the replicated
-//!   SMR workload past `n = 10⁴` (the `parscale` experiment).
+//! * [`Engine::Threads`] — the conductor, and the reference: each
+//!   process runs the *actual* blocking `ofa-core` algorithm on its own
+//!   OS thread, serialized by a conductor baton (exercises the real
+//!   concurrent `ofa-sharedmem` objects);
+//! * [`Engine::EventDriven`] — the sharded event loop with **one
+//!   shard** on the calling thread: each process is a resumable
+//!   `ofa_core::sm` state machine stepped straight off the event heap —
+//!   no threads, no baton — which lifts the process-count ceiling from
+//!   thousands to tens of thousands (the `escale` experiment runs
+//!   `n = 10 000+`);
+//! * [`Engine::ParallelEvent`] — the same event loop with `W` shards on
+//!   `W` threads: shards own whole *clusters* and exchange cross-shard
+//!   deliveries at deterministic virtual-time epoch barriers; pushes the
+//!   replicated SMR workload past `n = 10⁴` (the `parscale`
+//!   experiment).
 //!
 //! All engines produce identical outcomes — decisions, counters, event
 //! counts, trace hashes — for any declarative scenario, and the

@@ -1,19 +1,26 @@
-//! The parallel event engine: the event-driven engine sharded by cluster.
+//! The sharded event loop: the one loop behind both event engines.
 //!
-//! The single-threaded engine (`engine.rs`) dispatches machine steps off
-//! one global heap; its ceiling is one core. This engine exploits the
-//! paper's own structure to go wider: **clusters are natural shards**.
-//! Intra-cluster traffic is shared memory (`MEM_x` never crosses a
-//! cluster boundary) and every remaining interaction is a scheduled
-//! message delivery — so each shard owns a subset of the clusters (their
-//! machines, their `ClusterMemory`, and a local scheduler heap) and
-//! shards only interact through cross-shard deliveries exchanged at
-//! deterministic virtual-time **epoch barriers**.
+//! Every process is an `ofa_core::sm` machine (`engine.rs`) stepped
+//! straight off a heap of pending events. The paper's own structure says
+//! how to split that heap: **clusters are natural shards**. Intra-cluster
+//! traffic is shared memory (`MEM_x` never crosses a cluster boundary)
+//! and every remaining interaction is a scheduled message delivery — so
+//! each shard owns a subset of the clusters (their machines, their
+//! `ClusterMemory`, and a local heap) and shards only interact through
+//! cross-shard deliveries exchanged at deterministic virtual-time
+//! **epoch barriers**.
+//!
+//! [`Engine::EventDriven`](ofa_scenario::Engine) is this loop with **one
+//! shard** that owns every cluster, driven on the calling thread: no
+//! spawned thread, no channel, no barrier, no lookahead window.
+//! [`Engine::ParallelEvent`](ofa_scenario::Engine) is the same loop with
+//! `W` shards: the coordinator drives shard 0 itself and spawns one
+//! thread for each of shards `1..W`. Nothing else differs between them.
 //!
 //! # Why the runs are bit-for-bit reproducible
 //!
-//! Everything order-sensitive in a run was made a *pure function of the
-//! scenario* in this engine's companion refactor:
+//! Everything order-sensitive in a run is a *pure function of the
+//! scenario*:
 //!
 //! * **Delays, loss, and duplication** come from the compiled
 //!   [`ofa_scenario::NetworkModel`] ([`NetIndex`]), keyed by
@@ -27,336 +34,531 @@
 //!   into exactly the value one global recorder would produce.
 //!
 //! Each shard pops its local events in `(time, key)` order, which equals
-//! the single-threaded engine's global dispatch order *restricted to the
-//! shard*; since same-epoch events on different shards touch disjoint
-//! state (machines and memories are shard-owned; the conservative
-//! lookahead below keeps their messages out of the current epoch), the
-//! parallel execution computes the identical run — same decisions,
-//! halts, counters, event counts, end time, and shard-merged trace hash
-//! — for any seed and **any worker count**. `tests/engine_equivalence.rs`
-//! asserts this across the whole corpus.
+//! the one-shard dispatch order *restricted to the shard*; since
+//! same-epoch events on different shards touch disjoint state (machines
+//! and memories are shard-owned; the conservative lookahead below keeps
+//! their messages out of the current epoch), any shard count computes the
+//! identical run — same decisions, halts, counters, event counts, end
+//! time, and shard-merged trace hash. `tests/engine_equivalence.rs`
+//! asserts this across the whole corpus, against the thread conductor.
 //!
-//! # The epoch barrier
+//! # The epoch protocol
 //!
 //! Every message takes at least [`NetIndex::min_delay`] ticks, so an
 //! event processed at virtual time `t` can only schedule deliveries at
 //! `t + min_delay` or later (send timestamps never precede the event
 //! being dispatched). With the epoch `[T, T + min_delay)`, the event set
-//! of the epoch is therefore *closed* at the barrier: nothing processed
-//! inside it — on any shard — can add to it. The coordinator picks
-//! `T` = earliest pending event anywhere, shards process their slice of
-//! the epoch in parallel, cross-shard sends are routed at the barrier,
-//! and the cycle repeats. Uniform broadcasts stay batched end to end:
-//! one descriptor per *shard* (not per destination) crosses the barrier,
-//! and each shard expands it lazily over its own members, preserving the
-//! O(n)-heap-residency property of the single-threaded engine.
+//! of the epoch is therefore *closed*: nothing processed inside it — on
+//! any shard — can add to it. One epoch is one round trip: the
+//! coordinator picks `T` = earliest pending event anywhere and sends
+//! every shard [`Cmd::Run`] with the deliveries routed to it at the last
+//! barrier; the shard enqueues them, pops its heap while the top is
+//! inside the window, and replies with its outgoing cross-shard sends.
+//! A lone shard has nobody to exchange with, so its window is unbounded
+//! (which is why it also serves networks whose minimum delay is zero).
+//!
+//! Uniform broadcasts stay batched end to end: one heap entry on the
+//! sender's shard plus one descriptor per *other shard* (not per
+//! destination) across the barrier, each expanded over the shard's own
+//! members when popped — O(n) heap residency per all-to-all round. A
+//! batch expands in one go, which is order-exact only because the
+//! shared delay is positive (see [`ShardState::route`]).
 //!
 //! The event budget (`Scenario::max_events`) keeps its exact sequential
-//! semantics: when an epoch would overrun the budget, the shards report
-//! their event keys and the coordinator cuts the epoch at the globally
-//! `remaining`-th event in `(time, key)` order — the same prefix the
-//! single-threaded engine would have processed.
+//! semantics. One shard simply stops after `remaining` events. Several
+//! shards report a cheap upper bound on their pending events with every
+//! reply; only in an epoch where that bound exceeds the remaining budget
+//! does the coordinator ask for the window's event keys ([`Cmd::Keys`])
+//! and cut the epoch at the globally `remaining`-th event in
+//! `(time, key)` order.
+//!
+//! Pausing at a virtual-time cut clamps the window to the cut, so no
+//! shard ever processes an event at or beyond it; the pause lands on a
+//! barrier, where every pending event sits on some shard's heap, ready
+//! to export in the canonical [`EngineSnap`] form — which is why a
+//! snapshot resumes on any shard count.
 //!
 //! Observers are supported (they are `Send + Sync` by contract) and see
-//! a deterministic event subsequence *per process*, but the global
-//! interleaving of callbacks across shards is real-time concurrent —
-//! the one observable this engine does not linearize. Order-sensitive
-//! observers belong on a sequential engine; see the
+//! a deterministic event subsequence *per process*, but with several
+//! shards the global interleaving of callbacks across shards is
+//! real-time concurrent — the one observable this loop does not
+//! linearize. Order-sensitive observers belong on one shard; see the
 //! [`Engine`](ofa_scenario::Engine) docs.
 
 use crate::checkpoint::{CanonEvent, EngineSnap, ProcSnap};
 use crate::conductor::{rejoin_coin_seed, EventKey, Keyed, RawOutcome, RunSpec, SendCounters};
-use crate::engine::{Input, LegResult, Machine, ProcState};
+use crate::engine::{Input, Machine, ProcState};
 use ofa_core::sm::{OutItem, Progress, SmTopology};
-use ofa_core::{Bit, Decision, Halt, Msg, MsgKind};
+use ofa_core::{Halt, Msg, MsgKind};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
-use ofa_scenario::{Body, CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime};
+use ofa_scenario::{CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime};
 use ofa_sharedmem::MemoryBank;
-use ofa_topology::ProcessId;
+use ofa_topology::{Partition, ProcessId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{mpsc, Arc};
 
-/// A cross-shard delivery descriptor, shipped at an epoch barrier. The
-/// sending shard has already fixed the delivery time and ordering key
-/// (both are sender-local computations); the receiving shard just
-/// enqueues.
-enum Shipped {
-    /// One point-to-point delivery.
-    One {
-        from: u32,
-        to: u32,
-        k: u64,
-        at: u64,
-        msg: MsgKind,
-    },
-    /// A uniform broadcast: the receiving shard expands it over its own
-    /// members (destination `g` holds sender-counter `k0 + g`).
-    Broadcast {
-        from: u32,
-        k0: u64,
-        at: u64,
-        msg: MsgKind,
-    },
-}
-
-/// What a shard-heap slot holds.
+/// What a pending event is. A [`SPending::Broadcast`] is a uniform
+/// broadcast kept whole: the shard holding it expands it over its own
+/// members when popped (destination `g` holds sender-counter `k0 + g`).
 #[derive(Debug)]
-enum SPending {
+pub(crate) enum SPending {
     Deliver { to: u32, from: u32, msg: MsgKind },
     Broadcast { from: u32, k0: u64, msg: MsgKind },
     Crash { pid: u32 },
     Rejoin { pid: u32 },
 }
 
-/// A shard-heap slot: the sequential scheduler's earliest-first
-/// ordering ([`Keyed`]) over shard-local pending events.
-type SEntry = Keyed<SPending>;
+/// A pending event with its delivery time and ordering key — a slot of
+/// a shard's heap (ordered earliest-first by `(at, EventKey)`), and also
+/// what crosses an epoch barrier: time and key are sender-local
+/// computations, so the receiving shard just enqueues.
+pub(crate) type SEntry = Keyed<SPending>;
 
-/// One empty barrier buffer per destination shard (`Shipped` is not
+impl SEntry {
+    fn deliver(at: u64, from: u32, k: u64, to: u32, msg: MsgKind) -> Self {
+        Keyed {
+            at,
+            key: EventKey::deliver(ProcessId(from as usize), k, ProcessId(to as usize)),
+            ev: SPending::Deliver { to, from, msg },
+        }
+    }
+
+    /// A batched broadcast sorts where its first destination would: the
+    /// key carries the first of the consecutive sender-counter values.
+    fn broadcast(at: u64, from: u32, k0: u64, msg: MsgKind) -> Self {
+        Keyed {
+            at,
+            key: EventKey::deliver(ProcessId(from as usize), k0, ProcessId(0)),
+            ev: SPending::Broadcast { from, k0, msg },
+        }
+    }
+
+    fn crash(pid: ProcessId, at: u64) -> Self {
+        Keyed {
+            at,
+            key: EventKey::crash(pid),
+            ev: SPending::Crash {
+                pid: pid.index() as u32,
+            },
+        }
+    }
+
+    fn rejoin(pid: ProcessId, at: u64) -> Self {
+        Keyed {
+            at,
+            key: EventKey::rejoin(pid),
+            ev: SPending::Rejoin {
+                pid: pid.index() as u32,
+            },
+        }
+    }
+
+    /// The canonical checkpoint form of a pending delivery, and back
+    /// ([`SEntry::from_canon`]). Timed crashes and churn rejoins have
+    /// none: they are re-derived from the resume scenario's plans, which
+    /// is what lets a divergent replay swap the tail's failure pattern.
+    pub(crate) fn to_canon(&self) -> Option<CanonEvent> {
+        match self.ev {
+            SPending::Deliver { to, from, msg } => Some(CanonEvent::One {
+                at: self.at,
+                from,
+                k: self.key.k,
+                to,
+                msg,
+            }),
+            SPending::Broadcast { from, k0, msg } => Some(CanonEvent::Broadcast {
+                at: self.at,
+                from,
+                k0,
+                msg,
+            }),
+            SPending::Crash { .. } | SPending::Rejoin { .. } => None,
+        }
+    }
+
+    pub(crate) fn from_canon(ev: &CanonEvent) -> Self {
+        match *ev {
+            CanonEvent::One {
+                at,
+                from,
+                k,
+                to,
+                msg,
+            } => SEntry::deliver(at, from, k, to, msg),
+            CanonEvent::Broadcast { at, from, k0, msg } => SEntry::broadcast(at, from, k0, msg),
+        }
+    }
+}
+
+/// One empty barrier buffer per destination shard (`SEntry` is not
 /// `Clone`, so `vec![...; n]` is unavailable).
-fn fresh_buffers(shards: usize) -> Vec<Vec<Shipped>> {
+fn fresh_buffers(shards: usize) -> Vec<Vec<SEntry>> {
     let mut v = Vec::with_capacity(shards);
     v.resize_with(shards, Vec::new);
     v
 }
 
-/// Commands the coordinator sends a shard, one epoch phase each.
+/// What the coordinator asks of a shard; every command first enqueues
+/// the deliveries routed to the shard at the last barrier.
 enum Cmd {
-    /// Enqueue barrier-routed deliveries, then pop every local event
-    /// with `at < t_end` into the epoch batch; reply [`Reply::Prepared`].
-    Prepare { incoming: Vec<Shipped>, t_end: u64 },
-    /// Report the epoch batch's event keys (budget-cut epochs only).
-    Keys,
-    /// Process the first `limit` events of the epoch batch; reply
-    /// [`Reply::Ran`].
-    Run { limit: u64 },
+    /// Process local events with `at < t_end` in `(time, key)` order,
+    /// at most `limit` of them; reply [`Reply::Ran`].
+    Run {
+        incoming: Vec<SEntry>,
+        t_end: u64,
+        limit: u64,
+    },
+    /// Report the `(time, key)` of every local event with `at < t_end`
+    /// (only in an epoch the event budget may cut); reply
+    /// [`Reply::Keys`].
+    Keys { incoming: Vec<SEntry>, t_end: u64 },
     /// Halt stragglers and report results; reply [`Reply::Finished`].
     Finish,
-    /// Capture the shard's full state for a pause-time checkpoint and
-    /// terminate; reply [`Reply::Checkpointed`].
-    Checkpoint,
-}
-
-/// One shard's post-step report: barrier-bound sends plus progress.
-struct StepReport {
-    shard: usize,
-    /// Outgoing deliveries, indexed by destination shard.
-    outgoing: Vec<Vec<Shipped>>,
-    processed: u64,
-    end_time: u64,
-    /// Earliest event still pending on the local heap.
-    next_at: Option<u64>,
-}
-
-/// A shard's final report.
-struct ShardResult {
-    /// `(global process index, result, final clock)` per member.
-    results: Vec<(u32, Result<Decision, Halt>, u64)>,
-    counters: Vec<(u32, CounterSnapshot)>,
-    /// This shard's members' client-service statistics, pre-merged (the
-    /// run-wide merge is order-independent, so shard totals compose).
-    service: ServiceStats,
-    trace: TraceRecorder,
-}
-
-/// One shard's contribution to a pause-time checkpoint: its slice of the
-/// canonical [`EngineSnap`], keyed by global process index so the
-/// coordinator can merge slices into the engine-independent whole.
-struct ShardSnap {
-    /// `(global index, machine snapshot)` per member; `Null` for
-    /// finished processes.
-    machines: Vec<(u32, serde::Value)>,
-    /// `(global index, process accounting)` per member.
-    procs: Vec<(u32, ProcSnap)>,
-    /// This shard's per-sender counter vector. Only members' entries
-    /// ever advance here, so merging shards element-wise by `max`
-    /// reconstructs the global vector.
-    counters: Vec<u64>,
-    /// Pending deliveries on the local heap (timed crashes excluded;
-    /// broadcast descriptors are per-shard copies the coordinator
-    /// dedupes).
-    events: Vec<CanonEvent>,
-    /// The shard recorder's multiset hash and record count.
-    trace_hash: u64,
-    trace_count: u64,
+    /// Capture the shard's state for a pause-time checkpoint; reply
+    /// [`Reply::Checkpointed`].
+    Checkpoint { incoming: Vec<SEntry> },
 }
 
 enum Reply {
-    Started(StepReport),
-    Prepared {
-        batch: u64,
-    },
-    Keys {
-        shard: usize,
-        keys: Vec<(u64, EventKey)>,
-    },
     Ran(StepReport),
+    Keys(Vec<(u64, EventKey)>),
     Finished(Box<ShardResult>),
     Checkpointed(Box<ShardSnap>),
 }
 
-/// Everything one shard owns.
-struct ShardState {
-    id: usize,
-    n: usize,
-    /// This shard's processes, ascending global index.
-    members: Vec<u32>,
-    /// Global process index → owning shard.
-    owner: Arc<Vec<u32>>,
-    /// Global process index → local index within its owner.
-    local_of: Arc<Vec<u32>>,
-    machines: Vec<Machine>,
-    procs: Vec<ProcState>,
-    topo: Arc<SmTopology>,
-    memory: MemoryBank,
-    costs: ofa_scenario::CostModel,
-    common_coin: Arc<dyn ofa_coins::CommonCoin>,
-    observer: Option<Arc<dyn ofa_core::Observer>>,
-    trace: TraceRecorder,
-    heap: BinaryHeap<SEntry>,
-    counters: SendCounters,
-    net: NetIndex,
-    seed: u64,
-    // Rejoin inputs: a churned member restarts from its original
-    // proposal with a freshly built machine.
-    body: Body,
-    proposals: Vec<Bit>,
-    config: ofa_core::ProtocolConfig,
-    /// The current epoch's events, in `(time, key)` order.
-    epoch: Vec<SEntry>,
-    /// Barrier-bound sends, indexed by destination shard.
-    outgoing: Vec<Vec<Shipped>>,
+/// One shard's post-step report: barrier-bound sends plus progress.
+struct StepReport {
+    /// Outgoing deliveries, indexed by destination shard.
+    outgoing: Vec<Vec<SEntry>>,
+    processed: u64,
     end_time: u64,
-    /// `true` when restored from a checkpoint: machines already took
-    /// their initial steps in the original leg, so `start` skips them.
-    resumed: bool,
+    /// Earliest event still pending on the local heap.
+    next_at: Option<u64>,
+    /// An upper bound on the events the local heap holds: one per
+    /// entry, a batched broadcast counted as one per member.
+    pending: u64,
 }
 
-impl ShardState {
-    /// Routes one outbox item: delays and keys are computed here, on the
-    /// sender's shard (they are functions of the sender's local history),
-    /// then the delivery goes to the local heap or a barrier buffer.
-    fn route(&mut self, from: ProcessId, item: OutItem) {
-        match item {
-            OutItem::One(o) => {
-                let k = self.counters.take(from, 1);
-                match self.net.fate_of(self.seed, from, o.to, k) {
-                    // Lost messages consume the counter but route nothing.
-                    Fate::Lost => {}
-                    fate => {
-                        let at = o.sent_at + self.net.delay_of(self.seed, from, o.to, k);
-                        self.route_one(from, o.to, k, at, o.msg);
-                        if fate == Fate::Dup {
-                            // The copy shares the key (same at2 on every
-                            // engine: the extra delay is a fresh sample of
-                            // the link class, so it is >= the lookahead).
-                            let at2 = at + self.net.dup_extra_of(self.seed, from, o.to, k);
-                            self.route_one(from, o.to, k, at2, o.msg);
-                        }
+/// A shard's final report: its members' terminal state (results,
+/// counters, client-service statistics), in member order — the state
+/// vector itself, moved rather than copied.
+struct ShardResult {
+    procs: Vec<ProcState>,
+    trace: TraceRecorder,
+}
+
+/// One shard's contribution to a pause-time checkpoint: its slice of the
+/// canonical [`EngineSnap`], per member in member order.
+struct ShardSnap {
+    /// Machine snapshots; `Null` for finished processes.
+    machines: Vec<serde::Value>,
+    procs: Vec<ProcSnap>,
+    /// This shard's per-sender counter vector. Only members' entries
+    /// ever advance here, so merging shards element-wise by `max`
+    /// reconstructs the global vector.
+    counters: Vec<u64>,
+    /// Pending deliveries on the local heap (broadcast descriptors are
+    /// per-shard copies the snapshot's `normalize` dedupes).
+    events: Vec<CanonEvent>,
+    trace: TraceRecorder,
+}
+
+/// Which shard owns which process.
+struct Layout {
+    /// Per shard: its processes, ascending global index.
+    members: Vec<Vec<u32>>,
+    /// Global process index → owning shard.
+    owner: Vec<u32>,
+    /// Global process index → local index within its owner.
+    local_of: Vec<u32>,
+}
+
+impl Layout {
+    /// Deterministic balanced cluster→shard assignment: clusters sorted
+    /// by size (largest first, index as tie-break) go to the currently
+    /// lightest shard. Any clustering-respecting assignment yields the
+    /// same run — the balance only matters for wall-clock.
+    fn new(partition: &Partition, shards: usize) -> Self {
+        let sizes = partition.sizes();
+        let mut order: Vec<usize> = (0..sizes.len()).collect();
+        order.sort_by_key(|&c| (Reverse(sizes[c]), c));
+        let mut shard_of = vec![0usize; sizes.len()];
+        let mut load = vec![0usize; shards];
+        for c in order {
+            let s = (0..shards)
+                .min_by_key(|&s| (load[s], s))
+                .expect(">0 shards");
+            shard_of[c] = s;
+            load[s] += sizes[c];
+        }
+        let n = partition.n();
+        let mut layout = Layout {
+            members: vec![Vec::new(); shards],
+            owner: vec![0; n],
+            local_of: vec![0; n],
+        };
+        for i in 0..n {
+            let s = shard_of[partition.cluster_of(ProcessId(i)).index()];
+            layout.owner[i] = s as u32;
+            layout.local_of[i] = layout.members[s].len() as u32;
+            layout.members[s].push(i as u32);
+        }
+        layout
+    }
+}
+
+/// Everything one shard owns; the run-wide inputs are borrowed from the
+/// coordinator's frame (shard threads are scoped).
+struct ShardState<'a> {
+    id: usize,
+    layout: &'a Layout,
+    spec: &'a RunSpec,
+    net: &'a NetIndex,
+    topo: &'a Arc<SmTopology>,
+    /// One bank shared by every shard: memories are per cluster and each
+    /// cluster belongs to exactly one shard, so there is no contention.
+    memory: &'a MemoryBank,
+    /// Per member, in member order.
+    machines: Vec<Machine>,
+    procs: Vec<ProcState>,
+    trace: TraceRecorder,
+    heap: BinaryHeap<SEntry>,
+    /// Batched broadcasts resident on the heap (for [`StepReport::pending`]).
+    batched: usize,
+    counters: SendCounters,
+    /// Barrier-bound sends, indexed by destination shard.
+    outgoing: Vec<Vec<SEntry>>,
+    end_time: u64,
+}
+
+impl<'a> ShardState<'a> {
+    /// Builds shard `id`: fresh, or restored from a checkpoint.
+    fn build(
+        id: usize,
+        layout: &'a Layout,
+        spec: &'a RunSpec,
+        net: &'a NetIndex,
+        topo: &'a Arc<SmTopology>,
+        memory: &'a MemoryBank,
+        resume: Option<&EngineSnap>,
+    ) -> Self {
+        let members = &layout.members[id];
+        let machines = members
+            .iter()
+            .map(|&g| {
+                let i = g as usize;
+                let serves = spec.churn.event(ProcessId(i)).is_none();
+                match resume.map(|snap| &snap.machines[i]) {
+                    // Finished processes are never dispatched again, so
+                    // their snapshot is `Null` and a fresh machine stands
+                    // in as a placeholder.
+                    None | Some(serde::Value::Null) => Machine::build(
+                        &spec.body,
+                        i,
+                        topo,
+                        &spec.proposals,
+                        spec.config,
+                        spec.seed,
+                        serves,
+                    ),
+                    Some(v) => Machine::from_snapshot(
+                        &spec.body,
+                        i,
+                        topo,
+                        spec.config,
+                        spec.seed,
+                        serves,
+                        v,
+                    )
+                    .expect("resume: machine snapshot decodes"),
+                }
+            })
+            .collect();
+        let procs = members
+            .iter()
+            .map(|&g| {
+                let pid = ProcessId(g as usize);
+                match resume {
+                    None => ProcState::for_process(spec.seed, pid, &spec.crash_plan),
+                    Some(snap) => {
+                        ProcState::restore(&snap.procs[g as usize], pid, &spec.crash_plan)
                     }
                 }
+            })
+            .collect();
+        let mut st = ShardState {
+            id,
+            layout,
+            spec,
+            net,
+            topo,
+            memory,
+            machines,
+            procs,
+            trace: match resume {
+                // The resumed accumulator continues on shard 0; every
+                // shard's recorder merges into one at the end.
+                Some(snap) if id == 0 => TraceRecorder::resume(snap.trace_hash, snap.trace_count),
+                _ => TraceRecorder::new(spec.keep_trace),
+            },
+            heap: BinaryHeap::new(),
+            batched: 0,
+            counters: match resume {
+                None => SendCounters::default(),
+                // Every shard gets the full counter vector; only its
+                // members' entries advance here.
+                Some(snap) => SendCounters::from_values(snap.send_counters.clone()),
+            },
+            outgoing: fresh_buffers(layout.members.len()),
+            end_time: 0,
+        };
+        if let Some(snap) = resume {
+            // Checkpointed deliveries re-enter under their captured keys
+            // and times (no randomness is re-drawn): point-to-point
+            // events on the destination's owner, broadcast descriptors
+            // on every shard (each expands one over its own members).
+            for ev in &snap.events {
+                match *ev {
+                    CanonEvent::One { to, .. } if layout.owner[to as usize] as usize != id => {}
+                    _ => st.push(SEntry::from_canon(ev)),
+                }
             }
+        }
+        // Timed crashes and churn are not checkpointed: a resumed shard
+        // re-seeds the cut's future from the *resume* plan (this is what
+        // lets a diverge swap the tail's failure pattern). Triggers
+        // before the cut already happened — except that a rejoin after
+        // the cut fires even when its leave is already history.
+        let seeded_from = resume.map_or(0, |snap| snap.at);
+        let mine = |pid: ProcessId| layout.owner[pid.index()] as usize == id;
+        for (pid, trig) in spec.crash_plan.iter() {
+            if let CrashTrigger::AtTime(t) = trig {
+                if mine(pid) && t.ticks() >= seeded_from {
+                    st.push(SEntry::crash(pid, t.ticks()));
+                }
+            }
+        }
+        // Churn leaves are crashes; rejoins restart the member.
+        for (pid, e) in spec.churn.iter().filter(|&(pid, _)| mine(pid)) {
+            if e.leave.ticks() >= seeded_from {
+                st.push(SEntry::crash(pid, e.leave.ticks()));
+            }
+            if let Some(r) = e.rejoin.filter(|r| r.ticks() >= seeded_from) {
+                st.push(SEntry::rejoin(pid, r.ticks()));
+            }
+        }
+        if resume.is_none() {
+            // Initial steps, ascending — the global start order
+            // restricted to this shard (each drains its sends before the
+            // next process starts, like the conductor's initial bursts).
+            // A resumed shard's machines took theirs in the original leg.
+            for li in 0..st.machines.len() {
+                st.dispatch(li, Input::Start);
+            }
+        }
+        st
+    }
+
+    fn members(&self) -> &'a [u32] {
+        &self.layout.members[self.id]
+    }
+
+    fn push(&mut self, entry: SEntry) {
+        if matches!(entry.ev, SPending::Broadcast { .. }) {
+            self.batched += 1;
+        }
+        self.heap.push(entry);
+    }
+
+    /// Routes one outbox item: fates, delays and keys are computed here,
+    /// on the sender's shard (they are functions of the sender's local
+    /// history), then the delivery goes to the local heap or a barrier
+    /// buffer.
+    fn route(&mut self, from: ProcessId, item: OutItem) {
+        let n = self.layout.owner.len();
+        match item {
+            OutItem::One(o) => self.route_one(from, o.to, o.msg, o.sent_at),
             OutItem::Broadcast { msg, sent_at } => {
-                if let Some(d) = self.net.constant_broadcast_delay() {
-                    // Batched end to end: one local heap entry plus one
-                    // descriptor per *other shard*. Per-destination fates
-                    // resolve lazily wherever the descriptor expands.
-                    let at = sent_at + d;
-                    let k0 = self.counters.take(from, self.n as u64);
-                    let from_u = from.index() as u32;
-                    for (s, buf) in self.outgoing.iter_mut().enumerate() {
-                        if s != self.id {
-                            buf.push(Shipped::Broadcast {
-                                from: from_u,
-                                k0,
-                                at,
-                                msg,
-                            });
-                        }
-                    }
-                    self.heap.push(Keyed {
-                        at,
-                        key: EventKey::deliver(from, k0, ProcessId(0)),
-                        ev: SPending::Broadcast {
-                            from: from_u,
-                            k0,
-                            msg,
-                        },
-                    });
-                } else {
-                    for j in 0..self.n {
-                        let to = ProcessId(j);
-                        let k = self.counters.take(from, 1);
-                        match self.net.fate_of(self.seed, from, to, k) {
-                            Fate::Lost => {}
-                            fate => {
-                                let at = sent_at + self.net.delay_of(self.seed, from, to, k);
-                                self.route_one(from, to, k, at, msg);
-                                if fate == Fate::Dup {
-                                    let at2 = at + self.net.dup_extra_of(self.seed, from, to, k);
-                                    self.route_one(from, to, k, at2, msg);
-                                }
+                // A batch expands in one go when popped, which is the
+                // order `n` single entries would have had only if
+                // nothing the expansion triggers can land at the same
+                // instant — so a zero delay sends per destination.
+                match self.net.constant_broadcast_delay().filter(|&d| d > 0) {
+                    Some(d) => {
+                        // Batched end to end: one local heap entry plus
+                        // one descriptor per *other shard*.
+                        // Per-destination fates resolve lazily wherever
+                        // the descriptor expands.
+                        let at = sent_at + d;
+                        let k0 = self.counters.take(from, n as u64);
+                        let from = from.index() as u32;
+                        for (s, buf) in self.outgoing.iter_mut().enumerate() {
+                            if s != self.id {
+                                buf.push(SEntry::broadcast(at, from, k0, msg));
                             }
                         }
+                        self.push(SEntry::broadcast(at, from, k0, msg));
+                    }
+                    None => {
+                        for j in 0..n {
+                            self.route_one(from, ProcessId(j), msg, sent_at);
+                        }
                     }
                 }
             }
         }
     }
 
-    /// How many of this shard's members a batched broadcast actually
-    /// reaches (its non-lost destinations here). With loss disabled this
-    /// is every member, without sampling.
-    fn shard_survivors(&self, from: u32, k0: u64) -> u64 {
-        if self.net.loss_ppm() == 0 {
-            return self.members.len() as u64;
+    /// One message: the sender's next counter value fixes its fate, its
+    /// delay, and (if duplicated) its copy's extra delay.
+    fn route_one(&mut self, from: ProcessId, to: ProcessId, msg: MsgKind, sent_at: u64) {
+        let k = self.counters.take(from, 1);
+        let fate = self.net.fate_of(self.spec.seed, from, to, k);
+        if fate == Fate::Lost {
+            return; // consumed the counter, routes nothing
         }
-        let from = ProcessId(from as usize);
-        self.members
-            .iter()
-            .filter(|&&g| {
-                self.net
-                    .fate_of(self.seed, from, ProcessId(g as usize), k0 + u64::from(g))
-                    != Fate::Lost
-            })
-            .count() as u64
+        let at = sent_at + self.net.delay_of(self.spec.seed, from, to, k);
+        self.enqueue(from.index() as u32, to.index() as u32, k, at, msg);
+        if fate == Fate::Dup {
+            // The copy shares the key; its extra delay is a fresh sample
+            // of the link class, so it is >= the lookahead.
+            let at2 = at + self.net.dup_extra_of(self.spec.seed, from, to, k);
+            self.enqueue(from.index() as u32, to.index() as u32, k, at2, msg);
+        }
     }
 
-    fn route_one(&mut self, from: ProcessId, to: ProcessId, k: u64, at: u64, msg: MsgKind) {
-        let (from_u, to_u) = (from.index() as u32, to.index() as u32);
-        let dest = self.owner[to.index()] as usize;
+    fn enqueue(&mut self, from: u32, to: u32, k: u64, at: u64, msg: MsgKind) {
+        let entry = SEntry::deliver(at, from, k, to, msg);
+        let dest = self.layout.owner[to as usize] as usize;
         if dest == self.id {
-            self.heap.push(Keyed {
-                at,
-                key: EventKey::deliver(from, k, to),
-                ev: SPending::Deliver {
-                    to: to_u,
-                    from: from_u,
-                    msg,
-                },
-            });
+            self.push(entry);
         } else {
-            self.outgoing[dest].push(Shipped::One {
-                from: from_u,
-                to: to_u,
-                k,
-                at,
-                msg,
-            });
+            self.outgoing[dest].push(entry);
         }
     }
 
-    /// One machine step plus send routing — the shard-local version of
-    /// the single-threaded engine's `dispatch`.
+    /// This shard's members a batched broadcast actually reaches, with
+    /// their fates: lost destinations are never events.
+    fn survivors(&self, from: u32, k0: u64) -> impl Iterator<Item = (u32, Fate)> + 'a {
+        let (net, seed) = (self.net, self.spec.seed);
+        let from = ProcessId(from as usize);
+        self.members().iter().filter_map(move |&g| {
+            let fate = net.fate_of(seed, from, ProcessId(g as usize), k0 + u64::from(g));
+            (fate != Fate::Lost).then_some((g, fate))
+        })
+    }
+
+    /// Runs one machine step with a freshly assembled context, then
+    /// routes the resulting progress (sends, termination records).
     fn dispatch(&mut self, li: usize, input: Input) {
-        let me = ProcessId(self.members[li] as usize);
+        let me = ProcessId(self.members()[li] as usize);
         let mut ctx = self.procs[li].ctx(
             me,
-            self.costs,
+            self.spec.costs,
             self.memory.memory_of(self.topo.partition(), me),
-            self.common_coin.as_ref(),
-            self.observer.as_deref(),
+            self.spec.common_coin.as_ref(),
+            self.spec.observer.as_deref(),
             &mut self.trace,
         );
         let sm = &mut self.machines[li];
@@ -365,38 +567,30 @@ impl ShardState {
             Input::Deliver(msg) => sm.on_msg(msg, &mut ctx),
             Input::End(halt) => sm.halt(halt, &mut ctx),
         };
-        match progress {
-            Progress::NeedMsg => {}
-            Progress::Sent(mut outbox) => {
-                self.drain(me, &mut outbox);
-                self.machines[li].recycle_outbox(outbox);
-            }
-            Progress::Decided(decision, mut outbox) => {
-                self.drain(me, &mut outbox);
-                self.finish(li, Ok(decision));
-            }
-            Progress::Halted(halt, mut outbox) => {
-                self.drain(me, &mut outbox);
-                self.finish(li, Err(halt));
-            }
-        }
-    }
-
-    fn drain(&mut self, from: ProcessId, outbox: &mut Vec<OutItem>) {
+        let (result, mut outbox) = match progress {
+            Progress::NeedMsg => return,
+            Progress::Sent(outbox) => (None, outbox),
+            Progress::Decided(decision, outbox) => (Some(Ok(decision)), outbox),
+            Progress::Halted(halt, outbox) => (Some(Err(halt)), outbox),
+        };
         for item in outbox.drain(..) {
-            self.route(from, item);
+            self.route(me, item);
+        }
+        match result {
+            // Hand the drained buffer back: the next step's sends reuse
+            // its capacity instead of allocating.
+            None => self.machines[li].recycle_outbox(outbox),
+            Some(result) => self.procs[li].finish(me, result, &mut self.trace),
         }
     }
 
-    fn finish(&mut self, li: usize, result: Result<Decision, Halt>) {
-        let who = ProcessId(self.members[li] as usize);
-        self.procs[li].finish(who, result, &mut self.trace);
-    }
-
-    /// Delivers one event to a local process — identical accounting to
-    /// the single-threaded engine's main loop.
+    /// Delivers one message to a local process — the accounting the
+    /// conductor does around a delivery burst.
     fn deliver(&mut self, to: u32, from: u32, msg: MsgKind, at: u64) {
-        let li = self.local_of[to as usize] as usize;
+        let li = self.layout.local_of[to as usize] as usize;
+        // Crashed processes are finished too (a crash event halts the
+        // machine in the same dispatch), so one check covers the
+        // conductor's `finished || crashed[]` pair.
         if self.procs[li].finished.is_some() {
             return; // dropped on the floor (still counted by the caller)
         }
@@ -405,12 +599,12 @@ impl ShardState {
             VirtualTime::from_ticks(at),
             TraceEvent::Deliver { who, from, msg },
         );
-        self.procs[li].on_delivered(at, self.costs.recv_cost);
+        self.procs[li].on_delivered(at, self.spec.costs.recv_cost);
         self.dispatch(li, Input::Deliver(Msg { from, kind: msg }));
     }
 
     fn crash(&mut self, pid: u32, at: u64) {
-        let li = self.local_of[pid as usize] as usize;
+        let li = self.layout.local_of[pid as usize] as usize;
         if self.procs[li].finished.is_some() {
             return;
         }
@@ -421,11 +615,11 @@ impl ShardState {
         self.dispatch(li, Input::End(Halt::Crashed));
     }
 
-    /// Restarts a churned member — identical to the sequential engines:
+    /// Restarts a churned member — exactly the conductor's fresh seat:
     /// fresh machine (fresh mailbox, original proposal), reset runtime
     /// state, rejoin-domain coin stream; metric counters persist.
     fn rejoin(&mut self, pid: u32, at: u64) {
-        let li = self.local_of[pid as usize] as usize;
+        let li = self.layout.local_of[pid as usize] as usize;
         // A process that decided before its scheduled leave ignored the
         // leave; it ignores the rejoin too.
         if !matches!(self.procs[li].finished, Some((Err(Halt::Crashed), _))) {
@@ -436,359 +630,435 @@ impl ShardState {
             .record(VirtualTime::from_ticks(at), TraceEvent::Rejoin { who });
         // Only churn-planned processes rejoin; those never serve traffic.
         self.machines[li] = Machine::build(
-            &self.body,
+            &self.spec.body,
             pid as usize,
-            &self.topo,
-            &self.proposals,
-            self.config,
-            self.seed,
+            self.topo,
+            &self.spec.proposals,
+            self.spec.config,
+            self.spec.seed,
             false,
         );
-        self.procs[li].rejoin(rejoin_coin_seed(self.seed), who, at);
+        self.procs[li].rejoin(rejoin_coin_seed(self.spec.seed), who, at);
         self.dispatch(li, Input::Start);
     }
 
-    /// Initial steps for the shard's processes, ascending — the global
-    /// start order restricted to this shard. A resumed shard skips the
-    /// dispatches (they happened in the original leg) but still reports,
-    /// so the coordinator learns the restored heap's earliest event.
-    fn start(&mut self) -> StepReport {
-        if !self.resumed {
-            for li in 0..self.machines.len() {
-                self.dispatch(li, Input::Start);
-            }
-        }
-        self.report(0)
-    }
-
-    /// Pops every local event with `at < t_end` into the epoch batch;
-    /// returns the batch's event count (broadcast entries count one per
-    /// local member).
-    fn collect(&mut self, t_end: u64) -> u64 {
-        debug_assert!(self.epoch.is_empty(), "epoch batch must be consumed");
-        let mut count = 0;
-        while let Some(top) = self.heap.peek() {
-            if top.at >= t_end {
-                break;
+    /// Pops and processes local events with `at < t_end` in `(time,
+    /// key)` order, at most `limit` of them. The count and `end_time`
+    /// advance for every event — including deliveries to
+    /// already-finished processes — exactly like the conductor's main
+    /// loop. Nothing processed here can schedule inside the window
+    /// (several shards: the lookahead; one shard: it pops the heap as it
+    /// goes), so popping directly is the whole-window order.
+    fn run(&mut self, t_end: u64, limit: u64) -> StepReport {
+        let mut processed: u64 = 0;
+        while processed < limit {
+            match self.heap.peek() {
+                Some(top) if top.at < t_end => {}
+                _ => break,
             }
             let e = self.heap.pop().expect("peeked");
-            count += match e.ev {
-                // A batched broadcast delivers only to its non-lost
-                // members — lost destinations are never events, matching
-                // the sequential scheduler's survivor-only expansion.
-                SPending::Broadcast { from, k0, .. } => self.shard_survivors(from, k0),
-                _ => 1,
-            };
-            self.epoch.push(e);
-        }
-        count
-    }
-
-    /// The epoch batch's `(time, key)` pairs, in processing order — only
-    /// materialized for the one epoch where the event budget binds.
-    fn keys(&self) -> Vec<(u64, EventKey)> {
-        let mut keys = Vec::new();
-        for e in &self.epoch {
-            match e.ev {
-                SPending::Broadcast { from, k0, .. } => {
-                    let from = ProcessId(from as usize);
-                    keys.extend(self.members.iter().filter_map(|&g| {
-                        let k = k0 + u64::from(g);
-                        let to = ProcessId(g as usize);
-                        // Lost destinations are not events; only the
-                        // surviving expansions compete for the budget.
-                        (self.net.fate_of(self.seed, from, to, k) != Fate::Lost)
-                            .then(|| (e.at, EventKey::deliver(from, k, to)))
-                    }));
-                }
-                _ => keys.push((e.at, e.key)),
-            }
-        }
-        keys
-    }
-
-    /// Processes the first `limit` events of the epoch batch (count and
-    /// `end_time` advance for every event, exactly like the sequential
-    /// main loop — including deliveries to already-finished processes).
-    fn run_epoch(&mut self, limit: u64) -> StepReport {
-        let mut processed: u64 = 0;
-        let epoch = std::mem::take(&mut self.epoch);
-        'events: for e in epoch {
+            let before = processed;
             match e.ev {
                 SPending::Deliver { to, from, msg } => {
-                    if processed == limit {
-                        break 'events;
-                    }
                     processed += 1;
-                    self.end_time = self.end_time.max(e.at);
                     self.deliver(to, from, msg, e.at);
                 }
                 SPending::Crash { pid } => {
-                    if processed == limit {
-                        break 'events;
-                    }
                     processed += 1;
-                    self.end_time = self.end_time.max(e.at);
                     self.crash(pid, e.at);
                 }
                 SPending::Rejoin { pid } => {
-                    if processed == limit {
-                        break 'events;
-                    }
                     processed += 1;
-                    self.end_time = self.end_time.max(e.at);
                     self.rejoin(pid, e.at);
                 }
                 SPending::Broadcast { from, k0, msg } => {
-                    let from_p = ProcessId(from as usize);
-                    for mi in 0..self.members.len() {
-                        let g = self.members[mi];
-                        let k = k0 + u64::from(g);
-                        let to = ProcessId(g as usize);
-                        let fate = self.net.fate_of(self.seed, from_p, to, k);
-                        if fate == Fate::Lost {
-                            // Not an event: uncounted, no budget consumed.
-                            continue;
-                        }
+                    self.batched -= 1;
+                    for (g, fate) in self.survivors(from, k0) {
                         if processed == limit {
-                            break 'events;
+                            // The budget ran out mid-broadcast; the run
+                            // ends here, so the rest is never delivered.
+                            break;
                         }
                         processed += 1;
-                        self.end_time = self.end_time.max(e.at);
                         if fate == Fate::Dup {
-                            // Same copy the sequential scheduler pushes
-                            // when it expands this destination: key
-                            // reused, fresh link-class extra delay (>=
-                            // the lookahead, so it lands in a later
-                            // epoch's collection window).
-                            let at2 = e.at + self.net.dup_extra_of(self.seed, from_p, to, k);
-                            self.heap.push(Keyed {
-                                at: at2,
-                                key: EventKey::deliver(from_p, k, to),
-                                ev: SPending::Deliver { to: g, from, msg },
-                            });
+                            // The copy a per-destination send would have
+                            // queued: key reused, fresh link-class extra
+                            // delay (positive, as the batch's delay is).
+                            let k = k0 + u64::from(g);
+                            let extra = self.net.dup_extra_of(
+                                self.spec.seed,
+                                ProcessId(from as usize),
+                                ProcessId(g as usize),
+                                k,
+                            );
+                            self.push(SEntry::deliver(e.at + extra, from, k, g, msg));
                         }
                         self.deliver(g, from, msg, e.at);
                     }
                 }
             }
+            if processed > before {
+                self.end_time = self.end_time.max(e.at);
+            }
         }
         self.report(processed)
     }
 
+    /// The `(time, key)` of every local event with `at < t_end`, without
+    /// consuming them.
+    fn keys(&mut self, t_end: u64) -> Vec<(u64, EventKey)> {
+        let mut keys = Vec::new();
+        let mut window = Vec::new();
+        while self.heap.peek().is_some_and(|top| top.at < t_end) {
+            let e = self.heap.pop().expect("peeked");
+            match e.ev {
+                SPending::Broadcast { from, k0, .. } => {
+                    let sender = ProcessId(from as usize);
+                    keys.extend(self.survivors(from, k0).map(|(g, _)| {
+                        let to = ProcessId(g as usize);
+                        (e.at, EventKey::deliver(sender, k0 + u64::from(g), to))
+                    }));
+                }
+                _ => keys.push((e.at, e.key)),
+            }
+            window.push(e);
+        }
+        self.heap.extend(window);
+        keys
+    }
+
     fn report(&mut self, processed: u64) -> StepReport {
         let shards = self.outgoing.len();
+        let fan_out = self.members().len().saturating_sub(1);
         StepReport {
-            shard: self.id,
             outgoing: std::mem::replace(&mut self.outgoing, fresh_buffers(shards)),
             processed,
             end_time: self.end_time,
             next_at: self.heap.peek().map(|e| e.at),
+            pending: (self.heap.len() + self.batched * fan_out) as u64,
         }
     }
 
-    fn accept(&mut self, incoming: Vec<Shipped>) {
-        for s in incoming {
-            match s {
-                Shipped::One {
-                    from,
-                    to,
-                    k,
-                    at,
-                    msg,
-                } => self.heap.push(Keyed {
-                    at,
-                    key: EventKey::deliver(ProcessId(from as usize), k, ProcessId(to as usize)),
-                    ev: SPending::Deliver { to, from, msg },
-                }),
-                Shipped::Broadcast { from, k0, at, msg } => self.heap.push(Keyed {
-                    at,
-                    key: EventKey::deliver(ProcessId(from as usize), k0, ProcessId(0)),
-                    ev: SPending::Broadcast { from, k0, msg },
-                }),
-            }
+    fn accept(&mut self, incoming: Vec<SEntry>) {
+        for entry in incoming {
+            self.push(entry);
         }
+    }
+
+    fn take_trace(&mut self) -> TraceRecorder {
+        std::mem::replace(&mut self.trace, TraceRecorder::new(false))
     }
 
     /// Captures this shard's slice of a pause-time checkpoint. The
-    /// coordinator only asks at an epoch barrier, so the epoch batch and
-    /// barrier buffers are empty and every pending event sits on the
-    /// local heap.
-    fn checkpoint(self) -> Box<ShardSnap> {
-        debug_assert!(self.epoch.is_empty(), "checkpoint mid-epoch");
+    /// coordinator only asks at an epoch barrier, so the barrier buffers
+    /// are empty and every pending event sits on the local heap.
+    fn checkpoint(&mut self) -> Box<ShardSnap> {
         debug_assert!(
             self.outgoing.iter().all(Vec::is_empty),
             "checkpoint with unrouted barrier sends"
         );
         let machines = self
-            .members
+            .machines
             .iter()
-            .zip(self.machines.iter().zip(self.procs.iter()))
-            .map(|(&g, (m, p))| {
-                let v = if p.finished.is_some() {
-                    serde::Value::Null
-                } else {
-                    m.snapshot()
-                };
-                (g, v)
+            .zip(&self.procs)
+            .map(|(m, p)| match p.finished {
+                Some(_) => serde::Value::Null,
+                None => m.snapshot(),
             })
-            .collect();
-        let procs = self
-            .members
-            .iter()
-            .zip(self.procs.iter())
-            .map(|(&g, p)| (g, p.snapshot()))
             .collect();
         let events = self
             .heap
             .iter()
-            .filter_map(|e| match e.ev {
-                SPending::Deliver { to, from, msg } => Some(CanonEvent::One {
-                    at: e.at,
-                    from,
-                    k: e.key.k,
-                    to,
-                    msg,
-                }),
+            .filter(|e| match e.ev {
                 // A descriptor none of whose local members survive is
-                // omitted: the sequential scheduler only enqueues (and so
-                // only checkpoints) broadcasts with at least one
-                // survivor, and some owning shard exports the rest.
-                SPending::Broadcast { from, k0, msg } => (self.shard_survivors(from, k0) > 0)
-                    .then_some(CanonEvent::Broadcast {
-                        at: e.at,
-                        from,
-                        k0,
-                        msg,
-                    }),
-                SPending::Crash { .. } | SPending::Rejoin { .. } => None,
+                // not a pending event here; some shard that owns a
+                // survivor exports it.
+                SPending::Broadcast { from, k0, .. } => self.survivors(from, k0).next().is_some(),
+                _ => true,
             })
+            .filter_map(SEntry::to_canon)
             .collect();
         Box::new(ShardSnap {
             machines,
-            procs,
+            procs: self.procs.iter().map(ProcState::snapshot).collect(),
             counters: self.counters.values().to_vec(),
             events,
-            trace_hash: self.trace.hash(),
-            trace_count: self.trace.count(),
+            trace: self.take_trace(),
         })
     }
 
-    /// Stops the stragglers (ascending member order — the global final
-    /// baton round restricted to this shard) and packages the results.
-    fn finish_run(mut self) -> Box<ShardResult> {
+    /// Stops the stragglers (ascending member order — the conductor's
+    /// final baton round restricted to this shard) and hands over the
+    /// results.
+    fn finish_run(&mut self) -> Box<ShardResult> {
         for li in 0..self.machines.len() {
             if self.procs[li].finished.is_none() {
                 self.dispatch(li, Input::End(Halt::Stopped));
             }
         }
-        let results = self
-            .members
-            .iter()
-            .zip(self.procs.iter_mut())
-            .map(|(&g, p)| {
-                let (res, clock) = p.finished.take().expect("all machines have terminated");
-                (g, res, clock)
-            })
-            .collect();
-        let counters = self
-            .members
-            .iter()
-            .zip(self.procs.iter())
-            .map(|(&g, p)| (g, p.counters))
-            .collect();
-        let mut service = ServiceStats::new();
-        for p in &self.procs {
-            service.merge(&p.service);
-        }
         Box::new(ShardResult {
+            procs: std::mem::take(&mut self.procs),
+            trace: self.take_trace(),
+        })
+    }
+
+    fn exec(&mut self, cmd: Cmd) -> Reply {
+        match cmd {
+            Cmd::Run {
+                incoming,
+                t_end,
+                limit,
+            } => {
+                self.accept(incoming);
+                Reply::Ran(self.run(t_end, limit))
+            }
+            Cmd::Keys { incoming, t_end } => {
+                self.accept(incoming);
+                Reply::Keys(self.keys(t_end))
+            }
+            Cmd::Finish => Reply::Finished(self.finish_run()),
+            Cmd::Checkpoint { incoming } => {
+                self.accept(incoming);
+                Reply::Checkpointed(self.checkpoint())
+            }
+        }
+    }
+}
+
+/// The coordinator: shard 0 lives on the calling thread, shards `1..W`
+/// each on a scoped thread behind a channel pair.
+struct Coordinator<'a> {
+    local: ShardState<'a>,
+    remote: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<Reply>)>,
+    /// Per shard: deliveries routed to it at the last barrier.
+    pending_in: Vec<Vec<SEntry>>,
+    /// Per shard: its heap's earliest event.
+    next_at: Vec<Option<u64>>,
+    /// Per shard: [`StepReport::pending`].
+    heap_bound: Vec<u64>,
+    events_processed: u64,
+    end_time: u64,
+}
+
+impl Coordinator<'_> {
+    /// One lockstep round: shard `s` executes `cmd(s)`; replies come
+    /// back in shard order. Remote shards are commanded first, so they
+    /// work while this thread runs shard 0.
+    fn round(&mut self, mut cmd: impl FnMut(usize, Vec<SEntry>) -> Cmd) -> Vec<Reply> {
+        let mut cmd = |s: usize| cmd(s, std::mem::take(&mut self.pending_in[s]));
+        for (s, (tx, _)) in self.remote.iter().enumerate() {
+            tx.send(cmd(s + 1)).expect("shard alive");
+        }
+        let mut replies = Vec::with_capacity(1 + self.remote.len());
+        replies.push(self.local.exec(cmd(0)));
+        for (_, rx) in &self.remote {
+            replies.push(rx.recv().expect("shard alive"));
+        }
+        replies
+    }
+
+    fn absorb(&mut self, s: usize, reply: Reply) {
+        let Reply::Ran(rep) = reply else {
+            unreachable!("a run round replies Ran");
+        };
+        for (dest, batch) in rep.outgoing.into_iter().enumerate() {
+            self.pending_in[dest].extend(batch);
+        }
+        self.next_at[s] = rep.next_at;
+        self.heap_bound[s] = rep.pending;
+        self.events_processed += rep.processed;
+        self.end_time = self.end_time.max(rep.end_time);
+    }
+
+    /// The epoch loop. Returns `true` if it paused at `stop_at` (every
+    /// pending event is at or past the cut, none of those has been
+    /// processed), `false` at quiescence or budget exhaustion.
+    fn run_epochs(&mut self, max_events: u64, lookahead: u64, stop_at: Option<u64>) -> bool {
+        let layout = self.local.layout;
+        let shards = layout.members.len();
+        while self.events_processed < max_events {
+            // Earliest pending event anywhere — on a heap or in a
+            // barrier buffer about to be routed — and an upper bound on
+            // how many there are.
+            let mut t_next = self.next_at.iter().flatten().copied().min();
+            let mut bound: u64 = self.heap_bound.iter().sum();
+            for (s, buf) in self.pending_in.iter().enumerate() {
+                for entry in buf {
+                    t_next = Some(t_next.map_or(entry.at, |t| t.min(entry.at)));
+                    bound += match entry.ev {
+                        SPending::Broadcast { .. } => layout.members[s].len() as u64,
+                        _ => 1,
+                    };
+                }
+            }
+            let Some(t0) = t_next else {
+                return false; // quiescent
+            };
+            let cut = stop_at.unwrap_or(u64::MAX);
+            if t0 >= cut {
+                return true;
+            }
+            // Never let a shard touch an event at or past the cut.
+            let t_end = t0.saturating_add(lookahead).min(cut);
+            let remaining = max_events - self.events_processed;
+            let limits = if shards == 1 || bound <= remaining {
+                // The budget cannot cut between shards: there is only
+                // one (its own prefix is the global one), or everything
+                // pending fits.
+                vec![remaining; shards]
+            } else {
+                // The budget may bind inside this epoch: cut it at the
+                // globally `remaining`-th event in (time, key) order.
+                let replies = self.round(|_, incoming| Cmd::Keys { incoming, t_end });
+                let mut keys: Vec<(u64, EventKey, usize)> = Vec::new();
+                for (s, reply) in replies.into_iter().enumerate() {
+                    let Reply::Keys(shard_keys) = reply else {
+                        unreachable!("a keys round replies Keys");
+                    };
+                    keys.extend(shard_keys.into_iter().map(|(at, key)| (at, key, s)));
+                }
+                keys.sort_unstable();
+                let mut limits = vec![0u64; shards];
+                let cut = usize::try_from(remaining).unwrap_or(usize::MAX);
+                for &(_, _, s) in keys.iter().take(cut) {
+                    limits[s] += 1;
+                }
+                limits
+            };
+            let replies = self.round(|s, incoming| Cmd::Run {
+                incoming,
+                t_end,
+                limit: limits[s],
+            });
+            for (s, reply) in replies.into_iter().enumerate() {
+                self.absorb(s, reply);
+            }
+        }
+        false
+    }
+
+    /// Pauses at a barrier: each shard routes its barrier buffer onto
+    /// its heap and exports its slice of the canonical snapshot.
+    fn checkpoint(&mut self, at: u64, memory: &MemoryBank) -> EngineSnap {
+        let layout = self.local.layout;
+        let n = layout.owner.len();
+        let mut machines = vec![serde::Value::Null; n];
+        let mut procs: Vec<Option<ProcSnap>> = vec![None; n];
+        let mut send_counters = vec![0u64; n];
+        let mut events = Vec::new();
+        let mut trace = TraceRecorder::new(false);
+        let replies = self.round(|_, incoming| Cmd::Checkpoint { incoming });
+        for (members, reply) in layout.members.iter().zip(replies) {
+            let Reply::Checkpointed(ss) = reply else {
+                unreachable!("a checkpoint round replies Checkpointed");
+            };
+            for ((&g, m), p) in members.iter().zip(ss.machines).zip(ss.procs) {
+                machines[g as usize] = m;
+                procs[g as usize] = Some(p);
+            }
+            // Each sender's counter advances only on its owner shard:
+            // element-wise max over the shards' vectors is the global
+            // one.
+            for (global, c) in send_counters.iter_mut().zip(ss.counters) {
+                *global = (*global).max(c);
+            }
+            events.extend(ss.events);
+            trace.merge(ss.trace);
+        }
+        let mut snap = EngineSnap {
+            at,
+            events_processed: self.events_processed,
+            end_time: self.end_time,
+            trace_hash: trace.hash(),
+            trace_count: trace.count(),
+            send_counters,
+            machines,
+            procs: procs
+                .into_iter()
+                .map(|p| p.expect("every process checkpointed"))
+                .collect(),
+            memory: memory.checkpoint(),
+            events,
+        };
+        snap.normalize();
+        snap
+    }
+
+    /// Quiescent or budget exhausted: stops the stragglers and merges
+    /// the shards' results.
+    fn finish(&mut self, memory: &MemoryBank) -> RawOutcome {
+        let layout = self.local.layout;
+        let n = layout.owner.len();
+        // Every slot is overwritten: the layout covers each process once.
+        let mut results = vec![(Err(Halt::Stopped), 0u64); n];
+        let mut counters = vec![CounterSnapshot::default(); n];
+        let mut service = ServiceStats::new();
+        let mut trace: Option<TraceRecorder> = None;
+        let replies = self.round(|_, _| Cmd::Finish);
+        for (members, reply) in layout.members.iter().zip(replies) {
+            let Reply::Finished(res) = reply else {
+                unreachable!("a finish round replies Finished");
+            };
+            // Sums, maxima and a multiset hash: merge order is moot, and
+            // a lone shard's recorder (which may have kept its events)
+            // passes through whole.
+            for (&g, p) in members.iter().zip(&res.procs) {
+                results[g as usize] = p.finished.expect("all machines have terminated");
+                counters[g as usize] = p.counters;
+                service.merge(&p.service);
+            }
+            match &mut trace {
+                None => trace = Some(res.trace),
+                Some(t) => t.merge(res.trace),
+            }
+        }
+        let trace = trace.expect("at least one shard");
+        let end_time = self
+            .end_time
+            .max(results.iter().map(|(_, c)| *c).max().unwrap_or(0));
+        RawOutcome {
             results,
             counters,
             service,
-            trace: self.trace,
-        })
-    }
-}
-
-/// The shard worker loop: one reply per command, in lockstep with the
-/// coordinator's epoch phases.
-fn shard_main(mut st: ShardState, rx: mpsc::Receiver<Cmd>, tx: mpsc::Sender<Reply>) {
-    if tx.send(Reply::Started(st.start())).is_err() {
-        return;
-    }
-    for cmd in rx {
-        let reply = match cmd {
-            Cmd::Prepare { incoming, t_end } => {
-                st.accept(incoming);
-                Reply::Prepared {
-                    batch: st.collect(t_end),
-                }
-            }
-            Cmd::Keys => Reply::Keys {
-                shard: st.id,
-                keys: st.keys(),
-            },
-            Cmd::Run { limit } => Reply::Ran(st.run_epoch(limit)),
-            Cmd::Finish => {
-                let _ = tx.send(Reply::Finished(st.finish_run()));
-                return;
-            }
-            Cmd::Checkpoint => {
-                let _ = tx.send(Reply::Checkpointed(st.checkpoint()));
-                return;
-            }
-        };
-        if tx.send(reply).is_err() {
-            return;
+            trace_hash: trace.hash(),
+            trace_events: trace.into_events(),
+            events_processed: self.events_processed,
+            end_time,
+            sm_objects: memory.total_objects(),
+            sm_proposes: memory.total_proposes(),
         }
     }
 }
 
-/// Deterministic balanced cluster→shard assignment: clusters sorted by
-/// size (largest first, index as tie-break) go to the currently lightest
-/// shard. Any clustering-respecting assignment yields the same run — the
-/// balance only matters for wall-clock.
-fn assign_clusters(sizes: &[usize], shards: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by_key(|&c| (Reverse(sizes[c]), c));
-    let mut shard_of = vec![0usize; sizes.len()];
-    let mut load = vec![0usize; shards];
-    for c in order {
-        let s = (0..shards)
-            .min_by_key(|&s| (load[s], s))
-            .expect(">0 shards");
-        shard_of[c] = s;
-        load[s] += sizes[c];
-    }
-    shard_of
+/// How a [`conduct_sharded`] leg ended: ran to completion, or paused at
+/// the requested virtual-time cut with the full engine state captured.
+pub(crate) enum LegResult {
+    Done(RawOutcome),
+    Paused(Box<EngineSnap>),
 }
 
-/// Runs a spec on the parallel event engine with `workers` shards.
+/// Runs one *leg* of a declarative-body execution on `shards` shards of
+/// the event loop: optionally restored from a canonical checkpoint
+/// (`resume`), optionally pausing at a virtual-time cut (`stop_at`). The
+/// cut contract: every event scheduled strictly before `stop_at` is
+/// processed, none at `>= stop_at` is. A leg that reaches quiescence (or
+/// the event budget) before the cut completes normally — exactly like
+/// the straight-through run.
 ///
-/// The caller (the backend's engine resolution) guarantees a declarative
-/// body, `workers >= 2` after capping by the cluster count, a non-zero
-/// [`NetIndex::min_delay`] lookahead, and no trace retention.
-pub(crate) fn conduct_parallel(spec: RunSpec, net: &NetIndex, workers: usize) -> RawOutcome {
-    match conduct_parallel_leg(spec, net, workers, None, None) {
-        LegResult::Done(out) => out,
-        LegResult::Paused(_) => unreachable!("no cut was requested"),
-    }
-}
-
-/// Runs one *leg* on the parallel engine: optionally restored from a
-/// canonical checkpoint, optionally pausing at a virtual-time cut.
+/// The caller (the backend's shard resolution) guarantees that more than
+/// one shard comes with a non-zero [`NetIndex::min_delay`] lookahead and
+/// no trace retention; one shard needs neither.
 ///
-/// Pausing composes with the epoch barrier: the epoch window is clamped
-/// to `[t0, min(t0 + lookahead, stop_at))`, so no shard ever processes
-/// an event at or beyond the cut, and the pause lands on a barrier where
-/// the epoch batches and barrier buffers are empty — every pending event
-/// sits on some shard's heap, ready to export. The captured
-/// [`EngineSnap`] is the same canonical form the sequential engine
-/// writes, so legs can hop between engines and worker counts freely.
-pub(crate) fn conduct_parallel_leg(
+/// # Panics
+///
+/// Panics if the spec's body is [`Body::Custom`](ofa_scenario::Body) —
+/// custom bodies are blocking code; route them to the thread conductor —
+/// or if a resume snapshot's shape does not match the spec (wrong
+/// process count, undecodable machine state).
+pub(crate) fn conduct_sharded(
     spec: RunSpec,
     net: &NetIndex,
-    workers: usize,
+    shards: usize,
     resume: Option<&EngineSnap>,
     stop_at: Option<u64>,
 ) -> LegResult {
@@ -799,451 +1069,69 @@ pub(crate) fn conduct_parallel_leg(
         "need one proposal per process (got {} for n={n})",
         spec.proposals.len()
     );
-    let lookahead = net.min_delay();
-    assert!(lookahead > 0, "parallel engine needs a positive lookahead");
-    let shards = workers.clamp(1, spec.partition.m());
-
-    // Shard layout: clusters → shards, then the per-shard member lists.
-    let shard_of_cluster = assign_clusters(&spec.partition.sizes(), shards);
-    let mut members: Vec<Vec<u32>> = vec![Vec::new(); shards];
-    let mut owner = vec![0u32; n];
-    let mut local_of = vec![0u32; n];
-    for i in 0..n {
-        let s = shard_of_cluster[spec.partition.cluster_of(ProcessId(i)).index()];
-        owner[i] = s as u32;
-        local_of[i] = members[s].len() as u32;
-        members[s].push(i as u32);
+    if let Some(snap) = resume {
+        assert_eq!(snap.machines.len(), n, "snapshot is for a different n");
+        assert_eq!(snap.procs.len(), n, "snapshot is for a different n");
     }
-    let owner = Arc::new(owner);
-    let local_of = Arc::new(local_of);
+    let shards = shards.clamp(1, spec.partition.m());
+    // A lone shard has nobody to wait for: its window is unbounded.
+    let lookahead = if shards == 1 {
+        u64::MAX
+    } else {
+        net.min_delay()
+    };
+    assert!(lookahead > 0, "several shards need a positive lookahead");
+
+    let layout = Layout::new(&spec.partition, shards);
     let topo = Arc::new(SmTopology::new(spec.partition.clone()));
-    // One bank shared by every shard: memories are per cluster and each
-    // cluster belongs to exactly one shard, so there is no contention —
-    // and the run-wide totals fall out at the end.
     let bank = match resume {
         None => MemoryBank::for_partition(topo.partition()),
         Some(snap) => MemoryBank::restore(&snap.memory),
     };
-
-    let mut final_results: Vec<Option<(Result<Decision, Halt>, u64)>> = Vec::new();
-    final_results.resize_with(n, || None);
-    let mut final_counters = vec![CounterSnapshot::default(); n];
-    let mut final_service = ServiceStats::new();
-    let mut trace = match resume {
-        None => TraceRecorder::new(false),
-        Some(snap) => TraceRecorder::resume(snap.trace_hash, snap.trace_count),
-    };
-    let mut events_processed: u64 = resume.map_or(0, |s| s.events_processed);
-    let mut end_time: u64 = resume.map_or(0, |s| s.end_time);
-    let mut paused: Option<EngineSnap> = None;
+    let (layout, spec, topo, bank) = (&layout, &spec, &topo, &bank);
+    // Every shard builds itself (and takes its initial steps) on the
+    // thread that will drive it.
+    let build = move |id: usize| ShardState::build(id, layout, spec, net, topo, bank, resume);
 
     std::thread::scope(|scope| {
-        let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
-        let mut cmds: Vec<mpsc::Sender<Cmd>> = Vec::with_capacity(shards);
-        let spec_ref = &spec;
-        for (id, members) in members.into_iter().enumerate() {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-            cmds.push(cmd_tx);
-            let reply_tx = reply_tx.clone();
-            let (topo, owner, local_of) =
-                (Arc::clone(&topo), Arc::clone(&owner), Arc::clone(&local_of));
-            let (bank, net) = (bank.clone(), net.clone());
-            scope.spawn(move || {
-                let mut st = ShardState {
-                    id,
-                    n,
-                    machines: members
-                        .iter()
-                        .map(|&g| {
-                            let serves = spec_ref.churn.event(ProcessId(g as usize)).is_none();
-                            match resume {
-                                None => Machine::build(
-                                    &spec_ref.body,
-                                    g as usize,
-                                    &topo,
-                                    &spec_ref.proposals,
-                                    spec_ref.config,
-                                    spec_ref.seed,
-                                    serves,
-                                ),
-                                Some(snap) => match &snap.machines[g as usize] {
-                                    // Finished processes are never dispatched
-                                    // again; a fresh machine is a placeholder.
-                                    serde::Value::Null => Machine::build(
-                                        &spec_ref.body,
-                                        g as usize,
-                                        &topo,
-                                        &spec_ref.proposals,
-                                        spec_ref.config,
-                                        spec_ref.seed,
-                                        serves,
-                                    ),
-                                    v => Machine::from_snapshot(
-                                        &spec_ref.body,
-                                        g as usize,
-                                        &topo,
-                                        spec_ref.config,
-                                        spec_ref.seed,
-                                        serves,
-                                        v,
-                                    )
-                                    .expect("resume: machine snapshot decodes"),
-                                },
-                            }
-                        })
-                        .collect(),
-                    procs: members
-                        .iter()
-                        .map(|&g| match resume {
-                            None => ProcState::for_process(
-                                spec_ref.seed,
-                                ProcessId(g as usize),
-                                &spec_ref.crash_plan,
-                            ),
-                            Some(snap) => ProcState::restore(
-                                &snap.procs[g as usize],
-                                ProcessId(g as usize),
-                                &spec_ref.crash_plan,
-                            ),
-                        })
-                        .collect(),
-                    members,
-                    owner,
-                    local_of,
-                    topo,
-                    memory: bank,
-                    costs: spec_ref.costs,
-                    common_coin: Arc::clone(&spec_ref.common_coin),
-                    observer: spec_ref.observer.clone(),
-                    trace: TraceRecorder::new(false),
-                    heap: BinaryHeap::new(),
-                    counters: match resume {
-                        None => SendCounters::default(),
-                        // Every shard gets the full counter vector; only
-                        // its members' entries advance here.
-                        Some(snap) => SendCounters::from_values(snap.send_counters.clone()),
-                    },
-                    net,
-                    seed: spec_ref.seed,
-                    body: spec_ref.body.clone(),
-                    proposals: spec_ref.proposals.clone(),
-                    config: spec_ref.config,
-                    epoch: Vec::new(),
-                    outgoing: fresh_buffers(shards),
-                    end_time: 0,
-                    resumed: resume.is_some(),
-                };
-                if let Some(snap) = resume {
-                    // Checkpointed deliveries re-enter under their
-                    // captured keys and times: point-to-point events go
-                    // to the destination's owner shard; each broadcast
-                    // descriptor is replicated to every shard (each
-                    // expands it over its own members, as during a run).
-                    for ev in &snap.events {
-                        match *ev {
-                            CanonEvent::One {
-                                at,
-                                from,
-                                k,
-                                to,
-                                msg,
-                            } => {
-                                if st.owner[to as usize] as usize == id {
-                                    st.heap.push(Keyed {
-                                        at,
-                                        key: EventKey::deliver(
-                                            ProcessId(from as usize),
-                                            k,
-                                            ProcessId(to as usize),
-                                        ),
-                                        ev: SPending::Deliver { to, from, msg },
-                                    });
-                                }
-                            }
-                            CanonEvent::Broadcast { at, from, k0, msg } => {
-                                st.heap.push(Keyed {
-                                    at,
-                                    key: EventKey::deliver(
-                                        ProcessId(from as usize),
-                                        k0,
-                                        ProcessId(0),
-                                    ),
-                                    ev: SPending::Broadcast { from, k0, msg },
-                                });
-                            }
+        let remote = (1..shards)
+            .map(|id| {
+                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
+                let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+                scope.spawn(move || {
+                    let mut st = build(id);
+                    let _ = reply_tx.send(Reply::Ran(st.report(0)));
+                    // Ends when the coordinator drops its sender.
+                    for cmd in cmd_rx {
+                        if reply_tx.send(st.exec(cmd)).is_err() {
+                            return;
                         }
                     }
-                }
-                // This shard's timed crashes go straight onto its heap;
-                // on resume only the cut's future is re-seeded (from the
-                // resume plan — a diverged tail swaps the pattern here).
-                let seeded_from = resume.map_or(0, |s| s.at);
-                for (pid, trig) in spec_ref.crash_plan.iter() {
-                    if st.owner[pid.index()] as usize == id {
-                        if let CrashTrigger::AtTime(t) = trig {
-                            if t.ticks() >= seeded_from {
-                                st.heap.push(Keyed {
-                                    at: t.ticks(),
-                                    key: EventKey::crash(pid),
-                                    ev: SPending::Crash {
-                                        pid: pid.index() as u32,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-                // Churn leaves are crashes; rejoins restart the member.
-                // Same re-seeding rule on resume — a rejoin after the
-                // cut fires even when its leave is already history.
-                for (pid, e) in spec_ref.churn.iter() {
-                    if st.owner[pid.index()] as usize == id {
-                        if e.leave.ticks() >= seeded_from {
-                            st.heap.push(Keyed {
-                                at: e.leave.ticks(),
-                                key: EventKey::crash(pid),
-                                ev: SPending::Crash {
-                                    pid: pid.index() as u32,
-                                },
-                            });
-                        }
-                        if let Some(r) = e.rejoin {
-                            if r.ticks() >= seeded_from {
-                                st.heap.push(Keyed {
-                                    at: r.ticks(),
-                                    key: EventKey::rejoin(pid),
-                                    ev: SPending::Rejoin {
-                                        pid: pid.index() as u32,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-                shard_main(st, cmd_rx, reply_tx);
-            });
-        }
-        drop(reply_tx);
-
-        // Per-shard coordinator state.
-        let mut pending_in: Vec<Vec<Shipped>> = Vec::new();
-        pending_in.resize_with(shards, Vec::new);
-        let mut next_at: Vec<Option<u64>> = vec![None; shards];
-
-        let absorb = |rep: StepReport,
-                      pending_in: &mut Vec<Vec<Shipped>>,
-                      next_at: &mut Vec<Option<u64>>,
-                      events_processed: &mut u64,
-                      end_time: &mut u64| {
-            for (dest, batch) in rep.outgoing.into_iter().enumerate() {
-                pending_in[dest].extend(batch);
-            }
-            next_at[rep.shard] = rep.next_at;
-            *events_processed += rep.processed;
-            *end_time = (*end_time).max(rep.end_time);
+                });
+                (cmd_tx, reply_rx)
+            })
+            .collect();
+        let mut all = Coordinator {
+            local: build(0),
+            remote,
+            pending_in: fresh_buffers(shards),
+            next_at: vec![None; shards],
+            heap_bound: vec![0; shards],
+            events_processed: resume.map_or(0, |s| s.events_processed),
+            end_time: resume.map_or(0, |s| s.end_time),
         };
-
-        for _ in 0..shards {
-            match reply_rx.recv().expect("shard alive") {
-                Reply::Started(rep) => absorb(
-                    rep,
-                    &mut pending_in,
-                    &mut next_at,
-                    &mut events_processed,
-                    &mut end_time,
-                ),
-                _ => unreachable!("first reply is Started"),
-            }
+        let started = Reply::Ran(all.local.report(0));
+        all.absorb(0, started);
+        for s in 1..shards {
+            let started = all.remote[s - 1].1.recv().expect("shard alive");
+            all.absorb(s, started);
         }
-
-        // Epoch loop.
-        while events_processed < spec.max_events {
-            // Earliest pending event anywhere: local heaps or the
-            // barrier buffers about to be routed.
-            let t_next = next_at
-                .iter()
-                .flatten()
-                .copied()
-                .chain(pending_in.iter().flatten().map(|s| match s {
-                    Shipped::One { at, .. } | Shipped::Broadcast { at, .. } => *at,
-                }))
-                .min();
-            let Some(t0) = t_next else {
-                break; // quiescent
-            };
-            if let Some(cutoff) = stop_at {
-                if t0 >= cutoff {
-                    // Pause at this barrier: every pending event is at
-                    // `>= cutoff`, none has been processed. Route the
-                    // barrier buffers onto the heaps (an empty epoch —
-                    // `t_end: 0` collects nothing), then drain each
-                    // shard's state into the canonical snapshot.
-                    for (s, cmd) in cmds.iter().enumerate() {
-                        let incoming = std::mem::take(&mut pending_in[s]);
-                        cmd.send(Cmd::Prepare { incoming, t_end: 0 })
-                            .expect("shard");
-                    }
-                    for _ in 0..shards {
-                        match reply_rx.recv().expect("shard alive") {
-                            Reply::Prepared { batch } => {
-                                debug_assert_eq!(batch, 0, "pause epoch collects nothing")
-                            }
-                            _ => unreachable!("pause phase: Prepared"),
-                        }
-                    }
-                    for cmd in &cmds {
-                        cmd.send(Cmd::Checkpoint).expect("shard");
-                    }
-                    let mut machines: Vec<serde::Value> = vec![serde::Value::Null; n];
-                    let mut procs: Vec<Option<ProcSnap>> = vec![None; n];
-                    let mut send_counters = vec![0u64; n];
-                    let mut events: Vec<CanonEvent> = Vec::new();
-                    for _ in 0..shards {
-                        match reply_rx.recv().expect("shard alive") {
-                            Reply::Checkpointed(ss) => {
-                                for (g, m) in ss.machines {
-                                    machines[g as usize] = m;
-                                }
-                                for (g, p) in ss.procs {
-                                    procs[g as usize] = Some(p);
-                                }
-                                // Each sender's counter advances only on
-                                // its owner shard: element-wise max over
-                                // the shards' vectors is the global one.
-                                for (i, c) in ss.counters.into_iter().enumerate() {
-                                    if i < n {
-                                        send_counters[i] = send_counters[i].max(c);
-                                    }
-                                }
-                                events.extend(ss.events);
-                                trace.merge(TraceRecorder::resume(ss.trace_hash, ss.trace_count));
-                            }
-                            _ => unreachable!("pause phase: Checkpointed"),
-                        }
-                    }
-                    paused = Some(EngineSnap {
-                        at: cutoff,
-                        events_processed,
-                        end_time,
-                        trace_hash: trace.hash(),
-                        trace_count: trace.count(),
-                        send_counters,
-                        machines,
-                        procs: procs
-                            .into_iter()
-                            .map(|p| p.expect("every process checkpointed"))
-                            .collect(),
-                        memory: bank.checkpoint(),
-                        events,
-                    });
-                    return;
-                }
-            }
-            let t_end = {
-                let mut te = t0.saturating_add(lookahead);
-                if let Some(cutoff) = stop_at {
-                    // Never let a shard touch an event at or past the cut.
-                    te = te.min(cutoff);
-                }
-                te
-            };
-            for (s, cmd) in cmds.iter().enumerate() {
-                let incoming = std::mem::take(&mut pending_in[s]);
-                cmd.send(Cmd::Prepare { incoming, t_end }).expect("shard");
-            }
-            let mut total: u64 = 0;
-            for _ in 0..shards {
-                match reply_rx.recv().expect("shard alive") {
-                    Reply::Prepared { batch } => total += batch,
-                    _ => unreachable!("epoch phase: Prepared"),
-                }
-            }
-            let remaining = spec.max_events - events_processed;
-            let limits: Vec<u64> = if total <= remaining {
-                vec![u64::MAX; shards]
-            } else {
-                // The budget binds inside this epoch: cut it at the
-                // globally `remaining`-th event in (time, key) order.
-                for cmd in &cmds {
-                    cmd.send(Cmd::Keys).expect("shard");
-                }
-                let mut all: Vec<(u64, EventKey, usize)> = Vec::with_capacity(total as usize);
-                for _ in 0..shards {
-                    match reply_rx.recv().expect("shard alive") {
-                        Reply::Keys { shard, keys } => {
-                            all.extend(keys.into_iter().map(|(at, key)| (at, key, shard)));
-                        }
-                        _ => unreachable!("epoch phase: Keys"),
-                    }
-                }
-                all.sort_unstable();
-                let mut limits = vec![0u64; shards];
-                for &(_, _, s) in all.iter().take(remaining as usize) {
-                    limits[s] += 1;
-                }
-                limits
-            };
-            for (s, cmd) in cmds.iter().enumerate() {
-                cmd.send(Cmd::Run { limit: limits[s] }).expect("shard");
-            }
-            for _ in 0..shards {
-                match reply_rx.recv().expect("shard alive") {
-                    Reply::Ran(rep) => absorb(
-                        rep,
-                        &mut pending_in,
-                        &mut next_at,
-                        &mut events_processed,
-                        &mut end_time,
-                    ),
-                    _ => unreachable!("epoch phase: Ran"),
-                }
-            }
+        if all.run_epochs(spec.max_events, lookahead, stop_at) {
+            let at = stop_at.expect("only a requested cut pauses");
+            LegResult::Paused(Box::new(all.checkpoint(at, bank)))
+        } else {
+            LegResult::Done(all.finish(bank))
         }
-
-        // Quiescent or budget exhausted: stop the stragglers.
-        for cmd in &cmds {
-            cmd.send(Cmd::Finish).expect("shard");
-        }
-        for _ in 0..shards {
-            match reply_rx.recv().expect("shard alive") {
-                Reply::Finished(res) => {
-                    for (g, result, clock) in res.results {
-                        final_results[g as usize] = Some((result, clock));
-                    }
-                    for (g, c) in res.counters {
-                        final_counters[g as usize] = c;
-                    }
-                    // Shard replies arrive in real-time order, but the
-                    // service merge is commutative (sums and maxima), so
-                    // the total is still deterministic.
-                    final_service.merge(&res.service);
-                    trace.merge(res.trace);
-                }
-                _ => unreachable!("final phase: Finished"),
-            }
-        }
-    });
-
-    if let Some(mut snap) = paused {
-        snap.normalize();
-        return LegResult::Paused(Box::new(snap));
-    }
-
-    let results: Vec<(Result<Decision, Halt>, u64)> = final_results
-        .into_iter()
-        .map(|r| r.expect("every process reported"))
-        .collect();
-    let end_time = end_time.max(results.iter().map(|(_, c)| *c).max().unwrap_or(0));
-    LegResult::Done(RawOutcome {
-        results,
-        counters: final_counters,
-        service: final_service,
-        trace_hash: trace.hash(),
-        trace_events: Vec::new(),
-        events_processed,
-        end_time,
-        sm_objects: bank.total_objects(),
-        sm_proposes: bank.total_proposes(),
     })
 }
 
@@ -1255,7 +1143,7 @@ mod tests {
     use ofa_topology::{Partition, ProcessId};
 
     /// The core-count guard is a perf heuristic; on a small CI box it
-    /// would silently swap in the sequential engine and these
+    /// would silently resolve to one shard and these
     /// equivalence tests would exercise nothing. Pin a big count —
     /// determinism never depends on the host's parallelism.
     fn unlock_cores() {
@@ -1367,7 +1255,7 @@ mod tests {
                 .parallel(4),
         );
         assert_eq!(zero.engine_used, Some(Engine::EventDriven));
-        // Trace retention: only the sequential engines reproduce order.
+        // Trace retention: only one shard records events in dispatch order.
         let trace = Sim.run(
             &Scenario::new(Partition::even(6, 3), Algorithm::LocalCoin)
                 .proposals_split(3)

@@ -180,3 +180,159 @@ proptest! {
         prop_assert_eq!(original.decisions, replayed.decisions);
     }
 }
+
+use one_for_all::prelude::{NetworkModel, Outcome};
+use one_for_all::scenario::{CostModel, DelayModel};
+
+/// Every field `all_three_engines_produce_identical_outcomes` compares,
+/// for the fixed (non-proptest) cases below.
+fn assert_same_run(a: &Outcome, b: &Outcome, what: &str) {
+    assert_eq!(a.decisions, b.decisions, "{what}: decisions");
+    assert_eq!(a.halts, b.halts, "{what}: halts");
+    assert_eq!(a.crashed, b.crashed, "{what}: crashed");
+    assert_eq!(
+        a.all_correct_decided, b.all_correct_decided,
+        "{what}: all_correct_decided"
+    );
+    assert_eq!(a.counters, b.counters, "{what}: counters");
+    assert_eq!(a.per_process, b.per_process, "{what}: per_process");
+    assert_eq!(a.trace_hash, b.trace_hash, "{what}: trace_hash");
+    assert_eq!(
+        a.events_processed, b.events_processed,
+        "{what}: events_processed"
+    );
+    assert_eq!(a.end_time, b.end_time, "{what}: end_time");
+    assert_eq!(
+        a.latest_decision_time, b.latest_decision_time,
+        "{what}: latest_decision_time"
+    );
+    assert_eq!(a.sm_proposes, b.sm_proposes, "{what}: sm_proposes");
+    assert_eq!(a.sm_objects, b.sm_objects, "{what}: sm_objects");
+    assert_eq!(a.service, b.service, "{what}: service");
+}
+
+/// Networks whose minimum delay is zero give the sharded loop no
+/// lookahead window, so a parallel request runs as one shard — and that
+/// one shard must order same-instant events (zero delay *and* zero
+/// costs put whole rounds on one tick; a duplicate's extra delay may be
+/// zero too) exactly like the conductor does.
+#[test]
+fn zero_lookahead_networks_match_on_all_engines() {
+    unlock_cores();
+    let zero_costs = CostModel {
+        send_cost: 0,
+        recv_cost: 0,
+        sm_op_cost: 0,
+        coin_cost: 0,
+    };
+    for delay in [
+        DelayModel::Constant(0),
+        DelayModel::Uniform { lo: 0, hi: 40 },
+    ] {
+        for costs in [CostModel::new(), zero_costs] {
+            for dup_ppm in [0, 150_000] {
+                for (seed, algorithm) in [
+                    (3u64, Algorithm::LocalCoin),
+                    (4, Algorithm::CommonCoin),
+                    (5, Algorithm::LocalCoin),
+                ] {
+                    let what = format!("{delay:?} {costs:?} dup={dup_ppm} seed={seed}");
+                    let scenario = Scenario::new(Partition::even(9, 3), algorithm)
+                        .proposals_split(4)
+                        .network(NetworkModel::flat(delay.clone()).with_dup_ppm(dup_ppm))
+                        .costs(costs)
+                        .max_rounds(24)
+                        .seed(seed);
+                    let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+                    let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
+                    let par = Sim.run(&scenario.parallel(3));
+                    assert_eq!(threads.engine_used, Some(Engine::Threads), "{what}");
+                    assert_eq!(event.engine_used, Some(Engine::EventDriven), "{what}");
+                    assert_eq!(
+                        par.engine_used,
+                        Some(Engine::EventDriven),
+                        "{what}: no lookahead, so the request resolves to one shard"
+                    );
+                    assert_same_run(&threads, &event, &what);
+                    assert_same_run(&threads, &par, &what);
+                    assert!(threads.agreement_holds(), "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// An event budget that runs out *inside* a batched broadcast: with a
+/// constant delay and zero send cost every broadcast is one heap entry
+/// expanding to `n` deliveries, so event counts at broadcast boundaries
+/// are multiples of `n` until the first duplicate or mid-broadcast
+/// crash. Sweeping `max_events` over `2n` consecutive values therefore
+/// cuts at every offset inside a broadcast (and on both sides of a
+/// boundary); every engine and shard count must stop after the same
+/// event prefix.
+#[test]
+fn event_budget_inside_a_batched_broadcast_cuts_identically() {
+    unlock_cores();
+    let n = 12u64;
+    for dup_ppm in [0, 80_000] {
+        let base = Scenario::new(Partition::even(n as usize, 4), Algorithm::CommonCoin)
+            .proposals_split(5)
+            .network(NetworkModel::flat(DelayModel::Constant(700)).with_dup_ppm(dup_ppm))
+            .costs(CostModel {
+                send_cost: 0,
+                recv_cost: 1,
+                sm_op_cost: 3,
+                coin_cost: 1,
+            })
+            .seed(21);
+        let total = Sim.run(&base.clone().event_driven()).events_processed;
+        assert!(total > 6 * n, "the run must span several broadcasts");
+        // One window around the second broadcast's end, one mid-run.
+        for boundary in [2 * n, (total / (2 * n)) * n] {
+            for max_events in (boundary - n)..(boundary + n) {
+                let what = format!("dup={dup_ppm} max_events={max_events}");
+                let scenario = base.clone().max_events(max_events);
+                let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+                assert_eq!(threads.events_processed, max_events, "{what}");
+                let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
+                assert_eq!(event.engine_used, Some(Engine::EventDriven), "{what}");
+                assert_same_run(&threads, &event, &what);
+                for workers in [2, 3] {
+                    let par = Sim.run(&scenario.clone().parallel(workers));
+                    assert_eq!(
+                        par.engine_used,
+                        Some(Engine::ParallelEvent { workers }),
+                        "{what}"
+                    );
+                    assert_same_run(&threads, &par, &format!("{what} par={workers}"));
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The trace hash is a multiset hash, so it cannot see event
+    /// *order*. The kept trace can: the event engine's ordered
+    /// [`Outcome::events`] must equal the conductor's element for
+    /// element (the benchmark's traced pass replays that order), and a
+    /// parallel request that keeps the trace resolves to one shard and
+    /// records the same vector.
+    #[test]
+    fn kept_traces_match_the_conductor_element_for_element(scenario in scenario_strategy()) {
+        unlock_cores();
+        let scenario = scenario.keep_trace();
+        let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+        let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
+        let par = Sim.run(&scenario.parallel(3));
+        prop_assert_eq!(event.engine_used, Some(Engine::EventDriven));
+        prop_assert_eq!(par.engine_used, Some(Engine::EventDriven));
+        let reference = threads.events.expect("the conductor kept its trace");
+        prop_assert!(!reference.is_empty());
+        prop_assert_eq!(Some(&reference), event.events.as_ref());
+        prop_assert_eq!(Some(&reference), par.events.as_ref());
+        prop_assert_eq!(threads.trace_hash, event.trace_hash);
+    }
+}
