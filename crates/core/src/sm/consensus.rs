@@ -724,7 +724,8 @@ pub(super) mod tests {
                     instance: 0,
                     value: Bit::One
                 },
-                sent_at: 0
+                sent_at: 0,
+                stride: 0
             }]
         );
     }

@@ -143,24 +143,28 @@ pub struct Outgoing {
     pub sent_at: u64,
 }
 
-/// An outbox entry: a single send, or a whole uniform broadcast.
+/// An outbox entry: a single send, or a whole broadcast.
 ///
-/// A broadcast whose sends all carry the same timestamp (the engine
-/// charges no per-send cost) collapses into one [`OutItem::Broadcast`]
-/// entry, letting schedulers enqueue it as a single event instead of `n`
-/// — the difference between O(n²) and O(n) heap residency per round at
-/// cluster scale.
+/// A broadcast whose sends are evenly spaced in virtual time — send `j`
+/// stamped `sent_at + j·stride`, which is what an engine charging a
+/// fixed per-send cost produces (`stride = 0` when sends are free) —
+/// collapses into one [`OutItem::Broadcast`] entry. Schedulers can then
+/// keep it as a single pending event instead of `n` — the difference
+/// between O(n²) and O(n) heap residency per round at cluster scale —
+/// and the outbox never holds `n` per-destination entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OutItem {
     /// One point-to-point send.
     One(Outgoing),
-    /// `msg` sent to every process `p_0 … p_{n-1}` in index order, all at
-    /// the same virtual send time.
+    /// `msg` sent to every process `p_0 … p_{n-1}` in index order, the
+    /// send to `p_j` stamped `sent_at + j·stride`.
     Broadcast {
         /// Payload (identical for every destination).
         msg: MsgKind,
-        /// Virtual send time shared by all destinations.
+        /// Virtual send time of the first send (to `p_0`).
         sent_at: u64,
+        /// Virtual time between consecutive sends (0 = all at once).
+        stride: u64,
     },
 }
 
@@ -195,18 +199,18 @@ impl Progress {
 
 /// The `broadcast(msg)` macro-operation shared by all machines: send to
 /// every process (including self) in index order into `outbox`,
-/// collapsing into one [`OutItem::Broadcast`] when all sends share a
-/// timestamp. Counts one broadcast via [`SmCtx::note_broadcast`].
+/// collapsing into one [`OutItem::Broadcast`] when the sends are evenly
+/// spaced in time. Counts one broadcast via [`SmCtx::note_broadcast`].
 ///
-/// The uniform case never materializes per-destination entries — at
-/// cluster scale a broadcast is the common operation, and pushing `n`
+/// The evenly spaced case never materializes per-destination entries —
+/// at cluster scale a broadcast is the common operation, and pushing `n`
 /// entries only to truncate them both costs the writes and leaves an
 /// `O(n)`-capacity buffer behind (with outbox recycling, one such
 /// buffer *per machine* — `O(n²)` resident memory). Per-destination
-/// entries are materialized lazily, only once timestamps actually
-/// diverge (the engine charges a per-send cost) or a send crashes
-/// mid-broadcast (the prefix already sent stays sent, like the paper's
-/// non-reliable broadcast).
+/// entries are materialized lazily, only once a timestamp leaves the
+/// stride the first two sends set or a send crashes mid-broadcast (the
+/// prefix already sent stays sent, like the paper's non-reliable
+/// broadcast).
 pub(crate) fn broadcast_into<C: SmCtx + ?Sized>(
     outbox: &mut Outbox,
     n: usize,
@@ -214,27 +218,40 @@ pub(crate) fn broadcast_into<C: SmCtx + ?Sized>(
     ctx: &mut C,
 ) -> Result<(), Halt> {
     ctx.note_broadcast();
-    let mut uniform = true;
-    let mut first_at = 0;
-    let materialize_prefix = |outbox: &mut Outbox, j: usize, first_at: u64| {
+    let mut even = true;
+    // `due` runs ahead of the loop as `first_at + j·stride`, the
+    // timestamp send `j` must carry for the broadcast to stay whole
+    // (an add per send: this loop is the engines' hottest).
+    let (mut first_at, mut stride, mut due) = (0, 0, 0u64);
+    let materialize_prefix = |outbox: &mut Outbox, j: usize, first_at: u64, stride: u64| {
         outbox.extend((0..j).map(|i| {
             OutItem::One(Outgoing {
                 to: ProcessId(i),
                 msg,
-                sent_at: first_at,
+                sent_at: first_at + i as u64 * stride,
             })
         }));
     };
     for j in 0..n {
         match ctx.send(ProcessId(j), msg) {
             Ok(sent_at) => {
-                if j == 0 {
-                    first_at = sent_at;
-                } else if uniform && sent_at != first_at {
-                    materialize_prefix(outbox, j, first_at);
-                    uniform = false;
+                if j < 2 {
+                    // Sends 0 and 1 fix the two terms.
+                    if j == 0 {
+                        first_at = sent_at;
+                    } else {
+                        // Clocks never run backwards; if one did, the
+                        // zero stride fails the comparison below.
+                        stride = sent_at.saturating_sub(first_at);
+                    }
+                    due = first_at + stride;
                 }
-                if !uniform {
+                if even && sent_at != due {
+                    materialize_prefix(outbox, j, first_at, stride);
+                    even = false;
+                }
+                due = due.wrapping_add(stride);
+                if !even {
                     outbox.push(OutItem::One(Outgoing {
                         to: ProcessId(j),
                         msg,
@@ -243,14 +260,14 @@ pub(crate) fn broadcast_into<C: SmCtx + ?Sized>(
                 }
             }
             Err(halt) => {
-                if uniform {
-                    materialize_prefix(outbox, j, first_at);
+                if even {
+                    materialize_prefix(outbox, j, first_at, stride);
                 }
                 return Err(halt);
             }
         }
     }
-    if uniform {
+    if even {
         match n {
             0 => {}
             1 => outbox.push(OutItem::One(Outgoing {
@@ -261,6 +278,7 @@ pub(crate) fn broadcast_into<C: SmCtx + ?Sized>(
             _ => outbox.push(OutItem::Broadcast {
                 msg,
                 sent_at: first_at,
+                stride,
             }),
         }
     }
@@ -568,10 +586,112 @@ mod tests {
             value: Bit::One,
         };
         broadcast_into(&mut outbox, 3, msg, &mut NullCtx).unwrap();
-        assert_eq!(outbox, vec![OutItem::Broadcast { msg, sent_at: 0 }]);
+        let whole = OutItem::Broadcast {
+            msg,
+            sent_at: 0,
+            stride: 0,
+        };
+        assert_eq!(outbox, vec![whole]);
         // A single-destination universe keeps the point-to-point form.
         let mut outbox = Outbox::new();
         broadcast_into(&mut outbox, 1, msg, &mut NullCtx).unwrap();
         assert!(matches!(outbox[0], OutItem::One(_)));
+    }
+
+    /// Charges sends the way the engines' contexts do: one step and
+    /// `send_cost` ticks per send, each send logged with its timestamp;
+    /// crashes once `crash_after` steps were taken, and stalls for ten
+    /// ticks before step `stall_at`.
+    struct CostCtx {
+        clock: u64,
+        send_cost: u64,
+        steps: u64,
+        crash_after: Option<u64>,
+        stall_at: Option<u64>,
+        sends: Vec<(ProcessId, u64)>,
+    }
+
+    impl SmCtx for CostCtx {
+        fn send(&mut self, to: ProcessId, _msg: MsgKind) -> Result<u64, Halt> {
+            self.steps += 1;
+            if self.crash_after.is_some_and(|k| self.steps > k) {
+                return Err(Halt::Crashed);
+            }
+            if self.stall_at == Some(self.steps) {
+                self.clock += 10;
+            }
+            self.clock += self.send_cost;
+            self.sends.push((to, self.clock));
+            Ok(self.clock)
+        }
+        fn begin_recv(&mut self) -> Result<(), Halt> {
+            Ok(())
+        }
+        fn cluster_propose(&mut self, _slot: Slot, enc: u64) -> Result<u64, Halt> {
+            Ok(enc)
+        }
+        fn local_coin(&mut self) -> Result<Bit, Halt> {
+            Ok(Bit::Zero)
+        }
+        fn common_coin(&mut self, _index: u64) -> Result<Bit, Halt> {
+            Ok(Bit::Zero)
+        }
+    }
+
+    #[test]
+    fn broadcast_into_keeps_a_costed_broadcast_whole() {
+        let msg = MsgKind::Decide {
+            instance: 0,
+            value: Bit::One,
+        };
+        let n = 5;
+        let ctx = |crash_after| CostCtx {
+            clock: 40,
+            send_cost: 1,
+            steps: 0,
+            crash_after,
+            stall_at: None,
+            sends: Vec::new(),
+        };
+        // A per-send cost spaces the sends evenly: still one item, and
+        // every send was still performed (a step and a record each).
+        let (mut outbox, mut c) = (Outbox::new(), ctx(None));
+        broadcast_into(&mut outbox, n, msg, &mut c).unwrap();
+        let whole = OutItem::Broadcast {
+            msg,
+            sent_at: 41,
+            stride: 1,
+        };
+        assert_eq!(outbox, vec![whole]);
+        assert_eq!(c.steps, n as u64);
+        let expected: Vec<_> = (0..n).map(|j| (ProcessId(j), 41 + j as u64)).collect();
+        assert_eq!(c.sends, expected);
+        // A crash mid-broadcast: the prefix already sent stays sent, as
+        // point-to-point items carrying their own timestamps.
+        let (mut outbox, mut c) = (Outbox::new(), ctx(Some(3)));
+        assert_eq!(
+            broadcast_into(&mut outbox, n, msg, &mut c),
+            Err(Halt::Crashed)
+        );
+        let prefix: Vec<_> = (0..3)
+            .map(|j| {
+                OutItem::One(Outgoing {
+                    to: ProcessId(j),
+                    msg,
+                    sent_at: 41 + j as u64,
+                })
+            })
+            .collect();
+        assert_eq!(outbox, prefix);
+        // A send off the pace the first two set: every send keeps the
+        // timestamp it was made at, as point-to-point items.
+        let (mut outbox, mut c) = (Outbox::new(), ctx(None));
+        c.stall_at = Some(4);
+        broadcast_into(&mut outbox, n, msg, &mut c).unwrap();
+        assert_eq!(c.sends[3], (ProcessId(3), 54));
+        let singles: Vec<_> = (c.sends.iter())
+            .map(|&(to, sent_at)| OutItem::One(Outgoing { to, msg, sent_at }))
+            .collect();
+        assert_eq!(outbox, singles);
     }
 }

@@ -470,9 +470,10 @@ impl NetIndex {
     }
 
     /// `Some(d)` iff every link delivers in exactly `d` ticks — the
-    /// condition for batching a broadcast into one heap entry. Loss and
-    /// duplication do **not** disable batching: fates are resolved
-    /// lazily, per destination, when the batch drains.
+    /// condition for a broadcast's one heap entry to expand as a batch,
+    /// all destinations at once. Loss and duplication do **not** disable
+    /// batching: fates are resolved lazily, per destination, when the
+    /// batch drains.
     pub fn constant_broadcast_delay(&self) -> Option<u64> {
         match &self.classes {
             CompiledClasses::Flat(DelayModel::Constant(d)) => Some(*d),

@@ -223,7 +223,7 @@ impl RunSpec {
     /// Everything an engine needs of `scenario`, built exactly once per
     /// run (the body, proposals and crash plan are cloned here and
     /// nowhere else).
-    fn from_scenario(scenario: &Scenario) -> Self {
+    pub(crate) fn from_scenario(scenario: &Scenario) -> Self {
         RunSpec {
             partition: scenario.partition.clone(),
             body: scenario.body.clone(),

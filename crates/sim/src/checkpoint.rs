@@ -19,7 +19,8 @@
 //!   Batched broadcasts stay batched: one [`CanonEvent::Broadcast`]
 //!   descriptor (destinations `0..n` implied, destination `g` holding
 //!   sender-counter `k0 + g`), deduplicated across the per-shard copies
-//!   several shards keep.
+//!   several shards keep. A lazy broadcast (`par.rs`) is exported as
+//!   the single deliveries it still stands for.
 //! * **Timed crashes are excluded.** They are a pure function of the
 //!   scenario's crash plan, so the resume path re-seeds `AtTime`
 //!   triggers with `at >= T` from the *resume* scenario — which is

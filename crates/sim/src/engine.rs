@@ -22,8 +22,8 @@
 //! produces the same decisions, counters, event counts — and the same
 //! trace hash, bit for bit (`tests/engine_equivalence.rs`, across all
 //! three declarative body kinds). What changes is the constant factor and
-//! the ceiling: a burst is a function call, and with a constant-delay
-//! model whole broadcasts stay single heap entries, so
+//! the ceiling: a burst is a function call, and whole broadcasts stay
+//! single heap entries (expanded in one go under a constant delay), so
 //! `n = 10 000`-process executions finish in seconds on one core (the
 //! `escale` experiment) and replicated KV runs reach `n >= 5 000` (the
 //! `smrscale` experiment).

@@ -57,12 +57,26 @@
 //! A lone shard has nobody to exchange with, so its window is unbounded
 //! (which is why it also serves networks whose minimum delay is zero).
 //!
-//! Uniform broadcasts stay batched end to end: one heap entry on the
-//! sender's shard plus one descriptor per *other shard* (not per
-//! destination) across the barrier, each expanded over the shard's own
-//! members when popped — O(n) heap residency per all-to-all round. A
-//! batch expands in one go, which is order-exact only because the
-//! shared delay is positive (see [`ShardState::route`]).
+//! Broadcasts stay whole end to end: one heap entry on the sender's
+//! shard plus one descriptor per *other shard* (not per destination)
+//! across the barrier, each covering the shard's own members — O(n) heap
+//! residency per all-to-all round, not O(n²). The entry takes one of two
+//! forms, both order-exact (see [`ShardState::route`]):
+//!
+//! * **Batched** ([`SPending::Broadcast`]) when every destination lands
+//!   at the same instant — a constant delay and no per-send cost. The
+//!   batch expands in one go when popped; the sender's consecutive
+//!   counter values make that the order `n` single entries would pop in,
+//!   and the positive shared delay keeps anything the expansion triggers
+//!   out of that instant.
+//! * **Lazy** ([`SPending::Lazy`]) otherwise — sampled delays, or a
+//!   per-send cost spacing the sends. The entry carries a [`Cursor`]
+//!   over the shard's surviving destinations sorted by delivery `(time,
+//!   key)` and sits on the heap under the *next* destination's time and
+//!   key. A pop delivers that one destination and re-keys the entry in
+//!   place to the one after it, so the heap always holds exactly the
+//!   minimum of what `n` single entries would hold, and pops in their
+//!   order.
 //!
 //! The event budget (`Scenario::max_events`) keeps its exact sequential
 //! semantics. One shard simply stops after `remaining` events. Several
@@ -95,18 +109,72 @@ use ofa_scenario::{CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, Virt
 use ofa_sharedmem::MemoryBank;
 use ofa_topology::{Partition, ProcessId};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::{mpsc, Arc};
 
-/// What a pending event is. A [`SPending::Broadcast`] is a uniform
-/// broadcast kept whole: the shard holding it expands it over its own
-/// members when popped (destination `g` holds sender-counter `k0 + g`).
+/// What a pending event is. A [`SPending::Broadcast`] is a
+/// same-instant broadcast kept whole: the shard holding it expands it
+/// over its own members when popped (destination `g` holds
+/// sender-counter `k0 + g`). A [`SPending::Lazy`] is any other broadcast
+/// kept whole: it delivers one destination per pop.
 #[derive(Debug)]
 pub(crate) enum SPending {
     Deliver { to: u32, from: u32, msg: MsgKind },
     Broadcast { from: u32, k0: u64, msg: MsgKind },
+    Lazy(Box<Cursor>),
     Crash { pid: u32 },
     Rejoin { pid: u32 },
+}
+
+/// A broadcast whose destinations land at different times (sampled
+/// delays, or sends spaced by a per-send cost), as one shard holds it:
+/// the shard's members it still has to reach, in delivery order.
+/// Destination `g` holds sender-counter `k0 + g` and was sent at
+/// `base + g·stride`.
+#[derive(Debug)]
+pub(crate) struct Cursor {
+    from: u32,
+    k0: u64,
+    msg: MsgKind,
+    base: u64,
+    stride: u64,
+    /// One word per undelivered surviving destination (lost ones are
+    /// never events): `(at − base) << 32 | g << 1 | duplicated`, sorted
+    /// descending, so the next delivery in `(at, EventKey)` order is the
+    /// last element. Empty while the broadcast crosses a barrier — the
+    /// receiving shard fills it in ([`ShardState::schedule`]).
+    order: Vec<u64>,
+}
+
+impl Cursor {
+    /// The largest `at − base` a packed word holds. A destination beyond
+    /// it (a delay of more than four billion ticks) is scheduled as a
+    /// plain [`SPending::Deliver`] instead.
+    const MAX_OFFSET: u64 = u32::MAX as u64;
+
+    fn pack(offset: u64, g: u32, dup: bool) -> u64 {
+        debug_assert!(offset <= Self::MAX_OFFSET && g <= u32::MAX >> 1);
+        offset << 32 | u64::from(g) << 1 | u64::from(dup)
+    }
+
+    /// A packed word as `(at, destination, duplicated)`.
+    fn unpack(&self, w: u64) -> (u64, u32, bool) {
+        (self.base + (w >> 32), (w as u32) >> 1, w & 1 == 1)
+    }
+
+    /// The undelivered destinations, next first.
+    fn remaining(&self) -> impl Iterator<Item = (u64, u32, bool)> + '_ {
+        self.order.iter().rev().map(|&w| self.unpack(w))
+    }
+
+    /// Where the entry holding this cursor sorts: the next destination's
+    /// delivery time and key.
+    fn next_key(&self) -> Option<(u64, EventKey)> {
+        let (at, g, _) = self.remaining().next()?;
+        let from = ProcessId(self.from as usize);
+        let key = EventKey::deliver(from, self.k0 + u64::from(g), ProcessId(g as usize));
+        Some((at, key))
+    }
 }
 
 /// A pending event with its delivery time and ordering key — a slot of
@@ -114,6 +182,10 @@ pub(crate) enum SPending {
 /// what crosses an epoch barrier: time and key are sender-local
 /// computations, so the receiving shard just enqueues.
 pub(crate) type SEntry = Keyed<SPending>;
+
+// Every pending event moves through the heap by value; whatever a lazy
+// broadcast carries lives behind its `Box`.
+const _: () = assert!(std::mem::size_of::<SEntry>() <= 104);
 
 impl SEntry {
     fn deliver(at: u64, from: u32, k: u64, to: u32, msg: MsgKind) -> Self {
@@ -158,6 +230,8 @@ impl SEntry {
     /// ([`SEntry::from_canon`]). Timed crashes and churn rejoins have
     /// none: they are re-derived from the resume scenario's plans, which
     /// is what lets a divergent replay swap the tail's failure pattern.
+    /// A lazy broadcast has one per undelivered destination instead
+    /// ([`ShardState::checkpoint`] exports those).
     pub(crate) fn to_canon(&self) -> Option<CanonEvent> {
         match self.ev {
             SPending::Deliver { to, from, msg } => Some(CanonEvent::One {
@@ -173,7 +247,7 @@ impl SEntry {
                 k0,
                 msg,
             }),
-            SPending::Crash { .. } | SPending::Rejoin { .. } => None,
+            SPending::Lazy(_) | SPending::Crash { .. } | SPending::Rejoin { .. } => None,
         }
     }
 
@@ -236,7 +310,8 @@ struct StepReport {
     /// Earliest event still pending on the local heap.
     next_at: Option<u64>,
     /// An upper bound on the events the local heap holds: one per
-    /// entry, a batched broadcast counted as one per member.
+    /// entry, a batched broadcast counted as one per member, a lazy one
+    /// as its undelivered destinations.
     pending: u64,
 }
 
@@ -326,6 +401,15 @@ struct ShardState<'a> {
     heap: BinaryHeap<SEntry>,
     /// Batched broadcasts resident on the heap (for [`StepReport::pending`]).
     batched: usize,
+    /// Undelivered destinations of the lazy broadcasts resident on the
+    /// heap (for [`StepReport::pending`]).
+    undelivered: usize,
+    /// The (emptied) buffers of exhausted cursors: the next lazy
+    /// broadcast routed here takes one instead of allocating.
+    spare: Vec<Vec<u64>>,
+    /// The most entries the heap ever held.
+    #[cfg(test)]
+    heap_peak: usize,
     counters: SendCounters,
     /// Barrier-bound sends, indexed by destination shard.
     outgoing: Vec<Vec<SEntry>>,
@@ -404,6 +488,10 @@ impl<'a> ShardState<'a> {
             },
             heap: BinaryHeap::new(),
             batched: 0,
+            undelivered: 0,
+            spare: Vec::new(),
+            #[cfg(test)]
+            heap_peak: 0,
             counters: match resume {
                 None => SendCounters::default(),
                 // Every shard gets the full counter vector; only its
@@ -469,6 +557,10 @@ impl<'a> ShardState<'a> {
             self.batched += 1;
         }
         self.heap.push(entry);
+        #[cfg(test)]
+        {
+            self.heap_peak = self.heap_peak.max(self.heap.len());
+        }
     }
 
     /// Routes one outbox item: fates, delays and keys are computed here,
@@ -479,20 +571,26 @@ impl<'a> ShardState<'a> {
         let n = self.layout.owner.len();
         match item {
             OutItem::One(o) => self.route_one(from, o.to, o.msg, o.sent_at),
-            OutItem::Broadcast { msg, sent_at } => {
+            OutItem::Broadcast {
+                msg,
+                sent_at,
+                stride,
+            } => {
+                // Whole end to end either way: one local heap entry plus
+                // one descriptor per *other shard*. Per-destination
+                // fates resolve lazily wherever the descriptor lands.
+                let k0 = self.counters.take(from, n as u64);
+                let from = from.index() as u32;
                 // A batch expands in one go when popped, which is the
-                // order `n` single entries would have had only if
-                // nothing the expansion triggers can land at the same
-                // instant — so a zero delay sends per destination.
-                match self.net.constant_broadcast_delay().filter(|&d| d > 0) {
+                // order `n` single entries would have had only if they
+                // all land at one instant and nothing the expansion
+                // triggers can land at that instant too — so a zero
+                // delay, like a sampled one or spaced sends, goes
+                // destination by destination.
+                let same_instant = self.net.constant_broadcast_delay();
+                match same_instant.filter(|&d| d > 0 && stride == 0) {
                     Some(d) => {
-                        // Batched end to end: one local heap entry plus
-                        // one descriptor per *other shard*.
-                        // Per-destination fates resolve lazily wherever
-                        // the descriptor expands.
                         let at = sent_at + d;
-                        let k0 = self.counters.take(from, n as u64);
-                        let from = from.index() as u32;
                         for (s, buf) in self.outgoing.iter_mut().enumerate() {
                             if s != self.id {
                                 buf.push(SEntry::broadcast(at, from, k0, msg));
@@ -501,8 +599,26 @@ impl<'a> ShardState<'a> {
                         self.push(SEntry::broadcast(at, from, k0, msg));
                     }
                     None => {
-                        for j in 0..n {
-                            self.route_one(from, ProcessId(j), msg, sent_at);
+                        // Nothing of it lands sooner than this, which is
+                        // all the coordinator needs of a descriptor in
+                        // transit; the shard it lands on keys it exactly.
+                        let at = sent_at + self.net.min_delay();
+                        let key = EventKey::deliver(ProcessId(from as usize), k0, ProcessId(0));
+                        for s in 0..self.outgoing.len() {
+                            let cursor = Box::new(Cursor {
+                                from,
+                                k0,
+                                msg,
+                                base: sent_at,
+                                stride,
+                                order: self.spare.pop().unwrap_or_default(),
+                            });
+                            if s == self.id {
+                                self.schedule(cursor);
+                            } else {
+                                let ev = SPending::Lazy(cursor);
+                                self.outgoing[s].push(Keyed { at, key, ev });
+                            }
                         }
                     }
                 }
@@ -510,10 +626,52 @@ impl<'a> ShardState<'a> {
         }
     }
 
+    /// Takes a lazy broadcast onto this shard's heap: resolves the fate
+    /// and delivery time of each of the shard's own members (the same
+    /// per-message functions [`ShardState::send`] evaluates, so wherever
+    /// this runs it computes what `n` single sends would have), sorts
+    /// the survivors into delivery order and enqueues the broadcast
+    /// under its first one.
+    fn schedule(&mut self, mut cursor: Box<Cursor>) {
+        let (net, seed) = (self.net, self.spec.seed);
+        let from = ProcessId(cursor.from as usize);
+        let members = self.members();
+        cursor.order.reserve_exact(members.len());
+        for &g in members {
+            let (to, k) = (ProcessId(g as usize), cursor.k0 + u64::from(g));
+            let fate = net.fate_of(seed, from, to, k);
+            if fate == Fate::Lost {
+                continue;
+            }
+            let sent_at = u64::from(g) * cursor.stride;
+            let offset = sent_at + net.delay_of(seed, from, to, k);
+            if offset > Cursor::MAX_OFFSET {
+                self.send(from, to, k, cursor.msg, cursor.base + sent_at);
+                continue;
+            }
+            cursor
+                .order
+                .push(Cursor::pack(offset, g, fate == Fate::Dup));
+        }
+        cursor.order.sort_unstable_by(|a, b| b.cmp(a));
+        if let Some((at, key)) = cursor.next_key() {
+            self.undelivered += cursor.order.len();
+            self.push(Keyed {
+                at,
+                key,
+                ev: SPending::Lazy(cursor),
+            });
+        }
+    }
+
     /// One message: the sender's next counter value fixes its fate, its
     /// delay, and (if duplicated) its copy's extra delay.
     fn route_one(&mut self, from: ProcessId, to: ProcessId, msg: MsgKind, sent_at: u64) {
         let k = self.counters.take(from, 1);
+        self.send(from, to, k, msg, sent_at);
+    }
+
+    fn send(&mut self, from: ProcessId, to: ProcessId, k: u64, msg: MsgKind, sent_at: u64) {
         let fate = self.net.fate_of(self.spec.seed, from, to, k);
         if fate == Fate::Lost {
             return; // consumed the counter, routes nothing
@@ -521,11 +679,21 @@ impl<'a> ShardState<'a> {
         let at = sent_at + self.net.delay_of(self.spec.seed, from, to, k);
         self.enqueue(from.index() as u32, to.index() as u32, k, at, msg);
         if fate == Fate::Dup {
-            // The copy shares the key; its extra delay is a fresh sample
-            // of the link class, so it is >= the lookahead.
-            let at2 = at + self.net.dup_extra_of(self.spec.seed, from, to, k);
-            self.enqueue(from.index() as u32, to.index() as u32, k, at2, msg);
+            self.enqueue(
+                from.index() as u32,
+                to.index() as u32,
+                k,
+                self.dup_at(at, from, to, k),
+                msg,
+            );
         }
+    }
+
+    /// When the copy of a duplicated message lands: it shares the
+    /// original's key; its extra delay is a fresh sample of the link
+    /// class, so it is >= the lookahead.
+    fn dup_at(&self, at: u64, from: ProcessId, to: ProcessId, k: u64) -> u64 {
+        at + self.net.dup_extra_of(self.spec.seed, from, to, k)
     }
 
     fn enqueue(&mut self, from: u32, to: u32, k: u64, at: u64, msg: MsgKind) {
@@ -652,11 +820,13 @@ impl<'a> ShardState<'a> {
     fn run(&mut self, t_end: u64, limit: u64) -> StepReport {
         let mut processed: u64 = 0;
         while processed < limit {
-            match self.heap.peek() {
-                Some(top) if top.at < t_end => {}
+            let e = match self.heap.peek() {
+                Some(top) if top.at < t_end => match top.ev {
+                    SPending::Lazy(_) => self.pop_lazy(),
+                    _ => self.heap.pop().expect("peeked"),
+                },
                 _ => break,
-            }
-            let e = self.heap.pop().expect("peeked");
+            };
             let before = processed;
             match e.ev {
                 SPending::Deliver { to, from, msg } => {
@@ -696,12 +866,52 @@ impl<'a> ShardState<'a> {
                         self.deliver(g, from, msg, e.at);
                     }
                 }
+                SPending::Lazy(_) => unreachable!("pop_lazy yields single deliveries"),
             }
             if processed > before {
                 self.end_time = self.end_time.max(e.at);
             }
         }
         self.report(processed)
+    }
+
+    /// Takes the next destination off the lazy broadcast on top of the
+    /// heap, as the plain delivery it stands for. The broadcast stays on
+    /// the heap, re-keyed in place to the destination after it (one
+    /// sift, no pop and push), until none is left and its cursor goes
+    /// back to the pool; a duplicated destination's copy is queued as
+    /// the delivery pops, as a batched broadcast's is.
+    fn pop_lazy(&mut self) -> SEntry {
+        let mut top = self.heap.peek_mut().expect("peeked");
+        let Keyed {
+            at,
+            key,
+            ev: SPending::Lazy(cursor),
+        } = &mut *top
+        else {
+            unreachable!("the caller saw a lazy broadcast on top")
+        };
+        let next = cursor.order.pop().expect("resident cursors are not empty");
+        let (_, to, dup) = cursor.unpack(next);
+        let (from, k, msg) = (cursor.from, key.k, cursor.msg);
+        let head = SEntry::deliver(*at, from, k, to, msg);
+        match cursor.next_key() {
+            Some(then) => {
+                (*at, *key) = then;
+                drop(top); // sifts the entry down to its new place
+            }
+            None => {
+                if let SPending::Lazy(spent) = PeekMut::pop(top).ev {
+                    self.spare.push(spent.order);
+                }
+            }
+        }
+        self.undelivered -= 1;
+        if dup {
+            let at2 = self.dup_at(head.at, ProcessId(from as usize), ProcessId(to as usize), k);
+            self.push(SEntry::deliver(at2, from, k, to, msg));
+        }
+        head
     }
 
     /// The `(time, key)` of every local event with `at < t_end`, without
@@ -711,12 +921,20 @@ impl<'a> ShardState<'a> {
         let mut window = Vec::new();
         while self.heap.peek().is_some_and(|top| top.at < t_end) {
             let e = self.heap.pop().expect("peeked");
-            match e.ev {
-                SPending::Broadcast { from, k0, .. } => {
+            match &e.ev {
+                &SPending::Broadcast { from, k0, .. } => {
                     let sender = ProcessId(from as usize);
                     keys.extend(self.survivors(from, k0).map(|(g, _)| {
                         let to = ProcessId(g as usize);
                         (e.at, EventKey::deliver(sender, k0 + u64::from(g), to))
+                    }));
+                }
+                SPending::Lazy(cursor) => {
+                    let sender = ProcessId(cursor.from as usize);
+                    let inside = cursor.remaining().take_while(|&(at, ..)| at < t_end);
+                    keys.extend(inside.map(|(at, g, _)| {
+                        let to = ProcessId(g as usize);
+                        (at, EventKey::deliver(sender, cursor.k0 + u64::from(g), to))
                     }));
                 }
                 _ => keys.push((e.at, e.key)),
@@ -735,13 +953,16 @@ impl<'a> ShardState<'a> {
             processed,
             end_time: self.end_time,
             next_at: self.heap.peek().map(|e| e.at),
-            pending: (self.heap.len() + self.batched * fan_out) as u64,
+            pending: (self.heap.len() + self.batched * fan_out + self.undelivered) as u64,
         }
     }
 
     fn accept(&mut self, incoming: Vec<SEntry>) {
         for entry in incoming {
-            self.push(entry);
+            match entry.ev {
+                SPending::Lazy(cursor) => self.schedule(cursor),
+                _ => self.push(entry),
+            }
         }
     }
 
@@ -766,18 +987,38 @@ impl<'a> ShardState<'a> {
                 None => m.snapshot(),
             })
             .collect();
-        let events = self
-            .heap
-            .iter()
-            .filter(|e| match e.ev {
+        let mut events = Vec::new();
+        for e in &self.heap {
+            match &e.ev {
                 // A descriptor none of whose local members survive is
                 // not a pending event here; some shard that owns a
                 // survivor exports it.
-                SPending::Broadcast { from, k0, .. } => self.survivors(from, k0).next().is_some(),
-                _ => true,
-            })
-            .filter_map(SEntry::to_canon)
-            .collect();
+                &SPending::Broadcast { from, k0, .. }
+                    if self.survivors(from, k0).next().is_none() => {}
+                // What is left of a lazy broadcast leaves as the single
+                // deliveries it stands for — copies of duplicated ones
+                // included, which a plain delivery no longer spawns.
+                SPending::Lazy(cursor) => {
+                    let &Cursor { from, k0, msg, .. } = &**cursor;
+                    for (at, to, dup) in cursor.remaining() {
+                        let k = k0 + u64::from(to);
+                        let one = |at| CanonEvent::One {
+                            at,
+                            from,
+                            k,
+                            to,
+                            msg,
+                        };
+                        events.push(one(at));
+                        if dup {
+                            let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
+                            events.push(one(self.dup_at(at, from, to, k)));
+                        }
+                    }
+                }
+                _ => events.extend(e.to_canon()),
+            }
+        }
         Box::new(ShardSnap {
             machines,
             procs: self.procs.iter().map(ProcState::snapshot).collect(),
@@ -886,7 +1127,9 @@ impl Coordinator<'_> {
                 for entry in buf {
                     t_next = Some(t_next.map_or(entry.at, |t| t.min(entry.at)));
                     bound += match entry.ev {
-                        SPending::Broadcast { .. } => layout.members[s].len() as u64,
+                        SPending::Broadcast { .. } | SPending::Lazy(_) => {
+                            layout.members[s].len() as u64
+                        }
                         _ => 1,
                     };
                 }
@@ -1305,6 +1548,41 @@ mod tests {
         assert!(out.all_correct_decided);
         checker.assert_clean();
         assert_eq!(checker.decisions().len(), 10);
+    }
+
+    #[test]
+    fn sampled_delay_broadcasts_stay_one_heap_entry_each() {
+        use super::{Layout, ShardState};
+        use crate::conductor::RunSpec;
+        use ofa_core::sm::SmTopology;
+        use ofa_sharedmem::MemoryBank;
+        use std::sync::Arc;
+        // The CLI-default path: sampled delays and a per-send cost. Every
+        // process has a few broadcasts in flight per round and each is
+        // one entry, so the heap stays O(n) where per-destination
+        // entries would put n² on it.
+        let n = 200;
+        let scenario = Scenario::new(Partition::even(n, 4), Algorithm::CommonCoin)
+            .proposals_split(n / 2)
+            .seed(42);
+        let spec = RunSpec::from_scenario(&scenario);
+        let net = scenario.network.compile(&scenario.partition);
+        let layout = Layout::new(&spec.partition, 1);
+        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
+        let bank = MemoryBank::for_partition(topo.partition());
+        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
+        let report = shard.run(u64::MAX, u64::MAX);
+        assert!(shard.heap.is_empty(), "the run drains");
+        assert!(
+            report.processed >= 3 * (n * n) as u64,
+            "at least three all-to-all exchanges: {} events",
+            report.processed
+        );
+        assert!(
+            shard.heap_peak <= 4 * n,
+            "heap peaked at {} entries for n = {n}",
+            shard.heap_peak
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! ofa --sizes 2,2 --runtime            # real threads instead of the simulator
 //! ofa --sizes 1,4,2 --engine threads    # pin the reference thread conductor
 //! ofa --sizes 40,40,40 --engine par     # cluster-sharded parallel engine
+//! ofa --sizes 100x10 --max-events 10000000   # ten clusters of 100, 10^7-event budget
 //! ofa --sizes 10,10,10 --serve poisson:200 --clients 64   # client traffic
 //! ofa --sizes 1,4,2 --json             # unified Outcome as JSON
 //! ofa --checkpoint-at 5000 --checkpoint-file run.snap.json   # pause, exit 3
@@ -44,7 +45,9 @@ USAGE:
     ofa [OPTIONS]
 
 OPTIONS:
-    --sizes a,b,c      cluster sizes, e.g. 1,4,2 (default: 1,4,2 = Fig.1 right)
+    --sizes a,b,c      cluster sizes, e.g. 1,4,2 (default: 1,4,2 = Fig.1 right);
+                       MxK stands for K clusters of M processes (100x10 =
+                       ten clusters of 100) and mixes with commas: 1,4x2,2
     --algorithm lc|cc  local-coin (Alg 2) or common-coin (Alg 3) [default: cc]
     --ones K           first K processes propose 1, the rest 0 [default: n/2]
     --seed S           randomness seed [default: 0]
@@ -71,6 +74,10 @@ OPTIONS:
                        PRF of (seed, process) — identical on every
                        engine and across checkpoint resumes
     --max-rounds R     round budget [default: 512]
+    --max-events N     simulator event budget: the run stops after N events
+                       with whoever has not decided reported as stopped
+                       (an all-to-all exchange is n^2 events, so n = 1000
+                       needs ~10^7) [default: 5000000]
     --trace            print the full event trace (simulator only)
     --engine E         simulator process engine: event (single-threaded
                        event-driven state machines; scales to n >> 10^4),
@@ -160,7 +167,7 @@ SEARCH:
     --workers W        evaluation threads; 0 = one per core [default: 0]
 
 BASE SCHEDULE (the unmutated starting point):
-    --sizes a,b,c      cluster sizes [default: 1,4,2]
+    --sizes a,b,c      cluster sizes; MxK = K clusters of M [default: 1,4,2]
     --algorithm lc|cc  consensus algorithm [default: cc]
     --ones K           first K processes propose 1 [default: n/2]
     --max-rounds R     round budget per run [default: 64]
@@ -208,6 +215,7 @@ struct Options {
     churn: Vec<(usize, u64, Option<u64>)>,
     churn_poisson: Option<PoissonChurn>,
     max_rounds: u64,
+    max_events: Option<u64>,
     serve: Option<ArrivalProcess>,
     clients: u64,
     slots: u64,
@@ -235,7 +243,7 @@ enum CrashWhen {
     Time(u64),
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         sizes: vec![1, 4, 2],
         algorithm: Algorithm::CommonCoin,
@@ -247,6 +255,7 @@ fn parse_args() -> Result<Options, String> {
         churn: Vec::new(),
         churn_poisson: None,
         max_rounds: 512,
+        max_events: None,
         serve: None,
         clients: 0,
         slots: 8,
@@ -266,7 +275,6 @@ fn parse_args() -> Result<Options, String> {
         diverge_coin: None,
         diverge_crashes: Vec::new(),
     };
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize| -> Result<String, String> {
         *i += 1;
@@ -280,12 +288,7 @@ fn parse_args() -> Result<Options, String> {
                 print!("{HELP}");
                 exit(0);
             }
-            "--sizes" => {
-                opts.sizes = value(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| e.to_string()))
-                    .collect::<Result<_, _>>()?;
-            }
+            "--sizes" => opts.sizes = parse_sizes(&value(&mut i)?)?,
             "--algorithm" => {
                 opts.algorithm = match value(&mut i)?.as_str() {
                     "lc" | "local" => Algorithm::LocalCoin,
@@ -309,6 +312,13 @@ fn parse_args() -> Result<Options, String> {
                 opts.max_rounds = value(&mut i)?
                     .parse()
                     .map_err(|e: std::num::ParseIntError| e.to_string())?
+            }
+            "--max-events" => {
+                let raw = value(&mut i)?;
+                opts.max_events = Some(
+                    raw.parse()
+                        .map_err(|e| format!("bad --max-events {raw:?}: {e}"))?,
+                );
             }
             "--crash" => {
                 let spec = value(&mut i)?;
@@ -439,6 +449,9 @@ fn parse_args() -> Result<Options, String> {
     if opts.serve.is_some() && opts.runtime {
         return Err("--serve needs the simulator's virtual clock, not --runtime".into());
     }
+    if opts.max_events.is_some() && opts.runtime {
+        return Err("--max-events budgets simulator events, not --runtime".into());
+    }
     if opts.serve.is_none()
         && (opts.clients > 0
             || opts.slots != 8
@@ -461,6 +474,33 @@ fn parse_args() -> Result<Options, String> {
         return Err("--diverge-* flags require --resume".into());
     }
     Ok(opts)
+}
+
+/// Parses a `--sizes` list: comma-separated cluster sizes, where `MxK`
+/// stands for `K` clusters of `M` processes (`1,4x2,2` = `1,4,4,2`).
+fn parse_sizes(raw: &str) -> Result<Vec<usize>, String> {
+    /// Far beyond any runnable system; keeps `1x99999999999` from
+    /// allocating before the partition is even built.
+    const MAX_CLUSTERS: usize = 1 << 20;
+    let num = |s: &str| {
+        s.trim()
+            .parse::<usize>()
+            .map_err(|e| format!("bad --sizes entry {s:?}: {e}"))
+    };
+    let mut sizes = Vec::new();
+    for entry in raw.split(',') {
+        let (size, count) = match entry.split_once('x') {
+            Some((size, count)) => (num(size)?, num(count)?),
+            None => (num(entry)?, 1),
+        };
+        if count > MAX_CLUSTERS - sizes.len() {
+            return Err(format!(
+                "--sizes {raw:?}: more than {MAX_CLUSTERS} clusters"
+            ));
+        }
+        sizes.extend(std::iter::repeat_n(size, count));
+    }
+    Ok(sizes)
 }
 
 /// Parses `pI@K` (step trigger), `pI@rR` (round trigger), or `pI@tT`
@@ -644,7 +684,7 @@ fn main() {
         explore_main(&args[1..]);
         return;
     }
-    let opts = match parse_args() {
+    let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{HELP}");
@@ -675,6 +715,9 @@ fn main() {
         .dup_ppm(opts.dup_ppm)
         .churn(build_churn(&opts.churn, opts.churn_poisson))
         .seed(opts.seed);
+    if let Some(max) = opts.max_events {
+        scenario = scenario.max_events(max);
+    }
     if let Some(arrival) = opts.serve {
         scenario = scenario.replicated_log_traffic(
             opts.algorithm,
@@ -836,12 +879,7 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreOpts, String> {
                 }
             }
             "--workers" => opts.workers = num(value(&mut i)?)? as usize,
-            "--sizes" => {
-                opts.sizes = value(&mut i)?
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>().map_err(|e| e.to_string()))
-                    .collect::<Result<_, _>>()?;
-            }
+            "--sizes" => opts.sizes = parse_sizes(&value(&mut i)?)?,
             "--algorithm" => {
                 opts.algorithm = match value(&mut i)?.as_str() {
                     "lc" | "local" => Algorithm::LocalCoin,
@@ -1293,5 +1331,37 @@ fn summarize(agreement: bool, deciders: usize, n: usize) {
     );
     if !agreement {
         exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn sizes_accept_the_repeat_shorthand() {
+        assert_eq!(parse_sizes("1,4,2"), Ok(vec![1, 4, 2]));
+        assert_eq!(parse_sizes("100x10"), Ok(vec![100; 10]));
+        assert_eq!(parse_sizes("1, 4x2 ,2"), Ok(vec![1, 4, 4, 2]));
+        assert_eq!(parse_sizes("3x0,2"), Ok(vec![2]));
+        for junk in ["", "x", "4x", "x4", "4x2x2", "a,b", "-1", "1x99999999999"] {
+            assert!(parse_sizes(junk).is_err(), "{junk:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn max_events_reaches_the_scenario_budget() {
+        let opts = parse_args(&args("--sizes 100x10 --max-events 10000000")).unwrap();
+        assert_eq!(opts.sizes, vec![100; 10]);
+        assert_eq!(opts.max_events, Some(10_000_000));
+        assert_eq!(parse_args(&args("--sizes 2,2")).unwrap().max_events, None);
+        for junk in ["--max-events", "--max-events lots", "--max-events -5"] {
+            assert!(parse_args(&args(junk)).is_err(), "{junk:?} must be refused");
+        }
+        assert!(parse_args(&args("--runtime --max-events 10")).is_err());
     }
 }

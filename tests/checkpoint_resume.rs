@@ -228,6 +228,49 @@ fn churn_scenario_checkpoints_between_leave_and_rejoin() {
     }
 }
 
+/// A cut *inside* lazy broadcasts: on the default network and costs
+/// (`Uniform{500,1500}` delays, one tick per send) every start-up
+/// broadcast is one heap entry that is about half delivered at t = 1000
+/// (and the first phase-2 broadcasts have just joined them).
+/// What is left of each leaves in the snapshot as the single deliveries
+/// it stands for — the format has no half-drained form, and needs none —
+/// duplicated destinations' copies included, and the run resumes to the
+/// straight-through outcome on one shard and on three.
+#[test]
+fn checkpoint_inside_a_lazy_broadcast_resumes_bit_for_bit() {
+    unlock_cores();
+    let n = 12;
+    let engines = [Engine::EventDriven, Engine::ParallelEvent { workers: 3 }];
+    for dup_ppm in [0, 150_000] {
+        let scenario = Scenario::new(Partition::even(n, 4), Algorithm::CommonCoin)
+            .proposals_split(5)
+            .dup_ppm(dup_ppm)
+            .seed(31);
+        // The straight-through run, per engine the tail resumes on.
+        let straight = engines.map(|engine| Sim.run(&scenario.clone().engine(engine)));
+        assert!(straight[0].all_correct_decided);
+        for from in engines {
+            let cut = VirtualTime::from_ticks(1_000);
+            let mut snap = match Sim.run_until(&scenario.clone().engine(from), cut) {
+                RunOutcome::Paused(snap) => snap,
+                RunOutcome::Done(_) => panic!("run must still be in flight at the cut"),
+            };
+            let json = serde_json::to_string(&*snap).expect("snapshot serializes");
+            let singles = json.matches("{\"One\":{\"at\":").count();
+            assert!(
+                singles > n,
+                "dup={dup_ppm}: {singles} pending deliveries at the cut"
+            );
+            assert!(!json.contains("{\"Broadcast\":{\"at\":"), "dup={dup_ppm}");
+            for (to, straight) in engines.into_iter().zip(&straight) {
+                snap.scenario = snap.scenario.clone().engine(to);
+                let what = format!("dup={dup_ppm} {from:?} -> {to:?}");
+                assert_same_outcome(&what, straight, &Sim.resume(&snap));
+            }
+        }
+    }
+}
+
 /// Diverging with an empty spec is exactly a resume; diverging with an
 /// extra post-cut crash equals a straight run whose crash plan carried
 /// that trigger from the start (pre-cut history is unaffected by a

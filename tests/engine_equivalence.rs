@@ -311,6 +311,206 @@ fn event_budget_inside_a_batched_broadcast_cuts_identically() {
     }
 }
 
+/// An event budget that runs out *inside* a lazy broadcast: under
+/// sampled delays (or a per-send cost) a broadcast is one heap entry
+/// delivering one destination per pop, interleaved with every other
+/// broadcast in flight. A shard's pending count must include each such
+/// entry's undelivered destinations and its window keys must list them,
+/// or the coordinator never cuts the epoch at the globally
+/// `max_events`-th event. Sweeping `max_events` over `2n` consecutive
+/// values early and mid-run cuts at every offset; every engine and shard
+/// count must stop after the same event prefix.
+#[test]
+fn event_budget_inside_a_lazy_broadcast_cuts_identically() {
+    unlock_cores();
+    let n = 12u64;
+    for send_cost in [0, 1] {
+        for dup_ppm in [0, 150_000] {
+            let base = Scenario::new(Partition::even(n as usize, 4), Algorithm::CommonCoin)
+                .proposals_split(5)
+                .network(
+                    NetworkModel::flat(DelayModel::Uniform { lo: 300, hi: 900 })
+                        .with_dup_ppm(dup_ppm),
+                )
+                .costs(CostModel {
+                    send_cost,
+                    recv_cost: 1,
+                    sm_op_cost: 3,
+                    coin_cost: 1,
+                })
+                .seed(21);
+            let total = Sim.run(&base.clone().event_driven()).events_processed;
+            assert!(total > 2 * n * n, "the run must span several exchanges");
+            // One window inside the start-up broadcasts, one mid-run.
+            for centre in [2 * n, total / 2] {
+                for max_events in (centre - n)..(centre + n) {
+                    let what = format!("send={send_cost} dup={dup_ppm} max_events={max_events}");
+                    let scenario = base.clone().max_events(max_events);
+                    let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+                    assert_eq!(threads.events_processed, max_events, "{what}");
+                    let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
+                    assert_eq!(event.engine_used, Some(Engine::EventDriven), "{what}");
+                    assert_same_run(&threads, &event, &what);
+                    for workers in [2, 3] {
+                        let par = Sim.run(&scenario.clone().parallel(workers));
+                        assert_eq!(
+                            par.engine_used,
+                            Some(Engine::ParallelEvent { workers }),
+                            "{what}"
+                        );
+                        assert_same_run(&threads, &par, &format!("{what} par={workers}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A lazy broadcast packs each destination's delivery offset into 32
+/// bits; a destination further out than that is scheduled on its own.
+/// Delays straddling the limit put both kinds in one broadcast, and the
+/// duplicates' copies with them.
+#[test]
+fn delays_beyond_the_packed_offset_range_match_on_all_engines() {
+    unlock_cores();
+    for seed in 0..6 {
+        let what = format!("seed={seed}");
+        let scenario = Scenario::new(Partition::even(9, 3), Algorithm::CommonCoin)
+            .proposals_split(4)
+            .network(
+                NetworkModel::flat(DelayModel::Uniform {
+                    lo: 1_000,
+                    hi: 1 << 34,
+                })
+                .with_dup_ppm(100_000),
+            )
+            .max_rounds(24)
+            .seed(seed);
+        let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+        assert!(
+            threads.end_time.ticks() > 1 << 33,
+            "{what}: delays beyond 2^32"
+        );
+        let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
+        assert_same_run(&threads, &event, &what);
+        let par = Sim.run(&scenario.parallel(3));
+        assert_eq!(
+            par.engine_used,
+            Some(Engine::ParallelEvent { workers: 3 }),
+            "{what}"
+        );
+        assert_same_run(&threads, &par, &what);
+    }
+}
+
+use one_for_all::prelude::CrashPlan;
+use one_for_all::scenario::LatencyDist;
+use one_for_all::topology::ProcessId;
+
+/// Strategy: scenarios whose broadcasts take the lazy form — every
+/// network shape that spreads a broadcast's deliveries over time
+/// (sampled flat delays, clustered classes with intra ≠ inter latency,
+/// and a constant delay that only a per-send cost spreads), crossed with
+/// send costs, loss and duplication, and a step-indexed crash placed
+/// inside the victim's first broadcast (the prefix already sent stays
+/// sent, as point-to-point sends).
+fn lazy_broadcast_strategy() -> impl Strategy<Value = Scenario> {
+    common::partition_strategy()
+        .prop_flat_map(|partition| {
+            let n = partition.n();
+            (
+                Just(partition),
+                proptest::collection::vec(any::<bool>(), n),
+                (0u64..10_000, any::<bool>()),
+                (0u8..4, 0u8..4, 0u8..3), // network shape, loss/dup preset, send cost
+                // The victim and how many of its start-up steps succeed.
+                proptest::option::of((0..n, 2..n.max(3) as u64)),
+            )
+        })
+        .prop_map(
+            |(partition, bits, (seed, common), (net_kind, rate_kind, send_kind), crash)| {
+                let algorithm = if common {
+                    Algorithm::CommonCoin
+                } else {
+                    Algorithm::LocalCoin
+                };
+                let network = match net_kind {
+                    0 => NetworkModel::flat(DelayModel::Uniform { lo: 200, hi: 900 }),
+                    1 => NetworkModel::clustered(
+                        LatencyDist::Uniform { lo: 100, hi: 300 },
+                        LatencyDist::Uniform { lo: 600, hi: 1400 },
+                    ),
+                    2 => NetworkModel::clustered(
+                        LatencyDist::Constant(250),
+                        LatencyDist::LogNormal {
+                            median: 900,
+                            sigma_milli: 700,
+                            floor: 400,
+                            cap: 2500,
+                        },
+                    ),
+                    _ => NetworkModel::flat(DelayModel::Constant(700)),
+                };
+                let (loss, dup) = match rate_kind {
+                    0 => (0, 0),
+                    1 => (30_000, 0),
+                    2 => (0, 150_000),
+                    _ => (40_000, 60_000),
+                };
+                let crashes = match crash {
+                    Some((victim, steps)) => {
+                        CrashPlan::new().crash_at_step(ProcessId(victim), steps)
+                    }
+                    None => CrashPlan::new(),
+                };
+                Scenario::new(partition, algorithm)
+                    .proposals(bits.into_iter().map(Into::into).collect())
+                    .seed(seed)
+                    .network(network.with_loss_ppm(loss).with_dup_ppm(dup))
+                    .crashes(crashes)
+                    .costs(CostModel {
+                        send_cost: [0, 1, 3][send_kind as usize],
+                        recv_cost: 1,
+                        sm_op_cost: 2,
+                        coin_cost: 1,
+                    })
+                    .max_rounds(24)
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Lazy broadcasts pop in exactly the order their single deliveries
+    /// would: the conductor (which schedules every send on its own) and
+    /// the event loop on one, two and three shards agree on every
+    /// compared field, and the one-shard loop's ordered kept trace equals
+    /// the conductor's element for element.
+    #[test]
+    fn lazy_broadcasts_match_per_destination_sends(scenario in lazy_broadcast_strategy()) {
+        unlock_cores();
+        let kept = scenario.clone().keep_trace();
+        let threads = Sim.run(&kept.clone().engine(Engine::Threads));
+        let event = Sim.run(&kept.engine(Engine::EventDriven));
+        prop_assert_eq!(threads.engine_used, Some(Engine::Threads));
+        prop_assert_eq!(event.engine_used, Some(Engine::EventDriven));
+        prop_assert!(threads.events.as_ref().is_some_and(|t| !t.is_empty()));
+        prop_assert_eq!(&threads.events, &event.events);
+        assert_same_run(&threads, &event, "event");
+        let m = scenario.partition.m() as u64;
+        for workers in [2, 3] {
+            let par = Sim.run(&scenario.clone().parallel(workers));
+            if m >= 2 {
+                let used = Engine::ParallelEvent { workers: workers.min(m) };
+                prop_assert_eq!(par.engine_used, Some(used));
+            }
+            assert_same_run(&threads, &par, &format!("par={workers}"));
+        }
+        prop_assert!(threads.agreement_holds());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
