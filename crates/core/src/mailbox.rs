@@ -18,6 +18,21 @@
 //! [`crate::ObsEvent::MailboxStats`] so substrates can expose it via
 //! `ofa_metrics::Counters`.
 //!
+//! Application payloads ([`MsgKind::App`] — the proposals the multivalued
+//! reduction disseminates) are neither served nor dropped by a binary
+//! instance: they go into the *app stash*, keyed by `(instance, seq)`,
+//! first arrival wins, for the layer above to collect
+//! ([`Mailbox::absorb_apps`]). The blocking reduction
+//! ([`crate::multivalued_propose`]) receives every proposal this way — a
+//! running binary instance is the only code that sees the message. The
+//! resumable [`crate::sm::MultivaluedSm`] sees each delivery before its
+//! binary stage does and takes its *own* instance's proposals straight
+//! into its proposal store; for it the stash only holds what belongs to
+//! another instance: a later slot's proposals until that slot's machine
+//! starts, and an earlier slot's late duplicates until the next absorb
+//! counts them as stale. (At `n = 1000` the stash used to take `n`
+//! B-tree entries per replica per slot, most of a served run's memory.)
+//!
 //! The routing itself is split into two non-blocking primitives so that
 //! both execution styles share one implementation:
 //!
@@ -82,7 +97,8 @@ pub struct Mailbox {
     /// App stash keyed by `(instance, seq)`: duplicate deliveries (e.g.
     /// the relay storms of multivalued dissemination, where every process
     /// re-broadcasts the stage proposer's payload) collapse into one
-    /// entry instead of growing the stash linearly with the storm.
+    /// entry — the first to arrive — instead of growing the stash
+    /// linearly with the storm.
     apps: BTreeMap<(u64, u64), AppMsg>,
     /// The highest slot ever served; everything strictly below it is dead.
     position: (u64, u64, Phase),
@@ -232,15 +248,12 @@ impl Mailbox {
                 seq,
                 payload,
             } => {
-                self.apps.insert(
-                    (i, seq),
-                    AppMsg {
-                        from: msg.from,
-                        instance: i,
-                        seq,
-                        payload,
-                    },
-                );
+                self.stash(AppMsg {
+                    from: msg.from,
+                    instance: i,
+                    seq,
+                    payload,
+                });
                 None
             }
         }
@@ -316,15 +329,12 @@ impl Mailbox {
                 seq,
                 payload,
             } => {
-                self.apps.insert(
-                    (instance, seq),
-                    AppMsg {
-                        from: msg.from,
-                        instance,
-                        seq,
-                        payload,
-                    },
-                );
+                self.stash(AppMsg {
+                    from: msg.from,
+                    instance,
+                    seq,
+                    payload,
+                });
             }
         }
     }
@@ -366,7 +376,15 @@ impl Mailbox {
     /// Puts an application payload back into the stash (e.g. one drained
     /// by [`Mailbox::take_apps`] but belonging to a later layer instance).
     pub fn stash_app(&mut self, app: AppMsg) {
-        self.apps.insert((app.instance, app.seq), app);
+        self.stash(app);
+    }
+
+    /// The one insert into the app stash. First arrival wins — the rule
+    /// `ProposalStore` applies to what it is offered — so a proposal is
+    /// the same copy whether it reached the store directly, through the
+    /// stash, or one duplicate each way.
+    fn stash(&mut self, app: AppMsg) {
+        self.apps.entry((app.instance, app.seq)).or_insert(app);
     }
 
     /// The sticky `DECIDE` value for `instance`, if one has been received
@@ -740,6 +758,39 @@ mod tests {
         assert_eq!(apps.len(), 1);
         mb.stash_app(apps[0]);
         assert_eq!(mb.take_apps(), apps);
+    }
+
+    /// Every way into the stash keeps the first copy of an
+    /// `(instance, seq)` key, whatever a later copy carries.
+    #[test]
+    fn stash_keeps_the_first_copy_of_a_key() {
+        let (first, second) = (app_msg(1, 4, 2, b"first"), app_msg(2, 4, 2, b"second"));
+        let as_app = |m: Msg| match m.kind {
+            MsgKind::App {
+                instance,
+                seq,
+                payload,
+            } => AppMsg {
+                from: m.from,
+                instance,
+                seq,
+                payload,
+            },
+            _ => unreachable!(),
+        };
+        let feeds: [fn(&mut Mailbox, Msg); 2] = [
+            |mb, m| assert_eq!(mb.accept(m, 4, 1, Phase::One), None),
+            |mb, m| mb.buffer(m),
+        ];
+        for feed_first in feeds {
+            for feed_second in feeds {
+                let mut mb = Mailbox::new();
+                feed_first(&mut mb, first);
+                feed_second(&mut mb, second);
+                mb.stash_app(as_app(second));
+                assert_eq!(mb.take_apps(), vec![as_app(first)]);
+            }
+        }
     }
 
     #[test]

@@ -43,6 +43,20 @@
 //! equivalent (every environment interaction happens in the same order
 //! with the same arguments), so the two execution engines produce
 //! bit-identical traces.
+//!
+//! The two differ in one internal respect, on purpose. Here a proposal
+//! is received *inside* a binary instance, which can only put it in the
+//! [`Mailbox`]'s app stash; the reduction absorbs the stash into its
+//! `ProposalStore` at every stage boundary and in the proposal wait. The
+//! machine sees each delivery before its binary stage does and offers a
+//! proposal of its own instance to the store on arrival, never stashing
+//! it (the module docs of `sm/multivalued.rs` say why nothing can tell).
+//! Both go through `ProposalStore::offer`, first arrival wins, and the
+//! stash keeps the first copy of a key too, so the store ends up with the
+//! same copy whichever way — and since this blocking form is what the
+//! thread conductor runs, `tests/engine_equivalence.rs` checks the direct
+//! path against the stash path on every multivalued and replicated-log
+//! scenario it draws.
 
 use crate::{
     ben_or_hybrid_instance, common_coin_hybrid_instance, Algorithm, Bit, Decision, Env, Halt,
@@ -100,6 +114,17 @@ impl ProposalStore {
         self.have[k.index()].expect("caller checked holds()")
     }
 
+    /// Takes proposer `seq`'s proposal as carried by one `APP` message of
+    /// this instance — the only way a message's payload enters the store.
+    /// First arrival wins (relays and duplicates of a held proposal change
+    /// nothing) and a `seq` that names no process is ignored.
+    pub(crate) fn offer(&mut self, seq: u64, payload: Payload) {
+        let slot = usize::try_from(seq).ok().and_then(|k| self.have.get_mut(k));
+        if let Some(slot @ None) = slot {
+            *slot = Some(payload);
+        }
+    }
+
     /// Moves this instance's stashed APP messages into the store.
     /// Messages of later multivalued instances stay stashed (instances
     /// are processed in increasing order, so they belong to the future);
@@ -109,13 +134,7 @@ impl ProposalStore {
     /// never round-trips through a temporary `Vec`. No environment
     /// interaction.
     pub(crate) fn absorb(&mut self, mailbox: &mut Mailbox) {
-        let have = &mut self.have;
-        mailbox.absorb_apps(self.base, |app| {
-            let proposer = app.seq as usize;
-            if proposer < have.len() && have[proposer].is_none() {
-                have[proposer] = Some(app.payload);
-            }
-        });
+        mailbox.absorb_apps(self.base, |app| self.offer(app.seq, app.payload));
     }
 
     /// The relay-on-first-use message for stage proposer `k`, if this
@@ -481,5 +500,56 @@ mod tests {
         let relay = store.relay_due(ProcessId(1)).expect("first use relays");
         assert!(matches!(relay, MsgKind::App { seq: 1, .. }));
         assert_eq!(store.relay_due(ProcessId(1)), None, "only once");
+    }
+
+    /// One rule for duplicates: of two *different* payloads under one
+    /// `(instance, seq)` the store holds the first to arrive, whether
+    /// both were offered directly, both went through the mailbox stash,
+    /// or one each way.
+    #[test]
+    fn proposal_store_keeps_the_first_arrival_on_every_path() {
+        let (first, second) = (
+            Payload::from_bytes(b"first").unwrap(),
+            Payload::from_bytes(b"second").unwrap(),
+        );
+        let direct = |store: &mut ProposalStore, _: &mut Mailbox, p| store.offer(1, p);
+        let stashed = |_: &mut ProposalStore, mb: &mut Mailbox, p| {
+            mb.buffer(crate::Msg {
+                from: ProcessId(2),
+                kind: MsgKind::App {
+                    instance: 0,
+                    seq: 1,
+                    payload: p,
+                },
+            })
+        };
+        type Feed = fn(&mut ProposalStore, &mut Mailbox, Payload);
+        let feeds: [(&str, Feed, Feed, bool); 4] = [
+            ("both direct", direct, direct, false),
+            ("both stashed", stashed, stashed, false),
+            // A machine absorbs the stash when it starts, before its
+            // first delivery: stashed copies precede direct ones.
+            ("stashed, then direct", stashed, direct, true),
+            ("direct, then stashed", direct, stashed, false),
+        ];
+        for (what, feed_first, feed_second, absorb_between) in feeds {
+            let mine = Payload::from_bytes(b"mine").unwrap();
+            let mut store = ProposalStore::new(3, 0, ProcessId(0), mine);
+            let mut mb = Mailbox::new();
+            feed_first(&mut store, &mut mb, first);
+            if absorb_between {
+                store.absorb(&mut mb);
+            }
+            feed_second(&mut store, &mut mb, second);
+            store.absorb(&mut mb);
+            assert_eq!(store.payload_of(ProcessId(1)), first, "{what}");
+            assert!(mb.take_apps().is_empty(), "{what}: stash drained");
+            assert_eq!(mb.stale_dropped(), 0, "{what}");
+        }
+        // A `seq` that names no process is ignored, not a panic.
+        let mut store = ProposalStore::new(3, 0, ProcessId(0), first);
+        store.offer(3, second);
+        store.offer(u64::MAX, second);
+        assert!(!store.holds(ProcessId(1)) && !store.holds(ProcessId(2)));
     }
 }

@@ -259,6 +259,18 @@ impl ConsensusSm {
         self.finish_step(res, ctx)
     }
 
+    /// Accounts one delivery the layer above consumed itself — a proposal
+    /// of the running multivalued instance, which [`super::MultivaluedSm`]
+    /// writes straight into its store — exactly as [`ConsensusSm::on_msg`]
+    /// accounts a message its mailbox did not serve: the machine loops
+    /// back into `recv` (one step, where a crash trigger may land, with
+    /// the same terminal mailbox report).
+    pub(super) fn on_consumed_above<C: SmCtx + ?Sized>(&mut self, ctx: &mut C) -> Progress {
+        assert!(!self.done, "on_consumed_above() on a finished machine");
+        let res = ctx.begin_recv().map(|()| None);
+        self.finish_step(res, ctx)
+    }
+
     /// Ends the machine externally — a crash event or run shutdown while
     /// the machine is suspended. Mirrors the blocking `recv` returning
     /// `Err(halt)`.

@@ -1,4 +1,52 @@
 //! [`MultivaluedSm`]: the multivalued reduction as a resumable machine.
+//!
+//! # A slot's own proposals are consumed on arrival
+//!
+//! The blocking reduction receives an `APP` message inside a binary
+//! instance, so all it can do is stash it in the [`Mailbox`] and absorb
+//! the stash at the next stage boundary. This machine sees every
+//! delivery first ([`MultivaluedSm::on_msg`]): a proposal of *its own*
+//! instance (`instance == base`) is offered straight to the
+//! `ProposalStore` — first arrival wins — and the running stage only
+//! accounts the delivery (`ConsensusSm::on_consumed_above`: the `recv`
+//! re-entry that a message its mailbox did not serve costs). Every other
+//! message, proposals of earlier and later instances included, takes the
+//! mailbox as before. Which way a message goes depends on nothing but
+//! its own `instance` against the machine's.
+//!
+//! Nothing observable can tell the two ways apart:
+//!
+//! * the store is only read (`holds`, `relay_due`, `payload_of`) right
+//!   after an absorb — opening a stage, or in the proposal wait — where
+//!   the stash path has just moved the same entries in; between two
+//!   absorbs neither path reads it, so *when* an entry arrived in it
+//!   cannot matter;
+//! * both keep the first copy of a `(instance, seq)`: stashed proposals
+//!   of this instance can only predate the machine (they arrived during
+//!   an earlier slot), and [`MultivaluedSm::start`] absorbs them before
+//!   the first delivery;
+//! * a stashed current-instance entry was never counted into
+//!   `stale_dropped` (every stage ends, and every wait-loop pump ends,
+//!   with an absorb while the instance is still current), and no
+//!   [`ObsEvent`] fires on an `APP`;
+//! * the step count, what a crash trigger landing on that step does, and
+//!   the stage's terminal `MailboxStats` report are
+//!   [`ConsensusSm::on_msg`]'s own.
+//!
+//! The unit tests below keep the stash-everything `on_msg` as a
+//! reference twin and compare the two step by step;
+//! `tests/engine_equivalence.rs` compares this machine with the blocking
+//! reduction, which still stashes every proposal, on whole runs. A
+//! snapshot written when current-instance proposals still sat in the
+//! stash restores unchanged — the next absorb finds them, as it always
+//! did.
+//!
+//! What it buys: dissemination is all-to-all, so a slot is `n²` proposal
+//! deliveries. Through the stash each was a B-tree insert and, at the
+//! next absorb, a removal, across a working set far outside the cache —
+//! at `n = 1000` about 136 KB of half-full leaves per replica per slot,
+//! 136 of a served run's 173 MB — where the store takes one write into
+//! an array the machine owns anyway.
 
 use super::{broadcast_into, ConsensusSm, Outbox, Progress, SmCtx, SmTopology};
 use crate::multivalued::{stage_budget, MvDecision, ProposalStore, INSTANCE_STRIDE};
@@ -274,18 +322,42 @@ impl MultivaluedSm {
     /// Panics if called after a terminal `MvProgress`.
     pub fn on_msg<C: SmCtx + ?Sized>(&mut self, msg: Msg, ctx: &mut C) -> MvProgress {
         assert!(!self.done, "on_msg() on a finished machine");
+        // A proposal of this very instance is consumed on arrival (see
+        // the module docs); everything else goes through the mailbox.
+        let own_proposal = match msg.kind {
+            MsgKind::App {
+                instance,
+                seq,
+                payload,
+            } if instance == self.base => Some((seq, payload)),
+            _ => None,
+        };
         match &mut self.state {
             MvState::Stage(sm) => {
-                let progress = sm.on_msg(msg, ctx);
+                let progress = match own_proposal {
+                    Some((seq, payload)) => {
+                        self.store.offer(seq, payload);
+                        sm.on_consumed_above(ctx)
+                    }
+                    None => sm.on_msg(msg, ctx),
+                };
                 self.drive(progress, ctx)
             }
             MvState::AwaitProposal(mailbox, k) => {
                 // The blocking wait loop: pump (routing only — the recv
                 // entry step was charged when the wait began), absorb,
-                // re-check, and either decide or re-enter recv.
+                // re-check, and either decide or re-enter recv. The wait
+                // began with an absorb and every pump ends with one, so
+                // the stash holds nothing of this instance for an own
+                // proposal's absorb to find.
                 let k = *k;
-                mailbox.buffer(msg);
-                self.store.absorb(mailbox);
+                match own_proposal {
+                    Some((seq, payload)) => self.store.offer(seq, payload),
+                    None => {
+                        mailbox.buffer(msg);
+                        self.store.absorb(mailbox);
+                    }
+                }
                 if self.store.holds(k) {
                     return self.finish_decided(k, ctx);
                 }
@@ -521,6 +593,373 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e, ObsEvent::MvDecided { mv_index: 0, .. })));
+    }
+
+    /// `on_msg` as it was before a slot's own proposals went straight to
+    /// the store: every `APP` takes the running stage's mailbox stash (or
+    /// `buffer` + `absorb` in the proposal wait), exactly like the
+    /// blocking [`crate::multivalued_propose`]. The reference the direct
+    /// path is compared against below.
+    fn on_msg_via_stash(sm: &mut MultivaluedSm, msg: Msg, ctx: &mut TestCtx) -> MvProgress {
+        match &mut sm.state {
+            MvState::Stage(stage) => {
+                let progress = stage.on_msg(msg, ctx);
+                sm.drive(progress, ctx)
+            }
+            MvState::AwaitProposal(mailbox, k) => {
+                let k = *k;
+                mailbox.buffer(msg);
+                sm.store.absorb(mailbox);
+                if sm.store.holds(k) {
+                    return sm.finish_decided(k, ctx);
+                }
+                if let Err(h) = ctx.begin_recv() {
+                    return sm.finish_halt(h);
+                }
+                sm.suspend()
+            }
+            MvState::Finished(_) => unreachable!("on_msg() on a finished machine"),
+        }
+    }
+
+    /// The next draw of a small deterministic generator (an LCG's high
+    /// bits), for picking among the messages in flight.
+    fn draw(rng: &mut u64) -> usize {
+        *rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*rng >> 33) as usize
+    }
+
+    type Step = fn(&mut MultivaluedSm, Msg, &mut TestCtx) -> MvProgress;
+    const DIRECT: Step = |sm, msg, ctx| sm.on_msg(msg, ctx);
+    const VIA_STASH: Step = on_msg_via_stash;
+
+    /// `n` singleton-cluster processes running multivalued instance
+    /// `mv_index`, each with its own deterministic context, plus the
+    /// messages in flight as `(destination, message)`.
+    struct World {
+        machines: Vec<MultivaluedSm>,
+        ctxs: Vec<TestCtx>,
+        in_flight: Vec<(usize, Msg)>,
+        /// Every progress value returned so far, as `(process, progress)`.
+        log: Vec<(usize, MvProgress)>,
+        /// Deliveries that found their machine waiting for a proposal.
+        deliveries_in_wait: usize,
+    }
+
+    impl World {
+        fn new(n: usize, mv_index: u64, coin: Bit) -> Self {
+            let topo = Arc::new(SmTopology::new(Partition::singletons(n)));
+            let machines = (0..n)
+                .map(|i| {
+                    MultivaluedSm::new(
+                        Algorithm::LocalCoin,
+                        ProcessId(i),
+                        Arc::clone(&topo),
+                        mv_index,
+                        payload(&format!("proposal-{i}")),
+                        ProtocolConfig::paper(),
+                    )
+                })
+                .collect();
+            World {
+                machines,
+                ctxs: (0..n).map(|_| TestCtx::new(coin)).collect(),
+                in_flight: Vec::new(),
+                log: Vec::new(),
+                deliveries_in_wait: 0,
+            }
+        }
+
+        fn n(&self) -> usize {
+            self.machines.len()
+        }
+
+        /// Files a step's progress: its sends go in flight (a broadcast
+        /// as one message per destination, a crashed sender's prefix as
+        /// the point-to-point sends it is), the value into the log.
+        fn file(&mut self, from: usize, progress: MvProgress) {
+            let outbox = match &progress {
+                MvProgress::NeedMsg => &[][..],
+                MvProgress::Sent(out)
+                | MvProgress::Decided(_, out)
+                | MvProgress::Halted(_, out) => out,
+            };
+            for item in outbox {
+                let from = ProcessId(from);
+                match *item {
+                    super::super::OutItem::One(o) => self
+                        .in_flight
+                        .push((o.to.index(), Msg { from, kind: o.msg })),
+                    super::super::OutItem::Broadcast { msg, .. } => self
+                        .in_flight
+                        .extend((0..self.n()).map(|to| (to, Msg { from, kind: msg }))),
+                }
+            }
+            self.log.push((from, progress));
+        }
+
+        fn start(&mut self) {
+            for i in 0..self.n() {
+                let progress = self.machines[i].start(&mut self.ctxs[i]);
+                self.file(i, progress);
+            }
+        }
+
+        /// Delivers the `pick`-th message in flight (dropped when its
+        /// destination is done, like an engine would) through `step`.
+        fn deliver(&mut self, pick: usize, step: Step) {
+            let (to, msg) = self.in_flight.remove(pick % self.in_flight.len());
+            if !self.machines[to].is_done() {
+                let waiting = matches!(self.machines[to].state, MvState::AwaitProposal(..));
+                self.deliveries_in_wait += usize::from(waiting);
+                let progress = step(&mut self.machines[to], msg, &mut self.ctxs[to]);
+                self.file(to, progress);
+            }
+        }
+
+        /// Delivers everything in flight, and everything that sets in
+        /// flight, in an order drawn from `seed`. Copies of `p_0`'s
+        /// proposal (stage 1's) reach `starved` only once nothing else
+        /// is in flight, so it votes 0, learns that stage 1 decided 1
+        /// all the same, and waits for the proposal.
+        fn run(&mut self, seed: u64, starved: Option<usize>, step: Step) {
+            let held = |&(to, m): &(usize, Msg)| {
+                Some(to) == starved && matches!(m.kind, MsgKind::App { seq: 0, .. })
+            };
+            let mut rng = seed;
+            while !self.in_flight.is_empty() {
+                let free: Vec<usize> = (0..self.in_flight.len())
+                    .filter(|&j| !held(&self.in_flight[j]))
+                    .collect();
+                let r = draw(&mut rng);
+                self.deliver(
+                    if free.is_empty() {
+                        r
+                    } else {
+                        free[r % free.len()]
+                    },
+                    step,
+                );
+            }
+        }
+    }
+
+    /// The direct path and the stash path are the same machine: over
+    /// pseudo-random delivery orders (proposals overtaking and trailing
+    /// the binary stages, relays, a process left waiting for the decided
+    /// proposal) and with one process crashed at each step of its run in
+    /// turn — the `recv` entry of every proposal delivery among them —
+    /// both return the same `MvProgress` at every step, take the same
+    /// number of context steps, and observe the same events,
+    /// `MailboxStats` reports included.
+    #[test]
+    fn direct_path_returns_what_the_stash_path_returns() {
+        let n = 4;
+        let both = |seed: u64, starved: Option<usize>, crash: Option<(usize, u64)>| {
+            let what = format!("seed {seed} starved {starved:?} crash {crash:?}");
+            let [direct, stash] = [DIRECT, VIA_STASH].map(|step| {
+                // A coin stuck at 1 lets stage 1 decide 1 over the
+                // starved process's 0-vote.
+                let mut w = World::new(n, 1, Bit::from(starved.is_some()));
+                if let Some((victim, after)) = crash {
+                    w.ctxs[victim].crash_after = Some(after);
+                }
+                w.start();
+                w.run(seed, starved, step);
+                w
+            });
+            assert_eq!(direct.log, stash.log, "{what}");
+            for (d, s) in direct.ctxs.iter().zip(&stash.ctxs) {
+                assert_eq!(d.calls, s.calls, "{what}");
+                assert_eq!(d.events, s.events, "{what}");
+            }
+            direct
+        };
+        let mut waited = 0;
+        for seed in 0..24u64 {
+            let starved = (seed % 3 != 0).then_some(1 + seed as usize % (n - 1));
+            let w = both(seed, starved, None);
+            let deciders = w
+                .log
+                .iter()
+                .filter(|(_, p)| matches!(p, MvProgress::Decided(..)));
+            assert_eq!(deciders.count(), n, "seed {seed}: everybody decides");
+            waited += w.deliveries_in_wait;
+            if seed < 2 {
+                let victim = 1 + seed as usize;
+                for after in 0..w.ctxs[victim].calls {
+                    both(seed, starved, Some((victim, after)));
+                }
+            }
+        }
+        assert!(waited > 0, "a starved process sat in the proposal wait");
+    }
+
+    fn own_app(base: u64, from: usize, seq: u64, text: &str) -> Msg {
+        Msg {
+            from: ProcessId(from),
+            kind: MsgKind::App {
+                instance: base,
+                seq,
+                payload: payload(text),
+            },
+        }
+    }
+
+    /// A running stage never sees its instance's proposals: after all
+    /// `n` arrive the store holds every one and the stash is empty,
+    /// each delivery having cost exactly one `recv` entry. A `seq`
+    /// naming no process is accounted the same and otherwise ignored.
+    #[test]
+    fn own_proposals_skip_the_stash() {
+        let n = 4;
+        let mut w = World::new(n, 2, Bit::Zero);
+        let base = 2 * INSTANCE_STRIDE;
+        let (mut sm, ctx) = (w.machines.swap_remove(0), &mut w.ctxs[0]);
+        assert!(matches!(sm.start(ctx), MvProgress::Sent(_)));
+        assert!(matches!(sm.state, MvState::Stage(_)));
+        let calls = ctx.calls;
+        for i in 0..n {
+            let msg = own_app(base, i, i as u64, &format!("proposal-{i}"));
+            assert_eq!(sm.on_msg(msg, ctx), MvProgress::NeedMsg);
+        }
+        for seq in [n as u64, u64::MAX] {
+            let msg = own_app(base, 1, seq, "nobody's");
+            assert_eq!(sm.on_msg(msg, ctx), MvProgress::NeedMsg);
+        }
+        assert_eq!(ctx.calls, calls + n as u64 + 2);
+        for i in 0..n {
+            assert_eq!(
+                sm.store.payload_of(ProcessId(i)),
+                payload(&format!("proposal-{i}"))
+            );
+        }
+        // A later instance's proposal still waits in the stash.
+        let later = own_app(base + INSTANCE_STRIDE, 3, 3, "next slot");
+        assert_eq!(sm.on_msg(later, ctx), MvProgress::NeedMsg);
+        let MsgKind::App { payload: next, .. } = later.kind else {
+            unreachable!()
+        };
+        let stashed = sm.into_mailbox().take_apps();
+        assert_eq!(stashed.len(), 1, "only the later instance's proposal");
+        assert_eq!(
+            (stashed[0].instance, stashed[0].payload),
+            (base + INSTANCE_STRIDE, next)
+        );
+    }
+
+    /// A crash trigger landing on the `recv` entry of a proposal's
+    /// delivery halts the machine with the stage's terminal mailbox
+    /// report, exactly as the stash path does.
+    #[test]
+    fn crash_on_a_proposal_delivery_halts_like_the_stash_path() {
+        let [direct, stash] = [DIRECT, VIA_STASH].map(|step| {
+            let mut w = World::new(3, 0, Bit::Zero);
+            let (sm, ctx) = (&mut w.machines[0], &mut w.ctxs[0]);
+            assert!(matches!(sm.start(ctx), MvProgress::Sent(_)));
+            // One stale message first, so the report carries a count.
+            let stale = Msg {
+                from: ProcessId(1),
+                kind: MsgKind::Phase {
+                    instance: 0,
+                    round: 1,
+                    phase: crate::Phase::One,
+                    est: Some(Bit::One),
+                },
+            };
+            assert_eq!(step(sm, stale, ctx), MvProgress::NeedMsg);
+            ctx.crash_after = Some(ctx.calls);
+            let progress = step(sm, own_app(0, 1, 1, "proposal-1"), ctx);
+            assert_eq!(progress, MvProgress::Halted(Halt::Crashed, Vec::new()));
+            assert!(sm.is_done());
+            std::mem::take(&mut ctx.events)
+        });
+        assert_eq!(direct, stash);
+        assert_eq!(
+            direct.last(),
+            Some(&ObsEvent::MailboxStats { stale_dropped: 1 })
+        );
+    }
+
+    /// A snapshot written before proposals went straight to the store
+    /// has them in the running stage's `mailbox.apps` with `have` still
+    /// empty. The format did not change, so such a value restores, and
+    /// the restored machine — absorbing the stash at its next stage
+    /// boundary, as ever — goes on to return what an uninterrupted
+    /// machine returns.
+    #[test]
+    fn parent_layout_snapshot_restores_and_decides_the_same() {
+        let n = 3;
+        let base = INSTANCE_STRIDE;
+        // Both worlds follow one schedule: the first `n` deliveries are
+        // proposals (nobody leaves stage 1 on those), the rest anything.
+        let pick = |w: &World, i: usize, r: usize| {
+            let apps = |(_, m): &(usize, Msg)| matches!(m.kind, MsgKind::App { .. });
+            let eligible: Vec<usize> = (0..w.in_flight.len())
+                .filter(|&j| i >= n || apps(&w.in_flight[j]))
+                .collect();
+            eligible[r % eligible.len()]
+        };
+        for seed in 0..12u64 {
+            let cut_at = n + (seed as usize % 4) * n;
+            let mut straight = World::new(n, 1, Bit::Zero);
+            let mut cut = World::new(n, 1, Bit::Zero);
+            let mut rng = seed;
+            straight.start();
+            cut.start();
+            let mut i = 0;
+            while !straight.in_flight.is_empty() {
+                let j = pick(&straight, i, draw(&mut rng));
+                assert_eq!(straight.in_flight, cut.in_flight, "seed {seed}");
+                straight.deliver(j, DIRECT);
+                // The cut world makes its first deliveries the old way…
+                cut.deliver(j, if i < cut_at { VIA_STASH } else { DIRECT });
+                i += 1;
+                if i == n {
+                    // …which, this early, really is the old layout: the
+                    // proposals received sit in the stage's stash and
+                    // the store holds the machine's own only.
+                    let mut stashed = 0;
+                    for sm in &cut.machines {
+                        let snap = sm.snapshot();
+                        let stage = snap.get("state").and_then(|s| s.get("Stage"));
+                        let apps = stage
+                            .and_then(|s| s.get("mailbox"))
+                            .and_then(|m| m.get("apps"));
+                        let Some(serde::Value::Seq(apps)) = apps else {
+                            panic!("seed {seed}: not in a stage: {snap:?}")
+                        };
+                        stashed += apps.len();
+                        let have = snap.get("store").and_then(|s| s.get("have"));
+                        let Some(serde::Value::Seq(have)) = have else {
+                            panic!("seed {seed}: no store: {snap:?}")
+                        };
+                        let held = have.iter().filter(|v| **v != serde::Value::Null);
+                        assert_eq!(held.count(), 1, "seed {seed}: only its own proposal");
+                    }
+                    assert!(stashed > 0, "seed {seed}");
+                }
+                if i == cut_at {
+                    // …then every machine goes through a snapshot.
+                    let topo = Arc::new(SmTopology::new(Partition::singletons(n)));
+                    for (p, sm) in cut.machines.iter_mut().enumerate() {
+                        *sm = MultivaluedSm::from_snapshot(
+                            Algorithm::LocalCoin,
+                            ProcessId(p),
+                            Arc::clone(&topo),
+                            ProtocolConfig::paper(),
+                            &sm.snapshot(),
+                        )
+                        .expect("the old layout is the current format");
+                        assert_eq!(sm.base, base);
+                    }
+                }
+            }
+            assert!(i > cut_at, "seed {seed}: the run outlasts the cut");
+            assert_eq!(straight.log, cut.log, "seed {seed}");
+        }
     }
 
     #[test]

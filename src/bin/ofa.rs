@@ -26,6 +26,11 @@
 //! bit-for-bit (same decisions, counters, end time, and trace hash as a
 //! straight-through run), and the `--diverge-*` flags mutate the tail
 //! before resuming.
+//!
+//! A finished run exits 0 only when every correct process decided:
+//! 1 reports an agreement violation, 4 a correct process left undecided
+//! (with the visible cause — event budget, or round budget / stall — on
+//! stderr).
 
 use one_for_all::consensus::{ArrivalProcess, TrafficSpec};
 use one_for_all::explore::{
@@ -33,7 +38,7 @@ use one_for_all::explore::{
     EVENTS_PER_SEC,
 };
 use one_for_all::prelude::*;
-use one_for_all::scenario::{DivergeSpec, Snapshot, VirtualTime};
+use one_for_all::scenario::{BackendKind, DivergeSpec, Snapshot, VirtualTime};
 use one_for_all::sim::RunOutcome;
 use std::process::exit;
 use std::time::{Duration, Instant};
@@ -139,6 +144,9 @@ SUBCOMMANDS:
 EXIT CODES:
     0  run finished, agreement holds      2  usage / IO error
     1  run finished, agreement VIOLATED   3  paused at a checkpoint
+    4  run finished with a correct process undecided; one stderr line
+       names the cause: the event budget ran out (raise --max-events),
+       or the processes stopped on their own (round budget or stall)
 ";
 
 const EXPLORE_HELP: &str = "\
@@ -796,12 +804,34 @@ fn main() {
         run_legs(
             Sim.run_until(&scenario, VirtualTime::from_ticks(first)),
             &opts,
+            scenario.max_events,
         );
         return;
     }
 
     let backend: &dyn Backend = if opts.runtime { &Threads } else { &Sim };
-    report(&backend.run(&scenario), &opts);
+    report(&backend.run(&scenario), &opts, scenario.max_events);
+}
+
+/// Why a finished run left a correct process undecided, as far as its
+/// outcome shows — `None` when every correct process decided. A
+/// simulator run that used up its event budget shows it
+/// (`events_processed` reached `max_events`); everything else — the
+/// round budget, a stall outside the paper's liveness condition — looks
+/// the same from here.
+fn undecided_cause(out: &Outcome, max_events: u64) -> Option<String> {
+    if out.all_correct_decided {
+        return None;
+    }
+    let budgeted = out.backend == BackendKind::Sim && out.events_processed >= max_events;
+    Some(if budgeted {
+        format!(
+            "event budget exhausted after {} events (raise --max-events)",
+            out.events_processed
+        )
+    } else {
+        "stopped undecided (round budget or stall)".to_string()
+    })
 }
 
 /// `ofa explore` options.
@@ -1179,24 +1209,26 @@ fn run_resumed(opts: &Options, path: &str) {
         run_legs(
             Sim.resume_until(&snap, VirtualTime::from_ticks(first)),
             opts,
+            snap.scenario.max_events,
         );
     } else {
-        report(&Sim.resume(&snap), opts);
+        report(&Sim.resume(&snap), opts, snap.scenario.max_events);
     }
 }
 
 /// Drives a checkpointed run leg by leg. A single `--checkpoint-at` cut
 /// pauses unconditionally; under `--budget-secs` the run advances by
 /// `--checkpoint-every` ticks per leg until the wall-clock budget
-/// expires. A pause writes the snapshot and exits 3.
-fn run_legs(mut pending: RunOutcome, opts: &Options) {
+/// expires. A pause writes the snapshot and exits 3. `max_events` is the
+/// scenario's event budget, for the final report.
+fn run_legs(mut pending: RunOutcome, opts: &Options, max_events: u64) {
     let deadline = opts
         .budget_secs
         .map(|secs| Instant::now() + Duration::from_secs(secs));
     loop {
         match pending {
             RunOutcome::Done(out) => {
-                report(&out, opts);
+                report(&out, opts, max_events);
                 return;
             }
             RunOutcome::Paused(snap) => {
@@ -1244,10 +1276,10 @@ fn save_snapshot(snap: &Snapshot, opts: &Options) {
     }
 }
 
-/// Prints the outcome (JSON or human-readable) and exits 1 on an
-/// agreement violation.
-fn report(out: &Outcome, opts: &Options) {
-    let n = out.decisions.len();
+/// Prints the outcome (JSON or human-readable), then exits 1 on an
+/// agreement violation, or 4 — with the cause on stderr — when a correct
+/// process ended undecided under the `max_events` budget the run had.
+fn report(out: &Outcome, opts: &Options, max_events: u64) {
     if opts.json {
         match serde_json::to_string(out) {
             Ok(json) => println!("{json}"),
@@ -1256,11 +1288,21 @@ fn report(out: &Outcome, opts: &Options) {
                 exit(2);
             }
         }
-        if !out.agreement_holds() {
-            exit(1);
-        }
-        return;
+    } else {
+        print_report(out, opts);
     }
+    if !out.agreement_holds() {
+        exit(1);
+    }
+    if let Some(cause) = undecided_cause(out, max_events) {
+        eprintln!("error: {cause}");
+        exit(4);
+    }
+}
+
+/// The human-readable report.
+fn print_report(out: &Outcome, opts: &Options) {
+    let n = out.decisions.len();
 
     if let Some(events) = &out.events {
         for e in events {
@@ -1313,7 +1355,15 @@ fn report(out: &Outcome, opts: &Options) {
             s.throughput_per_kilotick(out.end_time.ticks()),
         );
     }
-    summarize(out.agreement_holds(), out.deciders(), n);
+    println!(
+        "\nagreement: {} | deciders: {}/{n}",
+        if out.agreement_holds() {
+            "holds"
+        } else {
+            "VIOLATED"
+        },
+        out.deciders()
+    );
 }
 
 fn halt_text(h: Option<Halt>) -> &'static str {
@@ -1321,16 +1371,6 @@ fn halt_text(h: Option<Halt>) -> &'static str {
         Some(Halt::Crashed) => "crashed",
         Some(Halt::Stopped) => "stopped (undecided)",
         None => "unknown",
-    }
-}
-
-fn summarize(agreement: bool, deciders: usize, n: usize) {
-    println!(
-        "\nagreement: {} | deciders: {deciders}/{n}",
-        if agreement { "holds" } else { "VIOLATED" }
-    );
-    if !agreement {
-        exit(1);
     }
 }
 

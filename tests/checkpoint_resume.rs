@@ -271,6 +271,63 @@ fn checkpoint_inside_a_lazy_broadcast_resumes_bit_for_bit() {
     }
 }
 
+/// A cut *inside slot 0's proposal dissemination*: a traffic-driven log
+/// on the default network and costs (`Uniform{500,1500}` delays, one
+/// tick per send), where at t = 1000 about half of every replica's
+/// `APP` broadcast has been delivered. Those proposals are in the
+/// machines' proposal stores — a slot's own proposals never wait in the
+/// mailbox stash — while the other half is still in flight; both halves
+/// ride the snapshot (format unchanged), and the run resumes to the
+/// straight-through outcome, service statistics included, on one shard
+/// and on three.
+#[test]
+fn checkpoint_inside_an_app_storm_resumes_bit_for_bit() {
+    unlock_cores();
+    let n = 12;
+    let engines = [Engine::EventDriven, Engine::ParallelEvent { workers: 3 }];
+    let spec = TrafficSpec {
+        arrival: ArrivalProcess::Poisson { mean_gap: 150 },
+        clients: 2 * n as u64,
+        queue_cap: 16,
+        batch_max: 4,
+        batch_min: 0,
+    };
+    for dup_ppm in [0, 150_000] {
+        let scenario = Scenario::new(Partition::even(n, 4), Algorithm::CommonCoin)
+            .replicated_log_traffic(Algorithm::CommonCoin, 3, spec)
+            .dup_ppm(dup_ppm)
+            .seed(37);
+        let straight = engines.map(|engine| Sim.run(&scenario.clone().engine(engine)));
+        assert!(straight[0].all_correct_decided);
+        assert!(straight[0].service.committed > 0);
+        for from in engines {
+            let cut = VirtualTime::from_ticks(1_000);
+            let mut snap = match Sim.run_until(&scenario.clone().engine(from), cut) {
+                RunOutcome::Paused(snap) => snap,
+                RunOutcome::Done(_) => panic!("run must still be in flight at the cut"),
+            };
+            // Proposals on both sides of the cut, none in a stash.
+            let json = serde_json::to_string(&*snap).expect("snapshot serializes");
+            let in_flight = json.matches("\"msg\":{\"App\":").count();
+            assert!(
+                in_flight > n,
+                "dup={dup_ppm}: {in_flight} proposals in flight"
+            );
+            assert!(
+                !json.contains("\"apps\":[{"),
+                "dup={dup_ppm}: a stashed proposal"
+            );
+            let copy: Snapshot = serde_json::from_str(&json).expect("snapshot deserializes");
+            assert_eq!(copy.at, snap.at);
+            for (to, straight) in engines.into_iter().zip(&straight) {
+                snap.scenario = snap.scenario.clone().engine(to);
+                let what = format!("dup={dup_ppm} {from:?} -> {to:?}");
+                assert_same_outcome(&what, straight, &Sim.resume(&snap));
+            }
+        }
+    }
+}
+
 /// Diverging with an empty spec is exactly a resume; diverging with an
 /// extra post-cut crash equals a straight run whose crash plan carried
 /// that trigger from the start (pre-cut history is unaffected by a

@@ -536,3 +536,136 @@ proptest! {
         prop_assert_eq!(threads.trace_hash, event.trace_hash);
     }
 }
+
+use one_for_all::consensus::Payload;
+use one_for_all::scenario::VirtualTime;
+
+/// Strategy: the bodies that disseminate proposals — one multivalued
+/// instance, and replicated logs of one to three slots fed from
+/// pre-seeded queues or from client traffic — on the three network
+/// shapes that decide how an `APP` travels and when it lands: a constant
+/// delay with free sends (a broadcast expands in one go, so a replica
+/// receives a slot's `n` proposals back to back), the default sampled
+/// network and costs (one destination per pop, proposals interleaved
+/// with the binary stages), and clustered links whose inter-cluster
+/// latency is several times the intra-cluster one (a far cluster is
+/// still in slot `s` when the near ones' proposals for slot `s + 1`
+/// arrive, and waits for relays of a proposal its stage already
+/// decided). Crossed with duplication and with the crashes that cut
+/// dissemination short: the stage-1 proposer at a virtual time mid-run
+/// (later slots need a second stage and relays), a step-indexed crash
+/// inside the victim's own `APP` broadcast, and one a few steps after
+/// start-up — `n` sends, a cluster propose, `n` sends and a `recv` entry
+/// — which under a constant delay is the `recv` entry of one of the
+/// first `n` deliveries, all of them proposals.
+fn app_path_strategy() -> impl Strategy<Value = Scenario> {
+    common::partition_strategy()
+        .prop_flat_map(|partition| {
+            (
+                Just(partition),
+                (0u64..10_000, any::<bool>()),
+                (0u8..3, 1u64..4),       // body kind, log slots
+                (0u8..3, any::<bool>()), // network shape, duplication
+                (0u8..4, 0u64..1_000),   // crash kind, its free parameter
+            )
+        })
+        .prop_map(
+            |(partition, (seed, common), (body_kind, slots), (net_kind, dup), (crash_kind, x))| {
+                let n = partition.n();
+                let algorithm = if common {
+                    Algorithm::CommonCoin
+                } else {
+                    Algorithm::LocalCoin
+                };
+                let payload = |tag: &str, i: usize| {
+                    Payload::from_bytes(format!("{tag}{i}s{}", seed % 89).as_bytes())
+                        .expect("fits the payload limit")
+                };
+                let scenario = Scenario::new(partition, algorithm).seed(seed);
+                let scenario = match body_kind {
+                    0 => {
+                        scenario.multivalued(algorithm, (0..n).map(|i| payload("mv", i)).collect())
+                    }
+                    1 => scenario.replicated_log(
+                        algorithm,
+                        slots,
+                        (0..n)
+                            .map(|i| (0..i % 3).map(|j| payload("q", i * 10 + j)).collect())
+                            .collect(),
+                    ),
+                    _ => scenario.replicated_log_traffic(
+                        algorithm,
+                        slots,
+                        TrafficSpec {
+                            arrival: ArrivalProcess::Poisson { mean_gap: 140 },
+                            clients: 2 * n as u64,
+                            queue_cap: 16,
+                            batch_max: 4,
+                            batch_min: 0,
+                        },
+                    ),
+                };
+                let scenario = match net_kind {
+                    0 => scenario
+                        .network(NetworkModel::flat(DelayModel::Constant(700)))
+                        .costs(CostModel {
+                            send_cost: 0,
+                            recv_cost: 1,
+                            sm_op_cost: 2,
+                            coin_cost: 1,
+                        }),
+                    1 => scenario, // Uniform{500,1500}, one tick per send
+                    _ => scenario.network(NetworkModel::clustered(
+                        LatencyDist::Constant(150),
+                        LatencyDist::Uniform { lo: 900, hi: 2600 },
+                    )),
+                };
+                let n = n as u64;
+                let crashes = match crash_kind {
+                    0 => CrashPlan::new(),
+                    1 => CrashPlan::new()
+                        .crash_at_time(ProcessId(0), VirtualTime::from_ticks(400 + 7 * x)),
+                    2 => CrashPlan::new().crash_at_step(ProcessId((x / n % n) as usize), 1 + x % n),
+                    _ => CrashPlan::new()
+                        .crash_at_step(ProcessId((x / n % n) as usize), 2 * n + 2 + x % n),
+                };
+                scenario
+                    .dup_ppm(if dup { 150_000 } else { 0 })
+                    .crashes(crashes)
+                    .max_rounds(24)
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The conductor runs the blocking reduction, which stashes every
+    /// `APP` in the mailbox; the event loop runs the machines, which
+    /// write a slot's own proposals straight into the proposal store.
+    /// Both must be one execution: every compared `Outcome` field —
+    /// `counters.stale_dropped` and `service` among them — on one, two
+    /// and three shards, and the ordered kept trace on one.
+    #[test]
+    fn direct_proposal_path_matches_the_stash_path(scenario in app_path_strategy()) {
+        unlock_cores();
+        let kept = scenario.clone().keep_trace();
+        let threads = Sim.run(&kept.clone().engine(Engine::Threads));
+        let event = Sim.run(&kept.engine(Engine::EventDriven));
+        prop_assert_eq!(threads.engine_used, Some(Engine::Threads));
+        prop_assert_eq!(event.engine_used, Some(Engine::EventDriven));
+        prop_assert!(threads.events.as_ref().is_some_and(|t| !t.is_empty()));
+        prop_assert_eq!(&threads.events, &event.events);
+        assert_same_run(&threads, &event, "event");
+        let m = scenario.partition.m() as u64;
+        for workers in [2, 3] {
+            let par = Sim.run(&scenario.clone().parallel(workers));
+            if m >= 2 {
+                let used = Engine::ParallelEvent { workers: workers.min(m) };
+                prop_assert_eq!(par.engine_used, Some(used));
+            }
+            assert_same_run(&threads, &par, &format!("par={workers}"));
+        }
+        prop_assert!(threads.agreement_holds());
+    }
+}
