@@ -82,6 +82,18 @@ pub trait SmCtx {
     /// non-reliable broadcast, any prefix already sent stays sent.
     fn send(&mut self, to: ProcessId, msg: MsgKind) -> Result<u64, Halt>;
 
+    /// Offers the context a whole broadcast: `msg` to `p_0 … p_{n-1}` in
+    /// index order (`n >= 2`). A context that takes it does everything
+    /// `n` calls of [`SmCtx::send`] would have done — steps, costs,
+    /// counts, trace — and returns `(sent_at, stride)`: the send to
+    /// `p_j` was stamped `sent_at + j·stride`. It may take the offer
+    /// only when none of those sends could have failed. `None` (the
+    /// default) declines: nothing happened, and the broadcast goes out
+    /// one [`SmCtx::send`] at a time.
+    fn send_to_all(&mut self, _n: usize, _msg: MsgKind) -> Option<(u64, u64)> {
+        None
+    }
+
     /// Charged when the machine is about to suspend for a message — the
     /// equivalent of entering the blocking `recv` call.
     ///
@@ -202,7 +214,10 @@ impl Progress {
 /// collapsing into one [`OutItem::Broadcast`] when the sends are evenly
 /// spaced in time. Counts one broadcast via [`SmCtx::note_broadcast`].
 ///
-/// The evenly spaced case never materializes per-destination entries —
+/// A context may take the whole broadcast in one call
+/// ([`SmCtx::send_to_all`]); one that declines is sent to one
+/// destination at a time, with the same outbox either way. The evenly
+/// spaced case never materializes per-destination entries —
 /// at cluster scale a broadcast is the common operation, and pushing `n`
 /// entries only to truncate them both costs the writes and leaves an
 /// `O(n)`-capacity buffer behind (with outbox recycling, one such
@@ -218,6 +233,16 @@ pub(crate) fn broadcast_into<C: SmCtx + ?Sized>(
     ctx: &mut C,
 ) -> Result<(), Halt> {
     ctx.note_broadcast();
+    if n >= 2 {
+        if let Some((sent_at, stride)) = ctx.send_to_all(n, msg) {
+            outbox.push(OutItem::Broadcast {
+                msg,
+                sent_at,
+                stride,
+            });
+            return Ok(());
+        }
+    }
     let mut even = true;
     // `due` runs ahead of the loop as `first_at + j·stride`, the
     // timestamp send `j` must carry for the broadcast to stay whole
@@ -601,13 +626,16 @@ mod tests {
     /// Charges sends the way the engines' contexts do: one step and
     /// `send_cost` ticks per send, each send logged with its timestamp;
     /// crashes once `crash_after` steps were taken, and stalls for ten
-    /// ticks before step `stall_at`.
+    /// ticks before step `stall_at`. With `takes_whole` it accepts a
+    /// broadcast in one call whenever no send of it can crash or stall.
+    #[derive(Default)]
     struct CostCtx {
         clock: u64,
         send_cost: u64,
         steps: u64,
         crash_after: Option<u64>,
         stall_at: Option<u64>,
+        takes_whole: bool,
         sends: Vec<(ProcessId, u64)>,
     }
 
@@ -623,6 +651,17 @@ mod tests {
             self.clock += self.send_cost;
             self.sends.push((to, self.clock));
             Ok(self.clock)
+        }
+        fn send_to_all(&mut self, n: usize, _msg: MsgKind) -> Option<(u64, u64)> {
+            if !self.takes_whole || self.crash_after.is_some() || self.stall_at.is_some() {
+                return None;
+            }
+            let sent_at = self.clock + self.send_cost;
+            self.steps += n as u64;
+            self.sends
+                .extend((0..n).map(|j| (ProcessId(j), sent_at + j as u64 * self.send_cost)));
+            self.clock += n as u64 * self.send_cost;
+            Some((sent_at, self.send_cost))
         }
         fn begin_recv(&mut self) -> Result<(), Halt> {
             Ok(())
@@ -648,10 +687,8 @@ mod tests {
         let ctx = |crash_after| CostCtx {
             clock: 40,
             send_cost: 1,
-            steps: 0,
             crash_after,
-            stall_at: None,
-            sends: Vec::new(),
+            ..CostCtx::default()
         };
         // A per-send cost spaces the sends evenly: still one item, and
         // every send was still performed (a step and a record each).
@@ -693,5 +730,43 @@ mod tests {
             .map(|&(to, sent_at)| OutItem::One(Outgoing { to, msg, sent_at }))
             .collect();
         assert_eq!(outbox, singles);
+    }
+    #[test]
+    fn broadcast_into_is_the_same_taken_whole_or_sent_one_by_one() {
+        let msg = MsgKind::Decide {
+            instance: 0,
+            value: Bit::One,
+        };
+        let run = |ctx: CostCtx, n| {
+            let (mut outbox, mut ctx) = (Outbox::new(), ctx);
+            let result = broadcast_into(&mut outbox, n, msg, &mut ctx);
+            (result, outbox, ctx.clock, ctx.steps, ctx.sends)
+        };
+        for send_cost in [0, 3] {
+            for n in [1, 2, 5] {
+                let ctx = |takes_whole| CostCtx {
+                    clock: 40,
+                    send_cost,
+                    takes_whole,
+                    ..CostCtx::default()
+                };
+                let declined = run(ctx(false), n);
+                assert_eq!(declined.3, n as u64, "one step per send");
+                assert_eq!(run(ctx(true), n), declined, "cost {send_cost}, n = {n}");
+            }
+        }
+        // A context that cannot rule a crash out declines, and the sent
+        // prefix is kept exactly as before.
+        let crashing = |takes_whole| CostCtx {
+            clock: 40,
+            send_cost: 1,
+            crash_after: Some(3),
+            takes_whole,
+            ..CostCtx::default()
+        };
+        let (result, outbox, ..) = run(crashing(true), 5);
+        assert_eq!(result, Err(Halt::Crashed));
+        assert_eq!(outbox.len(), 3);
+        assert_eq!(run(crashing(true), 5), run(crashing(false), 5));
     }
 }

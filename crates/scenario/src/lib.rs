@@ -65,4 +65,4 @@ pub use scenario::{CoinSpec, Engine, Scenario};
 pub use snapshot::{DivergeSpec, Snapshot, SNAPSHOT_VERSION};
 pub use sweep::{default_workers, Sweep, SweepReport, SweepRun, SweepView};
 pub use time::VirtualTime;
-pub use trace::{TimedEvent, TraceEvent, TraceRecorder};
+pub use trace::{DeliverPrefix, TimedEvent, TraceEvent, TraceRecorder};

@@ -171,32 +171,86 @@ impl TraceRecorder {
 
     /// Records one event.
     pub fn record(&mut self, at: VirtualTime, event: TraceEvent) {
-        // Per-event fingerprint: FNV-1a lifted from bytes to whole words
-        // (one xor-multiply per 64 bits, high bits fed back), then a
-        // splitmix-style finalizer so the commutative sum below still
-        // separates near-identical events. Billions of events are hashed
-        // per large run, so this is on the simulator's hottest path.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
-        let mut fold = |w: u64| {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            h ^= h >> 32;
-        };
-        fold(at.ticks());
-        fold(discriminant_code(&event));
+        let mut h = fold(fold(BASIS, at.ticks()), discriminant_code(&event));
         let (words, len) = encode_words(&event);
         for &w in &words[..len] {
-            fold(w);
+            h = fold(h, w);
         }
-        // Finalize, then combine order-independently (multiset hash).
-        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h ^= h >> 31;
-        self.hash = self.hash.wrapping_add(h);
-        self.count += 1;
+        self.add(finalize(h));
         if self.keep {
             self.events.push(TimedEvent { at, event });
         }
+    }
+
+    /// Records the `n` sends of one broadcast: `who` sends `msg` to
+    /// `p_0 … p_{n-1}` in index order, the send to `p_j` at
+    /// `at + j·stride` — exactly what `n` calls of
+    /// [`TraceRecorder::record`] with those [`TraceEvent::Send`]s add
+    /// (and retain), with the message encoded once and, when the sends
+    /// share one timestamp, everything before the destination folded
+    /// once.
+    pub fn record_broadcast(
+        &mut self,
+        at: VirtualTime,
+        stride: u64,
+        who: ProcessId,
+        n: usize,
+        msg: MsgKind,
+    ) {
+        let code = encode_msg(&msg);
+        let head = |ticks| fold(fold(fold(BASIS, ticks), SEND_CODE), who.index() as u64);
+        let shared = head(at.ticks());
+        for j in 0..n as u64 {
+            let h = if stride == 0 {
+                shared
+            } else {
+                head(at.ticks() + j * stride)
+            };
+            self.add(finalize(fold(fold(h, j), code)));
+        }
+        if self.keep {
+            self.events.extend((0..n).map(|j| TimedEvent {
+                at: VirtualTime::from_ticks(at.ticks() + j as u64 * stride),
+                event: TraceEvent::Send {
+                    who,
+                    to: ProcessId(j),
+                    msg,
+                },
+            }));
+        }
+    }
+
+    /// Records the delivery of `msg` from `from` into `who`'s input queue
+    /// at `at` — exactly what [`TraceRecorder::record`] adds (and
+    /// retains) for that [`TraceEvent::Deliver`] — given the part of the
+    /// fingerprint every delivery of `msg` at `at` shares.
+    pub fn record_delivery(
+        &mut self,
+        shared: DeliverPrefix,
+        at: VirtualTime,
+        who: ProcessId,
+        from: ProcessId,
+        msg: MsgKind,
+    ) {
+        debug_assert_eq!(
+            shared,
+            DeliverPrefix::new(at, &msg),
+            "a prefix of another delivery"
+        );
+        let h = fold(fold(shared.head, who.index() as u64), from.index() as u64);
+        self.add(finalize(fold(h, shared.code)));
+        if self.keep {
+            self.events.push(TimedEvent {
+                at,
+                event: TraceEvent::Deliver { who, from, msg },
+            });
+        }
+    }
+
+    /// Adds one event's fingerprint order-independently (multiset hash).
+    fn add(&mut self, fingerprint: u64) {
+        self.hash = self.hash.wrapping_add(fingerprint);
+        self.count += 1;
     }
 
     /// Folds another recorder's partial trace into this one. Because the
@@ -240,10 +294,58 @@ impl TraceRecorder {
     }
 }
 
+/// What the deliveries of one message at one instant share — every
+/// destination of a same-instant broadcast: the timestamp and event kind
+/// already folded into the fingerprint state, and the message already
+/// encoded. [`TraceRecorder::record_delivery`] finishes it per
+/// destination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeliverPrefix {
+    head: u64,
+    code: u64,
+}
+
+impl DeliverPrefix {
+    /// The shared part of delivering `msg` at `at`.
+    pub fn new(at: VirtualTime, msg: &MsgKind) -> Self {
+        DeliverPrefix {
+            head: fold(fold(BASIS, at.ticks()), DELIVER_CODE),
+            code: encode_msg(msg),
+        }
+    }
+}
+
+// The per-event fingerprint: FNV-1a lifted from bytes to whole words
+// (one xor-multiply per 64 bits, high bits fed back), then a
+// splitmix-style finalizer so the recorder's commutative sum still
+// separates near-identical events. Billions of events are hashed per
+// large run, so this is on the simulator's hottest path — and every
+// recording entry point is written over these three items, so there is
+// one definition of what an event hashes to.
+
+/// The FNV offset basis every fingerprint starts from.
+const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn fold(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(0x0000_0100_0000_01B3);
+    h ^ (h >> 32)
+}
+
+#[inline]
+fn finalize(mut h: u64) -> u64 {
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
+
+const SEND_CODE: u64 = 1;
+const DELIVER_CODE: u64 = 2;
+
 fn discriminant_code(e: &TraceEvent) -> u64 {
     match e {
-        TraceEvent::Send { .. } => 1,
-        TraceEvent::Deliver { .. } => 2,
+        TraceEvent::Send { .. } => SEND_CODE,
+        TraceEvent::Deliver { .. } => DELIVER_CODE,
         TraceEvent::ClusterPropose { .. } => 3,
         TraceEvent::RoundStart { .. } => 4,
         TraceEvent::Coin { .. } => 5,
@@ -439,6 +541,78 @@ mod tests {
         shard_b.merge(shard_a);
         assert_eq!(seq.hash(), shard_b.hash(), "shard partials must merge");
         assert_eq!(seq.count(), shard_b.count());
+    }
+
+    /// One message of each kind, the `APP` carrying a full payload.
+    fn sample_msgs() -> [MsgKind; 3] {
+        let payload = ofa_core::Payload::from_bytes(&[0xA7; ofa_core::MAX_PAYLOAD]).expect("fits");
+        [
+            MsgKind::Phase {
+                instance: 3,
+                round: 2,
+                phase: ofa_core::Phase::Two,
+                est: None,
+            },
+            MsgKind::Decide {
+                instance: 3,
+                value: Bit::Zero,
+            },
+            MsgKind::App {
+                instance: 3,
+                seq: 5,
+                payload,
+            },
+        ]
+    }
+
+    #[test]
+    fn a_broadcast_of_sends_records_what_n_sends_record() {
+        let (who, n) = (ProcessId(4), 9);
+        for msg in sample_msgs() {
+            for stride in [0, 1, 7] {
+                for keep in [false, true] {
+                    let mut one_by_one = TraceRecorder::new(keep);
+                    for j in 0..n {
+                        one_by_one.record(
+                            VirtualTime::from_ticks(40 + j as u64 * stride),
+                            TraceEvent::Send {
+                                who,
+                                to: ProcessId(j),
+                                msg,
+                            },
+                        );
+                    }
+                    let mut whole = TraceRecorder::new(keep);
+                    whole.record_broadcast(VirtualTime::from_ticks(40), stride, who, n, msg);
+                    assert_eq!(whole.hash(), one_by_one.hash(), "{msg:?} stride {stride}");
+                    assert_eq!(whole.count(), n as u64);
+                    assert_eq!(whole.events(), one_by_one.events(), "in send order");
+                    assert_eq!(whole.events().len(), if keep { n } else { 0 });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_prefixed_delivery_records_what_a_deliver_event_records() {
+        let at = VirtualTime::from_ticks(1_040);
+        for msg in sample_msgs() {
+            let shared = DeliverPrefix::new(at, &msg);
+            for keep in [false, true] {
+                let (mut plain, mut prefixed) =
+                    (TraceRecorder::new(keep), TraceRecorder::new(keep));
+                // One prefix serves every destination and sender.
+                for (who, from) in [(0, 6), (1, 6), (6, 6), (2, 0)] {
+                    let (who, from) = (ProcessId(who), ProcessId(from));
+                    plain.record(at, TraceEvent::Deliver { who, from, msg });
+                    prefixed.record_delivery(shared, at, who, from, msg);
+                    assert_eq!(prefixed.hash(), plain.hash(), "{msg:?} {who} ⇐ {from}");
+                }
+                assert_eq!(prefixed.count(), 4);
+                assert_eq!(prefixed.events(), plain.events());
+                assert_eq!(prefixed.events().len(), if keep { 4 } else { 0 });
+            }
+        }
     }
 
     #[test]

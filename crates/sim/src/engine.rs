@@ -444,6 +444,24 @@ impl SmCtx for EventCtx<'_> {
         Ok(*self.clock)
     }
 
+    fn send_to_all(&mut self, n: usize, msg: MsgKind) -> Option<(u64, u64)> {
+        // Only a broadcast no send of which can crash is taken whole: a
+        // step-indexed trigger may fire between two sends, and a fired
+        // one fails the very first — both keep the per-send loop, which
+        // stops at the right prefix.
+        if self.crash_at_step.is_some() || *self.crashed_self {
+            return None;
+        }
+        let stride = self.costs.send_cost;
+        let sent_at = *self.clock + stride;
+        *self.steps += n as u64;
+        *self.clock += n as u64 * stride;
+        self.counters.messages_sent += n as u64;
+        let at = VirtualTime::from_ticks(sent_at);
+        self.trace.record_broadcast(at, stride, self.me, n, msg);
+        Some((sent_at, stride))
+    }
+
     fn begin_recv(&mut self) -> Result<(), Halt> {
         // The step the blocking code charges on entering `recv`; the
         // receive cost itself is charged at delivery time by the engine.
@@ -609,6 +627,92 @@ mod tests {
                 .crashes(plan)
                 .seed(9),
         );
+    }
+
+    #[test]
+    fn a_step_crash_inside_a_broadcast_keeps_the_sent_prefix() {
+        use super::{Machine, ProcState};
+        use ofa_coins::ConstantCoin;
+        use ofa_core::sm::{OutItem, Progress, SmTopology};
+        use ofa_core::{Halt, ProtocolConfig};
+        use ofa_scenario::{Body, CostModel, TraceRecorder};
+        use ofa_sharedmem::MemoryBank;
+        // `start` is one cluster propose (step 1) and then the first
+        // broadcast, sends 0..n at steps 2..: a trigger at step 4 lets
+        // exactly three sends out. The context must decline the whole
+        // broadcast (it cannot rule the crash out) and the per-send loop
+        // must stop where it always did.
+        let part = Partition::even(6, 2);
+        let topo = Arc::new(SmTopology::new(part.clone()));
+        let bank = MemoryBank::for_partition(&part);
+        let me = ProcessId(1);
+        let run = |plan: &CrashPlan| {
+            let mut state = ProcState::for_process(7, me, plan);
+            let mut trace = TraceRecorder::new(true);
+            let mut machine = Machine::build(
+                &Body::Algo(Algorithm::LocalCoin),
+                me.index(),
+                &topo,
+                &[Bit::One; 6],
+                ProtocolConfig::default(),
+                7,
+                true,
+            );
+            let mut ctx = state.ctx(
+                me,
+                CostModel::new(),
+                bank.memory_of(&part, me),
+                &ConstantCoin(false),
+                None,
+                &mut trace,
+            );
+            let progress = machine.start(&mut ctx);
+            (progress, state.counters.messages_sent, trace)
+        };
+        let (progress, sent, trace) = run(&CrashPlan::new().crash_at_step(me, 4));
+        let Progress::Halted(Halt::Crashed, outbox) = progress else {
+            panic!("the trigger fires inside the broadcast: {progress:?}");
+        };
+        assert_eq!(sent, 3);
+        assert_eq!(outbox.len(), 3, "{outbox:?}");
+        for (j, item) in outbox.iter().enumerate() {
+            assert!(matches!(item, OutItem::One(o) if o.to == ProcessId(j)));
+        }
+        let sends = |t: &TraceRecorder| {
+            (t.events().iter())
+                .filter(|e| matches!(e.event, ofa_scenario::TraceEvent::Send { .. }))
+                .count()
+        };
+        assert_eq!(sends(&trace), 3);
+        // Without a step trigger the same context takes the broadcast
+        // whole: one item, n sends recorded.
+        let (progress, sent, trace) = run(&CrashPlan::new());
+        let Progress::Sent(outbox) = progress else {
+            panic!("nothing stops the start step: {progress:?}");
+        };
+        assert!(matches!(outbox[..], [OutItem::Broadcast { .. }]));
+        assert_eq!((sent, sends(&trace)), (6, 6));
+        // And whole runs agree with the conductor, which sends one
+        // message at a time, wherever the trigger lands: before, inside
+        // and after the first broadcast, batched or lazy.
+        for step in [1, 2, 4, 7, 8, 11] {
+            for delay in [
+                DelayModel::Constant(800),
+                DelayModel::Uniform { lo: 500, hi: 1_500 },
+            ] {
+                let base = Scenario::new(part.clone(), Algorithm::CommonCoin)
+                    .proposals_split(3)
+                    .delay(delay)
+                    .crashes(CrashPlan::new().crash_at_step(me, step))
+                    .seed(5);
+                let free_sends = CostModel {
+                    send_cost: 0,
+                    ..CostModel::new()
+                };
+                assert_engines_identical(base.clone().costs(free_sends));
+                assert_engines_identical(base);
+            }
+        }
     }
 
     #[test]

@@ -68,7 +68,8 @@
 //!   batch expands in one go when popped; the sender's consecutive
 //!   counter values make that the order `n` single entries would pop in,
 //!   and the positive shared delay keeps anything the expansion triggers
-//!   out of that instant.
+//!   out of that instant. The batches that land at one instant expand
+//!   together, as a *wave* (below).
 //! * **Lazy** ([`SPending::Lazy`]) otherwise — sampled delays, or a
 //!   per-send cost spacing the sends. The entry carries a [`Cursor`]
 //!   over the shard's surviving destinations sorted by delivery `(time,
@@ -77,6 +78,45 @@
 //!   place to the one after it, so the heap always holds exactly the
 //!   minimum of what `n` single entries would hold, and pops in their
 //!   order.
+//!
+//! # Waves: same-instant broadcasts expand cluster-major
+//!
+//! Under a constant delay and free sends a round's ~n broadcasts land at
+//! one instant. Expanded one after the other they visit all n machines
+//! between two visits to the same one; expanded as one **wave** —
+//! `for block { for broadcast in wave, key order { for member in block
+//! } }` ([`ShardState::expand_wave`]) — a block's machines stay
+//! cache-resident while the whole wave passes over them. The argument
+//! that makes clusters shards holds just as well inside one shard, under
+//! four preconditions, all checked where the wave forms:
+//!
+//! 1. **Same instant.** A wave is the batched broadcasts that follow
+//!    one another on the heap at one `at`; any other entry at that
+//!    instant (a duplicate's copy, a crash) ends it and keeps its place
+//!    in key order. So does the `WAVE_MAX`-th broadcast: a longer run
+//!    continues as the next wave, which bounds the scratch buffer.
+//! 2. **Positive delay.** Batching requires it, so whatever a delivery
+//!    triggers lands strictly later — nothing joins or interleaves with
+//!    a wave once it is popped.
+//! 3. **Whole clusters.** A block is one or more whole clusters (small
+//!    ones packed together, none ever split), and inside a block the
+//!    loop stays broadcast-major: every cluster's deliveries keep their
+//!    relative order, so every mailbox and every first-proposer-wins
+//!    `ClusterMemory` sees exactly what it saw. Only deliveries to
+//!    *different* clusters change places, and those share no state.
+//!    (Replica-major inside a block would break this: two members of
+//!    one cluster with different histories race for their cluster's
+//!    consensus object.)
+//! 4. **Unobservable global order.** Counters are per process, the
+//!    trace hash is a multiset — but a kept trace, an attached observer
+//!    and an event budget that could run out inside the wave all see the
+//!    global `(time, key)` order, so any of them collapses the blocks to
+//!    the single block "all members", which *is* that order, byte for
+//!    byte.
+//!
+//! Nothing selects any of this: a lone broadcast is a wave of one, and
+//! the conductor, which sends and delivers one message at a time, is the
+//! oracle the equivalence corpus holds every wave against.
 //!
 //! The event budget (`Scenario::max_events`) keeps its exact sequential
 //! semantics. One shard simply stops after `remaining` events. Several
@@ -105,7 +145,9 @@ use crate::engine::{Input, Machine, ProcState};
 use ofa_core::sm::{OutItem, Progress, SmTopology};
 use ofa_core::{Halt, Msg, MsgKind};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
-use ofa_scenario::{CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime};
+use ofa_scenario::{
+    CrashTrigger, DeliverPrefix, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime,
+};
 use ofa_sharedmem::MemoryBank;
 use ofa_topology::{Partition, ProcessId};
 use std::cmp::Reverse;
@@ -347,7 +389,19 @@ struct Layout {
     owner: Vec<u32>,
     /// Global process index → local index within its owner.
     local_of: Vec<u32>,
+    /// Per shard: its processes again, cut into blocks of whole clusters
+    /// — what a wave of same-instant broadcasts expands over (see
+    /// [`ShardState::expand_wave`]). Clusters in index order, members
+    /// ascending inside each; consecutive small clusters share a block
+    /// while it stays within [`BLOCK_TARGET`], and a cluster is never
+    /// split.
+    blocks: Vec<Vec<Vec<u32>>>,
 }
+
+/// How many processes a block of small clusters is packed up to: a few
+/// dozen machines and their process state stay cache-resident while a
+/// whole wave passes over them. A larger cluster is a block of its own.
+const BLOCK_TARGET: usize = 32;
 
 impl Layout {
     /// Deterministic balanced cluster→shard assignment: clusters sorted
@@ -372,6 +426,7 @@ impl Layout {
             members: vec![Vec::new(); shards],
             owner: vec![0; n],
             local_of: vec![0; n],
+            blocks: vec![Vec::new(); shards],
         };
         for i in 0..n {
             let s = shard_of[partition.cluster_of(ProcessId(i)).index()];
@@ -379,8 +434,64 @@ impl Layout {
             layout.local_of[i] = layout.members[s].len() as u32;
             layout.members[s].push(i as u32);
         }
+        for (c, cluster) in partition.clusters() {
+            let blocks = &mut layout.blocks[shard_of[c.index()]];
+            let members = cluster.iter().map(|p| p.index() as u32);
+            match blocks.last_mut() {
+                Some(open) if open.len() + cluster.len() <= BLOCK_TARGET => open.extend(members),
+                _ => blocks.push(members.collect()),
+            }
+        }
+        debug_assert!(layout.blocks_are_whole_clusters(partition));
         layout
     }
+
+    /// Whether every shard's blocks hold exactly its members and no
+    /// cluster has members in two blocks.
+    fn blocks_are_whole_clusters(&self, partition: &Partition) -> bool {
+        let mut home = vec![None; partition.m()];
+        (self.members.iter().zip(&self.blocks)).all(|(members, blocks)| {
+            let mut held: Vec<u32> = blocks.iter().flatten().copied().collect();
+            held.sort_unstable();
+            let whole = blocks.iter().all(|block| {
+                block.iter().all(|&g| {
+                    let c = partition.cluster_of(ProcessId(g as usize)).index();
+                    *home[c].get_or_insert(block.as_ptr()) == block.as_ptr()
+                })
+            });
+            whole && held == *members
+        })
+    }
+}
+
+/// The most broadcasts one wave takes off the heap. A longer run of
+/// same-instant broadcasts goes as several waves one after the other
+/// (consecutive in key order, so each is a wave in its own right): the
+/// scratch buffer stays under 100 KB at any `n`, and a block still sees
+/// a thousand broadcasts per visit.
+const WAVE_MAX: usize = 1024;
+
+/// One broadcast of a wave: its sender, the sender-counter value of its
+/// first destination, its message, and the part of the trace
+/// fingerprint all its deliveries share.
+struct WaveItem {
+    from: u32,
+    k0: u64,
+    msg: MsgKind,
+    shared: DeliverPrefix,
+}
+
+/// What became of the waves a shard expanded.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct WaveStats {
+    /// Waves expanded (a lone broadcast is a wave of one).
+    formed: u64,
+    /// The most broadcasts one wave held.
+    largest: usize,
+    /// Waves expanded over the single block "all members" because the
+    /// global order was observable.
+    one_block: u64,
 }
 
 /// Everything one shard owns; the run-wide inputs are borrowed from the
@@ -390,6 +501,9 @@ struct ShardState<'a> {
     layout: &'a Layout,
     spec: &'a RunSpec,
     net: &'a NetIndex,
+    /// The network neither loses nor duplicates: every fate is
+    /// [`Fate::Deliver`], decided once here instead of per destination.
+    reliable: bool,
     topo: &'a Arc<SmTopology>,
     /// One bank shared by every shard: memories are per cluster and each
     /// cluster belongs to exactly one shard, so there is no contention.
@@ -407,9 +521,14 @@ struct ShardState<'a> {
     /// The (emptied) buffers of exhausted cursors: the next lazy
     /// broadcast routed here takes one instead of allocating.
     spare: Vec<Vec<u64>>,
+    /// The wave being expanded (empty between waves; kept for its
+    /// capacity).
+    wave: Vec<WaveItem>,
     /// The most entries the heap ever held.
     #[cfg(test)]
     heap_peak: usize,
+    #[cfg(test)]
+    waves: WaveStats,
     counters: SendCounters,
     /// Barrier-bound sends, indexed by destination shard.
     outgoing: Vec<Vec<SEntry>>,
@@ -476,6 +595,7 @@ impl<'a> ShardState<'a> {
             layout,
             spec,
             net,
+            reliable: net.loss_ppm() == 0 && net.dup_ppm() == 0,
             topo,
             memory,
             machines,
@@ -490,8 +610,11 @@ impl<'a> ShardState<'a> {
             batched: 0,
             undelivered: 0,
             spare: Vec::new(),
+            wave: Vec::new(),
             #[cfg(test)]
             heap_peak: 0,
+            #[cfg(test)]
+            waves: WaveStats::default(),
             counters: match resume {
                 None => SendCounters::default(),
                 // Every shard gets the full counter vector; only its
@@ -706,12 +829,21 @@ impl<'a> ShardState<'a> {
         }
     }
 
-    /// This shard's members a batched broadcast actually reaches, with
-    /// their fates: lost destinations are never events.
-    fn survivors(&self, from: u32, k0: u64) -> impl Iterator<Item = (u32, Fate)> + 'a {
-        let (net, seed) = (self.net, self.spec.seed);
+    /// Those of `block` (some of this shard's members) a batched
+    /// broadcast actually reaches, with their fates: lost destinations
+    /// are never events.
+    fn survivors<'b>(
+        &self,
+        block: &'b [u32],
+        from: u32,
+        k0: u64,
+    ) -> impl Iterator<Item = (u32, Fate)> + use<'a, 'b> {
+        let (net, seed, reliable) = (self.net, self.spec.seed, self.reliable);
         let from = ProcessId(from as usize);
-        self.members().iter().filter_map(move |&g| {
+        block.iter().filter_map(move |&g| {
+            if reliable {
+                return Some((g, Fate::Deliver));
+            }
             let fate = net.fate_of(seed, from, ProcessId(g as usize), k0 + u64::from(g));
             (fate != Fate::Lost).then_some((g, fate))
         })
@@ -754,7 +886,7 @@ impl<'a> ShardState<'a> {
 
     /// Delivers one message to a local process — the accounting the
     /// conductor does around a delivery burst.
-    fn deliver(&mut self, to: u32, from: u32, msg: MsgKind, at: u64) {
+    fn deliver(&mut self, to: u32, from: u32, msg: MsgKind, at: u64, shared: DeliverPrefix) {
         let li = self.layout.local_of[to as usize] as usize;
         // Crashed processes are finished too (a crash event halts the
         // machine in the same dispatch), so one check covers the
@@ -763,10 +895,8 @@ impl<'a> ShardState<'a> {
             return; // dropped on the floor (still counted by the caller)
         }
         let (who, from) = (ProcessId(to as usize), ProcessId(from as usize));
-        self.trace.record(
-            VirtualTime::from_ticks(at),
-            TraceEvent::Deliver { who, from, msg },
-        );
+        self.trace
+            .record_delivery(shared, VirtualTime::from_ticks(at), who, from, msg);
         self.procs[li].on_delivered(at, self.spec.costs.recv_cost);
         self.dispatch(li, Input::Deliver(Msg { from, kind: msg }));
     }
@@ -831,7 +961,8 @@ impl<'a> ShardState<'a> {
             match e.ev {
                 SPending::Deliver { to, from, msg } => {
                     processed += 1;
-                    self.deliver(to, from, msg, e.at);
+                    let shared = DeliverPrefix::new(VirtualTime::from_ticks(e.at), &msg);
+                    self.deliver(to, from, msg, e.at, shared);
                 }
                 SPending::Crash { pid } => {
                     processed += 1;
@@ -842,29 +973,7 @@ impl<'a> ShardState<'a> {
                     self.rejoin(pid, e.at);
                 }
                 SPending::Broadcast { from, k0, msg } => {
-                    self.batched -= 1;
-                    for (g, fate) in self.survivors(from, k0) {
-                        if processed == limit {
-                            // The budget ran out mid-broadcast; the run
-                            // ends here, so the rest is never delivered.
-                            break;
-                        }
-                        processed += 1;
-                        if fate == Fate::Dup {
-                            // The copy a per-destination send would have
-                            // queued: key reused, fresh link-class extra
-                            // delay (positive, as the batch's delay is).
-                            let k = k0 + u64::from(g);
-                            let extra = self.net.dup_extra_of(
-                                self.spec.seed,
-                                ProcessId(from as usize),
-                                ProcessId(g as usize),
-                                k,
-                            );
-                            self.push(SEntry::deliver(e.at + extra, from, k, g, msg));
-                        }
-                        self.deliver(g, from, msg, e.at);
-                    }
+                    processed += self.expand_wave(e.at, from, k0, msg, limit - processed);
                 }
                 SPending::Lazy(_) => unreachable!("pop_lazy yields single deliveries"),
             }
@@ -873,6 +982,91 @@ impl<'a> ShardState<'a> {
             }
         }
         self.report(processed)
+    }
+
+    /// Expands a **wave** (module docs): the batched broadcast just
+    /// popped (`from`, `k0`, `msg`, landing at `at`) together with every
+    /// batched broadcast that follows it on the heap at the same instant
+    /// — any other kind of entry there ends the wave and keeps its place
+    /// in key order. Delivers at most `budget` events and returns how
+    /// many.
+    ///
+    /// One loop nest, block by block: all of the wave's broadcasts, in
+    /// key order, over one block of whole clusters before any of them
+    /// reaches the next block. Inside a block the order stays
+    /// broadcast-major, so no cluster ever sees two deliveries change
+    /// places. Where the global `(time, key)` order is observable — a
+    /// kept trace, an attached observer, a budget that could run out
+    /// inside the wave — the blocks collapse to the single block "all
+    /// members": broadcast by broadcast, byte for byte the order `n`
+    /// single entries per broadcast would pop in.
+    // Once per wave, so a call costs nothing — and kept out of line it
+    // leaves `run`'s per-event loop (the lazy path pops one delivery at
+    // a time through it) as tight as it was.
+    #[inline(never)]
+    fn expand_wave(&mut self, at: u64, from: u32, k0: u64, msg: MsgKind, budget: u64) -> u64 {
+        let item = |from, k0, msg| WaveItem {
+            from,
+            k0,
+            msg,
+            shared: DeliverPrefix::new(VirtualTime::from_ticks(at), &msg),
+        };
+        let mut wave = std::mem::take(&mut self.wave);
+        wave.push(item(from, k0, msg));
+        while let Some(&Keyed {
+            at: then,
+            ev: SPending::Broadcast { from, k0, msg },
+            ..
+        }) = self.heap.peek()
+        {
+            if then != at || wave.len() == WAVE_MAX {
+                break;
+            }
+            wave.push(item(from, k0, msg));
+            self.heap.pop();
+        }
+        self.batched -= wave.len();
+        let members = &self.layout.members[self.id];
+        let ordered = self.spec.keep_trace
+            || self.spec.observer.is_some()
+            || budget < (wave.len() * members.len()) as u64;
+        let blocks = if ordered {
+            std::slice::from_ref(members)
+        } else {
+            &self.layout.blocks[self.id][..]
+        };
+        #[cfg(test)]
+        {
+            self.waves.formed += 1;
+            self.waves.largest = self.waves.largest.max(wave.len());
+            self.waves.one_block += u64::from(ordered);
+        }
+        let mut delivered = 0;
+        'wave: for block in blocks {
+            for item in &wave {
+                for (g, fate) in self.survivors(block, item.from, item.k0) {
+                    if delivered == budget {
+                        // The budget ran out mid-wave; the run ends
+                        // here, so the rest is never delivered.
+                        break 'wave;
+                    }
+                    delivered += 1;
+                    if fate == Fate::Dup {
+                        // The copy a per-destination send would have
+                        // queued: key reused, fresh link-class extra
+                        // delay (positive, as the batch's delay is).
+                        let k = item.k0 + u64::from(g);
+                        let (sender, to) = (ProcessId(item.from as usize), ProcessId(g as usize));
+                        let then = self.dup_at(at, sender, to, k);
+                        self.push(SEntry::deliver(then, item.from, k, g, item.msg));
+                    }
+                    self.deliver(g, item.from, item.msg, at, item.shared);
+                }
+            }
+        }
+        wave.clear();
+        self.wave = wave;
+        delivered
     }
 
     /// Takes the next destination off the lazy broadcast on top of the
@@ -924,7 +1118,7 @@ impl<'a> ShardState<'a> {
             match &e.ev {
                 &SPending::Broadcast { from, k0, .. } => {
                     let sender = ProcessId(from as usize);
-                    keys.extend(self.survivors(from, k0).map(|(g, _)| {
+                    keys.extend(self.survivors(self.members(), from, k0).map(|(g, _)| {
                         let to = ProcessId(g as usize);
                         (e.at, EventKey::deliver(sender, k0 + u64::from(g), to))
                     }));
@@ -994,7 +1188,7 @@ impl<'a> ShardState<'a> {
                 // not a pending event here; some shard that owns a
                 // survivor exports it.
                 &SPending::Broadcast { from, k0, .. }
-                    if self.survivors(from, k0).next().is_none() => {}
+                    if self.survivors(self.members(), from, k0).next().is_none() => {}
                 // What is left of a lazy broadcast leaves as the single
                 // deliveries it stands for — copies of duplicated ones
                 // included, which a plain delivery no longer spawns.
@@ -1583,6 +1777,115 @@ mod tests {
             "heap peaked at {} entries for n = {n}",
             shard.heap_peak
         );
+    }
+
+    #[test]
+    fn quick_kv_serve_cell_expands_its_waves_cluster_major() {
+        use super::{Layout, ShardState};
+        use crate::conductor::RunSpec;
+        use ofa_core::sm::SmTopology;
+        use ofa_core::{ArrivalProcess, TrafficSpec};
+        use ofa_scenario::{CoinSpec, CostModel};
+        use ofa_sharedmem::MemoryBank;
+        use std::sync::Arc;
+        // The benchmark's quick `kv-serve` cell (`cells.rs`), as it is
+        // measured: no kept trace, no observer, no binding budget. If a
+        // future default attaches an observer or a budget rule turns
+        // every wave into one block, the cluster-major path — the whole
+        // point of forming waves — is silently off; this is the alarm.
+        let n = 40;
+        let traffic = TrafficSpec {
+            arrival: ArrivalProcess::Poisson { mean_gap: 125 },
+            clients: 4 * n as u64,
+            queue_cap: 256,
+            batch_max: 256,
+            batch_min: 0,
+        };
+        let scenario = Scenario::new(Partition::even(n, 2), Algorithm::CommonCoin)
+            .replicated_log_traffic(Algorithm::CommonCoin, 2, traffic)
+            .delay(DelayModel::Constant(1_000))
+            .costs(CostModel {
+                send_cost: 0,
+                recv_cost: 1,
+                sm_op_cost: 10,
+                coin_cost: 1,
+            })
+            .max_rounds(64)
+            .seed(42)
+            .coin(CoinSpec::Alternating)
+            .max_events(u64::MAX);
+        let spec = RunSpec::from_scenario(&scenario);
+        let net = scenario.network.compile(&scenario.partition);
+        let layout = Layout::new(&spec.partition, 1);
+        assert_eq!(
+            layout.blocks[0].len(),
+            2,
+            "one block per 20-replica cluster"
+        );
+        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
+        let bank = MemoryBank::for_partition(topo.partition());
+        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
+        let report = shard.run(u64::MAX, u64::MAX);
+        assert!(shard.heap.is_empty(), "the run drains");
+        let waves = &shard.waves;
+        assert_eq!(waves.one_block, 0, "{waves:?}");
+        assert!(
+            waves.largest >= n,
+            "a round's n broadcasts land together: {waves:?}"
+        );
+        // Every event of this cell is a batched delivery, n per
+        // broadcast, and the waves average more than half a round.
+        assert_eq!(report.processed % n as u64, 0);
+        let broadcasts = report.processed / n as u64;
+        assert!(
+            waves.formed * n as u64 <= 2 * broadcasts,
+            "{broadcasts} broadcasts in {waves:?}"
+        );
+        // A wave is off the heap while it expands, so what its
+        // deliveries schedule no longer sits beside it: the loop that
+        // popped one broadcast at a time peaked at 139 entries here.
+        assert_eq!(shard.heap_peak, 120);
+    }
+
+    #[test]
+    fn a_run_of_broadcasts_longer_than_the_cap_goes_as_consecutive_waves() {
+        use super::{Layout, ShardState, WAVE_MAX};
+        use crate::conductor::RunSpec;
+        use ofa_core::sm::SmTopology;
+        use ofa_scenario::CostModel;
+        use ofa_sharedmem::MemoryBank;
+        use std::sync::Arc;
+        // n broadcasts per instant with n just past the cap: every round
+        // splits into a full wave and a short one. The conductor cannot
+        // reach this size in a test, so the oracle is the fingerprint
+        // this scenario had when the loop popped one broadcast at a time
+        // (commit a51ccc8) — which also holds the folded send and
+        // delivery fingerprints to the per-event ones at scale.
+        let n = 1030;
+        assert!(WAVE_MAX < n && n < 2 * WAVE_MAX);
+        let scenario = Scenario::new(Partition::even(n, 10), Algorithm::LocalCoin)
+            .proposals_all(Bit::One)
+            .delay(DelayModel::Constant(1_000))
+            .costs(CostModel {
+                send_cost: 0,
+                recv_cost: 1,
+                sm_op_cost: 10,
+                coin_cost: 1,
+            })
+            .max_events(u64::MAX)
+            .seed(7);
+        let spec = RunSpec::from_scenario(&scenario);
+        let net = scenario.network.compile(&scenario.partition);
+        let layout = Layout::new(&spec.partition, 1);
+        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
+        let bank = MemoryBank::for_partition(topo.partition());
+        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
+        let report = shard.run(u64::MAX, u64::MAX);
+        assert_eq!(report.processed, 3_182_700);
+        assert_eq!(shard.waves.largest, WAVE_MAX);
+        assert_eq!(shard.waves.one_block, 0);
+        let result = shard.finish_run();
+        assert_eq!(result.trace.hash(), 0x98e4_a98d_7fa1_8910);
     }
 
     #[test]

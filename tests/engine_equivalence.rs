@@ -669,3 +669,253 @@ proptest! {
         prop_assert!(threads.agreement_holds());
     }
 }
+
+// ---------------------------------------------------------------------
+// Waves: same-instant batched broadcasts expanded cluster-major.
+//
+// With a constant delay and free sends every process of a round
+// broadcasts at one clock value, so ~n batched broadcasts land at one
+// instant and the event loop expands them block by block (whole
+// clusters) instead of broadcast by broadcast. The conductor sends and
+// delivers one message at a time, so it is the oracle: every case below
+// compares it against the loop on one, two and three shards, *without*
+// a kept trace or an observer (either would force the one-block order),
+// on partitions of more than one block.
+// ---------------------------------------------------------------------
+
+use one_for_all::consensus::{ObsEvent, Observer};
+use one_for_all::prelude::ChurnPlan;
+use one_for_all::scenario::TraceEvent;
+use std::sync::{Arc, Mutex};
+
+/// Singleton clusters next to a large one (`n = 68`): the shard loop
+/// packs `{1,1}`, `{40}` and `{1,18,1,1,5}` into three blocks.
+fn uneven_partition() -> Partition {
+    Partition::from_sizes(&[1, 1, 40, 1, 18, 1, 1, 5]).expect("valid sizes")
+}
+
+const WAVE_COSTS: CostModel = CostModel {
+    send_cost: 0,
+    recv_cost: 1,
+    sm_op_cost: 3,
+    coin_cost: 1,
+};
+
+/// Every cost zero: all of a round lands on one tick, and so does a
+/// duplicate's copy one delay later.
+const ZERO_COSTS: CostModel = CostModel {
+    send_cost: 0,
+    recv_cost: 0,
+    sm_op_cost: 0,
+    coin_cost: 0,
+};
+
+fn wave_scenario(partition: Partition, costs: CostModel) -> Scenario {
+    let n = partition.n();
+    Scenario::new(partition, Algorithm::CommonCoin)
+        .proposals_split(n / 2)
+        .network(NetworkModel::flat(DelayModel::Constant(700)))
+        .costs(costs)
+        .max_rounds(24)
+        .seed(21)
+}
+
+/// `Threads == EventDriven == par=2 == par=3` on every compared field;
+/// returns the conductor's outcome.
+fn assert_waves_match(scenario: &Scenario, what: &str) -> Outcome {
+    unlock_cores();
+    let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+    let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
+    assert_eq!(threads.engine_used, Some(Engine::Threads), "{what}");
+    assert_eq!(event.engine_used, Some(Engine::EventDriven), "{what}");
+    assert_same_run(&threads, &event, &format!("{what} event"));
+    for workers in [2, 3] {
+        let par = Sim.run(&scenario.clone().parallel(workers));
+        assert_eq!(
+            par.engine_used,
+            Some(Engine::ParallelEvent { workers }),
+            "{what}"
+        );
+        assert_same_run(&threads, &par, &format!("{what} par={workers}"));
+    }
+    threads
+}
+
+/// The distinct instants at which deliveries land, ascending, with the
+/// number of deliveries at each — read off the event loop's kept trace.
+fn delivery_instants(scenario: &Scenario) -> Vec<(u64, u64)> {
+    let kept = Sim.run(&scenario.clone().keep_trace().event_driven());
+    let mut instants = std::collections::BTreeMap::new();
+    for e in kept.events.expect("kept") {
+        if let TraceEvent::Deliver { .. } = e.event {
+            *instants.entry(e.at.ticks()).or_insert(0) += 1;
+        }
+    }
+    instants.into_iter().collect()
+}
+
+#[test]
+fn waves_match_the_conductor_on_uneven_and_singleton_partitions() {
+    for (name, partition) in [
+        ("uneven", uneven_partition()),
+        // 70 one-process clusters: blocks of 32, 32 and 6.
+        ("singletons", Partition::singletons(70)),
+    ] {
+        for costs in [WAVE_COSTS, ZERO_COSTS] {
+            let scenario = wave_scenario(partition.clone(), costs);
+            let what = format!("{name} {costs:?}");
+            let out = assert_waves_match(&scenario, &what);
+            assert!(out.all_correct_decided, "{what}");
+            let n = partition.n() as u64;
+            let (_, first) = delivery_instants(&scenario)[0];
+            assert_eq!(
+                first,
+                n * n,
+                "{what}: the first wave is all n start broadcasts"
+            );
+        }
+    }
+}
+
+/// The budget runs out in the middle of a wave — inside a later
+/// broadcast of it, not its first — and exactly on a wave's last
+/// delivery, in the first wave and in the second.
+#[test]
+fn event_budget_inside_and_on_the_edge_of_a_wave_cuts_identically() {
+    let base = wave_scenario(uneven_partition(), WAVE_COSTS);
+    let n = base.partition.n() as u64;
+    let instants = delivery_instants(&base);
+    let (first, second) = (instants[0].1, instants[1].1);
+    assert!(
+        first == n * n && second > 3 * n,
+        "two multi-broadcast waves"
+    );
+    for max_events in [
+        n + n / 2,
+        first / 2 + 7,
+        first - 1,
+        first,
+        first + 1,
+        first + 2 * n + 5,
+        first + second - 1,
+        first + second,
+    ] {
+        let what = format!("max_events={max_events}");
+        let out = assert_waves_match(&base.clone().max_events(max_events), &what);
+        assert_eq!(out.events_processed, max_events, "{what}");
+    }
+}
+
+/// A timed crash and a churn rejoin at exactly a wave's instant: both
+/// sort before that instant's deliveries, so the victim receives none of
+/// the wave and the rejoiner all of it.
+#[test]
+fn crashes_and_rejoins_at_a_waves_instant_match_the_conductor() {
+    let base = wave_scenario(uneven_partition(), WAVE_COSTS);
+    let instants = delivery_instants(&base);
+    for (crash_at, rejoin_at) in [
+        (instants[0].0, instants[0].0),
+        (instants[1].0, instants[0].0),
+        (instants[0].0, instants[1].0),
+    ] {
+        let what = format!("crash@{crash_at} rejoin@{rejoin_at}");
+        // p3 sits in the 40-cluster, p62 in a singleton, p30 rejoins
+        // into the 40-cluster.
+        let scenario = base
+            .clone()
+            .crashes(
+                CrashPlan::new()
+                    .crash_at_time(ProcessId(3), VirtualTime::from_ticks(crash_at))
+                    .crash_at_time(ProcessId(62), VirtualTime::from_ticks(crash_at)),
+            )
+            .churn(ChurnPlan::new().leave_rejoin(
+                ProcessId(30),
+                VirtualTime::from_ticks(1),
+                VirtualTime::from_ticks(rejoin_at),
+            ));
+        let out = assert_waves_match(&scenario, &what);
+        assert!(out.crashed.contains(ProcessId(3)), "{what}");
+        assert!(out.agreement_holds(), "{what}");
+    }
+}
+
+/// Loss and duplication under waves. Lost destinations are never
+/// events; a duplicated one's copy is a plain `Deliver` entry one delay
+/// later — with every cost zero that is exactly the next wave's instant,
+/// where it sorts *between* that wave's broadcasts and cuts it in two.
+#[test]
+fn loss_and_duplication_inside_waves_match_the_conductor() {
+    for costs in [WAVE_COSTS, ZERO_COSTS] {
+        for (loss_ppm, dup_ppm) in [(0, 20_000), (20_000, 0), (10_000, 30_000)] {
+            let what = format!("{costs:?} loss={loss_ppm} dup={dup_ppm}");
+            let scenario = wave_scenario(uneven_partition(), costs)
+                .loss_ppm(loss_ppm)
+                .dup_ppm(dup_ppm);
+            let out = assert_waves_match(&scenario, &what);
+            assert!(out.agreement_holds(), "{what}");
+            if loss_ppm == 0 {
+                assert!(
+                    out.events_processed > out.counters.messages_sent,
+                    "{what}: copies are events too"
+                );
+            }
+        }
+    }
+}
+
+/// Two-process clusters under loss are where the order *inside* a
+/// cluster shows: a replica that lost both messages of some cluster
+/// completes its exchange at a later broadcast of the wave than its
+/// cluster mate, with a different tally, and whichever of the two
+/// reaches the cluster's first-proposer-wins object first fixes what
+/// both adopt. A wave therefore keeps a cluster's deliveries in
+/// broadcast order; expanding a block replica by replica fails this
+/// case on every seed.
+#[test]
+fn cluster_mates_with_different_histories_keep_their_delivery_order() {
+    let scenario = Scenario::new(Partition::even(40, 20), Algorithm::LocalCoin)
+        .proposals_split(20)
+        .network(NetworkModel::flat(DelayModel::Constant(700)))
+        .costs(WAVE_COSTS)
+        .loss_ppm(20_000)
+        .max_rounds(24)
+        .seed(0);
+    let out = assert_waves_match(&scenario, "pairs under loss");
+    assert!(out.sm_proposes > 0 && out.agreement_holds());
+}
+
+/// Records every protocol event in the order the engine emits it.
+#[derive(Default)]
+struct OrderLog(Mutex<Vec<(ProcessId, ObsEvent)>>);
+
+impl Observer for OrderLog {
+    fn on_event(&self, who: ProcessId, event: &ObsEvent) {
+        self.0.lock().expect("no panics").push((who, *event));
+    }
+}
+
+/// Where the global order is observable the wave keeps it: a kept trace
+/// and an order-recording observer see the conductor's exact sequence on
+/// one shard, on a partition the unobserved run expands in three blocks.
+#[test]
+fn kept_traces_and_observers_see_the_conductors_order_under_waves() {
+    let base = wave_scenario(uneven_partition(), WAVE_COSTS);
+    let kept = base.clone().keep_trace();
+    let threads = Sim.run(&kept.clone().engine(Engine::Threads));
+    let event = Sim.run(&kept.engine(Engine::EventDriven));
+    assert!(threads.events.as_ref().is_some_and(|t| !t.is_empty()));
+    assert_eq!(threads.events, event.events);
+    assert_same_run(&threads, &event, "kept trace");
+
+    let observed = |engine| {
+        let log = Arc::new(OrderLog::default());
+        let out = Sim.run(&base.clone().observer(log.clone()).engine(engine));
+        let seen = std::mem::take(&mut *log.0.lock().expect("no panics"));
+        (out, seen)
+    };
+    let (threads, reference) = observed(Engine::Threads);
+    let (event, seen) = observed(Engine::EventDriven);
+    assert!(!reference.is_empty());
+    assert_eq!(reference, seen, "observer callback order");
+    assert_same_run(&threads, &event, "observer");
+}
