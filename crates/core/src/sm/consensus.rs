@@ -279,7 +279,8 @@ impl ConsensusSm {
     }
 
     /// Converts a step result into [`Progress`], draining the outbox and
-    /// emitting the end-of-instance mailbox report on terminal steps.
+    /// emitting the end-of-instance mailbox report on terminal steps. A
+    /// step that sent nothing leaves the (recycled) buffer in place.
     fn finish_step<C: SmCtx + ?Sized>(
         &mut self,
         res: Result<Option<Decision>, Halt>,
@@ -290,15 +291,12 @@ impl ConsensusSm {
                 stale_dropped: mailbox.take_stale_delta(),
             });
         };
+        if matches!(res, Ok(None)) && self.outbox.is_empty() {
+            return Progress::NeedMsg;
+        }
         let outbox = std::mem::take(&mut self.outbox);
         match res {
-            Ok(None) => {
-                if outbox.is_empty() {
-                    Progress::NeedMsg
-                } else {
-                    Progress::Sent(outbox)
-                }
-            }
+            Ok(None) => Progress::Sent(outbox),
             Ok(Some(decision)) => {
                 self.done = true;
                 report(&mut self.mailbox, ctx);
@@ -795,6 +793,43 @@ pub(super) mod tests {
         // Future-slot message: buffered, machine re-enters recv (1 call).
         assert_eq!(progress, Progress::NeedMsg);
         assert_eq!(ctx.calls, calls_before + 1);
+    }
+
+    #[test]
+    fn a_recycled_outbox_survives_a_stale_delivery() {
+        let topo = Arc::new(SmTopology::new(Partition::single_cluster(2)));
+        let mut sm = ConsensusSm::new(
+            Algorithm::LocalCoin,
+            ProcessId(0),
+            topo,
+            0,
+            Bit::One,
+            ProtocolConfig::paper(),
+        );
+        let mut ctx = TestCtx::new(Bit::Zero);
+        let Progress::Sent(mut outbox) = sm.start(&mut ctx) else {
+            panic!("start broadcasts PHASE1");
+        };
+        outbox.clear();
+        outbox.reserve(8);
+        let capacity = outbox.capacity();
+        sm.recycle_outbox(outbox);
+        // A round-0 message in round 1: stale, nothing to send.
+        let stale = MsgKind::Phase {
+            instance: 0,
+            round: 0,
+            phase: Phase::One,
+            est: Some(Bit::Zero),
+        };
+        let progress = sm.on_msg(
+            Msg {
+                from: ProcessId(1),
+                kind: stale,
+            },
+            &mut ctx,
+        );
+        assert_eq!(progress, Progress::NeedMsg);
+        assert_eq!(sm.outbox.capacity(), capacity, "the buffer is still there");
     }
 
     #[test]

@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn canon_events_sort_and_dedupe_like_the_schedulers() {
         use crate::par::SEntry;
-        use std::collections::BinaryHeap;
+        use crate::queue::Calendar;
 
         let msg = sample_msg();
         let one = |at, from, k, to| CanonEvent::One {
@@ -433,7 +433,7 @@ mod tests {
             k0: 4,
             msg,
         };
-        // Two shards' heaps at a pause: each holds its own deliveries
+        // Two shards' queues at a pause: each holds its own deliveries
         // and its own copy of the in-flight broadcast.
         let shard_a = [broadcast, one(15, 2, 0, 1), one(20, 1, 3, 0)];
         let shard_b = [one(15, 0, 7, 2), broadcast];
@@ -452,18 +452,23 @@ mod tests {
                 .iter()
                 .chain(&shard_b)
                 .map(|ev| {
-                    SEntry::from_canon(ev)
-                        .to_canon()
-                        .expect("deliveries export")
+                    let e = SEntry::from_canon(ev);
+                    SEntry::to_canon(e.at, e.key, &e.ev).expect("deliveries export")
                 })
                 .collect(),
         };
         snap.normalize();
         assert_eq!(snap.events.len(), 4, "shard copies collapse");
-        // …normalizes into the order one shard's heap pops them in.
-        let mut heap: BinaryHeap<SEntry> = snap.events.iter().map(SEntry::from_canon).collect();
-        let popped: Vec<CanonEvent> =
-            std::iter::from_fn(|| heap.pop().and_then(|e| e.to_canon())).collect();
+        // …normalizes into the order one shard's queue pops them in.
+        let mut queue = Calendar::new();
+        for ev in &snap.events {
+            queue.push(SEntry::from_canon(ev));
+        }
+        let popped: Vec<CanonEvent> = std::iter::from_fn(|| {
+            let e = queue.pop()?;
+            SEntry::to_canon(e.at, e.key, &e.ev)
+        })
+        .collect();
         assert_eq!(popped, snap.events);
         assert_eq!(
             snap.events

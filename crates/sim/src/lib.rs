@@ -79,6 +79,7 @@ mod conductor;
 mod engine;
 mod explorer;
 mod par;
+mod queue;
 
 #[doc(hidden)]
 pub use backend::override_available_cores;

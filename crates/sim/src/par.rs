@@ -1,12 +1,12 @@
 //! The sharded event loop: the one loop behind both event engines.
 //!
 //! Every process is an `ofa_core::sm` machine (`engine.rs`) stepped
-//! straight off a heap of pending events. The paper's own structure says
-//! how to split that heap: **clusters are natural shards**. Intra-cluster
+//! straight off a queue of pending events. The paper's own structure says
+//! how to split that queue: **clusters are natural shards**. Intra-cluster
 //! traffic is shared memory (`MEM_x` never crosses a cluster boundary)
 //! and every remaining interaction is a scheduled message delivery — so
 //! each shard owns a subset of the clusters (their machines, their
-//! `ClusterMemory`, and a local heap) and shards only interact through
+//! `ClusterMemory`, and a local event queue) and shards only interact through
 //! cross-shard deliveries exchanged at deterministic virtual-time
 //! **epoch barriers**.
 //!
@@ -34,7 +34,10 @@
 //!   into exactly the value one global recorder would produce.
 //!
 //! Each shard pops its local events in `(time, key)` order, which equals
-//! the one-shard dispatch order *restricted to the shard*; since
+//! the one-shard dispatch order *restricted to the shard*. (The queue is
+//! a calendar of one-tick buckets, below, not a heap; it pops in exactly
+//! the order `BinaryHeap<Keyed<_>>` does, and the conductor's heap is the
+//! oracle the corpus holds it against.) Since
 //! same-epoch events on different shards touch disjoint state (machines
 //! and memories are shard-owned; the conservative lookahead below keeps
 //! their messages out of the current epoch), any shard count computes the
@@ -52,14 +55,14 @@
 //! any shard — can add to it. One epoch is one round trip: the
 //! coordinator picks `T` = earliest pending event anywhere and sends
 //! every shard [`Cmd::Run`] with the deliveries routed to it at the last
-//! barrier; the shard enqueues them, pops its heap while the top is
-//! inside the window, and replies with its outgoing cross-shard sends.
+//! barrier; the shard enqueues them, pops its queue while the next event
+//! is inside the window, and replies with its outgoing cross-shard sends.
 //! A lone shard has nobody to exchange with, so its window is unbounded
 //! (which is why it also serves networks whose minimum delay is zero).
 //!
-//! Broadcasts stay whole end to end: one heap entry on the sender's
+//! Broadcasts stay whole end to end: one queue entry on the sender's
 //! shard plus one descriptor per *other shard* (not per destination)
-//! across the barrier, each covering the shard's own members — O(n) heap
+//! across the barrier, each covering the shard's own members — O(n) queue
 //! residency per all-to-all round, not O(n²). The entry takes one of two
 //! forms, both order-exact (see [`ShardState::route`]):
 //!
@@ -73,11 +76,32 @@
 //! * **Lazy** ([`SPending::Lazy`]) otherwise — sampled delays, or a
 //!   per-send cost spacing the sends. The entry carries a [`Cursor`]
 //!   over the shard's surviving destinations sorted by delivery `(time,
-//!   key)` and sits on the heap under the *next* destination's time and
-//!   key. A pop delivers that one destination and re-keys the entry in
-//!   place to the one after it, so the heap always holds exactly the
-//!   minimum of what `n` single entries would hold, and pops in their
-//!   order.
+//!   key)` and sits in the queue under the *next* destination's time and
+//!   key. A pop delivers that one destination and re-keys the entry to
+//!   the one after it, so the queue always holds exactly the minimum of
+//!   what `n` single entries would hold, and pops in their order. The
+//!   destinations come in index order with delivery offsets inside the
+//!   delay window plus the send spacing, so a stable counting sort on
+//!   the offset orders them ([`Cursor::sort_descending`]).
+//!
+//! # The queue: a calendar, in heap order
+//!
+//! A shard's pending events live in a [`Calendar`]
+//! (`crates/sim/src/queue.rs`): a ring of one-tick buckets over a fixed
+//! span of virtual time, with an overflow heap beyond it. Delays are
+//! whole ticks within a known window, so a pop is a look into the
+//! current tick's bucket instead of a sift through a heap of every
+//! broadcast in flight. Its order argument, in short: every entry is in
+//! its own tick's bucket or, past the span, in the overflow; a bucket is
+//! sorted by the packed [`EventKey`] when its tick becomes current, and
+//! a push at the current tick is inserted in place — so it pops in
+//! exactly the `(at, EventKey)` order `BinaryHeap<Keyed<SPending>>`
+//! pops in, and waves, lazy cursors, the event budget, epochs,
+//! [`ShardState::keys`], checkpoints and kept traces mean what they did
+//! byte for byte. A tick becomes current only when the loop pops from
+//! it: window checks and [`StepReport::next_at`] only read it, so a
+//! cross-shard arrival at a barrier, at or after the window's end but
+//! before the shard's own next event, is an ordinary push.
 //!
 //! # Waves: same-instant broadcasts expand cluster-major
 //!
@@ -91,7 +115,7 @@
 //! four preconditions, all checked where the wave forms:
 //!
 //! 1. **Same instant.** A wave is the batched broadcasts that follow
-//!    one another on the heap at one `at`; any other entry at that
+//!    one another in the queue at one `at`; any other entry at that
 //!    instant (a duplicate's copy, a crash) ends it and keeps its place
 //!    in key order. So does the `WAVE_MAX`-th broadcast: a longer run
 //!    continues as the next wave, which bounds the scratch buffer.
@@ -128,7 +152,7 @@
 //!
 //! Pausing at a virtual-time cut clamps the window to the cut, so no
 //! shard ever processes an event at or beyond it; the pause lands on a
-//! barrier, where every pending event sits on some shard's heap, ready
+//! barrier, where every pending event sits in some shard's queue, ready
 //! to export in the canonical [`EngineSnap`] form — which is why a
 //! snapshot resumes on any shard count.
 //!
@@ -142,6 +166,7 @@
 use crate::checkpoint::{CanonEvent, EngineSnap, ProcSnap};
 use crate::conductor::{rejoin_coin_seed, EventKey, Keyed, RawOutcome, RunSpec, SendCounters};
 use crate::engine::{Input, Machine, ProcState};
+use crate::queue::Calendar;
 use ofa_core::sm::{OutItem, Progress, SmTopology};
 use ofa_core::{Halt, Msg, MsgKind};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
@@ -151,7 +176,6 @@ use ofa_scenario::{
 use ofa_sharedmem::MemoryBank;
 use ofa_topology::{Partition, ProcessId};
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::{mpsc, Arc};
 
 /// What a pending event is. A [`SPending::Broadcast`] is a
@@ -199,6 +223,44 @@ impl Cursor {
         offset << 32 | u64::from(g) << 1 | u64::from(dup)
     }
 
+    /// Appends `words` to the empty `out` in descending order — the
+    /// order of [`Cursor::order`]. `words` must be in ascending
+    /// destination order (which [`ShardState::schedule`] produces), so a
+    /// stable counting sort on the offset alone is exact: words with one
+    /// offset differ only in their destination. Offsets fall within the
+    /// delay window plus the broadcast's send spacing; a window much
+    /// wider than the word count falls back to a comparison sort.
+    fn sort_descending(words: &[u64], out: &mut Vec<u64>, counts: &mut Vec<u32>) {
+        debug_assert!(out.is_empty() && words.is_sorted_by_key(|&w| w as u32));
+        out.reserve_exact(words.len());
+        let offsets = words.iter().map(|&w| w >> 32);
+        let (Some(lo), Some(hi)) = (offsets.clone().min(), offsets.max()) else {
+            return;
+        };
+        if hi - lo >= 8 * words.len() as u64 {
+            out.extend_from_slice(words);
+            out.sort_unstable_by(|a, b| b.cmp(a));
+            return;
+        }
+        // One bucket per offset, latest first; each bucket filled from the
+        // highest destination down.
+        counts.clear();
+        counts.resize((hi - lo + 1) as usize, 0);
+        for &w in words {
+            counts[(hi - (w >> 32)) as usize] += 1;
+        }
+        let mut start = 0;
+        for c in counts.iter_mut() {
+            (*c, start) = (start, start + *c);
+        }
+        out.resize(words.len(), 0);
+        for &w in words.iter().rev() {
+            let c = &mut counts[(hi - (w >> 32)) as usize];
+            out[*c as usize] = w;
+            *c += 1;
+        }
+    }
+
     /// A packed word as `(at, destination, duplicated)`.
     fn unpack(&self, w: u64) -> (u64, u32, bool) {
         (self.base + (w >> 32), (w as u32) >> 1, w & 1 == 1)
@@ -220,13 +282,13 @@ impl Cursor {
 }
 
 /// A pending event with its delivery time and ordering key — a slot of
-/// a shard's heap (ordered earliest-first by `(at, EventKey)`), and also
+/// a shard's queue (ordered earliest-first by `(at, EventKey)`), and also
 /// what crosses an epoch barrier: time and key are sender-local
 /// computations, so the receiving shard just enqueues.
 pub(crate) type SEntry = Keyed<SPending>;
 
-// Every pending event moves through the heap by value; whatever a lazy
-// broadcast carries lives behind its `Box`.
+// Every pending event crosses a barrier and enters the queue by value;
+// whatever a lazy broadcast carries lives behind its `Box`.
 const _: () = assert!(std::mem::size_of::<SEntry>() <= 104);
 
 impl SEntry {
@@ -274,21 +336,18 @@ impl SEntry {
     /// is what lets a divergent replay swap the tail's failure pattern.
     /// A lazy broadcast has one per undelivered destination instead
     /// ([`ShardState::checkpoint`] exports those).
-    pub(crate) fn to_canon(&self) -> Option<CanonEvent> {
-        match self.ev {
+    pub(crate) fn to_canon(at: u64, key: EventKey, ev: &SPending) -> Option<CanonEvent> {
+        match *ev {
             SPending::Deliver { to, from, msg } => Some(CanonEvent::One {
-                at: self.at,
+                at,
                 from,
-                k: self.key.k,
+                k: key.k,
                 to,
                 msg,
             }),
-            SPending::Broadcast { from, k0, msg } => Some(CanonEvent::Broadcast {
-                at: self.at,
-                from,
-                k0,
-                msg,
-            }),
+            SPending::Broadcast { from, k0, msg } => {
+                Some(CanonEvent::Broadcast { at, from, k0, msg })
+            }
             SPending::Lazy(_) | SPending::Crash { .. } | SPending::Rejoin { .. } => None,
         }
     }
@@ -349,9 +408,9 @@ struct StepReport {
     outgoing: Vec<Vec<SEntry>>,
     processed: u64,
     end_time: u64,
-    /// Earliest event still pending on the local heap.
+    /// Earliest event still pending in the local queue.
     next_at: Option<u64>,
-    /// An upper bound on the events the local heap holds: one per
+    /// An upper bound on the events the local queue holds: one per
     /// entry, a batched broadcast counted as one per member, a lazy one
     /// as its undelivered destinations.
     pending: u64,
@@ -375,7 +434,7 @@ struct ShardSnap {
     /// ever advance here, so merging shards element-wise by `max`
     /// reconstructs the global vector.
     counters: Vec<u64>,
-    /// Pending deliveries on the local heap (broadcast descriptors are
+    /// Pending deliveries in the local queue (broadcast descriptors are
     /// per-shard copies the snapshot's `normalize` dedupes).
     events: Vec<CanonEvent>,
     trace: TraceRecorder,
@@ -464,7 +523,7 @@ impl Layout {
     }
 }
 
-/// The most broadcasts one wave takes off the heap. A longer run of
+/// The most broadcasts one wave takes off the queue. A longer run of
 /// same-instant broadcasts goes as several waves one after the other
 /// (consecutive in key order, so each is a wave in its own right): the
 /// scratch buffer stays under 100 KB at any `n`, and a block still sees
@@ -512,19 +571,24 @@ struct ShardState<'a> {
     machines: Vec<Machine>,
     procs: Vec<ProcState>,
     trace: TraceRecorder,
-    heap: BinaryHeap<SEntry>,
-    /// Batched broadcasts resident on the heap (for [`StepReport::pending`]).
+    /// The pending events, popped in `(time, key)` order.
+    queue: Calendar<SPending>,
+    /// Batched broadcasts resident in the queue (for [`StepReport::pending`]).
     batched: usize,
-    /// Undelivered destinations of the lazy broadcasts resident on the
-    /// heap (for [`StepReport::pending`]).
+    /// Undelivered destinations of the lazy broadcasts resident in the
+    /// queue (for [`StepReport::pending`]).
     undelivered: usize,
     /// The (emptied) buffers of exhausted cursors: the next lazy
     /// broadcast routed here takes one instead of allocating.
     spare: Vec<Vec<u64>>,
+    /// Scratch for [`ShardState::schedule`]: a cursor's words before
+    /// they are sorted, and the counting sort's counts.
+    words: Vec<u64>,
+    counts: Vec<u32>,
     /// The wave being expanded (empty between waves; kept for its
     /// capacity).
     wave: Vec<WaveItem>,
-    /// The most entries the heap ever held.
+    /// The most entries the queue ever held.
     #[cfg(test)]
     heap_peak: usize,
     #[cfg(test)]
@@ -606,10 +670,12 @@ impl<'a> ShardState<'a> {
                 Some(snap) if id == 0 => TraceRecorder::resume(snap.trace_hash, snap.trace_count),
                 _ => TraceRecorder::new(spec.keep_trace),
             },
-            heap: BinaryHeap::new(),
+            queue: Calendar::new(),
             batched: 0,
             undelivered: 0,
             spare: Vec::new(),
+            words: Vec::new(),
+            counts: Vec::new(),
             wave: Vec::new(),
             #[cfg(test)]
             heap_peak: 0,
@@ -679,16 +745,16 @@ impl<'a> ShardState<'a> {
         if matches!(entry.ev, SPending::Broadcast { .. }) {
             self.batched += 1;
         }
-        self.heap.push(entry);
+        self.queue.push(entry);
         #[cfg(test)]
         {
-            self.heap_peak = self.heap_peak.max(self.heap.len());
+            self.heap_peak = self.heap_peak.max(self.queue.len());
         }
     }
 
     /// Routes one outbox item: fates, delays and keys are computed here,
     /// on the sender's shard (they are functions of the sender's local
-    /// history), then the delivery goes to the local heap or a barrier
+    /// history), then the delivery goes to the local queue or a barrier
     /// buffer.
     fn route(&mut self, from: ProcessId, item: OutItem) {
         let n = self.layout.owner.len();
@@ -699,7 +765,7 @@ impl<'a> ShardState<'a> {
                 sent_at,
                 stride,
             } => {
-                // Whole end to end either way: one local heap entry plus
+                // Whole end to end either way: one local queue entry plus
                 // one descriptor per *other shard*. Per-destination
                 // fates resolve lazily wherever the descriptor lands.
                 let k0 = self.counters.take(from, n as u64);
@@ -749,20 +815,23 @@ impl<'a> ShardState<'a> {
         }
     }
 
-    /// Takes a lazy broadcast onto this shard's heap: resolves the fate
+    /// Takes a lazy broadcast into this shard's queue: resolves the fate
     /// and delivery time of each of the shard's own members (the same
     /// per-message functions [`ShardState::send`] evaluates, so wherever
     /// this runs it computes what `n` single sends would have), sorts
     /// the survivors into delivery order and enqueues the broadcast
     /// under its first one.
     fn schedule(&mut self, mut cursor: Box<Cursor>) {
-        let (net, seed) = (self.net, self.spec.seed);
+        let (net, seed, reliable) = (self.net, self.spec.seed, self.reliable);
         let from = ProcessId(cursor.from as usize);
-        let members = self.members();
-        cursor.order.reserve_exact(members.len());
-        for &g in members {
+        let mut words = std::mem::take(&mut self.words);
+        for &g in self.members() {
             let (to, k) = (ProcessId(g as usize), cursor.k0 + u64::from(g));
-            let fate = net.fate_of(seed, from, to, k);
+            let fate = if reliable {
+                Fate::Deliver
+            } else {
+                net.fate_of(seed, from, to, k)
+            };
             if fate == Fate::Lost {
                 continue;
             }
@@ -772,11 +841,11 @@ impl<'a> ShardState<'a> {
                 self.send(from, to, k, cursor.msg, cursor.base + sent_at);
                 continue;
             }
-            cursor
-                .order
-                .push(Cursor::pack(offset, g, fate == Fate::Dup));
+            words.push(Cursor::pack(offset, g, fate == Fate::Dup));
         }
-        cursor.order.sort_unstable_by(|a, b| b.cmp(a));
+        Cursor::sort_descending(&words, &mut cursor.order, &mut self.counts);
+        words.clear();
+        self.words = words;
         if let Some((at, key)) = cursor.next_key() {
             self.undelivered += cursor.order.len();
             self.push(Keyed {
@@ -945,17 +1014,15 @@ impl<'a> ShardState<'a> {
     /// advance for every event — including deliveries to
     /// already-finished processes — exactly like the conductor's main
     /// loop. Nothing processed here can schedule inside the window
-    /// (several shards: the lookahead; one shard: it pops the heap as it
+    /// (several shards: the lookahead; one shard: it pops the queue as it
     /// goes), so popping directly is the whole-window order.
     fn run(&mut self, t_end: u64, limit: u64) -> StepReport {
         let mut processed: u64 = 0;
         while processed < limit {
-            let e = match self.heap.peek() {
-                Some(top) if top.at < t_end => match top.ev {
-                    SPending::Lazy(_) => self.pop_lazy(),
-                    _ => self.heap.pop().expect("peeked"),
-                },
-                _ => break,
+            let e = match self.queue.first(t_end) {
+                Some((_, SPending::Lazy(_))) => self.pop_lazy(),
+                Some(_) => self.queue.pop().expect("first() found it"),
+                None => break,
             };
             let before = processed;
             match e.ev {
@@ -986,7 +1053,7 @@ impl<'a> ShardState<'a> {
 
     /// Expands a **wave** (module docs): the batched broadcast just
     /// popped (`from`, `k0`, `msg`, landing at `at`) together with every
-    /// batched broadcast that follows it on the heap at the same instant
+    /// batched broadcast that follows it in the queue at the same instant
     /// — any other kind of entry there ends the wave and keeps its place
     /// in key order. Delivers at most `budget` events and returns how
     /// many.
@@ -1013,17 +1080,13 @@ impl<'a> ShardState<'a> {
         };
         let mut wave = std::mem::take(&mut self.wave);
         wave.push(item(from, k0, msg));
-        while let Some(&Keyed {
-            at: then,
-            ev: SPending::Broadcast { from, k0, msg },
-            ..
-        }) = self.heap.peek()
-        {
-            if then != at || wave.len() == WAVE_MAX {
+        while wave.len() < WAVE_MAX {
+            let Some((_, &mut SPending::Broadcast { from, k0, msg })) = self.queue.first(at + 1)
+            else {
                 break;
-            }
+            };
             wave.push(item(from, k0, msg));
-            self.heap.pop();
+            self.queue.pop();
         }
         self.batched -= wave.len();
         let members = &self.layout.members[self.id];
@@ -1069,33 +1132,28 @@ impl<'a> ShardState<'a> {
         delivered
     }
 
-    /// Takes the next destination off the lazy broadcast on top of the
-    /// heap, as the plain delivery it stands for. The broadcast stays on
-    /// the heap, re-keyed in place to the destination after it (one
-    /// sift, no pop and push), until none is left and its cursor goes
-    /// back to the pool; a duplicated destination's copy is queued as
-    /// the delivery pops, as a batched broadcast's is.
+    /// Takes the next destination off the lazy broadcast that is the
+    /// queue's next event, as the plain delivery it stands for. The
+    /// broadcast stays in the queue, re-keyed to the destination after it,
+    /// until none is left and its cursor goes back to the pool; a
+    /// duplicated destination's copy is queued as the delivery pops, as a
+    /// batched broadcast's is.
     fn pop_lazy(&mut self) -> SEntry {
-        let mut top = self.heap.peek_mut().expect("peeked");
-        let Keyed {
-            at,
-            key,
-            ev: SPending::Lazy(cursor),
-        } = &mut *top
-        else {
-            unreachable!("the caller saw a lazy broadcast on top")
+        let Some((at, SPending::Lazy(cursor))) = self.queue.first(u64::MAX) else {
+            unreachable!("the caller saw a lazy broadcast next")
         };
         let next = cursor.order.pop().expect("resident cursors are not empty");
         let (_, to, dup) = cursor.unpack(next);
-        let (from, k, msg) = (cursor.from, key.k, cursor.msg);
-        let head = SEntry::deliver(*at, from, k, to, msg);
+        let (from, k, msg) = (cursor.from, cursor.k0 + u64::from(to), cursor.msg);
+        let head = SEntry::deliver(at, from, k, to, msg);
         match cursor.next_key() {
-            Some(then) => {
-                (*at, *key) = then;
-                drop(top); // sifts the entry down to its new place
-            }
+            Some((then, key)) => self.queue.rekey_next(then, key),
             None => {
-                if let SPending::Lazy(spent) = PeekMut::pop(top).ev {
+                if let Some(Keyed {
+                    ev: SPending::Lazy(spent),
+                    ..
+                }) = self.queue.pop()
+                {
                     self.spare.push(spent.order);
                 }
             }
@@ -1110,17 +1168,15 @@ impl<'a> ShardState<'a> {
 
     /// The `(time, key)` of every local event with `at < t_end`, without
     /// consuming them.
-    fn keys(&mut self, t_end: u64) -> Vec<(u64, EventKey)> {
+    fn keys(&self, t_end: u64) -> Vec<(u64, EventKey)> {
         let mut keys = Vec::new();
-        let mut window = Vec::new();
-        while self.heap.peek().is_some_and(|top| top.at < t_end) {
-            let e = self.heap.pop().expect("peeked");
-            match &e.ev {
+        for (at, key, ev) in self.queue.iter().filter(|&(at, ..)| at < t_end) {
+            match ev {
                 &SPending::Broadcast { from, k0, .. } => {
                     let sender = ProcessId(from as usize);
                     keys.extend(self.survivors(self.members(), from, k0).map(|(g, _)| {
                         let to = ProcessId(g as usize);
-                        (e.at, EventKey::deliver(sender, k0 + u64::from(g), to))
+                        (at, EventKey::deliver(sender, k0 + u64::from(g), to))
                     }));
                 }
                 SPending::Lazy(cursor) => {
@@ -1131,11 +1187,9 @@ impl<'a> ShardState<'a> {
                         (at, EventKey::deliver(sender, cursor.k0 + u64::from(g), to))
                     }));
                 }
-                _ => keys.push((e.at, e.key)),
+                _ => keys.push((at, key)),
             }
-            window.push(e);
         }
-        self.heap.extend(window);
         keys
     }
 
@@ -1146,8 +1200,8 @@ impl<'a> ShardState<'a> {
             outgoing: std::mem::replace(&mut self.outgoing, fresh_buffers(shards)),
             processed,
             end_time: self.end_time,
-            next_at: self.heap.peek().map(|e| e.at),
-            pending: (self.heap.len() + self.batched * fan_out + self.undelivered) as u64,
+            next_at: self.queue.next_at(),
+            pending: (self.queue.len() + self.batched * fan_out + self.undelivered) as u64,
         }
     }
 
@@ -1166,7 +1220,7 @@ impl<'a> ShardState<'a> {
 
     /// Captures this shard's slice of a pause-time checkpoint. The
     /// coordinator only asks at an epoch barrier, so the barrier buffers
-    /// are empty and every pending event sits on the local heap.
+    /// are empty and every pending event sits in the local queue.
     fn checkpoint(&mut self) -> Box<ShardSnap> {
         debug_assert!(
             self.outgoing.iter().all(Vec::is_empty),
@@ -1182,8 +1236,8 @@ impl<'a> ShardState<'a> {
             })
             .collect();
         let mut events = Vec::new();
-        for e in &self.heap {
-            match &e.ev {
+        for (at, key, ev) in self.queue.iter() {
+            match ev {
                 // A descriptor none of whose local members survive is
                 // not a pending event here; some shard that owns a
                 // survivor exports it.
@@ -1210,7 +1264,7 @@ impl<'a> ShardState<'a> {
                         }
                     }
                 }
-                _ => events.extend(e.to_canon()),
+                _ => events.extend(SEntry::to_canon(at, key, ev)),
             }
         }
         Box::new(ShardSnap {
@@ -1267,7 +1321,7 @@ struct Coordinator<'a> {
     remote: Vec<(mpsc::Sender<Cmd>, mpsc::Receiver<Reply>)>,
     /// Per shard: deliveries routed to it at the last barrier.
     pending_in: Vec<Vec<SEntry>>,
-    /// Per shard: its heap's earliest event.
+    /// Per shard: its queue's earliest event.
     next_at: Vec<Option<u64>>,
     /// Per shard: [`StepReport::pending`].
     heap_bound: Vec<u64>,
@@ -1312,7 +1366,7 @@ impl Coordinator<'_> {
         let layout = self.local.layout;
         let shards = layout.members.len();
         while self.events_processed < max_events {
-            // Earliest pending event anywhere — on a heap or in a
+            // Earliest pending event anywhere — in a queue or in a
             // barrier buffer about to be routed — and an upper bound on
             // how many there are.
             let mut t_next = self.next_at.iter().flatten().copied().min();
@@ -1375,7 +1429,7 @@ impl Coordinator<'_> {
     }
 
     /// Pauses at a barrier: each shard routes its barrier buffer onto
-    /// its heap and exports its slice of the canonical snapshot.
+    /// its queue and exports its slice of the canonical snapshot.
     fn checkpoint(&mut self, at: u64, memory: &MemoryBank) -> EngineSnap {
         let layout = self.local.layout;
         let n = layout.owner.len();
@@ -1766,7 +1820,7 @@ mod tests {
         let bank = MemoryBank::for_partition(topo.partition());
         let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
         let report = shard.run(u64::MAX, u64::MAX);
-        assert!(shard.heap.is_empty(), "the run drains");
+        assert_eq!(shard.queue.len(), 0, "the run drains");
         assert!(
             report.processed >= 3 * (n * n) as u64,
             "at least three all-to-all exchanges: {} events",
@@ -1777,6 +1831,77 @@ mod tests {
             "heap peaked at {} entries for n = {n}",
             shard.heap_peak
         );
+    }
+
+    #[test]
+    fn quick_consensus_split_cell_stays_inside_the_calendar_ring() {
+        use super::{Layout, ShardState};
+        use crate::conductor::RunSpec;
+        use ofa_core::sm::SmTopology;
+        use ofa_scenario::CoinSpec;
+        use ofa_sharedmem::MemoryBank;
+        use std::sync::Arc;
+        // The benchmark's quick `consensus-split` cell (`cells.rs`): the
+        // CLI-default network and costs. Everything it schedules lands
+        // inside the ring's window, and nothing is ever scheduled before
+        // the tick being popped — the overflow and the rewind are for
+        // other inputs. (The full n = 1000 cell makes 7 585 ticks
+        // current and stays inside the ring too.)
+        let n = 60;
+        let scenario = Scenario::new(Partition::even(n, 3), Algorithm::CommonCoin)
+            .proposals_split(n / 2)
+            .max_rounds(64)
+            .seed(42)
+            .coin(CoinSpec::Alternating)
+            .max_events(u64::MAX);
+        let spec = RunSpec::from_scenario(&scenario);
+        let net = scenario.network.compile(&scenario.partition);
+        let layout = Layout::new(&spec.partition, 1);
+        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
+        let bank = MemoryBank::for_partition(topo.partition());
+        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
+        let report = shard.run(u64::MAX, u64::MAX);
+        assert_eq!(shard.queue.len(), 0, "the run drains");
+        assert_eq!(report.processed, 9_900);
+        let stats = &shard.queue.stats;
+        assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
+        assert!(stats.ticks > 1_000, "{stats:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A cursor's counting sort orders its words exactly as the
+        /// descending comparison sort does: any send spacing, delays in a
+        /// narrow window or one wide enough to take the fallback, lost
+        /// destinations skipped, duplicated ones flagged.
+        #[test]
+        fn cursor_counting_sort_equals_the_comparison_sort(
+            shape in (1u32..600, 0u8..3, 0u64..2_000, 0u8..3),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use super::Cursor;
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let (members, stride, lo, width) = shape;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let stride = [0, 1, 7][stride as usize];
+            // A window narrower than, near, and far wider than the
+            // destination count (the last one takes the fallback).
+            let hi = lo + [0, 2 * u64::from(members), 1 << 31][width as usize];
+            let mut words = Vec::new();
+            for g in 0..members {
+                let offset = u64::from(g) * stride + rng.gen_range(lo..=hi);
+                let (lost, dup) = (rng.gen_range(0u32..10) == 0, rng.gen_range(0u32..4) == 0);
+                if !lost {
+                    words.push(Cursor::pack(offset, g, dup));
+                }
+            }
+            let mut want = words.clone();
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            let (mut got, mut counts) = (Vec::new(), Vec::new());
+            Cursor::sort_descending(&words, &mut got, &mut counts);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
@@ -1826,7 +1951,7 @@ mod tests {
         let bank = MemoryBank::for_partition(topo.partition());
         let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
         let report = shard.run(u64::MAX, u64::MAX);
-        assert!(shard.heap.is_empty(), "the run drains");
+        assert_eq!(shard.queue.len(), 0, "the run drains");
         let waves = &shard.waves;
         assert_eq!(waves.one_block, 0, "{waves:?}");
         assert!(
@@ -1841,10 +1966,15 @@ mod tests {
             waves.formed * n as u64 <= 2 * broadcasts,
             "{broadcasts} broadcasts in {waves:?}"
         );
-        // A wave is off the heap while it expands, so what its
+        // A wave is out of the queue while it expands, so what its
         // deliveries schedule no longer sits beside it: the loop that
         // popped one broadcast at a time peaked at 139 entries here.
+        // `heap_peak` counts resident entries, as it did when the queue
+        // was a binary heap (which also read 120), and nothing here lands
+        // past the calendar ring's span.
         assert_eq!(shard.heap_peak, 120);
+        let stats = &shard.queue.stats;
+        assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
     }
 
     #[test]

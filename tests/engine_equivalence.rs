@@ -722,7 +722,7 @@ fn wave_scenario(partition: Partition, costs: CostModel) -> Scenario {
 
 /// `Threads == EventDriven == par=2 == par=3` on every compared field;
 /// returns the conductor's outcome.
-fn assert_waves_match(scenario: &Scenario, what: &str) -> Outcome {
+fn assert_engines_match(scenario: &Scenario, what: &str) -> Outcome {
     unlock_cores();
     let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
     let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
@@ -764,7 +764,7 @@ fn waves_match_the_conductor_on_uneven_and_singleton_partitions() {
         for costs in [WAVE_COSTS, ZERO_COSTS] {
             let scenario = wave_scenario(partition.clone(), costs);
             let what = format!("{name} {costs:?}");
-            let out = assert_waves_match(&scenario, &what);
+            let out = assert_engines_match(&scenario, &what);
             assert!(out.all_correct_decided, "{what}");
             let n = partition.n() as u64;
             let (_, first) = delivery_instants(&scenario)[0];
@@ -801,7 +801,7 @@ fn event_budget_inside_and_on_the_edge_of_a_wave_cuts_identically() {
         first + second,
     ] {
         let what = format!("max_events={max_events}");
-        let out = assert_waves_match(&base.clone().max_events(max_events), &what);
+        let out = assert_engines_match(&base.clone().max_events(max_events), &what);
         assert_eq!(out.events_processed, max_events, "{what}");
     }
 }
@@ -833,7 +833,7 @@ fn crashes_and_rejoins_at_a_waves_instant_match_the_conductor() {
                 VirtualTime::from_ticks(1),
                 VirtualTime::from_ticks(rejoin_at),
             ));
-        let out = assert_waves_match(&scenario, &what);
+        let out = assert_engines_match(&scenario, &what);
         assert!(out.crashed.contains(ProcessId(3)), "{what}");
         assert!(out.agreement_holds(), "{what}");
     }
@@ -851,7 +851,7 @@ fn loss_and_duplication_inside_waves_match_the_conductor() {
             let scenario = wave_scenario(uneven_partition(), costs)
                 .loss_ppm(loss_ppm)
                 .dup_ppm(dup_ppm);
-            let out = assert_waves_match(&scenario, &what);
+            let out = assert_engines_match(&scenario, &what);
             assert!(out.agreement_holds(), "{what}");
             if loss_ppm == 0 {
                 assert!(
@@ -880,7 +880,7 @@ fn cluster_mates_with_different_histories_keep_their_delivery_order() {
         .loss_ppm(20_000)
         .max_rounds(24)
         .seed(0);
-    let out = assert_waves_match(&scenario, "pairs under loss");
+    let out = assert_engines_match(&scenario, "pairs under loss");
     assert!(out.sm_proposes > 0 && out.agreement_holds());
 }
 
@@ -918,4 +918,187 @@ fn kept_traces_and_observers_see_the_conductors_order_under_waves() {
     assert!(!reference.is_empty());
     assert_eq!(reference, seen, "observer callback order");
     assert_same_run(&threads, &event, "observer");
+}
+
+// ---------------------------------------------------------------------
+// The calendar queue: a shard keeps its pending events in a ring of
+// one-tick buckets spanning `SPAN` ticks, with an overflow heap beyond
+// it (`crates/sim/src/queue.rs`). The conductor keeps a binary heap, so
+// it is the oracle for every case below: delays and lifecycle events
+// far past the ring, shards whose own next event is further out than
+// what other shards send them, budget cuts inside one crowded instant,
+// and a pause whose pending events straddle the ring's end.
+// ---------------------------------------------------------------------
+
+use one_for_all::scenario::Snapshot;
+use one_for_all::sim::RunOutcome;
+
+/// The ring's span in ticks (`SPAN` in `crates/sim/src/queue.rs`).
+const SPAN: u64 = 4096;
+
+/// Delays from one tick to three ring spans, with duplicates (whose
+/// copies land up to another three spans later): most sends start in the
+/// overflow and reach the ring only as time catches up.
+fn delays_across_spans(seed: u64) -> Scenario {
+    Scenario::new(Partition::even(9, 3), Algorithm::CommonCoin)
+        .proposals_split(4)
+        .network(
+            NetworkModel::flat(DelayModel::Uniform {
+                lo: 1,
+                hi: 3 * SPAN,
+            })
+            .with_dup_ppm(100_000),
+        )
+        .max_rounds(24)
+        .seed(seed)
+}
+
+#[test]
+fn delays_spanning_several_ring_spans_match_on_all_engines() {
+    for seed in 0..4 {
+        let what = format!("seed={seed}");
+        let out = assert_engines_match(&delays_across_spans(seed), &what);
+        assert!(out.end_time.ticks() > 3 * SPAN, "{what}: several spans");
+        assert!(out.agreement_holds(), "{what}");
+    }
+}
+
+/// A timed crash and a churn leave/rejoin scheduled spans ahead: they
+/// sit in the overflow from the start and must still pop in key order
+/// against the deliveries of their instant.
+#[test]
+fn a_timed_crash_and_a_rejoin_far_beyond_the_span_match_on_all_engines() {
+    for (seed, crash_at, rejoin_at) in [
+        (3, 2 * SPAN + 11, SPAN + 2_000),
+        (8, SPAN + 500, 2 * SPAN + 5),
+    ] {
+        let what = format!("seed={seed} crash@{crash_at} rejoin@{rejoin_at}");
+        let scenario = Scenario::new(Partition::even(12, 3), Algorithm::LocalCoin)
+            .proposals_split(6)
+            .network(NetworkModel::flat(DelayModel::Uniform {
+                lo: 1_500,
+                hi: 2_500,
+            }))
+            .crashes(
+                CrashPlan::new().crash_at_time(ProcessId(1), VirtualTime::from_ticks(crash_at)),
+            )
+            .churn(ChurnPlan::new().leave_rejoin(
+                ProcessId(6),
+                VirtualTime::from_ticks(SPAN + 3),
+                VirtualTime::from_ticks(rejoin_at),
+            ))
+            .max_rounds(24)
+            .seed(seed);
+        let out = assert_engines_match(&scenario, &what);
+        assert!(
+            out.end_time.ticks() > crash_at.max(rejoin_at),
+            "{what}: both land mid-run ({:?})",
+            out.end_time
+        );
+        assert!(out.agreement_holds(), "{what}");
+    }
+}
+
+/// Intra-cluster messages (every shard's own traffic, self-deliveries
+/// included) take longer than a ring span; inter-cluster ones a few
+/// hundred ticks. So a shard's own next event is far out while other
+/// shards' deliveries to it land sooner, at a barrier, in epochs where
+/// it has nothing of its own to run: those arrivals are ordinary pushes
+/// in front of a tick the shard has read but not made current.
+#[test]
+fn idle_shards_take_arrivals_before_their_own_next_event() {
+    for seed in 0..3 {
+        let what = format!("seed={seed}");
+        let scenario = Scenario::new(Partition::even(9, 3), Algorithm::CommonCoin)
+            .proposals_split(4)
+            .network(NetworkModel::clustered(
+                LatencyDist::Uniform {
+                    lo: SPAN + 400,
+                    hi: SPAN + 900,
+                },
+                LatencyDist::Uniform { lo: 300, hi: 900 },
+            ))
+            .max_rounds(24)
+            .seed(seed);
+        let out = assert_engines_match(&scenario, &what);
+        assert!(out.all_correct_decided, "{what}");
+    }
+}
+
+/// Every cost zero and a two-tick delay window: a round's `n²` lazy
+/// deliveries land on two instants. The budget runs out inside the first
+/// of them, at its last event and just past it.
+#[test]
+fn event_budget_inside_an_instant_of_lazy_destinations_cuts_identically() {
+    let base = Scenario::new(uneven_partition(), Algorithm::CommonCoin)
+        .proposals_split(34)
+        .network(NetworkModel::flat(DelayModel::Uniform { lo: 700, hi: 701 }))
+        .costs(ZERO_COSTS)
+        .max_rounds(24)
+        .seed(21);
+    let n = base.partition.n() as u64;
+    let instants = delivery_instants(&base);
+    let first = instants[0].1;
+    assert!(
+        instants[0].0 == 700 && first > n * n / 4,
+        "a crowded first instant: {:?}",
+        &instants[..2]
+    );
+    for max_events in [n / 2, first / 2 + 3, first - 1, first, first + 1, first + n] {
+        let what = format!("max_events={max_events}");
+        let out = assert_engines_match(&base.clone().max_events(max_events), &what);
+        assert_eq!(out.events_processed, max_events, "{what}");
+    }
+}
+
+/// The delivery times a snapshot leaves pending.
+fn pending_times(snap: &Snapshot) -> Vec<u64> {
+    let Some(serde_json::Value::Seq(events)) = snap.engine_state.get("events") else {
+        panic!("a snapshot lists its pending events");
+    };
+    events
+        .iter()
+        .map(|e| {
+            let body = e.get("One").or_else(|| e.get("Broadcast"));
+            match body.and_then(|b| b.get("at")) {
+                Some(&serde_json::Value::U64(at)) => at,
+                other => panic!("a pending event has a time: {other:?}"),
+            }
+        })
+        .collect()
+}
+
+/// Paused where the pending events reach more than a ring span past the
+/// cut — the pausing shards held them in both the ring and the overflow,
+/// and the resuming ones start with everything beyond the cut — each
+/// event engine resumes to the conductor's straight run.
+#[test]
+fn a_pause_with_events_in_the_ring_and_the_overflow_resumes_on_all_engines() {
+    unlock_cores();
+    for seed in 0..3 {
+        let scenario = delays_across_spans(seed);
+        let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
+        let cut = VirtualTime::from_ticks(SPAN + 100);
+        for engine in [
+            Engine::EventDriven,
+            Engine::ParallelEvent { workers: 2 },
+            Engine::ParallelEvent { workers: 3 },
+        ] {
+            let what = format!("seed={seed} {engine:?}");
+            let RunOutcome::Paused(snap) = Sim.run_until(&scenario.clone().engine(engine), cut)
+            else {
+                panic!("{what}: the run outlasts the cut");
+            };
+            let times = pending_times(&snap);
+            let (lo, hi) = (times.iter().min(), times.iter().max());
+            let (&lo, &hi) = lo.zip(hi).expect("events pending at the cut");
+            assert!(
+                lo >= cut.ticks() && hi - cut.ticks() >= SPAN,
+                "{what}: {lo}..={hi}"
+            );
+            let resumed = Sim.resume(&snap);
+            assert_eq!(resumed.engine_used, Some(engine), "{what}");
+            assert_same_run(&threads, &resumed, &what);
+        }
+    }
 }
