@@ -259,6 +259,31 @@ impl ConsensusSm {
         self.finish_step(res, ctx)
     }
 
+    /// `true` only if delivering `msg` now cannot reach
+    /// [`SmCtx::cluster_propose`] (see [`super`], "Inert deliveries"):
+    /// a `PHASE` of another exchange (buffered or stale), a `PHASE` of the
+    /// current exchange whose credit leaves the coverage short of a
+    /// majority, a `DECIDE` of another instance, or an `APP` (stashed).
+    /// A completing credit or a `DECIDE` of the current instance is not
+    /// inert. Reads only; call it on a suspended, unfinished machine.
+    pub fn is_inert(&self, msg: &Msg) -> bool {
+        match msg.kind {
+            MsgKind::Phase {
+                instance,
+                round,
+                phase,
+                ..
+            } => {
+                (instance, round, phase) != (self.instance, self.round, self.phase) || {
+                    let (unit, weight) = self.topo.unit_of(msg.from, self.cfg.amplify);
+                    !self.tally.would_complete(unit, weight)
+                }
+            }
+            MsgKind::Decide { instance, .. } => instance != self.instance,
+            MsgKind::App { .. } => true,
+        }
+    }
+
     /// Accounts one delivery the layer above consumed itself — a proposal
     /// of the running multivalued instance, which [`super::MultivaluedSm`]
     /// writes straight into its store — exactly as [`ConsensusSm::on_msg`]
@@ -545,6 +570,8 @@ pub(super) mod tests {
         cluster: HashMap<Slot, u64>,
         coin: Bit,
         pub(in crate::sm) calls: u64,
+        /// `cluster_propose` calls, counted on entry (crashing ones too).
+        pub(in crate::sm) proposes: u64,
         pub(in crate::sm) crash_after: Option<u64>,
         pub(in crate::sm) events: Vec<ObsEvent>,
     }
@@ -555,6 +582,7 @@ pub(super) mod tests {
                 cluster: HashMap::new(),
                 coin,
                 calls: 0,
+                proposes: 0,
                 crash_after: None,
                 events: Vec::new(),
             }
@@ -580,6 +608,7 @@ pub(super) mod tests {
             self.step()
         }
         fn cluster_propose(&mut self, slot: Slot, enc: u64) -> Result<u64, Halt> {
+            self.proposes += 1;
             self.step()?;
             Ok(*self.cluster.entry(slot).or_insert(enc))
         }
@@ -793,6 +822,79 @@ pub(super) mod tests {
         // Future-slot message: buffered, machine re-enters recv (1 call).
         assert_eq!(progress, Progress::NeedMsg);
         assert_eq!(ctx.calls, calls_before + 1);
+    }
+
+    /// Clusters `{p0} {p1 p2} {p3}`: a strict majority of n = 4 takes
+    /// three processes' worth of coverage. Only the credit that reaches it
+    /// (and a `DECIDE` of the instance) is not inert — and that credit is
+    /// the one that pre-agrees in the cluster.
+    #[test]
+    fn only_a_completing_credit_or_a_current_decide_is_not_inert() {
+        let part = Partition::from_sizes(&[1, 2, 1]).expect("valid sizes");
+        let topo = Arc::new(SmTopology::new(part));
+        let mut sm = ConsensusSm::new(
+            Algorithm::LocalCoin,
+            ProcessId(0),
+            topo,
+            0,
+            Bit::One,
+            ProtocolConfig::paper(),
+        );
+        let mut ctx = TestCtx::new(Bit::Zero);
+        assert!(matches!(sm.start(&mut ctx), Progress::Sent(_)));
+        let msg = |from: usize, instance: u64, round: u64, phase: Phase| Msg {
+            from: ProcessId(from),
+            kind: MsgKind::Phase {
+                instance,
+                round,
+                phase,
+                est: Some(Bit::One),
+            },
+        };
+        let decide = |instance: u64| Msg {
+            from: ProcessId(3),
+            kind: MsgKind::Decide {
+                instance,
+                value: Bit::One,
+            },
+        };
+        let app = Msg {
+            from: ProcessId(1),
+            kind: MsgKind::App {
+                instance: 0,
+                seq: 1,
+                payload: crate::Payload::empty(),
+            },
+        };
+        // Other exchanges, other instances' decides and any APP.
+        for other in [
+            msg(1, 0, 0, Phase::One),
+            msg(1, 0, 1, Phase::Two),
+            msg(1, 0, 2, Phase::One),
+            msg(1, 1, 1, Phase::One),
+            decide(1),
+            app,
+        ] {
+            assert!(sm.is_inert(&other), "{other:?}");
+        }
+        assert!(!sm.is_inert(&decide(0)));
+        // p1 covers its cluster (2 of 4): not yet a majority.
+        let p1 = msg(1, 0, 1, Phase::One);
+        assert!(sm.is_inert(&p1));
+        let proposes = ctx.proposes;
+        assert_eq!(sm.on_msg(p1, &mut ctx), Progress::NeedMsg);
+        assert_eq!(ctx.proposes, proposes);
+        // p2 is in the covered cluster; p0 and p3 would each complete.
+        assert!(sm.is_inert(&msg(2, 0, 1, Phase::One)));
+        let p3 = msg(3, 0, 1, Phase::One);
+        assert!(!sm.is_inert(&msg(0, 0, 1, Phase::One)));
+        assert!(!sm.is_inert(&p3));
+        assert!(matches!(sm.on_msg(p3, &mut ctx), Progress::Sent(_)));
+        assert_eq!(ctx.proposes, proposes + 1, "phase two pre-agrees");
+        // The exchange moved on: phase one is stale now, and a lone
+        // phase-two credit from p0 covers a quarter.
+        assert!(sm.is_inert(&msg(0, 0, 1, Phase::One)));
+        assert!(sm.is_inert(&msg(0, 0, 1, Phase::Two)));
     }
 
     #[test]

@@ -203,6 +203,14 @@ impl LogSm {
         self.after_slot_progress(progress, ctx)
     }
 
+    /// `true` only if delivering `msg` now cannot reach
+    /// [`SmCtx::cluster_propose`]: the running slot's answer
+    /// ([`MultivaluedSm::is_inert`]). Reads only; call it on a suspended,
+    /// unfinished replica.
+    pub fn is_inert(&self, msg: &Msg) -> bool {
+        self.inner.as_ref().is_some_and(|inner| inner.is_inert(msg))
+    }
+
     /// Ends the replica externally (crash event or run shutdown).
     pub fn halt<C: SmCtx + ?Sized>(&mut self, halt: Halt, ctx: &mut C) -> Progress {
         assert!(!self.done, "halt() on a finished machine");

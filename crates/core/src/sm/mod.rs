@@ -49,6 +49,19 @@
 //! log slot and starting the next instance — until it genuinely needs a
 //! fresh message (or terminates). Outgoing messages accumulate in the
 //! step's outbox and are returned inside the [`Progress`] value.
+//!
+//! # Inert deliveries
+//!
+//! The only state two processes of a cluster share is the cluster's
+//! consensus objects, reached through [`SmCtx::cluster_propose`]; a
+//! machine's mailbox, tallies, store and outbox are its own. Each machine
+//! answers, without stepping, whether the delivery of a given message
+//! could reach that call (`is_inert` on [`ConsensusSm`], [`MultivaluedSm`]
+//! and [`LogSm`]). A delivery that cannot commutes with every delivery to
+//! another process, so an engine may take it out of the global order as
+//! long as each process's own deliveries keep theirs. The answer only has
+//! to be conservative: `false` for a delivery that turns out inert costs
+//! an engine some speed, never correctness.
 
 mod consensus;
 mod log;
@@ -406,11 +419,14 @@ impl UnitSet {
         }
     }
 
+    fn contains(&self, unit: usize) -> bool {
+        self.words[unit / 64] & (1 << (unit % 64)) != 0
+    }
+
     /// Inserts `unit` with `weight`; no-op if already present.
     fn credit(&mut self, unit: usize, weight: usize) {
-        let (w, b) = (unit / 64, unit % 64);
-        if self.words[w] & (1 << b) == 0 {
-            self.words[w] |= 1 << b;
+        if !self.contains(unit) {
+            self.words[unit / 64] |= 1 << (unit % 64);
             self.weight += weight;
         }
     }
@@ -465,6 +481,16 @@ impl Tally {
     /// Line 7 of Algorithm 1: supporters jointly cover a strict majority.
     pub(crate) fn coverage_is_majority(&self) -> bool {
         2 * self.cover.weight > self.n
+    }
+
+    /// Whether crediting `unit` (with `weight` processes) would complete
+    /// the exchange: the unit is not covered yet and its weight lifts the
+    /// coverage to a strict majority. Reads only; what
+    /// [`Tally::coverage_is_majority`] answers after the credit, given that
+    /// the coverage is below a majority (which holds at every suspension:
+    /// a majority ends the exchange in the step that reaches it).
+    pub(crate) fn would_complete(&self, unit: usize, weight: usize) -> bool {
+        !self.cover.contains(unit) && 2 * (self.cover.weight + weight) > self.n
     }
 
     /// Line 6 of Algorithm 2: the value supported by a strict majority.
@@ -768,5 +794,249 @@ mod tests {
         assert_eq!(result, Err(Halt::Crashed));
         assert_eq!(outbox.len(), 3);
         assert_eq!(run(crashing(true), 5), run(crashing(false), 5));
+    }
+
+    use super::consensus::tests::TestCtx;
+    use crate::multivalued::INSTANCE_STRIDE;
+    use crate::{Algorithm, Msg, Payload, Phase};
+    use std::sync::Arc;
+
+    /// One process's machine, of any of the three layers.
+    #[allow(clippy::large_enum_variant)]
+    enum Layer {
+        Consensus(ConsensusSm),
+        Multivalued(MultivaluedSm),
+        Log(LogSm),
+    }
+
+    impl Layer {
+        fn new(layer: u8, algorithm: Algorithm, me: ProcessId, topo: &Arc<SmTopology>) -> Self {
+            let cfg = ProtocolConfig::paper().with_max_rounds(6);
+            let topo = Arc::clone(topo);
+            let text = |s: String| Payload::from_bytes(s.as_bytes()).expect("fits");
+            let i = me.index();
+            match layer {
+                0 => {
+                    let bit = Bit::from(i.is_multiple_of(2));
+                    Layer::Consensus(ConsensusSm::new(algorithm, me, topo, 0, bit, cfg))
+                }
+                1 => {
+                    let proposal = text(format!("v{i}"));
+                    Layer::Multivalued(MultivaluedSm::new(algorithm, me, topo, 1, proposal, cfg))
+                }
+                _ => {
+                    let queue = vec![text(format!("a{i}")), text(format!("b{i}"))];
+                    Layer::Log(LogSm::new(algorithm, me, topo, queue, 3, cfg, None))
+                }
+            }
+        }
+
+        /// `start` (no message) or `on_msg`: the step's sends, and whether
+        /// it was the machine's last.
+        fn step(&mut self, msg: Option<Msg>, ctx: &mut TestCtx) -> (Outbox, bool) {
+            let progress = match (self, msg) {
+                (Layer::Consensus(sm), None) => sm.start(ctx),
+                (Layer::Consensus(sm), Some(m)) => sm.on_msg(m, ctx),
+                (Layer::Log(sm), None) => sm.start(ctx),
+                (Layer::Log(sm), Some(m)) => sm.on_msg(m, ctx),
+                (Layer::Multivalued(sm), msg) => {
+                    let progress = match msg {
+                        None => sm.start(ctx),
+                        Some(m) => sm.on_msg(m, ctx),
+                    };
+                    match progress {
+                        MvProgress::NeedMsg => Progress::NeedMsg,
+                        MvProgress::Sent(out) => Progress::Sent(out),
+                        MvProgress::Decided(_, out) | MvProgress::Halted(_, out) => {
+                            return (out, true)
+                        }
+                    }
+                }
+            };
+            match progress {
+                Progress::NeedMsg => (Vec::new(), false),
+                Progress::Sent(out) => (out, false),
+                Progress::Decided(_, out) | Progress::Halted(_, out) => (out, true),
+            }
+        }
+
+        fn is_inert(&self, msg: &Msg) -> bool {
+            match self {
+                Layer::Consensus(sm) => sm.is_inert(msg),
+                Layer::Multivalued(sm) => sm.is_inert(msg),
+                Layer::Log(sm) => sm.is_inert(msg),
+            }
+        }
+    }
+
+    /// The next draw of a small deterministic generator (an LCG's high
+    /// bits).
+    fn draw(rng: &mut u64) -> u64 {
+        *rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *rng >> 33
+    }
+
+    /// A copy of `msg` from a random sender, moved by the bits of `r` to a
+    /// neighbouring exchange, instance or proposer: stale, current and
+    /// future rounds and phases, decides of this and other instances,
+    /// proposals of this and other multivalued instances.
+    fn perturb(msg: Msg, r: u64, n: usize) -> Msg {
+        let near = |x: u64, bits: u64, step: u64| match bits % 3 {
+            0 => x,
+            1 => x + step,
+            _ => x.saturating_sub(step),
+        };
+        let kind = match msg.kind {
+            MsgKind::Phase {
+                instance,
+                round,
+                phase,
+                ..
+            } => MsgKind::Phase {
+                instance: near(instance, r >> 8, 1),
+                round: near(round, r >> 12, 1),
+                phase: match (r >> 16) % 3 {
+                    0 => Phase::One,
+                    1 => Phase::Two,
+                    _ => phase,
+                },
+                est: [None, Some(Bit::Zero), Some(Bit::One)][(r >> 20) as usize % 3],
+            },
+            MsgKind::Decide { instance, .. } => MsgKind::Decide {
+                instance: near(instance, r >> 8, 1),
+                value: Bit::from((r >> 16) & 1 == 1),
+            },
+            MsgKind::App {
+                instance, payload, ..
+            } => MsgKind::App {
+                instance: near(instance, r >> 8, INSTANCE_STRIDE),
+                seq: (r >> 16) % (n as u64 + 1),
+                payload,
+            },
+        };
+        Msg {
+            from: ProcessId(r as usize % n),
+            kind,
+        }
+    }
+
+    /// Runs six processes of `layer` machines in clusters `{p0} {p1 p2
+    /// p3} {p4 p5}` — every delivery in an order drawn from `seed`, and
+    /// `junk` in every 8 steps a [`perturb`]ed copy of a message sent
+    /// so far instead — asserting at each delivery that one the
+    /// recipient called inert made no `cluster_propose` call. The last
+    /// process sees `p0`'s proposals only once nothing else is in flight,
+    /// so multivalued stages wait for them. Returns how many deliveries
+    /// were inert and how many others reached `cluster_propose`.
+    fn check_inertness(layer: u8, algorithm: Algorithm, seed: u64, junk: u64) -> (u64, u64) {
+        let part = Partition::from_sizes(&[1, 3, 2]).expect("valid sizes");
+        let n = part.n();
+        let topo = Arc::new(SmTopology::new(part));
+        let mut rng = seed;
+        let mut machines: Vec<Layer> = (0..n)
+            .map(|i| Layer::new(layer, algorithm, ProcessId(i), &topo))
+            .collect();
+        let mut ctxs: Vec<TestCtx> = (0..n)
+            .map(|_| TestCtx::new(Bit::from(draw(&mut rng) & 1 == 1)))
+            .collect();
+        let mut done = vec![false; n];
+        let (mut in_flight, mut sent) = (Vec::<(usize, Msg)>::new(), Vec::<Msg>::new());
+        let file = |from: usize, outbox: Outbox, in_flight: &mut Vec<_>, sent: &mut Vec<_>| {
+            for item in outbox {
+                let from = ProcessId(from);
+                let (msg, to) = match item {
+                    OutItem::One(o) => (o.msg, o.to.index()..o.to.index() + 1),
+                    OutItem::Broadcast { msg, .. } => (msg, 0..n),
+                };
+                sent.push(Msg { from, kind: msg });
+                in_flight.extend(to.map(|to| (to, Msg { from, kind: msg })));
+            }
+        };
+        for i in 0..n {
+            let (out, end) = machines[i].step(None, &mut ctxs[i]);
+            done[i] = end;
+            file(i, out, &mut in_flight, &mut sent);
+        }
+        let held =
+            |&(to, m): &(usize, Msg)| to == n - 1 && matches!(m.kind, MsgKind::App { seq: 0, .. });
+        let (mut inert, mut proposing) = (0, 0);
+        for _ in 0..20_000 {
+            if in_flight.is_empty() {
+                break;
+            }
+            let (to, msg) = if draw(&mut rng) % 8 < junk {
+                let r = draw(&mut rng) << 31 | draw(&mut rng);
+                let original = sent[r as usize % sent.len()];
+                (draw(&mut rng) as usize % n, perturb(original, r, n))
+            } else {
+                let free: Vec<usize> = (0..in_flight.len())
+                    .filter(|&j| !held(&in_flight[j]))
+                    .collect();
+                let r = draw(&mut rng) as usize;
+                let pick = if free.is_empty() {
+                    r
+                } else {
+                    free[r % free.len()]
+                };
+                in_flight.remove(pick % in_flight.len())
+            };
+            if done[to] {
+                continue;
+            }
+            let quiet = machines[to].is_inert(&msg);
+            let before = ctxs[to].proposes;
+            let (out, end) = machines[to].step(Some(msg), &mut ctxs[to]);
+            let proposed = ctxs[to].proposes > before;
+            assert!(
+                !(quiet && proposed),
+                "layer {layer} {algorithm:?} seed {seed}: an inert {msg:?} to p{to} proposed"
+            );
+            inert += u64::from(quiet);
+            proposing += u64::from(proposed);
+            done[to] = end;
+            file(to, out, &mut in_flight, &mut sent);
+        }
+        (inert, proposing)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// `is_inert` is conservative on all three machines: whatever
+        /// the delivery order and whatever stray messages arrive, a
+        /// delivery the recipient's machine calls inert never reaches
+        /// `cluster_propose`.
+        #[test]
+        fn an_inert_delivery_never_proposes(
+            layer in 0u8..3,
+            common in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+            junk in 0u64..4,
+        ) {
+            let algorithm = if common { Algorithm::CommonCoin } else { Algorithm::LocalCoin };
+            check_inertness(layer, algorithm, seed, junk);
+        }
+    }
+
+    /// The property above is not vacuous: on every layer and algorithm
+    /// some deliveries are inert and some others do reach the cluster.
+    #[test]
+    fn inertness_runs_see_both_kinds_of_delivery() {
+        for layer in 0..3 {
+            for algorithm in [Algorithm::LocalCoin, Algorithm::CommonCoin] {
+                let (mut inert, mut proposing) = (0, 0);
+                for seed in 0..8 {
+                    let (i, p) = check_inertness(layer, algorithm, seed, seed % 4);
+                    inert += i;
+                    proposing += p;
+                }
+                assert!(
+                    inert > 0 && proposing > 0,
+                    "layer {layer} {algorithm:?}: {inert} {proposing}"
+                );
+            }
+        }
     }
 }

@@ -370,6 +370,27 @@ impl MultivaluedSm {
         }
     }
 
+    /// `true` only if delivering `msg` now cannot reach
+    /// [`SmCtx::cluster_propose`] (see [`super`], "Inert deliveries").
+    /// While a stage runs, a proposal of this instance only enters the
+    /// store, and anything else is the stage's to answer
+    /// ([`ConsensusSm::is_inert`]). In the proposal wait only `p_k`'s
+    /// proposal ends the instance — after which a log opens its next
+    /// slot, cluster proposes included; everything else is buffered, and
+    /// the stash holds nothing of this instance for the absorb to find.
+    /// Reads only; call it on a suspended, unfinished machine.
+    pub fn is_inert(&self, msg: &Msg) -> bool {
+        let own_seq = match msg.kind {
+            MsgKind::App { instance, seq, .. } if instance == self.base => Some(seq),
+            _ => None,
+        };
+        match &self.state {
+            MvState::Stage(sm) => own_seq.is_some() || sm.is_inert(msg),
+            MvState::AwaitProposal(_, k) => own_seq != Some(k.index() as u64),
+            MvState::Finished(_) => false,
+        }
+    }
+
     /// Ends the machine externally (crash event or run shutdown) — the
     /// blocking `recv` returning `Err(halt)` wherever it was waiting.
     pub fn halt<C: SmCtx + ?Sized>(&mut self, halt: Halt, ctx: &mut C) -> MvProgress {
@@ -725,11 +746,23 @@ mod tests {
         /// is in flight, so it votes 0, learns that stage 1 decided 1
         /// all the same, and waits for the proposal.
         fn run(&mut self, seed: u64, starved: Option<usize>, step: Step) {
+            self.run_until(seed, starved, step, |_| false);
+        }
+
+        /// [`World::run`], stopping early once `stop` holds after a
+        /// delivery.
+        fn run_until(
+            &mut self,
+            seed: u64,
+            starved: Option<usize>,
+            step: Step,
+            stop: impl Fn(&World) -> bool,
+        ) {
             let held = |&(to, m): &(usize, Msg)| {
                 Some(to) == starved && matches!(m.kind, MsgKind::App { seq: 0, .. })
             };
             let mut rng = seed;
-            while !self.in_flight.is_empty() {
+            while !self.in_flight.is_empty() && !stop(self) {
                 let free: Vec<usize> = (0..self.in_flight.len())
                     .filter(|&j| !held(&self.in_flight[j]))
                     .collect();
@@ -795,6 +828,69 @@ mod tests {
             }
         }
         assert!(waited > 0, "a starved process sat in the proposal wait");
+    }
+
+    /// A machine waiting for `p_k`'s proposal is inert to everything but
+    /// that proposal: other proposals of its instance, other instances'
+    /// proposals, phase messages and decides only fill the stash. The
+    /// awaited proposal ends the instance — and in a log the next slot's
+    /// first step pre-agrees in the cluster.
+    #[test]
+    fn the_proposal_wait_is_inert_to_all_but_the_awaited_proposal() {
+        let n = 4;
+        let base = INSTANCE_STRIDE;
+        let mut waits = 0;
+        for seed in 0..24u64 {
+            let starved = 1 + seed as usize % (n - 1);
+            let mut w = World::new(n, 1, Bit::One);
+            w.start();
+            let waiting =
+                |w: &World| matches!(w.machines[starved].state, MvState::AwaitProposal(..));
+            w.run_until(seed, Some(starved), DIRECT, waiting);
+            if !waiting(&w) {
+                continue;
+            }
+            waits += 1;
+            let sm = &w.machines[starved];
+            let MvState::AwaitProposal(_, k) = sm.state else {
+                unreachable!()
+            };
+            let phase = |instance| Msg {
+                from: ProcessId(2),
+                kind: MsgKind::Phase {
+                    instance,
+                    round: 1,
+                    phase: crate::Phase::One,
+                    est: Some(Bit::One),
+                },
+            };
+            let decide = |instance| Msg {
+                from: ProcessId(2),
+                kind: MsgKind::Decide {
+                    instance,
+                    value: Bit::One,
+                },
+            };
+            let awaited = own_app(base, 3, k.index() as u64, "proposal");
+            for other in [
+                own_app(base, 3, k.index() as u64 + 1, "another"),
+                own_app(base + INSTANCE_STRIDE, 3, k.index() as u64, "next slot"),
+                phase(base + 1),
+                phase(base + 2),
+                decide(base + 1),
+                decide(base + 2),
+            ] {
+                assert!(sm.is_inert(&other), "seed {seed}: {other:?}");
+            }
+            assert!(!sm.is_inert(&awaited), "seed {seed}");
+            let ctx = &mut w.ctxs[starved];
+            let progress = w.machines[starved].on_msg(awaited, ctx);
+            assert!(
+                matches!(progress, MvProgress::Decided(..)),
+                "seed {seed}: {progress:?}"
+            );
+        }
+        assert!(waits > 0, "a starved process sat in the proposal wait");
     }
 
     fn own_app(base: u64, from: usize, seq: u64, text: &str) -> Msg {

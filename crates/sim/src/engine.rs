@@ -133,6 +133,17 @@ impl Machine {
         }
     }
 
+    /// `true` only if delivering `msg` now cannot reach the cluster's
+    /// shared memory (`ofa_core::sm`, "Inert deliveries"): such a
+    /// delivery commutes with every delivery to another process.
+    pub(crate) fn is_inert(&self, msg: &Msg) -> bool {
+        match self {
+            Machine::Consensus(sm) => sm.is_inert(msg),
+            Machine::Multivalued(sm) => sm.is_inert(msg),
+            Machine::Log(sm) => sm.is_inert(msg),
+        }
+    }
+
     pub(crate) fn halt(&mut self, halt: Halt, ctx: &mut EventCtx<'_>) -> Progress {
         match self {
             Machine::Consensus(sm) => sm.halt(halt, ctx),
@@ -353,7 +364,9 @@ impl ProcState {
 
     /// Assembles the per-step [`SmCtx`] over this state — the one place
     /// the borrow split between process state and run-wide services is
-    /// spelled out.
+    /// spelled out. The context borrows the state whole: a process stepped
+    /// again right after its previous step reads the fields that step just
+    /// wrote, in place, instead of copying them out first.
     pub(crate) fn ctx<'a>(
         &'a mut self,
         me: ProcessId,
@@ -366,14 +379,7 @@ impl ProcState {
         EventCtx {
             me,
             costs,
-            crash_at_step: self.crash_at_step,
-            crash_at_round: self.crash_at_round,
-            clock: &mut self.clock,
-            steps: &mut self.steps,
-            crashed_self: &mut self.crashed_self,
-            local_coin: &mut self.local_coin,
-            counters: &mut self.counters,
-            service: &mut self.service,
+            state: self,
             memory,
             common_coin,
             observer,
@@ -395,14 +401,7 @@ pub(crate) enum Input {
 pub(crate) struct EventCtx<'a> {
     me: ProcessId,
     costs: CostModel,
-    crash_at_step: Option<u64>,
-    crash_at_round: Option<u64>,
-    clock: &'a mut u64,
-    steps: &'a mut u64,
-    crashed_self: &'a mut bool,
-    local_coin: &'a mut SeededLocalCoin,
-    counters: &'a mut CounterSnapshot,
-    service: &'a mut ServiceStats,
+    state: &'a mut ProcState,
     memory: &'a ClusterMemory,
     common_coin: &'a dyn CommonCoin,
     observer: Option<&'a dyn Observer>,
@@ -413,13 +412,14 @@ impl EventCtx<'_> {
     /// Counts an environment call and fires step-indexed crashes — the
     /// conductor's `SimEnv::step`.
     fn step(&mut self) -> Result<(), Halt> {
-        *self.steps += 1;
-        if let Some(k) = self.crash_at_step {
-            if *self.steps > k {
-                *self.crashed_self = true;
+        let st = &mut *self.state;
+        st.steps += 1;
+        if let Some(k) = st.crash_at_step {
+            if st.steps > k {
+                st.crashed_self = true;
             }
         }
-        if *self.crashed_self {
+        if st.crashed_self {
             return Err(Halt::Crashed);
         }
         Ok(())
@@ -427,21 +427,21 @@ impl EventCtx<'_> {
 
     fn record(&mut self, event: TraceEvent) {
         self.trace
-            .record(VirtualTime::from_ticks(*self.clock), event);
+            .record(VirtualTime::from_ticks(self.state.clock), event);
     }
 }
 
 impl SmCtx for EventCtx<'_> {
     fn send(&mut self, to: ProcessId, msg: MsgKind) -> Result<u64, Halt> {
         self.step()?;
-        *self.clock += self.costs.send_cost;
-        self.counters.messages_sent += 1;
+        self.state.clock += self.costs.send_cost;
+        self.state.counters.messages_sent += 1;
         self.record(TraceEvent::Send {
             who: self.me,
             to,
             msg,
         });
-        Ok(*self.clock)
+        Ok(self.state.clock)
     }
 
     fn send_to_all(&mut self, n: usize, msg: MsgKind) -> Option<(u64, u64)> {
@@ -449,14 +449,15 @@ impl SmCtx for EventCtx<'_> {
         // step-indexed trigger may fire between two sends, and a fired
         // one fails the very first — both keep the per-send loop, which
         // stops at the right prefix.
-        if self.crash_at_step.is_some() || *self.crashed_self {
+        let st = &mut *self.state;
+        if st.crash_at_step.is_some() || st.crashed_self {
             return None;
         }
         let stride = self.costs.send_cost;
-        let sent_at = *self.clock + stride;
-        *self.steps += n as u64;
-        *self.clock += n as u64 * stride;
-        self.counters.messages_sent += n as u64;
+        let sent_at = st.clock + stride;
+        st.steps += n as u64;
+        st.clock += n as u64 * stride;
+        st.counters.messages_sent += n as u64;
         let at = VirtualTime::from_ticks(sent_at);
         self.trace.record_broadcast(at, stride, self.me, n, msg);
         Some((sent_at, stride))
@@ -470,9 +471,9 @@ impl SmCtx for EventCtx<'_> {
 
     fn cluster_propose(&mut self, slot: Slot, enc: u64) -> Result<u64, Halt> {
         self.step()?;
-        *self.clock += self.costs.sm_op_cost;
+        self.state.clock += self.costs.sm_op_cost;
         let decided = self.memory.propose_raw(slot, enc);
-        self.counters.cluster_proposes += 1;
+        self.state.counters.cluster_proposes += 1;
         self.record(TraceEvent::ClusterPropose {
             who: self.me,
             round: slot.round,
@@ -485,9 +486,9 @@ impl SmCtx for EventCtx<'_> {
 
     fn local_coin(&mut self) -> Result<Bit, Halt> {
         self.step()?;
-        *self.clock += self.costs.coin_cost;
-        let bit = Bit::from(self.local_coin.flip());
-        self.counters.local_coin_flips += 1;
+        self.state.clock += self.costs.coin_cost;
+        let bit = Bit::from(self.state.local_coin.flip());
+        self.state.counters.local_coin_flips += 1;
         self.record(TraceEvent::Coin {
             who: self.me,
             common: false,
@@ -498,9 +499,9 @@ impl SmCtx for EventCtx<'_> {
 
     fn common_coin(&mut self, index: u64) -> Result<Bit, Halt> {
         self.step()?;
-        *self.clock += self.costs.coin_cost;
+        self.state.clock += self.costs.coin_cost;
         let bit = Bit::from(self.common_coin.bit(index));
-        self.counters.common_coin_queries += 1;
+        self.state.counters.common_coin_queries += 1;
         self.record(TraceEvent::Coin {
             who: self.me,
             common: true,
@@ -512,7 +513,7 @@ impl SmCtx for EventCtx<'_> {
     fn observe(&mut self, event: ObsEvent) {
         match event {
             ObsEvent::RoundStart { round, .. } => {
-                self.counters.rounds_started += 1;
+                self.state.counters.rounds_started += 1;
                 self.record(TraceEvent::RoundStart {
                     who: self.me,
                     round,
@@ -520,21 +521,22 @@ impl SmCtx for EventCtx<'_> {
                 // Round-indexed crashes count rounds cumulatively across
                 // instances (multivalued stages, log slots), so they
                 // fire inside multi-instance bodies too.
-                if let Some(r) = self.crash_at_round {
-                    if self.counters.rounds_started >= r {
-                        *self.crashed_self = true;
+                let st = &mut *self.state;
+                if let Some(r) = st.crash_at_round {
+                    if st.counters.rounds_started >= r {
+                        st.crashed_self = true;
                     }
                 }
             }
             ObsEvent::Deciding { relayed, .. } => {
                 if relayed {
-                    self.counters.decide_relays += 1;
+                    self.state.counters.decide_relays += 1;
                 } else {
-                    self.counters.decisions += 1;
+                    self.state.counters.decisions += 1;
                 }
             }
             ObsEvent::MailboxStats { stale_dropped } => {
-                self.counters.stale_dropped += stale_dropped;
+                self.state.counters.stale_dropped += stale_dropped;
             }
             _ => {}
         }
@@ -544,15 +546,15 @@ impl SmCtx for EventCtx<'_> {
     }
 
     fn note_broadcast(&mut self) {
-        self.counters.broadcasts += 1;
+        self.state.counters.broadcasts += 1;
     }
 
     fn now(&self) -> u64 {
-        *self.clock
+        self.state.clock
     }
 
     fn service_stats(&mut self, stats: &ServiceStats) {
-        self.service.merge(stats);
+        self.state.service.merge(stats);
     }
 }
 

@@ -103,16 +103,20 @@
 //! cross-shard arrival at a barrier, at or after the window's end but
 //! before the shard's own next event, is an ordinary push.
 //!
-//! # Waves: same-instant broadcasts expand cluster-major
+//! # Waves: same-instant broadcasts reach each member in one run
 //!
 //! Under a constant delay and free sends a round's ~n broadcasts land at
 //! one instant. Expanded one after the other they visit all n machines
-//! between two visits to the same one; expanded as one **wave** —
-//! `for block { for broadcast in wave, key order { for member in block
-//! } }` ([`ShardState::expand_wave`]) — a block's machines stay
-//! cache-resident while the whole wave passes over them. The argument
-//! that makes clusters shards holds just as well inside one shard, under
-//! four preconditions, all checked where the wave forms:
+//! between two visits to the same one. Expanded as one **wave**
+//! ([`ShardState::expand_wave`]), block by block of whole clusters, each
+//! member takes the wave's broadcasts in key order in one run for as long
+//! as its machine says the next delivery is *inert* — it cannot reach the
+//! cluster's shared memory — so the member's machine, process state and
+//! proposal array stay hot across the whole wave. A member pauses at its
+//! first delivery that is not inert; the paused deliveries go in
+//! `(broadcast, member)` order, each followed by its member's next inert
+//! run. The argument that makes clusters shards holds just as well inside
+//! one shard, under four preconditions, all checked where the wave forms:
 //!
 //! 1. **Same instant.** A wave is the batched broadcasts that follow
 //!    one another in the queue at one `at`; any other entry at that
@@ -122,25 +126,42 @@
 //! 2. **Positive delay.** Batching requires it, so whatever a delivery
 //!    triggers lands strictly later — nothing joins or interleaves with
 //!    a wave once it is popped.
-//! 3. **Whole clusters.** A block is one or more whole clusters (small
-//!    ones packed together, none ever split), and inside a block the
-//!    loop stays broadcast-major: every cluster's deliveries keep their
-//!    relative order, so every mailbox and every first-proposer-wins
-//!    `ClusterMemory` sees exactly what it saw. Only deliveries to
-//!    *different* clusters change places, and those share no state.
-//!    (Replica-major inside a block would break this: two members of
-//!    one cluster with different histories race for their cluster's
-//!    consensus object.)
+//! 3. **Inert deliveries float.** Inside a shard the only state a
+//!    delivery can share with a delivery to another process is their
+//!    cluster's first-proposer-wins `ClusterMemory`: clock, steps,
+//!    counters, mailbox, proposal store and coin are the recipient's own,
+//!    a send's key comes from the sender's own counter, and the trace
+//!    hash is a multiset. So a delivery that cannot reach
+//!    `ClusterMemory` ([`Machine::is_inert`], a conservative answer each
+//!    state machine gives without stepping) commutes with every delivery
+//!    to another process — partial-order reduction's independence. Each
+//!    member still receives the wave in key order, and the deliveries
+//!    that are not inert keep the broadcast-major order among themselves
+//!    (a member pauses at one, and the paused ones are taken in
+//!    `(broadcast, member)` order), so every process sees exactly the
+//!    sequence of states it saw, and every cluster's consensus objects
+//!    the same sequence of proposals. Blocks are whole clusters (small
+//!    ones packed together, none ever split), so deliveries to different
+//!    blocks share no state at all. (Plain replica-major order would
+//!    break this: two members of one cluster with different histories —
+//!    a lost message, a rejoin — finish an exchange at different
+//!    broadcasts of the wave and race for their cluster's consensus
+//!    object.) Debug builds assert that a delivery taken as inert left
+//!    the recipient's `cluster_proposes` count unchanged.
 //! 4. **Unobservable global order.** Counters are per process, the
 //!    trace hash is a multiset — but a kept trace, an attached observer
 //!    and an event budget that could run out inside the wave all see the
-//!    global `(time, key)` order, so any of them collapses the blocks to
-//!    the single block "all members", which *is* that order, byte for
-//!    byte.
+//!    global `(time, key)` order, so any of them makes nothing inert and
+//!    collapses the blocks to the single block "all members": every
+//!    member pauses at every delivery, and the same routine delivers
+//!    broadcast by broadcast, which *is* that order, byte for byte.
 //!
 //! Nothing selects any of this: a lone broadcast is a wave of one, and
 //! the conductor, which sends and delivers one message at a time, is the
-//! oracle the equivalence corpus holds every wave against.
+//! oracle the equivalence corpus holds every wave against. Paused members
+//! wait in one bucket per broadcast of the wave, sorted when the loop
+//! reaches it (each is a few ascending runs), so the nothing-inert case
+//! costs what a plain broadcast-major loop costs.
 //!
 //! The event budget (`Scenario::max_events`) keeps its exact sequential
 //! semantics. One shard simply stops after `remaining` events. Several
@@ -551,6 +572,11 @@ struct WaveStats {
     /// Waves expanded over the single block "all members" because the
     /// global order was observable.
     one_block: u64,
+    /// Deliveries taken in a member's inert run, ahead of the wave's
+    /// order (those to finished members included).
+    inert_first: u64,
+    /// Deliveries taken in the wave's `(broadcast, member)` order.
+    in_order: u64,
 }
 
 /// Everything one shard owns; the run-wide inputs are borrowed from the
@@ -588,6 +614,10 @@ struct ShardState<'a> {
     /// The wave being expanded (empty between waves; kept for its
     /// capacity).
     wave: Vec<WaveItem>,
+    /// Per broadcast of the wave being expanded: the block members paused
+    /// there, as `position << 1 | duplicated` (all empty between blocks;
+    /// kept for their capacity).
+    paused: Vec<Vec<u32>>,
     /// The most entries the queue ever held.
     #[cfg(test)]
     heap_peak: usize,
@@ -677,6 +707,7 @@ impl<'a> ShardState<'a> {
             words: Vec::new(),
             counts: Vec::new(),
             wave: Vec::new(),
+            paused: Vec::new(),
             #[cfg(test)]
             heap_peak: 0,
             #[cfg(test)]
@@ -898,24 +929,20 @@ impl<'a> ShardState<'a> {
         }
     }
 
-    /// Those of `block` (some of this shard's members) a batched
-    /// broadcast actually reaches, with their fates: lost destinations
-    /// are never events.
-    fn survivors<'b>(
-        &self,
-        block: &'b [u32],
-        from: u32,
-        k0: u64,
-    ) -> impl Iterator<Item = (u32, Fate)> + use<'a, 'b> {
-        let (net, seed, reliable) = (self.net, self.spec.seed, self.reliable);
-        let from = ProcessId(from as usize);
-        block.iter().filter_map(move |&g| {
-            if reliable {
-                return Some((g, Fate::Deliver));
-            }
-            let fate = net.fate_of(seed, from, ProcessId(g as usize), k0 + u64::from(g));
-            (fate != Fate::Lost).then_some((g, fate))
-        })
+    /// The fate of a batched broadcast's copy to member `g`.
+    fn fate(&self, from: u32, k0: u64, g: u32) -> Fate {
+        if self.reliable {
+            return Fate::Deliver;
+        }
+        let (from, to) = (ProcessId(from as usize), ProcessId(g as usize));
+        self.net
+            .fate_of(self.spec.seed, from, to, k0 + u64::from(g))
+    }
+
+    /// Those of this shard's members a batched broadcast actually
+    /// reaches: lost destinations are never events.
+    fn survivors(&self, from: u32, k0: u64) -> impl Iterator<Item = u32> + '_ {
+        (self.members().iter().copied()).filter(move |&g| self.fate(from, k0, g) != Fate::Lost)
     }
 
     /// Runs one machine step with a freshly assembled context, then
@@ -953,16 +980,23 @@ impl<'a> ShardState<'a> {
         }
     }
 
-    /// Delivers one message to a local process — the accounting the
-    /// conductor does around a delivery burst.
-    fn deliver(&mut self, to: u32, from: u32, msg: MsgKind, at: u64, shared: DeliverPrefix) {
-        let li = self.layout.local_of[to as usize] as usize;
-        // Crashed processes are finished too (a crash event halts the
-        // machine in the same dispatch), so one check covers the
-        // conductor's `finished || crashed[]` pair.
-        if self.procs[li].finished.is_some() {
-            return; // dropped on the floor (still counted by the caller)
-        }
+    /// Delivers one message to local process `li` (global index `to`),
+    /// which has not finished — the accounting the conductor does around
+    /// a delivery burst. A delivery to a finished process is an event and
+    /// nothing else: the caller counts it and does not come here.
+    /// (Crashed processes are finished too — a crash event halts the
+    /// machine in the same dispatch — so one check covers the conductor's
+    /// `finished || crashed[]` pair.)
+    fn deliver(
+        &mut self,
+        li: usize,
+        to: u32,
+        from: u32,
+        msg: MsgKind,
+        at: u64,
+        shared: DeliverPrefix,
+    ) {
+        debug_assert!(self.procs[li].finished.is_none());
         let (who, from) = (ProcessId(to as usize), ProcessId(from as usize));
         self.trace
             .record_delivery(shared, VirtualTime::from_ticks(at), who, from, msg);
@@ -1028,8 +1062,11 @@ impl<'a> ShardState<'a> {
             match e.ev {
                 SPending::Deliver { to, from, msg } => {
                     processed += 1;
-                    let shared = DeliverPrefix::new(VirtualTime::from_ticks(e.at), &msg);
-                    self.deliver(to, from, msg, e.at, shared);
+                    let li = self.layout.local_of[to as usize] as usize;
+                    if self.procs[li].finished.is_none() {
+                        let shared = DeliverPrefix::new(VirtualTime::from_ticks(e.at), &msg);
+                        self.deliver(li, to, from, msg, e.at, shared);
+                    }
                 }
                 SPending::Crash { pid } => {
                     processed += 1;
@@ -1058,15 +1095,20 @@ impl<'a> ShardState<'a> {
     /// in key order. Delivers at most `budget` events and returns how
     /// many.
     ///
-    /// One loop nest, block by block: all of the wave's broadcasts, in
-    /// key order, over one block of whole clusters before any of them
-    /// reaches the next block. Inside a block the order stays
-    /// broadcast-major, so no cluster ever sees two deliveries change
-    /// places. Where the global `(time, key)` order is observable — a
-    /// kept trace, an attached observer, a budget that could run out
-    /// inside the wave — the blocks collapse to the single block "all
-    /// members": broadcast by broadcast, byte for byte the order `n`
-    /// single entries per broadcast would pop in.
+    /// Block by block (whole clusters), in two steps. First every member
+    /// takes the wave's broadcasts in key order for as long as its machine
+    /// says the next delivery is inert ([`ShardState::inert_run`]), and
+    /// pauses at the first one that is not. Then the paused deliveries go
+    /// in `(broadcast, member)` order — the broadcast-major order — each
+    /// followed by its member's next inert run. So every member receives
+    /// the wave in key order, and the deliveries that can reach the
+    /// cluster's shared memory reach it in the order broadcast-major
+    /// expansion gives them. Where the global `(time, key)` order is
+    /// observable — a kept trace, an attached observer, a budget that
+    /// could run out inside the wave — nothing is inert and the blocks
+    /// collapse to the single block "all members": broadcast by broadcast,
+    /// byte for byte the order `n` single entries per broadcast would pop
+    /// in.
     // Once per wave, so a call costs nothing — and kept out of line it
     // leaves `run`'s per-event loop (the lazy path pops one delivery at
     // a time through it) as tight as it was.
@@ -1104,32 +1146,128 @@ impl<'a> ShardState<'a> {
             self.waves.largest = self.waves.largest.max(wave.len());
             self.waves.one_block += u64::from(ordered);
         }
+        let mut paused = std::mem::take(&mut self.paused);
+        if paused.len() < wave.len() {
+            paused.resize_with(wave.len(), Vec::new);
+        }
         let mut delivered = 0;
         'wave: for block in blocks {
-            for item in &wave {
-                for (g, fate) in self.survivors(block, item.from, item.k0) {
+            for j in 0..block.len() {
+                delivered += self.inert_run(&wave, at, block, j, 0, ordered, &mut paused);
+            }
+            for (i, item) in wave.iter().enumerate() {
+                // Filed in ascending position by each earlier broadcast,
+                // so a bucket is a few sorted runs.
+                let mut bucket = std::mem::take(&mut paused[i]);
+                bucket.sort_unstable();
+                for &w in &bucket {
                     if delivered == budget {
-                        // The budget ran out mid-wave; the run ends
-                        // here, so the rest is never delivered.
+                        // The budget ran out mid-wave (only an ordered
+                        // wave can get here); the run ends here, so the
+                        // rest is never delivered.
+                        paused.iter_mut().for_each(Vec::clear);
                         break 'wave;
                     }
+                    let j = (w >> 1) as usize;
+                    self.take(item, block[j], at, w & 1 == 1);
                     delivered += 1;
-                    if fate == Fate::Dup {
-                        // The copy a per-destination send would have
-                        // queued: key reused, fresh link-class extra
-                        // delay (positive, as the batch's delay is).
-                        let k = item.k0 + u64::from(g);
-                        let (sender, to) = (ProcessId(item.from as usize), ProcessId(g as usize));
-                        let then = self.dup_at(at, sender, to, k);
-                        self.push(SEntry::deliver(then, item.from, k, g, item.msg));
+                    #[cfg(test)]
+                    {
+                        self.waves.in_order += 1;
                     }
-                    self.deliver(g, item.from, item.msg, at, item.shared);
+                    delivered += self.inert_run(&wave, at, block, j, i + 1, ordered, &mut paused);
                 }
+                bucket.clear();
+                paused[i] = bucket;
             }
         }
+        self.paused = paused;
         wave.clear();
         self.wave = wave;
         delivered
+    }
+
+    /// Member `block[j]`'s inert run: it takes the wave's broadcasts from
+    /// the `next`-th on, in key order, for as long as each delivery is
+    /// inert, and is filed in `paused` under the first that is not.
+    /// Returns how many deliveries it took.
+    ///
+    /// Inert means the recipient's machine says the delivery cannot reach
+    /// its cluster's shared memory ([`Machine::is_inert`]) or the recipient
+    /// has finished. Where the order is observable nothing is inert. On a
+    /// reliable network the rest of the wave addressed to a finished
+    /// member is counted at once: those deliveries are events and nothing
+    /// else. (An unreliable one still resolves each fate, since a
+    /// duplicate's copy is queued even for a finished recipient.)
+    // `paused` is the caller's, taken out of `self` for the whole wave:
+    // reached through `self` instead, the n = 1000 `kv-serve` benchmark
+    // cell ran about 1 % slower (2-vCPU VM).
+    #[allow(clippy::too_many_arguments)]
+    fn inert_run(
+        &mut self,
+        wave: &[WaveItem],
+        at: u64,
+        block: &[u32],
+        j: usize,
+        next: usize,
+        ordered: bool,
+        paused: &mut [Vec<u32>],
+    ) -> u64 {
+        let g = block[j];
+        let li = self.layout.local_of[g as usize] as usize;
+        let mut taken = 0;
+        for (i, item) in wave.iter().enumerate().skip(next) {
+            let fate = self.fate(item.from, item.k0, g);
+            if fate == Fate::Lost {
+                continue;
+            }
+            let finished = self.procs[li].finished.is_some();
+            if !ordered && finished && self.reliable {
+                taken += (wave.len() - i) as u64;
+                break;
+            }
+            let msg = Msg {
+                from: ProcessId(item.from as usize),
+                kind: item.msg,
+            };
+            let dup = fate == Fate::Dup;
+            if ordered || !(finished || self.machines[li].is_inert(&msg)) {
+                paused[i].push((j as u32) << 1 | u32::from(dup));
+                break;
+            }
+            #[cfg(debug_assertions)]
+            let proposes = self.procs[li].counters.cluster_proposes;
+            self.take(item, g, at, dup);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                proposes, self.procs[li].counters.cluster_proposes,
+                "a delivery taken as inert reached the cluster's memory"
+            );
+            taken += 1;
+        }
+        #[cfg(test)]
+        {
+            self.waves.inert_first += taken;
+        }
+        taken
+    }
+
+    /// One delivery of a wave's broadcast to member `g`: a duplicated
+    /// one's copy is queued (as a per-destination send would have queued
+    /// it: key reused, fresh link-class extra delay, positive as the
+    /// batch's delay is), and a finished member's is an event and nothing
+    /// else.
+    fn take(&mut self, item: &WaveItem, g: u32, at: u64, dup: bool) {
+        if dup {
+            let k = item.k0 + u64::from(g);
+            let (sender, to) = (ProcessId(item.from as usize), ProcessId(g as usize));
+            let then = self.dup_at(at, sender, to, k);
+            self.push(SEntry::deliver(then, item.from, k, g, item.msg));
+        }
+        let li = self.layout.local_of[g as usize] as usize;
+        if self.procs[li].finished.is_none() {
+            self.deliver(li, g, item.from, item.msg, at, item.shared);
+        }
     }
 
     /// Takes the next destination off the lazy broadcast that is the
@@ -1174,7 +1312,7 @@ impl<'a> ShardState<'a> {
             match ev {
                 &SPending::Broadcast { from, k0, .. } => {
                     let sender = ProcessId(from as usize);
-                    keys.extend(self.survivors(self.members(), from, k0).map(|(g, _)| {
+                    keys.extend(self.survivors(from, k0).map(|g| {
                         let to = ProcessId(g as usize);
                         (at, EventKey::deliver(sender, k0 + u64::from(g), to))
                     }));
@@ -1242,7 +1380,7 @@ impl<'a> ShardState<'a> {
                 // not a pending event here; some shard that owns a
                 // survivor exports it.
                 &SPending::Broadcast { from, k0, .. }
-                    if self.survivors(self.members(), from, k0).next().is_none() => {}
+                    if self.survivors(from, k0).next().is_none() => {}
                 // What is left of a lazy broadcast leaves as the single
                 // deliveries it stands for — copies of duplicated ones
                 // included, which a plain delivery no longer spawns.
@@ -1798,13 +1936,73 @@ mod tests {
         assert_eq!(checker.decisions().len(), 10);
     }
 
-    #[test]
-    fn sampled_delay_broadcasts_stay_one_heap_entry_each() {
+    /// Builds `scenario`'s one-shard loop (the event-driven engine's),
+    /// runs it for at most `limit` events, and hands `check` the shard and
+    /// its report.
+    fn one_shard(
+        scenario: &Scenario,
+        limit: u64,
+        check: impl FnOnce(&mut super::ShardState<'_>, super::StepReport),
+    ) {
         use super::{Layout, ShardState};
         use crate::conductor::RunSpec;
         use ofa_core::sm::SmTopology;
         use ofa_sharedmem::MemoryBank;
         use std::sync::Arc;
+        let spec = RunSpec::from_scenario(scenario);
+        let net = scenario.network.compile(&scenario.partition);
+        let layout = Layout::new(&spec.partition, 1);
+        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
+        let bank = MemoryBank::for_partition(topo.partition());
+        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
+        let report = shard.run(u64::MAX, limit);
+        check(&mut shard, report);
+    }
+
+    /// The benchmark's cost model for the wave workloads (`cells.rs`):
+    /// free sends, so a broadcast lands at one instant.
+    const BATCHING_COSTS: ofa_scenario::CostModel = ofa_scenario::CostModel {
+        send_cost: 0,
+        recv_cost: 1,
+        sm_op_cost: 10,
+        coin_cost: 1,
+    };
+
+    /// The benchmark's quick `kv-serve` cell (`cells.rs`).
+    fn quick_kv_serve() -> Scenario {
+        use ofa_core::{ArrivalProcess, TrafficSpec};
+        let n = 40;
+        let traffic = TrafficSpec {
+            arrival: ArrivalProcess::Poisson { mean_gap: 125 },
+            clients: 4 * n as u64,
+            queue_cap: 256,
+            batch_max: 256,
+            batch_min: 0,
+        };
+        Scenario::new(Partition::even(n, 2), Algorithm::CommonCoin)
+            .replicated_log_traffic(Algorithm::CommonCoin, 2, traffic)
+            .delay(DelayModel::Constant(1_000))
+            .costs(BATCHING_COSTS)
+            .max_rounds(64)
+            .seed(42)
+            .coin(ofa_scenario::CoinSpec::Alternating)
+            .max_events(u64::MAX)
+    }
+
+    /// The benchmark's quick `consensus-fastpath` cell (`cells.rs`).
+    fn quick_consensus_fastpath() -> Scenario {
+        Scenario::new(Partition::even(60, 3), Algorithm::LocalCoin)
+            .proposals_all(Bit::One)
+            .delay(DelayModel::Constant(1_000))
+            .costs(BATCHING_COSTS)
+            .max_rounds(16)
+            .seed(42)
+            .coin(ofa_scenario::CoinSpec::Alternating)
+            .max_events(u64::MAX)
+    }
+
+    #[test]
+    fn sampled_delay_broadcasts_stay_one_heap_entry_each() {
         // The CLI-default path: sampled delays and a per-send cost. Every
         // process has a few broadcasts in flight per round and each is
         // one entry, so the heap stays O(n) where per-destination
@@ -1813,34 +2011,24 @@ mod tests {
         let scenario = Scenario::new(Partition::even(n, 4), Algorithm::CommonCoin)
             .proposals_split(n / 2)
             .seed(42);
-        let spec = RunSpec::from_scenario(&scenario);
-        let net = scenario.network.compile(&scenario.partition);
-        let layout = Layout::new(&spec.partition, 1);
-        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
-        let bank = MemoryBank::for_partition(topo.partition());
-        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
-        let report = shard.run(u64::MAX, u64::MAX);
-        assert_eq!(shard.queue.len(), 0, "the run drains");
-        assert!(
-            report.processed >= 3 * (n * n) as u64,
-            "at least three all-to-all exchanges: {} events",
-            report.processed
-        );
-        assert!(
-            shard.heap_peak <= 4 * n,
-            "heap peaked at {} entries for n = {n}",
-            shard.heap_peak
-        );
+        one_shard(&scenario, u64::MAX, |shard, report| {
+            assert_eq!(shard.queue.len(), 0, "the run drains");
+            assert!(
+                report.processed >= 3 * (n * n) as u64,
+                "at least three all-to-all exchanges: {} events",
+                report.processed
+            );
+            assert!(
+                shard.heap_peak <= 4 * n,
+                "heap peaked at {} entries for n = {n}",
+                shard.heap_peak
+            );
+        });
     }
 
     #[test]
     fn quick_consensus_split_cell_stays_inside_the_calendar_ring() {
-        use super::{Layout, ShardState};
-        use crate::conductor::RunSpec;
-        use ofa_core::sm::SmTopology;
         use ofa_scenario::CoinSpec;
-        use ofa_sharedmem::MemoryBank;
-        use std::sync::Arc;
         // The benchmark's quick `consensus-split` cell (`cells.rs`): the
         // CLI-default network and costs. Everything it schedules lands
         // inside the ring's window, and nothing is ever scheduled before
@@ -1854,18 +2042,13 @@ mod tests {
             .seed(42)
             .coin(CoinSpec::Alternating)
             .max_events(u64::MAX);
-        let spec = RunSpec::from_scenario(&scenario);
-        let net = scenario.network.compile(&scenario.partition);
-        let layout = Layout::new(&spec.partition, 1);
-        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
-        let bank = MemoryBank::for_partition(topo.partition());
-        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
-        let report = shard.run(u64::MAX, u64::MAX);
-        assert_eq!(shard.queue.len(), 0, "the run drains");
-        assert_eq!(report.processed, 9_900);
-        let stats = &shard.queue.stats;
-        assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
-        assert!(stats.ticks > 1_000, "{stats:?}");
+        one_shard(&scenario, u64::MAX, |shard, report| {
+            assert_eq!(shard.queue.len(), 0, "the run drains");
+            assert_eq!(report.processed, 9_900);
+            let stats = &shard.queue.stats;
+            assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
+            assert!(stats.ticks > 1_000, "{stats:?}");
+        });
     }
 
     proptest::proptest! {
@@ -1905,86 +2088,88 @@ mod tests {
     }
 
     #[test]
-    fn quick_kv_serve_cell_expands_its_waves_cluster_major() {
-        use super::{Layout, ShardState};
-        use crate::conductor::RunSpec;
-        use ofa_core::sm::SmTopology;
-        use ofa_core::{ArrivalProcess, TrafficSpec};
-        use ofa_scenario::{CoinSpec, CostModel};
-        use ofa_sharedmem::MemoryBank;
-        use std::sync::Arc;
-        // The benchmark's quick `kv-serve` cell (`cells.rs`), as it is
-        // measured: no kept trace, no observer, no binding budget. If a
-        // future default attaches an observer or a budget rule turns
-        // every wave into one block, the cluster-major path — the whole
-        // point of forming waves — is silently off; this is the alarm.
+    fn quick_kv_serve_cell_takes_its_waves_inert_first() {
+        // The benchmark's quick `kv-serve` cell, as it is measured: no
+        // kept trace, no observer, no binding budget. If a future default
+        // attaches an observer or a budget rule makes every wave ordered,
+        // the inert-first path — the whole point of forming waves — is
+        // silently off; this is the alarm.
         let n = 40;
-        let traffic = TrafficSpec {
-            arrival: ArrivalProcess::Poisson { mean_gap: 125 },
-            clients: 4 * n as u64,
-            queue_cap: 256,
-            batch_max: 256,
-            batch_min: 0,
-        };
-        let scenario = Scenario::new(Partition::even(n, 2), Algorithm::CommonCoin)
-            .replicated_log_traffic(Algorithm::CommonCoin, 2, traffic)
-            .delay(DelayModel::Constant(1_000))
-            .costs(CostModel {
-                send_cost: 0,
-                recv_cost: 1,
-                sm_op_cost: 10,
-                coin_cost: 1,
-            })
-            .max_rounds(64)
-            .seed(42)
-            .coin(CoinSpec::Alternating)
-            .max_events(u64::MAX);
-        let spec = RunSpec::from_scenario(&scenario);
-        let net = scenario.network.compile(&scenario.partition);
-        let layout = Layout::new(&spec.partition, 1);
-        assert_eq!(
-            layout.blocks[0].len(),
-            2,
-            "one block per 20-replica cluster"
-        );
-        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
-        let bank = MemoryBank::for_partition(topo.partition());
-        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
-        let report = shard.run(u64::MAX, u64::MAX);
-        assert_eq!(shard.queue.len(), 0, "the run drains");
-        let waves = &shard.waves;
-        assert_eq!(waves.one_block, 0, "{waves:?}");
-        assert!(
-            waves.largest >= n,
-            "a round's n broadcasts land together: {waves:?}"
-        );
-        // Every event of this cell is a batched delivery, n per
-        // broadcast, and the waves average more than half a round.
-        assert_eq!(report.processed % n as u64, 0);
-        let broadcasts = report.processed / n as u64;
-        assert!(
-            waves.formed * n as u64 <= 2 * broadcasts,
-            "{broadcasts} broadcasts in {waves:?}"
-        );
-        // A wave is out of the queue while it expands, so what its
-        // deliveries schedule no longer sits beside it: the loop that
-        // popped one broadcast at a time peaked at 139 entries here.
-        // `heap_peak` counts resident entries, as it did when the queue
-        // was a binary heap (which also read 120), and nothing here lands
-        // past the calendar ring's span.
-        assert_eq!(shard.heap_peak, 120);
-        let stats = &shard.queue.stats;
-        assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
+        one_shard(&quick_kv_serve(), u64::MAX, |shard, report| {
+            assert_eq!(
+                shard.layout.blocks[0].len(),
+                2,
+                "one block per 20-replica cluster"
+            );
+            assert_eq!(shard.queue.len(), 0, "the run drains");
+            let waves = &shard.waves;
+            assert_eq!(waves.one_block, 0, "{waves:?}");
+            assert!(
+                waves.largest >= n,
+                "a round's n broadcasts land together: {waves:?}"
+            );
+            // Every event of this cell is a batched delivery, n per
+            // broadcast, and the waves average more than half a round.
+            assert_eq!(report.processed, 16_000);
+            let broadcasts = report.processed / n as u64;
+            assert!(
+                waves.formed * n as u64 <= 2 * broadcasts,
+                "{broadcasts} broadcasts in {waves:?}"
+            );
+            // Three deliveries per replica per slot can reach the
+            // cluster's memory — two exchange completions and the
+            // decision — and only those keep the broadcast order.
+            assert_eq!((waves.in_order, waves.inert_first), (240, 15_760));
+            // A wave is out of the queue while it expands, so what its
+            // deliveries schedule no longer sits beside it: the loop that
+            // popped one broadcast at a time peaked at 139 entries here.
+            // `heap_peak` counts resident entries, as it did when the
+            // queue was a binary heap (which also read 120), and nothing
+            // here lands past the calendar ring's span.
+            assert_eq!(shard.heap_peak, 120);
+            let stats = &shard.queue.stats;
+            assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
+        });
+    }
+
+    #[test]
+    fn quick_consensus_fastpath_cell_orders_two_deliveries_per_process() {
+        // n = 60 unanimous: each process completes two exchanges, and the
+        // decisions reach processes that already decided.
+        one_shard(&quick_consensus_fastpath(), u64::MAX, |shard, report| {
+            assert_eq!(report.processed, 10_800);
+            let waves = &shard.waves;
+            assert_eq!((waves.in_order, waves.inert_first), (120, 10_680));
+        });
+    }
+
+    /// Where the global order is observable nothing is taken inert-first:
+    /// a kept trace, an observer, and a budget that runs out inside a
+    /// wave all get every delivery in the wave's own order.
+    #[test]
+    fn observable_orders_take_nothing_inert_first() {
+        use ofa_core::InvariantChecker;
+        use std::sync::Arc;
+        let base = quick_consensus_fastpath();
+        let observed = base.clone().observer(Arc::new(InvariantChecker::new()));
+        for (what, scenario, limit) in [
+            ("kept trace", base.clone().keep_trace(), u64::MAX),
+            ("observer", observed, u64::MAX),
+            // Inside the first wave: the 31st broadcast of 60.
+            ("budget", base, 60 * 30 + 7),
+        ] {
+            one_shard(&scenario, limit, |shard, report| {
+                let waves = &shard.waves;
+                assert_eq!(waves.inert_first, 0, "{what}: {waves:?}");
+                assert_eq!(waves.in_order, report.processed, "{what}: {waves:?}");
+                assert!(waves.one_block > 0, "{what}: {waves:?}");
+            });
+        }
     }
 
     #[test]
     fn a_run_of_broadcasts_longer_than_the_cap_goes_as_consecutive_waves() {
-        use super::{Layout, ShardState, WAVE_MAX};
-        use crate::conductor::RunSpec;
-        use ofa_core::sm::SmTopology;
-        use ofa_scenario::CostModel;
-        use ofa_sharedmem::MemoryBank;
-        use std::sync::Arc;
+        use super::WAVE_MAX;
         // n broadcasts per instant with n just past the cap: every round
         // splits into a full wave and a short one. The conductor cannot
         // reach this size in a test, so the oracle is the fingerprint
@@ -1996,26 +2181,16 @@ mod tests {
         let scenario = Scenario::new(Partition::even(n, 10), Algorithm::LocalCoin)
             .proposals_all(Bit::One)
             .delay(DelayModel::Constant(1_000))
-            .costs(CostModel {
-                send_cost: 0,
-                recv_cost: 1,
-                sm_op_cost: 10,
-                coin_cost: 1,
-            })
+            .costs(BATCHING_COSTS)
             .max_events(u64::MAX)
             .seed(7);
-        let spec = RunSpec::from_scenario(&scenario);
-        let net = scenario.network.compile(&scenario.partition);
-        let layout = Layout::new(&spec.partition, 1);
-        let topo = Arc::new(SmTopology::new(spec.partition.clone()));
-        let bank = MemoryBank::for_partition(topo.partition());
-        let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
-        let report = shard.run(u64::MAX, u64::MAX);
-        assert_eq!(report.processed, 3_182_700);
-        assert_eq!(shard.waves.largest, WAVE_MAX);
-        assert_eq!(shard.waves.one_block, 0);
-        let result = shard.finish_run();
-        assert_eq!(result.trace.hash(), 0x98e4_a98d_7fa1_8910);
+        one_shard(&scenario, u64::MAX, |shard, report| {
+            assert_eq!(report.processed, 3_182_700);
+            assert_eq!(shard.waves.largest, WAVE_MAX);
+            assert_eq!(shard.waves.one_block, 0);
+            let result = shard.finish_run();
+            assert_eq!(result.trace.hash(), 0x98e4_a98d_7fa1_8910);
+        });
     }
 
     #[test]

@@ -671,16 +671,18 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Waves: same-instant batched broadcasts expanded cluster-major.
+// Waves: same-instant batched broadcasts taken member by member.
 //
 // With a constant delay and free sends every process of a round
 // broadcasts at one clock value, so ~n batched broadcasts land at one
 // instant and the event loop expands them block by block (whole
-// clusters) instead of broadcast by broadcast. The conductor sends and
-// delivers one message at a time, so it is the oracle: every case below
-// compares it against the loop on one, two and three shards, *without*
-// a kept trace or an observer (either would force the one-block order),
-// on partitions of more than one block.
+// clusters): each member takes the wave in one run while its deliveries
+// are inert, and only the ones that can reach the cluster's memory keep
+// the broadcast order. The conductor sends and delivers one message at
+// a time, so it is the oracle: every case below compares it against the
+// loop on one shard and on two (most also three), *without* a kept
+// trace or an observer (either would force the one-block broadcast-major
+// order), on partitions of more than one block.
 // ---------------------------------------------------------------------
 
 use one_for_all::consensus::{ObsEvent, Observer};
@@ -723,13 +725,19 @@ fn wave_scenario(partition: Partition, costs: CostModel) -> Scenario {
 /// `Threads == EventDriven == par=2 == par=3` on every compared field;
 /// returns the conductor's outcome.
 fn assert_engines_match(scenario: &Scenario, what: &str) -> Outcome {
+    engines_match_on(scenario, what, &[2, 3])
+}
+
+/// `Threads == EventDriven ==` the parallel engine on each of `workers`,
+/// on every compared field; returns the conductor's outcome.
+fn engines_match_on(scenario: &Scenario, what: &str, workers: &[u64]) -> Outcome {
     unlock_cores();
     let threads = Sim.run(&scenario.clone().engine(Engine::Threads));
     let event = Sim.run(&scenario.clone().engine(Engine::EventDriven));
     assert_eq!(threads.engine_used, Some(Engine::Threads), "{what}");
     assert_eq!(event.engine_used, Some(Engine::EventDriven), "{what}");
     assert_same_run(&threads, &event, &format!("{what} event"));
-    for workers in [2, 3] {
+    for &workers in workers {
         let par = Sim.run(&scenario.clone().parallel(workers));
         assert_eq!(
             par.engine_used,
@@ -868,9 +876,10 @@ fn loss_and_duplication_inside_waves_match_the_conductor() {
 /// completes its exchange at a later broadcast of the wave than its
 /// cluster mate, with a different tally, and whichever of the two
 /// reaches the cluster's first-proposer-wins object first fixes what
-/// both adopt. A wave therefore keeps a cluster's deliveries in
-/// broadcast order; expanding a block replica by replica fails this
-/// case on every seed.
+/// both adopt. A wave lets each member run ahead only through deliveries
+/// its machine calls inert, and takes the completing ones in broadcast
+/// order; expanding a block plainly replica by replica (every delivery
+/// taken as inert) fails this case.
 #[test]
 fn cluster_mates_with_different_histories_keep_their_delivery_order() {
     let scenario = Scenario::new(Partition::even(40, 20), Algorithm::LocalCoin)
@@ -882,6 +891,137 @@ fn cluster_mates_with_different_histories_keep_their_delivery_order() {
         .seed(0);
     let out = assert_engines_match(&scenario, "pairs under loss");
     assert!(out.sm_proposes > 0 && out.agreement_holds());
+}
+
+/// The case above over 40 seeds, for both algorithms, on pairs and on
+/// clusters of one to twelve members: 2 % loss, plus 3 % duplication on
+/// every other seed, gives cluster mates different histories in every
+/// round, so members of one cluster reach their completing deliveries at
+/// different broadcasts of a wave and then race for the cluster's memory.
+#[test]
+fn cluster_mates_keep_their_order_under_loss_on_many_seeds() {
+    let partitions = [
+        Partition::even(40, 20),
+        Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes"),
+    ];
+    for partition in partitions {
+        let n = partition.n();
+        for algorithm in [Algorithm::LocalCoin, Algorithm::CommonCoin] {
+            for seed in 0..40 {
+                let what = format!("n={n} {algorithm:?} seed={seed}");
+                let scenario = Scenario::new(partition.clone(), algorithm)
+                    .proposals_split(n / 2)
+                    .network(NetworkModel::flat(DelayModel::Constant(700)))
+                    .costs(WAVE_COSTS)
+                    .loss_ppm(20_000)
+                    .dup_ppm(if seed % 2 == 1 { 30_000 } else { 0 })
+                    .max_rounds(8)
+                    .seed(seed);
+                let out = engines_match_on(&scenario, &what, &[2]);
+                assert!(out.sm_proposes > 0 && out.agreement_holds(), "{what}");
+            }
+        }
+    }
+}
+
+/// Step-, round- and time-indexed crashes and a churn rejoin under
+/// waves, over 30 seeds, with 2 % loss on every other one: a step or
+/// round trigger fires inside a member's inert run or at a completing
+/// delivery, the timed crash and the rejoin land at a wave's instant
+/// (where they sort before its deliveries), and the rejoiner and the
+/// victims' cluster mates carry histories that differ from their mates'.
+#[test]
+fn crashes_and_a_rejoin_under_waves_match_the_conductor_on_many_seeds() {
+    let partition = Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes");
+    let n = partition.n() as u64;
+    for seed in 0..30u64 {
+        let algorithm = if seed % 4 < 2 {
+            Algorithm::CommonCoin
+        } else {
+            Algorithm::LocalCoin
+        };
+        let base = Scenario::new(partition.clone(), algorithm)
+            .proposals_split(n as usize / 2)
+            .network(NetworkModel::flat(DelayModel::Constant(700)))
+            .costs(WAVE_COSTS)
+            .loss_ppm(if seed % 2 == 1 { 20_000 } else { 0 })
+            .max_rounds(24)
+            .seed(seed);
+        let instants = delivery_instants(&base);
+        let early = instants.len().min(4);
+        let at = |k: u64| VirtualTime::from_ticks(instants[(seed + k) as usize % early].0);
+        // Four distinct processes: the offsets differ by multiples of 7.
+        let victim = |k: u64| ProcessId(((seed * 3 + k * 7) % n) as usize);
+        let scenario = base
+            .crashes(
+                CrashPlan::new()
+                    .crash_at_step(victim(0), 2 + seed * 5 % 60)
+                    .crash_at_round(victim(1), 1 + seed % 3)
+                    .crash_at_time(victim(2), at(0)),
+            )
+            .churn(ChurnPlan::new().leave_rejoin(
+                victim(3),
+                VirtualTime::from_ticks(1 + seed * 37 % 700),
+                at(1),
+            ));
+        let what = format!("{algorithm:?} seed={seed}");
+        let out = engines_match_on(&scenario, &what, &[2]);
+        assert!(out.agreement_holds(), "{what}");
+    }
+}
+
+/// The bodies that disseminate proposals under waves, over 24 seeds: one
+/// multivalued instance, or a two-slot log served from client traffic,
+/// on pairs, with loss, duplication, a timed crash and a step-indexed
+/// one. Their `APP`s are inert wherever they land, so a member's inert
+/// run crosses a whole dissemination wave; its proposal wait is inert to
+/// all but the awaited proposal; and a lost proposal splits a pair's
+/// votes, so the two race for their cluster's memory.
+#[test]
+fn proposal_bodies_under_waves_match_the_conductor_on_many_seeds() {
+    let partition = Partition::even(24, 12);
+    let n = partition.n();
+    for seed in 0..24u64 {
+        let algorithm = if seed / 2 % 2 == 0 {
+            Algorithm::CommonCoin
+        } else {
+            Algorithm::LocalCoin
+        };
+        let scenario = Scenario::new(partition.clone(), algorithm);
+        let scenario = if seed % 2 == 0 {
+            let payload =
+                |i: usize| Payload::from_bytes(format!("mv{i}s{seed}").as_bytes()).expect("fits");
+            scenario.multivalued(algorithm, (0..n).map(payload).collect())
+        } else {
+            let traffic = TrafficSpec {
+                arrival: ArrivalProcess::Poisson { mean_gap: 140 },
+                clients: 2 * n as u64,
+                queue_cap: 16,
+                batch_max: 4,
+                batch_min: 0,
+            };
+            scenario.replicated_log_traffic(algorithm, 2, traffic)
+        };
+        let x = seed as usize;
+        let scenario = scenario
+            .network(NetworkModel::flat(DelayModel::Constant(700)))
+            .costs(WAVE_COSTS)
+            .loss_ppm([20_000, 20_000, 20_000, 20_000, 0, 0][x % 6])
+            .dup_ppm([0, 30_000, 0][x % 3])
+            .crashes(
+                CrashPlan::new()
+                    .crash_at_time(
+                        ProcessId(x % n),
+                        VirtualTime::from_ticks(700 * (1 + seed % 5) + 4),
+                    )
+                    .crash_at_step(ProcessId((x + 11) % n), 3 * n as u64 + seed * 7),
+            )
+            .max_rounds(24)
+            .seed(seed);
+        let what = format!("seed={seed}");
+        let out = engines_match_on(&scenario, &what, &[2]);
+        assert!(out.agreement_holds(), "{what}");
+    }
 }
 
 /// Records every protocol event in the order the engine emits it.
