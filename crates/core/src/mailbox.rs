@@ -409,6 +409,17 @@ impl Mailbox {
         delta
     }
 
+    /// Whether [`Mailbox::take_buffered`] would serve anything for
+    /// `(instance, round, phase)`: a remembered `DECIDE` of the instance,
+    /// or a phase message buffered for the slot.
+    pub(crate) fn holds_for(&self, instance: u64, round: u64, phase: Phase) -> bool {
+        self.decides.contains_key(&instance)
+            || self
+                .future
+                .get(&(instance, round, phase))
+                .is_some_and(|q| !q.is_empty())
+    }
+
     /// Number of messages currently buffered for future slots.
     pub fn buffered(&self) -> usize {
         self.future.values().map(VecDeque::len).sum()

@@ -284,6 +284,41 @@ impl ConsensusSm {
         }
     }
 
+    /// Applies an inert delivery (see [`ConsensusSm::is_inert`]) exactly
+    /// as [`ConsensusSm::on_msg`] would, except for the `recv` entry step,
+    /// which the caller charges: the mailbox routes it (stale, buffered,
+    /// remembered or stashed) or it is a tally credit short of a majority.
+    /// Takes no [`SmCtx`], so it cannot reach the cluster's memory.
+    /// Returns `false`, having touched nothing, if `msg` is not inert.
+    ///
+    /// The pump `on_msg` runs after a credit is skipped: it drained the
+    /// current slot's buffer when the slot opened, and a remembered
+    /// `DECIDE` of this instance would have ended it.
+    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
+        debug_assert!(!self.done, "absorb_inert() on a finished machine");
+        if !self.is_inert(&msg) {
+            return false;
+        }
+        if let Some(item) = self
+            .mailbox
+            .accept(msg, self.instance, self.round, self.phase)
+        {
+            let MailboxItem::Phase { from, est } = item else {
+                unreachable!("a DECIDE of the running instance is not inert")
+            };
+            let (unit, weight) = self.topo.unit_of(from, self.cfg.amplify);
+            self.tally.credit(est, unit, weight);
+            debug_assert!(!self.tally.coverage_is_majority());
+            debug_assert!(
+                !self
+                    .mailbox
+                    .holds_for(self.instance, self.round, self.phase),
+                "the pump has nothing to serve after an inert credit"
+            );
+        }
+        true
+    }
+
     /// Accounts one delivery the layer above consumed itself — a proposal
     /// of the running multivalued instance, which [`super::MultivaluedSm`]
     /// writes straight into its store — exactly as [`ConsensusSm::on_msg`]
@@ -895,6 +930,60 @@ pub(super) mod tests {
         // phase-two credit from p0 covers a quarter.
         assert!(sm.is_inert(&msg(0, 0, 1, Phase::One)));
         assert!(sm.is_inert(&msg(0, 0, 1, Phase::Two)));
+    }
+
+    /// `absorb_inert` against `on_msg` on the same machine state, in the
+    /// `{p0} {p1 p2} {p3}` world of the test above: a stale `PHASE` is
+    /// counted into `stale_dropped`, a future one is buffered, a short
+    /// credit enters the tally — each exactly as `on_msg` leaves it, which
+    /// took one context call — and the completing credit is refused,
+    /// untouched.
+    #[test]
+    fn absorb_inert_applies_what_on_msg_does_and_refuses_a_completing_credit() {
+        let part = Partition::from_sizes(&[1, 2, 1]).expect("valid sizes");
+        let topo = Arc::new(SmTopology::new(part));
+        let (algorithm, cfg) = (Algorithm::LocalCoin, ProtocolConfig::paper());
+        let mut sm = ConsensusSm::new(algorithm, ProcessId(0), Arc::clone(&topo), 0, Bit::One, cfg);
+        let mut ctx = TestCtx::new(Bit::Zero);
+        assert!(matches!(sm.start(&mut ctx), Progress::Sent(_)));
+        let msg = |from: usize, round: u64, phase: Phase| Msg {
+            from: ProcessId(from),
+            kind: MsgKind::Phase {
+                instance: 0,
+                round,
+                phase,
+                est: Some(Bit::One),
+            },
+        };
+        // `sm` absorbs; its twin, restored from the same snapshot, steps.
+        let mut both = |sm: &mut ConsensusSm, m: Msg| {
+            let snap = sm.snapshot();
+            let mut twin =
+                ConsensusSm::from_snapshot(algorithm, ProcessId(0), Arc::clone(&topo), cfg, &snap)
+                    .expect("restores");
+            let absorbed = sm.absorb_inert(m);
+            if absorbed {
+                let calls = ctx.calls;
+                assert_eq!(twin.on_msg(m, &mut ctx), Progress::NeedMsg);
+                assert_eq!(ctx.calls, calls + 1, "the recv entry only");
+                assert_eq!(sm.snapshot(), twin.snapshot());
+            } else {
+                assert_eq!(sm.snapshot(), snap, "a refusal touches nothing");
+            }
+            absorbed
+        };
+        assert!(both(&mut sm, msg(1, 0, Phase::One)), "stale");
+        assert_eq!(sm.mailbox.stale_dropped(), 1);
+        assert!(both(&mut sm, msg(3, 2, Phase::One)), "future");
+        assert_eq!(sm.mailbox.buffered(), 1);
+        assert!(both(&mut sm, msg(1, 1, Phase::One)), "p1 covers 2 of 4");
+        assert!(
+            both(&mut sm, msg(2, 1, Phase::One)),
+            "p2 is in p1's cluster"
+        );
+        assert!(!both(&mut sm, msg(3, 1, Phase::One)), "p3 completes");
+        assert!(!both(&mut sm, msg(0, 1, Phase::One)), "so would p0");
+        assert_eq!((sm.mailbox.stale_dropped(), sm.mailbox.buffered()), (1, 1));
     }
 
     #[test]

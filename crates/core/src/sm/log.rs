@@ -211,6 +211,18 @@ impl LogSm {
         self.inner.as_ref().is_some_and(|inner| inner.is_inert(msg))
     }
 
+    /// Applies an inert delivery exactly as [`LogSm::on_msg`] would,
+    /// except for the `recv` entry step, which the caller charges: the
+    /// running slot's [`MultivaluedSm::absorb_inert`]. Takes no
+    /// [`SmCtx`], so it cannot reach the cluster's memory. Returns
+    /// `false`, having touched nothing, if `msg` is not inert.
+    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
+        debug_assert!(!self.done, "absorb_inert() on a finished machine");
+        self.inner
+            .as_mut()
+            .is_some_and(|inner| inner.absorb_inert(msg))
+    }
+
     /// Ends the replica externally (crash event or run shutdown).
     pub fn halt<C: SmCtx + ?Sized>(&mut self, halt: Halt, ctx: &mut C) -> Progress {
         assert!(!self.done, "halt() on a finished machine");

@@ -62,6 +62,15 @@
 //! long as each process's own deliveries keep theirs. The answer only has
 //! to be conservative: `false` for a delivery that turns out inert costs
 //! an engine some speed, never correctness.
+//!
+//! Each machine also *applies* such a delivery without a step context
+//! (`absorb_inert`): exactly what `on_msg` does to the machine, minus the
+//! one `recv` entry step, which the engine charges itself. An inert
+//! delivery never reaches anything else in the context — it sends
+//! nothing, observes nothing, draws no coin — and with no [`SmCtx`] in
+//! hand it cannot reach the cluster's memory either: the types say so.
+//! `absorb_inert` answers `false`, touching nothing, where `is_inert`
+//! does; the engine then steps the machine as usual.
 
 mod consensus;
 mod log;
@@ -831,10 +840,10 @@ mod tests {
             }
         }
 
-        /// `start` (no message) or `on_msg`: the step's sends, and whether
-        /// it was the machine's last.
-        fn step(&mut self, msg: Option<Msg>, ctx: &mut TestCtx) -> (Outbox, bool) {
-            let progress = match (self, msg) {
+        /// `start` (no message) or `on_msg`, a multivalued decision
+        /// reported as its binary digest.
+        fn step(&mut self, msg: Option<Msg>, ctx: &mut TestCtx) -> Progress {
+            match (self, msg) {
                 (Layer::Consensus(sm), None) => sm.start(ctx),
                 (Layer::Consensus(sm), Some(m)) => sm.on_msg(m, ctx),
                 (Layer::Log(sm), None) => sm.start(ctx),
@@ -847,16 +856,12 @@ mod tests {
                     match progress {
                         MvProgress::NeedMsg => Progress::NeedMsg,
                         MvProgress::Sent(out) => Progress::Sent(out),
-                        MvProgress::Decided(_, out) | MvProgress::Halted(_, out) => {
-                            return (out, true)
+                        MvProgress::Decided(mv, out) => {
+                            Progress::Decided(crate::mv_body_decision(&mv), out)
                         }
+                        MvProgress::Halted(h, out) => Progress::Halted(h, out),
                     }
                 }
-            };
-            match progress {
-                Progress::NeedMsg => (Vec::new(), false),
-                Progress::Sent(out) => (out, false),
-                Progress::Decided(_, out) | Progress::Halted(_, out) => (out, true),
             }
         }
 
@@ -866,6 +871,31 @@ mod tests {
                 Layer::Multivalued(sm) => sm.is_inert(msg),
                 Layer::Log(sm) => sm.is_inert(msg),
             }
+        }
+
+        fn absorb_inert(&mut self, msg: Msg) -> bool {
+            match self {
+                Layer::Consensus(sm) => sm.absorb_inert(msg),
+                Layer::Multivalued(sm) => sm.absorb_inert(msg),
+                Layer::Log(sm) => sm.absorb_inert(msg),
+            }
+        }
+
+        fn snapshot(&self) -> serde::Value {
+            match self {
+                Layer::Consensus(sm) => sm.snapshot(),
+                Layer::Multivalued(sm) => sm.snapshot(),
+                Layer::Log(sm) => sm.snapshot(),
+            }
+        }
+    }
+
+    /// A step's sends, and whether it was the machine's last.
+    fn sends(progress: Progress) -> (Outbox, bool) {
+        match progress {
+            Progress::NeedMsg => (Vec::new(), false),
+            Progress::Sent(out) => (out, false),
+            Progress::Decided(_, out) | Progress::Halted(_, out) => (out, true),
         }
     }
 
@@ -925,22 +955,31 @@ mod tests {
     /// Runs six processes of `layer` machines in clusters `{p0} {p1 p2
     /// p3} {p4 p5}` — every delivery in an order drawn from `seed`, and
     /// `junk` in every 8 steps a [`perturb`]ed copy of a message sent
-    /// so far instead — asserting at each delivery that one the
-    /// recipient called inert made no `cluster_propose` call. The last
-    /// process sees `p0`'s proposals only once nothing else is in flight,
-    /// so multivalued stages wait for them. Returns how many deliveries
-    /// were inert and how many others reached `cluster_propose`.
+    /// so far instead. Every recipient is built twice: one copy takes
+    /// each delivery through `on_msg`, its twin through `absorb_inert`,
+    /// falling back to `on_msg` where that answers `false`. At each
+    /// delivery it asserts that `absorb_inert` answers what `is_inert`
+    /// does and that a `false` touched nothing; that for an absorbed
+    /// delivery `on_msg` made exactly one context call (its `recv` entry)
+    /// and returned `NeedMsg` with no event and no `cluster_propose`; and
+    /// that the two copies then hold equal snapshots. The last process
+    /// sees `p0`'s proposals only once nothing else is in flight, so
+    /// multivalued stages wait for them. Returns how many deliveries were
+    /// absorbed and how many others reached `cluster_propose`.
     fn check_inertness(layer: u8, algorithm: Algorithm, seed: u64, junk: u64) -> (u64, u64) {
         let part = Partition::from_sizes(&[1, 3, 2]).expect("valid sizes");
         let n = part.n();
         let topo = Arc::new(SmTopology::new(part));
         let mut rng = seed;
-        let mut machines: Vec<Layer> = (0..n)
-            .map(|i| Layer::new(layer, algorithm, ProcessId(i), &topo))
-            .collect();
-        let mut ctxs: Vec<TestCtx> = (0..n)
-            .map(|_| TestCtx::new(Bit::from(draw(&mut rng) & 1 == 1)))
-            .collect();
+        let build = || -> Vec<Layer> {
+            (0..n)
+                .map(|i| Layer::new(layer, algorithm, ProcessId(i), &topo))
+                .collect()
+        };
+        let (mut machines, mut twins) = (build(), build());
+        let coins: Vec<Bit> = (0..n).map(|_| Bit::from(draw(&mut rng) & 1 == 1)).collect();
+        let ctxs_for = || -> Vec<TestCtx> { coins.iter().map(|&c| TestCtx::new(c)).collect() };
+        let (mut ctxs, mut twin_ctxs) = (ctxs_for(), ctxs_for());
         let mut done = vec![false; n];
         let (mut in_flight, mut sent) = (Vec::<(usize, Msg)>::new(), Vec::<Msg>::new());
         let file = |from: usize, outbox: Outbox, in_flight: &mut Vec<_>, sent: &mut Vec<_>| {
@@ -955,7 +994,9 @@ mod tests {
             }
         };
         for i in 0..n {
-            let (out, end) = machines[i].step(None, &mut ctxs[i]);
+            let progress = machines[i].step(None, &mut ctxs[i]);
+            assert_eq!(twins[i].step(None, &mut twin_ctxs[i]), progress);
+            let (out, end) = sends(progress);
             done[i] = end;
             file(i, out, &mut in_flight, &mut sent);
         }
@@ -985,16 +1026,34 @@ mod tests {
             if done[to] {
                 continue;
             }
+            let what = format!("layer {layer} {algorithm:?} seed {seed}: {msg:?} to p{to}");
             let quiet = machines[to].is_inert(&msg);
-            let before = ctxs[to].proposes;
-            let (out, end) = machines[to].step(Some(msg), &mut ctxs[to]);
-            let proposed = ctxs[to].proposes > before;
-            assert!(
-                !(quiet && proposed),
-                "layer {layer} {algorithm:?} seed {seed}: an inert {msg:?} to p{to} proposed"
-            );
-            inert += u64::from(quiet);
+            let before = twins[to].snapshot();
+            let absorbed = twins[to].absorb_inert(msg);
+            assert_eq!(absorbed, quiet, "{what}");
+            let ctx = &ctxs[to];
+            let (calls, proposes, events) = (ctx.calls, ctx.proposes, ctx.events.len());
+            let progress = machines[to].step(Some(msg), &mut ctxs[to]);
+            let ctx = &ctxs[to];
+            let proposed = ctx.proposes > proposes;
+            if absorbed {
+                assert_eq!(progress, Progress::NeedMsg, "{what}");
+                assert_eq!(ctx.calls, calls + 1, "{what}: the recv entry only");
+                assert_eq!(ctx.events.len(), events, "{what}");
+                assert!(!proposed, "{what}");
+            } else {
+                assert_eq!(
+                    twins[to].snapshot(),
+                    before,
+                    "{what}: a `false` touched nothing"
+                );
+                let twin = twins[to].step(Some(msg), &mut twin_ctxs[to]);
+                assert_eq!(twin, progress, "{what}");
+            }
+            assert_eq!(twins[to].snapshot(), machines[to].snapshot(), "{what}");
+            inert += u64::from(absorbed);
             proposing += u64::from(proposed);
+            let (out, end) = sends(progress);
             done[to] = end;
             file(to, out, &mut in_flight, &mut sent);
         }
@@ -1004,10 +1063,12 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// `is_inert` is conservative on all three machines: whatever
+        /// `is_inert` is conservative on all three machines, and
+        /// `absorb_inert` is `on_msg` minus the `recv` entry: whatever
         /// the delivery order and whatever stray messages arrive, a
         /// delivery the recipient's machine calls inert never reaches
-        /// `cluster_propose`.
+        /// `cluster_propose`, and absorbing it leaves the machine where
+        /// stepping it does.
         #[test]
         fn an_inert_delivery_never_proposes(
             layer in 0u8..3,
@@ -1021,7 +1082,7 @@ mod tests {
     }
 
     /// The property above is not vacuous: on every layer and algorithm
-    /// some deliveries are inert and some others do reach the cluster.
+    /// some deliveries are absorbed and some others do reach the cluster.
     #[test]
     fn inertness_runs_see_both_kinds_of_delivery() {
         for layer in 0..3 {

@@ -324,14 +324,7 @@ impl MultivaluedSm {
         assert!(!self.done, "on_msg() on a finished machine");
         // A proposal of this very instance is consumed on arrival (see
         // the module docs); everything else goes through the mailbox.
-        let own_proposal = match msg.kind {
-            MsgKind::App {
-                instance,
-                seq,
-                payload,
-            } if instance == self.base => Some((seq, payload)),
-            _ => None,
-        };
+        let own_proposal = self.own_proposal(&msg);
         match &mut self.state {
             MvState::Stage(sm) => {
                 let progress = match own_proposal {
@@ -380,14 +373,62 @@ impl MultivaluedSm {
     /// the stash holds nothing of this instance for the absorb to find.
     /// Reads only; call it on a suspended, unfinished machine.
     pub fn is_inert(&self, msg: &Msg) -> bool {
-        let own_seq = match msg.kind {
-            MsgKind::App { instance, seq, .. } if instance == self.base => Some(seq),
-            _ => None,
-        };
+        let own_seq = self.own_proposal(msg).map(|(seq, _)| seq);
         match &self.state {
             MvState::Stage(sm) => own_seq.is_some() || sm.is_inert(msg),
             MvState::AwaitProposal(_, k) => own_seq != Some(k.index() as u64),
             MvState::Finished(_) => false,
+        }
+    }
+
+    /// Applies an inert delivery (see [`MultivaluedSm::is_inert`]) exactly
+    /// as [`MultivaluedSm::on_msg`] would, except for the `recv` entry
+    /// step, which the caller charges. While a stage runs, a proposal of
+    /// this instance enters the store and anything else is the stage's to
+    /// absorb ([`ConsensusSm::absorb_inert`]); in the proposal wait, a
+    /// proposal of this instance other than `p_k`'s enters the store and
+    /// anything else is buffered and absorbed. Takes no [`SmCtx`], so it
+    /// cannot reach the cluster's memory. Returns `false`, having touched
+    /// nothing, if `msg` is not inert.
+    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
+        debug_assert!(!self.done, "absorb_inert() on a finished machine");
+        let own_proposal = self.own_proposal(&msg);
+        if let MvState::Stage(sm) = &mut self.state {
+            return match own_proposal {
+                Some((seq, payload)) => {
+                    self.store.offer(seq, payload);
+                    true
+                }
+                None => sm.absorb_inert(msg),
+            };
+        }
+        if !self.is_inert(&msg) {
+            return false;
+        }
+        let MvState::AwaitProposal(mailbox, k) = &mut self.state else {
+            unreachable!("nothing is inert to a finished machine")
+        };
+        match own_proposal {
+            Some((seq, payload)) => self.store.offer(seq, payload),
+            None => {
+                mailbox.buffer(msg);
+                self.store.absorb(mailbox);
+            }
+        }
+        debug_assert!(!self.store.holds(*k), "only p_k's proposal ends the wait");
+        true
+    }
+
+    /// `msg`'s `(seq, payload)` if it is a proposal of this very
+    /// instance — the one kind of message this layer takes itself.
+    fn own_proposal(&self, msg: &Msg) -> Option<(u64, Payload)> {
+        match msg.kind {
+            MsgKind::App {
+                instance,
+                seq,
+                payload,
+            } if instance == self.base => Some((seq, payload)),
+            _ => None,
         }
     }
 
@@ -831,19 +872,25 @@ mod tests {
     }
 
     /// A machine waiting for `p_k`'s proposal is inert to everything but
-    /// that proposal: other proposals of its instance, other instances'
-    /// proposals, phase messages and decides only fill the stash. The
-    /// awaited proposal ends the instance — and in a log the next slot's
-    /// first step pre-agrees in the cluster.
+    /// that proposal: other proposals of its instance only fill the
+    /// store, other instances' proposals, phase messages and decides only
+    /// fill the stash. The awaited proposal ends the instance — and in a
+    /// log the next slot's first step pre-agrees in the cluster — so
+    /// `absorb_inert` refuses it. (The starved process also loses one
+    /// other proposer's dissemination, so that proposal arrives late.)
     #[test]
     fn the_proposal_wait_is_inert_to_all_but_the_awaited_proposal() {
         let n = 4;
         let base = INSTANCE_STRIDE;
-        let mut waits = 0;
+        let (mut waits, mut entered) = (0, 0);
         for seed in 0..24u64 {
             let starved = 1 + seed as usize % (n - 1);
+            let late = if starved == 1 { 2 } else { 1 };
             let mut w = World::new(n, 1, Bit::One);
             w.start();
+            w.in_flight.retain(|&(to, m)| {
+                to != starved || m.from.index() != late || !matches!(m.kind, MsgKind::App { .. })
+            });
             let waiting =
                 |w: &World| matches!(w.machines[starved].state, MvState::AwaitProposal(..));
             w.run_until(seed, Some(starved), DIRECT, waiting);
@@ -883,6 +930,24 @@ mod tests {
                 assert!(sm.is_inert(&other), "seed {seed}: {other:?}");
             }
             assert!(!sm.is_inert(&awaited), "seed {seed}");
+            // Absorbing what the wait is inert to does what `on_msg`
+            // does (a proposal not held yet enters the store); the
+            // awaited proposal is refused, untouched.
+            let sm = &mut w.machines[starved];
+            for seq in (0..n as u64).filter(|&seq| seq != k.index() as u64) {
+                let fresh = !sm.store.holds(ProcessId(seq as usize));
+                let msg = own_app(base, 3, seq, "late");
+                let mut twin = restored(sm, n);
+                let ctx = &mut w.ctxs[starved];
+                assert!(sm.absorb_inert(msg), "seed {seed}");
+                assert_eq!(twin.on_msg(msg, ctx), MvProgress::NeedMsg, "seed {seed}");
+                assert_eq!(sm.snapshot(), twin.snapshot(), "seed {seed}");
+                assert!(sm.store.holds(ProcessId(seq as usize)), "seed {seed}");
+                entered += u64::from(fresh);
+            }
+            let snap = sm.snapshot();
+            assert!(!sm.absorb_inert(awaited), "seed {seed}");
+            assert_eq!(sm.snapshot(), snap, "seed {seed}");
             let ctx = &mut w.ctxs[starved];
             let progress = w.machines[starved].on_msg(awaited, ctx);
             assert!(
@@ -891,6 +956,20 @@ mod tests {
             );
         }
         assert!(waits > 0, "a starved process sat in the proposal wait");
+        assert!(entered > 0, "some wait absorbed a proposal it lacked");
+    }
+
+    /// A copy of `sm` (of the singleton-cluster [`World`] of `n`
+    /// processes) through its snapshot.
+    fn restored(sm: &MultivaluedSm, n: usize) -> MultivaluedSm {
+        MultivaluedSm::from_snapshot(
+            Algorithm::LocalCoin,
+            sm.me,
+            Arc::new(SmTopology::new(Partition::singletons(n))),
+            ProtocolConfig::paper(),
+            &sm.snapshot(),
+        )
+        .expect("restores")
     }
 
     fn own_app(base: u64, from: usize, seq: u64, text: &str) -> Msg {

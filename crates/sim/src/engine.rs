@@ -27,6 +27,19 @@
 //! `n = 10 000`-process executions finish in seconds on one core (the
 //! `escale` experiment) and replicated KV runs reach `n >= 5 000` (the
 //! `smrscale` experiment).
+//!
+//! Most deliveries are not a step at all. A process leaves a message
+//! exchange once its supporters cover a majority of cluster weight, so
+//! nearly every delivery (99.9 % on the benchmark's cells) leaves the
+//! recipient where it was: it cannot reach the cluster's shared memory.
+//! The machine applies such a delivery without a context
+//! ([`Machine::absorb_inert`]) and the loop charges the one step it takes
+//! — the `recv` entry — through [`ProcState::recv_step`], the step
+//! function [`EventCtx`] uses too. A step-indexed crash that fires there
+//! halts the process through [`Machine::halt`], which is what each
+//! machine's own failing `begin_recv` does: the same terminal mailbox
+//! report, the same empty outbox. Only the remaining deliveries build an
+//! [`EventCtx`] and step the machine.
 
 use crate::checkpoint::ProcSnap;
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
@@ -133,14 +146,17 @@ impl Machine {
         }
     }
 
-    /// `true` only if delivering `msg` now cannot reach the cluster's
-    /// shared memory (`ofa_core::sm`, "Inert deliveries"): such a
-    /// delivery commutes with every delivery to another process.
-    pub(crate) fn is_inert(&self, msg: &Msg) -> bool {
+    /// Applies `msg` if its delivery cannot reach the cluster's shared
+    /// memory (`ofa_core::sm`, "Inert deliveries") — all of `on_msg` but
+    /// the `recv` entry step, which the caller charges with
+    /// [`ProcState::recv_step`] — and says whether it did. Such a
+    /// delivery commutes with every delivery to another process. `false`
+    /// leaves the machine untouched, for `on_msg`.
+    pub(crate) fn absorb_inert(&mut self, msg: Msg) -> bool {
         match self {
-            Machine::Consensus(sm) => sm.is_inert(msg),
-            Machine::Multivalued(sm) => sm.is_inert(msg),
-            Machine::Log(sm) => sm.is_inert(msg),
+            Machine::Consensus(sm) => sm.absorb_inert(msg),
+            Machine::Multivalued(sm) => sm.absorb_inert(msg),
+            Machine::Log(sm) => sm.absorb_inert(msg),
         }
     }
 
@@ -325,6 +341,23 @@ impl ProcState {
         self.counters.messages_delivered += 1;
     }
 
+    /// Counts one environment call and fires step-indexed crashes — the
+    /// conductor's `SimEnv::step`. Every step of [`EventCtx`] is one; so
+    /// is the `recv` entry of a delivery the machine absorbed
+    /// ([`Machine::absorb_inert`]), the one step such a delivery takes.
+    pub(crate) fn recv_step(&mut self) -> Result<(), Halt> {
+        self.steps += 1;
+        if let Some(k) = self.crash_at_step {
+            if self.steps > k {
+                self.crashed_self = true;
+            }
+        }
+        if self.crashed_self {
+            return Err(Halt::Crashed);
+        }
+        Ok(())
+    }
+
     /// Wake-up accounting for a timed crash event.
     pub(crate) fn on_crash_event(&mut self, at: u64) {
         self.clock = self.clock.max(at);
@@ -409,20 +442,9 @@ pub(crate) struct EventCtx<'a> {
 }
 
 impl EventCtx<'_> {
-    /// Counts an environment call and fires step-indexed crashes — the
-    /// conductor's `SimEnv::step`.
+    /// One environment call ([`ProcState::recv_step`]).
     fn step(&mut self) -> Result<(), Halt> {
-        let st = &mut *self.state;
-        st.steps += 1;
-        if let Some(k) = st.crash_at_step {
-            if st.steps > k {
-                st.crashed_self = true;
-            }
-        }
-        if st.crashed_self {
-            return Err(Halt::Crashed);
-        }
-        Ok(())
+        self.state.recv_step()
     }
 
     fn record(&mut self, event: TraceEvent) {

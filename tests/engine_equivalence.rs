@@ -1061,6 +1061,96 @@ fn kept_traces_and_observers_see_the_conductors_order_under_waves() {
 }
 
 // ---------------------------------------------------------------------
+// Absorbed deliveries: the event loop applies a delivery that cannot
+// reach the cluster's memory without stepping the machine, and charges
+// its one `recv` step itself. A step-indexed crash trigger that fires
+// on that step must halt the process exactly as the machine's own
+// failing `recv` entry does in the conductor. Nearly every delivery is
+// absorbed, so a trigger anywhere past a process's first steps lands on
+// one; the cases below spread triggers over whole runs.
+// ---------------------------------------------------------------------
+
+/// Step-indexed crashes at a spread of step counts, over 30 seeds, for
+/// both algorithms, under waves (constant delay, free sends: absorbed in
+/// members' inert runs) and under the default sampled delays (single
+/// deliveries off lazy cursors).
+#[test]
+fn step_crashes_on_absorbed_deliveries_match_the_conductor_on_many_seeds() {
+    let partition = Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes");
+    let n = partition.n() as u64;
+    for seed in 0..30u64 {
+        for algorithm in [Algorithm::LocalCoin, Algorithm::CommonCoin] {
+            for waves in [true, false] {
+                // Two victims: one inside its first round's deliveries,
+                // one anywhere in its first few rounds.
+                let victim = |k: u64| ProcessId(((seed * 5 + k * 11) % n) as usize);
+                let plan = CrashPlan::new()
+                    .crash_at_step(victim(0), n + 2 + seed * 7 % (3 * n))
+                    .crash_at_step(victim(1), 1 + seed * 37 % (12 * n));
+                let scenario = Scenario::new(partition.clone(), algorithm)
+                    .proposals_split(n as usize / 2)
+                    .crashes(plan)
+                    .max_rounds(24)
+                    .seed(seed);
+                let scenario = if waves {
+                    scenario
+                        .network(NetworkModel::flat(DelayModel::Constant(700)))
+                        .costs(WAVE_COSTS)
+                } else {
+                    scenario
+                };
+                let what = format!("{algorithm:?} seed={seed} waves={waves}");
+                let out = engines_match_on(&scenario, &what, &[2]);
+                assert!(out.agreement_holds(), "{what}");
+            }
+        }
+    }
+}
+
+/// A replicated log with a step trigger and 3 % duplication: the trigger
+/// lands on an absorbed `APP`, `PHASE` or `DECIDE` of some slot, and
+/// duplicates' copies arrive as single deliveries beside the waves (or
+/// the lazy cursors) and are absorbed there.
+#[test]
+fn a_step_crash_in_a_log_body_with_duplicates_matches_the_conductor() {
+    let partition = Partition::even(12, 4);
+    let n = partition.n();
+    let queues: Vec<Vec<Payload>> = (0..n)
+        .map(|i| {
+            let cmd = |c| Payload::from_bytes(format!("p{i}{c}").as_bytes()).expect("fits");
+            vec![cmd('a'), cmd('b')]
+        })
+        .collect();
+    for seed in 0..8u64 {
+        for waves in [true, false] {
+            let scenario = Scenario::new(partition.clone(), Algorithm::CommonCoin)
+                .replicated_log(Algorithm::CommonCoin, 3, queues.clone())
+                .crashes(
+                    CrashPlan::new()
+                        .crash_at_step(ProcessId(seed as usize % n), 3 * n as u64 + seed * 19),
+                )
+                .max_rounds(24)
+                .seed(seed);
+            let scenario = if waves {
+                scenario
+                    .network(NetworkModel::flat(DelayModel::Constant(700)))
+                    .costs(WAVE_COSTS)
+            } else {
+                scenario
+            };
+            let scenario = scenario.dup_ppm(30_000);
+            let what = format!("seed={seed} waves={waves}");
+            let out = engines_match_on(&scenario, &what, &[2]);
+            assert!(out.agreement_holds(), "{what}");
+            assert!(
+                out.events_processed > out.counters.messages_sent,
+                "{what}: copies are events too"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // The calendar queue: a shard keeps its pending events in a ring of
 // one-tick buckets spanning `SPAN` ticks, with an overflow heap beyond
 // it (`crates/sim/src/queue.rs`). The conductor keeps a binary heap, so
