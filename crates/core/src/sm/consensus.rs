@@ -236,7 +236,8 @@ impl ConsensusSm {
         self.finish_step(res, ctx)
     }
 
-    /// Consumes one delivered message and advances as far as possible.
+    /// Consumes one delivered message and advances as far as possible
+    /// (an absorbed one only re-enters `recv`).
     ///
     /// # Panics
     ///
@@ -244,91 +245,61 @@ impl ConsensusSm {
     /// stepping a finished machine).
     pub fn on_msg<C: SmCtx + ?Sized>(&mut self, msg: Msg, ctx: &mut C) -> Progress {
         assert!(!self.done, "on_msg() on a finished machine");
-        let res = match self
+        if self.absorb_inert(msg) {
+            return match ctx.begin_recv() {
+                Ok(()) => Progress::NeedMsg,
+                Err(h) => self.halt(h, ctx),
+            };
+        }
+        let item = self
             .mailbox
             .accept(msg, self.instance, self.round, self.phase)
-        {
-            Some(item) => self.apply(item, ctx).and_then(|d| match d {
-                Some(d) => Ok(Some(d)),
-                None => self.pump(ctx),
-            }),
-            // Buffered, stale, or an app payload: the blocking code would
-            // loop straight back into `recv`.
-            None => ctx.begin_recv().map(|()| None),
-        };
+            .expect("absorb_inert refuses only what the mailbox serves");
+        let res = self.apply(item, ctx).and_then(|d| match d {
+            Some(d) => Ok(Some(d)),
+            None => self.pump(ctx),
+        });
         self.finish_step(res, ctx)
     }
 
-    /// `true` only if delivering `msg` now cannot reach
-    /// [`SmCtx::cluster_propose`] (see [`super`], "Inert deliveries"):
-    /// a `PHASE` of another exchange (buffered or stale), a `PHASE` of the
-    /// current exchange whose credit leaves the coverage short of a
-    /// majority, a `DECIDE` of another instance, or an `APP` (stashed).
-    /// A completing credit or a `DECIDE` of the current instance is not
-    /// inert. Reads only; call it on a suspended, unfinished machine.
-    pub fn is_inert(&self, msg: &Msg) -> bool {
+    /// Applies `msg` if its delivery cannot reach [`SmCtx::cluster_propose`]
+    /// and says whether it did (see [`super`], "Inert deliveries"): a
+    /// credit short of a majority, or whatever the mailbox routes (stale,
+    /// buffered, remembered, stashed). A completing credit and a `DECIDE`
+    /// of this instance are refused, untouched. No pump follows a credit:
+    /// the slot's buffer was drained when it opened, and a remembered
+    /// `DECIDE` of this instance would have ended it.
+    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
+        debug_assert!(!self.done, "absorb_inert() on a finished machine");
         match msg.kind {
             MsgKind::Phase {
                 instance,
                 round,
                 phase,
-                ..
-            } => {
-                (instance, round, phase) != (self.instance, self.round, self.phase) || {
-                    let (unit, weight) = self.topo.unit_of(msg.from, self.cfg.amplify);
-                    !self.tally.would_complete(unit, weight)
+                est,
+            } if (instance, round, phase) == (self.instance, self.round, self.phase) => {
+                let (unit, weight) = self.topo.unit_of(msg.from, self.cfg.amplify);
+                if self.tally.would_complete(unit, weight) {
+                    return false;
                 }
+                self.tally.credit(est, unit, weight);
+                debug_assert!(
+                    !self
+                        .mailbox
+                        .holds_for(self.instance, self.round, self.phase),
+                    "the pump has nothing to serve after an inert credit"
+                );
+                true
             }
-            MsgKind::Decide { instance, .. } => instance != self.instance,
-            MsgKind::App { .. } => true,
-        }
-    }
-
-    /// Applies an inert delivery (see [`ConsensusSm::is_inert`]) exactly
-    /// as [`ConsensusSm::on_msg`] would, except for the `recv` entry step,
-    /// which the caller charges: the mailbox routes it (stale, buffered,
-    /// remembered or stashed) or it is a tally credit short of a majority.
-    /// Takes no [`SmCtx`], so it cannot reach the cluster's memory.
-    /// Returns `false`, having touched nothing, if `msg` is not inert.
-    ///
-    /// The pump `on_msg` runs after a credit is skipped: it drained the
-    /// current slot's buffer when the slot opened, and a remembered
-    /// `DECIDE` of this instance would have ended it.
-    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
-        debug_assert!(!self.done, "absorb_inert() on a finished machine");
-        if !self.is_inert(&msg) {
-            return false;
-        }
-        if let Some(item) = self
-            .mailbox
-            .accept(msg, self.instance, self.round, self.phase)
-        {
-            let MailboxItem::Phase { from, est } = item else {
-                unreachable!("a DECIDE of the running instance is not inert")
-            };
-            let (unit, weight) = self.topo.unit_of(from, self.cfg.amplify);
-            self.tally.credit(est, unit, weight);
-            debug_assert!(!self.tally.coverage_is_majority());
-            debug_assert!(
-                !self
+            MsgKind::Decide { instance, .. } if instance == self.instance => false,
+            _ => {
+                let served = self
                     .mailbox
-                    .holds_for(self.instance, self.round, self.phase),
-                "the pump has nothing to serve after an inert credit"
-            );
+                    .accept(msg, self.instance, self.round, self.phase);
+                debug_assert!(served.is_none(), "the mailbox served {served:?}");
+                true
+            }
         }
-        true
-    }
-
-    /// Accounts one delivery the layer above consumed itself — a proposal
-    /// of the running multivalued instance, which [`super::MultivaluedSm`]
-    /// writes straight into its store — exactly as [`ConsensusSm::on_msg`]
-    /// accounts a message its mailbox did not serve: the machine loops
-    /// back into `recv` (one step, where a crash trigger may land, with
-    /// the same terminal mailbox report).
-    pub(super) fn on_consumed_above<C: SmCtx + ?Sized>(&mut self, ctx: &mut C) -> Progress {
-        assert!(!self.done, "on_consumed_above() on a finished machine");
-        let res = ctx.begin_recv().map(|()| None);
-        self.finish_step(res, ctx)
     }
 
     /// Ends the machine externally — a crash event or run shutdown while
@@ -660,6 +631,40 @@ pub(super) mod tests {
         }
     }
 
+    /// `step` on a fresh context whose first call crashes — the `recv`
+    /// entry, for a delivery the machine absorbs — and what it observed.
+    pub(in crate::sm) fn crashing<P>(step: impl FnOnce(&mut TestCtx) -> P) -> (P, Vec<ObsEvent>) {
+        let mut ctx = TestCtx::new(Bit::Zero);
+        ctx.crash_after = Some(0);
+        let progress = step(&mut ctx);
+        (progress, ctx.events)
+    }
+
+    /// The next draw of a small deterministic generator (an LCG's high
+    /// bits).
+    pub(in crate::sm) fn draw(rng: &mut u64) -> u64 {
+        *rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *rng >> 33
+    }
+
+    pub(in crate::sm) fn payload(s: &str) -> crate::Payload {
+        crate::Payload::from_bytes(s.as_bytes()).expect("fits")
+    }
+
+    /// Queues a solo machine's sends to itself, one message per item (a
+    /// broadcast reaches the only process once).
+    pub(in crate::sm) fn loop_back(queue: &mut Vec<Msg>, outbox: Outbox) {
+        queue.extend(outbox.into_iter().map(|item| Msg {
+            from: ProcessId(0),
+            kind: match item {
+                OutItem::One(o) => o.msg,
+                OutItem::Broadcast { msg, .. } => msg,
+            },
+        }));
+    }
+
     fn solo(algorithm: Algorithm, proposal: Bit) -> ConsensusSm {
         let topo = Arc::new(SmTopology::new(Partition::single_cluster(1)));
         ConsensusSm::new(
@@ -672,32 +677,25 @@ pub(super) mod tests {
         )
     }
 
+    /// A copy of `sm` through its snapshot.
+    fn restored(sm: &ConsensusSm) -> ConsensusSm {
+        let topo = Arc::clone(&sm.topo);
+        ConsensusSm::from_snapshot(sm.algorithm, sm.me, topo, sm.cfg, &sm.snapshot())
+            .expect("restores")
+    }
+
     /// Feeds a solo machine its own outbox until a terminal progress.
     fn run_solo(mut sm: ConsensusSm, ctx: &mut TestCtx) -> Progress {
         let mut queue: Vec<Msg> = Vec::new();
-        let absorb = |queue: &mut Vec<Msg>, outbox: Outbox| {
-            for item in outbox {
-                match item {
-                    OutItem::One(o) => queue.push(Msg {
-                        from: ProcessId(0),
-                        kind: o.msg,
-                    }),
-                    OutItem::Broadcast { msg, .. } => queue.push(Msg {
-                        from: ProcessId(0),
-                        kind: msg,
-                    }),
-                }
-            }
-        };
         match sm.start(ctx) {
-            Progress::Sent(out) => absorb(&mut queue, out),
+            Progress::Sent(out) => loop_back(&mut queue, out),
             Progress::NeedMsg => {}
             terminal => return terminal,
         }
         while !queue.is_empty() {
             let msg = queue.remove(0);
             match sm.on_msg(msg, ctx) {
-                Progress::Sent(out) => absorb(&mut queue, out),
+                Progress::Sent(out) => loop_back(&mut queue, out),
                 Progress::NeedMsg => {}
                 terminal => return terminal,
             }
@@ -877,6 +875,7 @@ pub(super) mod tests {
         );
         let mut ctx = TestCtx::new(Bit::Zero);
         assert!(matches!(sm.start(&mut ctx), Progress::Sent(_)));
+        let absorbs = |sm: &ConsensusSm, m| restored(sm).absorb_inert(m);
         let msg = |from: usize, instance: u64, round: u64, phase: Phase| Msg {
             from: ProcessId(from),
             kind: MsgKind::Phase {
@@ -910,26 +909,26 @@ pub(super) mod tests {
             decide(1),
             app,
         ] {
-            assert!(sm.is_inert(&other), "{other:?}");
+            assert!(absorbs(&sm, other), "{other:?}");
         }
-        assert!(!sm.is_inert(&decide(0)));
+        assert!(!absorbs(&sm, decide(0)));
         // p1 covers its cluster (2 of 4): not yet a majority.
         let p1 = msg(1, 0, 1, Phase::One);
-        assert!(sm.is_inert(&p1));
+        assert!(absorbs(&sm, p1));
         let proposes = ctx.proposes;
         assert_eq!(sm.on_msg(p1, &mut ctx), Progress::NeedMsg);
         assert_eq!(ctx.proposes, proposes);
         // p2 is in the covered cluster; p0 and p3 would each complete.
-        assert!(sm.is_inert(&msg(2, 0, 1, Phase::One)));
+        assert!(absorbs(&sm, msg(2, 0, 1, Phase::One)));
         let p3 = msg(3, 0, 1, Phase::One);
-        assert!(!sm.is_inert(&msg(0, 0, 1, Phase::One)));
-        assert!(!sm.is_inert(&p3));
+        assert!(!absorbs(&sm, msg(0, 0, 1, Phase::One)));
+        assert!(!absorbs(&sm, p3));
         assert!(matches!(sm.on_msg(p3, &mut ctx), Progress::Sent(_)));
         assert_eq!(ctx.proposes, proposes + 1, "phase two pre-agrees");
         // The exchange moved on: phase one is stale now, and a lone
         // phase-two credit from p0 covers a quarter.
-        assert!(sm.is_inert(&msg(0, 0, 1, Phase::One)));
-        assert!(sm.is_inert(&msg(0, 0, 1, Phase::Two)));
+        assert!(absorbs(&sm, msg(0, 0, 1, Phase::One)));
+        assert!(absorbs(&sm, msg(0, 0, 1, Phase::Two)));
     }
 
     /// `absorb_inert` against `on_msg` on the same machine state, in the
@@ -957,10 +956,7 @@ pub(super) mod tests {
         };
         // `sm` absorbs; its twin, restored from the same snapshot, steps.
         let mut both = |sm: &mut ConsensusSm, m: Msg| {
-            let snap = sm.snapshot();
-            let mut twin =
-                ConsensusSm::from_snapshot(algorithm, ProcessId(0), Arc::clone(&topo), cfg, &snap)
-                    .expect("restores");
+            let (snap, mut twin) = (sm.snapshot(), restored(sm));
             let absorbed = sm.absorb_inert(m);
             if absorbed {
                 let calls = ctx.calls;
@@ -984,6 +980,31 @@ pub(super) mod tests {
         assert!(!both(&mut sm, msg(3, 1, Phase::One)), "p3 completes");
         assert!(!both(&mut sm, msg(0, 1, Phase::One)), "so would p0");
         assert_eq!((sm.mailbox.stale_dropped(), sm.mailbox.buffered()), (1, 1));
+    }
+
+    /// A crash trigger on the `recv` entry of an absorbed (stale)
+    /// delivery: `on_msg` returns what absorbing it and then `halt` return
+    /// on a twin restored from the same snapshot, with the same events — a
+    /// mailbox report that counts the stale message.
+    #[test]
+    fn crash_on_an_absorbed_delivery_is_absorb_then_halt() {
+        let (mut sm, mut ctx) = (solo(Algorithm::LocalCoin, Bit::One), TestCtx::new(Bit::One));
+        assert!(matches!(sm.start(&mut ctx), Progress::Sent(_)));
+        let mut twin = restored(&sm);
+        let stale = Msg {
+            from: ProcessId(0),
+            kind: MsgKind::Phase {
+                instance: 0,
+                round: 0,
+                phase: Phase::One,
+                est: None,
+            },
+        };
+        assert!(twin.absorb_inert(stale));
+        let halted = crashing(|ctx| twin.halt(Halt::Crashed, ctx));
+        assert_eq!(crashing(|ctx| sm.on_msg(stale, ctx)), halted);
+        assert_eq!(halted.0, Progress::Halted(Halt::Crashed, vec![]));
+        assert_eq!(halted.1, [ObsEvent::MailboxStats { stale_dropped: 1 }]);
     }
 
     #[test]

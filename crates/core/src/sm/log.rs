@@ -191,31 +191,27 @@ impl LogSm {
 
     /// Consumes one delivered message and advances as far as possible —
     /// possibly committing the current slot and opening the next within
-    /// the same step.
+    /// the same step (an absorbed one only re-enters `recv`).
     ///
     /// # Panics
     ///
     /// Panics if called after a terminal `Progress`.
     pub fn on_msg<C: SmCtx + ?Sized>(&mut self, msg: Msg, ctx: &mut C) -> Progress {
         assert!(!self.done, "on_msg() on a finished machine");
+        if self.absorb_inert(msg) {
+            return match ctx.begin_recv() {
+                Ok(()) => Progress::NeedMsg,
+                Err(h) => self.halt(h, ctx),
+            };
+        }
         let inner = self.inner.as_mut().expect("running replica has a slot");
         let progress = inner.on_msg(msg, ctx);
         self.after_slot_progress(progress, ctx)
     }
 
-    /// `true` only if delivering `msg` now cannot reach
-    /// [`SmCtx::cluster_propose`]: the running slot's answer
-    /// ([`MultivaluedSm::is_inert`]). Reads only; call it on a suspended,
-    /// unfinished replica.
-    pub fn is_inert(&self, msg: &Msg) -> bool {
-        self.inner.as_ref().is_some_and(|inner| inner.is_inert(msg))
-    }
-
-    /// Applies an inert delivery exactly as [`LogSm::on_msg`] would,
-    /// except for the `recv` entry step, which the caller charges: the
-    /// running slot's [`MultivaluedSm::absorb_inert`]. Takes no
-    /// [`SmCtx`], so it cannot reach the cluster's memory. Returns
-    /// `false`, having touched nothing, if `msg` is not inert.
+    /// Applies `msg` if its delivery cannot reach [`SmCtx::cluster_propose`]
+    /// and says whether it did: the running slot's
+    /// [`MultivaluedSm::absorb_inert`].
     pub fn absorb_inert(&mut self, msg: Msg) -> bool {
         debug_assert!(!self.done, "absorb_inert() on a finished machine");
         self.inner
@@ -335,15 +331,10 @@ impl LogSm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::consensus::tests::TestCtx;
-    use super::super::OutItem;
+    use super::super::consensus::tests::{crashing, loop_back, payload, TestCtx};
     use super::*;
     use crate::{Bit, ObsEvent};
     use ofa_topology::Partition;
-
-    fn payload(s: &str) -> Payload {
-        Payload::from_bytes(s.as_bytes()).expect("fits")
-    }
 
     #[test]
     fn zero_slot_log_decides_immediately() {
@@ -381,33 +372,19 @@ mod tests {
         );
         let mut ctx = TestCtx::new(Bit::Zero);
         let mut queue: Vec<Msg> = Vec::new();
-        let absorb = |queue: &mut Vec<Msg>, outbox: Outbox| {
-            for item in outbox {
-                match item {
-                    OutItem::One(o) => queue.push(Msg {
-                        from: ProcessId(0),
-                        kind: o.msg,
-                    }),
-                    OutItem::Broadcast { msg, .. } => queue.push(Msg {
-                        from: ProcessId(0),
-                        kind: msg,
-                    }),
-                }
-            }
-        };
         let mut decided = None;
         match sm.start(&mut ctx) {
-            Progress::Sent(out) => absorb(&mut queue, out),
+            Progress::Sent(out) => loop_back(&mut queue, out),
             other => panic!("expected sends, got {other:?}"),
         }
         while decided.is_none() {
             assert!(!queue.is_empty(), "starved without deciding");
             let msg = queue.remove(0);
             match sm.on_msg(msg, &mut ctx) {
-                Progress::Sent(out) => absorb(&mut queue, out),
+                Progress::Sent(out) => loop_back(&mut queue, out),
                 Progress::NeedMsg => {}
                 Progress::Decided(d, out) => {
-                    absorb(&mut queue, out);
+                    loop_back(&mut queue, out);
                     decided = Some(d);
                 }
                 Progress::Halted(h, _) => panic!("{h}"),
@@ -444,5 +421,34 @@ mod tests {
             });
         }
         assert_eq!(d.value, Bit::from(digest.value() & 1 == 1));
+    }
+
+    /// A crash trigger on the `recv` entry of a proposal of the running
+    /// slot: `on_msg` returns what absorbing it and then `halt` return on
+    /// a twin restored from the same snapshot, with the same events — the
+    /// running stage's mailbox report.
+    #[test]
+    fn crash_on_an_absorbed_proposal_is_absorb_then_halt() {
+        let topo = Arc::new(SmTopology::new(Partition::single_cluster(2)));
+        let (alg, me, cfg) = (Algorithm::LocalCoin, ProcessId(0), ProtocolConfig::paper());
+        let mut sm = LogSm::new(alg, me, Arc::clone(&topo), vec![], 2, cfg, None);
+        let mut ctx = TestCtx::new(Bit::Zero);
+        assert!(matches!(sm.start(&mut ctx), Progress::Sent(_)));
+        let snap = sm.snapshot();
+        let mut twin =
+            LogSm::from_snapshot(alg, me, topo, cfg, vec![], 2, None, 0, &snap).expect("restores");
+        let proposal = Msg {
+            from: ProcessId(1),
+            kind: crate::MsgKind::App {
+                instance: 0,
+                seq: 1,
+                payload: payload("theirs"),
+            },
+        };
+        assert!(twin.absorb_inert(proposal));
+        let halted = crashing(|ctx| twin.halt(Halt::Crashed, ctx));
+        assert_eq!(crashing(|ctx| sm.on_msg(proposal, ctx)), halted);
+        assert_eq!(halted.0, Progress::Halted(Halt::Crashed, vec![]));
+        assert_eq!(halted.1, [ObsEvent::MailboxStats { stale_dropped: 0 }]);
     }
 }

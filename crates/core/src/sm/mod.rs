@@ -36,41 +36,42 @@
 //! # Anatomy of a step
 //!
 //! ```text
-//!        deliver Msg                 ┌────────────────────────────┐
-//!  ───────────────────▶  on_msg ───▶│ mailbox route → tally →    │
-//!                                   │ cluster consensus / coins  │──▶ Progress
-//!  engine pops event                │ (via SmCtx) → broadcasts   │    NeedMsg / Sent /
-//!                                   └────────────────────────────┘    Decided / Halted
+//!  deliver Msg            absorbed            begin_recv
+//!  ─────────▶ on_msg ─▶ absorb_inert ────────────────────────────▶ NeedMsg / Halted
+//!                       (no SmCtx)  │ refused ┌─────────────────────────────┐
+//!                                   └───────▶│ mailbox → tally → cluster   │──▶ Progress
+//!                                            │ consensus / coins (SmCtx) → │
+//!                                            │ broadcasts                  │
+//!                                            └─────────────────────────────┘
 //! ```
 //!
-//! One delivery can carry a machine arbitrarily far — completing an
-//! exchange, pre-agreeing in the cluster, broadcasting the next phase,
-//! finishing a binary stage and opening the next one, even committing a
-//! log slot and starting the next instance — until it genuinely needs a
-//! fresh message (or terminates). Outgoing messages accumulate in the
-//! step's outbox and are returned inside the [`Progress`] value.
+//! A delivery that is not absorbed can carry a machine arbitrarily far —
+//! completing an exchange, pre-agreeing in the cluster, broadcasting the
+//! next phase, finishing a binary stage and opening the next one, even
+//! committing a log slot and starting the next instance — until it
+//! genuinely needs a fresh message (or terminates). Outgoing messages
+//! accumulate in the step's outbox and are returned inside the
+//! [`Progress`] value.
 //!
 //! # Inert deliveries
 //!
 //! The only state two processes of a cluster share is the cluster's
 //! consensus objects, reached through [`SmCtx::cluster_propose`]; a
-//! machine's mailbox, tallies, store and outbox are its own. Each machine
-//! answers, without stepping, whether the delivery of a given message
-//! could reach that call (`is_inert` on [`ConsensusSm`], [`MultivaluedSm`]
-//! and [`LogSm`]). A delivery that cannot commutes with every delivery to
-//! another process, so an engine may take it out of the global order as
-//! long as each process's own deliveries keep theirs. The answer only has
-//! to be conservative: `false` for a delivery that turns out inert costs
-//! an engine some speed, never correctness.
+//! machine's mailbox, tallies, store and outbox are its own. A delivery
+//! that cannot reach that call commutes with every delivery to another
+//! process, so an engine may take it out of the global order as long as
+//! each process's own deliveries keep theirs.
 //!
-//! Each machine also *applies* such a delivery without a step context
-//! (`absorb_inert`): exactly what `on_msg` does to the machine, minus the
-//! one `recv` entry step, which the engine charges itself. An inert
-//! delivery never reaches anything else in the context — it sends
-//! nothing, observes nothing, draws no coin — and with no [`SmCtx`] in
-//! hand it cannot reach the cluster's memory either: the types say so.
-//! `absorb_inert` answers `false`, touching nothing, where `is_inert`
-//! does; the engine then steps the machine as usual.
+//! Each machine decides that in one place, `absorb_inert`: it applies such
+//! a delivery and answers `true`, or answers `false` and touches nothing.
+//! It takes no [`SmCtx`], so an absorbed delivery sends nothing, observes
+//! nothing, draws no coin, and cannot reach the cluster's memory: the
+//! types say so. Every `on_msg` starts with it, and an absorbed delivery
+//! then costs only the `recv` entry step (where a crash trigger halts the
+//! machine, as `halt` does); so `absorb_inert` is `on_msg` minus that step
+//! by construction, and an engine calling it directly charges the step
+//! itself. The answer only has to be conservative: `false` for a delivery
+//! that turns out inert costs an engine some speed, never correctness.
 
 mod consensus;
 mod log;
@@ -805,7 +806,7 @@ mod tests {
         assert_eq!(run(crashing(true), 5), run(crashing(false), 5));
     }
 
-    use super::consensus::tests::TestCtx;
+    use super::consensus::tests::{draw, TestCtx};
     use crate::multivalued::INSTANCE_STRIDE;
     use crate::{Algorithm, Msg, Payload, Phase};
     use std::sync::Arc;
@@ -865,14 +866,6 @@ mod tests {
             }
         }
 
-        fn is_inert(&self, msg: &Msg) -> bool {
-            match self {
-                Layer::Consensus(sm) => sm.is_inert(msg),
-                Layer::Multivalued(sm) => sm.is_inert(msg),
-                Layer::Log(sm) => sm.is_inert(msg),
-            }
-        }
-
         fn absorb_inert(&mut self, msg: Msg) -> bool {
             match self {
                 Layer::Consensus(sm) => sm.absorb_inert(msg),
@@ -897,15 +890,6 @@ mod tests {
             Progress::Sent(out) => (out, false),
             Progress::Decided(_, out) | Progress::Halted(_, out) => (out, true),
         }
-    }
-
-    /// The next draw of a small deterministic generator (an LCG's high
-    /// bits).
-    fn draw(rng: &mut u64) -> u64 {
-        *rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        *rng >> 33
     }
 
     /// A copy of `msg` from a random sender, moved by the bits of `r` to a
@@ -958,8 +942,7 @@ mod tests {
     /// so far instead. Every recipient is built twice: one copy takes
     /// each delivery through `on_msg`, its twin through `absorb_inert`,
     /// falling back to `on_msg` where that answers `false`. At each
-    /// delivery it asserts that `absorb_inert` answers what `is_inert`
-    /// does and that a `false` touched nothing; that for an absorbed
+    /// delivery it asserts that a `false` touched nothing; that for an absorbed
     /// delivery `on_msg` made exactly one context call (its `recv` entry)
     /// and returned `NeedMsg` with no event and no `cluster_propose`; and
     /// that the two copies then hold equal snapshots. The last process
@@ -1027,10 +1010,8 @@ mod tests {
                 continue;
             }
             let what = format!("layer {layer} {algorithm:?} seed {seed}: {msg:?} to p{to}");
-            let quiet = machines[to].is_inert(&msg);
             let before = twins[to].snapshot();
             let absorbed = twins[to].absorb_inert(msg);
-            assert_eq!(absorbed, quiet, "{what}");
             let ctx = &ctxs[to];
             let (calls, proposes, events) = (ctx.calls, ctx.proposes, ctx.events.len());
             let progress = machines[to].step(Some(msg), &mut ctxs[to]);
@@ -1063,12 +1044,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// `is_inert` is conservative on all three machines, and
-        /// `absorb_inert` is `on_msg` minus the `recv` entry: whatever
-        /// the delivery order and whatever stray messages arrive, a
-        /// delivery the recipient's machine calls inert never reaches
-        /// `cluster_propose`, and absorbing it leaves the machine where
-        /// stepping it does.
+        /// `absorb_inert` is `on_msg` minus the `recv` entry on all three
+        /// machines: whatever the delivery order and whatever stray
+        /// messages arrive, a delivery the recipient's machine absorbs
+        /// never reaches `cluster_propose` when stepped instead, and
+        /// absorbing it leaves the machine where stepping it does.
         #[test]
         fn an_inert_delivery_never_proposes(
             layer in 0u8..3,

@@ -5,11 +5,11 @@
 //! The blocking reduction receives an `APP` message inside a binary
 //! instance, so all it can do is stash it in the [`Mailbox`] and absorb
 //! the stash at the next stage boundary. This machine sees every
-//! delivery first ([`MultivaluedSm::on_msg`]): a proposal of *its own*
-//! instance (`instance == base`) is offered straight to the
-//! `ProposalStore` — first arrival wins — and the running stage only
-//! accounts the delivery (`ConsensusSm::on_consumed_above`: the `recv`
-//! re-entry that a message its mailbox did not serve costs). Every other
+//! delivery first ([`MultivaluedSm::absorb_inert`], the start of every
+//! [`MultivaluedSm::on_msg`]): a proposal of *its own* instance
+//! (`instance == base`) is offered straight to the `ProposalStore` —
+//! first arrival wins — and the delivery costs the one `recv` re-entry
+//! that a message the stage's mailbox did not serve costs. Every other
 //! message, proposals of earlier and later instances included, takes the
 //! mailbox as before. Which way a message goes depends on nothing but
 //! its own `instance` against the machine's.
@@ -29,9 +29,10 @@
 //!   `stale_dropped` (every stage ends, and every wait-loop pump ends,
 //!   with an absorb while the instance is still current), and no
 //!   [`ObsEvent`] fires on an `APP`;
-//! * the step count, what a crash trigger landing on that step does, and
-//!   the stage's terminal `MailboxStats` report are
-//!   [`ConsensusSm::on_msg`]'s own.
+//! * the step count, what a crash trigger landing on that step does
+//!   ([`MultivaluedSm::halt`], through the stage's own `halt`), and the
+//!   stage's terminal `MailboxStats` report are [`ConsensusSm::on_msg`]'s
+//!   own.
 //!
 //! The unit tests below keep the stash-everything `on_msg` as a
 //! reference twin and compare the two step by step;
@@ -322,101 +323,62 @@ impl MultivaluedSm {
     /// Panics if called after a terminal `MvProgress`.
     pub fn on_msg<C: SmCtx + ?Sized>(&mut self, msg: Msg, ctx: &mut C) -> MvProgress {
         assert!(!self.done, "on_msg() on a finished machine");
-        // A proposal of this very instance is consumed on arrival (see
-        // the module docs); everything else goes through the mailbox.
-        let own_proposal = self.own_proposal(&msg);
+        if self.absorb_inert(msg) {
+            return match ctx.begin_recv() {
+                Ok(()) => MvProgress::NeedMsg,
+                Err(h) => self.halt(h, ctx),
+            };
+        }
         match &mut self.state {
             MvState::Stage(sm) => {
-                let progress = match own_proposal {
-                    Some((seq, payload)) => {
-                        self.store.offer(seq, payload);
-                        sm.on_consumed_above(ctx)
-                    }
-                    None => sm.on_msg(msg, ctx),
-                };
+                let progress = sm.on_msg(msg, ctx);
                 self.drive(progress, ctx)
             }
-            MvState::AwaitProposal(mailbox, k) => {
-                // The blocking wait loop: pump (routing only — the recv
-                // entry step was charged when the wait began), absorb,
-                // re-check, and either decide or re-enter recv. The wait
-                // began with an absorb and every pump ends with one, so
-                // the stash holds nothing of this instance for an own
-                // proposal's absorb to find.
+            // `p_k`'s proposal, the one delivery the wait refuses: it
+            // ends the instance with no `recv` step, which was charged
+            // when the wait began.
+            MvState::AwaitProposal(_, k) => {
                 let k = *k;
+                let (seq, payload) = self.own_proposal(&msg).expect("the wait refuses p_k's");
+                self.store.offer(seq, payload);
+                self.finish_decided(k, ctx)
+            }
+            MvState::Finished(_) => unreachable!("on_msg() on a finished machine"),
+        }
+    }
+
+    /// Applies `msg` if its delivery cannot reach [`SmCtx::cluster_propose`]
+    /// and says whether it did (see [`super`], "Inert deliveries"). In a
+    /// stage, a proposal of this instance enters the store and anything
+    /// else is the stage's ([`ConsensusSm::absorb_inert`]). In the proposal
+    /// wait, `p_k`'s proposal is refused (it ends the instance, and a log
+    /// then opens its next slot); another proposal of this instance enters
+    /// the store, and anything else is buffered and the stash absorbed.
+    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
+        debug_assert!(!self.done, "absorb_inert() on a finished machine");
+        let own_proposal = self.own_proposal(&msg);
+        match &mut self.state {
+            MvState::Stage(sm) => match own_proposal {
+                Some((seq, payload)) => {
+                    self.store.offer(seq, payload);
+                    true
+                }
+                None => sm.absorb_inert(msg),
+            },
+            MvState::AwaitProposal(mailbox, k) => {
                 match own_proposal {
+                    Some((seq, _)) if seq == k.index() as u64 => return false,
                     Some((seq, payload)) => self.store.offer(seq, payload),
                     None => {
                         mailbox.buffer(msg);
                         self.store.absorb(mailbox);
                     }
                 }
-                if self.store.holds(k) {
-                    return self.finish_decided(k, ctx);
-                }
-                if let Err(h) = ctx.begin_recv() {
-                    return self.finish_halt(h);
-                }
-                self.suspend()
+                debug_assert!(!self.store.holds(*k), "only p_k's proposal ends the wait");
+                true
             }
-            MvState::Finished(_) => unreachable!("on_msg() on a finished machine"),
+            MvState::Finished(_) => unreachable!("absorb_inert() on a finished machine"),
         }
-    }
-
-    /// `true` only if delivering `msg` now cannot reach
-    /// [`SmCtx::cluster_propose`] (see [`super`], "Inert deliveries").
-    /// While a stage runs, a proposal of this instance only enters the
-    /// store, and anything else is the stage's to answer
-    /// ([`ConsensusSm::is_inert`]). In the proposal wait only `p_k`'s
-    /// proposal ends the instance — after which a log opens its next
-    /// slot, cluster proposes included; everything else is buffered, and
-    /// the stash holds nothing of this instance for the absorb to find.
-    /// Reads only; call it on a suspended, unfinished machine.
-    pub fn is_inert(&self, msg: &Msg) -> bool {
-        let own_seq = self.own_proposal(msg).map(|(seq, _)| seq);
-        match &self.state {
-            MvState::Stage(sm) => own_seq.is_some() || sm.is_inert(msg),
-            MvState::AwaitProposal(_, k) => own_seq != Some(k.index() as u64),
-            MvState::Finished(_) => false,
-        }
-    }
-
-    /// Applies an inert delivery (see [`MultivaluedSm::is_inert`]) exactly
-    /// as [`MultivaluedSm::on_msg`] would, except for the `recv` entry
-    /// step, which the caller charges. While a stage runs, a proposal of
-    /// this instance enters the store and anything else is the stage's to
-    /// absorb ([`ConsensusSm::absorb_inert`]); in the proposal wait, a
-    /// proposal of this instance other than `p_k`'s enters the store and
-    /// anything else is buffered and absorbed. Takes no [`SmCtx`], so it
-    /// cannot reach the cluster's memory. Returns `false`, having touched
-    /// nothing, if `msg` is not inert.
-    pub fn absorb_inert(&mut self, msg: Msg) -> bool {
-        debug_assert!(!self.done, "absorb_inert() on a finished machine");
-        let own_proposal = self.own_proposal(&msg);
-        if let MvState::Stage(sm) = &mut self.state {
-            return match own_proposal {
-                Some((seq, payload)) => {
-                    self.store.offer(seq, payload);
-                    true
-                }
-                None => sm.absorb_inert(msg),
-            };
-        }
-        if !self.is_inert(&msg) {
-            return false;
-        }
-        let MvState::AwaitProposal(mailbox, k) = &mut self.state else {
-            unreachable!("nothing is inert to a finished machine")
-        };
-        match own_proposal {
-            Some((seq, payload)) => self.store.offer(seq, payload),
-            None => {
-                mailbox.buffer(msg);
-                self.store.absorb(mailbox);
-            }
-        }
-        debug_assert!(!self.store.holds(*k), "only p_k's proposal ends the wait");
-        true
     }
 
     /// `msg`'s `(seq, payload)` if it is a proposal of this very
@@ -593,13 +555,9 @@ impl MultivaluedSm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::consensus::tests::TestCtx;
+    use super::super::consensus::tests::{crashing, draw, loop_back, payload, TestCtx};
     use super::*;
     use ofa_topology::Partition;
-
-    fn payload(s: &str) -> Payload {
-        Payload::from_bytes(s.as_bytes()).expect("fits")
-    }
 
     /// A solo machine decides its own proposal in one stage, feeding
     /// itself its own broadcasts.
@@ -616,29 +574,15 @@ mod tests {
         );
         let mut ctx = TestCtx::new(Bit::Zero);
         let mut queue: Vec<Msg> = Vec::new();
-        let absorb = |queue: &mut Vec<Msg>, outbox: Outbox| {
-            for item in outbox {
-                match item {
-                    super::super::OutItem::One(o) => queue.push(Msg {
-                        from: ProcessId(0),
-                        kind: o.msg,
-                    }),
-                    super::super::OutItem::Broadcast { msg, .. } => queue.push(Msg {
-                        from: ProcessId(0),
-                        kind: msg,
-                    }),
-                }
-            }
-        };
         match sm.start(&mut ctx) {
-            MvProgress::Sent(out) => absorb(&mut queue, out),
+            MvProgress::Sent(out) => loop_back(&mut queue, out),
             other => panic!("expected sends, got {other:?}"),
         }
         loop {
             assert!(!queue.is_empty(), "starved without deciding");
             let msg = queue.remove(0);
             match sm.on_msg(msg, &mut ctx) {
-                MvProgress::Sent(out) => absorb(&mut queue, out),
+                MvProgress::Sent(out) => loop_back(&mut queue, out),
                 MvProgress::NeedMsg => {}
                 MvProgress::Decided(mv, _) => {
                     assert_eq!(mv.payload, payload("solo-value"), "validity");
@@ -682,15 +626,6 @@ mod tests {
             }
             MvState::Finished(_) => unreachable!("on_msg() on a finished machine"),
         }
-    }
-
-    /// The next draw of a small deterministic generator (an LCG's high
-    /// bits), for picking among the messages in flight.
-    fn draw(rng: &mut u64) -> usize {
-        *rng = rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (*rng >> 33) as usize
     }
 
     type Step = fn(&mut MultivaluedSm, Msg, &mut TestCtx) -> MvProgress;
@@ -807,7 +742,7 @@ mod tests {
                 let free: Vec<usize> = (0..self.in_flight.len())
                     .filter(|&j| !held(&self.in_flight[j]))
                     .collect();
-                let r = draw(&mut rng);
+                let r = draw(&mut rng) as usize;
                 self.deliver(
                     if free.is_empty() {
                         r
@@ -876,27 +811,16 @@ mod tests {
     /// store, other instances' proposals, phase messages and decides only
     /// fill the stash. The awaited proposal ends the instance — and in a
     /// log the next slot's first step pre-agrees in the cluster — so
-    /// `absorb_inert` refuses it. (The starved process also loses one
-    /// other proposer's dissemination, so that proposal arrives late.)
+    /// `absorb_inert` refuses it.
     #[test]
     fn the_proposal_wait_is_inert_to_all_but_the_awaited_proposal() {
-        let n = 4;
         let base = INSTANCE_STRIDE;
         let (mut waits, mut entered) = (0, 0);
         for seed in 0..24u64 {
-            let starved = 1 + seed as usize % (n - 1);
-            let late = if starved == 1 { 2 } else { 1 };
-            let mut w = World::new(n, 1, Bit::One);
-            w.start();
-            w.in_flight.retain(|&(to, m)| {
-                to != starved || m.from.index() != late || !matches!(m.kind, MsgKind::App { .. })
-            });
-            let waiting =
-                |w: &World| matches!(w.machines[starved].state, MvState::AwaitProposal(..));
-            w.run_until(seed, Some(starved), DIRECT, waiting);
-            if !waiting(&w) {
+            let Some((mut w, starved)) = wait_world(seed) else {
                 continue;
-            }
+            };
+            let n = w.n();
             waits += 1;
             let sm = &w.machines[starved];
             let MvState::AwaitProposal(_, k) = sm.state else {
@@ -927,9 +851,12 @@ mod tests {
                 decide(base + 1),
                 decide(base + 2),
             ] {
-                assert!(sm.is_inert(&other), "seed {seed}: {other:?}");
+                assert!(
+                    restored(sm, n).absorb_inert(other),
+                    "seed {seed}: {other:?}"
+                );
             }
-            assert!(!sm.is_inert(&awaited), "seed {seed}");
+            assert!(!restored(sm, n).absorb_inert(awaited), "seed {seed}");
             // Absorbing what the wait is inert to does what `on_msg`
             // does (a proposal not held yet enters the store); the
             // awaited proposal is refused, untouched.
@@ -957,6 +884,49 @@ mod tests {
         }
         assert!(waits > 0, "a starved process sat in the proposal wait");
         assert!(entered > 0, "some wait absorbed a proposal it lacked");
+    }
+
+    /// A [`World`] of four processes in multivalued instance 1, run
+    /// from `seed` until its starved process sits in the proposal wait,
+    /// and that process — `None` if it decides without waiting. The
+    /// starved process also loses one other proposer's dissemination, so
+    /// that proposal arrives late.
+    fn wait_world(seed: u64) -> Option<(World, usize)> {
+        let n = 4;
+        let starved = 1 + seed as usize % (n - 1);
+        let late = if starved == 1 { 2 } else { 1 };
+        let mut w = World::new(n, 1, Bit::One);
+        w.start();
+        w.in_flight.retain(|&(to, m)| {
+            to != starved || m.from.index() != late || !matches!(m.kind, MsgKind::App { .. })
+        });
+        let waiting = |w: &World| matches!(w.machines[starved].state, MvState::AwaitProposal(..));
+        w.run_until(seed, Some(starved), DIRECT, waiting);
+        waiting(&w).then_some((w, starved))
+    }
+
+    /// A crash trigger on the `recv` entry of a proposal the wait absorbs:
+    /// `on_msg` returns what absorbing it and then `halt` return on a twin
+    /// restored from the same snapshot, with the same events (none: the
+    /// stage reported its mailbox when it decided).
+    #[test]
+    fn crash_on_a_proposal_in_the_wait_is_absorb_then_halt() {
+        let mut waits = 0;
+        for (w, starved) in (0..24).filter_map(wait_world) {
+            let sm = &w.machines[starved];
+            let MvState::AwaitProposal(_, k) = sm.state else {
+                unreachable!()
+            };
+            let another = (k.index() + 1) % w.n();
+            let msg = own_app(INSTANCE_STRIDE, 3, another as u64, "another");
+            let (mut copy, mut twin) = (restored(sm, w.n()), restored(sm, w.n()));
+            assert!(twin.absorb_inert(msg));
+            let halted = crashing(|ctx| twin.halt(Halt::Crashed, ctx));
+            assert_eq!(crashing(|ctx| copy.on_msg(msg, ctx)), halted);
+            assert_eq!(halted, (MvProgress::Halted(Halt::Crashed, vec![]), vec![]));
+            waits += 1;
+        }
+        assert!(waits > 0, "a starved process sat in the proposal wait");
     }
 
     /// A copy of `sm` (of the singleton-cluster [`World`] of `n`
@@ -1086,7 +1056,7 @@ mod tests {
             cut.start();
             let mut i = 0;
             while !straight.in_flight.is_empty() {
-                let j = pick(&straight, i, draw(&mut rng));
+                let j = pick(&straight, i, draw(&mut rng) as usize);
                 assert_eq!(straight.in_flight, cut.in_flight, "seed {seed}");
                 straight.deliver(j, DIRECT);
                 // The cut world makes its first deliveries the old way…

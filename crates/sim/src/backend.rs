@@ -3,12 +3,14 @@
 
 use crate::checkpoint::EngineSnap;
 use crate::conductor::{conduct, RawOutcome, RunSpec, TimedScheduler};
-use crate::par::{conduct_sharded, LegResult};
+use crate::par::{conduct_sharded, leg_machine, LegResult};
+use ofa_core::sm::SmTopology;
 use ofa_scenario::{
     default_workers, Backend, BackendKind, CoinSpec, DivergeSpec, Engine, Outcome, Scenario,
     Snapshot, VirtualTime, SNAPSHOT_VERSION,
 };
 use serde::{Deserialize as _, Serialize as _};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The deterministic discrete-event backend.
@@ -97,6 +99,21 @@ impl Sim {
     pub fn diverge(&self, snapshot: &Snapshot, spec: &DivergeSpec) -> Outcome {
         let diverged = spec.apply(&snapshot.scenario);
         expect_done(resume_leg(snapshot, &diverged, None))
+    }
+
+    /// Checks that `snapshot` can resume under its scenario: the format
+    /// version, the engine state, the cut time it was taken at, the
+    /// process count, and every machine's state under the scenario's
+    /// body. [`Sim::resume`], [`Sim::resume_until`] and [`Sim::diverge`]
+    /// run the same check and panic where it fails; a caller holding a
+    /// snapshot it did not make (a file) checks first to refuse it.
+    ///
+    /// # Errors
+    ///
+    /// The first part of the snapshot that does not decode or does not
+    /// agree with the rest.
+    pub fn check_snapshot(&self, snapshot: &Snapshot) -> Result<(), serde::Error> {
+        decode_snapshot(snapshot, &snapshot.scenario).map(drop)
     }
 }
 
@@ -370,19 +387,53 @@ fn resume_leg(
     scenario: &Scenario,
     stop_at: Option<VirtualTime>,
 ) -> RunOutcome {
-    assert!(
-        snapshot.version_matches(),
-        "snapshot format version {} (this build reads {SNAPSHOT_VERSION})",
-        snapshot.version
-    );
-    let snap =
-        EngineSnap::from_value(&snapshot.engine_state).expect("snapshot engine state must decode");
-    assert_eq!(
-        snap.at,
-        snapshot.at.ticks(),
-        "snapshot cut time disagrees with its engine state"
-    );
+    let snap = decode_snapshot(snapshot, scenario).unwrap_or_else(|e| panic!("{e}"));
     run_leg(scenario, Some(&snap), stop_at)
+}
+
+/// Decodes `snapshot`'s engine state for a resume under `scenario`, and
+/// refuses what a leg would otherwise panic on: another format version,
+/// an engine state that does not decode or was taken at another cut
+/// time, another process count, and a machine that does not decode under
+/// the scenario's body. The one decoder behind every resume and
+/// [`Sim::check_snapshot`].
+fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSnap, serde::Error> {
+    if !snapshot.version_matches() {
+        return Err(serde::Error::msg(format!(
+            "snapshot format version {} (this build reads {SNAPSHOT_VERSION})",
+            snapshot.version
+        )));
+    }
+    let snap = EngineSnap::from_value(&snapshot.engine_state)?;
+    if snap.at != snapshot.at.ticks() {
+        return Err(serde::Error::msg(format!(
+            "snapshot cut time {} disagrees with its engine state ({})",
+            snapshot.at.ticks(),
+            snap.at
+        )));
+    }
+    let n = scenario.partition.n();
+    if snap.machines.len() != n || snap.procs.len() != n {
+        return Err(serde::Error::msg(format!(
+            "snapshot holds {} machines and {} processes for n = {n}",
+            snap.machines.len(),
+            snap.procs.len()
+        )));
+    }
+    if !scenario.body.has_state_machine() {
+        return Err(serde::Error::msg(
+            "a custom body cannot resume (custom bodies are blocking code)",
+        ));
+    }
+    let spec = RunSpec::from_scenario(scenario);
+    let topo = Arc::new(SmTopology::new(scenario.partition.clone()));
+    for (i, v) in snap.machines.iter().enumerate() {
+        if !matches!(v, serde::Value::Null) {
+            leg_machine(&spec, &topo, i, Some(v))
+                .map_err(|e| serde::Error::msg(format!("machine of p{i}: {}", e.0)))?;
+        }
+    }
+    Ok(snap)
 }
 
 #[cfg(test)]

@@ -32,14 +32,15 @@
 //! exchange once its supporters cover a majority of cluster weight, so
 //! nearly every delivery (99.9 % on the benchmark's cells) leaves the
 //! recipient where it was: it cannot reach the cluster's shared memory.
-//! The machine applies such a delivery without a context
-//! ([`Machine::absorb_inert`]) and the loop charges the one step it takes
-//! — the `recv` entry — through [`ProcState::recv_step`], the step
-//! function [`EventCtx`] uses too. A step-indexed crash that fires there
-//! halts the process through [`Machine::halt`], which is what each
-//! machine's own failing `begin_recv` does: the same terminal mailbox
-//! report, the same empty outbox. Only the remaining deliveries build an
-//! [`EventCtx`] and step the machine.
+//! Every machine's `on_msg` is `absorb_inert` followed by the `recv`
+//! entry step, or, where `absorb_inert` refuses, the step that can reach
+//! the cluster. The loop makes the first half of that call itself
+//! ([`Machine::absorb_inert`], no context) and charges the `recv` entry
+//! through [`ProcState::recv_step`], the step function [`EventCtx`] uses
+//! too. A step-indexed crash that fires there halts the process through
+//! [`Machine::halt`], which is what `on_msg` does when its `begin_recv`
+//! fails: the same terminal mailbox report, the same empty outbox. Only
+//! the refused deliveries build an [`EventCtx`] and step the machine.
 
 use crate::checkpoint::ProcSnap;
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
@@ -147,11 +148,12 @@ impl Machine {
     }
 
     /// Applies `msg` if its delivery cannot reach the cluster's shared
-    /// memory (`ofa_core::sm`, "Inert deliveries") — all of `on_msg` but
-    /// the `recv` entry step, which the caller charges with
-    /// [`ProcState::recv_step`] — and says whether it did. Such a
-    /// delivery commutes with every delivery to another process. `false`
-    /// leaves the machine untouched, for `on_msg`.
+    /// memory (`ofa_core::sm`, "Inert deliveries") and says whether it
+    /// did: the call every `on_msg` starts with, so an absorbed delivery
+    /// is all of `on_msg` but the `recv` entry step, which the caller
+    /// charges with [`ProcState::recv_step`]. Such a delivery commutes
+    /// with every delivery to another process. `false` leaves the machine
+    /// untouched, for `on_msg` (which asks again and steps).
     pub(crate) fn absorb_inert(&mut self, msg: Msg) -> bool {
         match self {
             Machine::Consensus(sm) => sm.absorb_inert(msg),

@@ -134,9 +134,10 @@
 //!    hash is a multiset. So a delivery that cannot reach
 //!    `ClusterMemory` commutes with every delivery to another process —
 //!    partial-order reduction's independence. Inert means *absorbable
-//!    without a step context*: [`Machine::absorb_inert`] applies the
-//!    delivery where its machine's conservative inertness answer holds
-//!    (and refuses it, untouched, elsewhere), the loop charging the one
+//!    without a step context*: [`Machine::absorb_inert`], the one place
+//!    each machine decides it and the first thing its `on_msg` does,
+//!    applies the delivery where its conservative rules hold (and
+//!    refuses it, untouched, elsewhere), the loop charging the one
 //!    `recv` step itself. `ClusterMemory` is reachable only through a
 //!    context, so an absorbed delivery leaves it alone by construction —
 //!    the recipient's `cluster_proposes` cannot move. Each
@@ -671,31 +672,8 @@ impl<'a> ShardState<'a> {
             .iter()
             .map(|&g| {
                 let i = g as usize;
-                let serves = spec.churn.event(ProcessId(i)).is_none();
-                match resume.map(|snap| &snap.machines[i]) {
-                    // Finished processes are never dispatched again, so
-                    // their snapshot is `Null` and a fresh machine stands
-                    // in as a placeholder.
-                    None | Some(serde::Value::Null) => Machine::build(
-                        &spec.body,
-                        i,
-                        topo,
-                        &spec.proposals,
-                        spec.config,
-                        spec.seed,
-                        serves,
-                    ),
-                    Some(v) => Machine::from_snapshot(
-                        &spec.body,
-                        i,
-                        topo,
-                        spec.config,
-                        spec.seed,
-                        serves,
-                        v,
-                    )
-                    .expect("resume: machine snapshot decodes"),
-                }
+                leg_machine(spec, topo, i, resume.map(|snap| &snap.machines[i]))
+                    .expect("resume: machine snapshots were decoded before the leg")
             })
             .collect();
         let procs = members
@@ -1012,14 +990,15 @@ impl<'a> ShardState<'a> {
     /// — the fingerprint and the accounting the conductor does around a
     /// delivery burst — and applies it. A delivery that cannot reach the
     /// cluster's memory the machine absorbs without a context
-    /// ([`Machine::absorb_inert`]), and its one step, the `recv` entry, is
-    /// charged here ([`ProcState::recv_step`]): a step-indexed crash that
-    /// fires there halts the process, as the machine's own failing
-    /// `begin_recv` would. Any other delivery steps the machine. The
-    /// machine is asked first, which changes nothing (it, the trace and
-    /// the process's accounting are disjoint), so that with `inert_only`
-    /// a delivery it will not absorb is left alone — nothing recorded or
-    /// charged — and `false` comes back: a wave's inert run pauses there.
+    /// ([`Machine::absorb_inert`], the first half of its `on_msg`), and
+    /// the other half, the `recv` entry step, is charged here
+    /// ([`ProcState::recv_step`]): a step-indexed crash that fires there
+    /// halts the process, as `on_msg` does when its `begin_recv` fails.
+    /// Any other delivery steps the machine. The machine is asked first,
+    /// which changes nothing (it, the trace and the process's accounting
+    /// are disjoint), so that with `inert_only` a delivery it will not
+    /// absorb is left alone — nothing recorded or charged — and `false`
+    /// comes back: a wave's inert run pauses there.
     ///
     /// A delivery to a finished process is an event and nothing else: the
     /// caller counts it and does not come here. (Crashed processes are
@@ -1709,6 +1688,31 @@ impl Coordinator<'_> {
     }
 }
 
+/// Process `i`'s machine at the start of a leg: built fresh, or rebuilt
+/// from `resume`, its checkpoint value. A finished process is never
+/// dispatched again, so its value is `Null` and a fresh machine holds its
+/// place.
+pub(crate) fn leg_machine(
+    spec: &RunSpec,
+    topo: &Arc<SmTopology>,
+    i: usize,
+    resume: Option<&serde::Value>,
+) -> Result<Machine, serde::Error> {
+    let serves = spec.churn.event(ProcessId(i)).is_none();
+    match resume {
+        None | Some(serde::Value::Null) => Ok(Machine::build(
+            &spec.body,
+            i,
+            topo,
+            &spec.proposals,
+            spec.config,
+            spec.seed,
+            serves,
+        )),
+        Some(v) => Machine::from_snapshot(&spec.body, i, topo, spec.config, spec.seed, serves, v),
+    }
+}
+
 /// How a [`conduct_sharded`] leg ended: ran to completion, or paused at
 /// the requested virtual-time cut with the full engine state captured.
 pub(crate) enum LegResult {
@@ -1733,7 +1737,8 @@ pub(crate) enum LegResult {
 /// Panics if the spec's body is [`Body::Custom`](ofa_scenario::Body) —
 /// custom bodies are blocking code; route them to the thread conductor —
 /// or if a resume snapshot's shape does not match the spec (wrong
-/// process count, undecodable machine state).
+/// process count, undecodable machine state), which the backend's
+/// snapshot check refuses before any leg starts.
 pub(crate) fn conduct_sharded(
     spec: RunSpec,
     net: &NetIndex,

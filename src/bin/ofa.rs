@@ -1198,6 +1198,10 @@ fn run_resumed(opts: &Options, path: &str) {
     if let Some(engine) = opts.engine {
         snap.scenario = snap.scenario.engine(engine);
     }
+    if let Err(e) = Sim.check_snapshot(&snap) {
+        eprintln!("error: resuming {path}: {e}");
+        exit(2);
+    }
     if !opts.json {
         println!("resumed: {path} at t={}", snap.at.ticks());
     }

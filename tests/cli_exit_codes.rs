@@ -1,13 +1,22 @@
 //! `ofa`'s run path never ends ambiguously: a finished run exits 0 only
 //! when every correct process decided, and exit code 4 comes with one
 //! stderr line naming the cause the outcome shows — in the human report
-//! and under `--json` alike.
+//! and under `--json` alike. A snapshot `--resume` cannot use exits 2
+//! with one `error:` line, never a panic.
 
+use ofa_scenario::{Snapshot, VirtualTime};
+use serde_json::Value;
+use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn ofa(args: &str) -> Output {
+    ofa_with(&args.split_whitespace().collect::<Vec<_>>())
+}
+
+/// `ofa` with each argument as given (a path may hold spaces).
+fn ofa_with(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ofa"))
-        .args(args.split_whitespace())
+        .args(args)
         .output()
         .expect("the ofa binary runs")
 }
@@ -67,4 +76,87 @@ fn a_run_where_every_correct_process_decides_exits_0() {
         assert!(stderr.is_empty(), "{args}: {stderr:?}");
     }
     assert!(String::from_utf8_lossy(&ofa("--help").stdout).contains("\n    4  run finished"));
+}
+
+/// The engine state's entries.
+fn engine_entries(snap: &mut Snapshot) -> &mut Vec<(String, Value)> {
+    match &mut snap.engine_state {
+        Value::Map(entries) => entries,
+        other => panic!("engine state is not a map: {other:?}"),
+    }
+}
+
+fn drop_a_field(snap: &mut Snapshot) {
+    engine_entries(snap).retain(|(name, _)| name != "trace_hash");
+}
+
+fn move_the_cut(snap: &mut Snapshot) {
+    snap.at = VirtualTime::from_ticks(snap.at.ticks() + 1);
+}
+
+fn replace_a_machine(snap: &mut Snapshot) {
+    let machines = engine_entries(snap)
+        .iter_mut()
+        .find_map(|(name, v)| match v {
+            Value::Seq(machines) if name == "machines" => Some(machines),
+            _ => None,
+        })
+        .expect("the engine state lists its machines");
+    let live = machines
+        .iter_mut()
+        .find(|m| **m != Value::Null)
+        .expect("a live machine at the cut");
+    *live = Value::Map(vec![("Bogus".to_string(), Value::U64(1))]);
+}
+
+fn bump_the_version(snap: &mut Snapshot) {
+    snap.version += 1;
+}
+
+#[test]
+fn a_corrupt_snapshot_exits_2_without_panicking() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_codes");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = |name: &str| dir.join(name).to_str().expect("a UTF-8 path").to_string();
+    let good = path("good.snap.json");
+    let paused = ofa_with(&[
+        "--sizes",
+        "3,2,2",
+        "--checkpoint-at",
+        "1500",
+        "--checkpoint-file",
+        &good,
+    ]);
+    assert_eq!(paused.status.code(), Some(3), "paused at the cut");
+    let text = std::fs::read_to_string(&good).expect("the snapshot was written");
+    let resumed = ofa_with(&["--resume", &good]);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "the intact snapshot resumes"
+    );
+    type Corruption = fn(&mut Snapshot);
+    let corruptions: [(&str, Corruption); 4] = [
+        ("missing field", drop_a_field),
+        ("cut time off by one", move_the_cut),
+        ("bogus machine", replace_a_machine),
+        ("wrong version", bump_the_version),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut snap: Snapshot = serde_json::from_str(&text).expect("the snapshot decodes");
+        corrupt(&mut snap);
+        let file = path(&format!("{}.snap.json", what.replace(' ', "-")));
+        let json = serde_json::to_string(&snap).expect("encodes");
+        std::fs::write(&file, json).expect("written");
+        let (code, stderr) = code_and_stderr(&ofa_with(&["--resume", &file]));
+        assert_eq!(code, Some(2), "{what}: {stderr:?}");
+        assert!(
+            stderr.iter().any(|line| line.starts_with("error: ")),
+            "{what}: {stderr:?}"
+        );
+        assert!(
+            !stderr.iter().any(|line| line.contains("panicked")),
+            "{what}: {stderr:?}"
+        );
+    }
 }
