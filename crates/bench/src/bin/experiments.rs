@@ -4,48 +4,58 @@
 //! cargo run --release -p ofa-bench --bin experiments                  # all
 //! cargo run --release -p ofa-bench --bin experiments e4 e7           # subset
 //! cargo run --release -p ofa-bench --bin experiments --csv e6        # CSV out
-//! cargo run --release -p ofa-bench --bin experiments e1 --quick      # 1 trial/cell
-//! cargo run --release -p ofa-bench --bin experiments smrscale --quick --out BENCH_smr.json
-//! cargo run --release -p ofa-bench --bin experiments escale --quick \
-//!     --budget-secs 90 --state-dir .ofa-checkpoints --out BENCH_escale.json
+//! cargo run --release -p ofa-bench --bin experiments --quick         # 1 trial/cell
+//! cargo run --release -p ofa-bench --bin experiments explore --quick \
+//!     --budget-secs 120 --state-dir .ofa-checkpoints --out BENCH_explore.json
 //! ```
 //!
 //! `--quick` runs each requested experiment with a single trial per
 //! cell — the CI bench-smoke uses it to prove the harness end-to-end in
 //! seconds. `--out <path>` additionally writes the tables as
 //! machine-readable JSON (`{"experiments": [{id, title, columns, rows}]}`)
-//! — the CI scale gates archive these as per-run build artifacts.
+//! — the CI explore gate archives it as a per-run build artifact. How
+//! fast the system is, is the `benchmark` binary's question, not this
+//! one's.
 //!
-//! `--budget-secs <s>` runs the ESCALE, NETSCALE, SERVE, or EXPLORE
-//! sweep resumably:
-//! cells execute as checkpointed legs, and when the wall-clock budget
-//! expires the
-//! in-flight snapshot is saved under `--state-dir` (default
-//! `.ofa-checkpoints`) and the process exits with code **3**. Re-running
-//! with the same state dir resumes bit-for-bit; a run that finishes the
-//! whole sweep exits 0 with rows whose deterministic columns equal a
-//! monolithic run's.
+//! `--budget-secs <s>` runs the EXPLORE search resumably: the search
+//! runs generation by generation, and when the wall-clock budget expires
+//! its state is saved under `--state-dir` (default `.ofa-checkpoints`)
+//! and the process exits with code **3**. Re-running with the same
+//! state dir resumes bit-for-bit; a run that finishes the whole search
+//! exits 0 with rows whose deterministic columns equal a monolithic
+//! run's.
+//!
+//! Tables go to stdout through one locked handle; a reader that went
+//! away (`experiments | head`) ends the printing, not the run, and the
+//! exit status stays the run's own.
 
 use ofa_bench::Scale;
 use ofa_metrics::Table;
+use std::io::Write;
 
 fn print_tables(tables: &[(String, Table)], banner: bool, csv: bool, markdown: bool) {
-    for (id, table) in tables {
+    let mut out = std::io::stdout().lock();
+    let printed = tables.iter().try_for_each(|(id, table)| {
         if banner {
-            println!("── {id} ──");
+            writeln!(out, "── {id} ──")?;
         }
         if csv {
-            println!("{}", table.to_csv());
+            writeln!(out, "{}", table.to_csv())
         } else if markdown {
-            println!("{}", table.to_markdown());
+            writeln!(out, "{}", table.to_markdown())
         } else {
-            println!("{table}");
+            writeln!(out, "{table}")
+        }
+    });
+    if let Err(e) = printed {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing stdout: {e}");
         }
     }
 }
 
 /// Writes the `--out` JSON document. `paused` is present only for
-/// resumable runs, recording whether the sweep stopped at its budget.
+/// resumable runs, recording whether the search stopped at its budget.
 fn write_out(path: &str, tables: &[(String, Table)], quick: bool, paused: Option<bool>) {
     let entries: Vec<serde::Value> = tables
         .iter()
@@ -134,67 +144,21 @@ fn main() {
     }
 
     if let Some(secs) = budget_secs {
-        // Only the ESCALE, NETSCALE, SERVE, and EXPLORE sweeps run
-        // resumably today: SMRSCALE (and PARSCALE's baseline comparison)
-        // verify their logs through a run observer, which checkpointing
-        // deliberately refuses to capture. SERVE's service metrics ride
-        // the snapshot itself (in-flight queues, latency histograms), so
-        // it needs no observer; EXPLORE checkpoints its own search state
-        // at generation boundaries.
-        let id = ids.first().map(|s| s.to_ascii_lowercase());
-        if ids.len() != 1
-            || !matches!(
-                id.as_deref(),
-                Some("escale" | "netscale" | "serve" | "explore")
-            )
-        {
-            eprintln!(
-                "--budget-secs currently supports exactly one experiment: escale, netscale, \
-                 serve, or explore"
-            );
+        // Only the EXPLORE search runs resumably: it checkpoints its own
+        // search state at generation boundaries.
+        if ids.len() != 1 || !ids[0].eq_ignore_ascii_case("explore") {
+            eprintln!("--budget-secs supports exactly one experiment: explore");
             std::process::exit(2);
         }
+        use ofa_bench::experiments::explore;
         let dir = std::path::PathBuf::from(&state_dir);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        let (id, table, paused) = match id.as_deref() {
-            Some("escale") => {
-                use ofa_bench::experiments::escale;
-                let sizes: &[usize] = match scale {
-                    Scale::Full => &escale::SIZES,
-                    Scale::Quick => &escale::QUICK_SIZES,
-                };
-                let (_rows, table, paused) = escale::run_resumable(sizes, &dir, deadline);
-                ("ESCALE", table, paused)
-            }
-            Some("netscale") => {
-                use ofa_bench::experiments::netscale;
-                let (n, cells): (usize, &[(u32, u32)]) = match scale {
-                    Scale::Full => (netscale::FULL_N, &netscale::CELLS),
-                    Scale::Quick => (netscale::QUICK_N, &netscale::QUICK_CELLS),
-                };
-                let (_rows, table, paused) = netscale::run_resumable(n, cells, &dir, deadline);
-                ("NETSCALE", table, paused)
-            }
-            Some("serve") => {
-                use ofa_bench::experiments::serve;
-                let (n, cells): (usize, &[(u32, u32)]) = match scale {
-                    Scale::Full => (serve::FULL_N, &serve::CELLS),
-                    Scale::Quick => (serve::QUICK_N, &serve::QUICK_CELLS),
-                };
-                let (_rows, table, paused) = serve::run_resumable(n, cells, &dir, deadline);
-                ("SERVE", table, paused)
-            }
-            _ => {
-                use ofa_bench::experiments::explore;
-                let params = match scale {
-                    Scale::Full => &explore::FULL,
-                    Scale::Quick => &explore::QUICK,
-                };
-                let (_rows, table, paused) = explore::run_resumable(params, &dir, deadline);
-                ("EXPLORE", table, paused)
-            }
+        let params = match scale {
+            Scale::Full => &explore::FULL,
+            Scale::Quick => &explore::QUICK,
         };
-        let tables = vec![(id.to_string(), table)];
+        let (_rows, table, paused) = explore::run_resumable(params, &dir, deadline);
+        let tables = vec![("EXPLORE".to_string(), table)];
         print_tables(&tables, false, csv, markdown);
         if let Some(path) = &out_path {
             write_out(path, &tables, scale == Scale::Quick, Some(paused));
@@ -225,9 +189,8 @@ fn main() {
                 Some(t) => out.push((id.to_ascii_uppercase(), t)),
                 None => {
                     eprintln!(
-                        "unknown experiment id: {id} \
-                         (expected e1..e10, escale, smrscale, parscale, netscale, serve, \
-                         or explore)"
+                        "unknown experiment id: {id} (expected one of {})",
+                        ofa_bench::ALL_IDS.join(", ").to_ascii_lowercase()
                     );
                     std::process::exit(2);
                 }

@@ -60,7 +60,7 @@ pub const QUICK: Params = Params {
 /// a corpus filter admitting round-4+ or stuck schedules.
 pub fn config(params: &Params) -> ExploreConfig {
     let n = params.n;
-    // No event cap (same reasoning as NETSCALE): candidates terminate
+    // No event cap: candidates terminate
     // via the round budget; the default 5M-event guard would truncate
     // cluster-scale runs into uniform "nobody decided" fitness noise.
     let base = Scenario::new(Partition::even(n, (n / 100).max(2)), Algorithm::CommonCoin)

@@ -18,17 +18,11 @@
 //! | E8 | fault-tolerance frontier beats the `⌊(n-1)/2⌋` MP bound |
 //! | E9 | ablation: amplification needs cluster pre-agreement |
 //! | E10 | Figure 2 m&m domains recomputed verbatim |
-//! | ESCALE | event-driven engine runs full consensus at `n = 10⁴–5·10⁴` in seconds–minutes |
-//! | SMRSCALE | replicated KV (multivalued/SMR stack) commits logs at `n >= 5 000` replicas |
-//! | PARSCALE | cluster-sharded parallel engine vs single-threaded: identical runs, measured speedup |
-//! | NETSCALE | consensus at `n = 10⁴` under message loss and churn: rounds and decision latency vs rate |
-//! | SERVE | client traffic over the replicated KV at `n = 10⁴`: throughput, p50/p99 latency, sheds vs loss/churn |
 //! | EXPLORE | adversarial schedule search at `n = 10³`: fixed-seed guided mutation, deterministic trajectory, no safety violation found |
 
 #![warn(missing_docs)]
 
-/// The experiment modules, E1 through E10 plus the ESCALE / SMRSCALE /
-/// PARSCALE / NETSCALE / SERVE engine sweeps and the EXPLORE
+/// The experiment modules, E1 through E10 plus the EXPLORE
 /// adversarial-search workload.
 pub mod experiments {
     pub mod e1;
@@ -41,24 +35,16 @@ pub mod experiments {
     pub mod e7;
     pub mod e8;
     pub mod e9;
-    pub mod escale;
     pub mod explore;
-    pub mod netscale;
-    pub mod parscale;
-    pub mod serve;
-    pub mod smrscale;
 }
-
-pub mod resumable;
 
 use ofa_metrics::Table;
 
 /// Every experiment id, in presentation order. The single source of
 /// truth for "all experiments" — `run_all`, the `experiments` binary's
 /// `--quick` path, and CI smoke loops all iterate this.
-pub const ALL_IDS: [&str; 16] = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "ESCALE", "SMRSCALE", "PARSCALE",
-    "NETSCALE", "SERVE", "EXPLORE",
+pub const ALL_IDS: [&str; 11] = [
+    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "EXPLORE",
 ];
 
 /// Runs every experiment at its default scale, returning `(id, table)`
@@ -84,7 +70,7 @@ pub enum Scale {
     /// The default trial counts used for EXPERIMENTS.md tables.
     Full,
     /// A single trial per cell — seconds, not minutes; used by the CI
-    /// bench-smoke job (`experiments <id> --quick`) to prove the harness
+    /// bench-smoke job (`experiments --quick`) to prove the harness
     /// end-to-end without paying for statistical quality.
     Quick,
 }
@@ -107,29 +93,6 @@ pub fn run_one_scaled(id: &str, scale: Scale) -> Option<Table> {
         "e8" => e8::run().1,
         "e9" => e9::run(t(e9::TRIALS)).1,
         "e10" => e10::run().1,
-        // Scaled by system size rather than trial count: the full sweeps
-        // reach n = 50 000 / 10 000 (minutes); quick is one n = 5 000
-        // cell each.
-        "escale" => match scale {
-            Scale::Full => escale::run(&escale::SIZES).1,
-            Scale::Quick => escale::run(&escale::QUICK_SIZES).1,
-        },
-        "smrscale" => match scale {
-            Scale::Full => smrscale::run(&smrscale::SIZES).1,
-            Scale::Quick => smrscale::run(&smrscale::QUICK_SIZES).1,
-        },
-        "parscale" => match scale {
-            Scale::Full => parscale::run(&parscale::SIZES).1,
-            Scale::Quick => parscale::run(&parscale::QUICK_SIZES).1,
-        },
-        "netscale" => match scale {
-            Scale::Full => netscale::run(netscale::FULL_N, &netscale::CELLS).1,
-            Scale::Quick => netscale::run(netscale::QUICK_N, &netscale::QUICK_CELLS).1,
-        },
-        "serve" => match scale {
-            Scale::Full => serve::run(serve::FULL_N, &serve::CELLS).1,
-            Scale::Quick => serve::run(serve::QUICK_N, &serve::QUICK_CELLS).1,
-        },
         "explore" => match scale {
             Scale::Full => explore::run(&explore::FULL).1,
             Scale::Quick => explore::run(&explore::QUICK).1,

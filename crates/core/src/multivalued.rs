@@ -27,8 +27,8 @@
 //! liveness argument — only 1-votes need a completed relay behind them —
 //! at one relay broadcast per process per stage, `O(n²)` per stage like
 //! the binary exchanges themselves. That is the difference between
-//! replicated logs at `n = 50` and at `n = 5 000+` (the `SMRSCALE`
-//! experiment).
+//! replicated logs at `n = 50` and at `n = 1 000` (the benchmark's
+//! `kv-serve` cell).
 //!
 //! Termination: correct proposers' initial broadcasts reach every correct
 //! process, so a stage naming a correct proposer eventually gets

@@ -72,27 +72,27 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Panics if a parameter would stall the process (zero periods) or
-    /// is inconsistent (`think_hi < think_lo`).
-    pub fn assert_valid(&self) {
-        match *self {
-            ArrivalProcess::Periodic { period, .. } => {
-                assert!(period >= 1, "Periodic arrivals need period >= 1");
+    /// Checks that no parameter would stall the process (zero periods)
+    /// or is inconsistent (`think_hi < think_lo`).
+    ///
+    /// # Errors
+    ///
+    /// The first parameter that fails, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        let fault = match *self {
+            ArrivalProcess::Periodic { period: 0, .. } => "Periodic arrivals need period >= 1",
+            ArrivalProcess::Poisson { mean_gap: 0 } => "Poisson arrivals need mean_gap >= 1",
+            ArrivalProcess::Bursty { burst: 0, .. } => "Bursty arrivals need burst >= 1",
+            ArrivalProcess::Bursty { period: 0, .. } => "Bursty arrivals need period >= 1",
+            ArrivalProcess::ClosedLoop { think_lo, think_hi } if think_hi < think_lo => {
+                "ClosedLoop think_hi must be >= think_lo"
             }
-            ArrivalProcess::Poisson { mean_gap } => {
-                assert!(mean_gap >= 1, "Poisson arrivals need mean_gap >= 1");
-            }
-            ArrivalProcess::Bursty { burst, period, .. } => {
-                assert!(burst >= 1, "Bursty arrivals need burst >= 1");
-                assert!(period >= 1, "Bursty arrivals need period >= 1");
-            }
-            ArrivalProcess::ClosedLoop { think_lo, think_hi } => {
-                assert!(
-                    think_hi >= think_lo,
-                    "ClosedLoop think_hi must be >= think_lo"
-                );
-            }
-        }
+            ArrivalProcess::Periodic { .. }
+            | ArrivalProcess::Poisson { .. }
+            | ArrivalProcess::Bursty { .. }
+            | ArrivalProcess::ClosedLoop { .. } => return Ok(()),
+        };
+        Err(fault.to_string())
     }
 }
 
@@ -194,16 +194,25 @@ pub struct TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// Panics on parameters that would stall or misbehave.
-    pub fn assert_valid(&self) {
-        self.arrival.assert_valid();
-        assert!(self.clients >= 1, "traffic needs at least one client");
-        assert!(self.queue_cap >= 1, "traffic needs queue_cap >= 1");
-        assert!(self.batch_max >= 1, "traffic needs batch_max >= 1");
-        assert!(
-            self.batch_min <= self.batch_max,
+    /// Checks for parameters that would stall or misbehave.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter that fails, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        self.arrival.validate()?;
+        let fault = if self.clients == 0 {
+            "traffic needs at least one client"
+        } else if self.queue_cap == 0 {
+            "traffic needs queue_cap >= 1"
+        } else if self.batch_max == 0 {
+            "traffic needs batch_max >= 1"
+        } else if self.batch_min > self.batch_max {
             "batch_min must be <= batch_max"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(fault.to_string())
     }
 }
 
@@ -789,22 +798,24 @@ mod tests {
                 batch_max: 2,
                 batch_min: 2,
             };
-            s.assert_valid();
+            s.validate().unwrap();
             let copy = TrafficSpec::from_value(&s.to_value()).expect("round trip");
             assert_eq!(copy, s);
         }
     }
 
     #[test]
-    #[should_panic(expected = "batch_min must be <= batch_max")]
     fn invalid_spec_is_rejected() {
-        TrafficSpec {
+        let spec = TrafficSpec {
             arrival: ArrivalProcess::Poisson { mean_gap: 1 },
             clients: 1,
             queue_cap: 1,
             batch_max: 1,
             batch_min: 2,
-        }
-        .assert_valid();
+        };
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            "batch_min must be <= batch_max"
+        );
     }
 }

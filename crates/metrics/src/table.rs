@@ -220,8 +220,8 @@ impl Table {
 }
 
 /// Tables serialize as `{title, columns, rows}` — the machine-readable
-/// form the `experiments --out <path>` flag writes, so CI can archive
-/// bench trajectories (`BENCH_*.json`) per run.
+/// form the `experiments --out <path>` flag writes, so CI can archive an
+/// experiment's table per run.
 impl Serialize for Table {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![

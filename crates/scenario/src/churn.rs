@@ -244,47 +244,51 @@ impl ChurnPlan {
     /// Checks internal consistency against a universe of `n` processes
     /// and a crash plan.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an event names a process index `>= n`, a rejoin is not
-    /// strictly after its leave, a process appears in both the churn
-    /// and the crash plan (their failure semantics would race), or a
-    /// Poisson spec is out of range (`rate_ppm > 1_000_000`, or a
-    /// nonzero rate with a zero horizon).
-    pub fn assert_valid(&self, n: usize, crashes: &crate::CrashPlan) {
+    /// An event naming a process index `>= n`, a rejoin not strictly
+    /// after its leave, a process in both the churn and the crash plan
+    /// (their failure semantics would race), or a Poisson spec out of
+    /// range (`rate_ppm > 1_000_000`, or a nonzero rate with a zero
+    /// horizon), as a one-line message.
+    pub fn validate(&self, n: usize, crashes: &crate::CrashPlan) -> Result<(), String> {
         if let Some(spec) = self.poisson {
-            assert!(
-                spec.rate_ppm <= 1_000_000,
-                "poisson churn rate {} ppm exceeds 1_000_000",
-                spec.rate_ppm
-            );
-            assert!(
-                spec.rate_ppm == 0 || spec.horizon_ticks > 0,
-                "poisson churn with rate {} ppm needs a nonzero horizon",
-                spec.rate_ppm
-            );
+            if spec.rate_ppm > 1_000_000 {
+                return Err(format!(
+                    "poisson churn rate {} ppm exceeds 1_000_000",
+                    spec.rate_ppm
+                ));
+            }
+            if spec.rate_ppm != 0 && spec.horizon_ticks == 0 {
+                return Err(format!(
+                    "poisson churn with rate {} ppm needs a nonzero horizon",
+                    spec.rate_ppm
+                ));
+            }
         }
         for (p, e) in self.iter() {
-            assert!(
-                p.index() < n,
-                "churn event names process index {} but n={n}",
-                p.index()
-            );
-            if let Some(r) = e.rejoin {
-                assert!(
-                    r > e.leave,
+            if p.index() >= n {
+                return Err(format!(
+                    "churn event names process index {} but n={n}",
+                    p.index()
+                ));
+            }
+            if let Some(r) = e.rejoin.filter(|&r| r <= e.leave) {
+                return Err(format!(
                     "process {} rejoins at {} but leaves at {} (rejoin must be later)",
                     p.index(),
                     r.ticks(),
                     e.leave.ticks()
-                );
+                ));
             }
-            assert!(
-                crashes.trigger(p).is_none(),
-                "process {} appears in both the churn plan and the crash plan",
-                p.index()
-            );
+            if crashes.trigger(p).is_some() {
+                return Err(format!(
+                    "process {} appears in both the churn plan and the crash plan",
+                    p.index()
+                ));
+            }
         }
+        Ok(())
     }
 }
 
@@ -402,7 +406,7 @@ mod tests {
         assert_eq!(a.event(ProcessId(0)).unwrap().leave.ticks(), 123);
         assert!(a.event(ProcessId(1)).is_none(), "crash plan wins");
         assert!(a.len() > 32, "high rate churns most of the universe");
-        a.assert_valid(64, &crashes);
+        a.validate(64, &crashes).unwrap();
         // A different seed samples a different expansion.
         assert_ne!(a, plan.resolve(43, 64, &crashes));
         // Zero downtime means leaves without rejoins.
@@ -448,34 +452,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a nonzero horizon")]
     fn poisson_zero_horizon_is_rejected() {
-        ChurnPlan::new()
+        let err = ChurnPlan::new()
             .poisson_spec(PoissonChurn {
                 rate_ppm: 10,
                 mean_down_ticks: 0,
                 horizon_ticks: 0,
             })
-            .assert_valid(4, &CrashPlan::new());
+            .validate(4, &CrashPlan::new())
+            .unwrap_err();
+        assert!(err.contains("needs a nonzero horizon"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "rejoin must be later")]
     fn rejoin_before_leave_is_rejected() {
-        ChurnPlan::new()
+        let err = ChurnPlan::new()
             .leave_rejoin(
                 ProcessId(0),
                 VirtualTime::from_ticks(500),
                 VirtualTime::from_ticks(500),
             )
-            .assert_valid(2, &CrashPlan::new());
+            .validate(2, &CrashPlan::new())
+            .unwrap_err();
+        assert!(err.contains("rejoin must be later"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "both the churn plan and the crash plan")]
     fn overlap_with_crash_plan_is_rejected() {
-        ChurnPlan::new()
+        let err = ChurnPlan::new()
             .leave(ProcessId(0), VirtualTime::from_ticks(500))
-            .assert_valid(2, &CrashPlan::new().crash_at_start(ProcessId(0)));
+            .validate(2, &CrashPlan::new().crash_at_start(ProcessId(0)))
+            .unwrap_err();
+        assert!(
+            err.contains("both the churn plan and the crash plan"),
+            "{err}"
+        );
     }
 }

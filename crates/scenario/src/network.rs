@@ -251,45 +251,50 @@ impl NetworkModel {
 
     /// Checks internal consistency against a universe of `n` processes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on inverted distribution bounds or an override naming a
-    /// process index `>= n`.
-    pub fn assert_valid(&self, n: usize) {
-        fn check_dist(d: &LatencyDist) {
+    /// An inverted distribution bound, a rate above 10⁶ ppm, or an
+    /// override naming a process index `>= n`, as a one-line message.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        fn check_dist(d: &LatencyDist) -> Result<(), String> {
             match *d {
-                LatencyDist::Constant(_) => {}
-                LatencyDist::Uniform { lo, hi } => {
-                    assert!(lo <= hi, "uniform latency bounds inverted ({lo} > {hi})")
+                LatencyDist::Uniform { lo, hi } if lo > hi => {
+                    Err(format!("uniform latency bounds inverted ({lo} > {hi})"))
                 }
-                LatencyDist::LogNormal { floor, cap, .. } => {
-                    assert!(
-                        floor <= cap,
-                        "lognormal latency clamp inverted ({floor} > {cap})"
-                    )
-                }
+                LatencyDist::LogNormal { floor, cap, .. } if floor > cap => Err(format!(
+                    "lognormal latency clamp inverted ({floor} > {cap})"
+                )),
+                LatencyDist::Constant(_)
+                | LatencyDist::Uniform { .. }
+                | LatencyDist::LogNormal { .. } => Ok(()),
             }
         }
-        assert!(self.loss_ppm <= 1_000_000, "loss_ppm is a ppm rate");
-        assert!(self.dup_ppm <= 1_000_000, "dup_ppm is a ppm rate");
+        if self.loss_ppm > 1_000_000 {
+            return Err("loss_ppm is a ppm rate".into());
+        }
+        if self.dup_ppm > 1_000_000 {
+            return Err("dup_ppm is a ppm rate".into());
+        }
         match &self.classes {
-            LinkClasses::Flat(_) => {}
+            LinkClasses::Flat(_) => Ok(()),
             LinkClasses::Clustered {
                 intra,
                 inter,
                 links,
             } => {
-                check_dist(intra);
-                check_dist(inter);
+                check_dist(intra)?;
+                check_dist(inter)?;
                 for l in links {
-                    check_dist(&l.dist);
-                    assert!(
-                        l.from.index() < n && l.to.index() < n,
-                        "link override {} → {} names a process index >= n={n}",
-                        l.from.index(),
-                        l.to.index()
-                    );
+                    check_dist(&l.dist)?;
+                    if l.from.index() >= n || l.to.index() >= n {
+                        return Err(format!(
+                            "link override {} → {} names a process index >= n={n}",
+                            l.from.index(),
+                            l.to.index()
+                        ));
+                    }
                 }
+                Ok(())
             }
         }
     }
@@ -646,11 +651,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names a process index")]
     fn out_of_range_override_is_rejected() {
-        NetworkModel::clustered(LatencyDist::Constant(1), LatencyDist::Constant(2))
+        let err = NetworkModel::clustered(LatencyDist::Constant(1), LatencyDist::Constant(2))
             .with_link(ProcessId(9), ProcessId(0), LatencyDist::Constant(3))
-            .assert_valid(4);
+            .validate(4)
+            .unwrap_err();
+        assert!(err.contains("names a process index"), "{err}");
     }
 
     #[test]

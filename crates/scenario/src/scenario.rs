@@ -129,7 +129,8 @@ impl Deserialize for CoinSpec {
 ///   cluster-sharded event loop below with **one shard** that owns every
 ///   cluster, driven on the calling thread: no spawned threads, no
 ///   baton, no channels. Scales to tens of thousands of processes (the
-///   `escale` / `smrscale` experiments). Custom protocol bodies
+///   benchmark's `consensus-fastpath` cell runs `n = 5 000`). Custom
+///   protocol bodies
 ///   ([`crate::Body::Custom`]) are blocking code and fall back to
 ///   [`Engine::Threads`] — [`crate::Outcome::engine_used`] records which
 ///   engine actually ran.
@@ -549,78 +550,93 @@ impl Scenario {
         backend.run(self)
     }
 
-    /// Checks internal consistency (used by backends before running).
+    /// Checks internal consistency: the proposal vector (and the
+    /// multivalued proposals or command queues) have one entry per
+    /// process; the traffic spec, network model and churn plan are
+    /// well-formed; and no crash trigger, laggard or link override names
+    /// a process index `>= n` — the latter matters for deserialized
+    /// scenarios, where a silently ignored out-of-range trigger would
+    /// report a fault-free run as if the failure pattern had been
+    /// exercised.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the proposal vector length differs from `n`, or if the
-    /// crash plan or delay model names a process index `>= n` — the
-    /// latter matters for deserialized scenarios, where a silently
-    /// ignored out-of-range trigger would report a fault-free run as if
-    /// the failure pattern had been exercised.
-    pub fn assert_valid(&self) {
+    /// The first inconsistency found, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
         let n = self.partition.n();
-        assert_eq!(
-            self.proposals.len(),
-            n,
-            "need one proposal per process (got {} for n={n})",
-            self.proposals.len()
-        );
+        if self.proposals.len() != n {
+            return Err(format!(
+                "need one proposal per process (got {} for n={n})",
+                self.proposals.len()
+            ));
+        }
         match &self.body {
-            Body::Multivalued(mv) => assert_eq!(
-                mv.proposals.len(),
-                n,
-                "need one multivalued proposal per process (got {} for n={n})",
-                mv.proposals.len()
-            ),
+            Body::Multivalued(mv) if mv.proposals.len() != n => {
+                return Err(format!(
+                    "need one multivalued proposal per process (got {} for n={n})",
+                    mv.proposals.len()
+                ));
+            }
             Body::ReplicatedLog(smr) => {
                 if let Some(spec) = &smr.traffic {
-                    spec.assert_valid();
+                    spec.validate()?;
                     // Traffic-driven workloads synthesize proposals from
                     // client arrivals; pre-seeded queues are either absent
                     // or full-length (ignored slots would silently change
                     // the workload's meaning otherwise).
-                    assert!(
-                        smr.queues.is_empty(),
-                        "a traffic-driven replicated log must not also pre-seed \
-                         command queues (got {} queues)",
-                        smr.queues.len()
-                    );
-                } else {
-                    assert_eq!(
-                        smr.queues.len(),
-                        n,
+                    if !smr.queues.is_empty() {
+                        return Err(format!(
+                            "a traffic-driven replicated log must not also pre-seed \
+                             command queues (got {} queues)",
+                            smr.queues.len()
+                        ));
+                    }
+                } else if smr.queues.len() != n {
+                    return Err(format!(
                         "need one command queue per process (got {} for n={n})",
                         smr.queues.len()
-                    );
+                    ));
                 }
             }
-            Body::Algo(_) | Body::Custom(_) => {}
+            Body::Multivalued(_) | Body::Algo(_) | Body::Custom(_) => {}
         }
         for (p, trigger) in self.crashes.iter() {
-            assert!(
-                p.index() < n,
-                "crash trigger {trigger:?} names process index {} but n={n}",
-                p.index()
-            );
-        }
-        fn check_delay(model: &DelayModel, n: usize) {
-            if let DelayModel::Laggard { slow, base, .. } = model {
-                for p in slow {
-                    assert!(
-                        p.index() < n,
-                        "laggard set names process index {} but n={n}",
-                        p.index()
-                    );
-                }
-                check_delay(base, n);
+            if p.index() >= n {
+                return Err(format!(
+                    "crash trigger {trigger:?} names process index {} but n={n}",
+                    p.index()
+                ));
             }
         }
-        if let crate::LinkClasses::Flat(delay) = &self.network.classes {
-            check_delay(delay, n);
+        fn check_delay(model: &DelayModel, n: usize) -> Result<(), String> {
+            if let DelayModel::Laggard { slow, base, .. } = model {
+                if let Some(p) = slow.iter().find(|p| p.index() >= n) {
+                    return Err(format!(
+                        "laggard set names process index {} but n={n}",
+                        p.index()
+                    ));
+                }
+                check_delay(base, n)?;
+            }
+            Ok(())
         }
-        self.network.assert_valid(n);
-        self.churn.assert_valid(n, &self.crashes);
+        if let crate::LinkClasses::Flat(delay) = &self.network.classes {
+            check_delay(delay, n)?;
+        }
+        self.network.validate(n)?;
+        self.churn.validate(n, &self.crashes)
+    }
+
+    /// [`Scenario::validate`] for the backends, which run only valid
+    /// scenarios.
+    ///
+    /// # Panics
+    ///
+    /// With [`Scenario::validate`]'s message if the scenario is invalid.
+    pub fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
     }
 }
 

@@ -101,10 +101,11 @@ impl Sim {
         expect_done(resume_leg(snapshot, &diverged, None))
     }
 
-    /// Checks that `snapshot` can resume under its scenario: the format
-    /// version, the engine state, the cut time it was taken at, the
-    /// process count, and every machine's state under the scenario's
-    /// body. [`Sim::resume`], [`Sim::resume_until`] and [`Sim::diverge`]
+    /// Checks that `snapshot` can resume under its scenario: the
+    /// scenario itself ([`Scenario::validate`]), the format version,
+    /// the engine state, the cut time it was taken at, the process
+    /// count, and every machine's state under the scenario's body.
+    /// [`Sim::resume`], [`Sim::resume_until`] and [`Sim::diverge`]
     /// run the same check and panic where it fails; a caller holding a
     /// snapshot it did not make (a file) checks first to refuse it.
     ///
@@ -183,8 +184,8 @@ fn engine_used(shards: Option<usize>) -> Engine {
 /// count passed in so the guard is a pure, testable function. It is one
 /// shard when several cannot help or cannot be exact: a single cluster
 /// (nothing to split), more shards than the host has cores (epoch
-/// barriers on an oversubscribed box cost more than they buy — the
-/// `parscale` single-core regression), a zero
+/// barriers on an oversubscribed box cost more than they buy, as a
+/// single-core host once showed), a zero
 /// [`ofa_scenario::NetworkModel::min_delay`] (no conservative lookahead
 /// window between shards), or a retained trace
 /// ([`Scenario::keep_trace`] — only one shard records events in
@@ -392,12 +393,14 @@ fn resume_leg(
 }
 
 /// Decodes `snapshot`'s engine state for a resume under `scenario`, and
-/// refuses what a leg would otherwise panic on: another format version,
-/// an engine state that does not decode or was taken at another cut
-/// time, another process count, and a machine that does not decode under
-/// the scenario's body. The one decoder behind every resume and
+/// refuses what a leg would otherwise panic on: an invalid scenario
+/// ([`Scenario::validate`]), another format version, an engine state
+/// that does not decode or was taken at another cut time, another
+/// process count, and a machine that does not decode under the
+/// scenario's body. The one decoder behind every resume and
 /// [`Sim::check_snapshot`].
 fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSnap, serde::Error> {
+    scenario.validate().map_err(serde::Error::msg)?;
     if !snapshot.version_matches() {
         return Err(serde::Error::msg(format!(
             "snapshot format version {} (this build reads {SNAPSHOT_VERSION})",
@@ -446,8 +449,7 @@ mod tests {
 
     #[test]
     fn parallel_guard_respects_the_core_count() {
-        // Satellite of the `parscale` single-core regression: more
-        // shards than cores degrades to the sequential event engine,
+        // More shards than cores degrades to the sequential event engine,
         // observably, while a big-enough box keeps the request.
         let scenario = Scenario::new(Partition::even(12, 4), Algorithm::LocalCoin)
             .proposals_split(5)

@@ -24,9 +24,9 @@
 //! three declarative body kinds). What changes is the constant factor and
 //! the ceiling: a burst is a function call, and whole broadcasts stay
 //! single heap entries (expanded in one go under a constant delay), so
-//! `n = 10 000`-process executions finish in seconds on one core (the
-//! `escale` experiment) and replicated KV runs reach `n >= 5 000` (the
-//! `smrscale` experiment).
+//! the benchmark's `consensus-fastpath` cell (`n = 5 000`, 7.5·10⁷
+//! events) finishes in about a second on one core, and its `kv-serve`
+//! cell runs the replicated KV at `n = 1 000`.
 //!
 //! Most deliveries are not a step at all. A process leaves a message
 //! exchange once its supporters cover a majority of cluster weight, so
@@ -845,7 +845,7 @@ mod tests {
 
     #[test]
     fn quick_scale_run_decides_in_round_one() {
-        // A miniature of the escale workload: unanimous proposals,
+        // A miniature of the consensus-fastpath cell: unanimous proposals,
         // constant delay, zero send cost (so broadcasts batch), hundreds
         // of processes in one fast single-threaded run.
         use ofa_scenario::CostModel;

@@ -17,13 +17,13 @@
 //!   shard** on the calling thread: each process is a resumable
 //!   `ofa_core::sm` state machine stepped straight off the event heap —
 //!   no threads, no baton — which lifts the process-count ceiling from
-//!   thousands to tens of thousands (the `escale` experiment runs
-//!   `n = 10 000+`);
+//!   thousands to tens of thousands (the benchmark's
+//!   `consensus-fastpath` cell runs `n = 5 000`);
 //! * [`Engine::ParallelEvent`] — the same event loop with `W` shards on
 //!   `W` threads: shards own whole *clusters* and exchange cross-shard
-//!   deliveries at deterministic virtual-time epoch barriers; pushes the
-//!   replicated SMR workload past `n = 10⁴` (the `parscale`
-//!   experiment).
+//!   deliveries at deterministic virtual-time epoch barriers (the
+//!   benchmark's `kv-serve-par2` cell: the `n = 1 000` replicated KV on
+//!   two shards, with `kv-serve`'s trace hash).
 //!
 //! All engines produce identical outcomes — decisions, counters, event
 //! counts, trace hashes — for any declarative scenario, and the

@@ -17,7 +17,7 @@
 //!   `j` is multivalued instance `j`; identical logs yield identical
 //!   states, verified by state digests. Runs on either execution engine;
 //!   the event-driven default scales to thousands of replicas (the
-//!   `smrscale` experiment).
+//!   benchmark's `kv-serve` cell runs `n = 1 000`).
 //!
 //! Everything inherits the hybrid model's fault tolerance: with a majority
 //! cluster, the replicated KV store keeps committing despite `n - 1`

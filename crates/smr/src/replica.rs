@@ -11,7 +11,8 @@
 //! replica loop lives in `ofa-core` ([`ofa_core::run_replicated_log`]
 //! blocking, [`ofa_core::sm::LogSm`] event-driven), so full replicated-KV
 //! runs execute on any backend and *scale on the event-driven engine*
-//! (`n >= 5 000`, the `smrscale` experiment). This module adds the KV
+//! (the benchmark's `kv-serve` cell runs `n = 1 000` replicas). This
+//! module adds the KV
 //! interpretation: command encoding on the way in, and a
 //! [`LogCollector`] observer that reconstructs each replica's committed
 //! log, state, and digest from the [`ofa_core::ObsEvent::MvDecided`]

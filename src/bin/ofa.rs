@@ -40,6 +40,7 @@ use one_for_all::explore::{
 use one_for_all::prelude::*;
 use one_for_all::scenario::{BackendKind, DivergeSpec, Snapshot, VirtualTime};
 use one_for_all::sim::RunOutcome;
+use std::io::Write as _;
 use std::process::exit;
 use std::time::{Duration, Instant};
 
@@ -293,7 +294,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
-                print!("{HELP}");
+                Out::stdout().print(format_args!("{HELP}"));
                 exit(0);
             }
             "--sizes" => opts.sizes = parse_sizes(&value(&mut i)?)?,
@@ -686,6 +687,45 @@ fn build_plan(entries: &[(usize, CrashWhen)]) -> CrashPlan {
     plan
 }
 
+/// Standard output, locked once per process. `println!` panics when the
+/// reader has gone away (`ofa … | head`); a write here that fails ends
+/// the printing instead, and the run exits with its own status.
+struct Out {
+    lock: std::io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Out {
+    fn stdout() -> Out {
+        Out {
+            lock: std::io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    fn print(&mut self, args: std::fmt::Arguments<'_>) {
+        if self.closed {
+            return;
+        }
+        if let Err(e) = self.lock.write_fmt(args) {
+            self.closed = true;
+            if e.kind() != std::io::ErrorKind::BrokenPipe {
+                eprintln!("error: writing stdout: {e}");
+            }
+        }
+    }
+}
+
+/// `println!` onto an [`Out`].
+macro_rules! say {
+    ($out:expr) => {
+        $out.print(format_args!("\n"))
+    };
+    ($out:expr, $($arg:tt)*) => {
+        $out.print(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "explore") {
@@ -700,8 +740,9 @@ fn main() {
         }
     };
 
+    let mut stdout = Out::stdout();
     if let Some(path) = &opts.resume {
-        run_resumed(&opts, path);
+        run_resumed(&opts, path, &mut stdout);
         return;
     }
 
@@ -749,10 +790,15 @@ fn main() {
     if opts.trace && !opts.runtime {
         scenario = scenario.keep_trace();
     }
+    if let Err(e) = scenario.validate() {
+        eprintln!("error: {e}");
+        exit(2);
+    }
 
     if !opts.json {
-        println!("partition: {partition}");
-        println!(
+        say!(stdout, "partition: {partition}");
+        say!(
+            stdout,
             "algorithm: {} | proposals: {ones}x1 + {}x0 | seed {}",
             opts.algorithm,
             n - ones,
@@ -760,31 +806,41 @@ fn main() {
         );
         for (p, when) in &opts.crashes {
             match when {
-                CrashWhen::Step(k) => println!("crash: p{} at step {k}", p + 1),
-                CrashWhen::Round(r) => println!("crash: p{} at round {r}", p + 1),
-                CrashWhen::Time(t) => println!("crash: p{} at time {t}", p + 1),
+                CrashWhen::Step(k) => say!(stdout, "crash: p{} at step {k}", p + 1),
+                CrashWhen::Round(r) => say!(stdout, "crash: p{} at round {r}", p + 1),
+                CrashWhen::Time(t) => say!(stdout, "crash: p{} at time {t}", p + 1),
             }
         }
         if opts.loss_ppm > 0 || opts.dup_ppm > 0 {
-            println!(
+            say!(
+                stdout,
                 "network: loss {} ppm | dup {} ppm",
-                opts.loss_ppm, opts.dup_ppm
+                opts.loss_ppm,
+                opts.dup_ppm
             );
         }
         for &(p, leave, rejoin) in &opts.churn {
             match rejoin {
-                Some(r) => println!("churn: p{} leaves at t{leave}, rejoins at t{r}", p + 1),
-                None => println!("churn: p{} leaves at t{leave}", p + 1),
+                Some(r) => say!(
+                    stdout,
+                    "churn: p{} leaves at t{leave}, rejoins at t{r}",
+                    p + 1
+                ),
+                None => say!(stdout, "churn: p{} leaves at t{leave}", p + 1),
             }
         }
         if let Some(spec) = &opts.churn_poisson {
-            println!(
+            say!(
+                stdout,
                 "churn: poisson arrivals at {} ppm | mean downtime {} | horizon {}",
-                spec.rate_ppm, spec.mean_down_ticks, spec.horizon_ticks
+                spec.rate_ppm,
+                spec.mean_down_ticks,
+                spec.horizon_ticks
             );
         }
         if let Some(arrival) = &opts.serve {
-            println!(
+            say!(
+                stdout,
                 "serving: {arrival:?} | {} clients | {} slots | queue cap {} | batch {}..={}",
                 if opts.clients == 0 {
                     n as u64
@@ -805,12 +861,18 @@ fn main() {
             Sim.run_until(&scenario, VirtualTime::from_ticks(first)),
             &opts,
             scenario.max_events,
+            &mut stdout,
         );
         return;
     }
 
     let backend: &dyn Backend = if opts.runtime { &Threads } else { &Sim };
-    report(&backend.run(&scenario), &opts, scenario.max_events);
+    report(
+        &backend.run(&scenario),
+        &opts,
+        scenario.max_events,
+        &mut stdout,
+    );
 }
 
 /// Why a finished run left a correct process undecided, as far as its
@@ -896,7 +958,7 @@ fn parse_explore_args(args: &[String]) -> Result<ExploreOpts, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
-                print!("{EXPLORE_HELP}");
+                Out::stdout().print(format_args!("{EXPLORE_HELP}"));
                 exit(0);
             }
             "--seed" => opts.seed = num(value(&mut i)?)?,
@@ -961,6 +1023,7 @@ fn explore_main(args: &[String]) {
             exit(2);
         }
     };
+    let mut stdout = Out::stdout();
     let partition = match Partition::from_sizes(&opts.sizes) {
         Ok(p) => p,
         Err(e) => {
@@ -1091,13 +1154,15 @@ fn explore_main(args: &[String]) {
             }
         }
         if opts.json {
-            println!(
+            say!(
+                stdout,
                 "{{\"paused_at_generation\":{},\"state\":{:?}}}",
                 explorer.state().generation,
                 path
             );
         } else {
-            println!(
+            say!(
+                stdout,
                 "paused at generation {} — state written to {path} (rerun to resume)",
                 explorer.state().generation
             );
@@ -1128,36 +1193,42 @@ fn explore_main(args: &[String]) {
             eprintln!("error: serializing summary: {e}");
             exit(2);
         });
-        println!("{summary}");
+        say!(stdout, "{summary}");
     } else {
-        println!(
+        say!(
+            stdout,
             "explored {} generations x {} candidates | {} simulated events",
             state.generation,
             explorer.config().population,
             state.events_spent
         );
-        println!(
+        say!(
+            stdout,
             "baseline: {}",
             fitness_text(&state.baseline.unwrap_or_default())
         );
-        println!(
+        say!(
+            stdout,
             "worst (gen {} slot {}): {}",
             best.found.generation,
             best.found.slot,
             fitness_text(&best.fitness)
         );
         match serde_json::to_string(&best.scenario) {
-            Ok(json) => println!("worst schedule: {json}"),
+            Ok(json) => say!(stdout, "worst schedule: {json}"),
             Err(e) => {
                 eprintln!("error: serializing schedule: {e}");
                 exit(2);
             }
         }
-        println!("corpus: {} entries held", state.corpus.len());
+        say!(stdout, "corpus: {} entries held", state.corpus.len());
     }
     if best.fitness.violation {
         if !opts.json {
-            println!("\nagreement: VIOLATED by the worst schedule — found a bug");
+            say!(
+                stdout,
+                "\nagreement: VIOLATED by the worst schedule — found a bug"
+            );
         }
         exit(1);
     }
@@ -1174,7 +1245,7 @@ fn fitness_text(f: &Fitness) -> String {
 /// Loads a snapshot, applies any `--diverge-*` tail mutations, and
 /// continues the run — straight to completion, to a `--checkpoint-at`
 /// cut, or under a `--budget-secs` wall-clock budget.
-fn run_resumed(opts: &Options, path: &str) {
+fn run_resumed(opts: &Options, path: &str, stdout: &mut Out) {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -1203,7 +1274,7 @@ fn run_resumed(opts: &Options, path: &str) {
         exit(2);
     }
     if !opts.json {
-        println!("resumed: {path} at t={}", snap.at.ticks());
+        say!(stdout, "resumed: {path} at t={}", snap.at.ticks());
     }
     let resumed_at = snap.at.ticks();
     if opts.checkpoint_at.is_some() || opts.budget_secs.is_some() {
@@ -1214,9 +1285,10 @@ fn run_resumed(opts: &Options, path: &str) {
             Sim.resume_until(&snap, VirtualTime::from_ticks(first)),
             opts,
             snap.scenario.max_events,
+            stdout,
         );
     } else {
-        report(&Sim.resume(&snap), opts, snap.scenario.max_events);
+        report(&Sim.resume(&snap), opts, snap.scenario.max_events, stdout);
     }
 }
 
@@ -1225,14 +1297,14 @@ fn run_resumed(opts: &Options, path: &str) {
 /// `--checkpoint-every` ticks per leg until the wall-clock budget
 /// expires. A pause writes the snapshot and exits 3. `max_events` is the
 /// scenario's event budget, for the final report.
-fn run_legs(mut pending: RunOutcome, opts: &Options, max_events: u64) {
+fn run_legs(mut pending: RunOutcome, opts: &Options, max_events: u64, stdout: &mut Out) {
     let deadline = opts
         .budget_secs
         .map(|secs| Instant::now() + Duration::from_secs(secs));
     loop {
         match pending {
             RunOutcome::Done(out) => {
-                report(&out, opts, max_events);
+                report(&out, opts, max_events, stdout);
                 return;
             }
             RunOutcome::Paused(snap) => {
@@ -1243,7 +1315,7 @@ fn run_legs(mut pending: RunOutcome, opts: &Options, max_events: u64) {
                     (None, None) => true,
                 };
                 if expired {
-                    save_snapshot(&snap, opts);
+                    save_snapshot(&snap, opts, stdout);
                     exit(3);
                 }
                 let next = snap.at.ticks() + opts.checkpoint_every;
@@ -1253,7 +1325,7 @@ fn run_legs(mut pending: RunOutcome, opts: &Options, max_events: u64) {
     }
 }
 
-fn save_snapshot(snap: &Snapshot, opts: &Options) {
+fn save_snapshot(snap: &Snapshot, opts: &Options, stdout: &mut Out) {
     let json = match serde_json::to_string(snap) {
         Ok(j) => j,
         Err(e) => {
@@ -1266,13 +1338,15 @@ fn save_snapshot(snap: &Snapshot, opts: &Options) {
         exit(2);
     }
     if opts.json {
-        println!(
+        say!(
+            stdout,
             "{{\"paused_at\":{},\"checkpoint\":{:?}}}",
             snap.at.ticks(),
             opts.checkpoint_file
         );
     } else {
-        println!(
+        say!(
+            stdout,
             "paused at t={} — snapshot written to {} (resume with --resume)",
             snap.at.ticks(),
             opts.checkpoint_file
@@ -1283,17 +1357,17 @@ fn save_snapshot(snap: &Snapshot, opts: &Options) {
 /// Prints the outcome (JSON or human-readable), then exits 1 on an
 /// agreement violation, or 4 — with the cause on stderr — when a correct
 /// process ended undecided under the `max_events` budget the run had.
-fn report(out: &Outcome, opts: &Options, max_events: u64) {
+fn report(out: &Outcome, opts: &Options, max_events: u64, stdout: &mut Out) {
     if opts.json {
         match serde_json::to_string(out) {
-            Ok(json) => println!("{json}"),
+            Ok(json) => say!(stdout, "{json}"),
             Err(e) => {
                 eprintln!("error: serializing outcome: {e}");
                 exit(2);
             }
         }
     } else {
-        print_report(out, opts);
+        print_report(out, opts, stdout);
     }
     if !out.agreement_holds() {
         exit(1);
@@ -1305,17 +1379,17 @@ fn report(out: &Outcome, opts: &Options, max_events: u64) {
 }
 
 /// The human-readable report.
-fn print_report(out: &Outcome, opts: &Options) {
+fn print_report(out: &Outcome, opts: &Options, stdout: &mut Out) {
     let n = out.decisions.len();
 
     if let Some(events) = &out.events {
         for e in events {
-            println!("{e}");
+            say!(stdout, "{e}");
         }
-        println!();
+        say!(stdout);
     }
     if opts.runtime {
-        println!("— real-thread run: {:?} —", out.elapsed);
+        say!(stdout, "— real-thread run: {:?} —", out.elapsed);
     } else {
         let engine = match out.engine_used {
             Some(Engine::Threads) => " [threads]",
@@ -1323,35 +1397,47 @@ fn print_report(out: &Outcome, opts: &Options) {
             Some(Engine::ParallelEvent { .. }) => " [par]",
             None => "",
         };
-        println!(
+        say!(
+            stdout,
             "— simulated run{engine}: {} events, end {} —",
-            out.events_processed, out.end_time
+            out.events_processed,
+            out.end_time
         );
     }
     for (i, d) in out.decisions.iter().enumerate() {
         match d {
-            Some(d) => println!("  p{}: {d}", i + 1),
-            None => println!("  p{}: {}", i + 1, halt_text(out.halts[i])),
+            Some(d) => say!(stdout, "  p{}: {d}", i + 1),
+            None => say!(stdout, "  p{}: {}", i + 1, halt_text(out.halts[i])),
         }
     }
     if let Some(hash) = out.trace_hash {
-        println!(
+        say!(
+            stdout,
             "  messages {} | cluster proposes {} | trace hash {hash:016x}",
-            out.counters.messages_sent, out.counters.cluster_proposes
+            out.counters.messages_sent,
+            out.counters.cluster_proposes
         );
     } else {
-        println!(
+        say!(
+            stdout,
             "  messages {} | cluster proposes {}",
-            out.counters.messages_sent, out.counters.cluster_proposes
+            out.counters.messages_sent,
+            out.counters.cluster_proposes
         );
     }
     let s = &out.service;
     if !s.is_empty() {
-        println!(
+        say!(
+            stdout,
             "  served: {} submitted | {} committed | {} shed | {} batches | max queue {}",
-            s.submitted, s.committed, s.shed, s.batches, s.max_queue_depth
+            s.submitted,
+            s.committed,
+            s.shed,
+            s.batches,
+            s.max_queue_depth
         );
-        println!(
+        say!(
+            stdout,
             "  latency p50 {} | p90 {} | p99 {} ticks | throughput {:.2} cmds/kilotick",
             s.latency.percentile(50),
             s.latency.percentile(90),
@@ -1359,7 +1445,8 @@ fn print_report(out: &Outcome, opts: &Options) {
             s.throughput_per_kilotick(out.end_time.ticks()),
         );
     }
-    println!(
+    say!(
+        stdout,
         "\nagreement: {} | deciders: {}/{n}",
         if out.agreement_holds() {
             "holds"

@@ -4,9 +4,9 @@
 //! decisions, halts, crash sets, counters, per-process accounting,
 //! multiset trace hash, event count, and `end_time` — on both event
 //! engines, with snapshots surviving JSON serde and hopping between
-//! engines mid-run. This is the contract that lets a CI scale gate stop
-//! at a time budget, upload its [`Snapshot`], and let the next scheduled
-//! run pick up where it left off without changing the result.
+//! engines mid-run. This is the contract that lets a time-budgeted run
+//! (`ofa --budget-secs`) stop, save its [`Snapshot`], and let the next
+//! invocation pick up where it left off without changing the result.
 
 use one_for_all::prelude::{Backend, CrashPlan, Engine, Outcome, Scenario, Sim};
 use one_for_all::scenario::{DelayModel, DivergeSpec, Snapshot, VirtualTime};

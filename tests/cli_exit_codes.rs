@@ -1,13 +1,14 @@
 //! `ofa`'s run path never ends ambiguously: a finished run exits 0 only
 //! when every correct process decided, and exit code 4 comes with one
 //! stderr line naming the cause the outcome shows — in the human report
-//! and under `--json` alike. A snapshot `--resume` cannot use exits 2
-//! with one `error:` line, never a panic.
+//! and under `--json` alike. An invalid scenario — from the flags or
+//! inside a snapshot `--resume` cannot use — exits 2 with one `error:`
+//! line, never a panic, and so does nothing about a closed stdout.
 
-use ofa_scenario::{Snapshot, VirtualTime};
+use ofa_scenario::{LatencyDist, NetworkModel, Snapshot, VirtualTime};
 use serde_json::Value;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn ofa(args: &str) -> Output {
     ofa_with(&args.split_whitespace().collect::<Vec<_>>())
@@ -28,6 +29,20 @@ fn code_and_stderr(out: &Output) -> (Option<i32>, Vec<String>) {
         out.status.code(),
         stderr.lines().map(String::from).collect(),
     )
+}
+
+/// A refusal: exit 2, an `error:` line, and no panic.
+fn assert_refused(what: &str, out: &Output) {
+    let (code, stderr) = code_and_stderr(out);
+    assert_eq!(code, Some(2), "{what}: {stderr:?}");
+    assert!(
+        stderr.iter().any(|line| line.starts_with("error: ")),
+        "{what}: {stderr:?}"
+    );
+    assert!(
+        !stderr.iter().any(|line| line.contains("panicked")),
+        "{what}: {stderr:?}"
+    );
 }
 
 #[test]
@@ -78,6 +93,40 @@ fn a_run_where_every_correct_process_decides_exits_0() {
     assert!(String::from_utf8_lossy(&ofa("--help").stdout).contains("\n    4  run finished"));
 }
 
+#[test]
+fn an_invalid_scenario_from_the_flags_exits_2_without_panicking() {
+    for args in [
+        "--crash p99@r1",
+        "--serve poisson:0",
+        "--serve periodic:0",
+        "--serve poisson:10 --queue-cap 0",
+        "--serve poisson:10 --batch-max 0",
+        "--serve poisson:10 --batch-min 5 --batch-max 2",
+        "--churn p1@t100 --crash p1@r1",
+    ] {
+        let out = ofa(args);
+        assert_refused(args, &out);
+        assert_eq!(code_and_stderr(&out).1.len(), 1, "{args}: one line");
+    }
+}
+
+#[test]
+fn a_closed_stdout_keeps_the_runs_own_exit_code() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_ofa"))
+        .args(["--sizes", "3x3", "--seed", "5", "--max-events", "40"])
+        .stdout(Stdio::from(writer))
+        .output()
+        .expect("the ofa binary runs");
+    let (code, stderr) = code_and_stderr(&out);
+    assert_eq!(code, Some(4), "{stderr:?}");
+    assert_eq!(
+        stderr,
+        ["error: event budget exhausted after 40 events (raise --max-events)"]
+    );
+}
+
 /// The engine state's entries.
 fn engine_entries(snap: &mut Snapshot) -> &mut Vec<(String, Value)> {
     match &mut snap.engine_state {
@@ -113,6 +162,17 @@ fn bump_the_version(snap: &mut Snapshot) {
     snap.version += 1;
 }
 
+fn drop_a_proposal(snap: &mut Snapshot) {
+    snap.scenario.proposals.pop();
+}
+
+fn invert_a_latency_bound(snap: &mut Snapshot) {
+    snap.scenario.network = NetworkModel::clustered(
+        LatencyDist::Uniform { lo: 9, hi: 3 },
+        LatencyDist::Constant(5),
+    );
+}
+
 #[test]
 fn a_corrupt_snapshot_exits_2_without_panicking() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_codes");
@@ -136,11 +196,13 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         "the intact snapshot resumes"
     );
     type Corruption = fn(&mut Snapshot);
-    let corruptions: [(&str, Corruption); 4] = [
+    let corruptions: [(&str, Corruption); 6] = [
         ("missing field", drop_a_field),
         ("cut time off by one", move_the_cut),
         ("bogus machine", replace_a_machine),
         ("wrong version", bump_the_version),
+        ("missing proposal", drop_a_proposal),
+        ("inverted latency bounds", invert_a_latency_bound),
     ];
     for (what, corrupt) in corruptions {
         let mut snap: Snapshot = serde_json::from_str(&text).expect("the snapshot decodes");
@@ -148,15 +210,6 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         let file = path(&format!("{}.snap.json", what.replace(' ', "-")));
         let json = serde_json::to_string(&snap).expect("encodes");
         std::fs::write(&file, json).expect("written");
-        let (code, stderr) = code_and_stderr(&ofa_with(&["--resume", &file]));
-        assert_eq!(code, Some(2), "{what}: {stderr:?}");
-        assert!(
-            stderr.iter().any(|line| line.starts_with("error: ")),
-            "{what}: {stderr:?}"
-        );
-        assert!(
-            !stderr.iter().any(|line| line.contains("panicked")),
-            "{what}: {stderr:?}"
-        );
+        assert_refused(what, &ofa_with(&["--resume", &file]));
     }
 }
