@@ -578,6 +578,9 @@ impl Scenario {
                 ));
             }
             Body::ReplicatedLog(smr) => {
+                if smr.slots == 0 {
+                    return Err("a replicated log needs at least one slot (got 0)".into());
+                }
                 if let Some(spec) = &smr.traffic {
                     spec.validate()?;
                     // Traffic-driven workloads synthesize proposals from

@@ -461,12 +461,13 @@ mod tests {
         assert_eq!(snap.events.len(), 4, "shard copies collapse");
         // …normalizes into the order one shard's queue pops them in.
         let mut queue = Calendar::new();
-        for ev in &snap.events {
-            queue.push(SEntry::from_canon(ev));
+        let entries: Vec<SEntry> = snap.events.iter().map(SEntry::from_canon).collect();
+        for (slot, e) in entries.iter().enumerate() {
+            queue.push(e.at, e.key, slot as u32, ());
         }
         let popped: Vec<CanonEvent> = std::iter::from_fn(|| {
-            let e = queue.pop()?;
-            SEntry::to_canon(e.at, e.key, &e.ev)
+            let (at, h) = queue.pop()?;
+            SEntry::to_canon(at, h.key(), &entries[h.slot as usize].ev)
         })
         .collect();
         assert_eq!(popped, snap.events);

@@ -74,15 +74,19 @@
 //!   out of that instant. The batches that land at one instant expand
 //!   together, as a *wave* (below).
 //! * **Lazy** ([`SPending::Lazy`]) otherwise — sampled delays, or a
-//!   per-send cost spacing the sends. The entry carries a [`Cursor`]
-//!   over the shard's surviving destinations sorted by delivery `(time,
-//!   key)` and sits in the queue under the *next* destination's time and
-//!   key. A pop delivers that one destination and re-keys the entry to
-//!   the one after it, so the queue always holds exactly the minimum of
-//!   what `n` single entries would hold, and pops in their order. The
-//!   destinations come in index order with delivery offsets inside the
-//!   delay window plus the send spacing, so a stable counting sort on
-//!   the offset orders them ([`Cursor::sort_descending`]).
+//!   per-send cost spacing the sends. A [`Cursor`] over the shard's
+//!   surviving destinations sorted by delivery `(time, key)` lives in the
+//!   shard's cursor arena, and its queue entry names the arena slot and
+//!   sits under the *next* destination's time and key. A pop delivers
+//!   that one destination and re-keys the entry to the one after it, so
+//!   the queue always holds exactly the minimum of what `n` single
+//!   entries would hold, and pops in their order; a tick taken whole
+//!   (below) takes all of the cursor's destinations at that tick at once
+//!   and re-queues it once. The destinations come in index order with
+//!   delivery offsets inside the delay window plus the send spacing, so a
+//!   stable counting sort on the offset orders them
+//!   ([`Cursor::sort_descending`]). Only while it crosses a barrier is a
+//!   cursor boxed inside its entry.
 //!
 //! # The queue: a calendar, in heap order
 //!
@@ -101,7 +105,10 @@
 //! byte for byte. A tick becomes current only when the loop pops from
 //! it: window checks and [`StepReport::next_at`] only read it, so a
 //! cross-shard arrival at a barrier, at or after the window's end but
-//! before the shard's own next event, is an ordinary push.
+//! before the shard's own next event, is an ordinary push. Each entry's
+//! handle carries a [`Kind`] tag beside the slot of its payload, so the
+//! loop can classify a tick without touching a payload, and a tick whose
+//! order cannot show is taken whole and never sorted (below).
 //!
 //! # Waves: same-instant broadcasts reach each member in one run
 //!
@@ -178,6 +185,44 @@
 //! reaches it (each is a few ascending runs), so the nothing-inert case
 //! costs what a plain broadcast-major loop costs.
 //!
+//! # Ticks: a sampled-delay instant is taken whole
+//!
+//! Under sampled delays a broadcast's destinations land over a couple of
+//! thousand ticks, so an instant holds single deliveries off many lazy
+//! cursors — about 530 per tick at n = 1000, half a delivery per process —
+//! and popping them in `(time, key)` order costs a sort of the tick and a
+//! re-key per delivery. Waves' argument applied to one instant instead of
+//! one wave removes both: the loop takes the tick whole
+//! ([`ShardState::float_tick`]). It runs the tick's crashes and rejoins
+//! first, in key order (their class sorts them before every delivery);
+//! gathers every delivery — all of a cursor's destinations at the tick,
+//! a run at the end of its order, in one visit, the cursor re-queued once
+//! under its next destination, which lands later — skipping those to
+//! finished processes, which are events and nothing else; groups the rest
+//! by recipient with a counting sort, key order inside each group; and
+//! then lets each recipient take its deliveries in key order for as long
+//! as its machine absorbs them. A recipient pauses at the first it would
+//! not absorb; the paused deliveries go in global key order, each followed
+//! by its recipient's next run. So every process receives its deliveries
+//! in key order, and those that can reach `ClusterMemory` reach it in the
+//! order the sorted tick would give them — the wave rule, with one
+//! key-ordered pause list in place of the per-broadcast buckets. Every
+//! delivery still goes through [`ShardState::deliver`], a duplicated
+//! one's copy is queued, and the event count and `end_time` advance as
+//! for the popped tick. Four preconditions, all checked where the tick is
+//! opened ([`ShardState::tick_floats`]); when any fails the tick is
+//! sorted and popped in order exactly as above:
+//!
+//! 1. **Positive delay.** [`NetIndex::min_delay`] `> 0`, so nothing a
+//!    step sends (nor a duplicate's copy) lands on the tick being
+//!    processed: its event set is closed once it is opened.
+//! 2. **No batched broadcast.** A tick that holds a
+//!    [`SPending::Broadcast`] is a wave's, and goes as one.
+//! 3. **Inert deliveries float** — precondition 3 of waves, word for word.
+//! 4. **Unobservable order.** No kept trace, no observer, and a
+//!    remaining event budget that covers every event the shard holds
+//!    ([`StepReport::pending`]), so it cannot run out inside the tick.
+//!
 //! The event budget (`Scenario::max_events`) keeps its exact sequential
 //! semantics. One shard simply stops after `remaining` events. Several
 //! shards report a cheap upper bound on their pending events with every
@@ -202,7 +247,7 @@
 use crate::checkpoint::{CanonEvent, EngineSnap, ProcSnap};
 use crate::conductor::{rejoin_coin_seed, EventKey, Keyed, RawOutcome, RunSpec, SendCounters};
 use crate::engine::{Input, Machine, ProcState};
-use crate::queue::Calendar;
+use crate::queue::{Calendar, Handle, Slab};
 use ofa_core::sm::{OutItem, Progress, SmTopology};
 use ofa_core::{Halt, Msg, MsgKind};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
@@ -212,13 +257,16 @@ use ofa_scenario::{
 use ofa_sharedmem::MemoryBank;
 use ofa_topology::{Partition, ProcessId};
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::{mpsc, Arc};
 
 /// What a pending event is. A [`SPending::Broadcast`] is a
 /// same-instant broadcast kept whole: the shard holding it expands it
 /// over its own members when popped (destination `g` holds
 /// sender-counter `k0 + g`). A [`SPending::Lazy`] is any other broadcast
-/// kept whole: it delivers one destination per pop.
+/// kept whole, as it crosses a barrier: the shard it lands on keeps its
+/// [`Cursor`] in an arena ([`ShardState::schedule`]), and it delivers one
+/// destination per pop, or every destination of a tick at once.
 #[derive(Debug)]
 pub(crate) enum SPending {
     Deliver { to: u32, from: u32, msg: MsgKind },
@@ -228,24 +276,43 @@ pub(crate) enum SPending {
     Rejoin { pid: u32 },
 }
 
+/// What a queue handle stands for, kept beside it in the calendar so a
+/// tick can be classified without touching a payload. A `Lazy` handle's
+/// slot is its cursor's in [`ShardState::cursors`]; every other handle's
+/// is its payload's in [`ShardState::events`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Kind {
+    Deliver,
+    Broadcast,
+    Lazy,
+    /// A crash or a rejoin.
+    Lifecycle,
+}
+
 /// A broadcast whose destinations land at different times (sampled
 /// delays, or sends spaced by a per-send cost), as one shard holds it:
 /// the shard's members it still has to reach, in delivery order.
 /// Destination `g` holds sender-counter `k0 + g` and was sent at
 /// `base + g·stride`.
+///
+/// What a tick's gather reads comes first and shares one cache line
+/// (the arena keeps cursors line-aligned); the message, which only a
+/// live recipient's delivery reads, sits in the next.
 #[derive(Debug)]
+#[repr(C, align(64))]
 pub(crate) struct Cursor {
-    from: u32,
-    k0: u64,
-    msg: MsgKind,
-    base: u64,
-    stride: u64,
     /// One word per undelivered surviving destination (lost ones are
     /// never events): `(at − base) << 32 | g << 1 | duplicated`, sorted
     /// descending, so the next delivery in `(at, EventKey)` order is the
-    /// last element. Empty while the broadcast crosses a barrier — the
-    /// receiving shard fills it in ([`ShardState::schedule`]).
+    /// last element, and a tick's destinations are a run at the end.
+    /// Empty while the broadcast crosses a barrier — the receiving shard
+    /// fills it in ([`ShardState::schedule`]).
     order: Vec<u64>,
+    base: u64,
+    k0: u64,
+    from: u32,
+    stride: u64,
+    msg: MsgKind,
 }
 
 impl Cursor {
@@ -323,8 +390,9 @@ impl Cursor {
 /// computations, so the receiving shard just enqueues.
 pub(crate) type SEntry = Keyed<SPending>;
 
-// Every pending event crosses a barrier and enters the queue by value;
-// whatever a lazy broadcast carries lives behind its `Box`.
+// Every pending event crosses a barrier by value; whatever a lazy
+// broadcast carries lives behind its `Box` there, and in the shard's
+// cursor arena once it lands.
 const _: () = assert!(std::mem::size_of::<SEntry>() <= 104);
 
 impl SEntry {
@@ -594,6 +662,94 @@ struct WaveStats {
     in_order: u64,
 }
 
+/// One delivery of a tick taken whole ([`ShardState::float_tick`]) to a
+/// process that was live when the tick's deliveries began: its key's
+/// sender and counter value, its recipient's member index, and where its
+/// message is (`slot << 2 | plain << 1 | duplicated`: the arena slot of
+/// the lazy broadcast it came off, or with `plain` the slot of the plain
+/// delivery it is in [`ShardState::events`]).
+#[derive(Debug, Default, Clone, Copy)]
+struct TickRecord {
+    k: u64,
+    from: u32,
+    li: u32,
+    src: u32,
+}
+
+/// A recipient paused at a delivery it would not absorb, as the pause
+/// list orders it: the delivery's key (`from`, `k`, recipient), its
+/// position in the grouped records and the end of its recipient's.
+type Paused = Reverse<(u32, u64, u32, u32, u32)>;
+
+/// A shard's scratch for taking ticks whole; empty between ticks, kept
+/// for its capacity.
+#[derive(Debug, Default)]
+struct TickScratch {
+    /// The tick's crashes and rejoins.
+    lifecycle: Vec<Handle<Kind>>,
+    /// The tick's deliveries as gathered, cursor by cursor.
+    records: Vec<TickRecord>,
+    /// The same, grouped by recipient and in key order inside a group
+    /// (its first `records.len()`; never shrinks).
+    grouped: Vec<TickRecord>,
+    /// The arena slots of the lazy broadcasts the tick exhausted, freed
+    /// once its deliveries are done.
+    spent: Vec<u32>,
+    /// Duplicated deliveries to finished processes, whose copies are
+    /// still queued: `(from, k, to, msg)`.
+    copies: Vec<(u32, u64, u32, MsgKind)>,
+    /// The counting sort's per-member counts, then group ends.
+    ends: Vec<u32>,
+    /// Recipients paused at a refusal, next delivery first.
+    paused: BinaryHeap<Paused>,
+}
+
+impl TickScratch {
+    /// Groups the gathered records by recipient into `grouped`: a
+    /// counting sort on the member index (`members` of them), after which
+    /// `ends[li]` is the end of member `li`'s group.
+    fn group(&mut self, members: usize) {
+        self.ends.clear();
+        self.ends.resize(members, 0);
+        for r in &self.records {
+            self.ends[r.li as usize] += 1;
+        }
+        let mut start = 0;
+        for e in &mut self.ends {
+            (*e, start) = (start, start + *e);
+        }
+        let len = self.records.len();
+        if self.grouped.len() < len {
+            self.grouped.resize(len, TickRecord::default());
+        }
+        for r in &self.records {
+            let end = &mut self.ends[r.li as usize];
+            self.grouped[*end as usize] = *r;
+            *end += 1;
+        }
+    }
+}
+
+/// What became of the ticks a shard took.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct TickStats {
+    /// Ticks taken whole, unsorted (module docs, "Ticks").
+    batched: u64,
+    /// Ticks sorted and popped in `(time, key)` order.
+    ordered: u64,
+    /// Deliveries gathered off the ticks taken whole.
+    gathered: u64,
+    /// Deliveries of those ticks a live recipient would not absorb,
+    /// taken in key order.
+    refusals: u64,
+}
+
+/// One delivery to a live process as the test log holds it: `(at, who,
+/// from, k, stepped)`.
+#[cfg(test)]
+type Logged = (u64, u32, u32, u64, bool);
+
 /// How a shard applied its deliveries to live processes, waves or not.
 #[cfg(test)]
 #[derive(Debug, Default)]
@@ -621,9 +777,23 @@ struct ShardState<'a> {
     /// Per member, in member order.
     machines: Vec<Machine>,
     procs: Vec<ProcState>,
+    /// Per member, whether its process has finished: `procs[li].finished`
+    /// in a bit the gather of a tick reads for every delivery, where the
+    /// process state is far away in memory.
+    done: Vec<bool>,
     trace: TraceRecorder,
-    /// The pending events, popped in `(time, key)` order.
-    queue: Calendar<SPending>,
+    /// The pending events, popped in `(time, key)` order — or a tick at a
+    /// time, where its order cannot show.
+    queue: Calendar<Kind>,
+    /// The payloads of the queue's handles, lazy broadcasts' aside.
+    events: Slab<SPending>,
+    /// The arena of the queue's lazy broadcasts.
+    cursors: Slab<Cursor>,
+    /// Whether nothing observes the order inside a tick and nothing lands
+    /// on the tick being processed — the run-wide preconditions for taking
+    /// a tick whole (module docs, "Ticks").
+    ticks_float: bool,
+    tick: TickScratch,
     /// Batched broadcasts resident in the queue (for [`StepReport::pending`]).
     batched: usize,
     /// Undelivered destinations of the lazy broadcasts resident in the
@@ -650,6 +820,12 @@ struct ShardState<'a> {
     waves: WaveStats,
     #[cfg(test)]
     deliveries: DeliveryStats,
+    #[cfg(test)]
+    ticks: TickStats,
+    /// Every delivery to a live process, in the order made (tests that
+    /// switch it on).
+    #[cfg(test)]
+    log: Option<Vec<Logged>>,
     counters: SendCounters,
     /// Barrier-bound sends, indexed by destination shard.
     outgoing: Vec<Vec<SEntry>>,
@@ -676,7 +852,7 @@ impl<'a> ShardState<'a> {
                     .expect("resume: machine snapshots were decoded before the leg")
             })
             .collect();
-        let procs = members
+        let procs: Vec<ProcState> = members
             .iter()
             .map(|&g| {
                 let pid = ProcessId(g as usize);
@@ -688,6 +864,7 @@ impl<'a> ShardState<'a> {
                 }
             })
             .collect();
+        let done = procs.iter().map(|p| p.finished.is_some()).collect();
         let mut st = ShardState {
             id,
             layout,
@@ -698,6 +875,7 @@ impl<'a> ShardState<'a> {
             memory,
             machines,
             procs,
+            done,
             trace: match resume {
                 // The resumed accumulator continues on shard 0; every
                 // shard's recorder merges into one at the end.
@@ -705,6 +883,10 @@ impl<'a> ShardState<'a> {
                 _ => TraceRecorder::new(spec.keep_trace),
             },
             queue: Calendar::new(),
+            events: Slab::new(),
+            cursors: Slab::new(),
+            ticks_float: net.min_delay() > 0 && !spec.keep_trace && spec.observer.is_none(),
+            tick: TickScratch::default(),
             batched: 0,
             undelivered: 0,
             spare: Vec::new(),
@@ -718,6 +900,10 @@ impl<'a> ShardState<'a> {
             waves: WaveStats::default(),
             #[cfg(test)]
             deliveries: DeliveryStats::default(),
+            #[cfg(test)]
+            ticks: TickStats::default(),
+            #[cfg(test)]
+            log: None,
             counters: match resume {
                 None => SendCounters::default(),
                 // Every shard gets the full counter vector; only its
@@ -778,11 +964,24 @@ impl<'a> ShardState<'a> {
         &self.layout.members[self.id]
     }
 
+    /// Queues a pending event other than a lazy broadcast (those are
+    /// [`ShardState::schedule`]d).
     fn push(&mut self, entry: SEntry) {
-        if matches!(entry.ev, SPending::Broadcast { .. }) {
-            self.batched += 1;
-        }
-        self.queue.push(entry);
+        let kind = match entry.ev {
+            SPending::Deliver { .. } => Kind::Deliver,
+            SPending::Broadcast { .. } => {
+                self.batched += 1;
+                Kind::Broadcast
+            }
+            SPending::Crash { .. } | SPending::Rejoin { .. } => Kind::Lifecycle,
+            SPending::Lazy(_) => unreachable!("lazy broadcasts are scheduled"),
+        };
+        let slot = self.events.insert(entry.ev);
+        self.enqueue_handle(entry.at, entry.key, slot, kind);
+    }
+
+    fn enqueue_handle(&mut self, at: u64, key: EventKey, slot: u32, kind: Kind) {
+        self.queue.push(at, key, slot, kind);
         #[cfg(test)]
         {
             self.heap_peak = self.heap_peak.max(self.queue.len());
@@ -831,18 +1030,18 @@ impl<'a> ShardState<'a> {
                         let at = sent_at + self.net.min_delay();
                         let key = EventKey::deliver(ProcessId(from as usize), k0, ProcessId(0));
                         for s in 0..self.outgoing.len() {
-                            let cursor = Box::new(Cursor {
+                            let cursor = Cursor {
                                 from,
                                 k0,
                                 msg,
                                 base: sent_at,
                                 stride,
                                 order: self.spare.pop().unwrap_or_default(),
-                            });
+                            };
                             if s == self.id {
                                 self.schedule(cursor);
                             } else {
-                                let ev = SPending::Lazy(cursor);
+                                let ev = SPending::Lazy(Box::new(cursor));
                                 self.outgoing[s].push(Keyed { at, key, ev });
                             }
                         }
@@ -856,9 +1055,9 @@ impl<'a> ShardState<'a> {
     /// and delivery time of each of the shard's own members (the same
     /// per-message functions [`ShardState::send`] evaluates, so wherever
     /// this runs it computes what `n` single sends would have), sorts
-    /// the survivors into delivery order and enqueues the broadcast
-    /// under its first one.
-    fn schedule(&mut self, mut cursor: Box<Cursor>) {
+    /// the survivors into delivery order, puts the cursor in the arena
+    /// and enqueues the broadcast under its first survivor.
+    fn schedule(&mut self, mut cursor: Cursor) {
         let (net, seed, reliable) = (self.net, self.spec.seed, self.reliable);
         let from = ProcessId(cursor.from as usize);
         let mut words = std::mem::take(&mut self.words);
@@ -883,13 +1082,13 @@ impl<'a> ShardState<'a> {
         Cursor::sort_descending(&words, &mut cursor.order, &mut self.counts);
         words.clear();
         self.words = words;
-        if let Some((at, key)) = cursor.next_key() {
-            self.undelivered += cursor.order.len();
-            self.push(Keyed {
-                at,
-                key,
-                ev: SPending::Lazy(cursor),
-            });
+        match cursor.next_key() {
+            Some((at, key)) => {
+                self.undelivered += cursor.order.len();
+                let slot = self.cursors.insert(cursor);
+                self.enqueue_handle(at, key, slot, Kind::Lazy);
+            }
+            None => self.spare.push(cursor.order),
         }
     }
 
@@ -982,7 +1181,10 @@ impl<'a> ShardState<'a> {
             // Hand the drained buffer back: the next step's sends reuse
             // its capacity instead of allocating.
             None => self.machines[li].recycle_outbox(outbox),
-            Some(result) => self.procs[li].finish(me, result, &mut self.trace),
+            Some(result) => {
+                self.procs[li].finish(me, result, &mut self.trace);
+                self.done[li] = true;
+            }
         }
     }
 
@@ -1004,31 +1206,35 @@ impl<'a> ShardState<'a> {
     /// caller counts it and does not come here. (Crashed processes are
     /// finished too — a crash event halts the machine in the same
     /// dispatch — so one check covers the conductor's `finished ||
-    /// crashed[]` pair.)
+    /// crashed[]` pair.) `k`, the sender-counter value of the message,
+    /// is for the test log only.
+    #[cfg_attr(not(test), allow(unused_variables))]
     fn deliver(
         &mut self,
         li: usize,
-        from: u32,
-        kind: MsgKind,
+        msg: Msg,
+        k: u64,
         at: u64,
         shared: DeliverPrefix,
         inert_only: bool,
     ) -> bool {
         debug_assert!(self.procs[li].finished.is_none());
-        let from = ProcessId(from as usize);
-        let msg = Msg { from, kind };
         let absorbed = self.machines[li].absorb_inert(msg);
         if inert_only && !absorbed {
             return false;
         }
         let who = ProcessId(self.members()[li] as usize);
-        self.trace
-            .record_delivery(shared, VirtualTime::from_ticks(at), who, from, kind);
+        let at_time = VirtualTime::from_ticks(at);
+        (self.trace).record_delivery(shared, at_time, who, msg.from, msg.kind);
         self.procs[li].on_delivered(at, self.spec.costs.recv_cost);
         #[cfg(test)]
         {
             self.deliveries.absorbed += u64::from(absorbed);
             self.deliveries.stepped += u64::from(!absorbed);
+            if let Some(log) = &mut self.log {
+                let from = msg.from.index() as u32;
+                log.push((at, who.index() as u32, from, k, !absorbed));
+            }
         }
         if !absorbed {
             self.dispatch(li, Input::Deliver(msg));
@@ -1074,6 +1280,7 @@ impl<'a> ShardState<'a> {
             false,
         );
         self.procs[li].rejoin(rejoin_coin_seed(self.spec.seed), who, at);
+        self.done[li] = false;
         self.dispatch(li, Input::Start);
     }
 
@@ -1084,12 +1291,26 @@ impl<'a> ShardState<'a> {
     /// loop. Nothing processed here can schedule inside the window
     /// (several shards: the lookahead; one shard: it pops the queue as it
     /// goes), so popping directly is the whole-window order.
+    ///
+    /// A tick whose order cannot show is taken whole instead
+    /// ([`ShardState::float_tick`]; module docs, "Ticks").
     fn run(&mut self, t_end: u64, limit: u64) -> StepReport {
         let mut processed: u64 = 0;
         while processed < limit {
+            if let Some(at) = self.queue.open(t_end) {
+                if self.tick_floats(limit - processed) {
+                    processed += self.float_tick(at);
+                    self.end_time = self.end_time.max(at);
+                    continue;
+                }
+                #[cfg(test)]
+                {
+                    self.ticks.ordered += 1;
+                }
+            }
             let e = match self.queue.first(t_end) {
-                Some((_, SPending::Lazy(_))) => self.pop_lazy(),
-                Some(_) => self.queue.pop().expect("first() found it"),
+                Some((at, h)) if h.kind == Kind::Lazy => self.pop_lazy(at, h.slot),
+                Some(_) => self.pop(),
                 None => break,
             };
             let before = processed;
@@ -1099,7 +1320,11 @@ impl<'a> ShardState<'a> {
                     let li = self.layout.local_of[to as usize] as usize;
                     if self.procs[li].finished.is_none() {
                         let shared = DeliverPrefix::new(VirtualTime::from_ticks(e.at), &msg);
-                        self.deliver(li, from, msg, e.at, shared, false);
+                        let msg = Msg {
+                            from: ProcessId(from as usize),
+                            kind: msg,
+                        };
+                        self.deliver(li, msg, e.key.k, e.at, shared, false);
                     }
                 }
                 SPending::Crash { pid } => {
@@ -1120,6 +1345,16 @@ impl<'a> ShardState<'a> {
             }
         }
         self.report(processed)
+    }
+
+    /// Removes the queue's next event, which is not a lazy broadcast.
+    fn pop(&mut self) -> SEntry {
+        let (at, h) = self.queue.pop().expect("first() found it");
+        Keyed {
+            at,
+            key: h.key(),
+            ev: self.events.take(h.slot),
+        }
     }
 
     /// Expands a **wave** (module docs): the batched broadcast just
@@ -1157,12 +1392,14 @@ impl<'a> ShardState<'a> {
         let mut wave = std::mem::take(&mut self.wave);
         wave.push(item(from, k0, msg));
         while wave.len() < WAVE_MAX {
-            let Some((_, &mut SPending::Broadcast { from, k0, msg })) = self.queue.first(at + 1)
-            else {
-                break;
+            match self.queue.first(at + 1) {
+                Some((_, h)) if h.kind == Kind::Broadcast => {}
+                _ => break,
+            }
+            let SPending::Broadcast { from, k0, msg } = self.pop().ev else {
+                unreachable!("a broadcast handle holds a broadcast")
             };
             wave.push(item(from, k0, msg));
-            self.queue.pop();
         }
         self.batched -= wave.len();
         let members = &self.layout.members[self.id];
@@ -1283,20 +1520,31 @@ impl<'a> ShardState<'a> {
     /// not taken: nothing happens and `false` comes back.
     fn take(&mut self, item: &WaveItem, g: u32, at: u64, dup: bool, inert_only: bool) -> bool {
         let li = self.layout.local_of[g as usize] as usize;
+        let k = item.k0 + u64::from(g);
+        let msg = Msg {
+            from: ProcessId(item.from as usize),
+            kind: item.msg,
+        };
         if self.procs[li].finished.is_none()
-            && !self.deliver(li, item.from, item.msg, at, item.shared, inert_only)
+            && !self.deliver(li, msg, k, at, item.shared, inert_only)
         {
             return false;
         }
         // After the delivery, not before: queue order is `(at, key)`
         // whatever the push order, and a delivery not taken queues nothing.
         if dup {
-            let k = item.k0 + u64::from(g);
-            let (sender, to) = (ProcessId(item.from as usize), ProcessId(g as usize));
-            let then = self.dup_at(at, sender, to, k);
-            self.push(SEntry::deliver(then, item.from, k, g, item.msg));
+            self.push_copy(at, item.from, k, g, item.msg);
         }
         true
+    }
+
+    /// Queues the copy of the duplicated delivery `(from, k)` to `g` at
+    /// `at`, as a per-destination send would have queued it: key reused,
+    /// fresh link-class extra delay.
+    fn push_copy(&mut self, at: u64, from: u32, k: u64, g: u32, msg: MsgKind) {
+        let (sender, to) = (ProcessId(from as usize), ProcessId(g as usize));
+        let then = self.dup_at(at, sender, to, k);
+        self.push(SEntry::deliver(then, from, k, g, msg));
     }
 
     /// Takes the next destination off the lazy broadcast that is the
@@ -1305,77 +1553,272 @@ impl<'a> ShardState<'a> {
     /// until none is left and its cursor goes back to the pool; a
     /// duplicated destination's copy is queued as the delivery pops, as a
     /// batched broadcast's is.
-    fn pop_lazy(&mut self) -> SEntry {
-        let Some((at, SPending::Lazy(cursor))) = self.queue.first(u64::MAX) else {
-            unreachable!("the caller saw a lazy broadcast next")
-        };
+    fn pop_lazy(&mut self, at: u64, slot: u32) -> SEntry {
+        let cursor = &mut self.cursors[slot];
         let next = cursor.order.pop().expect("resident cursors are not empty");
         let (_, to, dup) = cursor.unpack(next);
         let (from, k, msg) = (cursor.from, cursor.k0 + u64::from(to), cursor.msg);
-        let head = SEntry::deliver(at, from, k, to, msg);
         match cursor.next_key() {
             Some((then, key)) => self.queue.rekey_next(then, key),
             None => {
-                if let Some(Keyed {
-                    ev: SPending::Lazy(spent),
-                    ..
-                }) = self.queue.pop()
-                {
-                    self.spare.push(spent.order);
-                }
+                self.queue.pop();
+                self.spare.push(self.cursors.take(slot).order);
             }
         }
         self.undelivered -= 1;
         if dup {
-            let at2 = self.dup_at(head.at, ProcessId(from as usize), ProcessId(to as usize), k);
-            self.push(SEntry::deliver(at2, from, k, to, msg));
+            self.push_copy(at, from, k, to, msg);
         }
-        head
+        SEntry::deliver(at, from, k, to, msg)
+    }
+
+    /// Whether the tick [`Calendar::open`] just opened can be taken whole
+    /// with `budget` events left to run (module docs, "Ticks"): the run's
+    /// order inside a tick cannot show and nothing lands on the tick being
+    /// processed, the budget cannot run out inside it — it covers every
+    /// event the shard holds — and it holds no batched broadcast, which
+    /// goes as a wave.
+    fn tick_floats(&self, budget: u64) -> bool {
+        self.ticks_float
+            && self.pending() <= budget
+            && !(self.queue.opened().iter()).any(|h| h.kind == Kind::Broadcast)
+    }
+
+    /// Takes the tick at `at` whole (module docs, "Ticks") and returns its
+    /// event count. Runs the tick's crashes and rejoins in key order, then
+    /// gathers every delivery of the tick — all of a lazy broadcast's
+    /// destinations at `at` in one visit, its cursor re-queued once under
+    /// its next destination, which lands later — and groups those to live
+    /// processes by recipient. Each recipient takes its deliveries in key
+    /// order for as long as its machine absorbs them, and pauses at the
+    /// first it would not; the paused deliveries go in key order, each
+    /// followed by its recipient's next run of absorbed ones.
+    #[inline(never)]
+    fn float_tick(&mut self, at: u64) -> u64 {
+        let handles = self.queue.take_tick();
+        let mut t = std::mem::take(&mut self.tick);
+        // Crashes and rejoins sort before every delivery of their tick.
+        t.lifecycle
+            .extend(handles.iter().filter(|h| h.kind == Kind::Lifecycle));
+        t.lifecycle.sort_unstable_by_key(|h| h.key());
+        for h in t.lifecycle.drain(..) {
+            match self.events.take(h.slot) {
+                SPending::Crash { pid } => self.crash(pid, at),
+                SPending::Rejoin { pid } => self.rejoin(pid, at),
+                _ => unreachable!("a lifecycle handle holds a crash or a rejoin"),
+            }
+        }
+        let mut count = self.gather_tick(at, &handles, &mut t);
+        for (from, k, g, msg) in t.copies.drain(..) {
+            self.push_copy(at, from, k, g, msg);
+        }
+        let len = t.records.len();
+        #[cfg(test)]
+        {
+            self.ticks.batched += 1;
+            self.ticks.gathered += len as u64;
+        }
+        t.group(self.procs.len());
+        let mut start = 0;
+        while start < len {
+            let end = t.ends[t.grouped[start].li as usize] as usize;
+            if end - start > 1 {
+                t.grouped[start..end].sort_unstable_by_key(|r| (r.from, r.k));
+            }
+            self.tick_run(at, &mut t, start, end);
+            start = end;
+        }
+        while let Some(Reverse((.., pos, end))) = t.paused.pop() {
+            let r = t.grouped[pos as usize];
+            self.take_record(at, &r, false);
+            #[cfg(test)]
+            {
+                self.ticks.refusals += 1;
+            }
+            self.tick_run(at, &mut t, pos as usize + 1, end as usize);
+        }
+        count += len as u64;
+        for slot in t.spent.drain(..) {
+            self.spare.push(self.cursors.take(slot).order);
+        }
+        for h in handles.iter().filter(|h| h.kind == Kind::Deliver) {
+            self.events.take(h.slot);
+        }
+        t.records.clear();
+        self.tick = t;
+        self.queue.recycle(handles);
+        count
+    }
+
+    /// Gathers the deliveries of the tick at `at` (its `handles`) into
+    /// `t.records`, and returns how many other events it holds: crashes,
+    /// rejoins, and deliveries to finished processes — events and
+    /// nothing else, but for a duplicated one's copy, listed in
+    /// `t.copies`.
+    fn gather_tick(&mut self, at: u64, handles: &[Handle<Kind>], t: &mut TickScratch) -> u64 {
+        let local_of = &self.layout.local_of;
+        let mut others = 0;
+        for h in handles {
+            match h.kind {
+                Kind::Lazy => {
+                    let cursor = &mut self.cursors[h.slot];
+                    let src = h.slot << 2;
+                    // The tick's destinations are a run at the end of the
+                    // order.
+                    let offset = at - cursor.base;
+                    let run = (cursor.order.iter().rev())
+                        .take_while(|&&w| w >> 32 == offset)
+                        .count();
+                    debug_assert!(run > 0, "a cursor is queued under its next destination");
+                    let rest = cursor.order.len() - run;
+                    for &w in cursor.order[rest..].iter().rev() {
+                        let (g, dup) = ((w as u32) >> 1, w & 1 == 1);
+                        let (li, k) = (local_of[g as usize], cursor.k0 + u64::from(g));
+                        if !self.done[li as usize] {
+                            t.records.push(TickRecord {
+                                k,
+                                from: cursor.from,
+                                li,
+                                src: src | u32::from(dup),
+                            });
+                        } else {
+                            others += 1;
+                            if dup {
+                                t.copies.push((cursor.from, k, g, cursor.msg));
+                            }
+                        }
+                    }
+                    cursor.order.truncate(rest);
+                    self.undelivered -= run;
+                    match cursor.next_key() {
+                        Some((then, key)) => self.queue.push(then, key, h.slot, Kind::Lazy),
+                        None => t.spent.push(h.slot),
+                    }
+                }
+                Kind::Deliver => {
+                    // Its payload stays in the slab until the tick is done.
+                    let SPending::Deliver { to, from, .. } = self.events[h.slot] else {
+                        unreachable!("a delivery handle holds a delivery")
+                    };
+                    let li = local_of[to as usize];
+                    if self.done[li as usize] {
+                        others += 1;
+                        continue;
+                    }
+                    t.records.push(TickRecord {
+                        k: h.key().k,
+                        from,
+                        li,
+                        src: h.slot << 2 | 2,
+                    });
+                }
+                Kind::Lifecycle => others += 1,
+                Kind::Broadcast => unreachable!("a tick with a batched broadcast goes in order"),
+            }
+        }
+        others
+    }
+
+    /// One recipient's run through its deliveries `grouped[start..end]`
+    /// of the tick at `at`: it takes them in key order for as long as it
+    /// absorbs them, and is paused under the first it would not.
+    fn tick_run(&mut self, at: u64, t: &mut TickScratch, start: usize, end: usize) {
+        for pos in start..end {
+            let r = t.grouped[pos];
+            if !self.take_record(at, &r, true) {
+                let to = self.members()[r.li as usize];
+                t.paused
+                    .push(Reverse((r.from, r.k, to, pos as u32, end as u32)));
+                return;
+            }
+        }
+    }
+
+    /// One delivery of a tick taken whole, as [`ShardState::take`] takes
+    /// a wave's: a live recipient's goes through
+    /// [`ShardState::deliver`], a finished one's is an event and nothing
+    /// else, and a duplicated one's copy is queued. With `inert_only`, a
+    /// delivery the recipient's machine will not absorb is not taken:
+    /// nothing happens and `false` comes back.
+    fn take_record(&mut self, at: u64, r: &TickRecord, inert_only: bool) -> bool {
+        let li = r.li as usize;
+        let kind = |st: &Self| {
+            let slot = r.src >> 2;
+            if r.src & 2 == 0 {
+                return st.cursors[slot].msg;
+            }
+            match st.events[slot] {
+                SPending::Deliver { msg, .. } => msg,
+                _ => unreachable!("a plain record names a delivery"),
+            }
+        };
+        if self.procs[li].finished.is_none() {
+            let msg = Msg {
+                from: ProcessId(r.from as usize),
+                kind: kind(self),
+            };
+            let shared = DeliverPrefix::new(VirtualTime::from_ticks(at), &msg.kind);
+            if !self.deliver(li, msg, r.k, at, shared, inert_only) {
+                return false;
+            }
+        }
+        if r.src & 1 == 1 {
+            self.push_copy(at, r.from, r.k, self.members()[li], kind(self));
+        }
+        true
     }
 
     /// The `(time, key)` of every local event with `at < t_end`, without
     /// consuming them.
     fn keys(&self, t_end: u64) -> Vec<(u64, EventKey)> {
         let mut keys = Vec::new();
-        for (at, key, ev) in self.queue.iter().filter(|&(at, ..)| at < t_end) {
-            match ev {
-                &SPending::Broadcast { from, k0, .. } => {
+        for (at, h) in self.queue.iter().filter(|&(at, _)| at < t_end) {
+            if h.kind == Kind::Lazy {
+                let cursor = &self.cursors[h.slot];
+                let sender = ProcessId(cursor.from as usize);
+                let inside = cursor.remaining().take_while(|&(at, ..)| at < t_end);
+                keys.extend(inside.map(|(at, g, _)| {
+                    let to = ProcessId(g as usize);
+                    (at, EventKey::deliver(sender, cursor.k0 + u64::from(g), to))
+                }));
+                continue;
+            }
+            match self.events[h.slot] {
+                SPending::Broadcast { from, k0, .. } => {
                     let sender = ProcessId(from as usize);
                     keys.extend(self.survivors(from, k0).map(|g| {
                         let to = ProcessId(g as usize);
                         (at, EventKey::deliver(sender, k0 + u64::from(g), to))
                     }));
                 }
-                SPending::Lazy(cursor) => {
-                    let sender = ProcessId(cursor.from as usize);
-                    let inside = cursor.remaining().take_while(|&(at, ..)| at < t_end);
-                    keys.extend(inside.map(|(at, g, _)| {
-                        let to = ProcessId(g as usize);
-                        (at, EventKey::deliver(sender, cursor.k0 + u64::from(g), to))
-                    }));
-                }
-                _ => keys.push((at, key)),
+                _ => keys.push((at, h.key())),
             }
         }
         keys
     }
 
+    /// [`StepReport::pending`]: an upper bound on the events the queue
+    /// holds.
+    fn pending(&self) -> u64 {
+        let fan_out = self.members().len().saturating_sub(1);
+        (self.queue.len() + self.batched * fan_out + self.undelivered) as u64
+    }
+
     fn report(&mut self, processed: u64) -> StepReport {
         let shards = self.outgoing.len();
-        let fan_out = self.members().len().saturating_sub(1);
         StepReport {
             outgoing: std::mem::replace(&mut self.outgoing, fresh_buffers(shards)),
             processed,
             end_time: self.end_time,
             next_at: self.queue.next_at(),
-            pending: (self.queue.len() + self.batched * fan_out + self.undelivered) as u64,
+            pending: self.pending(),
         }
     }
 
     fn accept(&mut self, incoming: Vec<SEntry>) {
         for entry in incoming {
             match entry.ev {
-                SPending::Lazy(cursor) => self.schedule(cursor),
+                SPending::Lazy(cursor) => self.schedule(*cursor),
                 _ => self.push(entry),
             }
         }
@@ -1403,35 +1846,37 @@ impl<'a> ShardState<'a> {
             })
             .collect();
         let mut events = Vec::new();
-        for (at, key, ev) in self.queue.iter() {
-            match ev {
-                // A descriptor none of whose local members survive is
-                // not a pending event here; some shard that owns a
-                // survivor exports it.
-                &SPending::Broadcast { from, k0, .. }
-                    if self.survivors(from, k0).next().is_none() => {}
+        for (at, h) in self.queue.iter() {
+            if h.kind == Kind::Lazy {
                 // What is left of a lazy broadcast leaves as the single
                 // deliveries it stands for — copies of duplicated ones
                 // included, which a plain delivery no longer spawns.
-                SPending::Lazy(cursor) => {
-                    let &Cursor { from, k0, msg, .. } = &**cursor;
-                    for (at, to, dup) in cursor.remaining() {
-                        let k = k0 + u64::from(to);
-                        let one = |at| CanonEvent::One {
-                            at,
-                            from,
-                            k,
-                            to,
-                            msg,
-                        };
-                        events.push(one(at));
-                        if dup {
-                            let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
-                            events.push(one(self.dup_at(at, from, to, k)));
-                        }
+                let cursor = &self.cursors[h.slot];
+                let &Cursor { from, k0, msg, .. } = cursor;
+                for (at, to, dup) in cursor.remaining() {
+                    let k = k0 + u64::from(to);
+                    let one = |at| CanonEvent::One {
+                        at,
+                        from,
+                        k,
+                        to,
+                        msg,
+                    };
+                    events.push(one(at));
+                    if dup {
+                        let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
+                        events.push(one(self.dup_at(at, from, to, k)));
                     }
                 }
-                _ => events.extend(SEntry::to_canon(at, key, ev)),
+                continue;
+            }
+            match self.events[h.slot] {
+                // A descriptor none of whose local members survive is
+                // not a pending event here; some shard that owns a
+                // survivor exports it.
+                SPending::Broadcast { from, k0, .. }
+                    if self.survivors(from, k0).next().is_none() => {}
+                ref ev => events.extend(SEntry::to_canon(at, h.key(), ev)),
             }
         }
         Box::new(ShardSnap {
@@ -1999,6 +2444,16 @@ mod tests {
         limit: u64,
         check: impl FnOnce(&mut super::ShardState<'_>, super::StepReport),
     ) {
+        one_shard_logged(scenario, limit, false, check);
+    }
+
+    /// [`one_shard`], with the shard's delivery log switched on if `log`.
+    fn one_shard_logged(
+        scenario: &Scenario,
+        limit: u64,
+        log: bool,
+        check: impl FnOnce(&mut super::ShardState<'_>, super::StepReport),
+    ) {
         use super::{Layout, ShardState};
         use crate::conductor::RunSpec;
         use ofa_core::sm::SmTopology;
@@ -2010,6 +2465,9 @@ mod tests {
         let topo = Arc::new(SmTopology::new(spec.partition.clone()));
         let bank = MemoryBank::for_partition(topo.partition());
         let mut shard = ShardState::build(0, &layout, &spec, &net, &topo, &bank, None);
+        if log {
+            shard.log = Some(Vec::new());
+        }
         let report = shard.run(u64::MAX, limit);
         check(&mut shard, report);
     }
@@ -2099,7 +2557,7 @@ mod tests {
         // CLI-default network and costs. Everything it schedules lands
         // inside the ring's window, and nothing is ever scheduled before
         // the tick being popped — the overflow and the rewind are for
-        // other inputs. (The full n = 1000 cell makes 7 585 ticks
+        // other inputs. (The full n = 1000 cell makes 7 509 ticks
         // current and stays inside the ring too.)
         let n = 60;
         let scenario = Scenario::new(Partition::even(n, 3), Algorithm::CommonCoin)
@@ -2114,11 +2572,24 @@ mod tests {
             let stats = &shard.queue.stats;
             assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
             assert!(stats.ticks > 1_000, "{stats:?}");
-            // Single deliveries off lazy cursors, no wave: most events go
-            // to processes that have decided, and of the rest 93 % are
-            // absorbed (99.85 % on the full n = 1000 cell).
+            // Lazy cursors, no wave: most events go to processes that
+            // have decided, and of the rest 93 % are absorbed (99.85 % on
+            // the full n = 1000 cell).
             assert_eq!(shard.waves.formed, 0);
             assert_eq!(absorbed_and_stepped(shard), (1_393, 105));
+            // Nothing observes the order inside a tick: every tick is
+            // taken whole, and only the deliveries a live process would
+            // not absorb go in key order — every stepped one, here. (The
+            // full cell takes all 7 509 of its ticks whole and gathers
+            // 2 022 032 deliveries to live processes, of which 3 000 are
+            // refused.)
+            let ticks = &shard.ticks;
+            assert_eq!(
+                (ticks.batched, ticks.ordered),
+                (stats.ticks, 0),
+                "{ticks:?}"
+            );
+            assert_eq!((ticks.gathered, ticks.refusals), (1_502, 105), "{ticks:?}");
         });
     }
 
@@ -2244,6 +2715,139 @@ mod tests {
                 let (absorbed, stepped) = absorbed_and_stepped(shard);
                 assert!(absorbed > stepped, "{what}: {absorbed} {stepped}");
             });
+        }
+    }
+
+    /// The tick tests' network: a sampled delay four ticks wide and free
+    /// sends, so a tick holds several deliveries per process.
+    fn narrow_ticks(partition: Partition, algorithm: Algorithm, seed: u64) -> Scenario {
+        let n = partition.n();
+        Scenario::new(partition, algorithm)
+            .proposals_split(n / 2)
+            .delay(DelayModel::Uniform { lo: 700, hi: 703 })
+            .costs(ofa_scenario::CostModel {
+                send_cost: 0,
+                ..BATCHING_COSTS
+            })
+            .max_rounds(24)
+            .seed(seed)
+    }
+
+    /// [`observable_orders_take_nothing_inert_first`] for ticks: a kept
+    /// trace, an observer, and a budget that runs out inside the first
+    /// tick take no tick whole. A budget that runs out later takes the
+    /// tick it ends in in order.
+    #[test]
+    fn observable_orders_take_no_tick_whole() {
+        use ofa_core::InvariantChecker;
+        use std::sync::Arc;
+        let base = narrow_ticks(Partition::even(24, 4), Algorithm::CommonCoin, 5);
+        let mut whole = 0;
+        one_shard(&base, u64::MAX, |shard, report| {
+            let ticks = &shard.ticks;
+            assert!(ticks.batched > 0 && ticks.ordered == 0, "{ticks:?}");
+            whole = report.processed;
+        });
+        let observed = base.clone().observer(Arc::new(InvariantChecker::new()));
+        for (what, scenario, limit) in [
+            ("kept trace", base.clone().keep_trace(), u64::MAX),
+            ("observer", observed, u64::MAX),
+            // The first tick holds about a quarter of the 576 start
+            // broadcasts' deliveries.
+            ("budget", base.clone(), 24 * 24 / 8),
+        ] {
+            one_shard(&scenario, limit, |shard, report| {
+                let ticks = &shard.ticks;
+                assert_eq!(ticks.batched, 0, "{what}: {ticks:?}");
+                assert!(ticks.ordered > 0, "{what}: {ticks:?}");
+                let done = report.processed;
+                assert_eq!(done, limit.min(whole), "{what}");
+            });
+        }
+        let limit = whole / 2 + 7;
+        one_shard(&base, limit, |shard, report| {
+            assert_eq!(report.processed, limit);
+            assert!(shard.ticks.ordered > 0, "{:?}", shard.ticks);
+        });
+    }
+
+    /// What one shard did on `scenario`: its delivery log, event count,
+    /// end time, trace hash and tick counts.
+    fn logged_run(scenario: &Scenario) -> (Vec<super::Logged>, u64, u64, u64, (u64, u64)) {
+        let mut out = None;
+        one_shard_logged(scenario, u64::MAX, true, |shard, report| {
+            let log = shard.log.take().expect("switched on");
+            let ticks = (shard.ticks.batched, shard.ticks.ordered);
+            let hash = shard.finish_run().trace.hash();
+            out = Some((log, report.processed, report.end_time, hash, ticks));
+        });
+        out.expect("ran")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A tick taken whole against the same tick popped in key order
+        /// (a kept trace makes the order observable): on lazy broadcasts
+        /// under a sampled delay narrow enough that a tick holds several
+        /// deliveries per process, with loss, duplication, crashes and a
+        /// rejoin, every process receives the same deliveries in the same
+        /// order, the deliveries it refuses to absorb — the only ones that
+        /// can reach its cluster's memory — go in global `(time, key)`
+        /// order, and the event count, end time and trace hash agree.
+        #[test]
+        fn a_tick_taken_whole_keeps_each_process_order_and_the_refusals_key_order(
+            shape in (0usize..3, proptest::prelude::any::<bool>(), 0u8..4, 0u64..1_000),
+        ) {
+            let (p, local, faults, seed) = shape;
+            let partition = [
+                Partition::even(24, 4),
+                Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes"),
+                Partition::even(40, 20),
+            ][p].clone();
+            let n = partition.n();
+            let algorithm = if local { Algorithm::LocalCoin } else { Algorithm::CommonCoin };
+            let base = narrow_ticks(partition, algorithm, seed);
+            let scenario = match faults {
+                0 => base,
+                1 => base.loss_ppm(20_000),
+                2 => base.dup_ppm(30_000),
+                _ => base
+                    .crashes(
+                        CrashPlan::new()
+                            .crash_at_step(ProcessId(seed as usize % n), 2 + seed % 40)
+                            .crash_at_time(
+                                ProcessId((seed as usize + 7) % n),
+                                ofa_scenario::VirtualTime::from_ticks(1_401 + seed % 3),
+                            ),
+                    )
+                    .churn(ofa_scenario::ChurnPlan::new().leave_rejoin(
+                        ProcessId((seed as usize + 3) % n),
+                        ofa_scenario::VirtualTime::from_ticks(1),
+                        ofa_scenario::VirtualTime::from_ticks(702),
+                    )),
+            };
+            let (whole, events, end, hash, ticks) = logged_run(&scenario);
+            let (ordered, events_o, end_o, hash_o, ticks_o) = logged_run(&scenario.keep_trace());
+            proptest::prop_assert!(ticks.0 > 0 && ticks.1 == 0, "{:?}", ticks);
+            proptest::prop_assert!(ticks_o.0 == 0 && ticks_o.1 > 0, "{:?}", ticks_o);
+            proptest::prop_assert_eq!((events, end, hash), (events_o, end_o, hash_o));
+            let per_process = |log: &[super::Logged]| {
+                let mut seqs = vec![Vec::new(); n];
+                for &(_, who, from, k, _) in log {
+                    seqs[who as usize].push((from, k));
+                }
+                seqs
+            };
+            proptest::prop_assert_eq!(per_process(&whole), per_process(&ordered));
+            let refusals = |log: &[super::Logged]| -> Vec<_> {
+                (log.iter().filter(|e| e.4))
+                    .map(|&(at, who, from, k, _)| (at, from, k, who))
+                    .collect()
+            };
+            let (refused, refused_o) = (refusals(&whole), refusals(&ordered));
+            proptest::prop_assert!(refused.is_sorted(), "refusals out of key order");
+            proptest::prop_assert_eq!(refused, refused_o);
         }
     }
 

@@ -10,8 +10,11 @@
 //! Brown, "Calendar queues", CACM 1988, with one bucket per tick.
 //!
 //! A bucket holds 32-byte handles — the [`EventKey`] packed into one
-//! `u128` in the same order, plus a slab index; the payloads stay put in
-//! the slab (with a free list) from push to pop.
+//! `u128` in the same order, the slot of the event's payload and a kind
+//! tag, both the caller's. The queue never looks at a payload: the
+//! caller keeps them in a [`Slab`] (a free-listed vector) or an arena of
+//! its own and names the slot at push, and tags each handle with what it
+//! stands for, so that it can classify a tick by the tags alone.
 //!
 //! # Why it pops in exactly `BinaryHeap<Keyed<_>>` order
 //!
@@ -41,8 +44,21 @@
 //! past its bound) never makes it current, so a shard stopped at an
 //! epoch barrier has not committed to its own next event: a cross-shard
 //! arrival that lands before it is an ordinary push.
+//!
+//! # Taking a tick whole, unsorted
+//!
+//! Step 3 is for a caller that pops in order. One that does not need the
+//! order inside a tick opens it instead ([`Calendar::open`]: the window
+//! slides to it and the overflow entries move in, as in step 3, but it is
+//! neither sorted nor current), reads its handles' tags
+//! ([`Calendar::opened`]), and then either takes all its handles at once,
+//! in no particular order ([`Calendar::take_tick`]: the tick becomes
+//! current and empty, and is never sorted), or pops it as usual
+//! ([`Calendar::first`] makes it current). Either way nothing is taken
+//! out of order *between* ticks. The caller must not push to a tick it
+//! took whole: the event loop only takes ticks nothing can land on.
 
-use crate::conductor::{EventKey, Keyed};
+use crate::conductor::EventKey;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -52,6 +68,13 @@ use std::collections::BinaryHeap;
 pub(crate) const SPAN: u64 = 1 << 12;
 const MASK: u64 = SPAN - 1;
 const WORDS: usize = (SPAN / 64) as usize;
+
+/// A bucket this close to the current tick is about to take a tick's
+/// worth of events (the CLI-default path re-queues most lazy broadcasts
+/// a tick or two ahead): when it must grow it takes the spare buffer, if
+/// there is one, instead of doubling up to that size. Buckets further
+/// out mostly hold a few.
+const NEAR: u64 = 8;
 
 /// Packs an [`EventKey`] into one word that compares the same way:
 /// `class | from | k | to`, most significant first.
@@ -72,11 +95,22 @@ fn unpack(w: u128) -> EventKey {
     }
 }
 
-/// A pending event as a bucket holds it.
+/// A pending event as a bucket holds it: its key, packed; the slot its
+/// payload sits in, which the queue never looks at (the caller's
+/// [`Slab`], or an arena of its own); and the caller's tag for what kind
+/// of event it is, so a tick can be classified without touching any
+/// payload.
 #[derive(Debug, Clone, Copy)]
-struct Handle {
+pub(crate) struct Handle<K> {
     key: u128,
-    slot: u32,
+    pub(crate) slot: u32,
+    pub(crate) kind: K,
+}
+
+impl<K> Handle<K> {
+    pub(crate) fn key(&self) -> EventKey {
+        unpack(self.key)
+    }
 }
 
 /// What the queue did, for the tests that pin it.
@@ -91,19 +125,19 @@ pub(crate) struct QueueStats {
     pub(crate) rewinds: u64,
 }
 
-/// The queue: pops `Keyed<E>` entries earliest-first by `(at, key)`.
+/// The queue: hands out its events earliest-first by `(at, key)`.
 #[derive(Debug)]
-pub(crate) struct Calendar<E> {
-    /// Payloads by slot; `None` marks a slot listed in `free`.
-    slab: Vec<Option<E>>,
-    free: Vec<u32>,
+pub(crate) struct Calendar<K> {
     /// `ring[t & MASK]`: the handles of the events at tick `t`, for every
     /// `t` in `[now, now + SPAN)`. Emptied buckets give their buffer back.
-    ring: Vec<Vec<Handle>>,
+    ring: Vec<Vec<Handle<K>>>,
     /// One bit per bucket, set iff it holds a handle.
     occupied: [u64; WORDS],
+    /// The last emptied bucket buffer, for a bucket of the next [`NEAR`]
+    /// ticks.
+    spare: Option<Vec<Handle<K>>>,
     /// Events at or past `now + SPAN`, earliest first.
-    overflow: BinaryHeap<Reverse<(u64, u128, u32)>>,
+    overflow: BinaryHeap<Reverse<(u64, u128, u32, K)>>,
     now: u64,
     /// Whether `now` is current: its bucket is sorted, next event last.
     current: bool,
@@ -112,13 +146,12 @@ pub(crate) struct Calendar<E> {
     pub(crate) stats: QueueStats,
 }
 
-impl<E> Calendar<E> {
+impl<K: Copy + Ord> Calendar<K> {
     pub(crate) fn new() -> Self {
         Calendar {
-            slab: Vec::new(),
-            free: Vec::new(),
             ring: vec![Vec::new(); SPAN as usize],
             occupied: [0; WORDS],
+            spare: None,
             overflow: BinaryHeap::new(),
             now: 0,
             current: false,
@@ -132,23 +165,14 @@ impl<E> Calendar<E> {
         self.len
     }
 
-    pub(crate) fn push(&mut self, entry: Keyed<E>) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(entry.ev);
-                slot
-            }
-            None => {
-                self.slab.push(Some(entry.ev));
-                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
-            }
-        };
+    /// Queues the event at `(at, key)` whose payload sits in `slot`.
+    pub(crate) fn push(&mut self, at: u64, key: EventKey, slot: u32, kind: K) {
         self.len += 1;
-        let key = pack(entry.key);
-        self.place(entry.at, Handle { key, slot });
+        let key = pack(key);
+        self.place(at, Handle { key, slot, kind });
     }
 
-    fn place(&mut self, at: u64, h: Handle) {
+    fn place(&mut self, at: u64, h: Handle<K>) {
         if at < self.now {
             self.rewind(at);
         }
@@ -157,11 +181,18 @@ impl<E> Calendar<E> {
             {
                 self.stats.overflow_pushes += 1;
             }
-            self.overflow.push(Reverse((at, h.key, h.slot)));
+            self.overflow.push(Reverse((at, h.key, h.slot, h.kind)));
             return;
         }
         let i = (at & MASK) as usize;
         let bucket = &mut self.ring[i];
+        if bucket.len() == bucket.capacity() && at - self.now < NEAR {
+            let larger = |spare: &mut Vec<_>| spare.capacity() > bucket.len();
+            if let Some(mut spare) = self.spare.take_if(larger) {
+                spare.append(bucket);
+                *bucket = spare;
+            }
+        }
         if at == self.now && self.current {
             let pos = bucket.partition_point(|o| o.key > h.key);
             bucket.insert(pos, h);
@@ -182,7 +213,7 @@ impl<E> Calendar<E> {
         for i in 0..self.ring.len() {
             let t = self.tick_of(i);
             if t - at >= SPAN && !self.ring[i].is_empty() {
-                let far = self.ring[i].drain(..).map(|h| Reverse((t, h.key, h.slot)));
+                let far = (self.ring[i].drain(..)).map(|h| Reverse((t, h.key, h.slot, h.kind)));
                 self.overflow.extend(far);
                 self.vacate(i);
             }
@@ -196,10 +227,20 @@ impl<E> Calendar<E> {
         self.now + ((i as u64).wrapping_sub(self.now) & MASK)
     }
 
-    /// Frees an emptied bucket's buffer and clears its bit.
+    /// Clears an emptied bucket's bit, and keeps its buffer as the spare.
     fn vacate(&mut self, i: usize) {
-        self.ring[i] = Vec::new();
+        let emptied = std::mem::take(&mut self.ring[i]);
+        self.recycle(emptied);
         self.occupied[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Keeps an emptied bucket buffer as the spare, freeing the one
+    /// before.
+    pub(crate) fn recycle(&mut self, mut bucket: Vec<Handle<K>>) {
+        if bucket.capacity() > 0 {
+            bucket.clear();
+            self.spare = Some(bucket);
+        }
     }
 
     /// The earliest pending tick, without making it current.
@@ -224,12 +265,17 @@ impl<E> Calendar<E> {
         self.overflow.peek().map(|&Reverse((at, ..))| at)
     }
 
-    /// The next event's tick and payload, if it lands before `t_end` —
+    /// Whether the current tick still holds events: it was made current
+    /// (sorted) and not yet popped empty.
+    fn mid_tick(&self) -> bool {
+        self.current && !self.ring[(self.now & MASK) as usize].is_empty()
+    }
+
+    /// The next event's tick and handle, if it lands before `t_end` —
     /// which makes that tick current (see the module docs); the caller
     /// pops from it.
-    pub(crate) fn first(&mut self, t_end: u64) -> Option<(u64, &mut E)> {
-        let i = (self.now & MASK) as usize;
-        if self.current && !self.ring[i].is_empty() {
+    pub(crate) fn first(&mut self, t_end: u64) -> Option<(u64, Handle<K>)> {
+        if self.mid_tick() {
             if self.now >= t_end {
                 return None;
             }
@@ -240,33 +286,39 @@ impl<E> Calendar<E> {
         let top = self.ring[(self.now & MASK) as usize]
             .last()
             .expect("the current tick holds the next event");
-        let ev = self.slab[top.slot as usize].as_mut();
-        Some((self.now, ev.expect("handles point at live slots")))
+        Some((self.now, *top))
     }
 
-    /// Makes `at` — the earliest pending tick — current.
-    fn advance(&mut self, at: u64) {
+    /// Moves the window to `at`, the earliest pending tick: the overflow
+    /// entries now inside it go to their buckets. `at` is not current.
+    fn slide(&mut self, at: u64) {
         debug_assert!(at >= self.now);
         self.now = at;
-        self.current = true;
-        #[cfg(test)]
-        {
-            self.stats.ticks += 1;
-        }
-        while let Some(&Reverse((t, key, slot))) = self.overflow.peek() {
+        self.current = false;
+        while let Some(&Reverse((t, key, slot, kind))) = self.overflow.peek() {
             if t - at >= SPAN {
                 break;
             }
             self.overflow.pop();
             let i = (t & MASK) as usize;
-            self.ring[i].push(Handle { key, slot });
+            self.ring[i].push(Handle { key, slot, kind });
             self.occupied[i / 64] |= 1 << (i % 64);
+        }
+    }
+
+    /// Makes `at` — the earliest pending tick — current.
+    fn advance(&mut self, at: u64) {
+        self.slide(at);
+        self.current = true;
+        #[cfg(test)]
+        {
+            self.stats.ticks += 1;
         }
         self.ring[(at & MASK) as usize].sort_by_key(|h| Reverse(h.key));
     }
 
-    /// Removes and returns the next event.
-    pub(crate) fn pop(&mut self) -> Option<Keyed<E>> {
+    /// Removes the next event (made current by [`Calendar::first`]).
+    pub(crate) fn pop(&mut self) -> Option<(u64, Handle<K>)> {
         let at = self.first(u64::MAX)?.0;
         let i = (at & MASK) as usize;
         let h = self.ring[i].pop().expect("first() found it");
@@ -274,13 +326,7 @@ impl<E> Calendar<E> {
             self.vacate(i);
         }
         self.len -= 1;
-        self.free.push(h.slot);
-        let ev = self.slab[h.slot as usize].take();
-        Some(Keyed {
-            at,
-            key: unpack(h.key),
-            ev: ev.expect("handles point at live slots"),
-        })
+        Some((at, h))
     }
 
     /// Moves the next event (made current by [`Calendar::first`]) to
@@ -299,30 +345,122 @@ impl<E> Calendar<E> {
             bucket[n - 1].key = key;
             return;
         }
-        let slot = bucket.pop().expect("checked non-empty").slot;
+        let mut h = bucket.pop().expect("checked non-empty");
         if bucket.is_empty() {
             self.vacate(i);
         }
-        self.place(at, Handle { key, slot });
+        h.key = key;
+        self.place(at, h);
+    }
+
+    /// Opens the next tick before `t_end` for a look at its events
+    /// ([`Calendar::opened`]), unless the current one still holds some:
+    /// the window slides to it, but it is not current yet. The caller
+    /// then either takes it whole ([`Calendar::take_tick`]) or pops it in
+    /// order ([`Calendar::first`] makes it current).
+    pub(crate) fn open(&mut self, t_end: u64) -> Option<u64> {
+        if self.mid_tick() {
+            return None;
+        }
+        let at = self.next_at().filter(|&at| at < t_end)?;
+        self.slide(at);
+        Some(at)
+    }
+
+    /// The events of the tick [`Calendar::open`] just opened, in no
+    /// particular order.
+    pub(crate) fn opened(&self) -> &[Handle<K>] {
+        debug_assert!(!self.current, "look into an open tick");
+        &self.ring[(self.now & MASK) as usize]
+    }
+
+    /// Takes every event of the tick [`Calendar::open`] just opened, in
+    /// no particular order — without the sort. The tick is current, and
+    /// empty: the caller must not push to it. (The bucket's buffer goes
+    /// with the events; [`Calendar::recycle`] takes it back.)
+    pub(crate) fn take_tick(&mut self) -> Vec<Handle<K>> {
+        debug_assert!(!self.current, "take an open tick");
+        let i = (self.now & MASK) as usize;
+        let tick = std::mem::take(&mut self.ring[i]);
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        self.len -= tick.len();
+        self.current = true;
+        #[cfg(test)]
+        {
+            self.stats.ticks += 1;
+        }
+        tick
     }
 
     /// Every pending event, in no particular order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, EventKey, &E)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Handle<K>)> + '_ {
         let ring = self.ring.iter().enumerate().flat_map(move |(i, bucket)| {
             let at = self.tick_of(i);
-            bucket.iter().map(move |h| (at, h.key, h.slot))
+            bucket.iter().map(move |&h| (at, h))
         });
-        let far = self.overflow.iter().map(|&Reverse(e)| e);
-        ring.chain(far).map(|(at, key, slot)| {
-            let ev = self.slab[slot as usize].as_ref();
-            (at, unpack(key), ev.expect("handles point at live slots"))
-        })
+        let far = (self.overflow.iter())
+            .map(|&Reverse((at, key, slot, kind))| (at, Handle { key, slot, kind }));
+        ring.chain(far)
+    }
+}
+
+/// Payloads by slot, with a free list: where a handle's `slot` points.
+#[derive(Debug)]
+pub(crate) struct Slab<T> {
+    /// `None` marks a slot listed in `free`.
+    items: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    pub(crate) fn new() -> Self {
+        Slab {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    pub(crate) fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.items[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        }
+    }
+
+    pub(crate) fn take(&mut self, slot: u32) -> T {
+        self.free.push(slot);
+        self.items[slot as usize]
+            .take()
+            .expect("handles point at live slots")
+    }
+}
+
+impl<T> std::ops::Index<u32> for Slab<T> {
+    type Output = T;
+    fn index(&self, slot: u32) -> &T {
+        self.items[slot as usize]
+            .as_ref()
+            .expect("handles point at live slots")
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Slab<T> {
+    fn index_mut(&mut self, slot: u32) -> &mut T {
+        self.items[slot as usize]
+            .as_mut()
+            .expect("handles point at live slots")
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{pack, unpack, Calendar, SPAN};
+    use super::{pack, unpack, Calendar, Slab, SPAN};
     use crate::conductor::{EventKey, Keyed};
     use proptest::prelude::*;
     use std::collections::BinaryHeap;
@@ -381,6 +519,11 @@ mod tests {
         Peek {
             dt: u64,
         },
+        /// Open the next tick unless one is current; take it whole if
+        /// `take`, else leave it for the pops.
+        Open {
+            take: bool,
+        },
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -406,6 +549,7 @@ mod tests {
             11 | 12 => Op::Again { dk: x % 3 },
             13 => Op::Later { dt: 1 + x % 9 },
             14 => Op::Later { dt: 1 + x },
+            15 if x % 3 == 0 => Op::Open { take: x % 2 == 0 },
             _ => Op::Peek { dt: x % 16 },
         })
     }
@@ -415,11 +559,12 @@ mod tests {
 
         /// The calendar pops exactly what `BinaryHeap<Keyed<_>>` pops, in
         /// the same order, through pushes at, near, across and beyond
-        /// the ring, pushes before the current tick, and both kinds of
-        /// re-key of the next event.
+        /// the ring, pushes before the current tick, both kinds of re-key
+        /// of the next event, and ticks opened and left or taken whole
+        /// (which takes exactly the heap's events at that tick).
         #[test]
         fn pops_exactly_as_the_binary_heap_does(ops in proptest::collection::vec(op(), 1..400)) {
-            let mut cal: Calendar<u32> = Calendar::new();
+            let mut cal: Calendar<()> = Calendar::new();
             let mut heap: BinaryHeap<Keyed<u32>> = BinaryHeap::new();
             // `to` numbers the pushes, so every key is distinct and the
             // pop order is total.
@@ -434,11 +579,11 @@ mod tests {
                     Op::Push { dt, back, from } => {
                         let at = if back { last - dt - 1 } else { last + dt };
                         let key = fresh(from, u64::from(from) * 3);
-                        cal.push(Keyed { at, key, ev: key.to });
+                        cal.push(at, key, key.to, ());
                         heap.push(Keyed { at, key, ev: key.to });
                     }
                     Op::Pop => {
-                        let got = cal.pop().map(|e| (e.at, e.key, e.ev));
+                        let got = cal.pop().map(|(at, h)| (at, h.key(), h.slot));
                         let want = heap.pop().map(|e| (e.at, e.key, e.ev));
                         prop_assert_eq!(got, want);
                         if let Some((at, ..)) = want {
@@ -455,8 +600,8 @@ mod tests {
                             Op::Later { dt } => (top.at + dt, fresh(top.key.from, top.key.k)),
                             _ => unreachable!(),
                         };
-                        let (seen, ev) = cal.first(u64::MAX).expect("both non-empty");
-                        prop_assert_eq!((seen, *ev), (top.at, top.ev));
+                        let (seen, h) = cal.first(u64::MAX).expect("both non-empty");
+                        prop_assert_eq!((seen, h.slot), (top.at, top.ev));
                         cal.rekey_next(at, key);
                         (top.at, top.key) = (at, key);
                         drop(top);
@@ -464,20 +609,41 @@ mod tests {
                     Op::Peek { dt } => {
                         let t_end = last + dt;
                         let want = heap.peek().filter(|e| e.at < t_end).map(|e| (e.at, e.ev));
-                        prop_assert_eq!(cal.first(t_end).map(|(at, ev)| (at, *ev)), want);
+                        prop_assert_eq!(cal.first(t_end).map(|(at, h)| (at, h.slot)), want);
+                    }
+                    Op::Open { take } => {
+                        let Some(at) = cal.open(u64::MAX) else {
+                            continue;
+                        };
+                        let mut got: Vec<_> = cal.opened().iter().map(|h| (h.key(), h.slot)).collect();
+                        let (mut want, rest): (Vec<_>, Vec<_>) =
+                            heap.drain().partition(|e| e.at == at);
+                        prop_assert!(rest.iter().all(|e| e.at > at));
+                        got.sort_unstable();
+                        want.sort_unstable_by_key(|e| e.key);
+                        let want_keys: Vec<_> = want.iter().map(|e| (e.key, e.ev)).collect();
+                        prop_assert_eq!(got, want_keys);
+                        heap.extend(rest);
+                        if take {
+                            let taken = cal.take_tick();
+                            prop_assert_eq!(taken.len(), want.len());
+                            last = at;
+                        } else {
+                            heap.extend(want);
+                        }
                     }
                 }
                 prop_assert_eq!(cal.len(), heap.len());
                 prop_assert_eq!(cal.next_at(), heap.peek().map(|e| e.at));
-                let mut all: Vec<_> = cal.iter().map(|(at, key, &ev)| (at, key, ev)).collect();
+                let mut all: Vec<_> = cal.iter().map(|(at, h)| (at, h.key(), h.slot)).collect();
                 let mut want: Vec<_> = heap.iter().map(|e| (e.at, e.key, e.ev)).collect();
                 all.sort_unstable();
                 want.sort_unstable();
                 prop_assert_eq!(all, want);
             }
             while let Some(want) = heap.pop() {
-                let got = cal.pop().expect("as long as the heap");
-                prop_assert_eq!((got.at, got.key, got.ev), (want.at, want.key, want.ev));
+                let (at, h) = cal.pop().expect("as long as the heap");
+                prop_assert_eq!((at, h.key(), h.slot), (want.at, want.key, want.ev));
             }
             prop_assert!(cal.pop().is_none() && cal.len() == 0);
         }
@@ -491,23 +657,25 @@ mod tests {
             k: 9,
             to,
         };
-        let mut cal: Calendar<u32> = Calendar::new();
-        cal.push(Keyed {
-            at: 100,
-            key: key(1),
-            ev: 1,
-        });
+        let mut cal: Calendar<()> = Calendar::new();
+        cal.push(100, key(1), 1, ());
         assert_eq!(cal.first(100).map(|(at, _)| at), None);
+        assert!(cal.open(100).is_none());
         assert_eq!(cal.next_at(), Some(100));
         assert_eq!(cal.stats.ticks, 0);
         // An arrival before it is an ordinary push, not a rewind.
-        cal.push(Keyed {
-            at: 60,
-            key: key(2),
-            ev: 2,
-        });
-        assert_eq!(cal.pop().map(|e| (e.at, e.ev)), Some((60, 2)));
-        assert_eq!(cal.pop().map(|e| (e.at, e.ev)), Some((100, 1)));
+        cal.push(60, key(2), 2, ());
+        assert_eq!(cal.pop().map(|(at, h)| (at, h.slot)), Some((60, 2)));
+        assert_eq!(cal.pop().map(|(at, h)| (at, h.slot)), Some((100, 1)));
         assert_eq!((cal.stats.ticks, cal.stats.rewinds), (2, 0));
+    }
+
+    #[test]
+    fn a_slab_reuses_freed_slots() {
+        let mut slab = Slab::new();
+        let (a, b) = (slab.insert('a'), slab.insert('b'));
+        assert_eq!(slab.take(a), 'a');
+        let c = slab.insert('c');
+        assert_eq!((c, slab[c], slab[b]), (a, 'c', 'b'));
     }
 }

@@ -5,7 +5,8 @@
 //! inside a snapshot `--resume` cannot use — exits 2 with one `error:`
 //! line, never a panic, and so does nothing about a closed stdout.
 
-use ofa_scenario::{LatencyDist, NetworkModel, Snapshot, VirtualTime};
+use ofa_core::Algorithm;
+use ofa_scenario::{Body, LatencyDist, NetworkModel, SmrWorkload, Snapshot, VirtualTime};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -103,6 +104,7 @@ fn an_invalid_scenario_from_the_flags_exits_2_without_panicking() {
         "--serve poisson:10 --batch-max 0",
         "--serve poisson:10 --batch-min 5 --batch-max 2",
         "--churn p1@t100 --crash p1@r1",
+        "--serve poisson:10 --slots 0",
     ] {
         let out = ofa(args);
         assert_refused(args, &out);
@@ -166,6 +168,17 @@ fn drop_a_proposal(snap: &mut Snapshot) {
     snap.scenario.proposals.pop();
 }
 
+/// A replicated log of zero slots would run nothing and report success.
+fn zero_the_slots(snap: &mut Snapshot) {
+    let n = snap.scenario.partition.n();
+    snap.scenario.body = Body::ReplicatedLog(SmrWorkload {
+        algorithm: Algorithm::LocalCoin,
+        slots: 0,
+        queues: vec![Vec::new(); n],
+        traffic: None,
+    });
+}
+
 fn invert_a_latency_bound(snap: &mut Snapshot) {
     snap.scenario.network = NetworkModel::clustered(
         LatencyDist::Uniform { lo: 9, hi: 3 },
@@ -196,13 +209,14 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         "the intact snapshot resumes"
     );
     type Corruption = fn(&mut Snapshot);
-    let corruptions: [(&str, Corruption); 6] = [
+    let corruptions: [(&str, Corruption); 7] = [
         ("missing field", drop_a_field),
         ("cut time off by one", move_the_cut),
         ("bogus machine", replace_a_machine),
         ("wrong version", bump_the_version),
         ("missing proposal", drop_a_proposal),
         ("inverted latency bounds", invert_a_latency_bound),
+        ("zero log slots", zero_the_slots),
     ];
     for (what, corrupt) in corruptions {
         let mut snap: Snapshot = serde_json::from_str(&text).expect("the snapshot decodes");

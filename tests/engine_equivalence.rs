@@ -752,6 +752,20 @@ const ZERO_COSTS: CostModel = CostModel {
     coin_cost: 0,
 };
 
+/// The networks a many-seed case runs `seed` on, by name: the constant
+/// delay whose broadcasts land as waves, and on every `every`-th seed
+/// (those one past a multiple of `every`) a sampled delay four ticks
+/// wide. With free sends its lazy broadcasts put several deliveries per
+/// process on one tick, and the event loop takes such a tick whole.
+fn networks(seed: u64, every: u64) -> Vec<(&'static str, NetworkModel)> {
+    let mut networks = vec![("waves", NetworkModel::flat(DelayModel::Constant(700)))];
+    if seed % every == 1 % every {
+        let ticks = DelayModel::Uniform { lo: 700, hi: 703 };
+        networks.push(("ticks", NetworkModel::flat(ticks)));
+    }
+    networks
+}
+
 fn wave_scenario(partition: Partition, costs: CostModel) -> Scenario {
     let n = partition.n();
     Scenario::new(partition, Algorithm::CommonCoin)
@@ -947,7 +961,8 @@ fn cluster_mates_with_different_histories_keep_their_delivery_order() {
 /// clusters of one to twelve members: 2 % loss, plus 3 % duplication on
 /// every other seed, gives cluster mates different histories in every
 /// round, so members of one cluster reach their completing deliveries at
-/// different broadcasts of a wave and then race for the cluster's memory.
+/// different broadcasts of a wave — or, on one seed, of a tick taken
+/// whole — and then race for the cluster's memory.
 #[test]
 fn cluster_mates_keep_their_order_under_loss_on_many_seeds() {
     let partitions = [
@@ -958,17 +973,19 @@ fn cluster_mates_keep_their_order_under_loss_on_many_seeds() {
         let n = partition.n();
         for algorithm in [Algorithm::LocalCoin, Algorithm::CommonCoin] {
             for seed in 0..40 {
-                let what = format!("n={n} {algorithm:?} seed={seed}");
-                let scenario = Scenario::new(partition.clone(), algorithm)
-                    .proposals_split(n / 2)
-                    .network(NetworkModel::flat(DelayModel::Constant(700)))
-                    .costs(WAVE_COSTS)
-                    .loss_ppm(20_000)
-                    .dup_ppm(if seed % 2 == 1 { 30_000 } else { 0 })
-                    .max_rounds(8)
-                    .seed(seed);
-                let out = engines_match_on(&scenario, &what, &[2]);
-                assert!(out.sm_proposes > 0 && out.agreement_holds(), "{what}");
+                for (net, network) in networks(seed, 40) {
+                    let what = format!("n={n} {algorithm:?} seed={seed} {net}");
+                    let scenario = Scenario::new(partition.clone(), algorithm)
+                        .proposals_split(n / 2)
+                        .network(network)
+                        .costs(WAVE_COSTS)
+                        .loss_ppm(20_000)
+                        .dup_ppm(if seed % 2 == 1 { 30_000 } else { 0 })
+                        .max_rounds(8)
+                        .seed(seed);
+                    let out = engines_match_on(&scenario, &what, &[2]);
+                    assert!(out.sm_proposes > 0 && out.agreement_holds(), "{what}");
+                }
             }
         }
     }
@@ -980,6 +997,9 @@ fn cluster_mates_keep_their_order_under_loss_on_many_seeds() {
 /// delivery, the timed crash and the rejoin land at a wave's instant
 /// (where they sort before its deliveries), and the rejoiner and the
 /// victims' cluster mates carry histories that differ from their mates'.
+/// Every tenth seed runs once more with ticks taken whole, where the
+/// timed crash and the rejoin land on a tick and go before its
+/// deliveries.
 #[test]
 fn crashes_and_a_rejoin_under_waves_match_the_conductor_on_many_seeds() {
     let partition = Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes");
@@ -990,33 +1010,35 @@ fn crashes_and_a_rejoin_under_waves_match_the_conductor_on_many_seeds() {
         } else {
             Algorithm::LocalCoin
         };
-        let base = Scenario::new(partition.clone(), algorithm)
-            .proposals_split(n as usize / 2)
-            .network(NetworkModel::flat(DelayModel::Constant(700)))
-            .costs(WAVE_COSTS)
-            .loss_ppm(if seed % 2 == 1 { 20_000 } else { 0 })
-            .max_rounds(24)
-            .seed(seed);
-        let instants = delivery_instants(&base);
-        let early = instants.len().min(4);
-        let at = |k: u64| VirtualTime::from_ticks(instants[(seed + k) as usize % early].0);
-        // Four distinct processes: the offsets differ by multiples of 7.
-        let victim = |k: u64| ProcessId(((seed * 3 + k * 7) % n) as usize);
-        let scenario = base
-            .crashes(
-                CrashPlan::new()
-                    .crash_at_step(victim(0), 2 + seed * 5 % 60)
-                    .crash_at_round(victim(1), 1 + seed % 3)
-                    .crash_at_time(victim(2), at(0)),
-            )
-            .churn(ChurnPlan::new().leave_rejoin(
-                victim(3),
-                VirtualTime::from_ticks(1 + seed * 37 % 700),
-                at(1),
-            ));
-        let what = format!("{algorithm:?} seed={seed}");
-        let out = engines_match_on(&scenario, &what, &[2]);
-        assert!(out.agreement_holds(), "{what}");
+        for (net, network) in networks(seed, 10) {
+            let base = Scenario::new(partition.clone(), algorithm)
+                .proposals_split(n as usize / 2)
+                .network(network)
+                .costs(WAVE_COSTS)
+                .loss_ppm(if seed % 2 == 1 { 20_000 } else { 0 })
+                .max_rounds(24)
+                .seed(seed);
+            let instants = delivery_instants(&base);
+            let early = instants.len().min(4);
+            let at = |k: u64| VirtualTime::from_ticks(instants[(seed + k) as usize % early].0);
+            // Four distinct processes: the offsets differ by multiples of 7.
+            let victim = |k: u64| ProcessId(((seed * 3 + k * 7) % n) as usize);
+            let scenario = base
+                .crashes(
+                    CrashPlan::new()
+                        .crash_at_step(victim(0), 2 + seed * 5 % 60)
+                        .crash_at_round(victim(1), 1 + seed % 3)
+                        .crash_at_time(victim(2), at(0)),
+                )
+                .churn(ChurnPlan::new().leave_rejoin(
+                    victim(3),
+                    VirtualTime::from_ticks(1 + seed * 37 % 700),
+                    at(1),
+                ));
+            let what = format!("{algorithm:?} seed={seed} {net}");
+            let out = engines_match_on(&scenario, &what, &[2]);
+            assert!(out.agreement_holds(), "{what}");
+        }
     }
 }
 
@@ -1026,7 +1048,8 @@ fn crashes_and_a_rejoin_under_waves_match_the_conductor_on_many_seeds() {
 /// one. Their `APP`s are inert wherever they land, so a member's inert
 /// run crosses a whole dissemination wave; its proposal wait is inert to
 /// all but the awaited proposal; and a lost proposal splits a pair's
-/// votes, so the two race for their cluster's memory.
+/// votes, so the two race for their cluster's memory. Every sixth seed
+/// runs once more with ticks taken whole.
 #[test]
 fn proposal_bodies_under_waves_match_the_conductor_on_many_seeds() {
     let partition = Partition::even(24, 12);
@@ -1053,24 +1076,27 @@ fn proposal_bodies_under_waves_match_the_conductor_on_many_seeds() {
             scenario.replicated_log_traffic(algorithm, 2, traffic)
         };
         let x = seed as usize;
-        let scenario = scenario
-            .network(NetworkModel::flat(DelayModel::Constant(700)))
-            .costs(WAVE_COSTS)
-            .loss_ppm([20_000, 20_000, 20_000, 20_000, 0, 0][x % 6])
-            .dup_ppm([0, 30_000, 0][x % 3])
-            .crashes(
-                CrashPlan::new()
-                    .crash_at_time(
-                        ProcessId(x % n),
-                        VirtualTime::from_ticks(700 * (1 + seed % 5) + 4),
-                    )
-                    .crash_at_step(ProcessId((x + 11) % n), 3 * n as u64 + seed * 7),
-            )
-            .max_rounds(24)
-            .seed(seed);
-        let what = format!("seed={seed}");
-        let out = engines_match_on(&scenario, &what, &[2]);
-        assert!(out.agreement_holds(), "{what}");
+        for (net, network) in networks(seed, 6) {
+            let scenario = scenario
+                .clone()
+                .network(network)
+                .costs(WAVE_COSTS)
+                .loss_ppm([20_000, 20_000, 20_000, 20_000, 0, 0][x % 6])
+                .dup_ppm([0, 30_000, 0][x % 3])
+                .crashes(
+                    CrashPlan::new()
+                        .crash_at_time(
+                            ProcessId(x % n),
+                            VirtualTime::from_ticks(700 * (1 + seed % 5) + 4),
+                        )
+                        .crash_at_step(ProcessId((x + 11) % n), 3 * n as u64 + seed * 7),
+                )
+                .max_rounds(24)
+                .seed(seed);
+            let what = format!("seed={seed} {net}");
+            let out = engines_match_on(&scenario, &what, &[2]);
+            assert!(out.agreement_holds(), "{what}");
+        }
     }
 }
 
@@ -1122,15 +1148,22 @@ fn kept_traces_and_observers_see_the_conductors_order_under_waves() {
 
 /// Step-indexed crashes at a spread of step counts, over 30 seeds, for
 /// both algorithms, under waves (constant delay, free sends: absorbed in
-/// members' inert runs) and under the default sampled delays (single
-/// deliveries off lazy cursors).
+/// members' inert runs), under the default sampled delays (about half a
+/// delivery per process per tick off lazy cursors), and on every sixth
+/// seed under a sampled delay four ticks wide with free sends (several
+/// deliveries per process per tick, absorbed in its runs through a tick
+/// taken whole).
 #[test]
 fn step_crashes_on_absorbed_deliveries_match_the_conductor_on_many_seeds() {
     let partition = Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes");
     let n = partition.n() as u64;
     for seed in 0..30u64 {
         for algorithm in [Algorithm::LocalCoin, Algorithm::CommonCoin] {
-            for waves in [true, false] {
+            // The default network and costs, besides the two above.
+            let networks = (networks(seed, 6).into_iter())
+                .map(|(net, network)| (net, Some(network)))
+                .chain([("default", None)]);
+            for (net, network) in networks {
                 // Two victims: one inside its first round's deliveries,
                 // one anywhere in its first few rounds.
                 let victim = |k: u64| ProcessId(((seed * 5 + k * 11) % n) as usize);
@@ -1142,14 +1175,11 @@ fn step_crashes_on_absorbed_deliveries_match_the_conductor_on_many_seeds() {
                     .crashes(plan)
                     .max_rounds(24)
                     .seed(seed);
-                let scenario = if waves {
-                    scenario
-                        .network(NetworkModel::flat(DelayModel::Constant(700)))
-                        .costs(WAVE_COSTS)
-                } else {
-                    scenario
+                let scenario = match network {
+                    Some(network) => scenario.network(network).costs(WAVE_COSTS),
+                    None => scenario,
                 };
-                let what = format!("{algorithm:?} seed={seed} waves={waves}");
+                let what = format!("{algorithm:?} seed={seed} {net}");
                 let out = engines_match_on(&scenario, &what, &[2]);
                 assert!(out.agreement_holds(), "{what}");
             }
