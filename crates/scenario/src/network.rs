@@ -254,8 +254,26 @@ impl NetworkModel {
     /// # Errors
     ///
     /// An inverted distribution bound, a rate above 10⁶ ppm, or an
-    /// override naming a process index `>= n`, as a one-line message.
+    /// override or laggard set naming a process index `>= n`, as a
+    /// one-line message.
     pub fn validate(&self, n: usize) -> Result<(), String> {
+        fn check_delay(model: &DelayModel, n: usize) -> Result<(), String> {
+            match model {
+                DelayModel::Uniform { lo, hi } if lo > hi => {
+                    Err(format!("uniform delay bounds inverted ({lo} > {hi})"))
+                }
+                DelayModel::Laggard { slow, base, .. } => {
+                    if let Some(p) = slow.iter().find(|p| p.index() >= n) {
+                        return Err(format!(
+                            "laggard set names process index {} but n={n}",
+                            p.index()
+                        ));
+                    }
+                    check_delay(base, n)
+                }
+                DelayModel::Constant(_) | DelayModel::Uniform { .. } => Ok(()),
+            }
+        }
         fn check_dist(d: &LatencyDist) -> Result<(), String> {
             match *d {
                 LatencyDist::Uniform { lo, hi } if lo > hi => {
@@ -276,7 +294,7 @@ impl NetworkModel {
             return Err("dup_ppm is a ppm rate".into());
         }
         match &self.classes {
-            LinkClasses::Flat(_) => Ok(()),
+            LinkClasses::Flat(delay) => check_delay(delay, n),
             LinkClasses::Clustered {
                 intra,
                 inter,
@@ -657,6 +675,35 @@ mod tests {
             .validate(4)
             .unwrap_err();
         assert!(err.contains("names a process index"), "{err}");
+    }
+
+    #[test]
+    fn inverted_flat_delay_bounds_are_rejected() {
+        let inverted = DelayModel::Uniform { lo: 9, hi: 3 };
+        let err = NetworkModel::flat(inverted.clone())
+            .validate(4)
+            .unwrap_err();
+        assert!(err.contains("bounds inverted (9 > 3)"), "{err}");
+        // At every laggard level, and for the laggard set itself.
+        let nested = DelayModel::Laggard {
+            slow: vec![ProcessId(1)],
+            factor: 3,
+            base: Box::new(DelayModel::Laggard {
+                slow: vec![ProcessId(2)],
+                factor: 2,
+                base: Box::new(inverted),
+            }),
+        };
+        let err = NetworkModel::flat(nested).validate(4).unwrap_err();
+        assert!(err.contains("bounds inverted (9 > 3)"), "{err}");
+        let far = DelayModel::Laggard {
+            slow: vec![ProcessId(4)],
+            factor: 3,
+            base: Box::new(DelayModel::Uniform { lo: 3, hi: 9 }),
+        };
+        let err = NetworkModel::flat(far.clone()).validate(4).unwrap_err();
+        assert!(err.contains("laggard set names process index 4"), "{err}");
+        assert_eq!(NetworkModel::flat(far).validate(5), Ok(()));
     }
 
     #[test]

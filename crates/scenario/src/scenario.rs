@@ -611,21 +611,6 @@ impl Scenario {
                 ));
             }
         }
-        fn check_delay(model: &DelayModel, n: usize) -> Result<(), String> {
-            if let DelayModel::Laggard { slow, base, .. } = model {
-                if let Some(p) = slow.iter().find(|p| p.index() >= n) {
-                    return Err(format!(
-                        "laggard set names process index {} but n={n}",
-                        p.index()
-                    ));
-                }
-                check_delay(base, n)?;
-            }
-            Ok(())
-        }
-        if let crate::LinkClasses::Flat(delay) = &self.network.classes {
-            check_delay(delay, n)?;
-        }
         self.network.validate(n)?;
         self.churn.validate(n, &self.crashes)
     }

@@ -6,7 +6,9 @@
 //! line, never a panic, and so does nothing about a closed stdout.
 
 use ofa_core::Algorithm;
-use ofa_scenario::{Body, LatencyDist, NetworkModel, SmrWorkload, Snapshot, VirtualTime};
+use ofa_scenario::{
+    Body, DelayModel, LatencyDist, LinkClasses, NetworkModel, SmrWorkload, Snapshot, VirtualTime,
+};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -113,6 +115,45 @@ fn an_invalid_scenario_from_the_flags_exits_2_without_panicking() {
 }
 
 #[test]
+fn a_flag_the_run_never_reads_is_refused() {
+    for args in [
+        "--slots 8",
+        "--queue-cap 64",
+        "--batch-max 16",
+        "--batch-min 0",
+        "--clients 4",
+        "--checkpoint-every 5000",
+        "--checkpoint-at 1500 --checkpoint-every 5000",
+        "--checkpoint-file run.snap.json",
+        "--resume run.snap.json --checkpoint-file next.snap.json",
+        "--trace --runtime",
+        "--loss 0 --runtime",
+    ] {
+        // A usage error: the `error:` line, then the help.
+        assert_refused(args, &ofa(args));
+    }
+}
+
+#[test]
+fn help_exits_0_and_lists_each_flag_once() {
+    for args in ["--help", "-h", "explore --help", "explore -h"] {
+        let out = ofa(args);
+        assert_eq!(out.status.code(), Some(0), "{args}");
+        let help = String::from_utf8_lossy(&out.stdout);
+        let mut names: Vec<&str> = help
+            .lines()
+            .filter_map(|line| line.strip_prefix("    --"))
+            .map(|rest| rest.split(' ').next().unwrap_or(rest))
+            .collect();
+        let listed = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), listed, "{args}: a flag listed twice");
+        assert!(listed > 10, "{args}: {help}");
+    }
+}
+
+#[test]
 fn a_closed_stdout_keeps_the_runs_own_exit_code() {
     let (reader, writer) = std::io::pipe().expect("a pipe");
     drop(reader);
@@ -186,6 +227,14 @@ fn invert_a_latency_bound(snap: &mut Snapshot) {
     );
 }
 
+/// The CLI-default network is flat: swap its uniform delay bounds.
+fn invert_the_flat_delay_bounds(snap: &mut Snapshot) {
+    match &mut snap.scenario.network.classes {
+        LinkClasses::Flat(DelayModel::Uniform { lo, hi }) => std::mem::swap(lo, hi),
+        other => panic!("the CLI default is a flat uniform delay: {other:?}"),
+    }
+}
+
 #[test]
 fn a_corrupt_snapshot_exits_2_without_panicking() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_codes");
@@ -209,13 +258,14 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         "the intact snapshot resumes"
     );
     type Corruption = fn(&mut Snapshot);
-    let corruptions: [(&str, Corruption); 7] = [
+    let corruptions: [(&str, Corruption); 8] = [
         ("missing field", drop_a_field),
         ("cut time off by one", move_the_cut),
         ("bogus machine", replace_a_machine),
         ("wrong version", bump_the_version),
         ("missing proposal", drop_a_proposal),
         ("inverted latency bounds", invert_a_latency_bound),
+        ("inverted flat delay bounds", invert_the_flat_delay_bounds),
         ("zero log slots", zero_the_slots),
     ];
     for (what, corrupt) in corruptions {
