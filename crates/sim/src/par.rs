@@ -67,12 +67,12 @@
 //! forms, both order-exact (see [`ShardState::route`]):
 //!
 //! * **Batched** ([`SPending::Broadcast`]) when every destination lands
-//!   at the same instant — a constant delay and no per-send cost. The
-//!   batch expands in one go when popped; the sender's consecutive
-//!   counter values make that the order `n` single entries would pop in,
-//!   and the positive shared delay keeps anything the expansion triggers
-//!   out of that instant. The batches that land at one instant expand
-//!   together, as a *wave* (below).
+//!   at the same instant — a constant delay and no per-send cost. Member
+//!   `g`'s delivery has key `(from, k0 + g, g)`: the sender's consecutive
+//!   counter values make member order the order `n` single entries would
+//!   pop in, and the positive shared delay keeps anything the deliveries
+//!   trigger out of that instant. A tick taken whole reads the batch as
+//!   one source beside the tick's other deliveries (below).
 //! * **Lazy** ([`SPending::Lazy`]) otherwise — sampled delays, or a
 //!   per-send cost spacing the sends. A [`Cursor`] over the shard's
 //!   surviving destinations sorted by delivery `(time, key)` lives in the
@@ -100,7 +100,7 @@
 //! sorted by the packed [`EventKey`] when its tick becomes current, and
 //! a push at the current tick is inserted in place — so it pops in
 //! exactly the `(at, EventKey)` order `BinaryHeap<Keyed<SPending>>`
-//! pops in, and waves, lazy cursors, the event budget, epochs,
+//! pops in, and ticks taken whole, lazy cursors, the event budget, epochs,
 //! [`ShardState::keys`], checkpoints and kept traces mean what they did
 //! byte for byte. A tick becomes current only when the loop pops from
 //! it: window checks and [`StepReport::next_at`] only read it, so a
@@ -110,30 +110,53 @@
 //! loop can classify a tick without touching a payload, and a tick whose
 //! order cannot show is taken whole and never sorted (below).
 //!
-//! # Waves: same-instant broadcasts reach each member in one run
+//! # Instants: a tick whose order cannot show is taken whole
 //!
-//! Under a constant delay and free sends a round's ~n broadcasts land at
-//! one instant. Expanded one after the other they visit all n machines
-//! between two visits to the same one. Expanded as one **wave**
-//! ([`ShardState::expand_wave`]), block by block of whole clusters, each
-//! member takes the wave's broadcasts in key order in one run for as long
-//! as its machine absorbs the next delivery as *inert* — it cannot reach
-//! the cluster's shared memory — so the member's machine, process state
-//! and proposal array stay hot across the whole wave. A member pauses at its
-//! first delivery that is not inert; the paused deliveries go in
-//! `(broadcast, member)` order, each followed by its member's next inert
-//! run. The argument that makes clusters shards holds just as well inside
-//! one shard, under four preconditions, all checked where the wave forms:
+//! A tick often holds many deliveries. Under a constant delay and free
+//! sends a round's ~n broadcasts land at one instant, and delivered one
+//! broadcast after the other they visit all n machines between two visits
+//! to the same one. Under sampled delays an instant holds single
+//! deliveries off many lazy cursors — about 530 per tick at n = 1000, half
+//! a delivery per process — and popping them in `(time, key)` order costs
+//! a sort of the tick and a re-key per delivery. Where the order inside
+//! the tick cannot show, the loop takes it whole instead
+//! ([`ShardState::float_tick`]):
 //!
-//! 1. **Same instant.** A wave is the batched broadcasts that follow
-//!    one another in the queue at one `at`; any other entry at that
-//!    instant (a duplicate's copy, a crash) ends it and keeps its place
-//!    in key order. So does the `WAVE_MAX`-th broadcast: a longer run
-//!    continues as the next wave, which bounds the scratch buffer.
-//! 2. **Positive delay.** Batching requires it, so whatever a delivery
-//!    triggers lands strictly later — nothing joins or interleaves with
-//!    a wave once it is popped.
-//! 3. **Inert deliveries float.** Inside a shard the only state a
+//! * its crashes and rejoins run first, in key order (their class sorts
+//!   them before every delivery);
+//! * every other delivery is gathered — all of a lazy cursor's
+//!   destinations at the tick, a run at the end of its order, in one
+//!   visit, the cursor re-queued once under its next destination, which
+//!   lands later — skipping those to finished processes, which are events
+//!   and nothing else unless a duplicate's copy is still to be queued; the
+//!   rest are grouped by recipient with a counting sort, key order inside
+//!   each group;
+//! * a batched broadcast writes no record: it is a source that every
+//!   surviving member reads beside its group, in key order (member `g`'s
+//!   delivery has key `(from, k0 + g, g)`), so a tick of broadcasts alone
+//!   costs no record per delivery;
+//! * each recipient takes its deliveries, its group and the broadcasts
+//!   merged in key order, for as long as its machine absorbs them — so
+//!   its machine, process state and proposal array stay hot across the
+//!   instant — and pauses at the first it would not absorb. The paused
+//!   deliveries go in global key order from one heap, each followed by
+//!   its recipient's next run.
+//!
+//! So every process receives its deliveries in key order, and those that
+//! can reach `ClusterMemory` reach it in the order the sorted tick would
+//! give them. Every delivery still goes through [`ShardState::take`], a
+//! duplicated one's copy is queued after it, on a reliable network the
+//! rest of a finished recipient's deliveries are counted in one step, and
+//! the event count and `end_time` advance as for the popped tick. The
+//! argument that makes clusters shards holds just as well inside one
+//! shard, under three preconditions, all checked where the tick is opened
+//! ([`ShardState::tick_floats`]):
+//!
+//! 1. **Positive delay.** [`NetIndex::min_delay`] `> 0` (batching a
+//!    broadcast requires it too), so nothing a step sends, nor a
+//!    duplicate's copy, lands on the tick being processed: its event set
+//!    is closed once it is opened.
+//! 2. **Inert deliveries float.** Inside a shard the only state a
 //!    delivery can share with a delivery to another process is their
 //!    cluster's first-proposer-wins `ClusterMemory`: clock, steps,
 //!    counters, mailbox, proposal store and coin are the recipient's own,
@@ -147,81 +170,25 @@
 //!    refuses it, untouched, elsewhere), the loop charging the one
 //!    `recv` step itself. `ClusterMemory` is reachable only through a
 //!    context, so an absorbed delivery leaves it alone by construction —
-//!    the recipient's `cluster_proposes` cannot move. Each
-//!    member still receives the wave in key order, and the deliveries
-//!    that are not inert keep the broadcast-major order among themselves
-//!    (a member pauses at one, and the paused ones are taken in
-//!    `(broadcast, member)` order), so every process sees exactly the
-//!    sequence of states it saw, and every cluster's consensus objects
-//!    the same sequence of proposals. Blocks are whole clusters (small
-//!    ones packed together, none ever split), so deliveries to different
-//!    blocks share no state at all. (Plain replica-major order would
-//!    break this: two members of one cluster with different histories —
-//!    a lost message, a rejoin — finish an exchange at different
-//!    broadcasts of the wave and race for their cluster's consensus
-//!    object.)
-//! 4. **Unobservable global order.** Counters are per process, the
-//!    trace hash is a multiset — but a kept trace, an attached observer
-//!    and an event budget that could run out inside the wave all see the
-//!    global `(time, key)` order, so any of them makes nothing inert and
-//!    collapses the blocks to the single block "all members": every
-//!    member pauses at every delivery, and the same routine delivers
-//!    broadcast by broadcast, which *is* that order, byte for byte.
-//!    (Those deliveries are still absorbed where they can be — in global
-//!    order: an absorbed delivery emits no observer event, and its
-//!    `Deliver` fingerprint is recorded where a stepped one's is.)
-//!
-//! Absorbing is not a wave's alone: every delivery to a live process —
-//! a wave's, a lazy cursor's, a duplicate's copy — goes through the one
-//! routine [`ShardState::deliver`], which records the fingerprint, does
-//! the delivery's accounting, and then lets the machine absorb it or
-//! steps the machine. On the benchmark's cells 99.85–99.97 % of the
-//! deliveries to live processes are absorbed.
-//!
-//! Nothing selects any of this: a lone broadcast is a wave of one, and
-//! the conductor, which sends and delivers one message at a time, is the
-//! oracle the equivalence corpus holds every wave against. Paused members
-//! wait in one bucket per broadcast of the wave, sorted when the loop
-//! reaches it (each is a few ascending runs), so the nothing-inert case
-//! costs what a plain broadcast-major loop costs.
-//!
-//! # Ticks: a sampled-delay instant is taken whole
-//!
-//! Under sampled delays a broadcast's destinations land over a couple of
-//! thousand ticks, so an instant holds single deliveries off many lazy
-//! cursors — about 530 per tick at n = 1000, half a delivery per process —
-//! and popping them in `(time, key)` order costs a sort of the tick and a
-//! re-key per delivery. Waves' argument applied to one instant instead of
-//! one wave removes both: the loop takes the tick whole
-//! ([`ShardState::float_tick`]). It runs the tick's crashes and rejoins
-//! first, in key order (their class sorts them before every delivery);
-//! gathers every delivery — all of a cursor's destinations at the tick,
-//! a run at the end of its order, in one visit, the cursor re-queued once
-//! under its next destination, which lands later — skipping those to
-//! finished processes, which are events and nothing else; groups the rest
-//! by recipient with a counting sort, key order inside each group; and
-//! then lets each recipient take its deliveries in key order for as long
-//! as its machine absorbs them. A recipient pauses at the first it would
-//! not absorb; the paused deliveries go in global key order, each followed
-//! by its recipient's next run. So every process receives its deliveries
-//! in key order, and those that can reach `ClusterMemory` reach it in the
-//! order the sorted tick would give them — the wave rule, with one
-//! key-ordered pause list in place of the per-broadcast buckets. Every
-//! delivery still goes through [`ShardState::deliver`], a duplicated
-//! one's copy is queued, and the event count and `end_time` advance as
-//! for the popped tick. Four preconditions, all checked where the tick is
-//! opened ([`ShardState::tick_floats`]); when any fails the tick is
-//! sorted and popped in order exactly as above:
-//!
-//! 1. **Positive delay.** [`NetIndex::min_delay`] `> 0`, so nothing a
-//!    step sends (nor a duplicate's copy) lands on the tick being
-//!    processed: its event set is closed once it is opened.
-//! 2. **No batched broadcast.** A tick that holds a
-//!    [`SPending::Broadcast`] is a wave's, and goes as one.
-//! 3. **Inert deliveries float** — precondition 3 of waves, word for word.
-//! 4. **Unobservable order.** No kept trace, no observer, and a
-//!    remaining event budget that covers every event the shard holds
+//!    the recipient's `cluster_proposes` cannot move. (Plain
+//!    recipient-major order would break this: two members of one cluster
+//!    with different histories — a lost message, a rejoin — finish an
+//!    exchange at different deliveries of the instant and race for their
+//!    cluster's consensus object.)
+//! 3. **Unobservable order.** No kept trace, no observer, and a remaining
+//!    event budget that covers every event the shard holds
 //!    ([`StepReport::pending`]), so it cannot run out inside the tick.
+//!
+//! When any fails the tick is sorted and popped in order. A popped
+//! batched broadcast is delivered member by member, as far as the budget
+//! reaches: its keys are consecutive, so nothing else sorts inside it.
+//! Those deliveries are still absorbed where they can be — in global
+//! order: an absorbed delivery emits no observer event, and its `Deliver`
+//! fingerprint is recorded where a stepped one's is. On the benchmark's
+//! cells 99.85–99.97 % of the deliveries to live processes are absorbed.
+//! Nothing selects any of this, and the conductor, which sends and
+//! delivers one message at a time, is the oracle the equivalence corpus
+//! holds every instant against.
 //!
 //! The event budget (`Scenario::max_events`) keeps its exact sequential
 //! semantics. One shard simply stops after `remaining` events. Several
@@ -261,12 +228,12 @@ use std::collections::BinaryHeap;
 use std::sync::{mpsc, Arc};
 
 /// What a pending event is. A [`SPending::Broadcast`] is a
-/// same-instant broadcast kept whole: the shard holding it expands it
-/// over its own members when popped (destination `g` holds
-/// sender-counter `k0 + g`). A [`SPending::Lazy`] is any other broadcast
-/// kept whole, as it crosses a barrier: the shard it lands on keeps its
-/// [`Cursor`] in an arena ([`ShardState::schedule`]), and it delivers one
-/// destination per pop, or every destination of a tick at once.
+/// same-instant broadcast kept whole: the shard holding it delivers it to
+/// its own members (destination `g` holds sender-counter `k0 + g`). A
+/// [`SPending::Lazy`] is any other broadcast kept whole, as it crosses a
+/// barrier: the shard it lands on keeps its [`Cursor`] in an arena
+/// ([`ShardState::schedule`]), and it delivers one destination per pop,
+/// or every destination of a tick at once.
 #[derive(Debug)]
 pub(crate) enum SPending {
     Deliver { to: u32, from: u32, msg: MsgKind },
@@ -552,19 +519,7 @@ struct Layout {
     owner: Vec<u32>,
     /// Global process index → local index within its owner.
     local_of: Vec<u32>,
-    /// Per shard: its processes again, cut into blocks of whole clusters
-    /// — what a wave of same-instant broadcasts expands over (see
-    /// [`ShardState::expand_wave`]). Clusters in index order, members
-    /// ascending inside each; consecutive small clusters share a block
-    /// while it stays within [`BLOCK_TARGET`], and a cluster is never
-    /// split.
-    blocks: Vec<Vec<Vec<u32>>>,
 }
-
-/// How many processes a block of small clusters is packed up to: a few
-/// dozen machines and their process state stay cache-resident while a
-/// whole wave passes over them. A larger cluster is a block of its own.
-const BLOCK_TARGET: usize = 32;
 
 impl Layout {
     /// Deterministic balanced cluster→shard assignment: clusters sorted
@@ -589,7 +544,6 @@ impl Layout {
             members: vec![Vec::new(); shards],
             owner: vec![0; n],
             local_of: vec![0; n],
-            blocks: vec![Vec::new(); shards],
         };
         for i in 0..n {
             let s = shard_of[partition.cluster_of(ProcessId(i)).index()];
@@ -597,77 +551,41 @@ impl Layout {
             layout.local_of[i] = layout.members[s].len() as u32;
             layout.members[s].push(i as u32);
         }
-        for (c, cluster) in partition.clusters() {
-            let blocks = &mut layout.blocks[shard_of[c.index()]];
-            let members = cluster.iter().map(|p| p.index() as u32);
-            match blocks.last_mut() {
-                Some(open) if open.len() + cluster.len() <= BLOCK_TARGET => open.extend(members),
-                _ => blocks.push(members.collect()),
-            }
-        }
-        debug_assert!(layout.blocks_are_whole_clusters(partition));
         layout
-    }
-
-    /// Whether every shard's blocks hold exactly its members and no
-    /// cluster has members in two blocks.
-    fn blocks_are_whole_clusters(&self, partition: &Partition) -> bool {
-        let mut home = vec![None; partition.m()];
-        (self.members.iter().zip(&self.blocks)).all(|(members, blocks)| {
-            let mut held: Vec<u32> = blocks.iter().flatten().copied().collect();
-            held.sort_unstable();
-            let whole = blocks.iter().all(|block| {
-                block.iter().all(|&g| {
-                    let c = partition.cluster_of(ProcessId(g as usize)).index();
-                    *home[c].get_or_insert(block.as_ptr()) == block.as_ptr()
-                })
-            });
-            whole && held == *members
-        })
     }
 }
 
-/// The most broadcasts one wave takes off the queue. A longer run of
-/// same-instant broadcasts goes as several waves one after the other
-/// (consecutive in key order, so each is a wave in its own right): the
-/// scratch buffer stays under 100 KB at any `n`, and a block still sees
-/// a thousand broadcasts per visit.
-const WAVE_MAX: usize = 1024;
-
-/// One broadcast of a wave: its sender, the sender-counter value of its
-/// first destination, its message, and the part of the trace
-/// fingerprint all its deliveries share.
-struct WaveItem {
+/// A message as its deliveries at one instant share it: the sender, the
+/// message, and the part of the delivery fingerprint they all share.
+#[derive(Debug, Clone, Copy)]
+struct Source {
     from: u32,
-    k0: u64,
     msg: MsgKind,
     shared: DeliverPrefix,
 }
 
-/// What became of the waves a shard expanded.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct WaveStats {
-    /// Waves expanded (a lone broadcast is a wave of one).
-    formed: u64,
-    /// The most broadcasts one wave held.
-    largest: usize,
-    /// Waves expanded over the single block "all members" because the
-    /// global order was observable.
-    one_block: u64,
-    /// Deliveries taken in a member's inert run, ahead of the wave's
-    /// order (those to finished members included).
-    inert_first: u64,
-    /// Deliveries taken in the wave's `(broadcast, member)` order.
-    in_order: u64,
+impl Source {
+    fn new(at: u64, from: u32, msg: MsgKind) -> Self {
+        let shared = DeliverPrefix::new(VirtualTime::from_ticks(at), &msg);
+        Source { from, msg, shared }
+    }
 }
 
-/// One delivery of a tick taken whole ([`ShardState::float_tick`]) to a
-/// process that was live when the tick's deliveries began: its key's
-/// sender and counter value, its recipient's member index, and where its
-/// message is (`slot << 2 | plain << 1 | duplicated`: the arena slot of
-/// the lazy broadcast it came off, or with `plain` the slot of the plain
-/// delivery it is in [`ShardState::events`]).
+/// A batched broadcast of a tick taken whole: member `g`'s delivery
+/// holds sender-counter `k0 + g`.
+#[derive(Debug, Clone, Copy)]
+struct Batch {
+    k0: u64,
+    src: Source,
+}
+
+/// One delivery of a tick taken whole ([`ShardState::float_tick`]) off a
+/// lazy broadcast or a plain entry, to a process that was live when the
+/// tick's deliveries began or with a copy to queue: its key's sender and
+/// counter value, its recipient's member index, and where its message is
+/// (`slot << 2 | plain << 1 | duplicated`: the arena slot of the lazy
+/// broadcast it came off, or with `plain` the slot of the plain delivery
+/// it is in [`ShardState::events`]).
 #[derive(Debug, Default, Clone, Copy)]
 struct TickRecord {
     k: u64,
@@ -676,10 +594,20 @@ struct TickRecord {
     src: u32,
 }
 
+/// Where a recipient is in its deliveries of a tick taken whole: member
+/// `li`, at its grouped record `pos` and the tick's batched broadcast
+/// `bi`, whichever sorts first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Place {
+    li: u32,
+    pos: u32,
+    bi: u32,
+}
+
 /// A recipient paused at a delivery it would not absorb, as the pause
-/// list orders it: the delivery's key (`from`, `k`, recipient), its
-/// position in the grouped records and the end of its recipient's.
-type Paused = Reverse<(u32, u64, u32, u32, u32)>;
+/// heap orders it: the delivery's key (`from`, `k`; unique in a tick)
+/// and the recipient's place there.
+type Paused = Reverse<(u32, u64, Place)>;
 
 /// A shard's scratch for taking ticks whole; empty between ticks, kept
 /// for its capacity.
@@ -687,7 +615,9 @@ type Paused = Reverse<(u32, u64, u32, u32, u32)>;
 struct TickScratch {
     /// The tick's crashes and rejoins.
     lifecycle: Vec<Handle<Kind>>,
-    /// The tick's deliveries as gathered, cursor by cursor.
+    /// The tick's batched broadcasts, in key order once gathered.
+    broadcasts: Vec<Batch>,
+    /// The tick's other deliveries as gathered, cursor by cursor.
     records: Vec<TickRecord>,
     /// The same, grouped by recipient and in key order inside a group
     /// (its first `records.len()`; never shrinks).
@@ -695,9 +625,6 @@ struct TickScratch {
     /// The arena slots of the lazy broadcasts the tick exhausted, freed
     /// once its deliveries are done.
     spent: Vec<u32>,
-    /// Duplicated deliveries to finished processes, whose copies are
-    /// still queued: `(from, k, to, msg)`.
-    copies: Vec<(u32, u64, u32, MsgKind)>,
     /// The counting sort's per-member counts, then group ends.
     ends: Vec<u32>,
     /// Recipients paused at a refusal, next delivery first.
@@ -730,35 +657,41 @@ impl TickScratch {
     }
 }
 
-/// What became of the ticks a shard took.
+/// What a shard did with its ticks and deliveries.
 #[cfg(test)]
 #[derive(Debug, Default)]
-struct TickStats {
-    /// Ticks taken whole, unsorted (module docs, "Ticks").
-    batched: u64,
+struct Stats {
+    /// Ticks taken whole, unsorted (module docs, "Instants").
+    whole: u64,
     /// Ticks sorted and popped in `(time, key)` order.
     ordered: u64,
-    /// Deliveries gathered off the ticks taken whole.
+    /// Ticks taken whole that held a batched broadcast beside a single
+    /// delivery.
+    mixed: u64,
+    /// The most batched broadcasts one tick taken whole held.
+    largest: usize,
+    /// Deliveries off lazy broadcasts and single entries that ticks taken
+    /// whole gathered for live recipients (or for a duplicate's copy).
     gathered: u64,
-    /// Deliveries of those ticks a live recipient would not absorb,
-    /// taken in key order.
+    /// Deliveries of ticks taken whole that went in a recipient's run,
+    /// ahead of key order (those to finished recipients included).
+    in_runs: u64,
+    /// Deliveries of ticks taken whole that a live recipient would not
+    /// absorb, taken in key order.
     refusals: u64,
+    /// Deliveries to live processes the machine absorbed, the `recv`
+    /// step charged by the loop — in ticks taken whole or not.
+    absorbed: u64,
+    /// Deliveries to live processes stepped with a full context.
+    stepped: u64,
+    /// The most entries the queue ever held.
+    heap_peak: usize,
 }
 
 /// One delivery to a live process as the test log holds it: `(at, who,
 /// from, k, stepped)`.
 #[cfg(test)]
 type Logged = (u64, u32, u32, u64, bool);
-
-/// How a shard applied its deliveries to live processes, waves or not.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct DeliveryStats {
-    /// Absorbed by the machine, the `recv` step charged by the loop.
-    absorbed: u64,
-    /// Stepped with a full context.
-    stepped: u64,
-}
 
 /// Everything one shard owns; the run-wide inputs are borrowed from the
 /// coordinator's frame (shard threads are scoped).
@@ -791,7 +724,7 @@ struct ShardState<'a> {
     cursors: Slab<Cursor>,
     /// Whether nothing observes the order inside a tick and nothing lands
     /// on the tick being processed — the run-wide preconditions for taking
-    /// a tick whole (module docs, "Ticks").
+    /// a tick whole (module docs, "Instants").
     ticks_float: bool,
     tick: TickScratch,
     /// Batched broadcasts resident in the queue (for [`StepReport::pending`]).
@@ -806,22 +739,8 @@ struct ShardState<'a> {
     /// they are sorted, and the counting sort's counts.
     words: Vec<u64>,
     counts: Vec<u32>,
-    /// The wave being expanded (empty between waves; kept for its
-    /// capacity).
-    wave: Vec<WaveItem>,
-    /// Per broadcast of the wave being expanded: the block members paused
-    /// there, as `position << 1 | duplicated` (all empty between blocks;
-    /// kept for their capacity).
-    paused: Vec<Vec<u32>>,
-    /// The most entries the queue ever held.
     #[cfg(test)]
-    heap_peak: usize,
-    #[cfg(test)]
-    waves: WaveStats,
-    #[cfg(test)]
-    deliveries: DeliveryStats,
-    #[cfg(test)]
-    ticks: TickStats,
+    stats: Stats,
     /// Every delivery to a live process, in the order made (tests that
     /// switch it on).
     #[cfg(test)]
@@ -892,16 +811,8 @@ impl<'a> ShardState<'a> {
             spare: Vec::new(),
             words: Vec::new(),
             counts: Vec::new(),
-            wave: Vec::new(),
-            paused: Vec::new(),
             #[cfg(test)]
-            heap_peak: 0,
-            #[cfg(test)]
-            waves: WaveStats::default(),
-            #[cfg(test)]
-            deliveries: DeliveryStats::default(),
-            #[cfg(test)]
-            ticks: TickStats::default(),
+            stats: Stats::default(),
             #[cfg(test)]
             log: None,
             counters: match resume {
@@ -984,7 +895,7 @@ impl<'a> ShardState<'a> {
         self.queue.push(at, key, slot, kind);
         #[cfg(test)]
         {
-            self.heap_peak = self.heap_peak.max(self.queue.len());
+            self.stats.heap_peak = self.stats.heap_peak.max(self.queue.len());
         }
     }
 
@@ -1188,62 +1099,6 @@ impl<'a> ShardState<'a> {
         }
     }
 
-    /// Delivers one message to local process `li`, which has not finished
-    /// — the fingerprint and the accounting the conductor does around a
-    /// delivery burst — and applies it. A delivery that cannot reach the
-    /// cluster's memory the machine absorbs without a context
-    /// ([`Machine::absorb_inert`], the first half of its `on_msg`), and
-    /// the other half, the `recv` entry step, is charged here
-    /// ([`ProcState::recv_step`]): a step-indexed crash that fires there
-    /// halts the process, as `on_msg` does when its `begin_recv` fails.
-    /// Any other delivery steps the machine. The machine is asked first,
-    /// which changes nothing (it, the trace and the process's accounting
-    /// are disjoint), so that with `inert_only` a delivery it will not
-    /// absorb is left alone — nothing recorded or charged — and `false`
-    /// comes back: a wave's inert run pauses there.
-    ///
-    /// A delivery to a finished process is an event and nothing else: the
-    /// caller counts it and does not come here. (Crashed processes are
-    /// finished too — a crash event halts the machine in the same
-    /// dispatch — so one check covers the conductor's `finished ||
-    /// crashed[]` pair.) `k`, the sender-counter value of the message,
-    /// is for the test log only.
-    #[cfg_attr(not(test), allow(unused_variables))]
-    fn deliver(
-        &mut self,
-        li: usize,
-        msg: Msg,
-        k: u64,
-        at: u64,
-        shared: DeliverPrefix,
-        inert_only: bool,
-    ) -> bool {
-        debug_assert!(self.procs[li].finished.is_none());
-        let absorbed = self.machines[li].absorb_inert(msg);
-        if inert_only && !absorbed {
-            return false;
-        }
-        let who = ProcessId(self.members()[li] as usize);
-        let at_time = VirtualTime::from_ticks(at);
-        (self.trace).record_delivery(shared, at_time, who, msg.from, msg.kind);
-        self.procs[li].on_delivered(at, self.spec.costs.recv_cost);
-        #[cfg(test)]
-        {
-            self.deliveries.absorbed += u64::from(absorbed);
-            self.deliveries.stepped += u64::from(!absorbed);
-            if let Some(log) = &mut self.log {
-                let from = msg.from.index() as u32;
-                log.push((at, who.index() as u32, from, k, !absorbed));
-            }
-        }
-        if !absorbed {
-            self.dispatch(li, Input::Deliver(msg));
-        } else if let Err(halt) = self.procs[li].recv_step() {
-            self.dispatch(li, Input::End(halt));
-        }
-        true
-    }
-
     fn crash(&mut self, pid: u32, at: u64) {
         let li = self.layout.local_of[pid as usize] as usize;
         if self.procs[li].finished.is_some() {
@@ -1293,24 +1148,36 @@ impl<'a> ShardState<'a> {
     /// goes), so popping directly is the whole-window order.
     ///
     /// A tick whose order cannot show is taken whole instead
-    /// ([`ShardState::float_tick`]; module docs, "Ticks").
+    /// ([`ShardState::float_tick`]; module docs, "Instants").
     fn run(&mut self, t_end: u64, limit: u64) -> StepReport {
         let mut processed: u64 = 0;
         while processed < limit {
             if let Some(at) = self.queue.open(t_end) {
                 if self.tick_floats(limit - processed) {
-                    processed += self.float_tick(at);
-                    self.end_time = self.end_time.max(at);
+                    let count = self.float_tick(at);
+                    // A tick of broadcasts all lost here holds no event.
+                    if count > 0 {
+                        processed += count;
+                        self.end_time = self.end_time.max(at);
+                    }
                     continue;
                 }
                 #[cfg(test)]
                 {
-                    self.ticks.ordered += 1;
+                    self.stats.ordered += 1;
                 }
             }
             let e = match self.queue.first(t_end) {
                 Some((at, h)) if h.kind == Kind::Lazy => self.pop_lazy(at, h.slot),
-                Some(_) => self.pop(),
+                Some(_) => {
+                    let (at, h) = self.queue.pop().expect("first() found it");
+                    let ev = self.events.take(h.slot);
+                    Keyed {
+                        at,
+                        key: h.key(),
+                        ev,
+                    }
+                }
                 None => break,
             };
             let before = processed;
@@ -1318,14 +1185,8 @@ impl<'a> ShardState<'a> {
                 SPending::Deliver { to, from, msg } => {
                     processed += 1;
                     let li = self.layout.local_of[to as usize] as usize;
-                    if self.procs[li].finished.is_none() {
-                        let shared = DeliverPrefix::new(VirtualTime::from_ticks(e.at), &msg);
-                        let msg = Msg {
-                            from: ProcessId(from as usize),
-                            kind: msg,
-                        };
-                        self.deliver(li, msg, e.key.k, e.at, shared, false);
-                    }
+                    let src = Source::new(e.at, from, msg);
+                    self.take(e.at, li, &src, e.key.k, false, false);
                 }
                 SPending::Crash { pid } => {
                     processed += 1;
@@ -1336,7 +1197,22 @@ impl<'a> ShardState<'a> {
                     self.rejoin(pid, e.at);
                 }
                 SPending::Broadcast { from, k0, msg } => {
-                    processed += self.expand_wave(e.at, from, k0, msg, limit - processed);
+                    // Member order is key order, and nothing else sorts
+                    // inside a broadcast's consecutive keys. A budget that
+                    // runs out inside it ends the run there.
+                    self.batched -= 1;
+                    let src = Source::new(e.at, from, msg);
+                    for (li, &g) in self.members().iter().enumerate() {
+                        if processed == limit {
+                            break;
+                        }
+                        let fate = self.fate(from, k0, g);
+                        if fate != Fate::Lost {
+                            let k = k0 + u64::from(g);
+                            self.take(e.at, li, &src, k, fate == Fate::Dup, false);
+                            processed += 1;
+                        }
+                    }
                 }
                 SPending::Lazy(_) => unreachable!("pop_lazy yields single deliveries"),
             }
@@ -1347,200 +1223,74 @@ impl<'a> ShardState<'a> {
         self.report(processed)
     }
 
-    /// Removes the queue's next event, which is not a lazy broadcast.
-    fn pop(&mut self) -> SEntry {
-        let (at, h) = self.queue.pop().expect("first() found it");
-        Keyed {
-            at,
-            key: h.key(),
-            ev: self.events.take(h.slot),
-        }
-    }
-
-    /// Expands a **wave** (module docs): the batched broadcast just
-    /// popped (`from`, `k0`, `msg`, landing at `at`) together with every
-    /// batched broadcast that follows it in the queue at the same instant
-    /// — any other kind of entry there ends the wave and keeps its place
-    /// in key order. Delivers at most `budget` events and returns how
-    /// many.
-    ///
-    /// Block by block (whole clusters), in two steps. First every member
-    /// takes the wave's broadcasts in key order for as long as its machine
-    /// absorbs the next delivery as inert ([`ShardState::inert_run`]), and
-    /// pauses at the first one that is not. Then the paused deliveries go
-    /// in `(broadcast, member)` order — the broadcast-major order — each
-    /// followed by its member's next inert run. So every member receives
-    /// the wave in key order, and the deliveries that can reach the
-    /// cluster's shared memory reach it in the order broadcast-major
-    /// expansion gives them. Where the global `(time, key)` order is
-    /// observable — a kept trace, an attached observer, a budget that
-    /// could run out inside the wave — nothing is inert and the blocks
-    /// collapse to the single block "all members": broadcast by broadcast,
-    /// byte for byte the order `n` single entries per broadcast would pop
-    /// in.
-    // Once per wave, so a call costs nothing — and kept out of line it
-    // leaves `run`'s per-event loop (the lazy path pops one delivery at
-    // a time through it) as tight as it was.
-    #[inline(never)]
-    fn expand_wave(&mut self, at: u64, from: u32, k0: u64, msg: MsgKind, budget: u64) -> u64 {
-        let item = |from, k0, msg| WaveItem {
-            from,
-            k0,
-            msg,
-            shared: DeliverPrefix::new(VirtualTime::from_ticks(at), &msg),
-        };
-        let mut wave = std::mem::take(&mut self.wave);
-        wave.push(item(from, k0, msg));
-        while wave.len() < WAVE_MAX {
-            match self.queue.first(at + 1) {
-                Some((_, h)) if h.kind == Kind::Broadcast => {}
-                _ => break,
-            }
-            let SPending::Broadcast { from, k0, msg } = self.pop().ev else {
-                unreachable!("a broadcast handle holds a broadcast")
-            };
-            wave.push(item(from, k0, msg));
-        }
-        self.batched -= wave.len();
-        let members = &self.layout.members[self.id];
-        let ordered = self.spec.keep_trace
-            || self.spec.observer.is_some()
-            || budget < (wave.len() * members.len()) as u64;
-        let blocks = if ordered {
-            std::slice::from_ref(members)
-        } else {
-            &self.layout.blocks[self.id][..]
-        };
-        #[cfg(test)]
-        {
-            self.waves.formed += 1;
-            self.waves.largest = self.waves.largest.max(wave.len());
-            self.waves.one_block += u64::from(ordered);
-        }
-        let mut paused = std::mem::take(&mut self.paused);
-        if paused.len() < wave.len() {
-            paused.resize_with(wave.len(), Vec::new);
-        }
-        let mut delivered = 0;
-        'wave: for block in blocks {
-            for j in 0..block.len() {
-                delivered += self.inert_run(&wave, at, block, j, 0, ordered, &mut paused);
-            }
-            for (i, item) in wave.iter().enumerate() {
-                // Filed in ascending position by each earlier broadcast,
-                // so a bucket is a few sorted runs.
-                let mut bucket = std::mem::take(&mut paused[i]);
-                bucket.sort_unstable();
-                for &w in &bucket {
-                    if delivered == budget {
-                        // The budget ran out mid-wave (only an ordered
-                        // wave can get here); the run ends here, so the
-                        // rest is never delivered.
-                        paused.iter_mut().for_each(Vec::clear);
-                        break 'wave;
-                    }
-                    let j = (w >> 1) as usize;
-                    self.take(item, block[j], at, w & 1 == 1, false);
-                    delivered += 1;
-                    #[cfg(test)]
-                    {
-                        self.waves.in_order += 1;
-                    }
-                    delivered += self.inert_run(&wave, at, block, j, i + 1, ordered, &mut paused);
-                }
-                bucket.clear();
-                paused[i] = bucket;
-            }
-        }
-        self.paused = paused;
-        wave.clear();
-        self.wave = wave;
-        delivered
-    }
-
-    /// Member `block[j]`'s inert run: it takes the wave's broadcasts from
-    /// the `next`-th on, in key order, for as long as each delivery is
-    /// inert, and is filed in `paused` under the first that is not.
-    /// Returns how many deliveries it took.
-    ///
-    /// Inert means the recipient's machine absorbs the delivery — it
-    /// cannot reach the cluster's shared memory ([`Machine::absorb_inert`])
-    /// — or the recipient has finished. Where the order is observable
-    /// nothing is inert. On a reliable network the rest of the wave
-    /// addressed to a finished member is counted at once: those
-    /// deliveries are events and nothing else. (An unreliable one still
-    /// resolves each fate, since a duplicate's copy is queued even for a
-    /// finished recipient.)
-    // `paused` is the caller's, taken out of `self` for the whole wave:
-    // reached through `self` instead, the n = 1000 `kv-serve` benchmark
-    // cell ran about 1 % slower (2-vCPU VM).
-    #[allow(clippy::too_many_arguments)]
-    fn inert_run(
+    /// Delivers `src`'s message (sender-counter value `k`) at `at` to
+    /// member `li` — the one delivery routine of the loop — and returns
+    /// whether it was taken. A finished member's delivery is an event and
+    /// nothing else. (Crashed processes are finished too — a crash event
+    /// halts the machine in the same dispatch — so one check covers the
+    /// conductor's `finished || crashed[]` pair.) A live member's gets the
+    /// fingerprint and the accounting the conductor does around a
+    /// delivery burst, and is applied: one that cannot reach the cluster's
+    /// memory the machine absorbs without a context
+    /// ([`Machine::absorb_inert`], the first half of its `on_msg`), and the
+    /// other half, the `recv` entry step, is charged here
+    /// ([`ProcState::recv_step`]): a step-indexed crash that fires there
+    /// halts the process, as `on_msg` does when its `begin_recv` fails.
+    /// Any other delivery steps the machine. The machine is asked first,
+    /// which changes nothing (it, the trace and the process's accounting
+    /// are disjoint), so that with `inert_only` a delivery it will not
+    /// absorb is left alone — nothing recorded, charged or queued — and
+    /// `false` comes back: a recipient's run through a tick pauses there.
+    /// A duplicated delivery's copy is queued after it.
+    fn take(
         &mut self,
-        wave: &[WaveItem],
         at: u64,
-        block: &[u32],
-        j: usize,
-        next: usize,
-        ordered: bool,
-        paused: &mut [Vec<u32>],
-    ) -> u64 {
-        let g = block[j];
-        let li = self.layout.local_of[g as usize] as usize;
-        let mut taken = 0;
-        for (i, item) in wave.iter().enumerate().skip(next) {
-            let fate = self.fate(item.from, item.k0, g);
-            if fate == Fate::Lost {
-                continue;
+        li: usize,
+        src: &Source,
+        k: u64,
+        dup: bool,
+        inert_only: bool,
+    ) -> bool {
+        debug_assert_eq!(self.done[li], self.procs[li].finished.is_some());
+        if !self.done[li] {
+            let msg = Msg {
+                from: ProcessId(src.from as usize),
+                kind: src.msg,
+            };
+            let absorbed = self.machines[li].absorb_inert(msg);
+            if inert_only && !absorbed {
+                return false;
             }
-            if !ordered && self.reliable && self.procs[li].finished.is_some() {
-                taken += (wave.len() - i) as u64;
-                break;
+            let who = ProcessId(self.members()[li] as usize);
+            let at_time = VirtualTime::from_ticks(at);
+            (self.trace).record_delivery(src.shared, at_time, who, msg.from, msg.kind);
+            self.procs[li].on_delivered(at, self.spec.costs.recv_cost);
+            #[cfg(test)]
+            {
+                self.stats.absorbed += u64::from(absorbed);
+                self.stats.stepped += u64::from(!absorbed);
+                if let Some(log) = &mut self.log {
+                    log.push((at, who.index() as u32, src.from, k, !absorbed));
+                }
             }
-            let dup = fate == Fate::Dup;
-            if ordered || !self.take(item, g, at, dup, true) {
-                paused[i].push((j as u32) << 1 | u32::from(dup));
-                break;
+            if !absorbed {
+                self.dispatch(li, Input::Deliver(msg));
+            } else if let Err(halt) = self.procs[li].recv_step() {
+                self.dispatch(li, Input::End(halt));
             }
-            taken += 1;
-        }
-        #[cfg(test)]
-        {
-            self.waves.inert_first += taken;
-        }
-        taken
-    }
-
-    /// One delivery of a wave's broadcast to member `g`: a live member's
-    /// goes through [`ShardState::deliver`], a finished member's is an
-    /// event and nothing else, and a duplicated one's copy is queued (as a
-    /// per-destination send would have queued it: key reused, fresh
-    /// link-class extra delay, positive as the batch's delay is). With
-    /// `inert_only`, a delivery a live member's machine will not absorb is
-    /// not taken: nothing happens and `false` comes back.
-    fn take(&mut self, item: &WaveItem, g: u32, at: u64, dup: bool, inert_only: bool) -> bool {
-        let li = self.layout.local_of[g as usize] as usize;
-        let k = item.k0 + u64::from(g);
-        let msg = Msg {
-            from: ProcessId(item.from as usize),
-            kind: item.msg,
-        };
-        if self.procs[li].finished.is_none()
-            && !self.deliver(li, msg, k, at, item.shared, inert_only)
-        {
-            return false;
         }
         // After the delivery, not before: queue order is `(at, key)`
-        // whatever the push order, and a delivery not taken queues nothing.
+        // whatever the push order.
         if dup {
-            self.push_copy(at, item.from, k, g, item.msg);
+            self.push_copy(at, src.from, k, self.members()[li], src.msg);
         }
         true
     }
 
     /// Queues the copy of the duplicated delivery `(from, k)` to `g` at
     /// `at`, as a per-destination send would have queued it: key reused,
-    /// fresh link-class extra delay.
+    /// fresh link-class extra delay (positive, as every delay is where
+    /// a broadcast is batched or a tick taken whole).
     fn push_copy(&mut self, at: u64, from: u32, k: u64, g: u32, msg: MsgKind) {
         let (sender, to) = (ProcessId(from as usize), ProcessId(g as usize));
         let then = self.dup_at(at, sender, to, k);
@@ -1551,8 +1301,7 @@ impl<'a> ShardState<'a> {
     /// queue's next event, as the plain delivery it stands for. The
     /// broadcast stays in the queue, re-keyed to the destination after it,
     /// until none is left and its cursor goes back to the pool; a
-    /// duplicated destination's copy is queued as the delivery pops, as a
-    /// batched broadcast's is.
+    /// duplicated destination's copy is queued as the delivery pops.
     fn pop_lazy(&mut self, at: u64, slot: u32) -> SEntry {
         let cursor = &mut self.cursors[slot];
         let next = cursor.order.pop().expect("resident cursors are not empty");
@@ -1573,26 +1322,16 @@ impl<'a> ShardState<'a> {
     }
 
     /// Whether the tick [`Calendar::open`] just opened can be taken whole
-    /// with `budget` events left to run (module docs, "Ticks"): the run's
-    /// order inside a tick cannot show and nothing lands on the tick being
-    /// processed, the budget cannot run out inside it — it covers every
-    /// event the shard holds — and it holds no batched broadcast, which
-    /// goes as a wave.
+    /// with `budget` events left to run (module docs, "Instants"): the
+    /// run's order inside a tick cannot show and nothing lands on the tick
+    /// being processed, and the budget cannot run out inside it — it
+    /// covers every event the shard holds.
     fn tick_floats(&self, budget: u64) -> bool {
-        self.ticks_float
-            && self.pending() <= budget
-            && !(self.queue.opened().iter()).any(|h| h.kind == Kind::Broadcast)
+        self.ticks_float && self.pending() <= budget
     }
 
-    /// Takes the tick at `at` whole (module docs, "Ticks") and returns its
-    /// event count. Runs the tick's crashes and rejoins in key order, then
-    /// gathers every delivery of the tick — all of a lazy broadcast's
-    /// destinations at `at` in one visit, its cursor re-queued once under
-    /// its next destination, which lands later — and groups those to live
-    /// processes by recipient. Each recipient takes its deliveries in key
-    /// order for as long as its machine absorbs them, and pauses at the
-    /// first it would not; the paused deliveries go in key order, each
-    /// followed by its recipient's next run of absorbed ones.
+    /// Takes the tick at `at` whole, step by step as the module docs
+    /// ("Instants") list them, and returns its event count.
     #[inline(never)]
     fn float_tick(&mut self, at: u64) -> u64 {
         let handles = self.queue.take_tick();
@@ -1609,35 +1348,43 @@ impl<'a> ShardState<'a> {
             }
         }
         let mut count = self.gather_tick(at, &handles, &mut t);
-        for (from, k, g, msg) in t.copies.drain(..) {
-            self.push_copy(at, from, k, g, msg);
-        }
-        let len = t.records.len();
+        t.broadcasts.sort_unstable_by_key(|b| (b.src.from, b.k0));
         #[cfg(test)]
         {
-            self.ticks.batched += 1;
-            self.ticks.gathered += len as u64;
+            let s = &mut self.stats;
+            s.whole += 1;
+            s.gathered += t.records.len() as u64;
+            s.largest = s.largest.max(t.broadcasts.len());
+            let single = handles.iter().any(|h| h.kind == Kind::Deliver);
+            s.mixed += u64::from(single && !t.broadcasts.is_empty());
         }
-        t.group(self.procs.len());
-        let mut start = 0;
-        while start < len {
-            let end = t.ends[t.grouped[start].li as usize] as usize;
-            if end - start > 1 {
-                t.grouped[start..end].sort_unstable_by_key(|r| (r.from, r.k));
+        let (members, len) = (self.procs.len(), t.records.len());
+        t.group(members);
+        // Every member reads the broadcasts; without any, only the
+        // recipients of records have deliveries.
+        let (mut li, mut pos) = (0, 0);
+        while li < members {
+            if t.broadcasts.is_empty() {
+                let Some(r) = t.grouped[..len].get(pos) else {
+                    break;
+                };
+                li = r.li as usize;
             }
-            self.tick_run(at, &mut t, start, end);
-            start = end;
-        }
-        while let Some(Reverse((.., pos, end))) = t.paused.pop() {
-            let r = t.grouped[pos as usize];
-            self.take_record(at, &r, false);
-            #[cfg(test)]
-            {
-                self.ticks.refusals += 1;
+            let end = t.ends[li] as usize;
+            if end - pos > 1 {
+                t.grouped[pos..end].sort_unstable_by_key(|r| (r.from, r.k));
             }
-            self.tick_run(at, &mut t, pos as usize + 1, end as usize);
+            let place = Place {
+                li: li as u32,
+                pos: pos as u32,
+                bi: 0,
+            };
+            count += self.tick_run(at, &mut t, place, false);
+            (li, pos) = (li + 1, end);
         }
-        count += len as u64;
+        while let Some(Reverse((.., place))) = t.paused.pop() {
+            count += self.tick_run(at, &mut t, place, true);
+        }
         for slot in t.spent.drain(..) {
             self.spare.push(self.cursors.take(slot).order);
         }
@@ -1645,18 +1392,20 @@ impl<'a> ShardState<'a> {
             self.events.take(h.slot);
         }
         t.records.clear();
+        t.broadcasts.clear();
         self.tick = t;
         self.queue.recycle(handles);
         count
     }
 
     /// Gathers the deliveries of the tick at `at` (its `handles`) into
-    /// `t.records`, and returns how many other events it holds: crashes,
-    /// rejoins, and deliveries to finished processes — events and
-    /// nothing else, but for a duplicated one's copy, listed in
-    /// `t.copies`.
+    /// `t.broadcasts` and `t.records`, and returns how many other events
+    /// it holds: crashes, rejoins, and deliveries off lazy broadcasts and
+    /// plain entries to finished processes — events and nothing else,
+    /// unless a duplicated one's copy is still to be queued.
     fn gather_tick(&mut self, at: u64, handles: &[Handle<Kind>], t: &mut TickScratch) -> u64 {
-        let local_of = &self.layout.local_of;
+        let layout = self.layout;
+        let local_of = &layout.local_of;
         let mut others = 0;
         for h in handles {
             match h.kind {
@@ -1674,7 +1423,7 @@ impl<'a> ShardState<'a> {
                     for &w in cursor.order[rest..].iter().rev() {
                         let (g, dup) = ((w as u32) >> 1, w & 1 == 1);
                         let (li, k) = (local_of[g as usize], cursor.k0 + u64::from(g));
-                        if !self.done[li as usize] {
+                        if !self.done[li as usize] || dup {
                             t.records.push(TickRecord {
                                 k,
                                 from: cursor.from,
@@ -1683,9 +1432,6 @@ impl<'a> ShardState<'a> {
                             });
                         } else {
                             others += 1;
-                            if dup {
-                                t.copies.push((cursor.from, k, g, cursor.msg));
-                            }
                         }
                     }
                     cursor.order.truncate(rest);
@@ -1712,60 +1458,111 @@ impl<'a> ShardState<'a> {
                         src: h.slot << 2 | 2,
                     });
                 }
+                Kind::Broadcast => self.gather_broadcast(at, h.slot, t),
                 Kind::Lifecycle => others += 1,
-                Kind::Broadcast => unreachable!("a tick with a batched broadcast goes in order"),
             }
         }
         others
     }
 
-    /// One recipient's run through its deliveries `grouped[start..end]`
-    /// of the tick at `at`: it takes them in key order for as long as it
-    /// absorbs them, and is paused under the first it would not.
-    fn tick_run(&mut self, at: u64, t: &mut TickScratch, start: usize, end: usize) {
-        for pos in start..end {
-            let r = t.grouped[pos];
-            if !self.take_record(at, &r, true) {
-                let to = self.members()[r.li as usize];
-                t.paused
-                    .push(Reverse((r.from, r.k, to, pos as u32, end as u32)));
-                return;
+    /// Takes the batched broadcast in `slot` into the tick at `at`.
+    // Out of line: inlined, it slowed the gather's cursor loop by about 5 %
+    // on `consensus-split`, which has no batched broadcast (2-vCPU VM).
+    #[inline(never)]
+    fn gather_broadcast(&mut self, at: u64, slot: u32, t: &mut TickScratch) {
+        let SPending::Broadcast { from, k0, msg } = self.events.take(slot) else {
+            unreachable!("a broadcast handle holds a broadcast")
+        };
+        self.batched -= 1;
+        let src = Source::new(at, from, msg);
+        t.broadcasts.push(Batch { k0, src });
+    }
+
+    /// Member `p.li`'s run through its deliveries of the tick at `at` from
+    /// `p` on — its grouped records up to its group's end and the tick's
+    /// batched broadcasts, merged in key order, lost ones skipped — and
+    /// returns how many it took. It takes them for as long as it absorbs
+    /// them and is paused under the first it would not; with `refused`,
+    /// the first is the one it was paused at, and is taken whatever its
+    /// machine says. On a reliable network the rest of a finished
+    /// member's deliveries are counted at once: those are events and
+    /// nothing else. (An unreliable one still resolves each fate, since a
+    /// duplicate's copy is queued even for a finished recipient.)
+    fn tick_run(&mut self, at: u64, t: &mut TickScratch, mut p: Place, mut refused: bool) -> u64 {
+        let li = p.li as usize;
+        let g = self.members()[li];
+        let end = t.ends[li];
+        let mut taken = 0;
+        loop {
+            if self.reliable && self.done[li] {
+                let rest = (t.broadcasts.len() - p.bi as usize) + (end - p.pos) as usize;
+                #[cfg(test)]
+                {
+                    self.stats.in_runs += rest as u64;
+                }
+                return taken + rest as u64;
+            }
+            let batch =
+                (t.broadcasts.get(p.bi as usize)).map(|b| (b.src.from, b.k0 + u64::from(g)));
+            let record = (p.pos < end).then(|| {
+                let r = &t.grouped[p.pos as usize];
+                (r.from, r.k)
+            });
+            let from_batch = match (batch, record) {
+                (None, None) => return taken,
+                (Some(b), Some(r)) => b < r,
+                (b, _) => b.is_some(),
+            };
+            // A broadcast's source by reference: copying the `Batch` out
+            // cost `consensus-fastpath` about 15 % (2-vCPU VM).
+            let (k, dup, record_src);
+            let src = if from_batch {
+                let b = &t.broadcasts[p.bi as usize];
+                let fate = self.fate(b.src.from, b.k0, g);
+                if fate == Fate::Lost {
+                    p.bi += 1;
+                    continue;
+                }
+                (k, dup) = (b.k0 + u64::from(g), fate == Fate::Dup);
+                &b.src
+            } else {
+                let r = t.grouped[p.pos as usize];
+                (k, dup) = (r.k, r.src & 1 == 1);
+                record_src = self.record_source(at, &r);
+                &record_src
+            };
+            if !self.take(at, li, src, k, dup, !refused) {
+                t.paused.push(Reverse((src.from, k, p)));
+                return taken;
+            }
+            #[cfg(test)]
+            {
+                self.stats.refusals += u64::from(refused);
+                self.stats.in_runs += u64::from(!refused);
+            }
+            refused = false;
+            taken += 1;
+            if from_batch {
+                p.bi += 1;
+            } else {
+                p.pos += 1;
             }
         }
     }
 
-    /// One delivery of a tick taken whole, as [`ShardState::take`] takes
-    /// a wave's: a live recipient's goes through
-    /// [`ShardState::deliver`], a finished one's is an event and nothing
-    /// else, and a duplicated one's copy is queued. With `inert_only`, a
-    /// delivery the recipient's machine will not absorb is not taken:
-    /// nothing happens and `false` comes back.
-    fn take_record(&mut self, at: u64, r: &TickRecord, inert_only: bool) -> bool {
-        let li = r.li as usize;
-        let kind = |st: &Self| {
-            let slot = r.src >> 2;
-            if r.src & 2 == 0 {
-                return st.cursors[slot].msg;
-            }
-            match st.events[slot] {
+    /// The message of a gathered record of the tick at `at`: off the lazy
+    /// broadcast or out of the plain entry it names.
+    fn record_source(&self, at: u64, r: &TickRecord) -> Source {
+        let slot = r.src >> 2;
+        let msg = if r.src & 2 == 0 {
+            self.cursors[slot].msg
+        } else {
+            match self.events[slot] {
                 SPending::Deliver { msg, .. } => msg,
                 _ => unreachable!("a plain record names a delivery"),
             }
         };
-        if self.procs[li].finished.is_none() {
-            let msg = Msg {
-                from: ProcessId(r.from as usize),
-                kind: kind(self),
-            };
-            let shared = DeliverPrefix::new(VirtualTime::from_ticks(at), &msg.kind);
-            if !self.deliver(li, msg, r.k, at, shared, inert_only) {
-                return false;
-            }
-        }
-        if r.src & 1 == 1 {
-            self.push_copy(at, r.from, r.k, self.members()[li], kind(self));
-        }
-        true
+        Source::new(at, r.from, msg)
     }
 
     /// The `(time, key)` of every local event with `at < t_end`, without
@@ -2478,18 +2275,29 @@ mod tests {
         let delivered: u64 = (shard.procs.iter())
             .map(|p| p.counters.messages_delivered)
             .sum();
-        let d = &shard.deliveries;
-        assert_eq!(d.absorbed + d.stepped, delivered, "{d:?}");
-        (d.absorbed, d.stepped)
+        let s = &shard.stats;
+        assert_eq!(s.absorbed + s.stepped, delivered, "{s:?}");
+        (s.absorbed, s.stepped)
     }
 
-    /// The benchmark's cost model for the wave workloads (`cells.rs`):
+    /// The benchmark's cost model for the batched workloads (`cells.rs`):
     /// free sends, so a broadcast lands at one instant.
     const BATCHING_COSTS: ofa_scenario::CostModel = ofa_scenario::CostModel {
         send_cost: 0,
         recv_cost: 1,
         sm_op_cost: 10,
         coin_cost: 1,
+    };
+
+    /// Free sends and free steps: a step sends at the instant it ran, so a
+    /// duplicate's copy, one constant delay after its original, lands
+    /// among the broadcasts of the steps that ran at the original's
+    /// instant.
+    const FREE_COSTS: ofa_scenario::CostModel = ofa_scenario::CostModel {
+        send_cost: 0,
+        recv_cost: 0,
+        sm_op_cost: 0,
+        coin_cost: 0,
     };
 
     /// The benchmark's quick `kv-serve` cell (`cells.rs`).
@@ -2543,9 +2351,9 @@ mod tests {
                 report.processed
             );
             assert!(
-                shard.heap_peak <= 4 * n,
+                shard.stats.heap_peak <= 4 * n,
                 "heap peaked at {} entries for n = {n}",
-                shard.heap_peak
+                shard.stats.heap_peak
             );
         });
     }
@@ -2572,10 +2380,11 @@ mod tests {
             let stats = &shard.queue.stats;
             assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
             assert!(stats.ticks > 1_000, "{stats:?}");
-            // Lazy cursors, no wave: most events go to processes that
-            // have decided, and of the rest 93 % are absorbed (99.85 % on
-            // the full n = 1000 cell).
-            assert_eq!(shard.waves.formed, 0);
+            // Lazy cursors, no batched broadcast: most events go to
+            // processes that have decided, and of the rest 93 % are
+            // absorbed (99.85 % on the full n = 1000 cell).
+            let s = &shard.stats;
+            assert_eq!(s.largest, 0);
             assert_eq!(absorbed_and_stepped(shard), (1_393, 105));
             // Nothing observes the order inside a tick: every tick is
             // taken whole, and only the deliveries a live process would
@@ -2583,13 +2392,8 @@ mod tests {
             // full cell takes all 7 509 of its ticks whole and gathers
             // 2 022 032 deliveries to live processes, of which 3 000 are
             // refused.)
-            let ticks = &shard.ticks;
-            assert_eq!(
-                (ticks.batched, ticks.ordered),
-                (stats.ticks, 0),
-                "{ticks:?}"
-            );
-            assert_eq!((ticks.gathered, ticks.refusals), (1_502, 105), "{ticks:?}");
+            assert_eq!((s.whole, s.ordered), (stats.ticks, 0), "{s:?}");
+            assert_eq!((s.gathered, s.refusals), (1_502, 105), "{s:?}");
         });
     }
 
@@ -2630,50 +2434,63 @@ mod tests {
     }
 
     #[test]
-    fn quick_kv_serve_cell_takes_its_waves_inert_first() {
+    fn quick_kv_serve_cell_takes_its_instants_inert_first() {
         // The benchmark's quick `kv-serve` cell, as it is measured: no
         // kept trace, no observer, no binding budget. If a future default
-        // attaches an observer or a budget rule makes every wave ordered,
-        // the inert-first path — the whole point of forming waves — is
-        // silently off; this is the alarm.
+        // attaches an observer or a budget rule sorts every tick, the
+        // recipients' inert-first runs — the whole point of taking an
+        // instant whole — are silently off; this is the alarm.
         let n = 40;
         one_shard(&quick_kv_serve(), u64::MAX, |shard, report| {
-            assert_eq!(
-                shard.layout.blocks[0].len(),
-                2,
-                "one block per 20-replica cluster"
-            );
             assert_eq!(shard.queue.len(), 0, "the run drains");
-            let waves = &shard.waves;
-            assert_eq!(waves.one_block, 0, "{waves:?}");
+            let s = &shard.stats;
+            assert_eq!(s.ordered, 0, "{s:?}");
             assert!(
-                waves.largest >= n,
-                "a round's n broadcasts land together: {waves:?}"
+                s.largest >= n,
+                "a round's n broadcasts land together: {s:?}"
             );
             // Every event of this cell is a batched delivery, n per
-            // broadcast, and the waves average more than half a round.
+            // broadcast, and the ticks average more than half a round.
             assert_eq!(report.processed, 16_000);
             let broadcasts = report.processed / n as u64;
             assert!(
-                waves.formed * n as u64 <= 2 * broadcasts,
-                "{broadcasts} broadcasts in {waves:?}"
+                s.whole * n as u64 <= 2 * broadcasts,
+                "{broadcasts} broadcasts in {s:?}"
             );
             // Three deliveries per replica per slot can reach the
             // cluster's memory — two exchange completions and the
-            // decision — and only those keep the broadcast order.
-            assert_eq!((waves.in_order, waves.inert_first), (240, 15_760));
+            // decision — and only those keep the key order.
+            assert_eq!((s.refusals, s.in_runs), (240, 15_760));
             // Only those are stepped; every other delivery to a live
             // replica is absorbed (the rest reach finished ones).
             assert_eq!(absorbed_and_stepped(shard), (13_400, 240));
-            // A wave is out of the queue while it expands, so what its
+            // A tick is out of the queue while it is taken, so what its
             // deliveries schedule no longer sits beside it: the loop that
             // popped one broadcast at a time peaked at 139 entries here.
             // `heap_peak` counts resident entries, as it did when the
             // queue was a binary heap (which also read 120), and nothing
             // here lands past the calendar ring's span.
-            assert_eq!(shard.heap_peak, 120);
+            assert_eq!(s.heap_peak, 120);
             let stats = &shard.queue.stats;
             assert_eq!((stats.overflow_pushes, stats.rewinds), (0, 0), "{stats:?}");
+        });
+    }
+
+    #[test]
+    fn quick_kv_faults_shape_takes_its_mixed_instants_whole() {
+        // The quick `kv-serve` cell with 1 % duplication, as the
+        // benchmark's `kv-faults` has it, and free steps: a duplicate's
+        // copy lands among a round's broadcasts (under the cell's own
+        // costs every step delays its sends, and no copy does — none of
+        // the full `kv-faults` cell's 73 ticks holds both). Such a tick is
+        // taken whole all the same, the copy read beside the broadcasts in
+        // key order.
+        let scenario = quick_kv_serve().dup_ppm(10_000).costs(FREE_COSTS);
+        one_shard(&scenario, u64::MAX, |shard, _| {
+            assert_eq!(shard.queue.len(), 0, "the run drains");
+            let s = &shard.stats;
+            assert_eq!(s.ordered, 0, "{s:?}");
+            assert!(s.mixed > 0, "no tick held a broadcast and a copy: {s:?}");
         });
     }
 
@@ -2683,92 +2500,82 @@ mod tests {
         // decisions reach processes that already decided.
         one_shard(&quick_consensus_fastpath(), u64::MAX, |shard, report| {
             assert_eq!(report.processed, 10_800);
-            let waves = &shard.waves;
-            assert_eq!((waves.in_order, waves.inert_first), (120, 10_680));
+            let s = &shard.stats;
+            assert_eq!((s.refusals, s.in_runs), (120, 10_680));
             let (absorbed, stepped) = absorbed_and_stepped(shard);
             assert_eq!(stepped, 120);
             assert!(absorbed > 0);
         });
     }
 
-    /// Where the global order is observable nothing is taken inert-first:
-    /// a kept trace, an observer, and a budget that runs out inside a
-    /// wave all get every delivery in the wave's own order — and the
-    /// inert ones among them are still absorbed, in that order.
-    #[test]
-    fn observable_orders_take_nothing_inert_first() {
-        use ofa_core::InvariantChecker;
-        use std::sync::Arc;
-        let base = quick_consensus_fastpath();
-        let observed = base.clone().observer(Arc::new(InvariantChecker::new()));
-        for (what, scenario, limit) in [
-            ("kept trace", base.clone().keep_trace(), u64::MAX),
-            ("observer", observed, u64::MAX),
-            // Inside the first wave: the 31st broadcast of 60.
-            ("budget", base, 60 * 30 + 7),
-        ] {
-            one_shard(&scenario, limit, |shard, report| {
-                let waves = &shard.waves;
-                assert_eq!(waves.inert_first, 0, "{what}: {waves:?}");
-                assert_eq!(waves.in_order, report.processed, "{what}: {waves:?}");
-                assert!(waves.one_block > 0, "{what}: {waves:?}");
-                let (absorbed, stepped) = absorbed_and_stepped(shard);
-                assert!(absorbed > stepped, "{what}: {absorbed} {stepped}");
-            });
-        }
-    }
-
-    /// The tick tests' network: a sampled delay four ticks wide and free
-    /// sends, so a tick holds several deliveries per process.
-    fn narrow_ticks(partition: Partition, algorithm: Algorithm, seed: u64) -> Scenario {
+    /// The tick tests' network: a delay of 700 ticks and free sends. The
+    /// delay is sampled four ticks wide, so that a tick holds several lazy
+    /// deliveries per process, or it is constant, so that every broadcast
+    /// is batched, and then the steps are free too ([`FREE_COSTS`]).
+    fn narrow_ticks(
+        partition: Partition,
+        algorithm: Algorithm,
+        seed: u64,
+        batched: bool,
+    ) -> Scenario {
         let n = partition.n();
+        let (delay, costs) = if batched {
+            (DelayModel::Constant(700), FREE_COSTS)
+        } else {
+            (DelayModel::Uniform { lo: 700, hi: 703 }, BATCHING_COSTS)
+        };
         Scenario::new(partition, algorithm)
             .proposals_split(n / 2)
-            .delay(DelayModel::Uniform { lo: 700, hi: 703 })
-            .costs(ofa_scenario::CostModel {
-                send_cost: 0,
-                ..BATCHING_COSTS
-            })
+            .delay(delay)
+            .costs(costs)
             .max_rounds(24)
             .seed(seed)
     }
 
-    /// [`observable_orders_take_nothing_inert_first`] for ticks: a kept
+    /// Where the global order is observable no tick is taken whole: a kept
     /// trace, an observer, and a budget that runs out inside the first
-    /// tick take no tick whole. A budget that runs out later takes the
-    /// tick it ends in in order.
+    /// instant get every delivery in `(time, key)` order — and the inert
+    /// ones among them are still absorbed, in that order. A budget that
+    /// runs out later sorts the tick it ends in. On batched broadcasts and
+    /// on lazy ones alike.
     #[test]
     fn observable_orders_take_no_tick_whole() {
         use ofa_core::InvariantChecker;
         use std::sync::Arc;
-        let base = narrow_ticks(Partition::even(24, 4), Algorithm::CommonCoin, 5);
-        let mut whole = 0;
-        one_shard(&base, u64::MAX, |shard, report| {
-            let ticks = &shard.ticks;
-            assert!(ticks.batched > 0 && ticks.ordered == 0, "{ticks:?}");
-            whole = report.processed;
-        });
-        let observed = base.clone().observer(Arc::new(InvariantChecker::new()));
-        for (what, scenario, limit) in [
-            ("kept trace", base.clone().keep_trace(), u64::MAX),
-            ("observer", observed, u64::MAX),
+        let lazy = narrow_ticks(Partition::even(24, 4), Algorithm::CommonCoin, 5, false);
+        for (net, base, first) in [
+            // The 31st broadcast of the 60 at the first instant.
+            ("batched", quick_consensus_fastpath(), 60 * 30 + 7),
             // The first tick holds about a quarter of the 576 start
             // broadcasts' deliveries.
-            ("budget", base.clone(), 24 * 24 / 8),
+            ("lazy", lazy, 24 * 24 / 8),
         ] {
-            one_shard(&scenario, limit, |shard, report| {
-                let ticks = &shard.ticks;
-                assert_eq!(ticks.batched, 0, "{what}: {ticks:?}");
-                assert!(ticks.ordered > 0, "{what}: {ticks:?}");
-                let done = report.processed;
-                assert_eq!(done, limit.min(whole), "{what}");
+            let mut all = 0;
+            one_shard(&base, u64::MAX, |shard, report| {
+                let s = &shard.stats;
+                assert!(s.whole > 0 && s.ordered == 0, "{net}: {s:?}");
+                all = report.processed;
             });
+            let observed = base.clone().observer(Arc::new(InvariantChecker::new()));
+            for (what, scenario, limit) in [
+                ("kept trace", base.clone().keep_trace(), u64::MAX),
+                ("observer", observed, u64::MAX),
+                ("budget", base.clone(), first),
+                ("later budget", base.clone(), all / 2 + 7),
+            ] {
+                one_shard(&scenario, limit, |shard, report| {
+                    let s = &shard.stats;
+                    assert!(s.ordered > 0, "{net}, {what}: {s:?}");
+                    assert_eq!(report.processed, limit.min(all), "{net}, {what}");
+                    if what != "later budget" {
+                        let runs = (s.whole, s.in_runs, s.refusals);
+                        assert_eq!(runs, (0, 0, 0), "{net}, {what}: {s:?}");
+                    }
+                    let (absorbed, stepped) = absorbed_and_stepped(shard);
+                    assert!(absorbed > stepped, "{net}, {what}: {absorbed} {stepped}");
+                });
+            }
         }
-        let limit = whole / 2 + 7;
-        one_shard(&base, limit, |shard, report| {
-            assert_eq!(report.processed, limit);
-            assert!(shard.ticks.ordered > 0, "{:?}", shard.ticks);
-        });
     }
 
     /// What one shard did on `scenario`: its delivery log, event count,
@@ -2777,7 +2584,7 @@ mod tests {
         let mut out = None;
         one_shard_logged(scenario, u64::MAX, true, |shard, report| {
             let log = shard.log.take().expect("switched on");
-            let ticks = (shard.ticks.batched, shard.ticks.ordered);
+            let ticks = (shard.stats.whole, shard.stats.ordered);
             let hash = shard.finish_run().trace.hash();
             out = Some((log, report.processed, report.end_time, hash, ticks));
         });
@@ -2788,18 +2595,26 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// A tick taken whole against the same tick popped in key order
-        /// (a kept trace makes the order observable): on lazy broadcasts
-        /// under a sampled delay narrow enough that a tick holds several
-        /// deliveries per process, with loss, duplication, crashes and a
-        /// rejoin, every process receives the same deliveries in the same
-        /// order, the deliveries it refuses to absorb — the only ones that
-        /// can reach its cluster's memory — go in global `(time, key)`
-        /// order, and the event count, end time and trace hash agree.
+        /// (a kept trace makes the order observable): on batched
+        /// broadcasts under a constant delay, and on lazy ones under a
+        /// sampled delay narrow enough that a tick holds several
+        /// deliveries per process, with loss, duplication (whose copies
+        /// share ticks with broadcasts), crashes and a rejoin, every
+        /// process receives the same deliveries in the same order, the
+        /// deliveries it refuses to absorb — the only ones that can reach
+        /// its cluster's memory — go in global `(time, key)` order, and the
+        /// event count, end time and trace hash agree.
         #[test]
         fn a_tick_taken_whole_keeps_each_process_order_and_the_refusals_key_order(
-            shape in (0usize..3, proptest::prelude::any::<bool>(), 0u8..4, 0u64..1_000),
+            shape in (
+                0usize..3,
+                proptest::prelude::any::<bool>(),
+                proptest::prelude::any::<bool>(),
+                0u8..4,
+                0u64..1_000,
+            ),
         ) {
-            let (p, local, faults, seed) = shape;
+            let (p, local, batched, faults, seed) = shape;
             let partition = [
                 Partition::even(24, 4),
                 Partition::from_sizes(&[1, 1, 12, 3, 3, 5, 2, 2]).expect("valid sizes"),
@@ -2807,7 +2622,7 @@ mod tests {
             ][p].clone();
             let n = partition.n();
             let algorithm = if local { Algorithm::LocalCoin } else { Algorithm::CommonCoin };
-            let base = narrow_ticks(partition, algorithm, seed);
+            let base = narrow_ticks(partition, algorithm, seed, batched);
             let scenario = match faults {
                 0 => base,
                 1 => base.loss_ppm(20_000),
@@ -2852,16 +2667,13 @@ mod tests {
     }
 
     #[test]
-    fn a_run_of_broadcasts_longer_than_the_cap_goes_as_consecutive_waves() {
-        use super::WAVE_MAX;
-        // n broadcasts per instant with n just past the cap: every round
-        // splits into a full wave and a short one. The conductor cannot
-        // reach this size in a test, so the oracle is the fingerprint
-        // this scenario had when the loop popped one broadcast at a time
-        // (commit a51ccc8) — which also holds the folded send and
-        // delivery fingerprints to the per-event ones at scale.
+    fn a_thousand_broadcasts_at_one_instant_keep_their_fingerprint() {
+        // n = 1030 broadcasts per instant. The conductor cannot reach this
+        // size in a test, so the oracle is the fingerprint this scenario
+        // had when the loop popped one broadcast at a time (commit
+        // a51ccc8) — which also holds the folded send and delivery
+        // fingerprints to the per-event ones at scale.
         let n = 1030;
-        assert!(WAVE_MAX < n && n < 2 * WAVE_MAX);
         let scenario = Scenario::new(Partition::even(n, 10), Algorithm::LocalCoin)
             .proposals_all(Bit::One)
             .delay(DelayModel::Constant(1_000))
@@ -2870,8 +2682,7 @@ mod tests {
             .seed(7);
         one_shard(&scenario, u64::MAX, |shard, report| {
             assert_eq!(report.processed, 3_182_700);
-            assert_eq!(shard.waves.largest, WAVE_MAX);
-            assert_eq!(shard.waves.one_block, 0);
+            assert_eq!(shard.stats.ordered, 0);
             let result = shard.finish_run();
             assert_eq!(result.trace.hash(), 0x98e4_a98d_7fa1_8910);
         });

@@ -50,10 +50,9 @@
 //! Step 3 is for a caller that pops in order. One that does not need the
 //! order inside a tick opens it instead ([`Calendar::open`]: the window
 //! slides to it and the overflow entries move in, as in step 3, but it is
-//! neither sorted nor current), reads its handles' tags
-//! ([`Calendar::opened`]), and then either takes all its handles at once,
-//! in no particular order ([`Calendar::take_tick`]: the tick becomes
-//! current and empty, and is never sorted), or pops it as usual
+//! neither sorted nor current), and then either takes all its handles at
+//! once, in no particular order ([`Calendar::take_tick`]: the tick
+//! becomes current and empty, and is never sorted), or pops it as usual
 //! ([`Calendar::first`] makes it current). Either way nothing is taken
 //! out of order *between* ticks. The caller must not push to a tick it
 //! took whole: the event loop only takes ticks nothing can land on.
@@ -353,11 +352,10 @@ impl<K: Copy + Ord> Calendar<K> {
         self.place(at, h);
     }
 
-    /// Opens the next tick before `t_end` for a look at its events
-    /// ([`Calendar::opened`]), unless the current one still holds some:
-    /// the window slides to it, but it is not current yet. The caller
-    /// then either takes it whole ([`Calendar::take_tick`]) or pops it in
-    /// order ([`Calendar::first`] makes it current).
+    /// Opens the next tick before `t_end`, unless the current one still
+    /// holds events: the window slides to it, but it is not current yet.
+    /// The caller then either takes it whole ([`Calendar::take_tick`]) or
+    /// pops it in order ([`Calendar::first`] makes it current).
     pub(crate) fn open(&mut self, t_end: u64) -> Option<u64> {
         if self.mid_tick() {
             return None;
@@ -365,13 +363,6 @@ impl<K: Copy + Ord> Calendar<K> {
         let at = self.next_at().filter(|&at| at < t_end)?;
         self.slide(at);
         Some(at)
-    }
-
-    /// The events of the tick [`Calendar::open`] just opened, in no
-    /// particular order.
-    pub(crate) fn opened(&self) -> &[Handle<K>] {
-        debug_assert!(!self.current, "look into an open tick");
-        &self.ring[(self.now & MASK) as usize]
     }
 
     /// Takes every event of the tick [`Calendar::open`] just opened, in
@@ -615,21 +606,18 @@ mod tests {
                         let Some(at) = cal.open(u64::MAX) else {
                             continue;
                         };
-                        let mut got: Vec<_> = cal.opened().iter().map(|h| (h.key(), h.slot)).collect();
-                        let (mut want, rest): (Vec<_>, Vec<_>) =
-                            heap.drain().partition(|e| e.at == at);
-                        prop_assert!(rest.iter().all(|e| e.at > at));
-                        got.sort_unstable();
-                        want.sort_unstable_by_key(|e| e.key);
-                        let want_keys: Vec<_> = want.iter().map(|e| (e.key, e.ev)).collect();
-                        prop_assert_eq!(got, want_keys);
-                        heap.extend(rest);
+                        prop_assert_eq!(Some(at), heap.peek().map(|e| e.at));
                         if take {
-                            let taken = cal.take_tick();
-                            prop_assert_eq!(taken.len(), want.len());
+                            let mut got: Vec<_> =
+                                cal.take_tick().iter().map(|h| (h.key(), h.slot)).collect();
+                            let (mut want, rest): (Vec<_>, Vec<_>) =
+                                heap.drain().map(|e| (e.at, e.key, e.ev)).partition(|e| e.0 == at);
+                            heap.extend(rest.into_iter().map(|(at, key, ev)| Keyed { at, key, ev }));
+                            got.sort_unstable();
+                            want.sort_unstable();
+                            let want: Vec<_> = want.into_iter().map(|(_, key, ev)| (key, ev)).collect();
+                            prop_assert_eq!(got, want);
                             last = at;
-                        } else {
-                            heap.extend(want);
                         }
                     }
                 }
