@@ -1,10 +1,9 @@
 //! # `ofa-bench` — the experiment harness
 //!
-//! One module per experiment of the reproduction plan (see DESIGN.md §6);
-//! each exposes a `run(..)` function returning an [`ofa_metrics::Table`]
-//! (plus typed values where tests assert on them). The `experiments`
-//! binary prints every table; the Criterion benches in `benches/` time
-//! them; EXPERIMENTS.md records the paper-vs-measured comparison.
+//! One module per experiment of the reproduction; each exposes a
+//! `run(..)` function returning an [`ofa_metrics::Table`] (plus typed
+//! values where tests assert on them). The `experiments` binary prints
+//! every table.
 //!
 //! | id | claim |
 //! |----|-------|
@@ -18,12 +17,10 @@
 //! | E8 | fault-tolerance frontier beats the `⌊(n-1)/2⌋` MP bound |
 //! | E9 | ablation: amplification needs cluster pre-agreement |
 //! | E10 | Figure 2 m&m domains recomputed verbatim |
-//! | EXPLORE | adversarial schedule search at `n = 10³`: fixed-seed guided mutation, deterministic trajectory, no safety violation found |
 
 #![warn(missing_docs)]
 
-/// The experiment modules, E1 through E10 plus the EXPLORE
-/// adversarial-search workload.
+/// The experiment modules, E1 through E10.
 pub mod experiments {
     pub mod e1;
     pub mod e10;
@@ -35,7 +32,6 @@ pub mod experiments {
     pub mod e7;
     pub mod e8;
     pub mod e9;
-    pub mod explore;
 }
 
 use ofa_metrics::Table;
@@ -43,9 +39,7 @@ use ofa_metrics::Table;
 /// Every experiment id, in presentation order. The single source of
 /// truth for "all experiments" — `run_all`, the `experiments` binary's
 /// `--quick` path, and CI smoke loops all iterate this.
-pub const ALL_IDS: [&str; 11] = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "EXPLORE",
-];
+pub const ALL_IDS: [&str; 10] = ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"];
 
 /// Runs every experiment at its default scale, returning `(id, table)`
 /// pairs in order.
@@ -67,7 +61,7 @@ pub fn run_one(id: &str) -> Option<Table> {
 /// How much work [`run_one_scaled`] does per experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The default trial counts used for EXPERIMENTS.md tables.
+    /// Each experiment's own default trial counts.
     Full,
     /// A single trial per cell — seconds, not minutes; used by the CI
     /// bench-smoke job (`experiments --quick`) to prove the harness
@@ -93,10 +87,6 @@ pub fn run_one_scaled(id: &str, scale: Scale) -> Option<Table> {
         "e8" => e8::run().1,
         "e9" => e9::run(t(e9::TRIALS)).1,
         "e10" => e10::run().1,
-        "explore" => match scale {
-            Scale::Full => explore::run(&explore::FULL).1,
-            Scale::Quick => explore::run(&explore::QUICK).1,
-        },
         _ => return None,
     })
 }
@@ -108,6 +98,7 @@ mod tests {
     #[test]
     fn run_one_rejects_unknown_ids() {
         assert!(run_one("e99").is_none());
+        assert!(run_one("explore").is_none(), "the search is `ofa explore`");
         assert!(run_one("E10").is_some());
     }
 }

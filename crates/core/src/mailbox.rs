@@ -120,7 +120,7 @@ fn key(instance: u64, round: u64, phase: Phase) -> (u64, u64, u8) {
 
 /// A freshly materialized per-slot queue. Pre-sized for the common case —
 /// under an all-to-all exchange a future slot's queue fills with several
-/// messages within one delivery wave, so starting above `VecDeque`'s
+/// messages within one tick's deliveries, so starting above `VecDeque`'s
 /// minimal capacity skips the first growth reallocations on the relay
 /// hot path.
 fn slot_queue() -> VecDeque<Msg> {

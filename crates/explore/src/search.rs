@@ -11,9 +11,9 @@
 //! * Candidate `slot` of generation `g` derives its RNG from the PRF
 //!   [`mix_explore`]`(seed, g, slot)` — never from a shared mutable
 //!   stream, so candidates are independent of evaluation order.
-//! * Evaluation fans out over a thread pool with index-addressed result
-//!   slots (the same pattern as `Sweep::run`), so worker count and
-//!   thread interleaving cannot reorder results.
+//! * Evaluation fans out over [`run_pool`], which returns outcomes in
+//!   slot order, so worker count and thread interleaving cannot reorder
+//!   results.
 //! * The stop condition is counted in *simulated events*, not wall
 //!   clock: `--budget-secs B` buys `B ×` [`EVENTS_PER_SEC`] events.
 //!   Two machines of different speeds stop at the same generation.
@@ -23,7 +23,7 @@
 //! `(seed, generation, slot)` provenance.
 
 use crate::{mutate, CorpusEntry, CorpusFilter, Fitness, Limits, PinnedOutcome, Provenance};
-use ofa_scenario::{default_workers, Backend, Outcome, Scenario};
+use ofa_scenario::{run_pool, Scenario};
 use ofa_sim::Sim;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -287,48 +287,6 @@ impl Explorer {
         sc
     }
 
-    /// Evaluates `candidates` on the simulator, fanning over a thread
-    /// pool with index-addressed slots so the result order is the slot
-    /// order regardless of worker count.
-    fn evaluate(&self, candidates: &[Scenario]) -> Vec<Outcome> {
-        let workers = if self.config.workers == 0 {
-            default_workers()
-        } else {
-            self.config.workers
-        }
-        .min(candidates.len());
-        if workers <= 1 || candidates.len() <= 1 {
-            return candidates.iter().map(|sc| Sim.run(sc)).collect();
-        }
-        let mut slots: Vec<Option<Outcome>> = Vec::new();
-        slots.resize_with(candidates.len(), || None);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Outcome)>();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let next_ref = &next;
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || loop {
-                    let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(sc) = candidates.get(i) else {
-                        break;
-                    };
-                    if tx.send((i, Sim.run(sc))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (i, outcome) in rx {
-                slots[i] = Some(outcome);
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every candidate reports"))
-            .collect()
-    }
-
     /// Runs one generation: derive candidates, evaluate, select, admit
     /// corpus entries, log. Returns the generation's record (also
     /// appended to the state's history).
@@ -338,7 +296,7 @@ impl Explorer {
         let candidates: Vec<Scenario> = (0..self.config.population)
             .map(|slot| self.candidate(generation, slot))
             .collect();
-        let outcomes = self.evaluate(&candidates);
+        let outcomes = run_pool(&Sim, &candidates, self.config.workers);
         let scored: Vec<Fitness> = outcomes.iter().map(|o| Fitness::of(n, o)).collect();
         self.state.events_spent += outcomes.iter().map(|o| o.events_processed).sum::<u64>();
         if generation == 0 {

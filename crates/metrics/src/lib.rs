@@ -14,7 +14,7 @@
 //!   and queue-depth/backpressure gauges,
 //! * [`Table`] — the uniform output format of every experiment: rendered as
 //!   text by the `experiments` binary, asserted on in tests, exported as
-//!   CSV/Markdown for EXPERIMENTS.md.
+//!   CSV or Markdown.
 //!
 //! # Examples
 //!

@@ -1,10 +1,9 @@
 //! Plain-text and CSV table rendering for the experiment harness.
 //!
 //! Every experiment in `ofa-bench` returns a [`Table`]; the same value is
-//! asserted on by tests, printed by the `experiments` binary, and dumped to
-//! CSV for EXPERIMENTS.md.
+//! asserted on by tests and printed by the `experiments` binary as text,
+//! CSV or Markdown.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Alignment of a rendered cell.
@@ -216,33 +215,6 @@ impl Table {
             out.push_str(&format!("| {} |\n", row.join(" | ")));
         }
         out
-    }
-}
-
-/// Tables serialize as `{title, columns, rows}` — the machine-readable
-/// form the `experiments --out <path>` flag writes, so CI can archive an
-/// experiment's table per run.
-impl Serialize for Table {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("title".to_string(), self.title.to_value()),
-            ("columns".to_string(), self.columns.to_value()),
-            ("rows".to_string(), self.rows.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Table {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("Table: missing field {name:?}")))
-        };
-        Ok(Table {
-            title: Deserialize::from_value(field("title")?)?,
-            columns: Deserialize::from_value(field("columns")?)?,
-            rows: Deserialize::from_value(field("rows")?)?,
-        })
     }
 }
 

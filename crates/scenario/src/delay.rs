@@ -7,9 +7,8 @@
 //! ticks while every message takes a [`DelayModel`]-sampled transit time —
 //! experiment E7 sweeps their ratio.
 
+use crate::LatencyDist;
 use ofa_topology::ProcessId;
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Per-operation virtual-time costs charged to the invoking process.
@@ -102,31 +101,11 @@ pub(crate) fn mix_delay_seed(seed: u64, from: ProcessId, to: ProcessId, k: u64) 
 }
 
 impl DelayModel {
-    /// Samples the transit time of a message `from → to`.
-    pub fn sample(&self, rng: &mut StdRng, from: ProcessId, to: ProcessId) -> u64 {
-        match self {
-            DelayModel::Constant(d) => *d,
-            DelayModel::Uniform { lo, hi } => {
-                debug_assert!(lo <= hi, "uniform delay bounds inverted");
-                rng.gen_range(*lo..=*hi)
-            }
-            DelayModel::Laggard { slow, factor, base } => {
-                let d = base.sample(rng, from, to);
-                if slow.contains(&from) || slow.contains(&to) {
-                    d.saturating_mul(*factor)
-                } else {
-                    d
-                }
-            }
-        }
-    }
-
     /// The transit time of the sender's `k`-th network handoff (counted
     /// per sending process across the whole run) to `to`.
     ///
-    /// Unlike [`DelayModel::sample`] over a shared sequential RNG stream,
-    /// this is a *pure function* of `(seed, from, to, k)`: the delay does
-    /// not depend on the order in which messages are registered with a
+    /// A *pure function* of `(seed, from, to, k)`: the delay does not
+    /// depend on the order in which messages are registered with a
     /// scheduler. That is what lets the sharded parallel engine assign
     /// delays shard-locally and still agree bit-for-bit with the
     /// single-threaded engines — every engine uses this derivation.
@@ -134,10 +113,16 @@ impl DelayModel {
         match self {
             // The scale fast path: no RNG construction per message.
             DelayModel::Constant(d) => *d,
-            _ => {
-                use rand::SeedableRng;
-                let mut rng = StdRng::seed_from_u64(mix_delay_seed(seed, from, to, k));
-                self.sample(&mut rng, from, to)
+            DelayModel::Uniform { lo, hi } => {
+                LatencyDist::Uniform { lo: *lo, hi: *hi }.sample(mix_delay_seed(seed, from, to, k))
+            }
+            DelayModel::Laggard { slow, factor, base } => {
+                let d = base.delay_of(seed, from, to, k);
+                if slow.contains(&from) || slow.contains(&to) {
+                    d.saturating_mul(*factor)
+                } else {
+                    d
+                }
             }
         }
     }
@@ -177,23 +162,20 @@ impl Default for DelayModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn constant_is_constant() {
-        let mut rng = StdRng::seed_from_u64(1);
         let d = DelayModel::Constant(7);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng, ProcessId(0), ProcessId(1)), 7);
+        for k in 0..10 {
+            assert_eq!(d.delay_of(1, ProcessId(0), ProcessId(1), k), 7);
         }
     }
 
     #[test]
     fn uniform_within_bounds_and_varies() {
-        let mut rng = StdRng::seed_from_u64(2);
         let d = DelayModel::Uniform { lo: 10, hi: 20 };
         let samples: Vec<u64> = (0..200)
-            .map(|_| d.sample(&mut rng, ProcessId(0), ProcessId(1)))
+            .map(|k| d.delay_of(2, ProcessId(0), ProcessId(1), k))
             .collect();
         assert!(samples.iter().all(|&s| (10..=20).contains(&s)));
         assert!(samples.iter().any(|&s| s != samples[0]), "should vary");
@@ -201,28 +183,14 @@ mod tests {
 
     #[test]
     fn laggard_multiplies_only_slow_links() {
-        let mut rng = StdRng::seed_from_u64(3);
         let d = DelayModel::Laggard {
             slow: vec![ProcessId(2)],
             factor: 10,
             base: Box::new(DelayModel::Constant(5)),
         };
-        assert_eq!(d.sample(&mut rng, ProcessId(0), ProcessId(1)), 5);
-        assert_eq!(d.sample(&mut rng, ProcessId(2), ProcessId(1)), 50);
-        assert_eq!(d.sample(&mut rng, ProcessId(0), ProcessId(2)), 50);
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let d = DelayModel::default_network();
-        let mut a = StdRng::seed_from_u64(9);
-        let mut b = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
-            assert_eq!(
-                d.sample(&mut a, ProcessId(0), ProcessId(1)),
-                d.sample(&mut b, ProcessId(0), ProcessId(1))
-            );
-        }
+        assert_eq!(d.delay_of(3, ProcessId(0), ProcessId(1), 0), 5);
+        assert_eq!(d.delay_of(3, ProcessId(2), ProcessId(1), 1), 50);
+        assert_eq!(d.delay_of(3, ProcessId(0), ProcessId(2), 2), 50);
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub use network::{Fate, LatencyDist, LinkClasses, LinkOverride, NetIndex, Networ
 pub use outcome::{BackendKind, Outcome};
 pub use scenario::{CoinSpec, Engine, Scenario};
 pub use snapshot::{DivergeSpec, Snapshot, SNAPSHOT_VERSION};
-pub use sweep::{default_workers, Sweep, SweepReport, SweepRun, SweepView};
+pub use sweep::{default_workers, run_pool, Sweep, SweepReport, SweepRun, SweepView};
 pub use time::VirtualTime;
 pub use trace::{DeliverPrefix, TimedEvent, TraceEvent, TraceRecorder};

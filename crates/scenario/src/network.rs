@@ -76,7 +76,7 @@ pub enum LatencyDist {
 
 impl LatencyDist {
     /// Samples one transit time from the PRF stream seeded by `mixed`.
-    fn sample(&self, mixed: u64) -> u64 {
+    pub(crate) fn sample(&self, mixed: u64) -> u64 {
         match *self {
             LatencyDist::Constant(d) => d,
             LatencyDist::Uniform { lo, hi } => {
@@ -493,10 +493,10 @@ impl NetIndex {
     }
 
     /// `Some(d)` iff every link delivers in exactly `d` ticks — the
-    /// condition for a broadcast's one heap entry to expand as a batch,
-    /// all destinations at once. Loss and duplication do **not** disable
-    /// batching: fates are resolved lazily, per destination, when the
-    /// batch drains.
+    /// condition for a broadcast to stay one batched queue entry whose
+    /// destinations all land in one tick. Loss and duplication do **not**
+    /// disable batching: fates are resolved lazily, per destination, when
+    /// that tick reads the batch.
     pub fn constant_broadcast_delay(&self) -> Option<u64> {
         match &self.classes {
             CompiledClasses::Flat(DelayModel::Constant(d)) => Some(*d),

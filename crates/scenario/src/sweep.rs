@@ -14,14 +14,62 @@ use std::sync::Arc;
 /// one per available core (1 if the parallelism cannot be queried).
 ///
 /// This is the shared sizing heuristic for everything in the workspace
-/// that spreads deterministic work over a pool — [`Sweep::workers`]
-/// callers and the simulator's cluster-sharded
+/// that spreads deterministic work over a pool — [`run_pool`] (the
+/// explorer's generations) and the simulator's cluster-sharded
 /// `Engine::ParallelEvent { workers: 0 }` both resolve "auto" through
 /// it.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
+}
+
+/// Runs every scenario on `backend` over `workers` scoped threads
+/// (`0` = [`default_workers`]) and returns the outcomes in input order,
+/// whatever the worker count or thread interleaving. Each thread claims
+/// the next unclaimed index and reports into that index's slot; one
+/// worker (or one scenario) runs serially on the calling thread.
+pub fn run_pool<B: Backend + Sync + ?Sized>(
+    backend: &B,
+    scenarios: &[Scenario],
+    workers: usize,
+) -> Vec<Outcome> {
+    let workers = if workers == 0 {
+        default_workers()
+    } else {
+        workers
+    }
+    .min(scenarios.len());
+    if workers <= 1 {
+        return scenarios.iter().map(|sc| backend.run(sc)).collect();
+    }
+    let mut slots: Vec<Option<Outcome>> = Vec::new();
+    slots.resize_with(scenarios.len(), || None);
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Outcome)>();
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let next_ref = &next;
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let tx = tx.clone();
+            scope.spawn(move || loop {
+                let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(sc) = scenarios.get(i) else {
+                    break;
+                };
+                if tx.send((i, backend.run(sc))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        for (i, outcome) in rx {
+            slots[i] = Some(outcome);
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every scenario reports"))
+        .collect()
 }
 
 /// A function that derives a variant scenario from the base scenario.
@@ -164,50 +212,20 @@ impl Sweep {
     /// the outcomes in deterministic variant-major, seed-minor order
     /// (regardless of worker count).
     pub fn run<B: Backend + Sync + ?Sized>(&self, backend: &B) -> SweepReport {
-        let jobs = self.jobs();
-        let runs: Vec<SweepRun> = if self.workers <= 1 || jobs.len() <= 1 {
-            jobs.into_iter()
-                .map(|(variant, seed, sc)| SweepRun {
-                    variant,
-                    seed,
-                    outcome: backend.run(&sc),
-                })
-                .collect()
-        } else {
-            let mut slots: Vec<Option<SweepRun>> = Vec::new();
-            slots.resize_with(jobs.len(), || None);
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, SweepRun)>();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let jobs_ref = &jobs;
-            let next_ref = &next;
-            std::thread::scope(|scope| {
-                for _ in 0..self.workers.min(jobs.len()) {
-                    let tx = tx.clone();
-                    scope.spawn(move || loop {
-                        let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some((variant, seed, sc)) = jobs_ref.get(i) else {
-                            break;
-                        };
-                        let run = SweepRun {
-                            variant: variant.clone(),
-                            seed: *seed,
-                            outcome: backend.run(sc),
-                        };
-                        if tx.send((i, run)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, run) in rx {
-                    slots[i] = Some(run);
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every sweep job reports"))
-                .collect()
-        };
+        let (keys, scenarios): (Vec<(String, u64)>, Vec<Scenario>) = self
+            .jobs()
+            .into_iter()
+            .map(|(variant, seed, sc)| ((variant, seed), sc))
+            .unzip();
+        let runs = keys
+            .into_iter()
+            .zip(run_pool(backend, &scenarios, self.workers))
+            .map(|((variant, seed), outcome)| SweepRun {
+                variant,
+                seed,
+                outcome,
+            })
+            .collect();
         SweepReport { runs }
     }
 }

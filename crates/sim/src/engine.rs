@@ -23,7 +23,8 @@
 //! trace hash, bit for bit (`tests/engine_equivalence.rs`, across all
 //! three declarative body kinds). What changes is the constant factor and
 //! the ceiling: a burst is a function call, and whole broadcasts stay
-//! single heap entries (expanded in one go under a constant delay), so
+//! single queue entries (read whole in the tick they land in under a
+//! constant delay), so
 //! the benchmark's `consensus-fastpath` cell (`n = 5 000`, 7.5·10⁷
 //! events) finishes in about a second on one core, and its `kv-serve`
 //! cell runs the replicated KV at `n = 1 000`.

@@ -917,10 +917,10 @@ impl<'a> ShardState<'a> {
                 // fates resolve lazily wherever the descriptor lands.
                 let k0 = self.counters.take(from, n as u64);
                 let from = from.index() as u32;
-                // A batch expands in one go when popped, which is the
-                // order `n` single entries would have had only if they
-                // all land at one instant and nothing the expansion
-                // triggers can land at that instant too — so a zero
+                // A batch is read whole in the tick it lands in, which is
+                // the order `n` single entries would have had only if
+                // they all land at one instant and nothing its deliveries
+                // trigger can land at that instant too — so a zero
                 // delay, like a sampled one or spaced sends, goes
                 // destination by destination.
                 let same_instant = self.net.constant_broadcast_delay();

@@ -3,7 +3,9 @@
 //! stderr line naming the cause the outcome shows — in the human report
 //! and under `--json` alike. An invalid scenario — from the flags or
 //! inside a snapshot `--resume` cannot use — exits 2 with one `error:`
-//! line, never a panic, and so does nothing about a closed stdout.
+//! line, never a panic, and so does nothing about a closed stdout. An
+//! `ofa explore` paused on `--wall-secs` exits 3 and resumes to the
+//! straight run's log.
 
 use ofa_core::Algorithm;
 use ofa_scenario::{
@@ -168,6 +170,47 @@ fn a_closed_stdout_keeps_the_runs_own_exit_code() {
         stderr,
         ["error: event budget exhausted after 40 events (raise --max-events)"]
     );
+}
+
+#[test]
+fn a_paused_explore_resumes_to_the_straight_runs_log() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_explore_resume");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = |name: &str| dir.join(name).to_str().expect("a UTF-8 path").to_string();
+    let (straight, paused, resumed, state) = (
+        path("straight.log"),
+        path("paused.log"),
+        path("resumed.log"),
+        path("search.state.json"),
+    );
+    // A state file left by an earlier run would be resumed, not started.
+    let _ = std::fs::remove_file(&state);
+    let base = "explore --sizes 3x3 --population 2 --generations 2 --seed 4";
+    let explore = |extra: &[&str]| {
+        let mut args: Vec<&str> = base.split_whitespace().collect();
+        args.extend_from_slice(extra);
+        let out = ofa_with(&args);
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (code, stderr) = explore(&["--log", &straight]);
+    assert_eq!(code, Some(0), "straight run: {stderr}");
+    let (code, stderr) = explore(&["--state", &state, "--wall-secs", "0", "--log", &paused]);
+    assert_eq!(code, Some(3), "paused run: {stderr}");
+    assert!(
+        std::path::Path::new(&state).exists(),
+        "the pause wrote its state"
+    );
+    let (code, stderr) = explore(&["--state", &state, "--log", &resumed]);
+    assert_eq!(code, Some(0), "resumed run: {stderr}");
+    let read = |p: &str| std::fs::read(p).expect("the log was written");
+    assert!(
+        !read(&straight).is_empty(),
+        "the search logged its generations"
+    );
+    assert_eq!(read(&straight), read(&resumed), "resume changed the log");
 }
 
 /// The engine state's entries.
