@@ -89,15 +89,25 @@ const DELAY_DOMAIN_SEP: u64 = 0x5DEE_CE66_D1CE_5EED;
 /// the mixer behind the network model's loss/duplication fate PRF, which
 /// feeds it domain-separated master seeds.
 pub(crate) fn mix_delay_seed(seed: u64, from: ProcessId, to: ProcessId, k: u64) -> u64 {
-    let mut z = seed ^ DELAY_DOMAIN_SEP;
-    for w in [from.index() as u64, to.index() as u64, k] {
-        z = z
-            .wrapping_add(w)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 27;
-    }
-    z
+    mix_tail(mix_head(seed, from), to.index() as u64, k)
+}
+
+/// The part of [`mix_delay_seed`] every message of one sender shares.
+pub(crate) fn mix_head(seed: u64, from: ProcessId) -> u64 {
+    mix_step(seed ^ DELAY_DOMAIN_SEP, from.index() as u64)
+}
+
+/// The rest of [`mix_delay_seed`], from its sender's [`mix_head`].
+pub(crate) fn mix_tail(head: u64, to: u64, k: u64) -> u64 {
+    mix_step(mix_step(head, to), k)
+}
+
+fn mix_step(z: u64, w: u64) -> u64 {
+    let z = z
+        .wrapping_add(w)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 27)
 }
 
 impl DelayModel {

@@ -26,7 +26,7 @@
 //! engine's epoch lookahead — and a lazily-expanded duplicate can never
 //! land inside an already-collected epoch.
 
-use crate::delay::mix_delay_seed;
+use crate::delay::{mix_delay_seed, mix_head, mix_tail};
 use crate::DelayModel;
 use ofa_topology::{Partition, ProcessId};
 use rand::rngs::StdRng;
@@ -79,15 +79,7 @@ impl LatencyDist {
     pub(crate) fn sample(&self, mixed: u64) -> u64 {
         match *self {
             LatencyDist::Constant(d) => d,
-            LatencyDist::Uniform { lo, hi } => {
-                debug_assert!(lo <= hi, "uniform latency bounds inverted");
-                let span = hi.wrapping_sub(lo).wrapping_add(1);
-                let word = StdRng::seed_from_u64(mixed).next_u64();
-                if span == 0 {
-                    return word;
-                }
-                lo + ((u128::from(word) * u128::from(span)) >> 64) as u64
-            }
+            LatencyDist::Uniform { lo, hi } => uniform(lo, hi, mixed),
             LatencyDist::LogNormal {
                 median,
                 sigma_milli,
@@ -123,6 +115,18 @@ impl LatencyDist {
             _ => None,
         }
     }
+}
+
+/// A uniform sample in `[lo, hi]` (inclusive) from the PRF stream seeded
+/// by `mixed`.
+fn uniform(lo: u64, hi: u64, mixed: u64) -> u64 {
+    debug_assert!(lo <= hi, "uniform latency bounds inverted");
+    let span = hi.wrapping_sub(lo).wrapping_add(1);
+    let word = StdRng::seed_from_u64(mixed).next_u64();
+    if span == 0 {
+        return word;
+    }
+    lo + ((u128::from(word) * u128::from(span)) >> 64) as u64
 }
 
 /// A directed per-pair latency override — the asymmetric link class.
@@ -343,6 +347,8 @@ impl NetworkModel {
             classes,
             loss_ppm: self.loss_ppm,
             dup_ppm: self.dup_ppm,
+            loss: PpmThreshold::new(self.loss_ppm),
+            dup: PpmThreshold::new(self.dup_ppm),
         }
     }
 }
@@ -411,7 +417,30 @@ pub struct NetIndex {
     classes: CompiledClasses,
     loss_ppm: u32,
     dup_ppm: u32,
+    /// The two rates as the thresholds a fate word is compared against.
+    loss: PpmThreshold,
+    dup: PpmThreshold,
     min: u64,
+}
+
+/// A parts-per-million rate as the threshold of
+/// [`distributions::bernoulli_ppm`]: a word below it is a hit. The
+/// division is done once, when the network is compiled, instead of per
+/// message; `ppm >= 10⁶` is `2⁶⁴`, which every word is below.
+#[derive(Debug, Clone, Copy)]
+struct PpmThreshold(u128);
+
+impl PpmThreshold {
+    fn new(ppm: u32) -> Self {
+        if ppm >= 1_000_000 {
+            return PpmThreshold(1 << 64);
+        }
+        PpmThreshold((u128::from(ppm) << 64) / 1_000_000)
+    }
+
+    fn hit(self, word: u64) -> bool {
+        u128::from(word) < self.0
+    }
 }
 
 impl NetIndex {
@@ -458,14 +487,63 @@ impl NetIndex {
         if self.loss_ppm == 0 && self.dup_ppm == 0 {
             return Fate::Deliver;
         }
-        let mut rng = StdRng::seed_from_u64(mix_delay_seed(seed ^ FATE_DOMAIN_SEP, from, to, k));
-        if distributions::bernoulli_ppm(rng.next_u64(), self.loss_ppm) {
+        self.fate(mix_delay_seed(seed ^ FATE_DOMAIN_SEP, from, to, k))
+    }
+
+    /// The fate drawn from the PRF stream seeded by `mixed`.
+    fn fate(&self, mixed: u64) -> Fate {
+        let mut rng = StdRng::seed_from_u64(mixed);
+        if self.loss.hit(rng.next_u64()) {
             return Fate::Lost;
         }
-        if distributions::bernoulli_ppm(rng.next_u64(), self.dup_ppm) {
+        if self.dup.hit(rng.next_u64()) {
             return Fate::Dup;
         }
         Fate::Deliver
+    }
+
+    /// The delays of one broadcast's sends: `out[i]` becomes
+    /// [`NetIndex::delay_of`] of the sender's `(k0 + g)`-th handoff to
+    /// `g = to[i]` (destination `g` of a broadcast holds sender-counter
+    /// `k0 + g`). The link class is resolved once where it is one for
+    /// every destination, and the part of the PRF input the sends share
+    /// is mixed once, so the loop is one independent chain per
+    /// destination.
+    pub fn delays_of(&self, seed: u64, from: ProcessId, k0: u64, to: &[u32], out: &mut Vec<u64>) {
+        out.clear();
+        let head = mix_head(seed, from);
+        let mixed = |g: u32| mix_tail(head, u64::from(g), k0 + u64::from(g));
+        match &self.classes {
+            CompiledClasses::Flat(DelayModel::Constant(d)) => out.resize(to.len(), *d),
+            CompiledClasses::Flat(DelayModel::Uniform { lo, hi }) => {
+                out.extend(to.iter().map(|&g| uniform(*lo, *hi, mixed(g))));
+            }
+            CompiledClasses::Flat(d) => out.extend(
+                (to.iter())
+                    .map(|&g| d.delay_of(seed, from, ProcessId(g as usize), k0 + u64::from(g))),
+            ),
+            CompiledClasses::Clustered { .. } => out.extend(to.iter().map(|&g| {
+                let dist = self
+                    .dist_of(from, ProcessId(g as usize))
+                    .expect("clustered");
+                dist.sample(mixed(g))
+            })),
+        }
+    }
+
+    /// The fates of one broadcast's sends, as [`NetIndex::delays_of`]
+    /// draws its delays: `out[i]` becomes [`NetIndex::fate_of`] of the
+    /// `(k0 + g)`-th handoff to `g = to[i]`.
+    pub fn fates_of(&self, seed: u64, from: ProcessId, k0: u64, to: &[u32], out: &mut Vec<Fate>) {
+        out.clear();
+        if self.loss_ppm == 0 && self.dup_ppm == 0 {
+            out.resize(to.len(), Fate::Deliver);
+            return;
+        }
+        let head = mix_head(seed ^ FATE_DOMAIN_SEP, from);
+        out.extend(
+            (to.iter()).map(|&g| self.fate(mix_tail(head, u64::from(g), k0 + u64::from(g)))),
+        );
     }
 
     /// The extra transit time of a duplicated message's second copy
@@ -619,6 +697,66 @@ mod tests {
         // 20% loss; 20% dup of the surviving 80% ⇒ ~16%.
         assert!((1_500..2_500).contains(&lost), "lost={lost}");
         assert!((1_100..2_100).contains(&dup), "dup={dup}");
+    }
+
+    #[test]
+    fn compiled_fate_thresholds_agree_with_bernoulli_ppm() {
+        for ppm in [0, 1, 9_999, 10_000, 999_999, 1_000_000, u32::MAX] {
+            let threshold = PpmThreshold::new(ppm);
+            let mut rng = StdRng::seed_from_u64(u64::from(ppm));
+            let edges = [
+                0,
+                1,
+                u64::MAX,
+                (threshold.0.min(u128::from(u64::MAX))) as u64,
+            ];
+            let words = (0..10_000).map(|_| rng.next_u64()).chain(edges);
+            for word in words {
+                let want = distributions::bernoulli_ppm(word, ppm);
+                assert_eq!(threshold.hit(word), want, "ppm {ppm}, word {word:#x}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_broadcasts_lanes_draw_what_its_single_sends_draw() {
+        let part = Partition::even(12, 3);
+        let lognormal = LatencyDist::LogNormal {
+            median: 900,
+            sigma_milli: 700,
+            floor: 100,
+            cap: 9_000,
+        };
+        let laggard = DelayModel::Laggard {
+            slow: vec![ProcessId(2)],
+            factor: 3,
+            base: Box::new(DelayModel::Uniform { lo: 5, hi: 90 }),
+        };
+        let nets = [
+            NetworkModel::flat(DelayModel::Uniform { lo: 500, hi: 1_500 }),
+            NetworkModel::flat(DelayModel::Constant(700)).with_loss_ppm(300_000),
+            NetworkModel::flat(laggard).with_dup_ppm(250_000),
+            NetworkModel::clustered(LatencyDist::Uniform { lo: 3, hi: 40 }, lognormal)
+                .with_link(ProcessId(1), ProcessId(7), LatencyDist::Constant(2))
+                .with_loss_ppm(100_000)
+                .with_dup_ppm(100_000),
+        ];
+        let to: Vec<u32> = (0..12).rev().chain([3, 5, 7]).collect();
+        for net in nets {
+            let idx = net.compile(&part);
+            let (mut delays, mut fates) = (Vec::new(), Vec::new());
+            for (seed, from, k0) in [(1, 1, 0), (9, 2, 12), (u64::MAX, 11, 1 << 40)] {
+                let from = ProcessId(from);
+                idx.delays_of(seed, from, k0, &to, &mut delays);
+                idx.fates_of(seed, from, k0, &to, &mut fates);
+                assert_eq!((delays.len(), fates.len()), (to.len(), to.len()));
+                for (i, &g) in to.iter().enumerate() {
+                    let (g, k) = (ProcessId(g as usize), k0 + g as u64);
+                    assert_eq!(delays[i], idx.delay_of(seed, from, g, k), "{net:?}");
+                    assert_eq!(fates[i], idx.fate_of(seed, from, g, k), "{net:?}");
+                }
+            }
+        }
     }
 
     #[test]

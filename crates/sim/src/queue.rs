@@ -56,6 +56,12 @@
 //! ([`Calendar::first`] makes it current). Either way nothing is taken
 //! out of order *between* ticks. The caller must not push to a tick it
 //! took whole: the event loop only takes ticks nothing can land on.
+//!
+//! A caller that takes a window of such ticks takes some kinds of handle
+//! out of the whole window first ([`Calendar::take_where`], from the
+//! tick just opened to the window's end; nothing is made current), and
+//! then opens and takes the window's ticks one by one for the rest. It
+//! must not push inside the window before its last tick is taken.
 
 use crate::conductor::EventKey;
 use std::cmp::Reverse;
@@ -383,6 +389,41 @@ impl<K: Copy + Ord> Calendar<K> {
         tick
     }
 
+    /// Takes every handle `pick` selects out of the ticks in `[now,
+    /// t_end)` — the tick [`Calendar::open`] just opened and those after
+    /// it, none of them current — into `out`, in no particular order, and
+    /// leaves the others where they are. `pick` sees every handle of those
+    /// ticks once. The window must fit in the ring (`t_end − now ≤ SPAN`).
+    pub(crate) fn take_where(
+        &mut self,
+        t_end: u64,
+        mut pick: impl FnMut(&Handle<K>) -> bool,
+        out: &mut Vec<Handle<K>>,
+    ) {
+        debug_assert!(
+            !self.current && t_end - self.now <= SPAN,
+            "take from an open window"
+        );
+        for t in self.now..t_end {
+            let i = (t & MASK) as usize;
+            if self.occupied[i / 64] & 1 << (i % 64) == 0 {
+                continue;
+            }
+            let before = out.len();
+            self.ring[i].retain(|h| {
+                let take = pick(h);
+                if take {
+                    out.push(*h);
+                }
+                !take
+            });
+            self.len -= out.len() - before;
+            if self.ring[i].is_empty() {
+                self.vacate(i);
+            }
+        }
+    }
+
     /// Every pending event, in no particular order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, Handle<K>)> + '_ {
         let ring = self.ring.iter().enumerate().flat_map(move |(i, bucket)| {
@@ -515,6 +556,11 @@ mod tests {
         Open {
             take: bool,
         },
+        /// Open the next tick unless one is current, and take the handles
+        /// of even slots out of it and the `width − 1` ticks after it.
+        Window {
+            width: u64,
+        },
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -541,6 +587,7 @@ mod tests {
             13 => Op::Later { dt: 1 + x % 9 },
             14 => Op::Later { dt: 1 + x },
             15 if x % 3 == 0 => Op::Open { take: x % 2 == 0 },
+            15 if x % 3 == 1 => Op::Window { width: 1 + x % 12 },
             _ => Op::Peek { dt: x % 16 },
         })
     }
@@ -551,8 +598,10 @@ mod tests {
         /// The calendar pops exactly what `BinaryHeap<Keyed<_>>` pops, in
         /// the same order, through pushes at, near, across and beyond
         /// the ring, pushes before the current tick, both kinds of re-key
-        /// of the next event, and ticks opened and left or taken whole
-        /// (which takes exactly the heap's events at that tick).
+        /// of the next event, ticks opened and left or taken whole (which
+        /// takes exactly the heap's events at that tick), and some handles
+        /// taken out of a window of ticks (exactly the heap's events those
+        /// are, the rest left poppable in order).
         #[test]
         fn pops_exactly_as_the_binary_heap_does(ops in proptest::collection::vec(op(), 1..400)) {
             let mut cal: Calendar<()> = Calendar::new();
@@ -619,6 +668,22 @@ mod tests {
                             prop_assert_eq!(got, want);
                             last = at;
                         }
+                    }
+                    Op::Window { width } => {
+                        let Some(at) = cal.open(u64::MAX) else {
+                            continue;
+                        };
+                        prop_assert_eq!(Some(at), heap.peek().map(|e| e.at));
+                        let mut got = Vec::new();
+                        cal.take_where(at + width, |h| h.slot.is_multiple_of(2), &mut got);
+                        let mut got: Vec<_> = got.iter().map(|h| (h.key(), h.slot)).collect();
+                        let picked = |e: &Keyed<u32>| e.at < at + width && e.ev.is_multiple_of(2);
+                        let (mut want, rest): (Vec<_>, Vec<_>) = heap.drain().partition(picked);
+                        heap.extend(rest);
+                        let mut want: Vec<_> = want.drain(..).map(|e| (e.key, e.ev)).collect();
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        prop_assert_eq!(got, want);
                     }
                 }
                 prop_assert_eq!(cal.len(), heap.len());
