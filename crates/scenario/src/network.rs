@@ -505,29 +505,26 @@ impl NetIndex {
     /// The delays of one broadcast's sends: `out[i]` becomes
     /// [`NetIndex::delay_of`] of the sender's `(k0 + g)`-th handoff to
     /// `g = to[i]` (destination `g` of a broadcast holds sender-counter
-    /// `k0 + g`). The link class is resolved once where it is one for
-    /// every destination, and the part of the PRF input the sends share
-    /// is mixed once, so the loop is one independent chain per
-    /// destination.
+    /// `k0 + g`). On a flat `Uniform` network the part of the PRF input
+    /// the sends share is mixed once, so the loop is one independent
+    /// chain per destination; every other network answers each send
+    /// with [`NetIndex::delay_of`].
     pub fn delays_of(&self, seed: u64, from: ProcessId, k0: u64, to: &[u32], out: &mut Vec<u64>) {
         out.clear();
-        let head = mix_head(seed, from);
-        let mixed = |g: u32| mix_tail(head, u64::from(g), k0 + u64::from(g));
         match &self.classes {
             CompiledClasses::Flat(DelayModel::Constant(d)) => out.resize(to.len(), *d),
             CompiledClasses::Flat(DelayModel::Uniform { lo, hi }) => {
-                out.extend(to.iter().map(|&g| uniform(*lo, *hi, mixed(g))));
+                let head = mix_head(seed, from);
+                out.extend(
+                    (to.iter()).map(|&g| {
+                        uniform(*lo, *hi, mix_tail(head, u64::from(g), k0 + u64::from(g)))
+                    }),
+                );
             }
-            CompiledClasses::Flat(d) => out.extend(
+            _ => out.extend(
                 (to.iter())
-                    .map(|&g| d.delay_of(seed, from, ProcessId(g as usize), k0 + u64::from(g))),
+                    .map(|&g| self.delay_of(seed, from, ProcessId(g as usize), k0 + u64::from(g))),
             ),
-            CompiledClasses::Clustered { .. } => out.extend(to.iter().map(|&g| {
-                let dist = self
-                    .dist_of(from, ProcessId(g as usize))
-                    .expect("clustered");
-                dist.sample(mixed(g))
-            })),
         }
     }
 
