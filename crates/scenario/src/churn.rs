@@ -24,7 +24,7 @@
 //! [`ChurnPlan::resolve`] before running, and every engine (and every
 //! checkpoint resume) sees the identical expansion.
 
-use crate::delay::mix_delay_seed;
+use crate::network::mix_delay_seed;
 use crate::VirtualTime;
 use ofa_topology::{ProcessId, ProcessSet};
 use rand::distributions::exponential_ticks;

@@ -1,13 +1,17 @@
 //! The network model: link-class latencies, jitter, loss, duplication.
 //!
-//! [`crate::DelayModel`] models the paper's reliable asynchronous
-//! channels as one delay distribution for every link. [`NetworkModel`]
-//! subsumes it with the dimensions a realistic deployment adds:
+//! The paper's reliable asynchronous channels are a flat network: one
+//! [`crate::DelayModel`] for every link. [`NetworkModel`] adds the
+//! dimensions a realistic deployment has, and [`NetworkModel::compile`]
+//! lowers every network, flat or not, into one class table ([`NetIndex`]):
 //!
 //! * **Link classes** — intra-cluster and inter-cluster links draw from
 //!   different [`LatencyDist`]s (the paper's hybrid premise made
 //!   quantitative), with directed per-pair [`LinkOverride`]s for
-//!   asymmetric routes.
+//!   asymmetric routes. A flat network's two classes are its base delay.
+//! * **Laggards** — each `DelayModel::Laggard` level is one layer
+//!   multiplying the delays of links from or to its slow processes,
+//!   applied innermost first.
 //! * **Jitter** — [`LatencyDist::LogNormal`] gives the heavy-tailed
 //!   latency shape measured on real networks, built from
 //!   platform-deterministic float ops only (`vendor/rand`'s
@@ -26,13 +30,17 @@
 //! engine's epoch lookahead — and a lazily-expanded duplicate can never
 //! land inside an already-collected epoch.
 
-use crate::delay::{mix_delay_seed, mix_head, mix_tail};
 use crate::DelayModel;
 use ofa_topology::{Partition, ProcessId};
 use rand::rngs::StdRng;
 use rand::{distributions, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+
+/// Domain separator folded into the per-message delay PRF so delay
+/// randomness never collides with coin or local-coin streams derived
+/// from the same master seed.
+const DELAY_DOMAIN_SEP: u64 = 0x5DEE_CE66_D1CE_5EED;
 
 /// Domain separator for the loss/duplication fate PRF, so fate words
 /// never correlate with delay samples drawn from the same master seed.
@@ -41,6 +49,31 @@ const FATE_DOMAIN_SEP: u64 = 0x000F_A7E0_FD00_5EED;
 /// Domain separator for the duplicate-offset PRF (the second copy's
 /// extra transit time), distinct from both the delay and fate domains.
 const DUP_DOMAIN_SEP: u64 = 0xD09B_1E0F_F5E7;
+
+/// SplitMix64-style mix of the delay PRF inputs into one RNG seed. Also
+/// the mixer behind the fate PRF and the churn arrivals, which feed it
+/// domain-separated master seeds.
+pub(crate) fn mix_delay_seed(seed: u64, from: ProcessId, to: ProcessId, k: u64) -> u64 {
+    mix_tail(mix_head(seed, from), to.index() as u64, k)
+}
+
+/// The part of [`mix_delay_seed`] every message of one sender shares.
+fn mix_head(seed: u64, from: ProcessId) -> u64 {
+    mix_step(seed ^ DELAY_DOMAIN_SEP, from.index() as u64)
+}
+
+/// The rest of [`mix_delay_seed`], from its sender's [`mix_head`].
+fn mix_tail(head: u64, to: u64, k: u64) -> u64 {
+    mix_step(mix_step(head, to), k)
+}
+
+fn mix_step(z: u64, w: u64) -> u64 {
+    let z = z
+        .wrapping_add(w)
+        .wrapping_add(0x9E37_79B9_7F4A_7C15)
+        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 27)
+}
 
 /// One latency distribution, attachable to a link class.
 ///
@@ -76,7 +109,7 @@ pub enum LatencyDist {
 
 impl LatencyDist {
     /// Samples one transit time from the PRF stream seeded by `mixed`.
-    pub(crate) fn sample(&self, mixed: u64) -> u64 {
+    fn sample(&self, mixed: u64) -> u64 {
         match *self {
             LatencyDist::Constant(d) => d,
             LatencyDist::Uniform { lo, hi } => uniform(lo, hi, mixed),
@@ -106,12 +139,7 @@ impl LatencyDist {
         match *self {
             LatencyDist::Constant(d) => Some(d),
             LatencyDist::Uniform { lo, hi } if lo == hi => Some(lo),
-            LatencyDist::LogNormal {
-                median, floor, cap, ..
-            } if floor == cap => {
-                let _ = median;
-                Some(floor)
-            }
+            LatencyDist::LogNormal { floor, cap, .. } if floor == cap => Some(floor),
             _ => None,
         }
     }
@@ -143,9 +171,9 @@ pub struct LinkOverride {
 /// How latencies are organized across links.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LinkClasses {
-    /// One distribution for every link — exactly the legacy
-    /// [`DelayModel`] semantics (including `Laggard`), byte-for-byte:
-    /// a flat network reproduces pre-network-model delay streams.
+    /// One [`DelayModel`] for every link: compiled as the class table
+    /// whose two classes are its base delay, with one laggard layer per
+    /// `Laggard` level.
     Flat(DelayModel),
     /// Cluster-aware classes: links inside a cluster draw from `intra`,
     /// links between clusters from `inter`, and listed directed pairs
@@ -234,23 +262,64 @@ impl NetworkModel {
         self
     }
 
-    /// A lower bound on every transit time this model can produce,
-    /// *independent of the partition*: the minimum over all link
-    /// classes. This is the parallel engine's conservative lookahead —
-    /// and also what bounds a duplicate's extra offset from below, so
-    /// lazily-expanded duplicates always land outside the current epoch.
-    pub fn min_delay(&self) -> u64 {
-        match &self.classes {
-            LinkClasses::Flat(d) => d.min_delay(),
+    /// The class table every network lowers to, read off the stored
+    /// model. A flat network is the table whose two classes are its base
+    /// delay, with one laggard layer per `Laggard` level.
+    fn table(&self) -> Table<'_> {
+        let mut delay = match &self.classes {
             LinkClasses::Clustered {
                 intra,
                 inter,
                 links,
-            } => links
-                .iter()
-                .map(|l| l.dist.min())
-                .fold(intra.min().min(inter.min()), u64::min),
+            } => {
+                return Table {
+                    intra: *intra,
+                    inter: *inter,
+                    links,
+                    laggards: Vec::new(),
+                }
+            }
+            LinkClasses::Flat(delay) => delay,
+        };
+        let mut laggards = Vec::new();
+        let base = loop {
+            match delay {
+                DelayModel::Constant(d) => break LatencyDist::Constant(*d),
+                DelayModel::Uniform { lo, hi } => break LatencyDist::Uniform { lo: *lo, hi: *hi },
+                DelayModel::Laggard { slow, factor, base } => {
+                    laggards.push((slow.as_slice(), *factor));
+                    delay = base;
+                }
+            }
+        };
+        laggards.reverse();
+        Table {
+            intra: base,
+            inter: base,
+            links: &[],
+            laggards,
         }
+    }
+
+    /// A lower bound on every transit time this model can produce,
+    /// *independent of the partition*: the minimum over all link
+    /// classes, through every laggard layer. This is the parallel
+    /// engine's conservative lookahead — and also what bounds a
+    /// duplicate's extra offset from below, so lazily-expanded
+    /// duplicates always land outside the current epoch.
+    pub fn min_delay(&self) -> u64 {
+        let table = self.table();
+        let classes = (table.links.iter().map(|l| l.dist.min()))
+            .fold(table.intra.min().min(table.inter.min()), u64::min);
+        // A layer with no slow process never applies; a factor below 1
+        // can shrink a delay.
+        (table.laggards.iter()).fold(classes, |min, &(slow, factor)| {
+            if slow.is_empty() {
+                min
+            } else {
+                min.min(min.saturating_mul(factor))
+            }
+        })
     }
 
     /// Checks internal consistency against a universe of `n` processes.
@@ -261,23 +330,6 @@ impl NetworkModel {
     /// override or laggard set naming a process index `>= n`, as a
     /// one-line message.
     pub fn validate(&self, n: usize) -> Result<(), String> {
-        fn check_delay(model: &DelayModel, n: usize) -> Result<(), String> {
-            match model {
-                DelayModel::Uniform { lo, hi } if lo > hi => {
-                    Err(format!("uniform delay bounds inverted ({lo} > {hi})"))
-                }
-                DelayModel::Laggard { slow, base, .. } => {
-                    if let Some(p) = slow.iter().find(|p| p.index() >= n) {
-                        return Err(format!(
-                            "laggard set names process index {} but n={n}",
-                            p.index()
-                        ));
-                    }
-                    check_delay(base, n)
-                }
-                DelayModel::Constant(_) | DelayModel::Uniform { .. } => Ok(()),
-            }
-        }
         fn check_dist(d: &LatencyDist) -> Result<(), String> {
             match *d {
                 LatencyDist::Uniform { lo, hi } if lo > hi => {
@@ -297,60 +349,83 @@ impl NetworkModel {
         if self.dup_ppm > 1_000_000 {
             return Err("dup_ppm is a ppm rate".into());
         }
-        match &self.classes {
-            LinkClasses::Flat(delay) => check_delay(delay, n),
-            LinkClasses::Clustered {
-                intra,
-                inter,
-                links,
-            } => {
-                check_dist(intra)?;
-                check_dist(inter)?;
-                for l in links {
-                    check_dist(&l.dist)?;
-                    if l.from.index() >= n || l.to.index() >= n {
-                        return Err(format!(
-                            "link override {} → {} names a process index >= n={n}",
-                            l.from.index(),
-                            l.to.index()
-                        ));
-                    }
-                }
-                Ok(())
+        let table = self.table();
+        let mut slow = table.laggards.iter().flat_map(|&(slow, _)| slow);
+        if let Some(p) = slow.find(|p| p.index() >= n) {
+            return Err(format!(
+                "laggard set names process index {} but n={n}",
+                p.index()
+            ));
+        }
+        check_dist(&table.intra)?;
+        check_dist(&table.inter)?;
+        for l in table.links {
+            check_dist(&l.dist)?;
+            if l.from.index() >= n || l.to.index() >= n {
+                return Err(format!(
+                    "link override {} → {} names a process index >= n={n}",
+                    l.from.index(),
+                    l.to.index()
+                ));
             }
         }
+        Ok(())
     }
 
     /// Resolves the class table against a partition, producing the
     /// compiled form the engines query per message.
     pub fn compile(&self, partition: &Partition) -> NetIndex {
-        let classes = match &self.classes {
-            LinkClasses::Flat(d) => CompiledClasses::Flat(d.clone()),
-            LinkClasses::Clustered {
-                intra,
-                inter,
-                links,
-            } => CompiledClasses::Clustered {
-                intra: *intra,
-                inter: *inter,
-                cluster_of: (0..partition.n())
-                    .map(|i| partition.cluster_of(ProcessId(i)).index() as u32)
-                    .collect(),
-                overrides: links
-                    .iter()
-                    .map(|l| ((l.from.index() as u32, l.to.index() as u32), l.dist))
-                    .collect(),
-            },
-        };
+        let Table {
+            intra,
+            inter,
+            links,
+            laggards,
+        } = self.table();
+        let overrides: HashMap<_, _> = (links.iter())
+            .map(|l| ((l.from.index() as u32, l.to.index() as u32), l.dist))
+            .collect();
+        // A flat network has always batched only on a `Constant` delay,
+        // not on a `Uniform` whose bounds meet; a broadcast's path stays
+        // what it was for every stored model.
+        let flat_uniform = matches!(self.classes, LinkClasses::Flat(DelayModel::Uniform { .. }));
+        let constant = intra.constant().filter(|&d| {
+            !flat_uniform
+                && laggards.is_empty()
+                && inter.constant() == Some(d)
+                && overrides.values().all(|o| o.constant() == Some(d))
+        });
         NetIndex {
+            cluster_of: if intra == inter {
+                Vec::new()
+            } else {
+                (0..partition.n())
+                    .map(|i| partition.cluster_of(ProcessId(i)).index() as u32)
+                    .collect()
+            },
+            intra,
+            inter,
+            overrides,
+            laggards: (laggards.into_iter())
+                .map(|(slow, factor)| (slow.to_vec(), factor))
+                .collect(),
+            constant,
             min: self.min_delay(),
-            classes,
             loss_ppm: self.loss_ppm,
             dup_ppm: self.dup_ppm,
             loss: PpmThreshold::new(self.loss_ppm),
             dup: PpmThreshold::new(self.dup_ppm),
         }
     }
+}
+
+/// The one class table, borrowed from a [`NetworkModel`]: the two class
+/// distributions, the directed overrides, and `(slow, factor)` per
+/// laggard layer, innermost first.
+struct Table<'a> {
+    intra: LatencyDist,
+    inter: LatencyDist,
+    links: &'a [LinkOverride],
+    laggards: Vec<(&'a [ProcessId], u64)>,
 }
 
 impl Default for NetworkModel {
@@ -397,24 +472,25 @@ impl Deserialize for NetworkModel {
     }
 }
 
-#[derive(Debug, Clone)]
-enum CompiledClasses {
-    Flat(DelayModel),
-    Clustered {
-        intra: LatencyDist,
-        inter: LatencyDist,
-        cluster_of: Vec<u32>,
-        overrides: HashMap<(u32, u32), LatencyDist>,
-    },
-}
-
-/// A [`NetworkModel`] compiled against one partition: link classes are
-/// resolved to a per-process cluster table so every per-message query is
-/// O(1). This is what the engines hold; all its answers are pure
-/// functions of `(seed, from, to, k)`.
+/// A [`NetworkModel`] compiled against one partition into its class
+/// table, with each process's cluster resolved once so that no
+/// per-message query walks the partition. This is what the engines hold; all its answers are
+/// pure functions of `(seed, from, to, k)`.
 #[derive(Debug, Clone)]
 pub struct NetIndex {
-    classes: CompiledClasses,
+    /// The class of links within one cluster.
+    intra: LatencyDist,
+    /// The class of links between two clusters.
+    inter: LatencyDist,
+    /// Each process's cluster; empty when the two classes are equal, so
+    /// that no link's class depends on it.
+    cluster_of: Vec<u32>,
+    /// Directed per-pair exceptions to the two classes.
+    overrides: HashMap<(u32, u32), LatencyDist>,
+    /// `(slow, factor)` per laggard layer, innermost first.
+    laggards: Vec<(Vec<ProcessId>, u64)>,
+    /// What [`NetIndex::constant_broadcast_delay`] answers.
+    constant: Option<u64>,
     loss_ppm: u32,
     dup_ppm: u32,
     /// The two rates as the thresholds a fate word is compared against.
@@ -444,40 +520,43 @@ impl PpmThreshold {
 }
 
 impl NetIndex {
-    fn dist_of(&self, from: ProcessId, to: ProcessId) -> Option<&LatencyDist> {
-        match &self.classes {
-            CompiledClasses::Flat(_) => None,
-            CompiledClasses::Clustered {
-                intra,
-                inter,
-                cluster_of,
-                overrides,
-            } => {
-                let (f, t) = (from.index() as u32, to.index() as u32);
-                Some(overrides.get(&(f, t)).unwrap_or({
-                    if cluster_of[from.index()] == cluster_of[to.index()] {
-                        intra
-                    } else {
-                        inter
-                    }
-                }))
+    /// The one sampler behind [`NetIndex::delay_of`] and
+    /// [`NetIndex::dup_extra_of`]: a draw from the link's class (a
+    /// `Constant` class mixes no seed), then each laggard layer, innermost
+    /// first, multiplying (saturating) a delay from or to one of its slow
+    /// processes. A slow index no process has is never matched.
+    fn sample(&self, seed: u64, from: ProcessId, to: ProcessId, k: u64) -> u64 {
+        let (f, t) = (from.index(), to.index());
+        let dist = match self.overrides.get(&(f as u32, t as u32)) {
+            Some(dist) => dist,
+            None if self.cluster_of.is_empty() || self.cluster_of[f] == self.cluster_of[t] => {
+                &self.intra
             }
-        }
+            None => &self.inter,
+        };
+        let delay = match dist {
+            LatencyDist::Constant(d) => *d,
+            dist => dist.sample(mix_delay_seed(seed, from, to, k)),
+        };
+        (self.laggards.iter()).fold(delay, |delay, (slow, factor)| {
+            if slow.contains(&from) || slow.contains(&to) {
+                delay.saturating_mul(*factor)
+            } else {
+                delay
+            }
+        })
     }
 
-    /// The transit time of the sender's `k`-th network handoff to `to` —
-    /// same PRF contract as [`DelayModel::delay_of`], extended to link
-    /// classes. A flat network delegates to the legacy model unchanged,
-    /// so pre-network-model delay streams replay byte-for-byte.
+    /// The transit time of the sender's `k`-th network handoff (counted
+    /// per sending process across the whole run) to `to`.
+    ///
+    /// A *pure function* of `(seed, from, to, k)`: the delay does not
+    /// depend on the order in which messages are registered with a
+    /// scheduler. That is what lets the sharded parallel engine assign
+    /// delays shard-locally and still agree bit-for-bit with the
+    /// single-threaded engines — every engine uses this derivation.
     pub fn delay_of(&self, seed: u64, from: ProcessId, to: ProcessId, k: u64) -> u64 {
-        match self.dist_of(from, to) {
-            None => match &self.classes {
-                CompiledClasses::Flat(d) => d.delay_of(seed, from, to, k),
-                CompiledClasses::Clustered { .. } => unreachable!(),
-            },
-            Some(LatencyDist::Constant(d)) => *d,
-            Some(dist) => dist.sample(mix_delay_seed(seed, from, to, k)),
-        }
+        self.sample(seed, from, to, k)
     }
 
     /// The send-time fate of the sender's `k`-th handoff to `to`: a pure
@@ -487,12 +566,7 @@ impl NetIndex {
         if self.loss_ppm == 0 && self.dup_ppm == 0 {
             return Fate::Deliver;
         }
-        self.fate(mix_delay_seed(seed ^ FATE_DOMAIN_SEP, from, to, k))
-    }
-
-    /// The fate drawn from the PRF stream seeded by `mixed`.
-    fn fate(&self, mixed: u64) -> Fate {
-        let mut rng = StdRng::seed_from_u64(mixed);
+        let mut rng = StdRng::seed_from_u64(mix_delay_seed(seed ^ FATE_DOMAIN_SEP, from, to, k));
         if self.loss.hit(rng.next_u64()) {
             return Fate::Lost;
         }
@@ -505,20 +579,22 @@ impl NetIndex {
     /// The delays of one broadcast's sends: `out[i]` becomes
     /// [`NetIndex::delay_of`] of the sender's `(k0 + g)`-th handoff to
     /// `g = to[i]` (destination `g` of a broadcast holds sender-counter
-    /// `k0 + g`). On a flat `Uniform` network the part of the PRF input
-    /// the sends share is mixed once, so the loop is one independent
-    /// chain per destination; every other network answers each send
-    /// with [`NetIndex::delay_of`].
+    /// `k0 + g`). Where one `Uniform` class serves every link, with no
+    /// override and no laggard, the part of the PRF input the sends share
+    /// is mixed once, so the loop is one independent chain per
+    /// destination; every other sampled network answers each send with
+    /// [`NetIndex::delay_of`].
     pub fn delays_of(&self, seed: u64, from: ProcessId, k0: u64, to: &[u32], out: &mut Vec<u64>) {
         out.clear();
-        match &self.classes {
-            CompiledClasses::Flat(DelayModel::Constant(d)) => out.resize(to.len(), *d),
-            CompiledClasses::Flat(DelayModel::Uniform { lo, hi }) => {
+        let one_class =
+            self.cluster_of.is_empty() && self.overrides.is_empty() && self.laggards.is_empty();
+        match (self.constant, self.intra) {
+            (Some(d), _) => out.resize(to.len(), d),
+            (None, LatencyDist::Uniform { lo, hi }) if one_class => {
                 let head = mix_head(seed, from);
                 out.extend(
-                    (to.iter()).map(|&g| {
-                        uniform(*lo, *hi, mix_tail(head, u64::from(g), k0 + u64::from(g)))
-                    }),
+                    (to.iter())
+                        .map(|&g| uniform(lo, hi, mix_tail(head, u64::from(g), k0 + u64::from(g)))),
                 );
             }
             _ => out.extend(
@@ -528,21 +604,6 @@ impl NetIndex {
         }
     }
 
-    /// The fates of one broadcast's sends, as [`NetIndex::delays_of`]
-    /// draws its delays: `out[i]` becomes [`NetIndex::fate_of`] of the
-    /// `(k0 + g)`-th handoff to `g = to[i]`.
-    pub fn fates_of(&self, seed: u64, from: ProcessId, k0: u64, to: &[u32], out: &mut Vec<Fate>) {
-        out.clear();
-        if self.loss_ppm == 0 && self.dup_ppm == 0 {
-            out.resize(to.len(), Fate::Deliver);
-            return;
-        }
-        let head = mix_head(seed ^ FATE_DOMAIN_SEP, from);
-        out.extend(
-            (to.iter()).map(|&g| self.fate(mix_tail(head, u64::from(g), k0 + u64::from(g)))),
-        );
-    }
-
     /// The extra transit time of a duplicated message's second copy
     /// (delivered at `original_at + dup_extra`): a fresh sample of the
     /// same link class in its own PRF domain. Because every class sample
@@ -550,15 +611,7 @@ impl NetIndex {
     /// lookahead past the original, which is what keeps lazily-created
     /// duplicates out of already-collected parallel epochs.
     pub fn dup_extra_of(&self, seed: u64, from: ProcessId, to: ProcessId, k: u64) -> u64 {
-        let seed = seed ^ DUP_DOMAIN_SEP;
-        match self.dist_of(from, to) {
-            None => match &self.classes {
-                CompiledClasses::Flat(d) => d.delay_of(seed, from, to, k),
-                CompiledClasses::Clustered { .. } => unreachable!(),
-            },
-            Some(LatencyDist::Constant(d)) => *d,
-            Some(dist) => dist.sample(mix_delay_seed(seed, from, to, k)),
-        }
+        self.sample(seed ^ DUP_DOMAIN_SEP, from, to, k)
     }
 
     /// The model-wide minimum transit time (cached from
@@ -571,27 +624,10 @@ impl NetIndex {
     /// condition for a broadcast to stay one batched queue entry whose
     /// destinations all land in one tick. Loss and duplication do **not**
     /// disable batching: fates are resolved lazily, per destination, when
-    /// that tick reads the batch.
+    /// that tick reads the batch. Any laggard layer, even one with no
+    /// slow process, and a flat `Uniform` delay answer `None`.
     pub fn constant_broadcast_delay(&self) -> Option<u64> {
-        match &self.classes {
-            CompiledClasses::Flat(DelayModel::Constant(d)) => Some(*d),
-            CompiledClasses::Flat(_) => None,
-            CompiledClasses::Clustered {
-                intra,
-                inter,
-                overrides,
-                ..
-            } => {
-                let d = intra.constant()?;
-                if inter.constant() != Some(d) {
-                    return None;
-                }
-                if overrides.values().any(|o| o.constant() != Some(d)) {
-                    return None;
-                }
-                Some(d)
-            }
-        }
+        self.constant
     }
 
     /// The configured loss rate, in parts per million.
@@ -615,24 +651,170 @@ mod tests {
         net.compile(&Partition::even(6, 2))
     }
 
+    /// Seven network shapes, one per way a network lowers into the class
+    /// table: a flat uniform, a lossy constant, a nested laggard with a
+    /// zero factor (and a slow index no process has), a laggard with no
+    /// slow process, a `u64::MAX` laggard, a clustered lognormal with
+    /// overrides and loss and duplication, and two equal constant classes.
+    fn seven_networks() -> [NetworkModel; 7] {
+        let lognormal = LatencyDist::LogNormal {
+            median: 900,
+            sigma_milli: 700,
+            floor: 100,
+            cap: 9_000,
+        };
+        let laggard = |slow: Vec<usize>, factor, base| DelayModel::Laggard {
+            slow: slow.into_iter().map(ProcessId).collect(),
+            factor,
+            base: Box::new(base),
+        };
+        [
+            NetworkModel::flat(DelayModel::Uniform { lo: 500, hi: 1_500 }),
+            NetworkModel::flat(DelayModel::Constant(700))
+                .with_loss_ppm(300_000)
+                .with_dup_ppm(200_000),
+            NetworkModel::flat(laggard(
+                vec![2, 40],
+                3,
+                laggard(vec![5], 0, DelayModel::Uniform { lo: 5, hi: 90 }),
+            ))
+            .with_dup_ppm(250_000),
+            NetworkModel::flat(laggard(vec![], 0, DelayModel::Constant(50))),
+            NetworkModel::flat(laggard(
+                vec![7],
+                u64::MAX,
+                DelayModel::Uniform { lo: 0, hi: 3 },
+            ))
+            .with_loss_ppm(100_000),
+            NetworkModel::clustered(LatencyDist::Uniform { lo: 3, hi: 40 }, lognormal)
+                .with_link(ProcessId(1), ProcessId(7), LatencyDist::Constant(2))
+                .with_link(ProcessId(8), ProcessId(0), lognormal)
+                .with_loss_ppm(100_000)
+                .with_dup_ppm(100_000),
+            NetworkModel::clustered(LatencyDist::Constant(300), LatencyDist::Constant(300))
+                .with_dup_ppm(500_000),
+        ]
+    }
+
+    /// Every PRF answer of the seven shapes folded into one word:
+    /// `delay_of`, `dup_extra_of`, `fate_of` and `delays_of` on every
+    /// directed link, and each network's `min_delay` and
+    /// `constant_broadcast_delay`. The digest was derived from the
+    /// per-shape samplers the class table replaced; any change to a
+    /// delay, fate, duplicate offset or batching decision moves it.
     #[test]
-    fn flat_network_replays_the_legacy_delay_stream_exactly() {
-        let delay = DelayModel::Uniform { lo: 200, hi: 900 };
-        let net = compile(&NetworkModel::flat(delay.clone()));
-        for k in 0..64 {
-            assert_eq!(
-                net.delay_of(9, ProcessId(1), ProcessId(4), k),
-                delay.delay_of(9, ProcessId(1), ProcessId(4), k),
-                "flat network must be byte-compatible with DelayModel"
+    fn seven_network_shapes_replay_their_pinned_streams() {
+        let part = Partition::from_sizes(&[1, 4, 2, 5]).unwrap();
+        let n = part.n();
+        let mut digest = 0xCBF2_9CE4_8422_2325_u64;
+        let mut fold = |w: u64| digest = (digest ^ w).wrapping_mul(0x100_0000_01B3);
+        let to: Vec<u32> = (0..n as u32).rev().chain([3, 5, 7]).collect();
+        let mut delays = Vec::new();
+        for net in &seven_networks() {
+            let idx = net.compile(&part);
+            fold(idx.min_delay());
+            fold(
+                idx.constant_broadcast_delay()
+                    .map_or(u64::MAX, |d| d ^ 1 << 63),
             );
-            assert_eq!(net.fate_of(9, ProcessId(1), ProcessId(4), k), Fate::Deliver);
+            for seed in [1, 9, u64::MAX] {
+                for (from, to) in (0..n).flat_map(|f| (0..n).map(move |t| (f, t))) {
+                    let (from, to) = (ProcessId(from), ProcessId(to));
+                    for k in [0, 1, 2, 63, 1 << 40] {
+                        fold(idx.delay_of(seed, from, to, k));
+                        fold(idx.dup_extra_of(seed, from, to, k));
+                        fold(idx.fate_of(seed, from, to, k) as u64);
+                    }
+                }
+                for (from, k0) in [(0, 0), (2, 12), (11, 1 << 40)] {
+                    idx.delays_of(seed, ProcessId(from), k0, &to, &mut delays);
+                    delays.iter().for_each(|&d| fold(d));
+                }
+            }
         }
-        assert_eq!(net.min_delay(), 200);
-        assert_eq!(net.constant_broadcast_delay(), None);
-        assert_eq!(
-            compile(&NetworkModel::flat(DelayModel::Constant(700))).constant_broadcast_delay(),
-            Some(700)
-        );
+        assert_eq!(digest, 0x03e9_6ba0_a5a6_0671, "{digest:#018x}");
+    }
+
+    #[test]
+    fn a_flat_delay_model_draws_from_its_class_table() {
+        let (p, q) = (ProcessId(0), ProcessId(1));
+        // A constant delay is constant, and batches.
+        let constant = compile(&NetworkModel::flat(DelayModel::Constant(7)));
+        assert!((0..10).all(|k| constant.delay_of(1, p, q, k) == 7));
+        assert_eq!(constant.constant_broadcast_delay(), Some(7));
+        // A uniform one stays in its bounds, varies, never batches and
+        // never loses a message.
+        let uniform = compile(&NetworkModel::flat(DelayModel::Uniform { lo: 10, hi: 20 }));
+        let samples: Vec<u64> = (0..200).map(|k| uniform.delay_of(2, p, q, k)).collect();
+        assert!(samples.iter().all(|&s| (10..=20).contains(&s)));
+        assert!(samples.iter().any(|&s| s != samples[0]), "should vary");
+        assert_eq!(uniform.constant_broadcast_delay(), None);
+        assert!((0..64).all(|k| uniform.fate_of(2, p, q, k) == Fate::Deliver));
+        // A laggard multiplies only the links from or to a slow process.
+        let laggard = compile(&NetworkModel::flat(DelayModel::Laggard {
+            slow: vec![ProcessId(2)],
+            factor: 10,
+            base: Box::new(DelayModel::Constant(5)),
+        }));
+        assert_eq!(laggard.delay_of(3, ProcessId(0), ProcessId(1), 0), 5);
+        assert_eq!(laggard.delay_of(3, ProcessId(2), ProcessId(1), 1), 50);
+        assert_eq!(laggard.delay_of(3, ProcessId(0), ProcessId(2), 2), 50);
+    }
+
+    #[test]
+    fn keyed_delay_is_a_pure_function_and_respects_bounds() {
+        let d = compile(&NetworkModel::flat(DelayModel::Uniform { lo: 10, hi: 20 }));
+        let (p, q) = (ProcessId(3), ProcessId(5));
+        // Pure: same inputs, same delay, in any evaluation order.
+        let first = d.delay_of(9, p, q, 0);
+        let later = d.delay_of(9, p, q, 5);
+        assert_eq!(d.delay_of(9, p, q, 5), later);
+        assert_eq!(d.delay_of(9, p, q, 0), first);
+        assert!((10..=20).contains(&first));
+        // Distinct keys vary (statistically: over 64 keys at least one
+        // differs from the first for an 11-value range).
+        assert!((0..64).any(|k| d.delay_of(9, p, q, k) != first));
+        // Distinct seeds decorrelate the whole stream.
+        assert!((0..64).any(|k| d.delay_of(10, p, q, k) != d.delay_of(9, p, q, k)));
+    }
+
+    #[test]
+    fn min_delay_bounds_every_sample() {
+        let laggard = |slow, factor, base| DelayModel::Laggard {
+            slow,
+            factor,
+            base: Box::new(base),
+        };
+        let rows = [
+            (DelayModel::Constant(7), 7),
+            (DelayModel::Uniform { lo: 200, hi: 900 }, 200),
+            (
+                laggard(
+                    vec![ProcessId(0)],
+                    7,
+                    DelayModel::Uniform { lo: 300, hi: 800 },
+                ),
+                300,
+            ),
+            // A zero factor can *shrink* delays on slow links.
+            (laggard(vec![ProcessId(1)], 0, DelayModel::Constant(50)), 0),
+            // No slow processes: the factor never applies.
+            (laggard(vec![], 0, DelayModel::Constant(50)), 50),
+        ];
+        for (delay, min) in rows {
+            let net = NetworkModel::flat(delay);
+            assert_eq!(net.min_delay(), min, "{net:?}");
+            let idx = compile(&net);
+            assert_eq!(idx.min_delay(), min);
+            for (f, t, k) in
+                (0..6).flat_map(|f| (0..6).flat_map(move |t| (0..8).map(move |k| (f, t, k))))
+            {
+                assert!(
+                    idx.delay_of(4, ProcessId(f), ProcessId(t), k) >= min,
+                    "{net:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -718,39 +900,17 @@ mod tests {
     #[test]
     fn a_broadcasts_lanes_draw_what_its_single_sends_draw() {
         let part = Partition::even(12, 3);
-        let lognormal = LatencyDist::LogNormal {
-            median: 900,
-            sigma_milli: 700,
-            floor: 100,
-            cap: 9_000,
-        };
-        let laggard = DelayModel::Laggard {
-            slow: vec![ProcessId(2)],
-            factor: 3,
-            base: Box::new(DelayModel::Uniform { lo: 5, hi: 90 }),
-        };
-        let nets = [
-            NetworkModel::flat(DelayModel::Uniform { lo: 500, hi: 1_500 }),
-            NetworkModel::flat(DelayModel::Constant(700)).with_loss_ppm(300_000),
-            NetworkModel::flat(laggard).with_dup_ppm(250_000),
-            NetworkModel::clustered(LatencyDist::Uniform { lo: 3, hi: 40 }, lognormal)
-                .with_link(ProcessId(1), ProcessId(7), LatencyDist::Constant(2))
-                .with_loss_ppm(100_000)
-                .with_dup_ppm(100_000),
-        ];
         let to: Vec<u32> = (0..12).rev().chain([3, 5, 7]).collect();
-        for net in nets {
+        for net in seven_networks() {
             let idx = net.compile(&part);
-            let (mut delays, mut fates) = (Vec::new(), Vec::new());
+            let mut delays = Vec::new();
             for (seed, from, k0) in [(1, 1, 0), (9, 2, 12), (u64::MAX, 11, 1 << 40)] {
                 let from = ProcessId(from);
                 idx.delays_of(seed, from, k0, &to, &mut delays);
-                idx.fates_of(seed, from, k0, &to, &mut fates);
-                assert_eq!((delays.len(), fates.len()), (to.len(), to.len()));
+                assert_eq!(delays.len(), to.len());
                 for (i, &g) in to.iter().enumerate() {
                     let (g, k) = (ProcessId(g as usize), k0 + g as u64);
                     assert_eq!(delays[i], idx.delay_of(seed, from, g, k), "{net:?}");
-                    assert_eq!(fates[i], idx.fate_of(seed, from, g, k), "{net:?}");
                 }
             }
         }

@@ -138,7 +138,7 @@ impl Deserialize for CoinSpec {
 ///   shards, one per worker thread: each shard owns its clusters'
 ///   machines, shared memories, and event heap, and shards exchange
 ///   cross-shard deliveries at deterministic virtual-time epoch barriers
-///   (conservative lookahead = [`crate::DelayModel::min_delay`]).
+///   (conservative lookahead = [`crate::NetworkModel::min_delay`]).
 ///   Bit-for-bit identical to [`Engine::EventDriven`] for any seed *and
 ///   any worker count* — the cluster partition is exactly the paper's
 ///   communication structure, so shards only interact through the
@@ -146,8 +146,8 @@ impl Deserialize for CoinSpec {
 ///   Resolves to one shard — reported, via
 ///   [`crate::Outcome::engine_used`], as [`Engine::EventDriven`] — when
 ///   several cannot help or cannot be exact: a single cluster, more
-///   shards than the host has cores, a delay model whose
-///   [`crate::DelayModel::min_delay`] is zero (no lookahead window), or
+///   shards than the host has cores, a network whose
+///   [`crate::NetworkModel::min_delay`] is zero (no lookahead window), or
 ///   [`crate::Scenario::keep_trace`] (only one shard records events in
 ///   dispatch *order*); and to [`Engine::Threads`] for custom bodies.
 ///   One caveat survives on purpose: with several shards an attached

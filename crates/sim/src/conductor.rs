@@ -164,7 +164,7 @@ impl<E> Ord for Keyed<E> {
 }
 
 /// Per-sender send-op counters: the `k` component of [`EventKey`] and the
-/// per-message input of [`DelayModel::delay_of`]. Kept as a lazily-grown
+/// per-message input of [`NetIndex::delay_of`]. Kept as a lazily-grown
 /// vector so schedulers need no up-front `n`.
 #[derive(Debug, Default)]
 pub(crate) struct SendCounters(Vec<u64>);

@@ -82,11 +82,11 @@
 //!   the queue always holds exactly the minimum of what `n` single
 //!   entries would hold, and pops in their order; a window of ticks taken
 //!   whole (below) takes all of the cursor's destinations in the window
-//!   at once and re-queues it once. The shard draws the destinations'
-//!   fates and delays in one [`NetIndex`] call each per broadcast
-//!   ([`NetIndex::fates_of`], [`NetIndex::delays_of`]); they come in
-//!   index order with delivery offsets inside the delay window plus the
-//!   send spacing, so a stable counting sort on the offset orders them
+//!   at once and re-queues it once. The shard draws each destination's
+//!   fate ([`NetIndex::fate_of`]), then the survivors' delays in one call
+//!   per broadcast ([`NetIndex::delays_of`]); they come in index order
+//!   with delivery offsets inside the delay window plus the send spacing,
+//!   so a stable counting sort on the offset orders them
 //!   ([`Cursor::sort_descending`]). Only while it crosses a barrier is a
 //!   cursor boxed inside its entry.
 //!
@@ -1033,11 +1033,12 @@ impl<'a> ShardState<'a> {
 
     /// Takes a lazy broadcast into this shard's queue: resolves the fate
     /// and delivery time of each of the shard's own members (the same
-    /// per-message functions [`ShardState::send`] evaluates, drawn for the
-    /// whole broadcast in one [`NetIndex`] call each, so wherever this
-    /// runs it computes what `n` single sends would have), sorts the
-    /// survivors into delivery order, puts the cursor in the arena and
-    /// enqueues the broadcast under its first survivor.
+    /// per-message functions [`ShardState::send`] evaluates: a fate per
+    /// destination with [`NetIndex::fate_of`], then the survivors' delays
+    /// in one [`NetIndex::delays_of`] call, so wherever this runs it
+    /// computes what `n` single sends would have), sorts the survivors
+    /// into delivery order, puts the cursor in the arena and enqueues the
+    /// broadcast under its first survivor.
     fn schedule(&mut self, mut cursor: Cursor) {
         let (net, seed, members) = (self.net, self.spec.seed, self.members());
         let from = ProcessId(cursor.from as usize);
@@ -1051,20 +1052,19 @@ impl<'a> ShardState<'a> {
         } = &mut lanes;
         // The destinations that are events, and (on a lossy network) the
         // fate of each.
+        fates.clear();
         let dests: &[u32] = if self.reliable {
-            fates.clear();
             members
         } else {
-            net.fates_of(seed, from, cursor.k0, members, fates);
             dests.clear();
-            let mut kept = 0;
-            for (i, &g) in members.iter().enumerate() {
-                if fates[i] != Fate::Lost {
-                    (fates[kept], kept) = (fates[i], kept + 1);
+            for &g in members {
+                let (to, k) = (ProcessId(g as usize), cursor.k0 + u64::from(g));
+                let fate = net.fate_of(seed, from, to, k);
+                if fate != Fate::Lost {
+                    fates.push(fate);
                     dests.push(g);
                 }
             }
-            fates.truncate(kept);
             dests
         };
         net.delays_of(seed, from, cursor.k0, dests, delays);
@@ -2808,8 +2808,8 @@ mod tests {
             let n = partition.n();
             let algorithm = if local { Algorithm::LocalCoin } else { Algorithm::CommonCoin };
             let delay = [DelayModel::Constant(700), LONG, SHORT][net].clone();
-            let lo = delay.min_delay();
             let base = narrow_ticks(partition, algorithm, seed, delay);
+            let lo = base.network.min_delay();
             let at = ofa_scenario::VirtualTime::from_ticks;
             let scenario = match faults {
                 0 => base,
