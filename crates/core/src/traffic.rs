@@ -34,7 +34,7 @@ pub const BATCH_MAGIC: u8 = 0xB7;
 /// which is what exercises backpressure. `ClosedLoop` clients keep at
 /// most one command in flight and think for a PRF-drawn pause between a
 /// commit and their next submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
     /// One arrival every `period` ticks, client `c` offset by
     /// `phase + c % period` (deterministic stagger).
@@ -96,77 +96,6 @@ impl ArrivalProcess {
     }
 }
 
-impl Serialize for ArrivalProcess {
-    fn to_value(&self) -> serde::Value {
-        let entry = |tag: &str, fields: Vec<(&str, u64)>| {
-            serde::Value::Map(vec![(
-                tag.to_string(),
-                serde::Value::Map(
-                    fields
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), serde::Value::U64(v)))
-                        .collect(),
-                ),
-            )])
-        };
-        match *self {
-            ArrivalProcess::Periodic { period, phase } => {
-                entry("Periodic", vec![("period", period), ("phase", phase)])
-            }
-            ArrivalProcess::Poisson { mean_gap } => entry("Poisson", vec![("mean_gap", mean_gap)]),
-            ArrivalProcess::Bursty {
-                burst,
-                period,
-                phase,
-            } => entry(
-                "Bursty",
-                vec![("burst", burst), ("period", period), ("phase", phase)],
-            ),
-            ArrivalProcess::ClosedLoop { think_lo, think_hi } => entry(
-                "ClosedLoop",
-                vec![("think_lo", think_lo), ("think_hi", think_hi)],
-            ),
-        }
-    }
-}
-
-impl Deserialize for ArrivalProcess {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let num = |m: &serde::Value, name: &str| -> Result<u64, serde::Error> {
-            Deserialize::from_value(m.get(name).ok_or_else(|| {
-                serde::Error::msg(format!("ArrivalProcess: missing field {name:?}"))
-            })?)
-        };
-        if let Some(m) = v.get("Periodic") {
-            return Ok(ArrivalProcess::Periodic {
-                period: num(m, "period")?,
-                phase: num(m, "phase")?,
-            });
-        }
-        if let Some(m) = v.get("Poisson") {
-            return Ok(ArrivalProcess::Poisson {
-                mean_gap: num(m, "mean_gap")?,
-            });
-        }
-        if let Some(m) = v.get("Bursty") {
-            return Ok(ArrivalProcess::Bursty {
-                burst: num(m, "burst")?,
-                period: num(m, "period")?,
-                phase: num(m, "phase")?,
-            });
-        }
-        if let Some(m) = v.get("ClosedLoop") {
-            return Ok(ArrivalProcess::ClosedLoop {
-                think_lo: num(m, "think_lo")?,
-                think_hi: num(m, "think_hi")?,
-            });
-        }
-        Err(serde::Error::msg(
-            "ArrivalProcess: expected Periodic | Poisson | Bursty | ClosedLoop",
-        ))
-    }
-}
-
 /// The serializable client-traffic axis of a replicated-log scenario:
 /// who arrives when ([`ArrivalProcess`]), and how the proposer batches
 /// and sheds (`queue_cap`, `batch_min`, `batch_max`).
@@ -178,7 +107,7 @@ impl Deserialize for ArrivalProcess {
 /// commands — or an empty filler payload if fewer than `batch_min` are
 /// pending (the slot boundary is the virtual-time analogue of a
 /// fill-or-timeout batching deadline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficSpec {
     /// The arrival process shared by all clients.
     pub arrival: ArrivalProcess,
@@ -213,34 +142,6 @@ impl TrafficSpec {
             return Ok(());
         };
         Err(fault.to_string())
-    }
-}
-
-impl Serialize for TrafficSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("arrival".to_string(), self.arrival.to_value()),
-            ("clients".to_string(), self.clients.to_value()),
-            ("queue_cap".to_string(), self.queue_cap.to_value()),
-            ("batch_max".to_string(), self.batch_max.to_value()),
-            ("batch_min".to_string(), self.batch_min.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for TrafficSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("TrafficSpec: missing field {name:?}")))
-        };
-        Ok(TrafficSpec {
-            arrival: Deserialize::from_value(field("arrival")?)?,
-            clients: Deserialize::from_value(field("clients")?)?,
-            queue_cap: Deserialize::from_value(field("queue_cap")?)?,
-            batch_max: Deserialize::from_value(field("batch_max")?)?,
-            batch_min: Deserialize::from_value(field("batch_min")?)?,
-        })
     }
 }
 

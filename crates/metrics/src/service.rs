@@ -211,7 +211,7 @@ impl Deserialize for LatencyHistogram {
 /// Merging is commutative and associative on every field (sums and
 /// maxima), so per-process stats fold to the same global value whatever
 /// the engine or worker count.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceStats {
     /// Commands accepted into a proposer queue.
     pub submitted: u64,
@@ -265,41 +265,6 @@ impl ServiceStats {
             return 0.0;
         }
         self.committed as f64 * 1_000.0 / end_time as f64
-    }
-}
-
-impl Serialize for ServiceStats {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("submitted".to_string(), self.submitted.to_value()),
-            ("committed".to_string(), self.committed.to_value()),
-            ("shed".to_string(), self.shed.to_value()),
-            ("batches".to_string(), self.batches.to_value()),
-            (
-                "max_queue_depth".to_string(),
-                self.max_queue_depth.to_value(),
-            ),
-            ("last_commit_at".to_string(), self.last_commit_at.to_value()),
-            ("latency".to_string(), self.latency.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ServiceStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("ServiceStats: missing field {name:?}")))
-        };
-        Ok(ServiceStats {
-            submitted: Deserialize::from_value(field("submitted")?)?,
-            committed: Deserialize::from_value(field("committed")?)?,
-            shed: Deserialize::from_value(field("shed")?)?,
-            batches: Deserialize::from_value(field("batches")?)?,
-            max_queue_depth: Deserialize::from_value(field("max_queue_depth")?)?,
-            last_commit_at: Deserialize::from_value(field("last_commit_at")?)?,
-            latency: Deserialize::from_value(field("latency")?)?,
-        })
     }
 }
 

@@ -102,9 +102,11 @@ impl Sim {
     }
 
     /// Checks that `snapshot` can resume under its scenario: the
-    /// scenario itself ([`Scenario::validate`]), the format version,
-    /// the engine state, the cut time it was taken at, the process
-    /// count, and every machine's state under the scenario's body.
+    /// scenario itself ([`Scenario::validate`], and that it can
+    /// checkpoint at all), the format version, the engine state, the cut
+    /// time it was taken at, the process and cluster counts, every
+    /// pending event's processes and time, and every machine's state
+    /// under the scenario's body.
     /// [`Sim::resume`], [`Sim::resume_until`] and [`Sim::diverge`]
     /// run the same check and panic where it fails; a caller holding a
     /// snapshot it did not make (a file) checks first to refuse it.
@@ -341,26 +343,23 @@ fn finish_outcome(engine: Engine, raw: RawOutcome, started: Instant) -> Outcome 
     out
 }
 
-/// Resolves the shard count for a checkpoint-capable leg and rejects
-/// what snapshots cannot capture.
-fn checkpoint_shards(scenario: &Scenario) -> usize {
-    assert!(
-        scenario.body.has_state_machine(),
+/// Resolves the shard count for a checkpoint-capable leg, or says why
+/// a snapshot cannot capture the scenario.
+fn checkpoint_shards(scenario: &Scenario) -> Result<usize, String> {
+    let refusal = if !scenario.body.has_state_machine() {
         "checkpointing requires a declarative body (custom bodies are blocking code)"
-    );
-    assert!(
-        !scenario.keep_trace,
+    } else if scenario.keep_trace {
         "checkpointing cannot retain an ordered trace (the multiset hash is always kept)"
-    );
-    assert!(
-        scenario.observer.is_none(),
+    } else if scenario.observer.is_some() {
         "checkpointing does not capture observer state"
-    );
-    assert!(
-        !matches!(scenario.coin, CoinSpec::Custom(_)),
+    } else if matches!(scenario.coin, CoinSpec::Custom(_)) {
         "checkpointing requires a serializable coin spec"
-    );
-    resolve_shards(scenario).expect("the thread engine cannot checkpoint; use an event engine")
+    } else if let Some(shards) = resolve_shards(scenario) {
+        return Ok(shards);
+    } else {
+        "the thread engine cannot checkpoint; use an event engine"
+    };
+    Err(refusal.to_string())
 }
 
 /// Runs one checkpoint-capable leg — fresh or resumed, to completion or
@@ -372,13 +371,8 @@ fn run_leg(
 ) -> RunOutcome {
     scenario.assert_valid();
     let started = Instant::now();
-    run_sharded(
-        scenario,
-        checkpoint_shards(scenario),
-        resume,
-        stop_at,
-        started,
-    )
+    let shards = checkpoint_shards(scenario).unwrap_or_else(|e| panic!("{e}"));
+    run_sharded(scenario, shards, resume, stop_at, started)
 }
 
 /// Decodes a snapshot's engine state and continues it under `scenario`
@@ -394,13 +388,15 @@ fn resume_leg(
 
 /// Decodes `snapshot`'s engine state for a resume under `scenario`, and
 /// refuses what a leg would otherwise panic on: an invalid scenario
-/// ([`Scenario::validate`]), another format version, an engine state
-/// that does not decode or was taken at another cut time, another
-/// process count, and a machine that does not decode under the
-/// scenario's body. The one decoder behind every resume and
-/// [`Sim::check_snapshot`].
+/// ([`Scenario::validate`]) or one that cannot checkpoint, another
+/// format version, an engine state that does not decode or was taken at
+/// another cut time, another process or cluster count, a pending event
+/// that names a process outside `0..n` or is timed before the cut, and
+/// a machine that does not decode under the scenario's body. The one
+/// decoder behind every resume and [`Sim::check_snapshot`].
 fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSnap, serde::Error> {
     scenario.validate().map_err(serde::Error::msg)?;
+    checkpoint_shards(scenario).map_err(serde::Error::msg)?;
     if !snapshot.version_matches() {
         return Err(serde::Error::msg(format!(
             "snapshot format version {} (this build reads {SNAPSHOT_VERSION})",
@@ -415,18 +411,33 @@ fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSna
             snap.at
         )));
     }
-    let n = scenario.partition.n();
-    if snap.machines.len() != n || snap.procs.len() != n {
+    let (n, m) = (scenario.partition.n(), scenario.partition.m());
+    let lens = (
+        snap.machines.len(),
+        snap.procs.len(),
+        snap.send_counters.len(),
+        snap.memory.len(),
+    );
+    if lens != (n, n, n, m) {
+        let (machines, procs, counters, memories) = lens;
         return Err(serde::Error::msg(format!(
-            "snapshot holds {} machines and {} processes for n = {n}",
-            snap.machines.len(),
-            snap.procs.len()
+            "snapshot holds {machines} machines, {procs} processes, {counters} send counters \
+             and {memories} cluster memories for n = {n}, m = {m}"
         )));
     }
-    if !scenario.body.has_state_machine() {
-        return Err(serde::Error::msg(
-            "a custom body cannot resume (custom bodies are blocking code)",
-        ));
+    for ev in &snap.events {
+        let (at, from, _, to) = ev.sort_key();
+        if from as usize >= n || to as usize >= n {
+            return Err(serde::Error::msg(format!(
+                "pending event {ev:?} names a process outside n = {n}"
+            )));
+        }
+        if at < snap.at {
+            return Err(serde::Error::msg(format!(
+                "pending event {ev:?} is timed before the cut {}",
+                snap.at
+            )));
+        }
     }
     let spec = RunSpec::from_scenario(scenario);
     let topo = Arc::new(SmTopology::new(scenario.partition.clone()));

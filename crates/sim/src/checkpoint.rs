@@ -29,14 +29,13 @@
 
 use ofa_core::{Decision, Halt, MsgKind};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
-use ofa_sharedmem::Slot;
 use serde::{Deserialize, Serialize};
 
 /// One pending delivery, in the engine-independent form. Times and
 /// ordering keys were fixed when the message was sent (they are
 /// functions of the sender's local history), so restoring re-draws no
 /// randomness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) enum CanonEvent {
     /// A point-to-point delivery.
     One {
@@ -77,70 +76,6 @@ impl CanonEvent {
             } => (at, from, k, to),
             CanonEvent::Broadcast { at, from, k0, .. } => (at, from, k0, 0),
         }
-    }
-}
-
-impl Serialize for CanonEvent {
-    fn to_value(&self) -> serde::Value {
-        match *self {
-            CanonEvent::One {
-                at,
-                from,
-                k,
-                to,
-                msg,
-            } => serde::Value::Map(vec![(
-                "One".to_string(),
-                serde::Value::Map(vec![
-                    ("at".to_string(), at.to_value()),
-                    ("from".to_string(), from.to_value()),
-                    ("k".to_string(), k.to_value()),
-                    ("to".to_string(), to.to_value()),
-                    ("msg".to_string(), msg.to_value()),
-                ]),
-            )]),
-            CanonEvent::Broadcast { at, from, k0, msg } => serde::Value::Map(vec![(
-                "Broadcast".to_string(),
-                serde::Value::Map(vec![
-                    ("at".to_string(), at.to_value()),
-                    ("from".to_string(), from.to_value()),
-                    ("k0".to_string(), k0.to_value()),
-                    ("msg".to_string(), msg.to_value()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for CanonEvent {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if let Some(o) = v.get("One") {
-            let field = |name: &str| {
-                o.get(name)
-                    .ok_or_else(|| serde::Error::msg(format!("CanonEvent::One: missing {name:?}")))
-            };
-            return Ok(CanonEvent::One {
-                at: Deserialize::from_value(field("at")?)?,
-                from: Deserialize::from_value(field("from")?)?,
-                k: Deserialize::from_value(field("k")?)?,
-                to: Deserialize::from_value(field("to")?)?,
-                msg: Deserialize::from_value(field("msg")?)?,
-            });
-        }
-        if let Some(b) = v.get("Broadcast") {
-            let field = |name: &str| {
-                b.get(name).ok_or_else(|| {
-                    serde::Error::msg(format!("CanonEvent::Broadcast: missing {name:?}"))
-                })
-            };
-            return Ok(CanonEvent::Broadcast {
-                at: Deserialize::from_value(field("at")?)?,
-                from: Deserialize::from_value(field("from")?)?,
-                k0: Deserialize::from_value(field("k0")?)?,
-                msg: Deserialize::from_value(field("msg")?)?,
-            });
-        }
-        Err(serde::Error::msg("CanonEvent: expected One or Broadcast"))
     }
 }
 
@@ -246,7 +181,7 @@ impl Deserialize for ProcSnap {
 /// The complete engine state at a virtual-time cut, in canonical
 /// engine-independent form. This is the payload behind
 /// [`ofa_scenario::Snapshot::engine_state`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct EngineSnap {
     /// The cut time `T`.
     pub(crate) at: u64,
@@ -265,12 +200,22 @@ pub(crate) struct EngineSnap {
     pub(crate) machines: Vec<serde::Value>,
     /// Per-process accounting.
     pub(crate) procs: Vec<ProcSnap>,
-    /// Per-cluster shared memory: decided `(slot, word)` pairs plus the
-    /// propose count.
-    pub(crate) memory: Vec<(Vec<(Slot, u64)>, u64)>,
+    /// Per-cluster shared memory, in cluster order.
+    pub(crate) memory: Vec<ClusterCells>,
     /// Pending deliveries in canonical sorted order; timed crashes are
     /// re-seeded from the resume scenario, not stored.
     pub(crate) events: Vec<CanonEvent>,
+}
+
+/// One cluster's shared memory at the cut. `ofa-sharedmem` is
+/// serialization-free, so each decided cell is flattened to
+/// `(instance, round, phase, word)`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub(crate) struct ClusterCells {
+    /// The decided cells.
+    pub(crate) decided: Vec<(u64, u64, u8, u64)>,
+    /// `propose` calls taken so far.
+    pub(crate) proposes: u64,
 }
 
 impl EngineSnap {
@@ -289,116 +234,6 @@ impl EngineSnap {
                 ) if fa == fb && ka == kb
             )
         });
-    }
-}
-
-/// Slots carry no serde impls (`ofa-sharedmem` is serialization-free),
-/// so each decided cell flattens to `[instance, round, phase, word]`.
-fn slot_cell_to_value(slot: &Slot, word: u64) -> serde::Value {
-    serde::Value::Seq(vec![
-        slot.instance.to_value(),
-        slot.round.to_value(),
-        serde::Value::U64(u64::from(slot.phase)),
-        word.to_value(),
-    ])
-}
-
-fn slot_cell_from_value(v: &serde::Value) -> Result<(Slot, u64), serde::Error> {
-    let (instance, round, phase, word): (u64, u64, u8, u64) = Deserialize::from_value(v)?;
-    Ok((
-        Slot {
-            instance,
-            round,
-            phase,
-        },
-        word,
-    ))
-}
-
-impl Serialize for EngineSnap {
-    fn to_value(&self) -> serde::Value {
-        let memory = serde::Value::Seq(
-            self.memory
-                .iter()
-                .map(|(decided, proposes)| {
-                    serde::Value::Map(vec![
-                        (
-                            "decided".to_string(),
-                            serde::Value::Seq(
-                                decided
-                                    .iter()
-                                    .map(|(slot, word)| slot_cell_to_value(slot, *word))
-                                    .collect(),
-                            ),
-                        ),
-                        ("proposes".to_string(), proposes.to_value()),
-                    ])
-                })
-                .collect(),
-        );
-        serde::Value::Map(vec![
-            ("at".to_string(), self.at.to_value()),
-            (
-                "events_processed".to_string(),
-                self.events_processed.to_value(),
-            ),
-            ("end_time".to_string(), self.end_time.to_value()),
-            ("trace_hash".to_string(), self.trace_hash.to_value()),
-            ("trace_count".to_string(), self.trace_count.to_value()),
-            ("send_counters".to_string(), self.send_counters.to_value()),
-            (
-                "machines".to_string(),
-                serde::Value::Seq(self.machines.clone()),
-            ),
-            ("procs".to_string(), self.procs.to_value()),
-            ("memory".to_string(), memory),
-            ("events".to_string(), self.events.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for EngineSnap {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("EngineSnap: missing field {name:?}")))
-        };
-        let machines = match field("machines")? {
-            serde::Value::Seq(items) => items.clone(),
-            _ => return Err(serde::Error::msg("EngineSnap: machines must be a sequence")),
-        };
-        let memory = match field("memory")? {
-            serde::Value::Seq(clusters) => clusters
-                .iter()
-                .map(|c| {
-                    let decided = match c.get("decided") {
-                        Some(serde::Value::Seq(cells)) => cells
-                            .iter()
-                            .map(slot_cell_from_value)
-                            .collect::<Result<Vec<_>, _>>()?,
-                        _ => return Err(serde::Error::msg("EngineSnap: cluster missing decided")),
-                    };
-                    let proposes =
-                        Deserialize::from_value(c.get("proposes").ok_or_else(|| {
-                            serde::Error::msg("EngineSnap: cluster missing proposes")
-                        })?)?;
-                    Ok((decided, proposes))
-                })
-                .collect::<Result<Vec<_>, serde::Error>>()?,
-            _ => return Err(serde::Error::msg("EngineSnap: memory must be a sequence")),
-        };
-        Ok(EngineSnap {
-            at: Deserialize::from_value(field("at")?)?,
-            events_processed: Deserialize::from_value(field("events_processed")?)?,
-            end_time: Deserialize::from_value(field("end_time")?)?,
-            trace_hash: Deserialize::from_value(field("trace_hash")?)?,
-            trace_count: Deserialize::from_value(field("trace_count")?)?,
-            send_counters: Deserialize::from_value(field("send_counters")?)?,
-            machines,
-            procs: Deserialize::from_value(field("procs")?)?,
-            memory,
-            events: Deserialize::from_value(field("events")?)?,
-        })
     }
 }
 
@@ -501,17 +336,10 @@ mod tests {
                 service: ServiceStats::default(),
                 finished: Some((Err(Halt::Crashed), 980)),
             }],
-            memory: vec![(
-                vec![(
-                    Slot {
-                        instance: 0,
-                        round: 2,
-                        phase: 1,
-                    },
-                    77,
-                )],
-                4,
-            )],
+            memory: vec![ClusterCells {
+                decided: vec![(0, 2, 1, 77)],
+                proposes: 4,
+            }],
             events: vec![CanonEvent::One {
                 at: 1_005,
                 from: 0,

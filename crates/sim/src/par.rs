@@ -228,7 +228,7 @@
 //! linearize. Order-sensitive observers belong on one shard; see the
 //! [`Engine`](ofa_scenario::Engine) docs.
 
-use crate::checkpoint::{CanonEvent, EngineSnap, ProcSnap};
+use crate::checkpoint::{CanonEvent, ClusterCells, EngineSnap, ProcSnap};
 use crate::conductor::{rejoin_coin_seed, EventKey, Keyed, RawOutcome, RunSpec, SendCounters};
 use crate::engine::{Input, Machine, ProcState};
 use crate::queue::{Calendar, Handle, Slab};
@@ -238,7 +238,7 @@ use ofa_metrics::{CounterSnapshot, ServiceStats};
 use ofa_scenario::{
     CrashTrigger, DeliverPrefix, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime,
 };
-use ofa_sharedmem::MemoryBank;
+use ofa_sharedmem::{MemoryBank, Slot};
 use ofa_topology::{Partition, ProcessId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -2049,7 +2049,14 @@ impl Coordinator<'_> {
                 .into_iter()
                 .map(|p| p.expect("every process checkpointed"))
                 .collect(),
-            memory: memory.checkpoint(),
+            memory: (memory.checkpoint().into_iter())
+                .map(|(cells, proposes)| ClusterCells {
+                    decided: (cells.into_iter())
+                        .map(|(s, w)| (s.instance, s.round, s.phase, w))
+                        .collect(),
+                    proposes,
+                })
+                .collect(),
             events,
         };
         snap.normalize();
@@ -2184,7 +2191,17 @@ pub(crate) fn conduct_sharded(
     let topo = Arc::new(SmTopology::new(spec.partition.clone()));
     let bank = match resume {
         None => MemoryBank::for_partition(topo.partition()),
-        Some(snap) => MemoryBank::restore(&snap.memory),
+        Some(snap) => {
+            let clusters: Vec<_> = (snap.memory.iter())
+                .map(|c| {
+                    let cells = c.decided.iter();
+                    let decided =
+                        cells.map(|&(i, r, ph, word)| (Slot::in_instance(i, r, ph), word));
+                    (decided.collect(), c.proposes)
+                })
+                .collect();
+            MemoryBank::restore(&clusters)
+        }
     };
     let (layout, spec, topo, bank) = (&layout, &spec, &topo, &bank);
     // Every shard builds itself (and takes its initial steps) on the

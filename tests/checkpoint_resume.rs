@@ -438,3 +438,138 @@ fn traffic_checkpoint_mid_burst_resumes_bit_for_bit() {
         assert_same_outcome("mid-burst serde resume", &straight, &resumed);
     }
 }
+
+use one_for_all::scenario::{Body, CostModel};
+use std::sync::OnceLock;
+
+/// A served replicated log paused at t = 520, written before the
+/// snapshot codecs became derives and kept byte for byte since. It holds
+/// a traffic spec, a crashed replica's service statistics and both
+/// kinds of pending event.
+const GOLDEN: &str = include_str!("fixtures/served_snapshot.json");
+
+/// The run behind [`GOLDEN`]: a constant delay and a zero send cost keep
+/// every broadcast one batched descriptor, duplication adds single
+/// deliveries, and replica p2 crashes at t = 500 with commands queued.
+fn golden_scenario() -> Scenario {
+    let traffic = TrafficSpec {
+        arrival: ArrivalProcess::Poisson { mean_gap: 150 },
+        clients: 14,
+        queue_cap: 8,
+        batch_max: 4,
+        batch_min: 0,
+    };
+    Scenario::new(
+        Partition::from_sizes(&[3, 2, 2]).unwrap(),
+        Algorithm::LocalCoin,
+    )
+    .replicated_log_traffic(Algorithm::LocalCoin, 3, traffic)
+    .delay(DelayModel::Constant(40))
+    .costs(CostModel {
+        send_cost: 0,
+        ..CostModel::new()
+    })
+    .dup_ppm(100_000)
+    .crashes(CrashPlan::new().crash_at_time(ProcessId(1), VirtualTime::from_ticks(500)))
+    .seed(11)
+}
+
+#[test]
+fn the_golden_snapshot_keeps_its_bytes_and_resumes_to_its_pin() {
+    let snap: Snapshot = serde_json::from_str(GOLDEN).expect("the golden snapshot decodes");
+    assert_eq!(
+        serde_json::to_string(&snap).expect("encodes"),
+        GOLDEN,
+        "re-encoding changed the bytes"
+    );
+    let Body::ReplicatedLog(log) = &snap.scenario.body else {
+        panic!("the golden run is a replicated log");
+    };
+    assert!(log.traffic.is_some(), "the golden run is served");
+    let listed = |name: &str| match snap.engine_state.get(name) {
+        Some(serde_json::Value::Seq(items)) => items,
+        other => panic!("the engine state lists its {name}: {other:?}"),
+    };
+    for tag in ["One", "Broadcast"] {
+        assert!(
+            listed("events").iter().any(|ev| ev.get(tag).is_some()),
+            "a pending {tag} event"
+        );
+    }
+    assert!(
+        listed("procs").iter().any(|p| p.get("service").is_some()),
+        "a process with service statistics"
+    );
+    match Sim.run_until(&golden_scenario(), snap.at) {
+        RunOutcome::Paused(fresh) => assert_eq!(
+            serde_json::to_string(&*fresh).expect("encodes"),
+            GOLDEN,
+            "this build pauses the golden run at other bytes"
+        ),
+        RunOutcome::Done(_) => panic!("the golden run pauses at its cut"),
+    }
+    Sim.check_snapshot(&snap)
+        .expect("the golden snapshot resumes");
+    let out = Sim.resume(&snap);
+    assert_eq!(out.trace_hash, Some(0x24af_4ab0_984c_a5c0));
+    assert_eq!(out.events_processed, 1_222);
+}
+
+/// A CLI-default run of `--sizes 3,2,2`, paused at t = 1500.
+fn plain_snapshot() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let scenario = Scenario::new(
+            Partition::from_sizes(&[3, 2, 2]).unwrap(),
+            Algorithm::CommonCoin,
+        )
+        .proposals_split(3);
+        match Sim.run_until(&scenario, VirtualTime::from_ticks(1_500)) {
+            RunOutcome::Paused(snap) => serde_json::to_string(&*snap).expect("encodes"),
+            RunOutcome::Done(_) => panic!("the run pauses at its cut"),
+        }
+    })
+}
+
+/// `text` with byte `at` (mod its length) changed: a digit to another
+/// digit, anything else to a printable ASCII byte chosen by `pick`.
+fn change_one_byte(text: &str, at: usize, pick: u8) -> Vec<u8> {
+    let mut bytes = text.as_bytes().to_vec();
+    let len = bytes.len();
+    let b = &mut bytes[at % len];
+    *b = if b.is_ascii_digit() {
+        b'0' + (*b - b'0' + 1 + pick % 9) % 10
+    } else {
+        b' ' + pick % 95
+    };
+    bytes
+}
+
+/// Refused by the decoder or by [`Sim::check_snapshot`], or resumed to
+/// the end; a panic fails the test.
+fn refuse_or_resume(bytes: &[u8]) {
+    let Some(snap) = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| serde_json::from_str::<Snapshot>(text).ok())
+    else {
+        return;
+    };
+    if Sim.check_snapshot(&snap).is_ok() {
+        Sim.resume(&snap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// No stored snapshot panics a resume: one changed byte of a plain
+    /// and of a served snapshot is refused or resumes.
+    #[test]
+    fn a_snapshot_with_one_byte_changed_is_refused_or_resumes(
+        at in any::<usize>(),
+        pick in any::<u8>(),
+    ) {
+        refuse_or_resume(&change_one_byte(GOLDEN, at, pick));
+        refuse_or_resume(&change_one_byte(plain_snapshot(), at, pick));
+    }
+}

@@ -9,7 +9,8 @@
 
 use ofa_core::Algorithm;
 use ofa_scenario::{
-    Body, DelayModel, LatencyDist, LinkClasses, NetworkModel, SmrWorkload, Snapshot, VirtualTime,
+    Body, DelayModel, Engine, LatencyDist, LinkClasses, NetworkModel, SmrWorkload, Snapshot,
+    VirtualTime,
 };
 use serde_json::Value;
 use std::path::PathBuf;
@@ -225,18 +226,74 @@ fn drop_a_field(snap: &mut Snapshot) {
     engine_entries(snap).retain(|(name, _)| name != "trace_hash");
 }
 
+/// One entry of the engine state.
+fn engine_field<'a>(snap: &'a mut Snapshot, name: &str) -> &'a mut Value {
+    engine_entries(snap)
+        .iter_mut()
+        .find_map(|(key, v)| (key == name).then_some(v))
+        .unwrap_or_else(|| panic!("the engine state has no {name}"))
+}
+
+/// Sets `field` of the first pending point-to-point delivery.
+fn set_in_first_delivery(snap: &mut Snapshot, field: &str, value: u64) {
+    let Value::Seq(events) = engine_field(snap, "events") else {
+        panic!("the engine state lists its events");
+    };
+    let fields = events
+        .iter_mut()
+        .find_map(|ev| match ev {
+            Value::Map(tagged) => match tagged.as_mut_slice() {
+                [(tag, Value::Map(fields))] if tag == "One" => Some(fields),
+                _ => None,
+            },
+            _ => None,
+        })
+        .expect("a pending delivery at the cut");
+    let slot = fields
+        .iter_mut()
+        .find_map(|(key, v)| (key == field).then_some(v))
+        .unwrap_or_else(|| panic!("a delivery has no {field}"));
+    *slot = Value::U64(value);
+}
+
+fn send_to_nobody(snap: &mut Snapshot) {
+    let n = snap.scenario.partition.n() as u64;
+    set_in_first_delivery(snap, "to", n);
+}
+
+fn send_from_nobody(snap: &mut Snapshot) {
+    let n = snap.scenario.partition.n() as u64;
+    set_in_first_delivery(snap, "from", n);
+}
+
+fn deliver_before_the_cut(snap: &mut Snapshot) {
+    let early = snap.at.ticks() - 1;
+    set_in_first_delivery(snap, "at", early);
+}
+
+fn drop_a_cluster_memory(snap: &mut Snapshot) {
+    let Value::Seq(memory) = engine_field(snap, "memory") else {
+        panic!("the engine state lists its cluster memories");
+    };
+    memory.pop();
+}
+
+fn pick_the_thread_engine(snap: &mut Snapshot) {
+    snap.scenario.engine = Engine::Threads;
+}
+
+fn keep_the_trace(snap: &mut Snapshot) {
+    snap.scenario.keep_trace = true;
+}
+
 fn move_the_cut(snap: &mut Snapshot) {
     snap.at = VirtualTime::from_ticks(snap.at.ticks() + 1);
 }
 
 fn replace_a_machine(snap: &mut Snapshot) {
-    let machines = engine_entries(snap)
-        .iter_mut()
-        .find_map(|(name, v)| match v {
-            Value::Seq(machines) if name == "machines" => Some(machines),
-            _ => None,
-        })
-        .expect("the engine state lists its machines");
+    let Value::Seq(machines) = engine_field(snap, "machines") else {
+        panic!("the engine state lists its machines");
+    };
     let live = machines
         .iter_mut()
         .find(|m| **m != Value::Null)
@@ -301,7 +358,7 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         "the intact snapshot resumes"
     );
     type Corruption = fn(&mut Snapshot);
-    let corruptions: [(&str, Corruption); 8] = [
+    let corruptions: [(&str, Corruption); 14] = [
         ("missing field", drop_a_field),
         ("cut time off by one", move_the_cut),
         ("bogus machine", replace_a_machine),
@@ -310,13 +367,26 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         ("inverted latency bounds", invert_a_latency_bound),
         ("inverted flat delay bounds", invert_the_flat_delay_bounds),
         ("zero log slots", zero_the_slots),
+        ("event destination outside n", send_to_nobody),
+        ("event sender outside n", send_from_nobody),
+        ("event before the cut", deliver_before_the_cut),
+        ("a cluster memory short", drop_a_cluster_memory),
+        ("thread engine", pick_the_thread_engine),
+        ("kept trace", keep_the_trace),
     ];
+    let resume = |what: &str, json: &str| {
+        let file = path(&format!("{}.snap.json", what.replace(' ', "-")));
+        std::fs::write(&file, json).expect("written");
+        assert_refused(what, &ofa_with(&["--resume", &file]));
+    };
     for (what, corrupt) in corruptions {
         let mut snap: Snapshot = serde_json::from_str(&text).expect("the snapshot decodes");
         corrupt(&mut snap);
-        let file = path(&format!("{}.snap.json", what.replace(' ', "-")));
-        let json = serde_json::to_string(&snap).expect("encodes");
-        std::fs::write(&file, json).expect("written");
-        assert_refused(what, &ofa_with(&["--resume", &file]));
+        resume(what, &serde_json::to_string(&snap).expect("encodes"));
     }
+    // A scenario stored before the engine knob existed decodes as
+    // `Engine::Threads`, which cannot resume a snapshot.
+    let no_engine = text.replace(",\"engine\":\"EventDriven\"", "");
+    assert_ne!(no_engine, text, "the snapshot names its engine");
+    resume("no engine key", &no_engine);
 }
