@@ -179,7 +179,8 @@ pub enum ObsEvent {
     /// process's [`crate::Mailbox`] discarded during the instance —
     /// past-slot arrivals plus buffers pruned when the served slot
     /// advanced. Substrates fold the delta into
-    /// `ofa_metrics::Counters::stale_dropped`.
+    /// `ofa_metrics::CounterSnapshot::stale_dropped`
+    /// (`ofa_scenario::ProcAccount::observe`).
     MailboxStats {
         /// Stale messages dropped since the previous report by the same
         /// process (a delta, so multi-instance layers sum correctly).

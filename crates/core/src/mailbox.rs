@@ -16,7 +16,7 @@
 //! do not retain dead instances forever. Pruned entries count into
 //! [`Mailbox::stale_dropped`], which the algorithms report through
 //! [`crate::ObsEvent::MailboxStats`] so substrates can expose it via
-//! `ofa_metrics::Counters`.
+//! `ofa_metrics::CounterSnapshot::stale_dropped`.
 //!
 //! Application payloads ([`MsgKind::App`] — the proposals the multivalued
 //! reduction disseminates) are neither served nor dropped by a binary

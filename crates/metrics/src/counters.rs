@@ -1,131 +1,43 @@
-//! Lock-free event counters shared between a process and its observers.
+//! Per-process event counters.
 //!
-//! Every execution substrate (simulator, thread runtime, m&m comparator)
-//! increments one [`Counters`] per process; experiment harnesses aggregate
-//! them with [`Counters::snapshot`] and [`CounterSnapshot::merge`]. The
+//! Every execution substrate (simulator engines, thread runtime) keeps one
+//! [`CounterSnapshot`] per process, written only by the thread stepping
+//! that process, and aggregates them with [`CounterSnapshot::merge`]. The
 //! counters back the paper's structural comparisons: consensus-object
 //! invocations per phase (§III-C), message counts, coin usage, and round
 //! counts.
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic event counters for one process (or one whole run, when merged).
-///
-/// All increments use relaxed ordering: counters are statistics, not
-/// synchronization.
-///
-/// # Examples
-///
-/// ```
-/// use ofa_metrics::Counters;
-///
-/// let c = Counters::new();
-/// c.inc_messages_sent(7);
-/// c.inc_cluster_proposes(1);
-/// let snap = c.snapshot();
-/// assert_eq!(snap.messages_sent, 7);
-/// assert_eq!(snap.cluster_proposes, 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct Counters {
-    messages_sent: AtomicU64,
-    messages_delivered: AtomicU64,
-    broadcasts: AtomicU64,
-    cluster_proposes: AtomicU64,
-    register_ops: AtomicU64,
-    local_coin_flips: AtomicU64,
-    common_coin_queries: AtomicU64,
-    rounds_started: AtomicU64,
-    decisions: AtomicU64,
-    decide_relays: AtomicU64,
-    stale_dropped: AtomicU64,
-}
-
-macro_rules! counter_methods {
-    ($($(#[$doc:meta])* $field:ident => $inc:ident, $get:ident;)*) => {
-        $(
-            $(#[$doc])*
-            #[inline]
-            pub fn $inc(&self, by: u64) {
-                self.$field.fetch_add(by, Ordering::Relaxed);
-            }
-
-            /// Current value of the counter.
-            #[inline]
-            pub fn $get(&self) -> u64 {
-                self.$field.load(Ordering::Relaxed)
-            }
-        )*
-    };
-}
-
-impl Counters {
-    /// Creates a zeroed counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    counter_methods! {
-        /// Point-to-point sends (a broadcast to `n` processes counts `n`).
-        messages_sent => inc_messages_sent, messages_sent;
-        /// Messages actually delivered to the algorithm.
-        messages_delivered => inc_messages_delivered, messages_delivered;
-        /// Invocations of the `broadcast` macro-operation.
-        broadcasts => inc_broadcasts, broadcasts;
-        /// Invocations of an intra-cluster (or m&m) consensus object
-        /// — the quantity compared in §III-C of the paper.
-        cluster_proposes => inc_cluster_proposes, cluster_proposes;
-        /// Shared-register read/write operations.
-        register_ops => inc_register_ops, register_ops;
-        /// Local coin flips (Algorithm 2, line 14).
-        local_coin_flips => inc_local_coin_flips, local_coin_flips;
-        /// Common coin queries (Algorithm 3, line 6).
-        common_coin_queries => inc_common_coin_queries, common_coin_queries;
-        /// Rounds entered (line 3 of both algorithms).
-        rounds_started => inc_rounds_started, rounds_started;
-        /// Direct decisions (`return(v)` at line 12 / 9).
-        decisions => inc_decisions, decisions;
-        /// Decisions adopted from a relayed `DECIDE` message (line 17 / 13).
-        decide_relays => inc_decide_relays, decide_relays;
-        /// Stale mailbox entries discarded (past-slot arrivals plus
-        /// buffers pruned when the served slot advanced).
-        stale_dropped => inc_stale_dropped, stale_dropped;
-    }
-
-    /// Takes a plain-data copy of all counters.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            messages_sent: self.messages_sent(),
-            messages_delivered: self.messages_delivered(),
-            broadcasts: self.broadcasts(),
-            cluster_proposes: self.cluster_proposes(),
-            register_ops: self.register_ops(),
-            local_coin_flips: self.local_coin_flips(),
-            common_coin_queries: self.common_coin_queries(),
-            rounds_started: self.rounds_started(),
-            decisions: self.decisions(),
-            decide_relays: self.decide_relays(),
-            stale_dropped: self.stale_dropped(),
-        }
-    }
-}
-
-/// A plain-data copy of [`Counters`], suitable for aggregation and
-/// serialization.
+/// Event counters for one process (or one whole run, when merged):
+/// plain data, suitable for aggregation and serialization.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(missing_docs)] // field meanings documented on `Counters`
 pub struct CounterSnapshot {
+    /// Point-to-point sends (a broadcast to `n` processes counts `n`).
     pub messages_sent: u64,
+    /// Messages actually delivered to the algorithm.
     pub messages_delivered: u64,
+    /// Invocations of the `broadcast` macro-operation.
     pub broadcasts: u64,
+    /// Invocations of an intra-cluster (or m&m) consensus object — the
+    /// quantity compared in §III-C of the paper.
     pub cluster_proposes: u64,
+    /// Shared-register read/write operations. No substrate counts them;
+    /// the field stays because the `Outcome` JSON and stored snapshots
+    /// carry it.
     pub register_ops: u64,
+    /// Local coin flips (Algorithm 2, line 14).
     pub local_coin_flips: u64,
+    /// Common coin queries (Algorithm 3, line 6).
     pub common_coin_queries: u64,
+    /// Rounds entered (line 3 of both algorithms).
     pub rounds_started: u64,
+    /// Direct decisions (`return(v)` at line 12 / 9).
     pub decisions: u64,
+    /// Decisions adopted from a relayed `DECIDE` message (line 17 / 13).
     pub decide_relays: u64,
+    /// Stale mailbox entries discarded (past-slot arrivals plus buffers
+    /// pruned when the served slot advanced).
     pub stale_dropped: u64,
 }
 
@@ -158,28 +70,6 @@ impl CounterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn increments_accumulate() {
-        let c = Counters::new();
-        c.inc_messages_sent(3);
-        c.inc_messages_sent(4);
-        c.inc_rounds_started(1);
-        assert_eq!(c.messages_sent(), 7);
-        assert_eq!(c.rounds_started(), 1);
-        assert_eq!(c.decisions(), 0);
-    }
-
-    #[test]
-    fn snapshot_is_plain_copy() {
-        let c = Counters::new();
-        c.inc_local_coin_flips(2);
-        let s1 = c.snapshot();
-        c.inc_local_coin_flips(5);
-        assert_eq!(s1.local_coin_flips, 2);
-        assert_eq!(c.snapshot().local_coin_flips, 7);
-    }
 
     #[test]
     fn merge_sums_fieldwise() {
@@ -206,23 +96,5 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(CounterSnapshot::merge_all(snaps).broadcasts, 10);
-    }
-
-    #[test]
-    fn concurrent_increments_do_not_lose_updates() {
-        let c = Arc::new(Counters::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.inc_messages_delivered(1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.messages_delivered(), 8000);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Four building blocks:
 //!
-//! * [`Counters`] / [`CounterSnapshot`] — lock-free per-process event
-//!   counters (messages, consensus-object invocations, coin flips, rounds)
-//!   backing the paper's structural comparisons,
+//! * [`CounterSnapshot`] — per-process event counters (messages,
+//!   consensus-object invocations, coin flips, rounds) backing the paper's
+//!   structural comparisons,
 //! * [`Summary`] / [`Histogram`] — statistics over samples such as decision
 //!   rounds and virtual-time latencies,
 //! * [`LatencyHistogram`] / [`ServiceStats`] — the client-service metrics
@@ -36,7 +36,7 @@ mod service;
 mod stats;
 mod table;
 
-pub use counters::{CounterSnapshot, Counters};
+pub use counters::CounterSnapshot;
 pub use service::{LatencyHistogram, ServiceStats};
 pub use stats::{Histogram, Summary};
 pub use table::{fmt_f64, fmt_ratio, Table};

@@ -38,8 +38,7 @@
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
 use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer};
-use ofa_metrics::{CounterSnapshot, Counters};
-use ofa_scenario::{Backend, BackendKind, CrashTrigger, Outcome, Scenario};
+use ofa_scenario::{Backend, BackendKind, CrashTrigger, Outcome, ProcAccount, Scenario};
 use ofa_sharedmem::{MemoryBank, Slot};
 use ofa_topology::{Partition, ProcessId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,40 +55,25 @@ struct ThreadEnv {
     senders: Vec<Sender<Msg>>,
     receiver: Receiver<Msg>,
     memory: MemoryBank,
-    counters: Arc<Counters>,
+    account: ProcAccount,
     common_coin: Arc<dyn CommonCoin>,
     local_coin: SeededLocalCoin,
     observer: Option<Arc<dyn Observer>>,
     stop: Arc<AtomicBool>,
-    crash_at_step: Option<u64>,
-    crash_at_round: Option<u64>,
     /// Wall-clock instant at which an `AtTime` trigger fires (virtual
     /// ticks read as microseconds from run start — see [`Threads`]).
     crash_at_instant: Option<Instant>,
-    steps: u64,
-    crashed: bool,
 }
 
 impl ThreadEnv {
     fn step(&mut self) -> Result<(), Halt> {
-        self.steps += 1;
-        if let Some(k) = self.crash_at_step {
-            if self.steps > k {
-                self.crashed = true;
-            }
-        }
         self.check_timed_crash();
-        if self.crashed {
-            return Err(Halt::Crashed);
-        }
-        Ok(())
+        self.account.step()
     }
 
     fn check_timed_crash(&mut self) {
-        if let Some(at) = self.crash_at_instant {
-            if Instant::now() >= at {
-                self.crashed = true;
-            }
+        if self.crash_at_instant.is_some_and(|at| Instant::now() >= at) {
+            self.account.crashed_self = true;
         }
     }
 }
@@ -105,7 +89,7 @@ impl Env for ThreadEnv {
 
     fn send(&mut self, to: ProcessId, msg: MsgKind) -> Result<(), Halt> {
         self.step()?;
-        self.counters.inc_messages_sent(1);
+        self.account.counters.messages_sent += 1;
         // A closed channel means the receiver finished — the message is
         // simply dropped, like a message to a decided process.
         let _ = self.senders[to.index()].send(Msg {
@@ -116,7 +100,7 @@ impl Env for ThreadEnv {
     }
 
     fn broadcast(&mut self, msg: MsgKind) -> Result<(), Halt> {
-        self.counters.inc_broadcasts(1);
+        self.account.counters.broadcasts += 1;
         let n = self.partition.n();
         for j in 0..n {
             self.send(ProcessId(j), msg)?;
@@ -129,14 +113,14 @@ impl Env for ThreadEnv {
         loop {
             match self.receiver.recv_timeout(POLL_INTERVAL) {
                 Ok(m) => {
-                    self.counters.inc_messages_delivered(1);
+                    self.account.counters.messages_delivered += 1;
                     return Ok(m);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // Timed crashes fire even while blocked, like the
                     // simulator's scheduled crash events.
                     self.check_timed_crash();
-                    if self.crashed {
+                    if self.account.crashed_self {
                         return Err(Halt::Crashed);
                     }
                     if self.stop.load(Ordering::SeqCst) {
@@ -150,7 +134,7 @@ impl Env for ThreadEnv {
 
     fn cluster_propose(&mut self, slot: Slot, enc: u64) -> Result<u64, Halt> {
         self.step()?;
-        self.counters.inc_cluster_proposes(1);
+        self.account.counters.cluster_proposes += 1;
         Ok(self
             .memory
             .memory_of(&self.partition, self.me)
@@ -159,39 +143,18 @@ impl Env for ThreadEnv {
 
     fn local_coin(&mut self) -> Result<Bit, Halt> {
         self.step()?;
-        self.counters.inc_local_coin_flips(1);
+        self.account.counters.local_coin_flips += 1;
         Ok(Bit::from(self.local_coin.flip()))
     }
 
     fn common_coin(&mut self, round: u64) -> Result<Bit, Halt> {
         self.step()?;
-        self.counters.inc_common_coin_queries(1);
+        self.account.counters.common_coin_queries += 1;
         Ok(Bit::from(self.common_coin.bit(round)))
     }
 
     fn observe(&mut self, event: ObsEvent) {
-        match event {
-            ObsEvent::RoundStart { .. } => {
-                self.counters.inc_rounds_started(1);
-                // Cumulative across instances, like the simulator.
-                if let Some(r) = self.crash_at_round {
-                    if self.counters.rounds_started() >= r {
-                        self.crashed = true;
-                    }
-                }
-            }
-            ObsEvent::Deciding { relayed, .. } => {
-                if relayed {
-                    self.counters.inc_decide_relays(1);
-                } else {
-                    self.counters.inc_decisions(1);
-                }
-            }
-            ObsEvent::MailboxStats { stale_dropped } => {
-                self.counters.inc_stale_dropped(stale_dropped);
-            }
-            _ => {}
-        }
+        self.account.observe(&event);
         if let Some(obs) = &self.observer {
             obs.on_event(self.me, &event);
         }
@@ -240,6 +203,10 @@ impl Backend for Threads {
     }
 }
 
+/// What a process thread hands back when its body returns: its index,
+/// its result, when it returned, and its account.
+type Done = (usize, Result<Decision, Halt>, Duration, ProcAccount);
+
 /// Executes `scenario` on real threads and assembles the unified outcome.
 fn run_scenario(scenario: &Scenario) -> Outcome {
     scenario.assert_valid();
@@ -260,22 +227,17 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
         receivers.push(rx);
     }
     let memory = MemoryBank::for_partition(&scenario.partition);
-    let counters: Vec<Arc<Counters>> = (0..n).map(|_| Arc::new(Counters::new())).collect();
     let common_coin = scenario.build_coin();
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
 
-    let (done_tx, done_rx) = unbounded::<(usize, Result<Decision, Halt>, Duration)>();
+    let (done_tx, done_rx) = unbounded::<Done>();
     let mut handles = Vec::with_capacity(n);
     for (i, receiver) in receivers.into_iter().enumerate() {
         let me = ProcessId(i);
-        let (crash_at_step, crash_at_round, crash_at_instant) = match scenario.crashes.trigger(me) {
-            Some(CrashTrigger::AtStep(k)) => (Some(k), None, None),
-            Some(CrashTrigger::AtRound(r)) => (None, Some(r), None),
-            Some(CrashTrigger::AtTime(t)) => {
-                (None, None, Some(started + Duration::from_micros(t.ticks())))
-            }
-            None => (None, None, None),
+        let crash_at_instant = match scenario.crashes.trigger(me) {
+            Some(CrashTrigger::AtTime(t)) => Some(started + Duration::from_micros(t.ticks())),
+            _ => None,
         };
         let mut env = ThreadEnv {
             me,
@@ -283,16 +245,12 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
             senders: senders.clone(),
             receiver,
             memory: memory.clone(),
-            counters: Arc::clone(&counters[i]),
+            account: ProcAccount::new(&scenario.crashes, me),
             common_coin: Arc::clone(&common_coin),
             local_coin: SeededLocalCoin::for_process(scenario.seed, me),
             observer: scenario.observer.clone(),
             stop: Arc::clone(&stop),
-            crash_at_step,
-            crash_at_round,
             crash_at_instant,
-            steps: 0,
-            crashed: false,
         };
         let body = scenario.body.clone();
         let config = scenario.config;
@@ -303,7 +261,7 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
                 .name(format!("ofa-p{}", i + 1))
                 .spawn(move || {
                     let result = body.run(&mut env, proposal, &config);
-                    let _ = done_tx.send((i, result, started.elapsed()));
+                    let _ = done_tx.send((i, result, started.elapsed(), env.account));
                 })
                 .expect("spawn process thread"),
         );
@@ -313,15 +271,16 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
 
     // Collect results; on deadline, raise the stop flag so blocked
     // processes bail out with Halt::Stopped.
-    let mut results: Vec<Option<(Result<Decision, Halt>, Duration)>> = vec![None; n];
+    let mut results: Vec<Option<Done>> = vec![None; n];
     let mut collected = 0;
     let deadline = started + scenario.timeout_duration();
     while collected < n {
         let now = Instant::now();
         let wait = deadline.saturating_duration_since(now).max(POLL_INTERVAL);
         match done_rx.recv_timeout(wait) {
-            Ok((i, res, at)) => {
-                results[i] = Some((res, at));
+            Ok(done) => {
+                let i = done.0;
+                results[i] = Some(done);
                 collected += 1;
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -339,14 +298,15 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
 
     let mut latest_decision = None;
     let mut flat = Vec::with_capacity(n);
+    let mut per_process = Vec::with_capacity(n);
     for slot in results {
-        let (res, at) = slot.expect("every thread reports");
+        let (_, res, at, account) = slot.expect("every thread reports");
         if res.is_ok() {
             latest_decision = Some(latest_decision.unwrap_or(Duration::ZERO).max(at));
         }
         flat.push(res);
+        per_process.push(account.counters);
     }
-    let per_process: Vec<CounterSnapshot> = counters.iter().map(|c| c.snapshot()).collect();
     let mut out = Outcome::assemble(
         BackendKind::Threads,
         flat,

@@ -36,7 +36,9 @@
 //! The substrate-neutral description types ([`CrashPlan`], [`DelayModel`],
 //! [`CostModel`], [`VirtualTime`], the trace types, [`ProcessBody`]) live
 //! here too, so both substrates — and any future one — share one
-//! vocabulary.
+//! vocabulary, and so does the one per-process account every
+//! environment keeps ([`ProcAccount`]: steps, step and round crash
+//! triggers, counters).
 
 #![warn(missing_docs)]
 
@@ -57,7 +59,7 @@ mod trace;
 pub use backend::Backend;
 pub use body::{Body, MvWorkload, ProcessBody, SmrWorkload};
 pub use churn::{ChurnEvent, ChurnPlan, PoissonChurn};
-pub use crash::{CrashPlan, CrashTrigger};
+pub use crash::{CrashPlan, CrashTrigger, ProcAccount};
 pub use delay::{CostModel, DelayModel};
 pub use network::{Fate, LatencyDist, LinkClasses, LinkOverride, NetIndex, NetworkModel};
 pub use outcome::{BackendKind, Outcome};

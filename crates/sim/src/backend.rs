@@ -2,13 +2,17 @@
 //! [`ofa_scenario::Scenario`].
 
 use crate::checkpoint::EngineSnap;
-use crate::conductor::{conduct, RawOutcome, RunSpec, TimedScheduler};
+use crate::conductor::{conduct, TimedScheduler};
 use crate::par::{conduct_sharded, leg_machine, LegResult};
+use ofa_coins::CommonCoin;
 use ofa_core::sm::SmTopology;
+use ofa_core::{Bit, Decision, Halt, Observer, ProtocolConfig};
+use ofa_metrics::{CounterSnapshot, ServiceStats};
 use ofa_scenario::{
-    default_workers, Backend, BackendKind, CoinSpec, DivergeSpec, Engine, Outcome, Scenario,
-    Snapshot, VirtualTime, SNAPSHOT_VERSION,
+    default_workers, Backend, BackendKind, Body, ChurnPlan, CoinSpec, CostModel, CrashPlan,
+    DivergeSpec, Engine, Outcome, Scenario, Snapshot, TimedEvent, VirtualTime, SNAPSHOT_VERSION,
 };
+use ofa_topology::Partition;
 use serde::{Deserialize as _, Serialize as _};
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,10 +117,39 @@ impl Sim {
     ///
     /// # Errors
     ///
-    /// The first part of the snapshot that does not decode or does not
-    /// agree with the rest.
-    pub fn check_snapshot(&self, snapshot: &Snapshot) -> Result<(), serde::Error> {
+    /// The first part of the snapshot that does not decode
+    /// ([`CheckpointError::Decode`]) or does not agree with the rest
+    /// ([`CheckpointError::Refused`]).
+    pub fn check_snapshot(&self, snapshot: &Snapshot) -> Result<(), CheckpointError> {
         decode_snapshot(snapshot, &snapshot.scenario).map(drop)
+    }
+}
+
+/// Why [`Sim::check_snapshot`] refuses a snapshot.
+#[derive(Debug)]
+pub enum CheckpointError {
+    /// A part of the engine state does not decode.
+    Decode(serde::Error),
+    /// The snapshot decodes but cannot resume: its scenario is invalid
+    /// or cannot checkpoint, or its version, cut, sizes or pending
+    /// events disagree with the rest. Displayed as the reason alone.
+    Refused(String),
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::Decode(e) => e.fmt(f),
+            CheckpointError::Refused(reason) => f.write_str(reason),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+impl From<serde::Error> for CheckpointError {
+    fn from(e: serde::Error) -> Self {
+        CheckpointError::Decode(e)
     }
 }
 
@@ -239,6 +272,22 @@ pub(crate) fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |c| c.get())
 }
 
+/// Everything needed to run one simulated execution.
+pub(crate) struct RunSpec {
+    pub partition: Partition,
+    pub body: Body,
+    pub config: ProtocolConfig,
+    pub proposals: Vec<Bit>,
+    pub seed: u64,
+    pub costs: CostModel,
+    pub crash_plan: CrashPlan,
+    pub churn: ChurnPlan,
+    pub common_coin: Arc<dyn CommonCoin>,
+    pub observer: Option<Arc<dyn Observer>>,
+    pub keep_trace: bool,
+    pub max_events: u64,
+}
+
 impl RunSpec {
     /// Everything an engine needs of `scenario`, built exactly once per
     /// run (the body, proposals and crash plan are cloned here and
@@ -306,6 +355,32 @@ fn run_sharded(
             engine_state: snap.to_value(),
         })),
     }
+}
+
+/// Raw result of a run on either loop, before [`finish_outcome`] shapes
+/// it into the unified [`Outcome`].
+pub(crate) struct RawOutcome {
+    pub results: Vec<(Result<Decision, Halt>, u64)>,
+    pub counters: Vec<CounterSnapshot>,
+    /// Run-wide client-service statistics (traffic-driven replicated
+    /// logs only; empty otherwise), merged over processes in index order.
+    pub service: ServiceStats,
+    pub trace_hash: u64,
+    pub trace_events: Vec<TimedEvent>,
+    pub events_processed: u64,
+    pub end_time: u64,
+    pub sm_objects: usize,
+    pub sm_proposes: u64,
+}
+
+/// Domain separator folded into the master seed for the local-coin
+/// stream of a rejoined process: a second incarnation must not replay
+/// its first incarnation's coin flips. Shared by all engines.
+const REJOIN_COIN_DOMAIN: u64 = 0x8E01_12EC_015E_ED01;
+
+/// The local-coin seed used by every engine for rejoined incarnations.
+pub(crate) fn rejoin_coin_seed(seed: u64) -> u64 {
+    seed ^ REJOIN_COIN_DOMAIN
 }
 
 /// Shapes a raw engine result into the unified [`Outcome`].
@@ -394,18 +469,22 @@ fn resume_leg(
 /// that names a process outside `0..n` or is timed before the cut, and
 /// a machine that does not decode under the scenario's body. The one
 /// decoder behind every resume and [`Sim::check_snapshot`].
-fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSnap, serde::Error> {
-    scenario.validate().map_err(serde::Error::msg)?;
-    checkpoint_shards(scenario).map_err(serde::Error::msg)?;
+fn decode_snapshot(
+    snapshot: &Snapshot,
+    scenario: &Scenario,
+) -> Result<EngineSnap, CheckpointError> {
+    use CheckpointError::Refused;
+    scenario.validate().map_err(Refused)?;
+    checkpoint_shards(scenario).map_err(Refused)?;
     if !snapshot.version_matches() {
-        return Err(serde::Error::msg(format!(
+        return Err(Refused(format!(
             "snapshot format version {} (this build reads {SNAPSHOT_VERSION})",
             snapshot.version
         )));
     }
     let snap = EngineSnap::from_value(&snapshot.engine_state)?;
     if snap.at != snapshot.at.ticks() {
-        return Err(serde::Error::msg(format!(
+        return Err(Refused(format!(
             "snapshot cut time {} disagrees with its engine state ({})",
             snapshot.at.ticks(),
             snap.at
@@ -420,7 +499,7 @@ fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSna
     );
     if lens != (n, n, n, m) {
         let (machines, procs, counters, memories) = lens;
-        return Err(serde::Error::msg(format!(
+        return Err(Refused(format!(
             "snapshot holds {machines} machines, {procs} processes, {counters} send counters \
              and {memories} cluster memories for n = {n}, m = {m}"
         )));
@@ -428,12 +507,12 @@ fn decode_snapshot(snapshot: &Snapshot, scenario: &Scenario) -> Result<EngineSna
     for ev in &snap.events {
         let (at, from, _, to) = ev.sort_key();
         if from as usize >= n || to as usize >= n {
-            return Err(serde::Error::msg(format!(
+            return Err(Refused(format!(
                 "pending event {ev:?} names a process outside n = {n}"
             )));
         }
         if at < snap.at {
-            return Err(serde::Error::msg(format!(
+            return Err(Refused(format!(
                 "pending event {ev:?} is timed before the cut {}",
                 snap.at
             )));

@@ -13,14 +13,18 @@
 //! executions are bit-for-bit reproducible (asserted via trace hashes)
 //! while still exercising the real concurrent data structures
 //! (`ofa-sharedmem` consensus objects).
+//!
+//! Each process thread owns its [`ProcAccount`] (steps, step and round
+//! triggers, counters) and hands it back with its result; a timed crash
+//! is the conductor's own, checked at every step.
 
-use crate::{
-    Body, ChurnPlan, CostModel, CrashPlan, CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder,
-    VirtualTime,
-};
+use crate::backend::{rejoin_coin_seed, RawOutcome, RunSpec};
+use crate::order::{EventKey, Keyed, SendCounters};
+use crate::{CostModel, CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime};
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
-use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer, ProtocolConfig};
-use ofa_metrics::{Counters, ServiceStats};
+use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer};
+use ofa_metrics::ServiceStats;
+use ofa_scenario::ProcAccount;
 use ofa_sharedmem::{MemoryBank, Slot};
 use ofa_topology::{Partition, ProcessId};
 use parking_lot::Mutex;
@@ -74,122 +78,6 @@ pub(crate) trait Scheduler {
     }
     /// Releases the next event, or `None` when quiescent.
     fn pop(&mut self) -> Option<SchedEvent>;
-}
-
-/// Deterministic total-order tie-break for events that share a delivery
-/// time. The key is *locally computable by the sender* — `(class, sender,
-/// sender's send-op counter, destination)` — rather than a global
-/// registration sequence number, so the conductor and every shard of the
-/// event loop derive the identical dispatch order for the same logical
-/// sends, no matter in which real-time order they were pushed.
-///
-/// Field order is the comparison order (derived lexicographic `Ord`):
-/// crashes (`class` 0) sort before deliveries (`class` 1) at equal times;
-/// a sender's messages sort by its own counter `k` (broadcasts occupy `n`
-/// consecutive counter values, one per destination in index order, so a
-/// batched entry expands in exactly the order `n` individual entries
-/// would have had — nothing from the same sender can interleave, and
-/// other senders order entirely before or after by `from`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EventKey {
-    /// 0 = crash, 1 = delivery.
-    pub(crate) class: u8,
-    /// The sender (the victim, for crashes).
-    pub(crate) from: u32,
-    /// The sender's send-op counter value for this message.
-    pub(crate) k: u64,
-    /// The destination (the victim, for crashes).
-    pub(crate) to: u32,
-}
-
-impl EventKey {
-    pub(crate) fn deliver(from: ProcessId, k: u64, to: ProcessId) -> Self {
-        EventKey {
-            class: 1,
-            from: from.index() as u32,
-            k,
-            to: to.index() as u32,
-        }
-    }
-
-    pub(crate) fn crash(pid: ProcessId) -> Self {
-        EventKey {
-            class: 0,
-            from: pid.index() as u32,
-            k: 0,
-            to: pid.index() as u32,
-        }
-    }
-
-    /// Rejoins share the crash class (they are lifecycle events of one
-    /// process, ordered before deliveries at the same instant) but use
-    /// `k = 1`: a process's rejoin is strictly later than its own leave,
-    /// and `k` keeps the key distinct from any crash key.
-    pub(crate) fn rejoin(pid: ProcessId) -> Self {
-        EventKey {
-            class: 0,
-            from: pid.index() as u32,
-            k: 1,
-            to: pid.index() as u32,
-        }
-    }
-}
-
-/// A heap slot ordered **earliest-first** by `(at, key)` — `BinaryHeap`
-/// is a max-heap, so the comparison is inverted. One definition shared
-/// by the conductor's scheduler and the event loop's per-shard heaps, so
-/// their pop orders can never diverge.
-#[derive(Debug)]
-pub(crate) struct Keyed<E> {
-    pub(crate) at: u64,
-    pub(crate) key: EventKey,
-    pub(crate) ev: E,
-}
-
-impl<E> PartialEq for Keyed<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.key) == (other.at, other.key)
-    }
-}
-impl<E> Eq for Keyed<E> {}
-impl<E> PartialOrd for Keyed<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Keyed<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.at, other.key).cmp(&(self.at, self.key))
-    }
-}
-
-/// Per-sender send-op counters: the `k` component of [`EventKey`] and the
-/// per-message input of [`NetIndex::delay_of`]. Kept as a lazily-grown
-/// vector so schedulers need no up-front `n`.
-#[derive(Debug, Default)]
-pub(crate) struct SendCounters(Vec<u64>);
-
-impl SendCounters {
-    /// Returns the sender's current counter and advances it by `by`.
-    pub(crate) fn take(&mut self, from: ProcessId, by: u64) -> u64 {
-        let i = from.index();
-        if i >= self.0.len() {
-            self.0.resize(i + 1, 0);
-        }
-        let k = self.0[i];
-        self.0[i] += by;
-        k
-    }
-
-    /// The raw per-sender counters (index = process), for checkpointing.
-    pub(crate) fn values(&self) -> &[u64] {
-        &self.0
-    }
-
-    /// Rebuilds counters from a checkpointed [`SendCounters::values`].
-    pub(crate) fn from_values(values: Vec<u64>) -> Self {
-        SendCounters(values)
-    }
 }
 
 /// The production scheduler: delivery time = send time + the keyed delay
@@ -285,11 +173,6 @@ pub(crate) struct Shared {
     stopped: AtomicBool,
     wake_time: Vec<AtomicU64>,
     memory: MemoryBank,
-    counters: Vec<Arc<Counters>>,
-    /// Per-process client-service statistics, merged in by each body
-    /// incarnation's terminal [`Env::service_stats`] emission. Like
-    /// `counters`, persists across churn rejoins (fresh seats share it).
-    service: Vec<Mutex<ServiceStats>>,
     /// The run's master seed, surfaced via [`Env::seed`] for
     /// workload-level PRFs. Rejoined incarnations see the *master* seed
     /// (their local-coin stream uses [`rejoin_coin_seed`] separately).
@@ -297,7 +180,6 @@ pub(crate) struct Shared {
     common_coin: Arc<dyn CommonCoin>,
     observer: Option<Arc<dyn Observer>>,
     trace: Mutex<TraceRecorder>,
-    crash_plan: CrashPlan,
     /// `true` per process iff it appears in the churn plan — surfaced as
     /// `!`[`Env::serves_traffic`]: churn-planned replicas propose empty
     /// filler slots in both incarnations (a restarted proposer could not
@@ -306,15 +188,16 @@ pub(crate) struct Shared {
     churn_planned: Vec<bool>,
 }
 
+/// How a process thread ended: its result, its local clock then, and its
+/// account, which a rejoined seat takes over.
+type Finished = (Result<Decision, Halt>, u64, Box<ProcAccount>);
+
 /// What a process thread reports when it hands the baton back.
 enum YieldMsg {
     /// Blocked in `recv` with an empty queue.
     Blocked,
-    /// The protocol returned (decision or halt) at the given local clock.
-    Finished {
-        result: Result<Decision, Halt>,
-        clock: u64,
-    },
+    /// The protocol returned (decision or halt).
+    Finished(Finished),
 }
 
 /// The per-process environment handed to the protocol code.
@@ -324,26 +207,21 @@ struct SimEnv {
     go_rx: mpsc::Receiver<()>,
     yield_tx: mpsc::Sender<YieldMsg>,
     clock: u64,
-    steps: u64,
-    crashed_self: bool,
+    account: ProcAccount,
     local_coin: SeededLocalCoin,
 }
 
 impl SimEnv {
-    /// Counts an environment call and fires step-indexed crashes.
+    /// Counts an environment call ([`ProcAccount::step`]), then checks
+    /// the conductor's own crash source, the timed crash events.
     fn step(&mut self) -> Result<(), Halt> {
-        self.steps += 1;
-        if let Some(CrashTrigger::AtStep(k)) = self.shared.crash_plan.trigger(self.me) {
-            if self.steps > k {
-                self.crashed_self = true;
-            }
-        }
+        self.account.step()?;
         self.check_crash()
     }
 
     fn check_crash(&mut self) -> Result<(), Halt> {
-        if self.crashed_self || self.shared.crashed[self.me.index()].load(Ordering::SeqCst) {
-            self.crashed_self = true;
+        if self.shared.crashed[self.me.index()].load(Ordering::SeqCst) {
+            self.account.crashed_self = true;
             return Err(Halt::Crashed);
         }
         Ok(())
@@ -368,10 +246,6 @@ impl SimEnv {
             .lock()
             .record(VirtualTime::from_ticks(self.clock), event);
     }
-
-    fn counters(&self) -> &Counters {
-        &self.shared.counters[self.me.index()]
-    }
 }
 
 impl Env for SimEnv {
@@ -386,7 +260,7 @@ impl Env for SimEnv {
     fn send(&mut self, to: ProcessId, msg: MsgKind) -> Result<(), Halt> {
         self.step()?;
         self.clock += self.shared.costs.send_cost;
-        self.counters().inc_messages_sent(1);
+        self.account.counters.messages_sent += 1;
         self.trace(TraceEvent::Send {
             who: self.me,
             to,
@@ -402,7 +276,7 @@ impl Env for SimEnv {
     }
 
     fn broadcast(&mut self, msg: MsgKind) -> Result<(), Halt> {
-        self.counters().inc_broadcasts(1);
+        self.account.counters.broadcasts += 1;
         let n = self.shared.partition.n();
         for j in 0..n {
             self.send(ProcessId(j), msg)?;
@@ -416,7 +290,7 @@ impl Env for SimEnv {
             let popped = self.shared.queues[self.me.index()].lock().pop_front();
             if let Some(msg) = popped {
                 self.clock += self.shared.costs.recv_cost;
-                self.counters().inc_messages_delivered(1);
+                self.account.counters.messages_delivered += 1;
                 return Ok(msg);
             }
             if self.shared.stopped.load(Ordering::SeqCst) {
@@ -435,7 +309,7 @@ impl Env for SimEnv {
             .memory
             .memory_of(&self.shared.partition, self.me);
         let decided = mem.propose_raw(slot, enc);
-        self.counters().inc_cluster_proposes(1);
+        self.account.counters.cluster_proposes += 1;
         self.trace(TraceEvent::ClusterPropose {
             who: self.me,
             round: slot.round,
@@ -450,7 +324,7 @@ impl Env for SimEnv {
         self.step()?;
         self.clock += self.shared.costs.coin_cost;
         let bit = Bit::from(self.local_coin.flip());
-        self.counters().inc_local_coin_flips(1);
+        self.account.counters.local_coin_flips += 1;
         self.trace(TraceEvent::Coin {
             who: self.me,
             common: false,
@@ -463,7 +337,7 @@ impl Env for SimEnv {
         self.step()?;
         self.clock += self.shared.costs.coin_cost;
         let bit = Bit::from(self.shared.common_coin.bit(round));
-        self.counters().inc_common_coin_queries(1);
+        self.account.counters.common_coin_queries += 1;
         self.trace(TraceEvent::Coin {
             who: self.me,
             common: true,
@@ -473,33 +347,12 @@ impl Env for SimEnv {
     }
 
     fn observe(&mut self, event: ObsEvent) {
-        match event {
-            ObsEvent::RoundStart { round, .. } => {
-                self.counters().inc_rounds_started(1);
-                self.trace(TraceEvent::RoundStart {
-                    who: self.me,
-                    round,
-                });
-                // Round-indexed crashes count rounds cumulatively across
-                // instances (multivalued stages, log slots), so they
-                // fire inside multi-instance bodies too.
-                if let Some(CrashTrigger::AtRound(r)) = self.shared.crash_plan.trigger(self.me) {
-                    if self.counters().rounds_started() >= r {
-                        self.crashed_self = true;
-                    }
-                }
-            }
-            ObsEvent::Deciding { relayed, .. } => {
-                if relayed {
-                    self.counters().inc_decide_relays(1);
-                } else {
-                    self.counters().inc_decisions(1);
-                }
-            }
-            ObsEvent::MailboxStats { stale_dropped } => {
-                self.counters().inc_stale_dropped(stale_dropped);
-            }
-            _ => {}
+        self.account.observe(&event);
+        if let ObsEvent::RoundStart { round, .. } = event {
+            self.trace(TraceEvent::RoundStart {
+                who: self.me,
+                round,
+            });
         }
         if let Some(obs) = &self.shared.observer {
             obs.on_event(self.me, &event);
@@ -515,7 +368,7 @@ impl Env for SimEnv {
     }
 
     fn service_stats(&mut self, stats: &ServiceStats) {
-        self.shared.service[self.me.index()].lock().merge(stats);
+        self.account.service.merge(stats);
     }
 
     fn serves_traffic(&self) -> bool {
@@ -528,36 +381,26 @@ struct Seat {
     go_tx: mpsc::SyncSender<()>,
     yield_rx: mpsc::Receiver<YieldMsg>,
     join: Option<std::thread::JoinHandle<()>>,
-    finished: Option<(Result<Decision, Halt>, u64)>,
-}
-
-/// Domain separator folded into the master seed for the local-coin
-/// stream of a rejoined process: a second incarnation must not replay
-/// its first incarnation's coin flips. Shared by all engines.
-const REJOIN_COIN_DOMAIN: u64 = 0x8E01_12EC_015E_ED01;
-
-/// The local-coin seed used by every engine for rejoined incarnations.
-pub(crate) fn rejoin_coin_seed(seed: u64) -> u64 {
-    seed ^ REJOIN_COIN_DOMAIN
+    finished: Option<Finished>,
 }
 
 /// Spawns one process thread, parked until its first baton. `init_clock`
 /// is 0 at run start; a rejoined incarnation starts at the rejoin time
 /// (or the clock its first incarnation crashed at, whichever is later),
-/// exactly like the event-driven engines.
+/// exactly like the event-driven engines, and from its first
+/// incarnation's account.
 fn spawn_seat(
     i: usize,
     init_clock: u64,
+    account: ProcAccount,
     coin_seed: u64,
     shared: &Arc<Shared>,
-    body: &Body,
-    config: ProtocolConfig,
-    proposal: Bit,
+    spec: &RunSpec,
 ) -> Seat {
     let (go_tx, go_rx) = mpsc::sync_channel::<()>(0);
     let (yield_tx, yield_rx) = mpsc::channel::<YieldMsg>();
     let shared_cl = Arc::clone(shared);
-    let body = body.clone();
+    let (body, config, proposal) = (spec.body.clone(), spec.config, spec.proposals[i]);
     let join = std::thread::Builder::new()
         .name(format!("sim-p{}", i + 1))
         .spawn(move || {
@@ -567,8 +410,7 @@ fn spawn_seat(
                 go_rx,
                 yield_tx,
                 clock: init_clock,
-                steps: 0,
-                crashed_self: false,
+                account,
                 local_coin: SeededLocalCoin::for_process(coin_seed, ProcessId(i)),
             };
             // Wait for the first baton; if the conductor vanished, exit.
@@ -576,8 +418,8 @@ fn spawn_seat(
                 return;
             }
             let result = body.run(&mut env, proposal, &config);
-            let clock = env.clock;
-            let _ = env.yield_tx.send(YieldMsg::Finished { result, clock });
+            let finished = (result, env.clock, Box::new(env.account));
+            let _ = env.yield_tx.send(YieldMsg::Finished(finished));
         })
         .expect("spawn simulated process thread");
     Seat {
@@ -586,38 +428,6 @@ fn spawn_seat(
         join: Some(join),
         finished: None,
     }
-}
-
-/// Everything needed to run one simulated execution.
-pub(crate) struct RunSpec {
-    pub partition: Partition,
-    pub body: Body,
-    pub config: ProtocolConfig,
-    pub proposals: Vec<Bit>,
-    pub seed: u64,
-    pub costs: CostModel,
-    pub crash_plan: CrashPlan,
-    pub churn: ChurnPlan,
-    pub common_coin: Arc<dyn CommonCoin>,
-    pub observer: Option<Arc<dyn Observer>>,
-    pub keep_trace: bool,
-    pub max_events: u64,
-}
-
-/// Raw result of a conducted run, before the backend shapes it into the
-/// unified [`ofa_scenario::Outcome`].
-pub(crate) struct RawOutcome {
-    pub results: Vec<(Result<Decision, Halt>, u64)>,
-    pub counters: Vec<ofa_metrics::CounterSnapshot>,
-    /// Run-wide client-service statistics (traffic-driven replicated
-    /// logs only; empty otherwise), merged over processes in index order.
-    pub service: ServiceStats,
-    pub trace_hash: u64,
-    pub trace_events: Vec<crate::TimedEvent>,
-    pub events_processed: u64,
-    pub end_time: u64,
-    pub sm_objects: usize,
-    pub sm_proposes: u64,
 }
 
 /// Runs a spec under the given scheduler. The scheduler is borrowed so
@@ -640,13 +450,10 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
         stopped: AtomicBool::new(false),
         wake_time: (0..n).map(|_| AtomicU64::new(0)).collect(),
         memory: MemoryBank::for_partition(&spec.partition),
-        counters: (0..n).map(|_| Arc::new(Counters::new())).collect(),
-        service: (0..n).map(|_| Mutex::new(ServiceStats::new())).collect(),
         seed: spec.seed,
         common_coin: Arc::clone(&spec.common_coin),
         observer: spec.observer.clone(),
         trace: Mutex::new(TraceRecorder::new(spec.keep_trace)),
-        crash_plan: spec.crash_plan.clone(),
         churn_planned: (0..n)
             .map(|i| spec.churn.event(ProcessId(i)).is_some())
             .collect(),
@@ -673,11 +480,10 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
         seats.push(spawn_seat(
             i,
             0,
+            ProcAccount::new(&spec.crash_plan, ProcessId(i)),
             spec.seed,
             &shared,
-            &spec.body,
-            spec.config,
-            spec.proposals[i],
+            &spec,
         ));
     }
 
@@ -691,7 +497,7 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
             .expect("process thread exited without yielding");
         match seats[pid].yield_rx.recv() {
             Ok(YieldMsg::Blocked) => {}
-            Ok(YieldMsg::Finished { result, clock }) => {
+            Ok(YieldMsg::Finished((result, clock, account))) => {
                 let event = match &result {
                     Ok(d) => TraceEvent::Decided {
                         who: ProcessId(pid),
@@ -706,7 +512,7 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
                     .trace
                     .lock()
                     .record(VirtualTime::from_ticks(clock), event);
-                seats[pid].finished = Some((result, clock));
+                seats[pid].finished = Some((result, clock, account));
                 if let Some(j) = seats[pid].join.take() {
                     j.join().expect("simulated process panicked");
                 }
@@ -778,28 +584,31 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
                 let i = pid.index();
                 // A process that decided before its scheduled leave
                 // ignored the leave; it ignores the rejoin too.
-                if !matches!(seats[i].finished, Some((Err(Halt::Crashed), _))) {
+                if !matches!(seats[i].finished, Some((Err(Halt::Crashed), ..))) {
                     continue;
                 }
                 shared
                     .trace
                     .lock()
                     .record(VirtualTime::from_ticks(at), TraceEvent::Rejoin { who: pid });
-                let crash_clock = seats[i].finished.as_ref().map(|(_, c)| *c).unwrap_or(0);
+                let (_, crash_clock, mut account) = seats[i]
+                    .finished
+                    .take()
+                    .expect("a crashed seat has finished");
+                account.rejoin();
                 let clock = crash_clock.max(at);
                 shared.crashed[i].store(false, Ordering::SeqCst);
                 shared.queues[i].lock().clear();
                 shared.wake_time[i].store(clock, Ordering::SeqCst);
                 // Fresh seat: new mailbox, rejoin-domain coin stream,
-                // original proposal; metric counters (Arc) persist.
+                // original proposal; the account carries over.
                 seats[i] = spawn_seat(
                     i,
                     clock,
+                    *account,
                     rejoin_coin_seed(spec.seed),
                     &shared,
-                    &spec.body,
-                    spec.config,
-                    spec.proposals[i],
+                    &spec,
                 );
                 run_burst(&mut seats, &shared, i);
                 drain_outbox(&shared, scheduler);
@@ -813,21 +622,19 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
         run_burst(&mut seats, &shared, pid);
     }
 
-    let results: Vec<(Result<Decision, Halt>, u64)> = seats
-        .iter_mut()
-        .map(|s| s.finished.take().expect("all processes have yielded"))
-        .collect();
+    let mut results = Vec::with_capacity(n);
+    let mut counters = Vec::with_capacity(n);
+    let mut service = ServiceStats::new();
     for s in seats.iter_mut() {
+        let (result, clock, account) = s.finished.take().expect("all processes have yielded");
+        results.push((result, clock));
+        counters.push(account.counters);
+        service.merge(&account.service);
         if let Some(j) = s.join.take() {
             j.join().expect("simulated process panicked");
         }
     }
 
-    let counters = shared.counters.iter().map(|c| c.snapshot()).collect();
-    let mut service = ServiceStats::new();
-    for s in &shared.service {
-        service.merge(&s.lock());
-    }
     let trace = std::mem::replace(&mut *shared.trace.lock(), TraceRecorder::new(false));
     let trace_hash = trace.hash();
     let end_time = end_time.max(results.iter().map(|(_, c)| *c).max().unwrap_or(0));

@@ -15,10 +15,14 @@
 //! that loop with one shard on the calling thread — no spawned threads,
 //! no baton, no channels.
 //!
-//! It is **observationally identical** to the conductor: the per-process
-//! [`EventCtx`] charges the same steps and virtual-time costs in the same
-//! order as the conductor's `SimEnv`, and the machines mirror the
-//! blocking algorithms operation for operation, so the same scenario
+//! It is **observationally identical** to the conductor. What a step is,
+//! when a step- or round-indexed crash fires and how an observation
+//! counts is one [`ProcAccount`], shared with the conductor's `SimEnv`
+//! and the thread runtime. The rest of a step — its virtual-time cost,
+//! its per-operation counter and its trace record — [`EventCtx`] charges
+//! itself, written apart from `SimEnv` but in the same order; and the
+//! machines mirror the blocking algorithms operation for operation, so
+//! the same scenario
 //! produces the same decisions, counters, event counts — and the same
 //! trace hash, bit for bit (`tests/engine_equivalence.rs`, across all
 //! three declarative body kinds). What changes is the constant factor and
@@ -37,7 +41,7 @@
 //! entry step, or, where `absorb_inert` refuses, the step that can reach
 //! the cluster. The loop makes the first half of that call itself
 //! ([`Machine::absorb_inert`], no context) and charges the `recv` entry
-//! through [`ProcState::recv_step`], the step function [`EventCtx`] uses
+//! through [`ProcAccount::step`], the step function [`EventCtx`] uses
 //! too. A step-indexed crash that fires there halts the process through
 //! [`Machine::halt`], which is what `on_msg` does when its `begin_recv`
 //! fails: the same terminal mailbox report, the same empty outbox. Only
@@ -52,9 +56,9 @@ use ofa_core::TrafficState;
 use ofa_core::{
     mv_body_decision, Bit, Decision, Halt, Msg, MsgKind, ObsEvent, Observer, ProtocolConfig,
 };
-use ofa_metrics::{CounterSnapshot, ServiceStats};
+use ofa_metrics::ServiceStats;
 use ofa_scenario::{
-    Body, CostModel, CrashPlan, CrashTrigger, TraceEvent, TraceRecorder, VirtualTime,
+    Body, CostModel, CrashPlan, ProcAccount, TraceEvent, TraceRecorder, VirtualTime,
 };
 use ofa_sharedmem::{ClusterMemory, Slot};
 use ofa_topology::ProcessId;
@@ -152,7 +156,7 @@ impl Machine {
     /// memory (`ofa_core::sm`, "Inert deliveries") and says whether it
     /// did: the call every `on_msg` starts with, so an absorbed delivery
     /// is all of `on_msg` but the `recv` entry step, which the caller
-    /// charges with [`ProcState::recv_step`]. Such a delivery commutes
+    /// charges with [`ProcAccount::step`]. Such a delivery commutes
     /// with every delivery to another process. `false` leaves the machine
     /// untouched, for `on_msg` (which asks again and steps).
     pub(crate) fn absorb_inert(&mut self, msg: Msg) -> bool {
@@ -255,45 +259,32 @@ fn adapt(progress: MvProgress) -> Progress {
     }
 }
 
-/// Mutable per-process execution state (the conductor keeps the same
-/// quantities on each process thread's stack).
+/// Mutable per-process execution state: the process's clock, coin
+/// stream and terminal result, beside the [`ProcAccount`] the conductor
+/// and the thread runtime keep too (steps, step and round triggers,
+/// counters, service statistics). Each state is stepped by exactly one
+/// thread, so none of it is atomic.
+// `repr(C)` puts the clock beside the head of the account, which every
+// delivery charges too. With rustc's own field order here and in
+// `ProcAccount`, `kv-faults` took ≈ 5 % more CPU time (paired runs on a
+// shared 2-core x86-64 host).
+#[repr(C)]
 pub(crate) struct ProcState {
     pub(crate) clock: u64,
-    steps: u64,
-    /// An `AtStep`/`AtRound` trigger fired (checked at every step).
-    crashed_self: bool,
+    /// Persists across churn incarnations: a rejoin resets its steps and
+    /// crash flag, and the second incarnation's emissions add to it.
+    pub(crate) account: ProcAccount,
     local_coin: SeededLocalCoin,
-    /// Plain (non-atomic) counters: each state is stepped by exactly one
-    /// thread, so the snapshot type doubles as the accumulator on the
-    /// hot path.
-    pub(crate) counters: CounterSnapshot,
-    /// Client-service statistics emitted by the machine's terminal step
-    /// (traffic-driven replicated logs only; empty otherwise). Like
-    /// `counters`, persists across churn incarnations — the second
-    /// incarnation's emission merges in.
-    pub(crate) service: ServiceStats,
-    crash_at_step: Option<u64>,
-    crash_at_round: Option<u64>,
     pub(crate) finished: Option<(Result<Decision, Halt>, u64)>,
 }
 
 impl ProcState {
     /// Fresh state for process `pid` under the run's crash plan.
     pub(crate) fn for_process(seed: u64, pid: ProcessId, crash_plan: &CrashPlan) -> Self {
-        let (crash_at_step, crash_at_round) = match crash_plan.trigger(pid) {
-            Some(CrashTrigger::AtStep(k)) => (Some(k), None),
-            Some(CrashTrigger::AtRound(r)) => (None, Some(r)),
-            _ => (None, None),
-        };
         ProcState {
             clock: 0,
-            steps: 0,
-            crashed_self: false,
             local_coin: SeededLocalCoin::for_process(seed, pid),
-            counters: CounterSnapshot::default(),
-            service: ServiceStats::new(),
-            crash_at_step,
-            crash_at_round,
+            account: ProcAccount::new(crash_plan, pid),
             finished: None,
         }
     }
@@ -303,12 +294,12 @@ impl ProcState {
         let (coin_rng, coin_flips) = self.local_coin.state();
         ProcSnap {
             clock: self.clock,
-            steps: self.steps,
-            crashed_self: self.crashed_self,
+            steps: self.account.steps,
+            crashed_self: self.account.crashed_self,
             coin_rng,
             coin_flips,
-            counters: self.counters,
-            service: self.service.clone(),
+            counters: self.account.counters,
+            service: self.account.service.clone(),
             finished: self.finished,
         }
     }
@@ -318,20 +309,15 @@ impl ProcState {
     /// replay's extra step/round triggers apply to still-running
     /// processes.
     pub(crate) fn restore(snap: &ProcSnap, pid: ProcessId, crash_plan: &CrashPlan) -> Self {
-        let (crash_at_step, crash_at_round) = match crash_plan.trigger(pid) {
-            Some(CrashTrigger::AtStep(k)) => (Some(k), None),
-            Some(CrashTrigger::AtRound(r)) => (None, Some(r)),
-            _ => (None, None),
-        };
+        let mut account = ProcAccount::new(crash_plan, pid);
+        account.steps = snap.steps;
+        account.crashed_self = snap.crashed_self;
+        account.counters = snap.counters;
+        account.service = snap.service.clone();
         ProcState {
             clock: snap.clock,
-            steps: snap.steps,
-            crashed_self: snap.crashed_self,
             local_coin: SeededLocalCoin::from_state(snap.coin_rng, snap.coin_flips),
-            counters: snap.counters,
-            service: snap.service.clone(),
-            crash_at_step,
-            crash_at_round,
+            account,
             finished: snap.finished,
         }
     }
@@ -341,24 +327,7 @@ impl ProcState {
     pub(crate) fn on_delivered(&mut self, at: u64, recv_cost: u64) {
         self.clock = self.clock.max(at);
         self.clock += recv_cost;
-        self.counters.messages_delivered += 1;
-    }
-
-    /// Counts one environment call and fires step-indexed crashes — the
-    /// conductor's `SimEnv::step`. Every step of [`EventCtx`] is one; so
-    /// is the `recv` entry of a delivery the machine absorbed
-    /// ([`Machine::absorb_inert`]), the one step such a delivery takes.
-    pub(crate) fn recv_step(&mut self) -> Result<(), Halt> {
-        self.steps += 1;
-        if let Some(k) = self.crash_at_step {
-            if self.steps > k {
-                self.crashed_self = true;
-            }
-        }
-        if self.crashed_self {
-            return Err(Halt::Crashed);
-        }
-        Ok(())
+        self.account.counters.messages_delivered += 1;
     }
 
     /// Wake-up accounting for a timed crash event.
@@ -367,16 +336,14 @@ impl ProcState {
     }
 
     /// Resets runtime state for a churn rejoin: the second incarnation
-    /// starts with a fresh step count and the rejoin-domain coin stream,
-    /// its clock at the rejoin time (or the clock the first incarnation
-    /// crashed at, whichever is later — matching the conductor's fresh
-    /// seat). Metric counters persist across incarnations; churned
-    /// processes never carry crash triggers (the plans are disjoint).
+    /// starts with the rejoin-domain coin stream, its clock at the rejoin
+    /// time (or the clock the first incarnation crashed at, whichever is
+    /// later — matching the conductor's fresh seat), and its account
+    /// reset ([`ProcAccount::rejoin`]).
     pub(crate) fn rejoin(&mut self, coin_seed: u64, pid: ProcessId, at: u64) {
         let crash_clock = self.finished.as_ref().map(|(_, c)| *c).unwrap_or(0);
         self.clock = crash_clock.max(at);
-        self.steps = 0;
-        self.crashed_self = false;
+        self.account.rejoin();
         self.local_coin = SeededLocalCoin::for_process(coin_seed, pid);
         self.finished = None;
     }
@@ -431,9 +398,11 @@ pub(crate) enum Input {
     End(Halt),
 }
 
-/// The [`SmCtx`] the engine hands a machine for one step: charges steps
-/// and virtual-time costs, fires step/round-indexed crashes, counts, and
-/// records trace events — mirroring the conductor's `SimEnv` exactly.
+/// The [`SmCtx`] the engine hands a machine for one step: steps and
+/// observations go to the process's [`ProcAccount`], the rules every
+/// environment shares; the virtual-time costs, per-operation counters
+/// and trace records are charged here, written independently of the
+/// conductor's `SimEnv`, in the same order.
 pub(crate) struct EventCtx<'a> {
     me: ProcessId,
     costs: CostModel,
@@ -445,9 +414,9 @@ pub(crate) struct EventCtx<'a> {
 }
 
 impl EventCtx<'_> {
-    /// One environment call ([`ProcState::recv_step`]).
+    /// One environment call ([`ProcAccount::step`]).
     fn step(&mut self) -> Result<(), Halt> {
-        self.state.recv_step()
+        self.state.account.step()
     }
 
     fn record(&mut self, event: TraceEvent) {
@@ -460,7 +429,7 @@ impl SmCtx for EventCtx<'_> {
     fn send(&mut self, to: ProcessId, msg: MsgKind) -> Result<u64, Halt> {
         self.step()?;
         self.state.clock += self.costs.send_cost;
-        self.state.counters.messages_sent += 1;
+        self.state.account.counters.messages_sent += 1;
         self.record(TraceEvent::Send {
             who: self.me,
             to,
@@ -475,14 +444,13 @@ impl SmCtx for EventCtx<'_> {
         // one fails the very first — both keep the per-send loop, which
         // stops at the right prefix.
         let st = &mut *self.state;
-        if st.crash_at_step.is_some() || st.crashed_self {
+        if !st.account.steps_at_once(n as u64) {
             return None;
         }
         let stride = self.costs.send_cost;
         let sent_at = st.clock + stride;
-        st.steps += n as u64;
         st.clock += n as u64 * stride;
-        st.counters.messages_sent += n as u64;
+        st.account.counters.messages_sent += n as u64;
         let at = VirtualTime::from_ticks(sent_at);
         self.trace.record_broadcast(at, stride, self.me, n, msg);
         Some((sent_at, stride))
@@ -498,7 +466,7 @@ impl SmCtx for EventCtx<'_> {
         self.step()?;
         self.state.clock += self.costs.sm_op_cost;
         let decided = self.memory.propose_raw(slot, enc);
-        self.state.counters.cluster_proposes += 1;
+        self.state.account.counters.cluster_proposes += 1;
         self.record(TraceEvent::ClusterPropose {
             who: self.me,
             round: slot.round,
@@ -513,7 +481,7 @@ impl SmCtx for EventCtx<'_> {
         self.step()?;
         self.state.clock += self.costs.coin_cost;
         let bit = Bit::from(self.state.local_coin.flip());
-        self.state.counters.local_coin_flips += 1;
+        self.state.account.counters.local_coin_flips += 1;
         self.record(TraceEvent::Coin {
             who: self.me,
             common: false,
@@ -526,7 +494,7 @@ impl SmCtx for EventCtx<'_> {
         self.step()?;
         self.state.clock += self.costs.coin_cost;
         let bit = Bit::from(self.common_coin.bit(index));
-        self.state.counters.common_coin_queries += 1;
+        self.state.account.counters.common_coin_queries += 1;
         self.record(TraceEvent::Coin {
             who: self.me,
             common: true,
@@ -536,34 +504,12 @@ impl SmCtx for EventCtx<'_> {
     }
 
     fn observe(&mut self, event: ObsEvent) {
-        match event {
-            ObsEvent::RoundStart { round, .. } => {
-                self.state.counters.rounds_started += 1;
-                self.record(TraceEvent::RoundStart {
-                    who: self.me,
-                    round,
-                });
-                // Round-indexed crashes count rounds cumulatively across
-                // instances (multivalued stages, log slots), so they
-                // fire inside multi-instance bodies too.
-                let st = &mut *self.state;
-                if let Some(r) = st.crash_at_round {
-                    if st.counters.rounds_started >= r {
-                        st.crashed_self = true;
-                    }
-                }
-            }
-            ObsEvent::Deciding { relayed, .. } => {
-                if relayed {
-                    self.state.counters.decide_relays += 1;
-                } else {
-                    self.state.counters.decisions += 1;
-                }
-            }
-            ObsEvent::MailboxStats { stale_dropped } => {
-                self.state.counters.stale_dropped += stale_dropped;
-            }
-            _ => {}
+        self.state.account.observe(&event);
+        if let ObsEvent::RoundStart { round, .. } = event {
+            self.record(TraceEvent::RoundStart {
+                who: self.me,
+                round,
+            });
         }
         if let Some(obs) = self.observer {
             obs.on_event(self.me, &event);
@@ -571,7 +517,7 @@ impl SmCtx for EventCtx<'_> {
     }
 
     fn note_broadcast(&mut self) {
-        self.state.counters.broadcasts += 1;
+        self.state.account.counters.broadcasts += 1;
     }
 
     fn now(&self) -> u64 {
@@ -579,7 +525,7 @@ impl SmCtx for EventCtx<'_> {
     }
 
     fn service_stats(&mut self, stats: &ServiceStats) {
-        self.state.service.merge(stats);
+        self.state.account.service.merge(stats);
     }
 }
 
@@ -694,7 +640,7 @@ mod tests {
                 &mut trace,
             );
             let progress = machine.start(&mut ctx);
-            (progress, state.counters.messages_sent, trace)
+            (progress, state.account.counters.messages_sent, trace)
         };
         let (progress, sent, trace) = run(&CrashPlan::new().crash_at_step(me, 4));
         let Progress::Halted(Halt::Crashed, outbox) = progress else {

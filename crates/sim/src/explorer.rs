@@ -12,7 +12,8 @@
 //! *asynchrony only* — exactly the adversary of the paper's model (the
 //! adversary controls scheduling, not the coins).
 
-use crate::conductor::{conduct, RunSpec, SchedEvent, Scheduler};
+use crate::backend::RunSpec;
+use crate::conductor::{conduct, SchedEvent, Scheduler};
 use crate::CrashPlan;
 use ofa_coins::SeededCommonCoin;
 use ofa_core::{Algorithm, Bit, Halt, InvariantChecker, ProtocolConfig};

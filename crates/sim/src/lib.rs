@@ -78,12 +78,13 @@ mod checkpoint;
 mod conductor;
 mod engine;
 mod explorer;
+mod order;
 mod par;
 mod queue;
 
 #[doc(hidden)]
 pub use backend::override_available_cores;
-pub use backend::{RunOutcome, Sim};
+pub use backend::{CheckpointError, RunOutcome, Sim};
 pub use explorer::{ExploreReport, Explorer};
 
 // The substrate-neutral scenario vocabulary used to live in this crate;

@@ -28,7 +28,7 @@
 //!   stream to race on, and message fates resolve identically wherever
 //!   they are evaluated.
 //! * **Tie-breaks** come from the deterministic
-//!   [`EventKey`](crate::conductor) total order — no registration
+//!   [`EventKey`](crate::order) total order — no registration
 //!   sequence numbers.
 //! * **The trace hash** is a multiset hash, so per-shard recorders merge
 //!   into exactly the value one global recorder would produce.
@@ -228,9 +228,10 @@
 //! linearize. Order-sensitive observers belong on one shard; see the
 //! [`Engine`](ofa_scenario::Engine) docs.
 
+use crate::backend::{rejoin_coin_seed, RawOutcome, RunSpec};
 use crate::checkpoint::{CanonEvent, ClusterCells, EngineSnap, ProcSnap};
-use crate::conductor::{rejoin_coin_seed, EventKey, Keyed, RawOutcome, RunSpec, SendCounters};
 use crate::engine::{Input, Machine, ProcState};
+use crate::order::{EventKey, Keyed, SendCounters};
 use crate::queue::{Calendar, Handle, Slab};
 use ofa_core::sm::{OutItem, Progress, SmTopology};
 use ofa_core::{Halt, Msg, MsgKind};
@@ -1319,8 +1320,9 @@ impl<'a> ShardState<'a> {
     /// memory the machine absorbs without a context
     /// ([`Machine::absorb_inert`], the first half of its `on_msg`), and the
     /// other half, the `recv` entry step, is charged here
-    /// ([`ProcState::recv_step`]): a step-indexed crash that fires there
-    /// halts the process, as `on_msg` does when its `begin_recv` fails.
+    /// ([`ofa_scenario::ProcAccount::step`]): a step-indexed crash that
+    /// fires there halts the process, as `on_msg` does when its
+    /// `begin_recv` fails.
     /// Any other delivery steps the machine. The machine is asked first,
     /// which changes nothing (it, the trace and the process's accounting
     /// are disjoint), so that with `inert_only` a delivery it will not
@@ -1360,7 +1362,7 @@ impl<'a> ShardState<'a> {
             }
             if !absorbed {
                 self.dispatch(li, Input::Deliver(msg));
-            } else if let Err(halt) = self.procs[li].recv_step() {
+            } else if let Err(halt) = self.procs[li].account.step() {
                 self.dispatch(li, Input::End(halt));
             }
         }
@@ -2083,8 +2085,8 @@ impl Coordinator<'_> {
             // passes through whole.
             for (&g, p) in members.iter().zip(&res.procs) {
                 results[g as usize] = p.finished.expect("all machines have terminated");
-                counters[g as usize] = p.counters;
-                service.merge(&p.service);
+                counters[g as usize] = p.account.counters;
+                service.merge(&p.account.service);
             }
             match &mut trace {
                 None => trace = Some(res.trace),
@@ -2441,7 +2443,7 @@ mod tests {
         check: impl FnOnce(&mut super::ShardState<'_>, super::StepReport),
     ) {
         use super::{Layout, ShardState};
-        use crate::conductor::RunSpec;
+        use crate::backend::RunSpec;
         use ofa_core::sm::SmTopology;
         use ofa_sharedmem::MemoryBank;
         use std::sync::Arc;
@@ -2462,7 +2464,7 @@ mod tests {
     /// covers every delivery to a live process exactly once.
     fn absorbed_and_stepped(shard: &super::ShardState<'_>) -> (u64, u64) {
         let delivered: u64 = (shard.procs.iter())
-            .map(|p| p.counters.messages_delivered)
+            .map(|p| p.account.counters.messages_delivered)
             .sum();
         let s = &shard.stats;
         assert_eq!(s.absorbed + s.stepped, delivered, "{s:?}");

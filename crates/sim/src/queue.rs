@@ -63,7 +63,7 @@
 //! then opens and takes the window's ticks one by one for the rest. It
 //! must not push inside the window before its last tick is taken.
 
-use crate::conductor::EventKey;
+use crate::order::EventKey;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -493,7 +493,7 @@ impl<T> std::ops::IndexMut<u32> for Slab<T> {
 #[cfg(test)]
 mod tests {
     use super::{pack, unpack, Calendar, Slab, SPAN};
-    use crate::conductor::{EventKey, Keyed};
+    use crate::order::{EventKey, Keyed};
     use proptest::prelude::*;
     use std::collections::BinaryHeap;
 

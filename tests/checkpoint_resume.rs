@@ -15,7 +15,7 @@ use one_for_all::topology::{Partition, ProcessId};
 use proptest::prelude::*;
 
 mod common;
-use common::scenario_strategy;
+use common::{change_one_byte, scenario_strategy};
 
 /// Pin the parallel-engine core guard open (it is a perf heuristic, not
 /// a correctness knob) so this suite exercises the parallel engine even
@@ -529,20 +529,6 @@ fn plain_snapshot() -> &'static str {
             RunOutcome::Done(_) => panic!("the run pauses at its cut"),
         }
     })
-}
-
-/// `text` with byte `at` (mod its length) changed: a digit to another
-/// digit, anything else to a printable ASCII byte chosen by `pick`.
-fn change_one_byte(text: &str, at: usize, pick: u8) -> Vec<u8> {
-    let mut bytes = text.as_bytes().to_vec();
-    let len = bytes.len();
-    let b = &mut bytes[at % len];
-    *b = if b.is_ascii_digit() {
-        b'0' + (*b - b'0' + 1 + pick % 9) % 10
-    } else {
-        b' ' + pick % 95
-    };
-    bytes
 }
 
 /// Refused by the decoder or by [`Sim::check_snapshot`], or resumed to

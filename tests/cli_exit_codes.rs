@@ -358,35 +358,62 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         "the intact snapshot resumes"
     );
     type Corruption = fn(&mut Snapshot);
-    let corruptions: [(&str, Corruption); 14] = [
-        ("missing field", drop_a_field),
-        ("cut time off by one", move_the_cut),
-        ("bogus machine", replace_a_machine),
-        ("wrong version", bump_the_version),
-        ("missing proposal", drop_a_proposal),
-        ("inverted latency bounds", invert_a_latency_bound),
-        ("inverted flat delay bounds", invert_the_flat_delay_bounds),
-        ("zero log slots", zero_the_slots),
-        ("event destination outside n", send_to_nobody),
-        ("event sender outside n", send_from_nobody),
-        ("event before the cut", deliver_before_the_cut),
-        ("a cluster memory short", drop_a_cluster_memory),
-        ("thread engine", pick_the_thread_engine),
-        ("kept trace", keep_the_trace),
+    // `DECODE`: the snapshot or its engine state does not decode, and
+    // the refusal keeps the decoder's text. `REFUSED`: the snapshot decodes
+    // but cannot resume, and the refusal is the reason alone.
+    const DECODE: bool = false;
+    const REFUSED: bool = true;
+    let corruptions: [(&str, Corruption, bool); 14] = [
+        ("missing field", drop_a_field, DECODE),
+        ("cut time off by one", move_the_cut, REFUSED),
+        ("bogus machine", replace_a_machine, DECODE),
+        ("wrong version", bump_the_version, DECODE),
+        ("missing proposal", drop_a_proposal, REFUSED),
+        ("inverted latency bounds", invert_a_latency_bound, REFUSED),
+        (
+            "inverted flat delay bounds",
+            invert_the_flat_delay_bounds,
+            REFUSED,
+        ),
+        ("zero log slots", zero_the_slots, REFUSED),
+        ("event destination outside n", send_to_nobody, REFUSED),
+        ("event sender outside n", send_from_nobody, REFUSED),
+        ("event before the cut", deliver_before_the_cut, REFUSED),
+        ("a cluster memory short", drop_a_cluster_memory, REFUSED),
+        ("thread engine", pick_the_thread_engine, REFUSED),
+        ("kept trace", keep_the_trace, REFUSED),
     ];
-    let resume = |what: &str, json: &str| {
+    let resume = |what: &str, json: &str, refused: bool| {
         let file = path(&format!("{}.snap.json", what.replace(' ', "-")));
         std::fs::write(&file, json).expect("written");
-        assert_refused(what, &ofa_with(&["--resume", &file]));
+        let out = ofa_with(&["--resume", &file]);
+        assert_refused(what, &out);
+        let (_, stderr) = code_and_stderr(&out);
+        let says_serde = stderr.iter().any(|line| line.contains("serde error"));
+        assert_eq!(says_serde, !refused, "{what}: {stderr:?}");
+        (file, stderr)
     };
-    for (what, corrupt) in corruptions {
+    for (what, corrupt, refused) in corruptions {
         let mut snap: Snapshot = serde_json::from_str(&text).expect("the snapshot decodes");
         corrupt(&mut snap);
-        resume(what, &serde_json::to_string(&snap).expect("encodes"));
+        let (file, stderr) = resume(
+            what,
+            &serde_json::to_string(&snap).expect("encodes"),
+            refused,
+        );
+        if what == "thread engine" {
+            assert_eq!(
+                stderr,
+                [format!(
+                    "error: resuming {file}: the thread engine cannot checkpoint; \
+                     use an event engine"
+                )]
+            );
+        }
     }
     // A scenario stored before the engine knob existed decodes as
     // `Engine::Threads`, which cannot resume a snapshot.
     let no_engine = text.replace(",\"engine\":\"EventDriven\"", "");
     assert_ne!(no_engine, text, "the snapshot names its engine");
-    resume("no engine key", &no_engine);
+    resume("no engine key", &no_engine, REFUSED);
 }

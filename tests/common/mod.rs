@@ -2,7 +2,8 @@
 //! 64-scenario equivalence corpus (`engine_equivalence.rs`) and the
 //! checkpoint/resume suite (`checkpoint_resume.rs`) must draw from the
 //! *same* distribution — a resumed run is only proven equivalent on the
-//! corpus the straight-through contract was proven on.
+//! corpus the straight-through contract was proven on. Also the one-byte
+//! mutation the decoder suites apply to stored files.
 #![allow(dead_code)]
 
 use one_for_all::consensus::{
@@ -275,4 +276,18 @@ pub fn scenario_strategy() -> impl Strategy<Value = Scenario> {
                 scenario
             },
         )
+}
+
+/// `text` with byte `at` (mod its length) changed: a digit to another
+/// digit, anything else to a printable ASCII byte chosen by `pick`.
+pub fn change_one_byte(text: &str, at: usize, pick: u8) -> Vec<u8> {
+    let mut bytes = text.as_bytes().to_vec();
+    let len = bytes.len();
+    let b = &mut bytes[at % len];
+    *b = if b.is_ascii_digit() {
+        b'0' + (*b - b'0' + 1 + pick % 9) % 10
+    } else {
+        b' ' + pick % 95
+    };
+    bytes
 }

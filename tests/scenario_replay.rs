@@ -2,13 +2,21 @@
 //! [`Scenario`] (1) serde round-trips losslessly and (2) when the
 //! deserialized copy is run on the deterministic backend, it reproduces
 //! the original `trace_hash` bit-for-bit — i.e. the JSON *is* the
-//! execution, byte for byte.
+//! execution, byte for byte. And (3) a stored scenario with one byte
+//! changed is refused by the decoder or by [`Scenario::validate`], or
+//! decodes to a value that re-encodes stably — never a panic.
 
 use one_for_all::consensus::{Algorithm, Bit};
+use one_for_all::explore::load_corpus;
 use one_for_all::prelude::{Backend, CoinSpec, CrashPlan, Scenario, Sim};
-use one_for_all::scenario::{CostModel, DelayModel, VirtualTime};
+use one_for_all::scenario::{CostModel, DelayModel, Snapshot, VirtualTime};
 use one_for_all::topology::{Partition, ProcessId};
 use proptest::prelude::*;
+use std::path::Path;
+use std::sync::OnceLock;
+
+mod common;
+use common::change_one_byte;
 
 /// Strategy: a valid partition of up to 6 processes (compacted ids).
 fn partition_strategy() -> impl Strategy<Value = Partition> {
@@ -132,5 +140,75 @@ proptest! {
         prop_assert_eq!(original.events_processed, replayed.events_processed);
         // Whatever happened, it happened safely on both.
         prop_assert!(original.agreement_holds());
+    }
+}
+
+/// The served scenario of the golden snapshot (a replicated log under
+/// Poisson clients, duplicating network, a timed crash), as JSON.
+fn served_scenario() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let snap: Snapshot = serde_json::from_str(include_str!("fixtures/served_snapshot.json"))
+            .expect("the golden snapshot decodes");
+        serde_json::to_string(&snap.scenario).expect("encodes")
+    })
+}
+
+/// The scenario of every regression corpus entry, as JSON.
+fn corpus_scenarios() -> &'static [String] {
+    static TEXTS: OnceLock<Vec<String>> = OnceLock::new();
+    TEXTS.get_or_init(|| {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions");
+        let entries = load_corpus(&dir).expect("the corpus loads");
+        assert!(!entries.is_empty(), "the corpus has entries");
+        (entries.iter())
+            .map(|e| serde_json::to_string(&e.scenario).expect("encodes"))
+            .collect()
+    })
+}
+
+/// Refused by the decoder or by [`Scenario::validate`], or decoded to a
+/// scenario whose encoding decodes back to itself; a panic fails the
+/// test.
+fn refuse_or_validate(bytes: &[u8]) {
+    let Some(scenario) = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| serde_json::from_str::<Scenario>(text).ok())
+    else {
+        return;
+    };
+    let _ = scenario.validate();
+    let json = serde_json::to_string(&scenario).expect("a decoded scenario encodes");
+    let again: Scenario = serde_json::from_str(&json).expect("its encoding decodes");
+    assert_eq!(
+        serde_json::to_string(&again).expect("encodes"),
+        json,
+        "a decoded scenario re-encodes to the same bytes"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// No stored scenario panics the decoder or `validate`: one changed
+    /// byte of a served scenario.
+    #[test]
+    fn a_served_scenario_with_one_byte_changed_is_refused_or_validates(
+        at in any::<usize>(),
+        pick in any::<u8>(),
+    ) {
+        refuse_or_validate(&change_one_byte(served_scenario(), at, pick));
+    }
+
+    /// The same over the regression corpus: one changed byte of one
+    /// entry's scenario.
+    #[test]
+    fn a_corpus_scenario_with_one_byte_changed_is_refused_or_validates(
+        entry in any::<usize>(),
+        at in any::<usize>(),
+        pick in any::<u8>(),
+    ) {
+        let scenarios = corpus_scenarios();
+        refuse_or_validate(&change_one_byte(&scenarios[entry % scenarios.len()], at, pick));
     }
 }
