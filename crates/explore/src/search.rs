@@ -176,6 +176,28 @@ impl SearchState {
     }
 }
 
+/// Why [`Explorer::resume`] refuses a [`SearchState`]: it was produced
+/// under another explorer seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedMismatch {
+    /// The seed the state was produced under.
+    pub state: u64,
+    /// The seed of the config it was to resume under.
+    pub config: u64,
+}
+
+impl std::fmt::Display for SeedMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "it belongs to explorer seed {}, not {}",
+            self.state, self.config
+        )
+    }
+}
+
+impl std::error::Error for SeedMismatch {}
+
 /// The explorer: holds a config and a [`SearchState`], advances one
 /// generation per [`Explorer::step`].
 #[derive(Debug, Clone)]
@@ -194,16 +216,30 @@ impl Explorer {
     /// any candidate as JSON), or the population is zero.
     pub fn new(config: ExploreConfig) -> Explorer {
         let state = SearchState::fresh(config.seed);
-        Explorer::resume(config, state)
+        Explorer::with_state(config, state)
     }
 
     /// Resumes a search from a previously serialized state.
     ///
+    /// # Errors
+    ///
+    /// [`SeedMismatch`] if the state was produced under another explorer
+    /// seed: the search it continues is not this config's.
+    ///
     /// # Panics
     ///
-    /// Panics on the same config invalidity as [`Explorer::new`], or if
-    /// the state was produced under a different explorer seed.
-    pub fn resume(mut config: ExploreConfig, state: SearchState) -> Explorer {
+    /// Panics on the same config invalidity as [`Explorer::new`].
+    pub fn resume(config: ExploreConfig, state: SearchState) -> Result<Explorer, SeedMismatch> {
+        if state.explorer_seed != config.seed {
+            return Err(SeedMismatch {
+                state: state.explorer_seed,
+                config: config.seed,
+            });
+        }
+        Ok(Explorer::with_state(config, state))
+    }
+
+    fn with_state(mut config: ExploreConfig, state: SearchState) -> Explorer {
         assert!(config.population >= 1, "population must be at least 1");
         config.base.observer = None;
         config.base.assert_valid();
@@ -211,10 +247,6 @@ impl Explorer {
             serde_json::to_string(&config.base)
                 .is_ok_and(|json| serde_json::from_str::<Scenario>(&json).is_ok()),
             "explorer base scenario must round-trip as JSON (no custom coins)"
-        );
-        assert_eq!(
-            state.explorer_seed, config.seed,
-            "resume state belongs to a different explorer seed"
         );
         Explorer { config, state }
     }
@@ -478,7 +510,7 @@ mod tests {
         first.step();
         let parked: SearchState =
             serde_json::from_str(&serde_json::to_string(first.state()).unwrap()).unwrap();
-        let mut resumed = Explorer::resume(small_config(9), parked);
+        let mut resumed = Explorer::resume(small_config(9), parked).expect("the same seed");
         resumed.run();
         assert_eq!(state_json(&whole), state_json(&resumed));
     }
@@ -500,9 +532,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different explorer seed")]
     fn mismatched_resume_seed_is_rejected() {
         let state = SearchState::fresh(1);
-        Explorer::resume(small_config(2), state);
+        let refused = Explorer::resume(small_config(2), state).unwrap_err();
+        assert_eq!(
+            refused,
+            SeedMismatch {
+                state: 1,
+                config: 2
+            }
+        );
+        assert_eq!(refused.to_string(), "it belongs to explorer seed 1, not 2");
     }
 }

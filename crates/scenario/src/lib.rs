@@ -47,6 +47,7 @@ mod body;
 mod churn;
 mod crash;
 mod delay;
+mod lanes;
 mod network;
 mod outcome;
 #[allow(clippy::module_inception)]

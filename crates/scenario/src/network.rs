@@ -30,6 +30,7 @@
 //! engine's epoch lookahead — and a lazily-expanded duplicate can never
 //! land inside an already-collected epoch.
 
+use crate::lanes::{self, Lanes};
 use crate::DelayModel;
 use ofa_topology::{Partition, ProcessId};
 use rand::rngs::StdRng;
@@ -147,6 +148,7 @@ impl LatencyDist {
 
 /// A uniform sample in `[lo, hi]` (inclusive) from the PRF stream seeded
 /// by `mixed`.
+#[inline(always)]
 fn uniform(lo: u64, hi: u64, mixed: u64) -> u64 {
     debug_assert!(lo <= hi, "uniform latency bounds inverted");
     let span = hi.wrapping_sub(lo).wrapping_add(1);
@@ -154,7 +156,56 @@ fn uniform(lo: u64, hi: u64, mixed: u64) -> u64 {
     if span == 0 {
         return word;
     }
-    lo + ((u128::from(word) * u128::from(span)) >> 64) as u64
+    lo + high_word(word, span)
+}
+
+/// `(word·span) >> 64`, the high word of the 128-bit product. For
+/// `span ≤ 2³²` it is `(hi·span + (lo·span) >> 32) >> 32` over the
+/// 32-bit halves `hi` and `lo` of `word`, exactly: neither product nor
+/// the sum overflows 64 bits, and the low bits dropped are the same. That
+/// form takes 64-bit multiplies only, which a vector unit does per lane
+/// ([`UniformDelays`]) and a 128-bit multiply it cannot. Wider spans keep
+/// the 128-bit form.
+#[inline(always)]
+fn high_word(word: u64, span: u64) -> u64 {
+    if span <= 1 << 32 {
+        let (hi, lo) = (word >> 32, word & 0xFFFF_FFFF);
+        (hi * span + ((lo * span) >> 32)) >> 32
+    } else {
+        ((u128::from(word) * u128::from(span)) >> 64) as u64
+    }
+}
+
+/// The one-class `Uniform` delays of one broadcast: `out[i]` is the
+/// delay of the sender's `(k0 + g)`-th handoff to `g = to[i]`, from the
+/// sender's [`mix_head`]. The lane loop of [`NetIndex::delays_of`].
+pub(crate) struct UniformDelays<'a> {
+    pub(crate) head: u64,
+    pub(crate) lo: u64,
+    pub(crate) hi: u64,
+    pub(crate) k0: u64,
+    pub(crate) to: &'a [u32],
+    pub(crate) out: &'a mut [u64],
+}
+
+impl Lanes for UniformDelays<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        let UniformDelays {
+            head,
+            lo,
+            hi,
+            k0,
+            to,
+            out,
+        } = self;
+        for (delay, &g) in out.iter_mut().zip(to) {
+            let g = u64::from(g);
+            *delay = uniform(lo, hi, mix_tail(head, g, k0 + g));
+        }
+    }
 }
 
 /// A directed per-pair latency override — the asymmetric link class.
@@ -582,7 +633,8 @@ impl NetIndex {
     /// `k0 + g`). Where one `Uniform` class serves every link, with no
     /// override and no laggard, the part of the PRF input the sends share
     /// is mixed once, so the loop is one independent chain per
-    /// destination; every other sampled network answers each send with
+    /// destination, run on the widest vector unit the CPU has; every
+    /// other sampled network answers each send with
     /// [`NetIndex::delay_of`].
     pub fn delays_of(&self, seed: u64, from: ProcessId, k0: u64, to: &[u32], out: &mut Vec<u64>) {
         out.clear();
@@ -591,11 +643,15 @@ impl NetIndex {
         match (self.constant, self.intra) {
             (Some(d), _) => out.resize(to.len(), d),
             (None, LatencyDist::Uniform { lo, hi }) if one_class => {
-                let head = mix_head(seed, from);
-                out.extend(
-                    (to.iter())
-                        .map(|&g| uniform(lo, hi, mix_tail(head, u64::from(g), k0 + u64::from(g)))),
-                );
+                out.resize(to.len(), 0);
+                lanes::widest(UniformDelays {
+                    head: mix_head(seed, from),
+                    lo,
+                    hi,
+                    k0,
+                    to,
+                    out,
+                });
             }
             _ => out.extend(
                 (to.iter())
@@ -894,6 +950,38 @@ mod tests {
                 let want = distributions::bernoulli_ppm(word, ppm);
                 assert_eq!(threshold.hit(word), want, "ppm {ppm}, word {word:#x}");
             }
+        }
+    }
+
+    #[test]
+    fn the_32_bit_halves_take_the_high_word_of_the_128_bit_product() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let edges = [
+            0,
+            1,
+            0xFFFF_FFFF,
+            1 << 32,
+            (1 << 32) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let words: Vec<u64> = (0..10_000).map(|_| rng.next_u64()).chain(edges).collect();
+        for span in [1, 2, 1001, 1 << 32, (1 << 32) + 1] {
+            for &word in &words {
+                let want = ((u128::from(word) * u128::from(span)) >> 64) as u64;
+                assert_eq!(high_word(word, span), want, "span {span}, word {word:#x}");
+            }
+            for mixed in 0..1_000 {
+                let (lo, hi) = (300, 300 + span - 1);
+                let word = StdRng::seed_from_u64(mixed).next_u64();
+                let want = lo + ((u128::from(word) * u128::from(span)) >> 64) as u64;
+                assert_eq!(uniform(lo, hi, mixed), want, "span {span}, mixed {mixed}");
+            }
+        }
+        // The span of `[0, u64::MAX]` wraps to 0: the word itself.
+        for mixed in 0..1_000 {
+            let word = StdRng::seed_from_u64(mixed).next_u64();
+            assert_eq!(uniform(0, u64::MAX, mixed), word);
         }
     }
 

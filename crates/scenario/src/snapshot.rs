@@ -47,14 +47,6 @@ pub struct Snapshot {
     pub engine_state: serde::Value,
 }
 
-impl Snapshot {
-    /// `true` if this snapshot's format version is the one this build
-    /// writes.
-    pub fn version_matches(&self) -> bool {
-        self.version == SNAPSHOT_VERSION
-    }
-}
-
 impl Serialize for Snapshot {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -72,19 +64,19 @@ impl Deserialize for Snapshot {
             v.get(name)
                 .ok_or_else(|| serde::Error::msg(format!("Snapshot: missing field {name:?}")))
         };
-        let snapshot = Snapshot {
-            version: Deserialize::from_value(field("version")?)?,
+        // The version first: another layout may not decode the rest.
+        let version = Deserialize::from_value(field("version")?)?;
+        if version != SNAPSHOT_VERSION {
+            return Err(serde::Error::msg(format!(
+                "Snapshot: format version {version} (this build reads {SNAPSHOT_VERSION})"
+            )));
+        }
+        Ok(Snapshot {
+            version,
             scenario: Deserialize::from_value(field("scenario")?)?,
             at: Deserialize::from_value(field("at")?)?,
             engine_state: field("engine_state")?.clone(),
-        };
-        if !snapshot.version_matches() {
-            return Err(serde::Error::msg(format!(
-                "Snapshot: format version {} (this build reads {SNAPSHOT_VERSION})",
-                snapshot.version
-            )));
-        }
-        Ok(snapshot)
+        })
     }
 }
 
@@ -188,6 +180,20 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let err = serde_json::from_str::<Snapshot>(&json).unwrap_err();
         assert!(err.to_string().contains("format version"), "{err}");
+    }
+
+    #[test]
+    fn another_version_is_refused_before_its_scenario_is_decoded() {
+        let scenario = serde::Value::Str("a layout this build cannot read".to_string());
+        assert!(Scenario::from_value(&scenario).is_err());
+        let value = serde::Value::Map(vec![
+            ("version".to_string(), 2u32.to_value()),
+            ("scenario".to_string(), scenario),
+            ("at".to_string(), VirtualTime::from_ticks(1).to_value()),
+            ("engine_state".to_string(), serde::Value::Null),
+        ]);
+        let err = Snapshot::from_value(&value).unwrap_err().to_string();
+        assert!(err.contains("format version 2"), "{err}");
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! value bit-identical to a single-threaded recorder of the same events —
 //! the "shard-merged trace hash" the engine-equivalence corpus asserts.
 
+use crate::lanes::{self, Lanes};
 use crate::VirtualTime;
 use ofa_core::{Decision, Halt, MsgKind};
 use ofa_topology::ProcessId;
@@ -188,7 +189,8 @@ impl TraceRecorder {
     /// [`TraceRecorder::record`] with those [`TraceEvent::Send`]s add
     /// (and retain), with the message encoded once and, when the sends
     /// share one timestamp, everything before the destination folded
-    /// once.
+    /// once. The `n` fingerprints are summed in one lane loop, run on the
+    /// widest vector unit the CPU has, and added to the hash together.
     pub fn record_broadcast(
         &mut self,
         at: VirtualTime,
@@ -197,17 +199,15 @@ impl TraceRecorder {
         n: usize,
         msg: MsgKind,
     ) {
-        let code = encode_msg(&msg);
-        let head = |ticks| fold(fold(fold(BASIS, ticks), SEND_CODE), who.index() as u64);
-        let shared = head(at.ticks());
-        for j in 0..n as u64 {
-            let h = if stride == 0 {
-                shared
-            } else {
-                head(at.ticks() + j * stride)
-            };
-            self.add(finalize(fold(fold(h, j), code)));
-        }
+        let sum = lanes::widest(SendSum {
+            at: at.ticks(),
+            stride,
+            who: who.index() as u64,
+            n: n as u64,
+            code: encode_msg(&msg),
+        });
+        self.hash = self.hash.wrapping_add(sum);
+        self.count += n as u64;
         if self.keep {
             self.events.extend((0..n).map(|j| TimedEvent {
                 at: VirtualTime::from_ticks(at.ticks() + j as u64 * stride),
@@ -312,6 +312,47 @@ impl DeliverPrefix {
             head: fold(fold(BASIS, at.ticks()), DELIVER_CODE),
             code: encode_msg(msg),
         }
+    }
+}
+
+/// The fingerprints of one broadcast's `n` sends, summed: `who` sends
+/// the message encoded as `code` to `p_j` at `at + j·stride`. The lane
+/// loop of [`TraceRecorder::record_broadcast`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SendSum {
+    pub(crate) at: u64,
+    pub(crate) stride: u64,
+    pub(crate) who: u64,
+    pub(crate) n: u64,
+    pub(crate) code: u64,
+}
+
+impl Lanes for SendSum {
+    type Output = u64;
+
+    #[inline(always)]
+    fn run(self) -> u64 {
+        let SendSum {
+            at,
+            stride,
+            who,
+            n,
+            code,
+        } = self;
+        let head = |ticks| fold(fold(fold(BASIS, ticks), SEND_CODE), who);
+        let send = |head, j| finalize(fold(fold(head, j), code));
+        let mut sum = 0u64;
+        if stride == 0 {
+            let shared = head(at);
+            for j in 0..n {
+                sum = sum.wrapping_add(send(shared, j));
+            }
+        } else {
+            for j in 0..n {
+                sum = sum.wrapping_add(send(head(at + j * stride), j));
+            }
+        }
+        sum
     }
 }
 
@@ -567,8 +608,13 @@ mod tests {
 
     #[test]
     fn a_broadcast_of_sends_records_what_n_sends_record() {
-        let (who, n) = (ProcessId(4), 9);
-        for msg in sample_msgs() {
+        let who = ProcessId(4);
+        println!("the sends are summed on {:?}", lanes::Build::widest());
+        // Around each lane width the loop can be built for, and wide.
+        for (n, msg) in [0, 1, 7, 8, 9, 15, 16, 17, 1000, 5003]
+            .into_iter()
+            .flat_map(|n| sample_msgs().map(|msg| (n, msg)))
+        {
             for stride in [0, 1, 7] {
                 for keep in [false, true] {
                     let mut one_by_one = TraceRecorder::new(keep);
@@ -584,7 +630,11 @@ mod tests {
                     }
                     let mut whole = TraceRecorder::new(keep);
                     whole.record_broadcast(VirtualTime::from_ticks(40), stride, who, n, msg);
-                    assert_eq!(whole.hash(), one_by_one.hash(), "{msg:?} stride {stride}");
+                    assert_eq!(
+                        whole.hash(),
+                        one_by_one.hash(),
+                        "n {n} {msg:?} stride {stride}"
+                    );
                     assert_eq!(whole.count(), n as u64);
                     assert_eq!(whole.events(), one_by_one.events(), "in send order");
                     assert_eq!(whole.events().len(), if keep { n } else { 0 });

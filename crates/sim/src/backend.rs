@@ -107,10 +107,11 @@ impl Sim {
 
     /// Checks that `snapshot` can resume under its scenario: the
     /// scenario itself ([`Scenario::validate`], and that it can
-    /// checkpoint at all), the format version, the engine state, the cut
-    /// time it was taken at, the process and cluster counts, every
-    /// pending event's processes and time, and every machine's state
-    /// under the scenario's body.
+    /// checkpoint at all), the engine state, the cut time it was taken
+    /// at, the process and cluster counts, every pending event's
+    /// processes and time, and every machine's state under the
+    /// scenario's body. (The format version is the decoder's to refuse:
+    /// a [`Snapshot`] of another version does not decode.)
     /// [`Sim::resume`], [`Sim::resume_until`] and [`Sim::diverge`]
     /// run the same check and panic where it fails; a caller holding a
     /// snapshot it did not make (a file) checks first to refuse it.
@@ -131,8 +132,8 @@ pub enum CheckpointError {
     /// A part of the engine state does not decode.
     Decode(serde::Error),
     /// The snapshot decodes but cannot resume: its scenario is invalid
-    /// or cannot checkpoint, or its version, cut, sizes or pending
-    /// events disagree with the rest. Displayed as the reason alone.
+    /// or cannot checkpoint, or its cut, sizes or pending events
+    /// disagree with the rest. Displayed as the reason alone.
     Refused(String),
 }
 
@@ -463,8 +464,8 @@ fn resume_leg(
 
 /// Decodes `snapshot`'s engine state for a resume under `scenario`, and
 /// refuses what a leg would otherwise panic on: an invalid scenario
-/// ([`Scenario::validate`]) or one that cannot checkpoint, another
-/// format version, an engine state that does not decode or was taken at
+/// ([`Scenario::validate`]) or one that cannot checkpoint, an engine
+/// state that does not decode or was taken at
 /// another cut time, another process or cluster count, a pending event
 /// that names a process outside `0..n` or is timed before the cut, and
 /// a machine that does not decode under the scenario's body. The one
@@ -476,12 +477,6 @@ fn decode_snapshot(
     use CheckpointError::Refused;
     scenario.validate().map_err(Refused)?;
     checkpoint_shards(scenario).map_err(Refused)?;
-    if !snapshot.version_matches() {
-        return Err(Refused(format!(
-            "snapshot format version {} (this build reads {SNAPSHOT_VERSION})",
-            snapshot.version
-        )));
-    }
     let snap = EngineSnap::from_value(&snapshot.engine_state)?;
     if snap.at != snapshot.at.ticks() {
         return Err(Refused(format!(

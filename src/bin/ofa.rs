@@ -1214,10 +1214,15 @@ fn explore_main(args: &[String]) {
                 serde_json::from_str(&text),
                 format_args!("decoding search state {path}"),
             );
+            let explorer = or_exit(
+                Explorer::resume(config, state),
+                format_args!("resuming search state {path}"),
+            );
             if !opts.base.json {
-                eprintln!("resumed: {path} at generation {}", state.generation);
+                let generation = explorer.state().generation;
+                eprintln!("resumed: {path} at generation {generation}");
             }
-            Explorer::resume(config, state)
+            explorer
         }
         _ => Explorer::new(config),
     };

@@ -204,6 +204,17 @@ fn a_paused_explore_resumes_to_the_straight_runs_log() {
         std::path::Path::new(&state).exists(),
         "the pause wrote its state"
     );
+    // The state belongs to seed 4: resuming it under another seed is
+    // refused, and the file is left for the matching resume.
+    let (code, stderr) = explore(&["--state", &state, "--seed", "2"]);
+    assert_eq!(code, Some(2), "resumed under another seed: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains(&format!(
+            "error: resuming search state {state}: it belongs to explorer seed 4, not 2"
+        )),
+        "{stderr}"
+    );
     let (code, stderr) = explore(&["--state", &state, "--log", &resumed]);
     assert_eq!(code, Some(0), "resumed run: {stderr}");
     let read = |p: &str| std::fs::read(p).expect("the log was written");
