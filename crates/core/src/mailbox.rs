@@ -90,7 +90,13 @@ struct DecideEntry {
 }
 
 /// Buffers out-of-slot messages for one process.
-#[derive(Debug)]
+///
+/// Mailboxes serialize their complete buffered state — future-slot phase
+/// queues, sticky decides, the app stash, the hygiene position, and the
+/// staleness counters — so checkpointed runs resume with identical
+/// routing behaviour. The tuple-keyed maps are written as pair lists.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[serde(from = "MailboxState", into = "MailboxState")]
 pub struct Mailbox {
     future: BTreeMap<(u64, u64, Phase), VecDeque<Msg>>,
     decides: BTreeMap<u64, DecideEntry>,
@@ -426,55 +432,44 @@ impl Mailbox {
     }
 }
 
-/// Mailboxes serialize their complete buffered state — future-slot phase
-/// queues, sticky decides, the app stash, the hygiene position, and the
-/// staleness counters — so checkpointed runs resume with identical
-/// routing behaviour.
-impl serde::Serialize for Mailbox {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            (
-                "future".to_string(),
-                serde::Value::Seq(self.future.iter().map(|(k, q)| (k, q).to_value()).collect()),
-            ),
-            (
-                "decides".to_string(),
-                serde::Value::Seq(
-                    self.decides
-                        .iter()
-                        .map(|(i, e)| (i, e).to_value())
-                        .collect(),
-                ),
-            ),
-            (
-                "apps".to_string(),
-                serde::Value::Seq(self.apps.values().map(serde::Serialize::to_value).collect()),
-            ),
-            ("position".to_string(), self.position.to_value()),
-            ("stale_dropped".to_string(), self.stale_dropped.to_value()),
-            ("stale_reported".to_string(), self.stale_reported.to_value()),
-        ])
+/// The encoded form of a [`Mailbox`].
+#[derive(serde::Serialize, serde::Deserialize)]
+struct MailboxState {
+    future: Vec<((u64, u64, Phase), VecDeque<Msg>)>,
+    decides: Vec<(u64, DecideEntry)>,
+    apps: Vec<AppMsg>,
+    position: (u64, u64, Phase),
+    stale_dropped: u64,
+    stale_reported: u64,
+}
+
+impl From<Mailbox> for MailboxState {
+    fn from(m: Mailbox) -> MailboxState {
+        MailboxState {
+            future: m.future.into_iter().collect(),
+            decides: m.decides.into_iter().collect(),
+            apps: m.apps.into_values().collect(),
+            position: m.position,
+            stale_dropped: m.stale_dropped,
+            stale_reported: m.stale_reported,
+        }
     }
 }
 
-impl serde::Deserialize for Mailbox {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("Mailbox: missing field {name}")))
-        };
-        let future: Vec<((u64, u64, Phase), VecDeque<Msg>)> =
-            serde::Deserialize::from_value(field("future")?)?;
-        let decides: Vec<(u64, DecideEntry)> = serde::Deserialize::from_value(field("decides")?)?;
-        let apps: Vec<AppMsg> = serde::Deserialize::from_value(field("apps")?)?;
-        Ok(Mailbox {
-            future: future.into_iter().collect(),
-            decides: decides.into_iter().collect(),
-            apps: apps.into_iter().map(|a| ((a.instance, a.seq), a)).collect(),
-            position: serde::Deserialize::from_value(field("position")?)?,
-            stale_dropped: serde::Deserialize::from_value(field("stale_dropped")?)?,
-            stale_reported: serde::Deserialize::from_value(field("stale_reported")?)?,
-        })
+impl From<MailboxState> for Mailbox {
+    fn from(m: MailboxState) -> Mailbox {
+        Mailbox {
+            future: m.future.into_iter().collect(),
+            decides: m.decides.into_iter().collect(),
+            apps: m
+                .apps
+                .into_iter()
+                .map(|a| ((a.instance, a.seq), a))
+                .collect(),
+            position: m.position,
+            stale_dropped: m.stale_dropped,
+            stale_reported: m.stale_reported,
+        }
     }
 }
 

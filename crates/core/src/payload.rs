@@ -23,7 +23,14 @@ pub const MAX_PAYLOAD: usize = 31;
 /// assert_eq!(p.len(), 9);
 /// assert!(Payload::from_bytes(&[0u8; 40]).is_none()); // too long
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Payloads serialize as their meaningful bytes (a JSON array), so
+/// workloads carrying them — multivalued proposals, replicated-log
+/// command queues — round-trip losslessly through scenario corpora.
+#[derive(
+    Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
+)]
+#[serde(try_from = "Vec<u8>", into = "Vec<u8>")]
 pub struct Payload {
     len: u8,
     bytes: [u8; MAX_PAYLOAD],
@@ -74,28 +81,21 @@ impl Default for Payload {
     }
 }
 
-/// Payloads serialize as their meaningful bytes (a JSON array), so
-/// workloads carrying them — multivalued proposals, replicated-log
-/// command queues — round-trip losslessly through scenario corpora.
-impl serde::Serialize for Payload {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(
-            self.as_bytes()
-                .iter()
-                .map(|b| serde::Value::U64(*b as u64))
-                .collect(),
-        )
+impl From<Payload> for Vec<u8> {
+    fn from(p: Payload) -> Vec<u8> {
+        p.as_bytes().to_vec()
     }
 }
 
-impl serde::Deserialize for Payload {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let bytes: Vec<u8> = serde::Deserialize::from_value(v)?;
+impl TryFrom<Vec<u8>> for Payload {
+    type Error = String;
+
+    fn try_from(bytes: Vec<u8>) -> Result<Self, String> {
         Payload::from_bytes(&bytes).ok_or_else(|| {
-            serde::Error::msg(format!(
+            format!(
                 "Payload: {} bytes exceed the {MAX_PAYLOAD}-byte limit",
                 bytes.len()
-            ))
+            )
         })
     }
 }

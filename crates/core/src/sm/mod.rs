@@ -452,8 +452,9 @@ impl UnitSet {
 /// and coverage answers on the same credit sequence) but O(1) per
 /// message: because every process belongs to exactly one cluster, each
 /// per-value supporter set is a disjoint union of whole credit units, so
-/// set cardinalities reduce to weight counters.
-#[derive(Debug)]
+/// set cardinalities reduce to weight counters. Mid-exchange tallies
+/// are part of a machine's wait state, so checkpoints capture them.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
 pub(crate) struct Tally {
     n: usize,
     /// Supporter weights for `0`, `1`, `⊥` (indexed by `est_index`).
@@ -517,40 +518,6 @@ impl Tally {
             saw_one: self.sets[est_index(Some(Bit::One))].weight > 0,
             saw_bot: self.sets[est_index(None)].weight > 0,
         }
-    }
-}
-
-/// Mid-exchange supporter tallies are part of a machine's wait state, so
-/// checkpoints capture them (the fixed-arity set array is encoded as a
-/// sequence).
-impl serde::Serialize for Tally {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("n".to_string(), self.n.to_value()),
-            (
-                "sets".to_string(),
-                serde::Value::Seq(self.sets.iter().map(serde::Serialize::to_value).collect()),
-            ),
-            ("cover".to_string(), self.cover.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for Tally {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("Tally: missing field {name}")))
-        };
-        let sets: Vec<UnitSet> = serde::Deserialize::from_value(field("sets")?)?;
-        let [s0, s1, s2]: [UnitSet; 3] = sets
-            .try_into()
-            .map_err(|_| serde::Error::msg("Tally: expected 3 supporter sets"))?;
-        Ok(Tally {
-            n: serde::Deserialize::from_value(field("n")?)?,
-            sets: [s0, s1, s2],
-            cover: serde::Deserialize::from_value(field("cover")?)?,
-        })
     }
 }
 

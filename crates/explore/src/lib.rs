@@ -40,6 +40,6 @@ pub use corpus::{load_corpus, write_corpus, CorpusEntry, PinnedOutcome, Provenan
 pub use fitness::{CorpusFilter, Fitness};
 pub use mutate::{mutate, Limits};
 pub use search::{
-    mix_explore, Best, ExploreConfig, Explorer, GenRecord, SearchState, SeedMismatch, CORPUS_CAP,
+    mix_explore, Best, ExploreConfig, Explorer, GenRecord, ResumeError, SearchState, CORPUS_CAP,
     DEFAULT_GENERATIONS, EVENTS_PER_SEC,
 };

@@ -176,27 +176,34 @@ impl SearchState {
     }
 }
 
-/// Why [`Explorer::resume`] refuses a [`SearchState`]: it was produced
-/// under another explorer seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedMismatch {
-    /// The seed the state was produced under.
-    pub state: u64,
-    /// The seed of the config it was to resume under.
-    pub config: u64,
+/// Why [`Explorer::resume`] refuses a [`SearchState`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The state was produced under another explorer seed: the search it
+    /// continues is not this config's.
+    SeedMismatch {
+        /// The seed the state was produced under.
+        state: u64,
+        /// The seed of the config it was to resume under.
+        config: u64,
+    },
+    /// The stored best schedule fails [`Scenario::validate`], with its
+    /// message: the next generation would run it.
+    InvalidBest(String),
 }
 
-impl std::fmt::Display for SeedMismatch {
+impl std::fmt::Display for ResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "it belongs to explorer seed {}, not {}",
-            self.state, self.config
-        )
+        match self {
+            ResumeError::SeedMismatch { state, config } => {
+                write!(f, "it belongs to explorer seed {state}, not {config}")
+            }
+            ResumeError::InvalidBest(e) => write!(f, "its best schedule is invalid: {e}"),
+        }
     }
 }
 
-impl std::error::Error for SeedMismatch {}
+impl std::error::Error for ResumeError {}
 
 /// The explorer: holds a config and a [`SearchState`], advances one
 /// generation per [`Explorer::step`].
@@ -223,18 +230,21 @@ impl Explorer {
     ///
     /// # Errors
     ///
-    /// [`SeedMismatch`] if the state was produced under another explorer
-    /// seed: the search it continues is not this config's.
+    /// A [`ResumeError`] if the state was produced under another explorer
+    /// seed, or its best schedule is invalid.
     ///
     /// # Panics
     ///
     /// Panics on the same config invalidity as [`Explorer::new`].
-    pub fn resume(config: ExploreConfig, state: SearchState) -> Result<Explorer, SeedMismatch> {
+    pub fn resume(config: ExploreConfig, state: SearchState) -> Result<Explorer, ResumeError> {
         if state.explorer_seed != config.seed {
-            return Err(SeedMismatch {
+            return Err(ResumeError::SeedMismatch {
                 state: state.explorer_seed,
                 config: config.seed,
             });
+        }
+        if let Some(best) = &state.best {
+            best.scenario.validate().map_err(ResumeError::InvalidBest)?;
         }
         Ok(Explorer::with_state(config, state))
     }
@@ -537,7 +547,7 @@ mod tests {
         let refused = Explorer::resume(small_config(2), state).unwrap_err();
         assert_eq!(
             refused,
-            SeedMismatch {
+            ResumeError::SeedMismatch {
                 state: 1,
                 config: 2
             }

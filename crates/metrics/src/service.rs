@@ -38,7 +38,11 @@ const BUCKETS: usize = (EXACT + (64 - 6) * SUBS + SUBS) as usize;
 /// assert_eq!(h.percentile(50), 2); // exact below 32
 /// assert_eq!(h.percentile(100), 30);
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// Serialized as the total plus sparse `(index, count)` pairs, so huge
+/// empty ranges cost nothing in a checkpoint.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[serde(try_from = "SparseHistogram", into = "SparseHistogram")]
 pub struct LatencyHistogram {
     /// Dense counts, truncated at the highest occupied bucket.
     buckets: Vec<u64>,
@@ -159,42 +163,35 @@ impl PartialEq for LatencyHistogram {
 
 impl Eq for LatencyHistogram {}
 
-/// Serializes as sparse `(index, count)` pairs plus the total, so huge
-/// empty ranges cost nothing in a checkpoint.
-impl Serialize for LatencyHistogram {
-    fn to_value(&self) -> serde::Value {
-        let pairs: Vec<(u64, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u64, c))
-            .collect();
-        serde::Value::Map(vec![
-            ("total".to_string(), self.total.to_value()),
-            ("buckets".to_string(), pairs.to_value()),
-        ])
+/// The encoded form of a [`LatencyHistogram`].
+#[derive(Serialize, Deserialize)]
+struct SparseHistogram {
+    total: u64,
+    buckets: Vec<(u64, u64)>,
+}
+
+impl From<LatencyHistogram> for SparseHistogram {
+    fn from(h: LatencyHistogram) -> SparseHistogram {
+        let occupied = h.buckets.iter().enumerate().filter(|(_, &c)| c > 0);
+        SparseHistogram {
+            total: h.total,
+            buckets: occupied.map(|(i, &c)| (i as u64, c)).collect(),
+        }
     }
 }
 
-impl Deserialize for LatencyHistogram {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let total = Deserialize::from_value(
-            v.get("total")
-                .ok_or_else(|| serde::Error::msg("LatencyHistogram: missing total"))?,
-        )?;
-        let pairs: Vec<(u64, u64)> = Deserialize::from_value(
-            v.get("buckets")
-                .ok_or_else(|| serde::Error::msg("LatencyHistogram: missing buckets"))?,
-        )?;
+impl TryFrom<SparseHistogram> for LatencyHistogram {
+    type Error = &'static str;
+
+    fn try_from(sparse: SparseHistogram) -> Result<Self, Self::Error> {
         let mut h = LatencyHistogram {
             buckets: Vec::new(),
-            total,
+            total: sparse.total,
         };
-        for (idx, count) in pairs {
+        for (idx, count) in sparse.buckets {
             let idx = idx as usize;
             if idx >= BUCKETS {
-                return Err(serde::Error::msg("LatencyHistogram: bucket out of range"));
+                return Err("LatencyHistogram: bucket out of range");
             }
             if h.buckets.len() <= idx {
                 h.buckets.resize(idx + 1, 0);

@@ -57,7 +57,7 @@ pub struct MvWorkload {
 /// reconstruct the decided command sequence. The reported per-process
 /// [`Decision`] is [`ofa_core::log_body_decision`]: parity of the
 /// whole-log digest, round = slot count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SmrWorkload {
     /// The binary algorithm driving each slot's reduction.
     pub algorithm: Algorithm,
@@ -69,48 +69,10 @@ pub struct SmrWorkload {
     /// per-process [`ofa_core::TrafficState`] (arrival process + bounded
     /// proposer queue + batching) instead of the pre-seeded `queues`, and
     /// the run reports client-service statistics. `None` preserves the
-    /// classic pre-seeded workload.
+    /// classic pre-seeded workload, and is absent from the encoding (as
+    /// in workloads saved before the traffic layer existed).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub traffic: Option<TrafficSpec>,
-}
-
-impl Serialize for SmrWorkload {
-    fn to_value(&self) -> serde::Value {
-        let mut entries = vec![
-            ("algorithm".to_string(), self.algorithm.to_value()),
-            ("slots".to_string(), self.slots.to_value()),
-            ("queues".to_string(), self.queues.to_value()),
-        ];
-        if let Some(t) = &self.traffic {
-            entries.push(("traffic".to_string(), t.to_value()));
-        }
-        serde::Value::Map(entries)
-    }
-}
-
-impl Deserialize for SmrWorkload {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        // `traffic` is optional in serialized form: workloads saved before
-        // the traffic layer existed deserialize with `None`.
-        let traffic = match v.get("traffic") {
-            None | Some(serde::Value::Null) => None,
-            Some(t) => Some(Deserialize::from_value(t)?),
-        };
-        Ok(SmrWorkload {
-            algorithm: Deserialize::from_value(
-                v.get("algorithm")
-                    .ok_or_else(|| serde::Error::msg("SmrWorkload: missing `algorithm`"))?,
-            )?,
-            slots: Deserialize::from_value(
-                v.get("slots")
-                    .ok_or_else(|| serde::Error::msg("SmrWorkload: missing `slots`"))?,
-            )?,
-            queues: Deserialize::from_value(
-                v.get("queues")
-                    .ok_or_else(|| serde::Error::msg("SmrWorkload: missing `queues`"))?,
-            )?,
-            traffic,
-        })
-    }
 }
 
 /// What each process executes.

@@ -97,7 +97,14 @@ pub struct ChurnEvent {
 /// assert_eq!(plan.len(), 2);
 /// assert!(plan.event(ProcessId(5)).unwrap().rejoin.is_some());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Serialized as a process-index-sorted list of `[index, event]` pairs —
+/// same canonical shape as [`crate::CrashPlan`]. A plan carrying a
+/// Poisson spec serializes as `{events, poisson}` instead; the bare list
+/// shape is kept whenever no spec is set so pre-Poisson scenario JSON
+/// replays byte-identically.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(from = "ChurnForm", into = "ChurnForm")]
 pub struct ChurnPlan {
     events: HashMap<ProcessId, ChurnEvent>,
     poisson: Option<PoissonChurn>,
@@ -292,55 +299,38 @@ impl ChurnPlan {
     }
 }
 
-/// Serialized as a process-index-sorted list of `[index, event]` pairs —
-/// same canonical shape as [`crate::CrashPlan`]. A plan carrying a
-/// Poisson spec serializes as `{events, poisson}` instead; the bare list
-/// shape is kept whenever no spec is set so pre-Poisson scenario JSON
-/// replays byte-identically.
-impl Serialize for ChurnPlan {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(ProcessId, ChurnEvent)> = self.iter().collect();
-        entries.sort_by_key(|(p, _)| *p);
-        let events = serde::Value::Seq(
-            entries
-                .into_iter()
-                .map(|(p, e)| {
-                    serde::Value::Seq(vec![serde::Value::U64(p.index() as u64), e.to_value()])
-                })
-                .collect(),
-        );
-        match self.poisson {
-            None => events,
-            Some(spec) => serde::Value::Map(vec![
-                ("events".to_string(), events),
-                ("poisson".to_string(), spec.to_value()),
-            ]),
+/// The encoded form of a [`ChurnPlan`].
+#[derive(Serialize, Deserialize)]
+#[serde(untagged)]
+enum ChurnForm {
+    Events(Vec<(ProcessId, ChurnEvent)>),
+    WithPoisson {
+        events: Vec<(ProcessId, ChurnEvent)>,
+        poisson: Option<PoissonChurn>,
+    },
+}
+
+impl From<ChurnPlan> for ChurnForm {
+    fn from(plan: ChurnPlan) -> ChurnForm {
+        let mut events: Vec<_> = plan.events.into_iter().collect();
+        events.sort_by_key(|(p, _)| *p);
+        match plan.poisson {
+            None => ChurnForm::Events(events),
+            poisson => ChurnForm::WithPoisson { events, poisson },
         }
     }
 }
 
-impl Deserialize for ChurnPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (events_value, poisson) = match v {
-            serde::Value::Map(_) => {
-                let events = v
-                    .get("events")
-                    .ok_or_else(|| serde::Error::msg("ChurnPlan: missing field \"events\""))?;
-                let poisson = match v.get("poisson") {
-                    Some(spec) => Some(Deserialize::from_value(spec)?),
-                    None => None,
-                };
-                (events, poisson)
-            }
-            _ => (v, None),
+impl From<ChurnForm> for ChurnPlan {
+    fn from(form: ChurnForm) -> ChurnPlan {
+        let (events, poisson) = match form {
+            ChurnForm::Events(events) => (events, None),
+            ChurnForm::WithPoisson { events, poisson } => (events, poisson),
         };
-        let entries: Vec<(usize, ChurnEvent)> = Deserialize::from_value(events_value)?;
-        let mut plan = ChurnPlan::new();
-        plan.poisson = poisson;
-        for (i, e) in entries {
-            plan.events.insert(ProcessId(i), e);
+        ChurnPlan {
+            events: events.into_iter().collect(),
+            poisson,
         }
-        Ok(plan)
     }
 }
 

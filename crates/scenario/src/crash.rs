@@ -51,7 +51,11 @@ pub enum CrashTrigger {
 /// assert!(plan.trigger(ProcessId(3)).is_some());
 /// assert!(plan.trigger(ProcessId(1)).is_none());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Serialized as a process-index-sorted list of `[index, trigger]` pairs,
+/// so the encoding is canonical regardless of hash-map iteration order.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(from = "Triggers", into = "Triggers")]
 pub struct CrashPlan {
     triggers: HashMap<ProcessId, CrashTrigger>,
 }
@@ -135,31 +139,23 @@ impl CrashPlan {
     }
 }
 
-/// Serialized as a process-index-sorted list of `[index, trigger]` pairs,
-/// so the encoding is canonical regardless of hash-map iteration order.
-impl Serialize for CrashPlan {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<(ProcessId, CrashTrigger)> = self.iter().collect();
+/// The encoded form of a [`CrashPlan`].
+#[derive(Serialize, Deserialize)]
+struct Triggers(Vec<(ProcessId, CrashTrigger)>);
+
+impl From<CrashPlan> for Triggers {
+    fn from(plan: CrashPlan) -> Triggers {
+        let mut entries: Vec<_> = plan.triggers.into_iter().collect();
         entries.sort_by_key(|(p, _)| *p);
-        serde::Value::Seq(
-            entries
-                .into_iter()
-                .map(|(p, t)| {
-                    serde::Value::Seq(vec![serde::Value::U64(p.index() as u64), t.to_value()])
-                })
-                .collect(),
-        )
+        Triggers(entries)
     }
 }
 
-impl Deserialize for CrashPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries: Vec<(usize, CrashTrigger)> = Deserialize::from_value(v)?;
-        let mut plan = CrashPlan::new();
-        for (i, t) in entries {
-            plan.triggers.insert(ProcessId(i), t);
+impl From<Triggers> for CrashPlan {
+    fn from(Triggers(entries): Triggers) -> CrashPlan {
+        CrashPlan {
+            triggers: entries.into_iter().collect(),
         }
-        Ok(plan)
     }
 }
 

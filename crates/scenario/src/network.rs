@@ -257,7 +257,12 @@ pub enum Fate {
 /// [`NetworkModel::flat`] wrapper with zero rates is bit-for-bit the
 /// legacy behavior, which is what the serde back-compat path produces
 /// for scenarios stored before this type existed.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Serialized as `{classes, loss_ppm, dup_ppm}`; a bare [`DelayModel`]
+/// value (the pre-network-model `delay` field of stored scenarios) is
+/// accepted and lifts to the equivalent flat lossless network.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(from = "NetworkForm")]
 pub struct NetworkModel {
     /// Latency organization across links.
     pub classes: LinkClasses,
@@ -486,40 +491,32 @@ impl Default for NetworkModel {
     }
 }
 
-/// Serialized as `{classes, loss_ppm, dup_ppm}`; a bare [`DelayModel`]
-/// value (the pre-network-model `delay` field of stored scenarios) is
-/// accepted and lifts to the equivalent flat lossless network.
-impl Serialize for NetworkModel {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("classes".to_string(), self.classes.to_value()),
-            (
-                "loss_ppm".to_string(),
-                serde::Value::U64(self.loss_ppm as u64),
-            ),
-            (
-                "dup_ppm".to_string(),
-                serde::Value::U64(self.dup_ppm as u64),
-            ),
-        ])
-    }
+/// The forms a [`NetworkModel`] is read from.
+#[derive(Deserialize)]
+#[serde(untagged)]
+enum NetworkForm {
+    Model {
+        classes: LinkClasses,
+        loss_ppm: u32,
+        dup_ppm: u32,
+    },
+    Flat(DelayModel),
 }
 
-impl Deserialize for NetworkModel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        if let Some(classes) = v.get("classes") {
-            return Ok(NetworkModel {
-                classes: Deserialize::from_value(classes)?,
-                loss_ppm: Deserialize::from_value(v.get("loss_ppm").ok_or_else(|| {
-                    serde::Error::msg("NetworkModel: missing field \"loss_ppm\"")
-                })?)?,
-                dup_ppm: Deserialize::from_value(v.get("dup_ppm").ok_or_else(|| {
-                    serde::Error::msg("NetworkModel: missing field \"dup_ppm\"")
-                })?)?,
-            });
+impl From<NetworkForm> for NetworkModel {
+    fn from(form: NetworkForm) -> NetworkModel {
+        match form {
+            NetworkForm::Model {
+                classes,
+                loss_ppm,
+                dup_ppm,
+            } => NetworkModel {
+                classes,
+                loss_ppm,
+                dup_ppm,
+            },
+            NetworkForm::Flat(delay) => NetworkModel::flat(delay),
         }
-        // Back-compat: a stored DelayModel value is a flat network.
-        DelayModel::from_value(v).map(NetworkModel::flat)
     }
 }
 

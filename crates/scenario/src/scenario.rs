@@ -158,7 +158,7 @@ impl Deserialize for CoinSpec {
 ///   collectors (e.g. `ofa-smr`'s `LogCollector`, which large SMR runs
 ///   rely on) are unaffected; use [`Engine::EventDriven`] for
 ///   order-sensitive observers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Engine {
     /// One OS thread per process + conductor baton (the reference).
     Threads,
@@ -180,42 +180,6 @@ impl Engine {
     }
 }
 
-impl Serialize for Engine {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Engine::Threads => serde::Value::Str("Threads".to_string()),
-            Engine::EventDriven => serde::Value::Str("EventDriven".to_string()),
-            Engine::ParallelEvent { workers } => serde::Value::Map(vec![(
-                "ParallelEvent".to_string(),
-                serde::Value::Map(vec![("workers".to_string(), serde::Value::U64(*workers))]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for Engine {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) if s == "Threads" => Ok(Engine::Threads),
-            serde::Value::Str(s) if s == "EventDriven" => Ok(Engine::EventDriven),
-            // Bare string form: auto worker count.
-            serde::Value::Str(s) if s == "ParallelEvent" => Ok(Engine::parallel()),
-            _ => match v.get("ParallelEvent") {
-                Some(inner) => {
-                    let workers = match inner.get("workers") {
-                        Some(w) => Deserialize::from_value(w)?,
-                        None => 0,
-                    };
-                    Ok(Engine::ParallelEvent { workers })
-                }
-                None => Err(serde::Error::msg(
-                    "Engine: expected Threads | EventDriven | {ParallelEvent: {workers}}",
-                )),
-            },
-        }
-    }
-}
-
 impl Default for Engine {
     /// The scalable engine: since the bit-for-bit equivalence corpus
     /// covers every declarative body, new scenarios default to it. Pin
@@ -224,6 +188,13 @@ impl Default for Engine {
     fn default() -> Self {
         Engine::EventDriven
     }
+}
+
+/// The engine of a scenario stored before the knob existed: those
+/// corpora ran on the conductor, so they replay there (the engines are
+/// equivalent, but fidelity-by-construction is free here).
+fn engine_before_the_knob() -> Engine {
+    Engine::Threads
 }
 
 /// A complete, backend-agnostic description of one consensus execution:
@@ -260,7 +231,7 @@ impl Default for Engine {
 /// assert_eq!(copy.seed, 42);
 /// assert_eq!(copy.partition, scenario.partition);
 /// ```
-#[derive(Clone)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Scenario {
     /// The cluster decomposition.
     pub partition: Partition,
@@ -273,13 +244,18 @@ pub struct Scenario {
     /// Master seed for all randomness (delays, local coins, common coin).
     pub seed: u64,
     /// The network model: link-class latencies, jitter, loss,
-    /// duplication (virtual-time backends only).
+    /// duplication (virtual-time backends only). Scenarios stored before
+    /// the network model kept a bare [`DelayModel`] under `delay`, which
+    /// reads as the equivalent flat lossless network.
+    #[serde(alias = "delay")]
     pub network: NetworkModel,
     /// Per-operation cost model (virtual-time backends only).
     pub costs: CostModel,
     /// The failure pattern.
     pub crashes: CrashPlan,
-    /// The churn pattern: scheduled leaves and rejoins.
+    /// The churn pattern: scheduled leaves and rejoins (none when absent,
+    /// as in scenarios stored before churn existed).
+    #[serde(default)]
     pub churn: ChurnPlan,
     /// The common-coin source.
     pub coin: CoinSpec,
@@ -290,8 +266,10 @@ pub struct Scenario {
     /// Wall-clock budget in milliseconds (real-time backends only).
     pub timeout_ms: u64,
     /// Process-execution engine for virtual-time backends.
+    #[serde(default = "engine_before_the_knob")]
     pub engine: Engine,
     /// Observer hook (e.g. [`ofa_core::InvariantChecker`]); not serialized.
+    #[serde(skip)]
     pub observer: Option<Arc<dyn Observer>>,
 }
 
@@ -641,74 +619,6 @@ impl fmt::Debug for Scenario {
     }
 }
 
-impl Serialize for Scenario {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("partition".to_string(), self.partition.to_value()),
-            ("body".to_string(), self.body.to_value()),
-            ("config".to_string(), self.config.to_value()),
-            ("proposals".to_string(), self.proposals.to_value()),
-            ("seed".to_string(), serde::Value::U64(self.seed)),
-            ("network".to_string(), self.network.to_value()),
-            ("costs".to_string(), self.costs.to_value()),
-            ("crashes".to_string(), self.crashes.to_value()),
-            ("churn".to_string(), self.churn.to_value()),
-            ("coin".to_string(), self.coin.to_value()),
-            (
-                "keep_trace".to_string(),
-                serde::Value::Bool(self.keep_trace),
-            ),
-            ("max_events".to_string(), serde::Value::U64(self.max_events)),
-            ("timeout_ms".to_string(), serde::Value::U64(self.timeout_ms)),
-            ("engine".to_string(), self.engine.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Scenario {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("Scenario: missing field {name:?}")))
-        };
-        Ok(Scenario {
-            partition: Deserialize::from_value(field("partition")?)?,
-            body: Deserialize::from_value(field("body")?)?,
-            config: Deserialize::from_value(field("config")?)?,
-            proposals: Deserialize::from_value(field("proposals")?)?,
-            seed: Deserialize::from_value(field("seed")?)?,
-            // Pre-network-model scenarios stored a bare DelayModel under
-            // "delay"; NetworkModel::from_value lifts that shape to the
-            // equivalent flat lossless network, so both keys replay
-            // byte-for-byte.
-            network: match v.get("network") {
-                Some(net) => Deserialize::from_value(net)?,
-                None => Deserialize::from_value(field("delay")?)?,
-            },
-            costs: Deserialize::from_value(field("costs")?)?,
-            crashes: Deserialize::from_value(field("crashes")?)?,
-            // Absent in scenarios stored before churn existed.
-            churn: match v.get("churn") {
-                Some(c) => Deserialize::from_value(c)?,
-                None => ChurnPlan::new(),
-            },
-            coin: Deserialize::from_value(field("coin")?)?,
-            keep_trace: Deserialize::from_value(field("keep_trace")?)?,
-            max_events: Deserialize::from_value(field("max_events")?)?,
-            timeout_ms: Deserialize::from_value(field("timeout_ms")?)?,
-            // Absent in scenarios stored before the knob existed — those
-            // corpora ran on the conductor, so replay them there (the
-            // engines are equivalent, but fidelity-by-construction is
-            // free here).
-            engine: match v.get("engine") {
-                Some(e) => Deserialize::from_value(e)?,
-                None => Engine::Threads,
-            },
-            observer: None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,18 +675,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_knob_round_trips_and_accepts_the_bare_string() {
+    fn parallel_engine_knob_round_trips_and_refuses_the_bare_string() {
         let sc = Scenario::new(Partition::even(6, 3), Algorithm::LocalCoin).parallel(4);
         assert_eq!(sc.engine, Engine::ParallelEvent { workers: 4 });
         let json = serde_json::to_string(&sc).unwrap();
         assert!(json.contains("\"ParallelEvent\":{\"workers\":4}"), "{json}");
         let copy: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(copy.engine, sc.engine);
-        // The bare string form means auto workers.
+        // No serializer ever wrote the bare string or a map without
+        // `workers`: both are refused, not read as auto workers.
         let bare = json.replace("{\"ParallelEvent\":{\"workers\":4}}", "\"ParallelEvent\"");
         assert_ne!(bare, json);
-        let auto: Scenario = serde_json::from_str(&bare).unwrap();
-        assert_eq!(auto.engine, Engine::parallel());
+        assert!(serde_json::from_str::<Scenario>(&bare).is_err());
+        let no_workers = json.replace("{\"workers\":4}", "{}");
+        assert!(serde_json::from_str::<Scenario>(&no_workers).is_err());
     }
 
     #[test]

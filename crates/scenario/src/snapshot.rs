@@ -33,7 +33,7 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// is the *resume* scenario: mutating its tail-relevant knobs before
 /// resuming (crash triggers after the cut, the coin spec, the seed used
 /// for not-yet-drawn delays) is exactly the [`DivergeSpec`] mechanism.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Snapshot {
     /// Snapshot format version ([`SNAPSHOT_VERSION`]).
     pub version: u32,
@@ -47,24 +47,14 @@ pub struct Snapshot {
     pub engine_state: serde::Value,
 }
 
-impl Serialize for Snapshot {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("scenario".to_string(), self.scenario.to_value()),
-            ("at".to_string(), self.at.to_value()),
-            ("engine_state".to_string(), self.engine_state.clone()),
-        ])
-    }
-}
-
+/// Read by hand: the version first, because another layout may not
+/// decode the rest.
 impl Deserialize for Snapshot {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let field = |name: &str| {
             v.get(name)
                 .ok_or_else(|| serde::Error::msg(format!("Snapshot: missing field {name:?}")))
         };
-        // The version first: another layout may not decode the rest.
         let version = Deserialize::from_value(field("version")?)?;
         if version != SNAPSHOT_VERSION {
             return Err(serde::Error::msg(format!(

@@ -1,7 +1,7 @@
 //! The [`Sim`] backend: deterministic execution of any
 //! [`ofa_scenario::Scenario`].
 
-use crate::checkpoint::EngineSnap;
+use crate::checkpoint::{EngineSnap, ProcSnap};
 use crate::conductor::{conduct, TimedScheduler};
 use crate::par::{conduct_sharded, leg_machine, LegResult};
 use ofa_coins::CommonCoin;
@@ -497,6 +497,12 @@ fn decode_snapshot(
         return Err(Refused(format!(
             "snapshot holds {machines} machines, {procs} processes, {counters} send counters \
              and {memories} cluster memories for n = {n}, m = {m}"
+        )));
+    }
+    let unreadable = |p: &ProcSnap| p.finished.is_some_and(|f| f.get().is_none());
+    if let Some(i) = snap.procs.iter().position(unreadable) {
+        return Err(Refused(format!(
+            "process {i} finished with both or neither of a decision and a halt"
         )));
     }
     for ev in &snap.events {

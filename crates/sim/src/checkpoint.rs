@@ -80,7 +80,7 @@ impl CanonEvent {
 }
 
 /// One process's accounting state at the cut.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct ProcSnap {
     /// The process-local virtual clock.
     pub(crate) clock: u64,
@@ -94,87 +94,43 @@ pub(crate) struct ProcSnap {
     pub(crate) coin_flips: u64,
     /// Metric counters accumulated so far.
     pub(crate) counters: CounterSnapshot,
-    /// Client-service statistics emitted so far (traffic-driven
-    /// replicated logs only; empty — and omitted from the encoding —
-    /// otherwise).
-    pub(crate) service: ServiceStats,
     /// Terminal result and final clock, if the process already finished.
-    pub(crate) finished: Option<(Result<Decision, Halt>, u64)>,
+    pub(crate) finished: Option<Finished>,
+    /// Client-service statistics emitted so far (traffic-driven
+    /// replicated logs only; empty — and omitted from the encoding, which
+    /// keeps pre-traffic checkpoints byte-identical — otherwise).
+    #[serde(default, skip_serializing_if = "ServiceStats::is_empty")]
+    pub(crate) service: ServiceStats,
 }
 
-impl Serialize for ProcSnap {
-    fn to_value(&self) -> serde::Value {
-        let finished = match &self.finished {
-            None => serde::Value::Null,
-            Some((res, clock)) => {
-                let (tag, inner) = match res {
-                    Ok(d) => ("ok", d.to_value()),
-                    Err(h) => ("halt", h.to_value()),
-                };
-                serde::Value::Map(vec![
-                    (tag.to_string(), inner),
-                    ("clock".to_string(), clock.to_value()),
-                ])
-            }
+/// How and when a process finished: `ok` with its decision or `halt`
+/// with its halt (exactly one is set), at its final `clock`.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Finished {
+    #[serde(skip_serializing_if = "Option::is_none")]
+    ok: Option<Decision>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    halt: Option<Halt>,
+    clock: u64,
+}
+
+impl Finished {
+    pub(crate) fn new((result, clock): (Result<Decision, Halt>, u64)) -> Finished {
+        let (ok, halt) = match result {
+            Ok(d) => (Some(d), None),
+            Err(h) => (None, Some(h)),
         };
-        let mut entries = vec![
-            ("clock".to_string(), self.clock.to_value()),
-            ("steps".to_string(), self.steps.to_value()),
-            ("crashed_self".to_string(), self.crashed_self.to_value()),
-            ("coin_rng".to_string(), self.coin_rng.to_vec().to_value()),
-            ("coin_flips".to_string(), self.coin_flips.to_value()),
-            ("counters".to_string(), self.counters.to_value()),
-            ("finished".to_string(), finished),
-        ];
-        // Empty stats encode as absence, which keeps pre-traffic
-        // checkpoints byte-identical (and loadable both ways).
-        if self.service != ServiceStats::default() {
-            entries.push(("service".to_string(), self.service.to_value()));
-        }
-        serde::Value::Map(entries)
+        Finished { ok, halt, clock }
     }
-}
 
-impl Deserialize for ProcSnap {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("ProcSnap: missing field {name:?}")))
-        };
-        let rng: Vec<u64> = Deserialize::from_value(field("coin_rng")?)?;
-        let coin_rng: [u64; 4] = rng
-            .try_into()
-            .map_err(|_| serde::Error::msg("ProcSnap: coin_rng must have 4 words"))?;
-        let finished = match field("finished")? {
-            serde::Value::Null => None,
-            f => {
-                let clock = Deserialize::from_value(
-                    f.get("clock")
-                        .ok_or_else(|| serde::Error::msg("ProcSnap: finished missing clock"))?,
-                )?;
-                let res = if let Some(d) = f.get("ok") {
-                    Ok(Deserialize::from_value(d)?)
-                } else if let Some(h) = f.get("halt") {
-                    Err(Deserialize::from_value(h)?)
-                } else {
-                    return Err(serde::Error::msg("ProcSnap: finished needs ok or halt"));
-                };
-                Some((res, clock))
-            }
-        };
-        Ok(ProcSnap {
-            clock: Deserialize::from_value(field("clock")?)?,
-            steps: Deserialize::from_value(field("steps")?)?,
-            crashed_self: Deserialize::from_value(field("crashed_self")?)?,
-            coin_rng,
-            coin_flips: Deserialize::from_value(field("coin_flips")?)?,
-            counters: Deserialize::from_value(field("counters")?)?,
-            service: match v.get("service") {
-                None | Some(serde::Value::Null) => ServiceStats::default(),
-                Some(s) => Deserialize::from_value(s)?,
-            },
-            finished,
-        })
+    /// The result and clock, or `None` unless exactly one of `ok` and
+    /// `halt` is set.
+    pub(crate) fn get(&self) -> Option<(Result<Decision, Halt>, u64)> {
+        match (self.ok, self.halt) {
+            (Some(d), None) => Some((Ok(d), self.clock)),
+            (None, Some(h)) => Some((Err(h), self.clock)),
+            _ => None,
+        }
     }
 }
 
@@ -334,7 +290,7 @@ mod tests {
                 coin_flips: 5,
                 counters: CounterSnapshot::default(),
                 service: ServiceStats::default(),
-                finished: Some((Err(Halt::Crashed), 980)),
+                finished: Some(Finished::new((Err(Halt::Crashed), 980))),
             }],
             memory: vec![ClusterCells {
                 decided: vec![(0, 2, 1, 77)],
@@ -352,7 +308,8 @@ mod tests {
         assert_eq!(copy.at, snap.at);
         assert_eq!(copy.send_counters, snap.send_counters);
         assert_eq!(copy.procs[0].coin_rng, [1, 2, 3, 4]);
-        assert_eq!(copy.procs[0].finished, Some((Err(Halt::Crashed), 980)));
+        let finished = copy.procs[0].finished.and_then(|f| f.get());
+        assert_eq!(finished, Some((Err(Halt::Crashed), 980)));
         assert_eq!(copy.memory, snap.memory);
         assert_eq!(copy.events, snap.events);
         assert_eq!(copy.machines.len(), 3);

@@ -47,7 +47,7 @@
 //! fails: the same terminal mailbox report, the same empty outbox. Only
 //! the refused deliveries build an [`EventCtx`] and step the machine.
 
-use crate::checkpoint::ProcSnap;
+use crate::checkpoint::{Finished, ProcSnap};
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
 use ofa_core::sm::{
     ConsensusSm, LogSm, MultivaluedSm, MvProgress, OutItem, Progress, SmCtx, SmTopology,
@@ -300,7 +300,7 @@ impl ProcState {
             coin_flips,
             counters: self.account.counters,
             service: self.account.service.clone(),
-            finished: self.finished,
+            finished: self.finished.map(Finished::new),
         }
     }
 
@@ -318,7 +318,7 @@ impl ProcState {
             clock: snap.clock,
             local_coin: SeededLocalCoin::from_state(snap.coin_rng, snap.coin_flips),
             account,
-            finished: snap.finished,
+            finished: snap.finished.and_then(|f| f.get()),
         }
     }
 

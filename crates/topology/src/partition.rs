@@ -24,7 +24,12 @@ use std::fmt;
 /// assert_eq!(part.cluster_of(ProcessId(3)), ClusterId(1));
 /// assert!(part.cluster(ClusterId(1)).is_majority_of(part.n()));
 /// ```
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Serialized as the per-process cluster assignment `[c_1, …, c_n]`
+/// (0-based cluster ids), the most compact lossless encoding, and
+/// validated on read.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "Vec<usize>", into = "Vec<usize>")]
 pub struct Partition {
     n: usize,
     clusters: Vec<ProcessSet>,
@@ -282,24 +287,17 @@ impl Partition {
     }
 }
 
-/// Serialized as the per-process cluster assignment `[c_1, …, c_n]`
-/// (0-based cluster ids), the most compact lossless encoding.
-impl Serialize for Partition {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Seq(
-            self.cluster_of
-                .iter()
-                .map(|c| serde::Value::U64(c.index() as u64))
-                .collect(),
-        )
+impl From<Partition> for Vec<usize> {
+    fn from(p: Partition) -> Vec<usize> {
+        p.cluster_of.iter().map(|c| c.index()).collect()
     }
 }
 
-impl Deserialize for Partition {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let assignment: Vec<usize> = Deserialize::from_value(v)?;
-        Partition::from_assignment(&assignment)
-            .map_err(|e| serde::Error::msg(format!("invalid partition: {e}")))
+impl TryFrom<Vec<usize>> for Partition {
+    type Error = String;
+
+    fn try_from(assignment: Vec<usize>) -> Result<Self, String> {
+        Partition::from_assignment(&assignment).map_err(|e| format!("invalid partition: {e}"))
     }
 }
 

@@ -28,7 +28,10 @@ const WORD_BITS: usize = 64;
 /// assert!(s.contains(ProcessId(4)));
 /// assert!(!s.is_majority_of(7)); // needs at least 4 of 7
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// Serialized as `{"n": universe, "members": [indices…]}`.
+#[derive(Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[serde(try_from = "Members", into = "Members")]
 pub struct ProcessSet {
     n: usize,
     words: Vec<u64>,
@@ -269,39 +272,28 @@ impl Extend<ProcessId> for ProcessSet {
     }
 }
 
-/// Serialized as `{"n": universe, "members": [indices…]}`.
-impl serde::Serialize for ProcessSet {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("n".to_string(), serde::Value::U64(self.n as u64)),
-            (
-                "members".to_string(),
-                serde::Value::Seq(
-                    self.iter()
-                        .map(|p| serde::Value::U64(p.index() as u64))
-                        .collect(),
-                ),
-            ),
-        ])
+/// The encoded form of a [`ProcessSet`].
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Members {
+    n: usize,
+    members: Vec<usize>,
+}
+
+impl From<ProcessSet> for Members {
+    fn from(s: ProcessSet) -> Members {
+        let members = s.iter().map(|p| p.index()).collect();
+        Members { n: s.n, members }
     }
 }
 
-impl serde::Deserialize for ProcessSet {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let n: usize = serde::Deserialize::from_value(
-            v.get("n")
-                .ok_or_else(|| serde::Error::msg("ProcessSet: missing \"n\""))?,
-        )?;
-        let members: Vec<usize> = serde::Deserialize::from_value(
-            v.get("members")
-                .ok_or_else(|| serde::Error::msg("ProcessSet: missing \"members\""))?,
-        )?;
-        if let Some(&i) = members.iter().find(|&&i| i >= n) {
-            return Err(serde::Error::msg(format!(
-                "ProcessSet: member {i} out of universe {n}"
-            )));
+impl TryFrom<Members> for ProcessSet {
+    type Error = String;
+
+    fn try_from(Members { n, members }: Members) -> Result<Self, String> {
+        match members.iter().find(|&&i| i >= n) {
+            Some(i) => Err(format!("ProcessSet: member {i} out of universe {n}")),
+            None => Ok(ProcessSet::from_indices(n, members)),
         }
-        Ok(ProcessSet::from_indices(n, members))
     }
 }
 

@@ -5,13 +5,15 @@
 //! inside a snapshot `--resume` cannot use — exits 2 with one `error:`
 //! line, never a panic, and so does nothing about a closed stdout. An
 //! `ofa explore` paused on `--wall-secs` exits 3 and resumes to the
-//! straight run's log.
+//! straight run's log; a stored file it cannot resume exits 2.
 
 use ofa_core::Algorithm;
+use ofa_explore::{ExploreConfig, Explorer};
 use ofa_scenario::{
-    Body, DelayModel, Engine, LatencyDist, LinkClasses, NetworkModel, SmrWorkload, Snapshot,
-    VirtualTime,
+    Body, CrashPlan, DelayModel, Engine, LatencyDist, LinkClasses, NetworkModel, Scenario,
+    SmrWorkload, Snapshot, VirtualTime,
 };
+use ofa_topology::{Partition, ProcessId};
 use serde_json::Value;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -223,6 +225,52 @@ fn a_paused_explore_resumes_to_the_straight_runs_log() {
         "the search logged its generations"
     );
     assert_eq!(read(&straight), read(&resumed), "resume changed the log");
+}
+
+#[test]
+fn a_stored_file_that_cannot_resume_exits_2_without_panicking() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_stored_files");
+    std::fs::create_dir_all(&dir).expect("a scratch directory");
+    let path = |name: &str| dir.join(name).to_str().expect("a UTF-8 path").to_string();
+    // A search state whose best schedule crashes a process outside n.
+    let mut explorer = Explorer::new(ExploreConfig {
+        seed: 4,
+        population: 2,
+        ..ExploreConfig::new(Scenario::new(Partition::even(9, 3), Algorithm::CommonCoin))
+    });
+    explorer.step();
+    let mut state = explorer.state().clone();
+    let best = state.best.as_mut().expect("a generation sets the best");
+    best.scenario.crashes = CrashPlan::new().crash_at_step(ProcessId(99), 3);
+    let invalid = path("invalid-best.state.json");
+    let json = serde_json::to_string(&state).expect("encodes");
+    std::fs::write(&invalid, json).expect("written");
+    let out = ofa_with(&[
+        "explore", "--sizes", "3x3", "--seed", "4", "--state", &invalid,
+    ]);
+    assert_refused("an invalid best schedule", &out);
+    assert_eq!(
+        code_and_stderr(&out).1,
+        [format!(
+            "error: resuming search state {invalid}: its best schedule is invalid: \
+             crash trigger AtStep(3) names process index 99 but n=9"
+        )]
+    );
+    // A file nested past the decoder's recursion limit.
+    let deep = path("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).expect("written");
+    for args in [
+        &["--resume", &deep][..],
+        &["explore", "--sizes", "3x3", "--state", &deep],
+    ] {
+        let out = ofa_with(args);
+        assert_refused("deep nesting", &out);
+        let (_, stderr) = code_and_stderr(&out);
+        assert!(
+            stderr[0].contains("serde error: recursion limit exceeded"),
+            "{stderr:?}"
+        );
+    }
 }
 
 /// The engine state's entries.

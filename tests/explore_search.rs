@@ -6,13 +6,21 @@
 //! byte-identical across replays), a hand-planted bad schedule never
 //! outranks what the search finds under the same mutation limits, and
 //! the emitted corpus round-trips through [`load_corpus`] with pins
-//! that replay.
+//! that replay. A stored search state with one byte changed is refused
+//! or resumes, never a panic.
 
 use one_for_all::consensus::Algorithm;
 use one_for_all::explore::{
     load_corpus, write_corpus, CorpusFilter, ExploreConfig, Explorer, Fitness, PinnedOutcome,
+    SearchState,
 };
 use one_for_all::prelude::{Backend, CrashPlan, Partition, Scenario, Sim};
+use one_for_all::topology::ProcessId;
+use proptest::prelude::*;
+use std::sync::OnceLock;
+
+mod common;
+use common::change_one_byte;
 
 fn base() -> Scenario {
     Scenario::new(Partition::even(12, 3), Algorithm::CommonCoin)
@@ -124,5 +132,63 @@ fn emitted_corpus_round_trips_and_replays_pinned() {
             "{} slipped past the corpus filter",
             entry.name
         );
+    }
+}
+
+/// A small search, paused after two generations, as its state file.
+fn paused_state() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| {
+        let mut explorer = Explorer::new(small_config());
+        explorer.step();
+        explorer.step();
+        serde_json::to_string(explorer.state()).expect("encodes")
+    })
+}
+
+/// Four processes, so that most digits changed in a crash plan's
+/// process index name one outside `n`.
+fn small_config() -> ExploreConfig {
+    let crashes = (1..4).fold(CrashPlan::new(), |plan, p| {
+        plan.crash_at_round(ProcessId(p), 9)
+    });
+    let base = Scenario::new(Partition::even(4, 2), Algorithm::CommonCoin)
+        .proposals_split(2)
+        .max_rounds(8)
+        .crashes(crashes);
+    ExploreConfig {
+        seed: 7,
+        population: 2,
+        workers: 1,
+        ..ExploreConfig::new(base)
+    }
+}
+
+/// Refused by the decoder or by [`Explorer::resume`], or resumed for
+/// one generation; a panic fails the test.
+fn refuse_or_resume(bytes: &[u8]) {
+    let Some(state) = std::str::from_utf8(bytes)
+        .ok()
+        .and_then(|text| serde_json::from_str::<SearchState>(text).ok())
+    else {
+        return;
+    };
+    if let Ok(mut explorer) = Explorer::resume(small_config(), state) {
+        explorer.step();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// No stored search state panics a resume: one changed byte is
+    /// refused by the decoder or by [`Explorer::resume`], or the search
+    /// resumes and runs a generation.
+    #[test]
+    fn a_search_state_with_one_byte_changed_is_refused_or_resumes(
+        at in any::<usize>(),
+        pick in any::<u8>(),
+    ) {
+        refuse_or_resume(&change_one_byte(paused_state(), at, pick));
     }
 }
