@@ -83,7 +83,7 @@ pub struct AppMsg {
 
 /// A remembered `DECIDE(value)`; `served` tracks whether the instance
 /// ever consumed it, so pruning can tell a used entry from a stale one.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 struct DecideEntry {
     value: Bit,
     served: bool,
@@ -95,7 +95,7 @@ struct DecideEntry {
 /// queues, sticky decides, the app stash, the hygiene position, and the
 /// staleness counters — so checkpointed runs resume with identical
 /// routing behaviour. The tuple-keyed maps are written as pair lists.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 #[serde(from = "MailboxState", into = "MailboxState")]
 pub struct Mailbox {
     future: BTreeMap<(u64, u64, Phase), VecDeque<Msg>>,

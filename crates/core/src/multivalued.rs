@@ -63,7 +63,7 @@ use crate::{
     Mailbox, MsgKind, ObsEvent, Payload, ProtocolConfig,
 };
 use ofa_topology::ProcessId;
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize};
 
 /// Binary-instance ids used by one multivalued instance `j`:
 /// `j * INSTANCE_STRIDE + s` for stage `s >= 1`; the `APP` dissemination
@@ -153,27 +153,34 @@ impl ProposalStore {
         }
     }
 
-    /// Serializes the store for a checkpoint: known proposals plus the
-    /// relay ledger (`base` is recomputed from the owning layer's index).
-    pub(crate) fn snapshot(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("have".to_string(), self.have.to_value()),
-            ("relayed".to_string(), self.relayed.to_value()),
-        ])
+    /// The store's checkpoint: known proposals plus the relay ledger
+    /// (`base` is the owning machine's constructor's).
+    pub(crate) fn snapshot(&self) -> StoreSnap {
+        StoreSnap {
+            have: self.have.clone(),
+            relayed: self.relayed.clone(),
+        }
     }
 
-    /// Rebuilds a store from a [`ProposalStore::snapshot`] value.
-    pub(crate) fn from_snapshot(base: u64, v: &serde::Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("ProposalStore: missing field {name}")))
-        };
-        Ok(ProposalStore {
-            base,
-            have: serde::Deserialize::from_value(field("have")?)?,
-            relayed: serde::Deserialize::from_value(field("relayed")?)?,
-        })
+    /// Loads a [`ProposalStore::snapshot`] into this store, unless it
+    /// does not hold one proposal slot and one relay mark per process.
+    pub(crate) fn restore(&mut self, snap: StoreSnap) -> Result<(), String> {
+        let (n, lens) = (self.have.len(), (snap.have.len(), snap.relayed.len()));
+        if lens != (n, n) {
+            return Err(format!(
+                "its proposal store's lengths are {lens:?} for n = {n}"
+            ));
+        }
+        (self.have, self.relayed) = (snap.have, snap.relayed);
+        Ok(())
     }
+}
+
+/// A [`ProposalStore`]'s checkpoint, by proposer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct StoreSnap {
+    have: Vec<Option<Payload>>,
+    relayed: Vec<bool>,
 }
 
 /// The stage budget: a doomed run terminates even when `cfg.max_rounds`

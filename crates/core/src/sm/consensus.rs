@@ -7,7 +7,7 @@ use crate::{
 };
 use ofa_sharedmem::{CodableValue, Slot};
 use ofa_topology::ProcessId;
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The slot-phase index Algorithm 3 uses for its single per-round object
@@ -97,6 +97,19 @@ pub struct ConsensusSm {
     done: bool,
 }
 
+/// A [`ConsensusSm`]'s checkpoint: what its constructor cannot derive
+/// from the scenario.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ConsensusSnap {
+    instance: u64,
+    est: Bit,
+    round: u64,
+    phase: Phase,
+    tally: Tally,
+    mailbox: Mailbox,
+    done: bool,
+}
+
 impl ConsensusSm {
     /// Creates a machine for `me` proposing `proposal` in `instance`
     /// (single-shot consensus uses instance 0) with a fresh mailbox.
@@ -159,51 +172,41 @@ impl ConsensusSm {
         self.done
     }
 
-    /// Serializes the machine's resumable wait state: instance, estimate,
+    /// The machine's resumable wait state: instance, estimate,
     /// round/phase cursor, supporter tallies, and the mailbox. The outbox
     /// is omitted — it is provably empty at every suspension (each step
     /// `take`s it into the returned [`Progress`]).
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("instance".to_string(), self.instance.to_value()),
-            ("est".to_string(), self.est.to_value()),
-            ("round".to_string(), self.round.to_value()),
-            ("phase".to_string(), self.phase.to_value()),
-            ("tally".to_string(), self.tally.to_value()),
-            ("mailbox".to_string(), self.mailbox.to_value()),
-            ("done".to_string(), self.done.to_value()),
-        ])
+    pub fn snapshot(&self) -> ConsensusSnap {
+        ConsensusSnap {
+            instance: self.instance,
+            est: self.est,
+            round: self.round,
+            phase: self.phase,
+            tally: self.tally.clone(),
+            mailbox: self.mailbox.clone(),
+            done: self.done,
+        }
     }
 
-    /// Rebuilds a machine from a [`ConsensusSm::snapshot`] value. The
-    /// immutable construction context (algorithm, identity, topology,
-    /// config) is supplied by the caller — it lives in the scenario, not
-    /// the snapshot.
-    pub fn from_snapshot(
-        algorithm: Algorithm,
-        me: ProcessId,
-        topo: Arc<SmTopology>,
-        cfg: ProtocolConfig,
-        v: &serde::Value,
-    ) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("ConsensusSm: missing field {name}")))
-        };
-        Ok(ConsensusSm {
-            algorithm,
-            me,
-            topo,
-            cfg,
-            instance: serde::Deserialize::from_value(field("instance")?)?,
-            est: serde::Deserialize::from_value(field("est")?)?,
-            round: serde::Deserialize::from_value(field("round")?)?,
-            phase: serde::Deserialize::from_value(field("phase")?)?,
-            tally: serde::Deserialize::from_value(field("tally")?)?,
-            mailbox: serde::Deserialize::from_value(field("mailbox")?)?,
-            outbox: Vec::new(),
-            done: serde::Deserialize::from_value(field("done")?)?,
-        })
+    /// Loads a [`ConsensusSm::snapshot`] into this machine, built by
+    /// [`ConsensusSm::new`] for the same process of the same scenario.
+    ///
+    /// # Errors
+    ///
+    /// A tally not shaped like this machine's (another `n`, or unit sets
+    /// of another size); nothing is loaded then.
+    pub fn restore(&mut self, snap: ConsensusSnap) -> Result<(), String> {
+        self.tally.check_shape(&snap.tally)?;
+        ConsensusSnap {
+            instance: self.instance,
+            est: self.est,
+            round: self.round,
+            phase: self.phase,
+            tally: self.tally,
+            mailbox: self.mailbox,
+            done: self.done,
+        } = snap;
+        Ok(())
     }
 
     /// Hands a drained outbox buffer back to the machine so the next
@@ -680,8 +683,27 @@ pub(super) mod tests {
     /// A copy of `sm` through its snapshot.
     fn restored(sm: &ConsensusSm) -> ConsensusSm {
         let topo = Arc::clone(&sm.topo);
-        ConsensusSm::from_snapshot(sm.algorithm, sm.me, topo, sm.cfg, &sm.snapshot())
-            .expect("restores")
+        let mut copy = ConsensusSm::new(sm.algorithm, sm.me, topo, 0, Bit::Zero, sm.cfg);
+        copy.restore(sm.snapshot()).expect("restores");
+        copy
+    }
+
+    /// A snapshot loads only into a machine of its own universe: a
+    /// tally for three processes is refused by a machine of four, which
+    /// keeps its own state.
+    #[test]
+    fn restore_refuses_a_tally_of_another_universe() {
+        let machine = |n| {
+            let topo = Arc::new(SmTopology::new(Partition::single_cluster(n)));
+            let cfg = ProtocolConfig::paper();
+            ConsensusSm::new(Algorithm::LocalCoin, ProcessId(0), topo, 0, Bit::One, cfg)
+        };
+        let mut four = machine(4);
+        let before = four.snapshot();
+        let refused = four.restore(machine(3).snapshot()).unwrap_err();
+        assert!(refused.starts_with("its tally"), "{refused}");
+        assert_eq!(four.snapshot(), before);
+        four.restore(machine(4).snapshot()).expect("same universe");
     }
 
     /// Feeds a solo machine its own outbox until a terminal progress.

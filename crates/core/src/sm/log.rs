@@ -1,11 +1,11 @@
 //! [`LogSm`]: a replicated-log replica as a resumable machine.
 
-use super::{MultivaluedSm, MvProgress, Outbox, Progress, SmCtx, SmTopology};
+use super::{MultivaluedSm, MvProgress, MvSnap, Outbox, Progress, SmCtx, SmTopology};
 use crate::multivalued::{log_body_decision, queue_proposal, LogDigest};
-use crate::traffic::{TrafficSpec, TrafficState};
+use crate::traffic::{TrafficSnap, TrafficState};
 use crate::{Algorithm, Halt, Mailbox, Msg, Payload, ProtocolConfig};
 use ofa_topology::ProcessId;
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A replicated-log replica as a resumable state machine — the exact
@@ -37,6 +37,18 @@ pub struct LogSm {
     /// accumulated service stats are emitted once, at the terminal
     /// progress — exactly like [`crate::run_replicated_log`].
     traffic: Option<TrafficState>,
+}
+
+/// A [`LogSm`]'s checkpoint. `traffic` is absent from snapshots written
+/// before served logs existed, and reads as `None` there.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LogSnap {
+    slot: u64,
+    digest: u64,
+    inner: Option<MvSnap>,
+    done: bool,
+    #[serde(default)]
+    traffic: Option<TrafficSnap>,
 }
 
 impl LogSm {
@@ -73,92 +85,49 @@ impl LogSm {
         self.done
     }
 
-    /// Serializes the replica's resumable wait state: slot cursor, the
-    /// rolling [`LogDigest`], and the running slot machine (if any). The
+    /// The replica's resumable wait state: slot cursor, the rolling
+    /// [`LogDigest`], the running slot machine and the live traffic. The
     /// command queue and slot count are scenario inputs, and the outbox
     /// is empty at every suspension, so neither is captured.
-    pub fn snapshot(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("slot".to_string(), self.slot.to_value()),
-            ("digest".to_string(), self.digest.value().to_value()),
-            (
-                "inner".to_string(),
-                match &self.inner {
-                    Some(inner) => inner.snapshot(),
-                    None => serde::Value::Null,
-                },
-            ),
-            ("done".to_string(), self.done.to_value()),
-            (
-                "traffic".to_string(),
-                match &self.traffic {
-                    Some(t) => t.snapshot(),
-                    None => serde::Value::Null,
-                },
-            ),
-        ])
+    pub fn snapshot(&self) -> LogSnap {
+        LogSnap {
+            slot: self.slot,
+            digest: self.digest.value(),
+            inner: self.inner.as_ref().map(MultivaluedSm::snapshot),
+            done: self.done,
+            traffic: self.traffic.as_ref().map(TrafficState::snapshot),
+        }
     }
 
-    /// Rebuilds a replica from a [`LogSm::snapshot`] value plus the
-    /// scenario-side construction context (including the proposal queue,
-    /// slot count, and traffic spec + seed, which the snapshot
-    /// deliberately omits).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_snapshot(
-        algorithm: Algorithm,
-        me: ProcessId,
-        topo: Arc<SmTopology>,
-        cfg: ProtocolConfig,
-        queue: Vec<Payload>,
-        slots: u64,
-        traffic_spec: Option<&TrafficSpec>,
-        seed: u64,
-        v: &serde::Value,
-    ) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("LogSm: missing field {name}")))
-        };
-        let digest: u64 = serde::Deserialize::from_value(field("digest")?)?;
-        let inner = match field("inner")? {
-            serde::Value::Null => None,
-            snap => Some(MultivaluedSm::from_snapshot(
-                algorithm,
-                me,
-                Arc::clone(&topo),
-                cfg,
-                snap,
-            )?),
-        };
-        let traffic = match traffic_spec {
+    /// Loads a [`LogSm::snapshot`] into this replica, built by
+    /// [`LogSm::new`] for the same process of the same scenario; a
+    /// running slot machine is built by [`MultivaluedSm::new`], then
+    /// loaded. Traffic loads only into a replica built to serve it.
+    ///
+    /// # Errors
+    ///
+    /// A running slot past the log's end, or what the slot machine or the
+    /// traffic refuses; the replica is then half loaded.
+    pub fn restore(&mut self, snap: LogSnap) -> Result<(), String> {
+        if !snap.done && snap.slot >= self.slots {
+            return Err(format!("it runs slot {} of {}", snap.slot, self.slots));
+        }
+        self.inner = match snap.inner {
             None => None,
-            Some(spec) => {
-                let me_u = me.index() as u32;
-                match v.get("traffic") {
-                    Some(serde::Value::Null) | None => {
-                        // Pre-traffic snapshot of a traffic scenario can
-                        // only mean a fresh incarnation.
-                        let n = topo.partition().n() as u32;
-                        Some(TrafficState::new(spec, seed, me_u, n))
-                    }
-                    Some(snap) => Some(TrafficState::from_snapshot(spec, seed, me_u, snap)?),
-                }
+            Some(loaded) => {
+                let (topo, empty) = (Arc::clone(&self.topo), Payload::empty());
+                let (alg, me, cfg) = (self.algorithm, self.me, self.cfg);
+                let mut inner = MultivaluedSm::new(alg, me, topo, snap.slot, empty, cfg);
+                inner.restore(loaded)?;
+                Some(inner)
             }
         };
-        Ok(LogSm {
-            algorithm,
-            me,
-            topo,
-            cfg,
-            slots,
-            queue,
-            slot: serde::Deserialize::from_value(field("slot")?)?,
-            digest: LogDigest::from_raw(digest),
-            inner,
-            outbox: Vec::new(),
-            done: serde::Deserialize::from_value(field("done")?)?,
-            traffic,
-        })
+        if let (Some(traffic), Some(loaded)) = (&mut self.traffic, snap.traffic) {
+            traffic.restore(loaded)?;
+        }
+        (self.slot, self.done) = (snap.slot, snap.done);
+        self.digest = LogDigest::from_raw(snap.digest);
+        Ok(())
     }
 
     /// Hands a drained outbox buffer back for reuse, routing it to the
@@ -434,9 +403,8 @@ mod tests {
         let mut sm = LogSm::new(alg, me, Arc::clone(&topo), vec![], 2, cfg, None);
         let mut ctx = TestCtx::new(Bit::Zero);
         assert!(matches!(sm.start(&mut ctx), Progress::Sent(_)));
-        let snap = sm.snapshot();
-        let mut twin =
-            LogSm::from_snapshot(alg, me, topo, cfg, vec![], 2, None, 0, &snap).expect("restores");
+        let mut twin = LogSm::new(alg, me, topo, vec![], 2, cfg, None);
+        twin.restore(sm.snapshot()).expect("restores");
         let proposal = Msg {
             from: ProcessId(1),
             kind: crate::MsgKind::App {

@@ -77,9 +77,9 @@ mod consensus;
 mod log;
 mod multivalued;
 
-pub use consensus::ConsensusSm;
-pub use log::LogSm;
-pub use multivalued::{MultivaluedSm, MvProgress};
+pub use consensus::{ConsensusSm, ConsensusSnap};
+pub use log::{LogSm, LogSnap};
+pub use multivalued::{MultivaluedSm, MvProgress, MvSnap};
 
 use crate::pattern::est_index;
 use crate::{Bit, Decision, Est, Halt, MsgKind, ObsEvent, ProtocolConfig};
@@ -415,7 +415,7 @@ impl SmTopology {
 
 /// A set over credit units (clusters or single processes) with an
 /// incrementally maintained total weight.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 struct UnitSet {
     words: Vec<u64>,
     weight: usize,
@@ -454,7 +454,7 @@ impl UnitSet {
 /// per-value supporter set is a disjoint union of whole credit units, so
 /// set cardinalities reduce to weight counters. Mid-exchange tallies
 /// are part of a machine's wait state, so checkpoints capture them.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub(crate) struct Tally {
     n: usize,
     /// Supporter weights for `0`, `1`, `⊥` (indexed by `est_index`).
@@ -474,6 +474,20 @@ impl Tally {
             ],
             cover: UnitSet::with_units(units),
         }
+    }
+
+    /// Refuses a checkpointed tally not shaped like `self`, the one the
+    /// scenario builds: another `n`, or unit sets of another word count.
+    pub(crate) fn check_shape(&self, loaded: &Tally) -> Result<(), String> {
+        let words =
+            |t: &Tally| [&t.sets[0], &t.sets[1], &t.sets[2], &t.cover].map(|s| s.words.len());
+        let (loaded, built) = ((loaded.n, words(loaded)), (self.n, words(self)));
+        if loaded == built {
+            return Ok(());
+        }
+        Err(format!(
+            "its tally (n, words per unit set) is {loaded:?}, not the scenario's {built:?}"
+        ))
     }
 
     pub(crate) fn reset(&mut self) {
@@ -786,6 +800,14 @@ mod tests {
         Log(LogSm),
     }
 
+    /// A [`Layer`]'s snapshot.
+    #[derive(Debug, PartialEq)]
+    enum LayerSnap {
+        Consensus(ConsensusSnap),
+        Multivalued(MvSnap),
+        Log(LogSnap),
+    }
+
     impl Layer {
         fn new(layer: u8, algorithm: Algorithm, me: ProcessId, topo: &Arc<SmTopology>) -> Self {
             let cfg = ProtocolConfig::paper().with_max_rounds(6);
@@ -841,11 +863,11 @@ mod tests {
             }
         }
 
-        fn snapshot(&self) -> serde::Value {
+        fn snapshot(&self) -> LayerSnap {
             match self {
-                Layer::Consensus(sm) => sm.snapshot(),
-                Layer::Multivalued(sm) => sm.snapshot(),
-                Layer::Log(sm) => sm.snapshot(),
+                Layer::Consensus(sm) => LayerSnap::Consensus(sm.snapshot()),
+                Layer::Multivalued(sm) => LayerSnap::Multivalued(sm.snapshot()),
+                Layer::Log(sm) => LayerSnap::Log(sm.snapshot()),
             }
         }
     }

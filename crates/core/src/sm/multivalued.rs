@@ -49,11 +49,11 @@
 //! 136 of a served run's 173 MB — where the store takes one write into
 //! an array the machine owns anyway.
 
-use super::{broadcast_into, ConsensusSm, Outbox, Progress, SmCtx, SmTopology};
-use crate::multivalued::{stage_budget, MvDecision, ProposalStore, INSTANCE_STRIDE};
+use super::{broadcast_into, ConsensusSm, ConsensusSnap, Outbox, Progress, SmCtx, SmTopology};
+use crate::multivalued::{stage_budget, MvDecision, ProposalStore, StoreSnap, INSTANCE_STRIDE};
 use crate::{Algorithm, Bit, Halt, Mailbox, Msg, MsgKind, ObsEvent, Payload, ProtocolConfig};
 use ofa_topology::ProcessId;
-use serde::Serialize as _;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// `Poll`-style progress of a [`MultivaluedSm`] — like [`Progress`] but
@@ -118,6 +118,24 @@ pub struct MultivaluedSm {
     state: MvState,
     outbox: Outbox,
     done: bool,
+}
+
+/// A [`MultivaluedSm`]'s checkpoint.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MvSnap {
+    mv_index: u64,
+    store: StoreSnap,
+    stage: u64,
+    state: MvStateSnap,
+    done: bool,
+}
+
+/// An [`MvState`] as checkpointed, under the same variant names.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum MvStateSnap {
+    Stage(ConsensusSnap),
+    AwaitProposal(Mailbox, ProcessId),
+    Finished(Mailbox),
 }
 
 /// Where the stage driver goes after a binary stage reports progress.
@@ -195,80 +213,58 @@ impl MultivaluedSm {
         self.me
     }
 
-    /// Serializes the machine's resumable wait state — stage cursor,
-    /// proposal store, and the current internal state (tagged by
-    /// variant, with a running stage captured via
+    /// The machine's resumable wait state — stage cursor, proposal
+    /// store, and the current internal state (a running stage as its
     /// [`ConsensusSm::snapshot`]). The outbox is omitted: empty at every
     /// suspension.
-    pub fn snapshot(&self) -> serde::Value {
-        let state = match &self.state {
-            MvState::Stage(sm) => serde::Value::Map(vec![("Stage".to_string(), sm.snapshot())]),
-            MvState::AwaitProposal(mb, k) => serde::Value::Map(vec![(
-                "AwaitProposal".to_string(),
-                serde::Value::Seq(vec![mb.to_value(), k.to_value()]),
-            )]),
-            MvState::Finished(mb) => {
-                serde::Value::Map(vec![("Finished".to_string(), mb.to_value())])
-            }
-        };
-        serde::Value::Map(vec![
-            ("mv_index".to_string(), self.mv_index.to_value()),
-            ("store".to_string(), self.store.snapshot()),
-            ("stage".to_string(), self.stage.to_value()),
-            ("state".to_string(), state),
-            ("done".to_string(), self.done.to_value()),
-        ])
+    pub fn snapshot(&self) -> MvSnap {
+        MvSnap {
+            mv_index: self.mv_index,
+            store: self.store.snapshot(),
+            stage: self.stage,
+            state: match &self.state {
+                MvState::Stage(sm) => MvStateSnap::Stage(sm.snapshot()),
+                MvState::AwaitProposal(mb, k) => MvStateSnap::AwaitProposal(mb.clone(), *k),
+                MvState::Finished(mb) => MvStateSnap::Finished(mb.clone()),
+            },
+            done: self.done,
+        }
     }
 
-    /// Rebuilds a machine from a [`MultivaluedSm::snapshot`] value; the
-    /// construction context comes from the scenario, and the derived
-    /// fields (`base`, `budget`) are recomputed like in
-    /// [`MultivaluedSm::with_mailbox`].
-    pub fn from_snapshot(
-        algorithm: Algorithm,
-        me: ProcessId,
-        topo: Arc<SmTopology>,
-        cfg: ProtocolConfig,
-        v: &serde::Value,
-    ) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("MultivaluedSm: missing field {name}")))
+    /// Loads a [`MultivaluedSm::snapshot`] into this machine, built by
+    /// [`MultivaluedSm::new`] for the same process and instance, so
+    /// `base` and the stage budget stay the constructor's; a running
+    /// stage is built by [`ConsensusSm::new`], then loaded.
+    ///
+    /// # Errors
+    ///
+    /// Another instance, a store or tally not shaped for this `n`, or a
+    /// wait on a process outside it; the machine is then half loaded.
+    pub fn restore(&mut self, snap: MvSnap) -> Result<(), String> {
+        if snap.mv_index != self.mv_index {
+            return Err(format!(
+                "its multivalued instance is {}, not {}",
+                snap.mv_index, self.mv_index
+            ));
+        }
+        self.store.restore(snap.store)?;
+        self.state = match snap.state {
+            MvStateSnap::Stage(stage) => {
+                let topo = Arc::clone(&self.topo);
+                let mut sm =
+                    ConsensusSm::new(self.algorithm, self.me, topo, 0, Bit::Zero, self.cfg);
+                sm.restore(stage)?;
+                MvState::Stage(Box::new(sm))
+            }
+            MvStateSnap::AwaitProposal(_, k) if k.index() >= self.topo.n() => {
+                let n = self.topo.n();
+                return Err(format!("it waits for the proposal of {k}, outside n = {n}"));
+            }
+            MvStateSnap::AwaitProposal(mb, k) => MvState::AwaitProposal(mb, k),
+            MvStateSnap::Finished(mb) => MvState::Finished(mb),
         };
-        let n = topo.n();
-        let mv_index: u64 = serde::Deserialize::from_value(field("mv_index")?)?;
-        let base = mv_index * INSTANCE_STRIDE;
-        let sv = field("state")?;
-        let state = if let Some(stage) = sv.get("Stage") {
-            MvState::Stage(Box::new(ConsensusSm::from_snapshot(
-                algorithm,
-                me,
-                Arc::clone(&topo),
-                cfg,
-                stage,
-            )?))
-        } else if let Some(wait) = sv.get("AwaitProposal") {
-            let (mb, k): (Mailbox, ProcessId) = serde::Deserialize::from_value(wait)?;
-            MvState::AwaitProposal(mb, k)
-        } else if let Some(mb) = sv.get("Finished") {
-            MvState::Finished(serde::Deserialize::from_value(mb)?)
-        } else {
-            return Err(serde::Error::msg("MultivaluedSm: unknown state variant"));
-        };
-        Ok(MultivaluedSm {
-            algorithm,
-            me,
-            topo,
-            cfg,
-            mv_index,
-            base,
-            budget: stage_budget(&cfg, n),
-            store: ProposalStore::from_snapshot(base, field("store")?)?,
-            stage: serde::Deserialize::from_value(field("stage")?)?,
-            state,
-            outbox: Vec::new(),
-            done: serde::Deserialize::from_value(field("done")?)?,
-        })
+        (self.stage, self.done) = (snap.stage, snap.done);
+        Ok(())
     }
 
     /// Hands a drained outbox buffer back for reuse (see
@@ -932,14 +928,11 @@ mod tests {
     /// A copy of `sm` (of the singleton-cluster [`World`] of `n`
     /// processes) through its snapshot.
     fn restored(sm: &MultivaluedSm, n: usize) -> MultivaluedSm {
-        MultivaluedSm::from_snapshot(
-            Algorithm::LocalCoin,
-            sm.me,
-            Arc::new(SmTopology::new(Partition::singletons(n))),
-            ProtocolConfig::paper(),
-            &sm.snapshot(),
-        )
-        .expect("restores")
+        let topo = Arc::new(SmTopology::new(Partition::singletons(n)));
+        let (alg, cfg) = (Algorithm::LocalCoin, ProtocolConfig::paper());
+        let mut copy = MultivaluedSm::new(alg, sm.me, topo, sm.mv_index, payload("x"), cfg);
+        copy.restore(sm.snapshot()).expect("restores");
+        copy
     }
 
     fn own_app(base: u64, from: usize, seq: u64, text: &str) -> Msg {
@@ -1068,36 +1061,20 @@ mod tests {
                     // the store holds the machine's own only.
                     let mut stashed = 0;
                     for sm in &cut.machines {
-                        let snap = sm.snapshot();
-                        let stage = snap.get("state").and_then(|s| s.get("Stage"));
-                        let apps = stage
-                            .and_then(|s| s.get("mailbox"))
-                            .and_then(|m| m.get("apps"));
-                        let Some(serde::Value::Seq(apps)) = apps else {
-                            panic!("seed {seed}: not in a stage: {snap:?}")
-                        };
-                        stashed += apps.len();
-                        let have = snap.get("store").and_then(|s| s.get("have"));
-                        let Some(serde::Value::Seq(have)) = have else {
-                            panic!("seed {seed}: no store: {snap:?}")
-                        };
-                        let held = have.iter().filter(|v| **v != serde::Value::Null);
+                        assert!(
+                            matches!(sm.state, MvState::Stage(_)),
+                            "seed {seed}: not in a stage: {sm:?}"
+                        );
+                        stashed += restored(sm, n).into_mailbox().take_apps().len();
+                        let held = (0..n).filter(|&k| sm.store.holds(ProcessId(k)));
                         assert_eq!(held.count(), 1, "seed {seed}: only its own proposal");
                     }
                     assert!(stashed > 0, "seed {seed}");
                 }
                 if i == cut_at {
                     // …then every machine goes through a snapshot.
-                    let topo = Arc::new(SmTopology::new(Partition::singletons(n)));
-                    for (p, sm) in cut.machines.iter_mut().enumerate() {
-                        *sm = MultivaluedSm::from_snapshot(
-                            Algorithm::LocalCoin,
-                            ProcessId(p),
-                            Arc::clone(&topo),
-                            ProtocolConfig::paper(),
-                            &sm.snapshot(),
-                        )
-                        .expect("the old layout is the current format");
+                    for sm in &mut cut.machines {
+                        *sm = restored(sm, n);
                         assert_eq!(sm.base, base);
                     }
                 }

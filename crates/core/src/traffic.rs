@@ -345,70 +345,72 @@ impl TrafficState {
         self.pending.len()
     }
 
-    /// Serializes the live state (cursors, queue, accounting) for a
-    /// checkpoint. The spec, seed, and identity are scenario inputs and
-    /// are re-supplied on restore.
-    pub fn snapshot(&self) -> serde::Value {
-        let clients: Vec<(u64, u64, u64, bool)> = self
-            .clients
-            .iter()
-            .map(|c| (c.id, c.next_k, c.next_at, c.waiting))
-            .collect();
-        let pending: Vec<(u64, u32)> = self
-            .pending
-            .iter()
-            .map(|p| (p.submitted_at, p.client))
-            .collect();
-        serde::Value::Map(vec![
-            ("clients".to_string(), clients.to_value()),
-            ("pending".to_string(), pending.to_value()),
-            ("popped".to_string(), self.popped.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-        ])
+    /// The live state (cursors, queue, accounting) for a checkpoint.
+    /// The spec, seed, and identity are scenario inputs, the
+    /// constructor's on restore.
+    pub fn snapshot(&self) -> TrafficSnap {
+        TrafficSnap {
+            clients: (self.clients.iter())
+                .map(|c| (c.id, c.next_k, c.next_at, c.waiting))
+                .collect(),
+            pending: (self.pending.iter())
+                .map(|p| (p.submitted_at, p.client))
+                .collect(),
+            popped: self.popped,
+            stats: self.stats.clone(),
+        }
     }
 
-    /// Restores a [`TrafficState::snapshot`] under the same scenario
-    /// inputs.
+    /// Loads a [`TrafficState::snapshot`] into this state, built for the
+    /// same replica of the same scenario.
     ///
     /// # Errors
     ///
-    /// Returns a decode error on a malformed snapshot.
-    pub fn from_snapshot(
-        spec: &TrafficSpec,
-        seed: u64,
-        me: u32,
-        v: &serde::Value,
-    ) -> Result<TrafficState, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("TrafficState: missing field {name:?}")))
-        };
-        let clients: Vec<(u64, u64, u64, bool)> = Deserialize::from_value(field("clients")?)?;
-        let pending: Vec<(u64, u32)> = Deserialize::from_value(field("pending")?)?;
-        Ok(TrafficState {
-            spec: *spec,
-            seed,
-            me,
-            clients: clients
-                .into_iter()
-                .map(|(id, next_k, next_at, waiting)| ClientCursor {
-                    id,
-                    next_k,
-                    next_at,
-                    waiting,
-                })
-                .collect(),
-            pending: pending
-                .into_iter()
-                .map(|(submitted_at, client)| PendingCmd {
-                    submitted_at,
-                    client,
-                })
-                .collect(),
-            popped: Deserialize::from_value(field("popped")?)?,
-            stats: Deserialize::from_value(field("stats")?)?,
-        })
+    /// Clients other than those the spec attaches to this replica, or a
+    /// queued command of a client it does not have; nothing is loaded
+    /// then.
+    pub fn restore(&mut self, snap: TrafficSnap) -> Result<(), String> {
+        let built: Vec<u64> = self.clients.iter().map(|c| c.id).collect();
+        let loaded: Vec<u64> = snap.clients.iter().map(|c| c.0).collect();
+        if loaded != built {
+            return Err(format!(
+                "its clients are {loaded:?}, not the spec's {built:?}"
+            ));
+        }
+        if let Some((_, client)) = snap.pending.iter().find(|p| p.1 as usize >= built.len()) {
+            return Err(format!(
+                "its queue holds a command of client {client} of {}",
+                built.len()
+            ));
+        }
+        self.clients = (snap.clients.into_iter())
+            .map(|(id, next_k, next_at, waiting)| ClientCursor {
+                id,
+                next_k,
+                next_at,
+                waiting,
+            })
+            .collect();
+        self.pending = (snap.pending.into_iter())
+            .map(|(submitted_at, client)| PendingCmd {
+                submitted_at,
+                client,
+            })
+            .collect();
+        (self.popped, self.stats) = (snap.popped, snap.stats);
+        Ok(())
     }
+}
+
+/// A [`TrafficState`]'s checkpoint: each client's cursor as `(id,
+/// next_k, next_at, waiting)`, each queued command as `(submitted_at,
+/// client index)`, the popped count and the statistics.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TrafficSnap {
+    clients: Vec<(u64, u64, u64, bool)>,
+    pending: Vec<(u64, u32)>,
+    popped: u64,
+    stats: ServiceStats,
 }
 
 /// Arrival time of `(client, k = 0)`.
@@ -663,8 +665,12 @@ mod tests {
         let batch = t.next_batch();
         t.on_committed(&batch, 520);
         t.pull(700);
-        let copy = TrafficState::from_snapshot(&s, 7, 1, &t.snapshot()).expect("round trip");
+        let mut copy = TrafficState::new(&s, 7, 1, 2);
+        copy.restore(t.snapshot()).expect("round trip");
         assert_eq!(copy, t);
+        // A replica of another universe has other clients.
+        let refused = TrafficState::new(&s, 7, 1, 3).restore(t.snapshot());
+        assert!(refused.is_err(), "{refused:?}");
         // The restored state continues identically.
         let mut live = t.clone();
         let mut resumed = copy;

@@ -190,6 +190,10 @@ pub enum ResumeError {
     /// The stored best schedule fails [`Scenario::validate`], with its
     /// message: the next generation would run it.
     InvalidBest(String),
+    /// The stored best schedule runs on another partition than the
+    /// config's base (their cluster sizes, in that order): its mutants
+    /// would be scored in another universe.
+    OtherPartition(Vec<usize>, Vec<usize>),
 }
 
 impl std::fmt::Display for ResumeError {
@@ -199,6 +203,10 @@ impl std::fmt::Display for ResumeError {
                 write!(f, "it belongs to explorer seed {state}, not {config}")
             }
             ResumeError::InvalidBest(e) => write!(f, "its best schedule is invalid: {e}"),
+            ResumeError::OtherPartition(best, base) => write!(
+                f,
+                "its best schedule runs on clusters of sizes {best:?}, not the base's {base:?}"
+            ),
         }
     }
 }
@@ -231,7 +239,8 @@ impl Explorer {
     /// # Errors
     ///
     /// A [`ResumeError`] if the state was produced under another explorer
-    /// seed, or its best schedule is invalid.
+    /// seed, or its best schedule is invalid or runs on another partition
+    /// than the config's base.
     ///
     /// # Panics
     ///
@@ -245,6 +254,10 @@ impl Explorer {
         }
         if let Some(best) = &state.best {
             best.scenario.validate().map_err(ResumeError::InvalidBest)?;
+            let (ours, base) = (&best.scenario.partition, &config.base.partition);
+            if ours != base {
+                return Err(ResumeError::OtherPartition(ours.sizes(), base.sizes()));
+            }
         }
         Ok(Explorer::with_state(config, state))
     }
@@ -553,5 +566,23 @@ mod tests {
             }
         );
         assert_eq!(refused.to_string(), "it belongs to explorer seed 1, not 2");
+    }
+
+    #[test]
+    fn a_best_of_another_partition_is_rejected() {
+        let mut first = Explorer::new(small_config(9));
+        first.step();
+        let mut config = small_config(9);
+        config.base = Scenario::new(Partition::even(9, 3), Algorithm::CommonCoin);
+        let refused = Explorer::resume(config, first.state().clone()).unwrap_err();
+        assert_eq!(
+            refused,
+            ResumeError::OtherPartition(vec![4, 4], vec![3, 3, 3])
+        );
+        assert_eq!(
+            refused.to_string(),
+            "its best schedule runs on clusters of sizes [4, 4], not the base's [3, 3, 3]"
+        );
+        Explorer::resume(small_config(9), first.state().clone()).expect("its own partition");
     }
 }

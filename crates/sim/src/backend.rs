@@ -109,9 +109,10 @@ impl Sim {
     /// scenario itself ([`Scenario::validate`], and that it can
     /// checkpoint at all), the engine state, the cut time it was taken
     /// at, the process and cluster counts, every pending event's
-    /// processes and time, and every machine's state under the
-    /// scenario's body. (The format version is the decoder's to refuse:
-    /// a [`Snapshot`] of another version does not decode.)
+    /// processes and time, and that every machine's state loads into the
+    /// machine the scenario builds for its process. (The format version
+    /// is the decoder's to refuse: a [`Snapshot`] of another version
+    /// does not decode.)
     /// [`Sim::resume`], [`Sim::resume_until`] and [`Sim::diverge`]
     /// run the same check and panic where it fails; a caller holding a
     /// snapshot it did not make (a file) checks first to refuse it.
@@ -132,8 +133,9 @@ pub enum CheckpointError {
     /// A part of the engine state does not decode.
     Decode(serde::Error),
     /// The snapshot decodes but cannot resume: its scenario is invalid
-    /// or cannot checkpoint, or its cut, sizes or pending events
-    /// disagree with the rest. Displayed as the reason alone.
+    /// or cannot checkpoint, its cut, sizes or pending events disagree
+    /// with the rest, or a machine does not load into the one the
+    /// scenario builds. Displayed as the reason alone.
     Refused(String),
 }
 
@@ -468,8 +470,9 @@ fn resume_leg(
 /// state that does not decode or was taken at
 /// another cut time, another process or cluster count, a pending event
 /// that names a process outside `0..n` or is timed before the cut, and
-/// a machine that does not decode under the scenario's body. The one
-/// decoder behind every resume and [`Sim::check_snapshot`].
+/// a machine that does not load into the one the scenario builds for
+/// its process (another body kind, or a part shaped for another `n`).
+/// The one decoder behind every resume and [`Sim::check_snapshot`].
 fn decode_snapshot(
     snapshot: &Snapshot,
     scenario: &Scenario,
@@ -521,10 +524,9 @@ fn decode_snapshot(
     }
     let spec = RunSpec::from_scenario(scenario);
     let topo = Arc::new(SmTopology::new(scenario.partition.clone()));
-    for (i, v) in snap.machines.iter().enumerate() {
-        if !matches!(v, serde::Value::Null) {
-            leg_machine(&spec, &topo, i, Some(v))
-                .map_err(|e| serde::Error::msg(format!("machine of p{i}: {}", e.0)))?;
+    for (i, m) in snap.machines.iter().enumerate() {
+        if let Some(m) = m {
+            leg_machine(&spec, &topo, i, Some(m)).map_err(Refused)?;
         }
     }
     Ok(snap)

@@ -26,7 +26,16 @@
 //!   triggers with `at >= T` from the *resume* scenario — which is
 //!   exactly what lets a divergent replay swap the tail's failure
 //!   pattern.
+//!
+//! Every part is a derived data type, machines included: a
+//! [`MachineSnap`] is its layer's `ConsensusSnap`, `MvSnap` or `LogSnap`
+//! (`ofa_core::sm`), holding only what a constructor cannot derive from
+//! the scenario. A resumed process is built by `Machine::build` exactly
+//! as a fresh one, then its snapshot is loaded into it
+//! (`Machine::restore`), which refuses a part not shaped like the built
+//! one (a tally or proposal store for another `n`).
 
+use crate::engine::MachineSnap;
 use ofa_core::{Decision, Halt, MsgKind};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
 use serde::{Deserialize, Serialize};
@@ -151,9 +160,9 @@ pub(crate) struct EngineSnap {
     pub(crate) trace_count: u64,
     /// Per-sender PRF send counters (index = process).
     pub(crate) send_counters: Vec<u64>,
-    /// Per-process machine snapshots; `Null` for finished processes
-    /// (they are never dispatched again).
-    pub(crate) machines: Vec<serde::Value>,
+    /// Per-process machine snapshots; `None` (`null`) for finished
+    /// processes (they are never dispatched again).
+    pub(crate) machines: Vec<Option<MachineSnap>>,
     /// Per-process accounting.
     pub(crate) procs: Vec<ProcSnap>,
     /// Per-cluster shared memory, in cluster order.
@@ -196,6 +205,13 @@ impl EngineSnap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::RunSpec;
+    use crate::engine::Machine;
+    use ofa_core::sm::SmTopology;
+    use ofa_core::{Algorithm, Bit};
+    use ofa_scenario::Scenario;
+    use ofa_topology::Partition;
+    use std::sync::Arc;
 
     fn sample_msg() -> MsgKind {
         // Any MsgKind works; the codec treats it opaquely.
@@ -274,6 +290,14 @@ mod tests {
     #[test]
     fn engine_snap_round_trips() {
         let msg = sample_msg();
+        let part = Partition::single_cluster(3);
+        let topo = Arc::new(SmTopology::new(part.clone()));
+        let spec = |bit| {
+            RunSpec::from_scenario(
+                &Scenario::new(part.clone(), Algorithm::LocalCoin).proposals_all(bit),
+            )
+        };
+        let machine = Machine::build(&spec(Bit::One), &topo, 1);
         let snap = EngineSnap {
             at: 1_000,
             events_processed: 42,
@@ -281,7 +305,7 @@ mod tests {
             trace_hash: 0xDEAD_BEEF,
             trace_count: 42,
             send_counters: vec![3, 0, 9],
-            machines: vec![serde::Value::Null, serde::Value::U64(1), serde::Value::Null],
+            machines: vec![None, Some(machine.snapshot()), None],
             procs: vec![ProcSnap {
                 clock: 980,
                 steps: 17,
@@ -313,5 +337,10 @@ mod tests {
         assert_eq!(copy.memory, snap.memory);
         assert_eq!(copy.events, snap.events);
         assert_eq!(copy.machines.len(), 3);
+        assert!(copy.machines[0].is_none() && copy.machines[2].is_none());
+        let mut resumed = Machine::build(&spec(Bit::Zero), &topo, 1);
+        let loaded = copy.machines[1].clone().expect("p1 runs");
+        resumed.restore(loaded).expect("its own universe");
+        assert_eq!(resumed.snapshot(), machine.snapshot());
     }
 }

@@ -47,21 +47,22 @@
 //! fails: the same terminal mailbox report, the same empty outbox. Only
 //! the refused deliveries build an [`EventCtx`] and step the machine.
 
+use crate::backend::RunSpec;
 use crate::checkpoint::{Finished, ProcSnap};
 use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
 use ofa_core::sm::{
-    ConsensusSm, LogSm, MultivaluedSm, MvProgress, OutItem, Progress, SmCtx, SmTopology,
+    ConsensusSm, ConsensusSnap, LogSm, LogSnap, MultivaluedSm, MvProgress, MvSnap, OutItem,
+    Progress, SmCtx, SmTopology,
 };
 use ofa_core::TrafficState;
-use ofa_core::{
-    mv_body_decision, Bit, Decision, Halt, Msg, MsgKind, ObsEvent, Observer, ProtocolConfig,
-};
+use ofa_core::{mv_body_decision, Bit, Decision, Halt, Msg, MsgKind, ObsEvent, Observer};
 use ofa_metrics::ServiceStats;
 use ofa_scenario::{
     Body, CostModel, CrashPlan, ProcAccount, TraceEvent, TraceRecorder, VirtualTime,
 };
 use ofa_sharedmem::{ClusterMemory, Slot};
 use ofa_topology::ProcessId;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One process's machine, shaped by the scenario body. The multivalued
@@ -79,51 +80,47 @@ pub(crate) enum Machine {
 }
 
 impl Machine {
-    /// Builds process `i`'s machine for a declarative body.
+    /// Builds process `i`'s machine as a fresh run of `spec` does: the
+    /// one constructor, which a resumed process takes too before its
+    /// snapshot is loaded ([`Machine::restore`]).
     ///
     /// # Panics
     ///
     /// Panics on [`Body::Custom`] — custom bodies are blocking code;
     /// route them to the thread conductor.
-    /// `serves_traffic` mirrors [`ofa_core::Env::serves_traffic`]: pass
-    /// `false` for churn-planned processes so both of their incarnations
-    /// propose empty filler slots instead of clock-dependent batches (a
-    /// restarted proposer could not re-broadcast its first incarnation's
-    /// batches identically, which the reduction's agreement requires).
-    pub(crate) fn build(
-        body: &Body,
-        i: usize,
-        topo: &Arc<SmTopology>,
-        proposals: &[Bit],
-        config: ProtocolConfig,
-        seed: u64,
-        serves_traffic: bool,
-    ) -> Machine {
-        match body {
-            Body::Algo(algorithm) => Machine::Consensus(ConsensusSm::new(
-                *algorithm,
-                ProcessId(i),
-                Arc::clone(topo),
+    pub(crate) fn build(spec: &RunSpec, topo: &Arc<SmTopology>, i: usize) -> Machine {
+        let (me, topo, config) = (ProcessId(i), Arc::clone(topo), spec.config);
+        match &spec.body {
+            Body::Algo(alg) => Machine::Consensus(ConsensusSm::new(
+                *alg,
+                me,
+                topo,
                 0,
-                proposals[i],
+                spec.proposals[i],
                 config,
             )),
             Body::Multivalued(mv) => Machine::Multivalued(MultivaluedSm::new(
                 mv.algorithm,
-                ProcessId(i),
-                Arc::clone(topo),
+                me,
+                topo,
                 0,
                 mv.proposals[i],
                 config,
             )),
             Body::ReplicatedLog(smr) => {
-                let traffic = smr.traffic.as_ref().filter(|_| serves_traffic).map(|spec| {
-                    TrafficState::new(spec, seed, i as u32, topo.partition().n() as u32)
-                });
+                // Like `Env::serves_traffic`, a churn-planned process
+                // proposes empty filler slots in both incarnations, not
+                // clock-dependent batches: a restarted proposer could not
+                // re-broadcast its first incarnation's batches
+                // identically, which the reduction's agreement requires.
+                let serves = spec.churn.event(me).is_none();
+                let n = topo.partition().n() as u32;
+                let traffic = (smr.traffic.as_ref().filter(|_| serves))
+                    .map(|t| TrafficState::new(t, spec.seed, i as u32, n));
                 Machine::Log(LogSm::new(
                     smr.algorithm,
-                    ProcessId(i),
-                    Arc::clone(topo),
+                    me,
+                    topo,
                     smr.queues.get(i).cloned().unwrap_or_default(),
                     smr.slots,
                     config,
@@ -186,66 +183,51 @@ impl Machine {
         }
     }
 
-    /// Serializes the machine's resumable state (wait state, tallies,
-    /// mailboxes, stage position) for a checkpoint. Outboxes are always
-    /// empty at suspension points (every step `mem::take`s them into its
+    /// The machine's resumable state (wait state, tallies, mailboxes,
+    /// stage position) for a checkpoint. Outboxes are always empty at
+    /// suspension points (every step `mem::take`s them into its
     /// `Progress`), so they are not captured.
-    pub(crate) fn snapshot(&self) -> serde::Value {
-        let (tag, inner) = match self {
-            Machine::Consensus(sm) => ("Consensus", sm.snapshot()),
-            Machine::Multivalued(sm) => ("Multivalued", sm.snapshot()),
-            Machine::Log(sm) => ("Log", sm.snapshot()),
-        };
-        serde::Value::Map(vec![(tag.to_string(), inner)])
-    }
-
-    /// Rebuilds process `i`'s machine from a [`Machine::snapshot`] value.
-    /// The scenario supplies everything a snapshot omits as derivable
-    /// (algorithm, topology, config, command queues).
-    pub(crate) fn from_snapshot(
-        body: &Body,
-        i: usize,
-        topo: &Arc<SmTopology>,
-        config: ProtocolConfig,
-        seed: u64,
-        serves_traffic: bool,
-        v: &serde::Value,
-    ) -> Result<Machine, serde::Error> {
-        let variant = |tag: &str| {
-            v.get(tag)
-                .ok_or_else(|| serde::Error::msg(format!("machine snapshot: expected {tag}")))
-        };
-        match body {
-            Body::Algo(algorithm) => Ok(Machine::Consensus(ConsensusSm::from_snapshot(
-                *algorithm,
-                ProcessId(i),
-                Arc::clone(topo),
-                config,
-                variant("Consensus")?,
-            )?)),
-            Body::Multivalued(mv) => Ok(Machine::Multivalued(MultivaluedSm::from_snapshot(
-                mv.algorithm,
-                ProcessId(i),
-                Arc::clone(topo),
-                config,
-                variant("Multivalued")?,
-            )?)),
-            Body::ReplicatedLog(smr) => Ok(Machine::Log(LogSm::from_snapshot(
-                smr.algorithm,
-                ProcessId(i),
-                Arc::clone(topo),
-                config,
-                smr.queues.get(i).cloned().unwrap_or_default(),
-                smr.slots,
-                smr.traffic.as_ref().filter(|_| serves_traffic),
-                seed,
-                variant("Log")?,
-            )?)),
-            Body::Custom(_) => {
-                panic!("the event-driven engines run declarative bodies only")
-            }
+    pub(crate) fn snapshot(&self) -> MachineSnap {
+        match self {
+            Machine::Consensus(sm) => MachineSnap::Consensus(sm.snapshot()),
+            Machine::Multivalued(sm) => MachineSnap::Multivalued(sm.snapshot()),
+            Machine::Log(sm) => MachineSnap::Log(sm.snapshot()),
         }
     }
+
+    /// Loads a [`Machine::snapshot`] into this machine, built by
+    /// [`Machine::build`] for the same process.
+    ///
+    /// # Errors
+    ///
+    /// A snapshot of another body kind or of a finished machine (a
+    /// checkpoint writes a finished process as `null`), or what the
+    /// machine's own `restore` refuses.
+    pub(crate) fn restore(&mut self, snap: MachineSnap) -> Result<(), String> {
+        match (&mut *self, snap) {
+            (Machine::Consensus(sm), MachineSnap::Consensus(s)) => sm.restore(s)?,
+            (Machine::Multivalued(sm), MachineSnap::Multivalued(s)) => sm.restore(s)?,
+            (Machine::Log(sm), MachineSnap::Log(s)) => sm.restore(s)?,
+            _ => return Err("it is of another body kind than the scenario's".into()),
+        }
+        let done = match self {
+            Machine::Consensus(sm) => sm.is_done(),
+            Machine::Multivalued(sm) => sm.is_done(),
+            Machine::Log(sm) => sm.is_done(),
+        };
+        if done {
+            return Err("it has finished, but its process has not".into());
+        }
+        Ok(())
+    }
+}
+
+/// A [`Machine`]'s checkpoint, tagged by its layer.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) enum MachineSnap {
+    Consensus(ConsensusSnap),
+    Multivalued(MvSnap),
+    Log(LogSnap),
 }
 
 /// [`MvProgress`] → [`Progress`] for a multivalued *body*: terminal
@@ -605,10 +587,11 @@ mod tests {
     #[test]
     fn a_step_crash_inside_a_broadcast_keeps_the_sent_prefix() {
         use super::{Machine, ProcState};
+        use crate::backend::RunSpec;
         use ofa_coins::ConstantCoin;
         use ofa_core::sm::{OutItem, Progress, SmTopology};
         use ofa_core::{Halt, ProtocolConfig};
-        use ofa_scenario::{Body, CostModel, TraceRecorder};
+        use ofa_scenario::{CostModel, Scenario, TraceRecorder};
         use ofa_sharedmem::MemoryBank;
         // `start` is one cluster propose (step 1) and then the first
         // broadcast, sends 0..n at steps 2..: a trigger at step 4 lets
@@ -619,18 +602,16 @@ mod tests {
         let topo = Arc::new(SmTopology::new(part.clone()));
         let bank = MemoryBank::for_partition(&part);
         let me = ProcessId(1);
+        let spec = RunSpec::from_scenario(
+            &Scenario::new(part.clone(), Algorithm::LocalCoin)
+                .proposals_all(Bit::One)
+                .config(ProtocolConfig::default())
+                .seed(7),
+        );
         let run = |plan: &CrashPlan| {
             let mut state = ProcState::for_process(7, me, plan);
             let mut trace = TraceRecorder::new(true);
-            let mut machine = Machine::build(
-                &Body::Algo(Algorithm::LocalCoin),
-                me.index(),
-                &topo,
-                &[Bit::One; 6],
-                ProtocolConfig::default(),
-                7,
-                true,
-            );
+            let mut machine = Machine::build(&spec, &topo, me.index());
             let mut ctx = state.ctx(
                 me,
                 CostModel::new(),

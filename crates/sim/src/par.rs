@@ -230,7 +230,7 @@
 
 use crate::backend::{rejoin_coin_seed, RawOutcome, RunSpec};
 use crate::checkpoint::{CanonEvent, ClusterCells, EngineSnap, ProcSnap};
-use crate::engine::{Input, Machine, ProcState};
+use crate::engine::{Input, Machine, MachineSnap, ProcState};
 use crate::order::{EventKey, Keyed, SendCounters};
 use crate::queue::{Calendar, Handle, Slab};
 use ofa_core::sm::{OutItem, Progress, SmTopology};
@@ -528,8 +528,8 @@ struct ShardResult {
 /// One shard's contribution to a pause-time checkpoint: its slice of the
 /// canonical [`EngineSnap`], per member in member order.
 struct ShardSnap {
-    /// Machine snapshots; `Null` for finished processes.
-    machines: Vec<serde::Value>,
+    /// Machine snapshots; `None` for finished processes.
+    machines: Vec<Option<MachineSnap>>,
     procs: Vec<ProcSnap>,
     /// This shard's per-sender counter vector. Only members' entries
     /// ever advance here, so merging shards element-wise by `max`
@@ -837,8 +837,9 @@ impl<'a> ShardState<'a> {
             .iter()
             .map(|&g| {
                 let i = g as usize;
-                leg_machine(spec, topo, i, resume.map(|snap| &snap.machines[i]))
-                    .expect("resume: machine snapshots were decoded before the leg")
+                let snap = resume.and_then(|snap| snap.machines[i].as_ref());
+                leg_machine(spec, topo, i, snap)
+                    .expect("resume: machine snapshots were loaded before the leg")
             })
             .collect();
         let procs: Vec<ProcState> = members
@@ -1213,16 +1214,7 @@ impl<'a> ShardState<'a> {
         let who = ProcessId(pid as usize);
         self.trace
             .record(VirtualTime::from_ticks(at), TraceEvent::Rejoin { who });
-        // Only churn-planned processes rejoin; those never serve traffic.
-        self.machines[li] = Machine::build(
-            &self.spec.body,
-            pid as usize,
-            self.topo,
-            &self.spec.proposals,
-            self.spec.config,
-            self.spec.seed,
-            false,
-        );
+        self.machines[li] = Machine::build(self.spec, self.topo, pid as usize);
         self.procs[li].rejoin(rejoin_coin_seed(self.spec.seed), who, at);
         self.done[li] = false;
         self.dispatch(li, Input::Start);
@@ -1811,10 +1803,7 @@ impl<'a> ShardState<'a> {
             .machines
             .iter()
             .zip(&self.procs)
-            .map(|(m, p)| match p.finished {
-                Some(_) => serde::Value::Null,
-                None => m.snapshot(),
-            })
+            .map(|(m, p)| p.finished.is_none().then(|| m.snapshot()))
             .collect();
         let mut events = Vec::new();
         for (at, h) in self.queue.iter() {
@@ -2016,7 +2005,7 @@ impl Coordinator<'_> {
     fn checkpoint(&mut self, at: u64, memory: &MemoryBank) -> EngineSnap {
         let layout = self.local.layout;
         let n = layout.owner.len();
-        let mut machines = vec![serde::Value::Null; n];
+        let mut machines = vec![None; n];
         let mut procs: Vec<Option<ProcSnap>> = vec![None; n];
         let mut send_counters = vec![0u64; n];
         let mut events = Vec::new();
@@ -2111,29 +2100,22 @@ impl Coordinator<'_> {
     }
 }
 
-/// Process `i`'s machine at the start of a leg: built fresh, or rebuilt
-/// from `resume`, its checkpoint value. A finished process is never
-/// dispatched again, so its value is `Null` and a fresh machine holds its
-/// place.
+/// Process `i`'s machine at the start of a leg: built as a fresh run
+/// builds it, then loaded with `snap`, its checkpoint, if it has one. A
+/// finished process is never dispatched again, so it has none and the
+/// fresh machine holds its place.
 pub(crate) fn leg_machine(
     spec: &RunSpec,
     topo: &Arc<SmTopology>,
     i: usize,
-    resume: Option<&serde::Value>,
-) -> Result<Machine, serde::Error> {
-    let serves = spec.churn.event(ProcessId(i)).is_none();
-    match resume {
-        None | Some(serde::Value::Null) => Ok(Machine::build(
-            &spec.body,
-            i,
-            topo,
-            &spec.proposals,
-            spec.config,
-            spec.seed,
-            serves,
-        )),
-        Some(v) => Machine::from_snapshot(&spec.body, i, topo, spec.config, spec.seed, serves, v),
+    snap: Option<&MachineSnap>,
+) -> Result<Machine, String> {
+    let mut machine = Machine::build(spec, topo, i);
+    if let Some(snap) = snap {
+        let who = ProcessId(i);
+        (machine.restore(snap.clone())).map_err(|e| format!("the machine of {who}: {e}"))?;
     }
+    Ok(machine)
 }
 
 /// How a [`conduct_sharded`] leg ended: ran to completion, or paused at

@@ -448,6 +448,19 @@ use std::sync::OnceLock;
 /// kinds of pending event.
 const GOLDEN: &str = include_str!("fixtures/served_snapshot.json");
 
+/// A binary (`Algo`) body of `3,2,2` at t = 110, written before the
+/// machines' snapshots became derived types: mid-exchange tallies, a
+/// crashed process (`null`) and both kinds of pending event.
+const BINARY: &str = include_str!("fixtures/binary_snapshot.json");
+
+/// A `Multivalued` body of `3,2,2` on a lossy network at t = 700,
+/// written before the machines' snapshots became derived types. It
+/// holds both machine states a cut reaches: a running `Stage` and two
+/// `AwaitProposal` waits. The third, `Finished`, is never written: a
+/// machine is in it only before its first step (every machine takes
+/// that before a cut) or after its last (its process is then `null`).
+const MULTIVALUED: &str = include_str!("fixtures/multivalued_snapshot.json");
+
 /// The run behind [`GOLDEN`]: a constant delay and a zero send cost keep
 /// every broadcast one batched descriptor, duplication adds single
 /// deliveries, and replica p2 crashes at t = 500 with commands queued.
@@ -474,45 +487,90 @@ fn golden_scenario() -> Scenario {
     .seed(11)
 }
 
+/// Each stored snapshot re-encodes to its own bytes, is what this
+/// build writes when it pauses the snapshot's scenario at its cut, and
+/// resumes to its pinned trace hash and event count.
 #[test]
 fn the_golden_snapshot_keeps_its_bytes_and_resumes_to_its_pin() {
-    let snap: Snapshot = serde_json::from_str(GOLDEN).expect("the golden snapshot decodes");
+    let pins: [(&str, &str, u64, u64); 3] = [
+        ("served", GOLDEN, 0x24af_4ab0_984c_a5c0, 1_222),
+        ("binary", BINARY, 0x7355_eec9_223b_89fc, 238),
+        ("multivalued", MULTIVALUED, 0xaa5e_7fec_1f48_690a, 243),
+    ];
+    for (what, text, hash, events) in pins {
+        let snap: Snapshot = serde_json::from_str(text).expect("the stored snapshot decodes");
+        assert_eq!(
+            serde_json::to_string(&snap).expect("encodes"),
+            text,
+            "{what}: re-encoding changed the bytes"
+        );
+        match Sim.run_until(&snap.scenario, snap.at) {
+            RunOutcome::Paused(fresh) => assert_eq!(
+                serde_json::to_string(&*fresh).expect("encodes"),
+                text,
+                "{what}: this build pauses the stored run at other bytes"
+            ),
+            RunOutcome::Done(_) => panic!("{what}: the stored run pauses at its cut"),
+        }
+        Sim.check_snapshot(&snap)
+            .unwrap_or_else(|e| panic!("{what}: the stored snapshot resumes: {e}"));
+        let out = Sim.resume(&snap);
+        assert_eq!(out.trace_hash, Some(hash), "{what}");
+        assert_eq!(out.events_processed, events, "{what}");
+    }
+    let listed = |text: &str, name: &str| {
+        let snap: Snapshot = serde_json::from_str(text).expect("decodes");
+        match snap.engine_state.get(name) {
+            Some(serde_json::Value::Seq(items)) => items.clone(),
+            other => panic!("the engine state lists its {name}: {other:?}"),
+        }
+    };
+    let golden: Snapshot = serde_json::from_str(GOLDEN).expect("decodes");
     assert_eq!(
-        serde_json::to_string(&snap).expect("encodes"),
-        GOLDEN,
-        "re-encoding changed the bytes"
+        serde_json::to_string(&golden.scenario).expect("encodes"),
+        serde_json::to_string(&golden_scenario()).expect("encodes"),
+        "the golden run is the served scenario above"
     );
-    let Body::ReplicatedLog(log) = &snap.scenario.body else {
+    let Body::ReplicatedLog(log) = &golden.scenario.body else {
         panic!("the golden run is a replicated log");
     };
     assert!(log.traffic.is_some(), "the golden run is served");
-    let listed = |name: &str| match snap.engine_state.get(name) {
-        Some(serde_json::Value::Seq(items)) => items,
-        other => panic!("the engine state lists its {name}: {other:?}"),
-    };
-    for tag in ["One", "Broadcast"] {
-        assert!(
-            listed("events").iter().any(|ev| ev.get(tag).is_some()),
-            "a pending {tag} event"
-        );
+    for text in [GOLDEN, BINARY] {
+        for tag in ["One", "Broadcast"] {
+            assert!(
+                listed(text, "events")
+                    .iter()
+                    .any(|ev| ev.get(tag).is_some()),
+                "a pending {tag} event"
+            );
+        }
     }
     assert!(
-        listed("procs").iter().any(|p| p.get("service").is_some()),
+        listed(GOLDEN, "procs")
+            .iter()
+            .any(|p| p.get("service").is_some()),
         "a process with service statistics"
     );
-    match Sim.run_until(&golden_scenario(), snap.at) {
-        RunOutcome::Paused(fresh) => assert_eq!(
-            serde_json::to_string(&*fresh).expect("encodes"),
-            GOLDEN,
-            "this build pauses the golden run at other bytes"
-        ),
-        RunOutcome::Done(_) => panic!("the golden run pauses at its cut"),
+    for (text, kind) in [(BINARY, "Consensus"), (MULTIVALUED, "Multivalued")] {
+        let machines = listed(text, "machines");
+        assert!(
+            machines.iter().any(|m| m.get(kind).is_some()),
+            "a {kind} machine"
+        );
+        assert!(
+            machines.contains(&serde_json::Value::Null),
+            "a finished process"
+        );
     }
-    Sim.check_snapshot(&snap)
-        .expect("the golden snapshot resumes");
-    let out = Sim.resume(&snap);
-    assert_eq!(out.trace_hash, Some(0x24af_4ab0_984c_a5c0));
-    assert_eq!(out.events_processed, 1_222);
+    let states: Vec<serde_json::Value> = (listed(MULTIVALUED, "machines").iter())
+        .filter_map(|m| m.get("Multivalued")?.get("state").cloned())
+        .collect();
+    for state in ["Stage", "AwaitProposal"] {
+        assert!(
+            states.iter().any(|s| s.get(state).is_some()),
+            "a machine in {state}"
+        );
+    }
 }
 
 /// A CLI-default run of `--sizes 3,2,2`, paused at t = 1500.

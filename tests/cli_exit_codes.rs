@@ -256,6 +256,21 @@ fn a_stored_file_that_cannot_resume_exits_2_without_panicking() {
              crash trigger AtStep(3) names process index 99 but n=9"
         )]
     );
+    // A valid search state of the 3x3 universe, resumed over another.
+    let elsewhere = path("other-partition.state.json");
+    let json = serde_json::to_string(explorer.state()).expect("encodes");
+    std::fs::write(&elsewhere, json).expect("written");
+    let out = ofa_with(&[
+        "explore", "--sizes", "10x2", "--seed", "4", "--state", &elsewhere,
+    ]);
+    assert_refused("a best schedule of another partition", &out);
+    assert_eq!(
+        code_and_stderr(&out).1,
+        [format!(
+            "error: resuming search state {elsewhere}: its best schedule runs on clusters \
+             of sizes [3, 3, 3], not the base's [10, 10]"
+        )]
+    );
     // A file nested past the decoder's recursion limit.
     let deep = path("deep.json");
     std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).expect("written");
@@ -291,6 +306,87 @@ fn engine_field<'a>(snap: &'a mut Snapshot, name: &str) -> &'a mut Value {
         .iter_mut()
         .find_map(|(key, v)| (key == name).then_some(v))
         .unwrap_or_else(|| panic!("the engine state has no {name}"))
+}
+
+/// The entry at `path` below the map `v`, one map key per step.
+fn entry_at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(v, |v, name| {
+        let Value::Map(entries) = v else {
+            panic!("no map holds {name}");
+        };
+        entries
+            .iter_mut()
+            .find_map(|(key, v)| (key == name).then_some(v))
+            .unwrap_or_else(|| panic!("no {name}"))
+    })
+}
+
+/// The engine state's machines.
+fn machines(snap: &mut Snapshot) -> &mut Vec<Value> {
+    let Value::Seq(machines) = engine_field(snap, "machines") else {
+        panic!("the engine state lists its machines");
+    };
+    machines
+}
+
+/// The entry at `path` of p0's machine.
+fn p0_entry<'a>(snap: &'a mut Snapshot, path: &[&str]) -> &'a mut Value {
+    entry_at(&mut machines(snap)[0], path)
+}
+
+/// The tally of p0's running binary stage.
+fn p0_tally(snap: &mut Snapshot) -> &mut Value {
+    p0_entry(snap, &["Log", "inner", "state", "Stage", "tally"])
+}
+
+fn empty_a_unit_set(snap: &mut Snapshot) {
+    *entry_at(p0_tally(snap), &["cover", "words"]) = Value::Seq(Vec::new());
+}
+
+fn empty_the_proposal_stores(snap: &mut Snapshot) {
+    for machine in machines(snap).iter_mut().filter(|m| **m != Value::Null) {
+        let store = entry_at(machine, &["Log", "inner", "store"]);
+        for name in ["have", "relayed"] {
+            *entry_at(store, &[name]) = Value::Seq(Vec::new());
+        }
+    }
+}
+
+/// A tally for one process: it would run, to another outcome.
+fn shrink_a_tally(snap: &mut Snapshot) {
+    *entry_at(p0_tally(snap), &["n"]) = Value::U64(1);
+}
+
+/// A running process whose machine says it has finished.
+fn finish_p0s_machine(snap: &mut Snapshot) {
+    *p0_entry(snap, &["Log", "done"]) = Value::Bool(true);
+}
+
+/// The golden log has three slots; slot 3 would never end.
+fn run_p0_past_its_log(snap: &mut Snapshot) {
+    *p0_entry(snap, &["Log", "slot"]) = Value::U64(3);
+}
+
+/// p0 has two clients.
+fn queue_a_command_of_no_client(snap: &mut Snapshot) {
+    let Value::Seq(pending) = p0_entry(snap, &["Log", "traffic", "pending"]) else {
+        panic!("p0's traffic lists its queue");
+    };
+    pending[0] = Value::Seq(vec![Value::U64(240), Value::U64(9)]);
+}
+
+/// A multivalued machine waiting for the proposal of p99.
+fn await_a_process_outside_n(snap: &mut Snapshot) {
+    let path = ["Multivalued", "state", "AwaitProposal"];
+    let waits = |m: &&mut Value| {
+        let state = m.get(path[0]).and_then(|m| m.get(path[1]));
+        state.is_some_and(|s| s.get(path[2]).is_some())
+    };
+    let waiting = machines(snap).iter_mut().find(waits);
+    let Value::Seq(wait) = entry_at(waiting.expect("a machine waits at the cut"), &path) else {
+        panic!("a wait is a mailbox and a process");
+    };
+    wait[1] = Value::U64(99);
 }
 
 /// Sets `field` of the first pending point-to-point delivery.
@@ -394,6 +490,11 @@ fn invert_the_flat_delay_bounds(snap: &mut Snapshot) {
     }
 }
 
+/// The stored served and multivalued snapshots
+/// (`tests/checkpoint_resume.rs`).
+const SERVED: &str = include_str!("fixtures/served_snapshot.json");
+const MULTIVALUED: &str = include_str!("fixtures/multivalued_snapshot.json");
+
 #[test]
 fn a_corrupt_snapshot_exits_2_without_panicking() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli_exit_codes");
@@ -442,6 +543,22 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         ("thread engine", pick_the_thread_engine, REFUSED),
         ("kept trace", keep_the_trace, REFUSED),
     ];
+    // The stored served and multivalued snapshots, with a machine part
+    // edited out of its scenario's shape.
+    let served: [(&str, Corruption, bool); 6] = [
+        ("an empty unit set", empty_a_unit_set, REFUSED),
+        ("empty proposal stores", empty_the_proposal_stores, REFUSED),
+        ("a tally for one process", shrink_a_tally, REFUSED),
+        ("a finished machine", finish_p0s_machine, REFUSED),
+        ("a slot past the log", run_p0_past_its_log, REFUSED),
+        (
+            "a command of no client",
+            queue_a_command_of_no_client,
+            REFUSED,
+        ),
+    ];
+    let multivalued: [(&str, Corruption, bool); 1] =
+        [("a wait outside n", await_a_process_outside_n, REFUSED)];
     let resume = |what: &str, json: &str, refused: bool| {
         let file = path(&format!("{}.snap.json", what.replace(' ', "-")));
         std::fs::write(&file, json).expect("written");
@@ -452,22 +569,29 @@ fn a_corrupt_snapshot_exits_2_without_panicking() {
         assert_eq!(says_serde, !refused, "{what}: {stderr:?}");
         (file, stderr)
     };
-    for (what, corrupt, refused) in corruptions {
-        let mut snap: Snapshot = serde_json::from_str(&text).expect("the snapshot decodes");
-        corrupt(&mut snap);
-        let (file, stderr) = resume(
-            what,
-            &serde_json::to_string(&snap).expect("encodes"),
-            refused,
-        );
-        if what == "thread engine" {
-            assert_eq!(
-                stderr,
-                [format!(
-                    "error: resuming {file}: the thread engine cannot checkpoint; \
-                     use an event engine"
-                )]
+    let bases = [
+        (text.as_str(), &corruptions[..]),
+        (SERVED, &served[..]),
+        (MULTIVALUED, &multivalued[..]),
+    ];
+    for (base, rows) in bases {
+        for &(what, corrupt, refused) in rows {
+            let mut snap: Snapshot = serde_json::from_str(base).expect("the snapshot decodes");
+            corrupt(&mut snap);
+            let (file, stderr) = resume(
+                what,
+                &serde_json::to_string(&snap).expect("encodes"),
+                refused,
             );
+            if what == "thread engine" {
+                assert_eq!(
+                    stderr,
+                    [format!(
+                        "error: resuming {file}: the thread engine cannot checkpoint; \
+                         use an event engine"
+                    )]
+                );
+            }
         }
     }
     // A scenario stored before the engine knob existed decodes as
