@@ -2,26 +2,23 @@
 //!
 //! The paper's two algorithms differ only in their source of randomness:
 //!
-//! * a **local coin** ([`LocalCoin`]) returns an independent fair bit per
-//!   invocation, private to each process (Algorithm 2 / Ben-Or style);
-//! * a **common coin** ([`CommonCoin`]) delivers the *same* sequence of
-//!   fair bits `b_1, b_2, …` to every process: the `r`-th query by `p_i`
-//!   and the `r`-th query by `p_j` return the same bit (Algorithm 3).
+//! * a **local coin** ([`SeededLocalCoin`]) returns an independent fair
+//!   bit per flip, private to each process (Algorithm 2 / Ben-Or style);
+//! * a **common coin** ([`common_bit`]) gives the *same* bit `b_r` to
+//!   every process that reads round `r` (Algorithm 3).
 //!
-//! Production coins are seeded deterministically so whole executions
-//! replay bit-for-bit; adversarial coins ([`ConstantCoin`],
-//! [`AlternatingCoin`], [`ScriptedCoin`]) let tests drive worst-case
-//! schedules.
+//! Both are pure functions of a seed, so whole executions replay
+//! bit-for-bit. Which common coin a run uses — seeded, or an adversarial
+//! constant, alternating or scripted one — is scenario data
+//! (`ofa_scenario::CoinSpec`), not code.
 //!
 //! # Examples
 //!
 //! ```
-//! use ofa_coins::{CommonCoin, LocalCoin, SeededCommonCoin, SeededLocalCoin};
+//! use ofa_coins::{common_bit, SeededLocalCoin};
 //!
-//! // Common coin: every process sees the same bit at the same round.
-//! let at_p1 = SeededCommonCoin::new(42);
-//! let at_p2 = SeededCommonCoin::new(42);
-//! assert_eq!(at_p1.bit(7), at_p2.bit(7));
+//! // Common coin: a pure function of (seed, round), the same everywhere.
+//! assert_eq!(common_bit(42, 7), common_bit(42, 7));
 //!
 //! // Local coins: deterministic per (seed, process), independent across
 //! // processes.
@@ -36,29 +33,12 @@ use ofa_topology::ProcessId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Domain separator XORed into a run's master seed before deriving the
-/// default [`SeededCommonCoin`], so the common coin's bit stream differs
-/// from the delay and local-coin streams derived from the same seed. Both
-/// execution substrates (and any future backend) must use this constant so
-/// the same scenario description draws the same coins everywhere.
+/// Domain separator XORed into a scenario's master seed to give the seed
+/// of its common coin, so the coin's bit stream differs from the delay
+/// and local-coin streams derived from the same seed. It is applied in
+/// one place, `ofa_scenario::Scenario::coin_seed`, which every backend
+/// reads.
 pub const COIN_DOMAIN_SEP: u64 = 0xC0_1D_5E_ED;
-
-/// A private source of independent fair bits (`local_coin()` in the paper).
-pub trait LocalCoin {
-    /// Returns 0 or 1, each with probability 1/2 (for fair implementations).
-    fn flip(&mut self) -> bool;
-}
-
-/// A global source of round-indexed fair bits (`common_coin()` in the
-/// paper): the `r`-th invocation returns the same bit at every process.
-///
-/// Implementations are addressed by round rather than by invocation count
-/// so that a process that skipped rounds (e.g. after adopting a relayed
-/// `DECIDE`) still reads the bit every other process read.
-pub trait CommonCoin: Send + Sync {
-    /// The common bit `b_r` for round `r`.
-    fn bit(&self, round: u64) -> bool;
-}
 
 /// SplitMix64 finalizer — a well-distributed 64-bit mixing function used to
 /// derive per-round and per-process randomness from a master seed.
@@ -92,6 +72,13 @@ impl SeededLocalCoin {
         }
     }
 
+    /// Returns 0 or 1, each with probability 1/2 (`local_coin()` in the
+    /// paper).
+    pub fn flip(&mut self) -> bool {
+        self.flips += 1;
+        self.rng.gen_bool(0.5)
+    }
+
     /// Number of flips performed.
     pub fn flip_count(&self) -> u64 {
         self.flips
@@ -115,151 +102,17 @@ impl SeededLocalCoin {
     }
 }
 
-impl LocalCoin for SeededLocalCoin {
-    fn flip(&mut self) -> bool {
-        self.flips += 1;
-        self.rng.gen_bool(0.5)
-    }
-}
-
-/// A deterministic common coin: `bit(r)` is a fair PRF of `(seed, r)`,
-/// identical wherever it is evaluated.
+/// The seeded common coin's bit for `round`: a fair PRF of
+/// `(seed, round)`, identical wherever it is evaluated.
 ///
 /// The paper assumes the common coin as an oracle and points to textbook
 /// constructions; a pre-shared seed is the standard experimental stand-in
 /// and preserves the defining property (same `r` ⇒ same bit everywhere).
-#[derive(Debug, Clone, Copy)]
-pub struct SeededCommonCoin {
-    seed: u64,
-}
-
-impl SeededCommonCoin {
-    /// Creates the coin for a given shared seed.
-    pub fn new(seed: u64) -> Self {
-        SeededCommonCoin { seed }
-    }
-}
-
-impl CommonCoin for SeededCommonCoin {
-    fn bit(&self, round: u64) -> bool {
-        splitmix64(self.seed ^ splitmix64(round.wrapping_mul(0xA24B_AED4_963E_E407))) & 1 == 1
-    }
-}
-
-/// A biased local coin returning `true` with probability `p` — used to
-/// stress convergence behaviour (a fair coin is `p = 0.5`).
-#[derive(Debug, Clone)]
-pub struct BiasedLocalCoin {
-    rng: StdRng,
-    p: f64,
-}
-
-impl BiasedLocalCoin {
-    /// Creates a coin that returns `true` with probability `p ∈ [0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn new(master_seed: u64, process: ProcessId, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
-        let seed = splitmix64(master_seed ^ splitmix64(process.index() as u64 + 1));
-        BiasedLocalCoin {
-            rng: StdRng::seed_from_u64(seed),
-            p,
-        }
-    }
-}
-
-impl LocalCoin for BiasedLocalCoin {
-    fn flip(&mut self) -> bool {
-        self.rng.gen_bool(self.p)
-    }
-}
-
-/// An adversarial coin that always returns the same bit. With all local
-/// coins constant and opposite inputs, Ben-Or-style algorithms can be held
-/// in disagreement indefinitely — tests use this to check indulgence
-/// (safety without termination).
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantCoin(pub bool);
-
-impl LocalCoin for ConstantCoin {
-    fn flip(&mut self) -> bool {
-        self.0
-    }
-}
-
-impl CommonCoin for ConstantCoin {
-    fn bit(&self, _round: u64) -> bool {
-        self.0
-    }
-}
-
-/// A coin that alternates `false, true, false, …` per flip (local) or by
-/// round parity (common).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AlternatingCoin {
-    state: bool,
-}
-
-impl AlternatingCoin {
-    /// Creates a coin whose first flip returns `false`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl LocalCoin for AlternatingCoin {
-    fn flip(&mut self) -> bool {
-        let out = self.state;
-        self.state = !self.state;
-        out
-    }
-}
-
-impl CommonCoin for AlternatingCoin {
-    fn bit(&self, round: u64) -> bool {
-        round % 2 == 1
-    }
-}
-
-/// A coin that replays a fixed script, then repeats its last bit (or
-/// `false` for an empty script). Lets tests pin exact coin outcomes, e.g.
-/// to force the common coin to match a chosen estimate at a chosen round.
-#[derive(Debug, Clone)]
-pub struct ScriptedCoin {
-    script: Vec<bool>,
-    cursor: usize,
-}
-
-impl ScriptedCoin {
-    /// Creates a coin replaying `script`.
-    pub fn new(script: Vec<bool>) -> Self {
-        ScriptedCoin { script, cursor: 0 }
-    }
-
-    fn at(&self, i: usize) -> bool {
-        self.script
-            .get(i)
-            .or(self.script.last())
-            .copied()
-            .unwrap_or(false)
-    }
-}
-
-impl LocalCoin for ScriptedCoin {
-    fn flip(&mut self) -> bool {
-        let out = self.at(self.cursor);
-        self.cursor += 1;
-        out
-    }
-}
-
-impl CommonCoin for ScriptedCoin {
-    fn bit(&self, round: u64) -> bool {
-        // Rounds are 1-based in the paper; round r reads script[r-1].
-        self.at((round.max(1) - 1) as usize)
-    }
+/// It is addressed by round rather than by invocation count, so a process
+/// that skipped rounds (e.g. after adopting a relayed `DECIDE`) still
+/// reads the bit every other process read.
+pub fn common_bit(seed: u64, round: u64) -> bool {
+    splitmix64(seed ^ splitmix64(round.wrapping_mul(0xA24B_AED4_963E_E407))) & 1 == 1
 }
 
 #[cfg(test)]
@@ -268,24 +121,20 @@ mod tests {
 
     #[test]
     fn common_coin_agrees_across_replicas() {
-        let a = SeededCommonCoin::new(7);
-        let b = SeededCommonCoin::new(7);
+        // A pure function: two evaluations at one seed never differ.
         for r in 1..=1000 {
-            assert_eq!(a.bit(r), b.bit(r), "round {r}");
+            assert_eq!(common_bit(7, r), common_bit(7, r), "round {r}");
         }
     }
 
     #[test]
     fn common_coin_differs_across_seeds_somewhere() {
-        let a = SeededCommonCoin::new(1);
-        let b = SeededCommonCoin::new(2);
-        assert!((1..=64).any(|r| a.bit(r) != b.bit(r)));
+        assert!((1..=64).any(|r| common_bit(1, r) != common_bit(2, r)));
     }
 
     #[test]
     fn common_coin_is_roughly_fair() {
-        let c = SeededCommonCoin::new(99);
-        let ones = (1..=10_000).filter(|&r| c.bit(r)).count();
+        let ones = (1..=10_000).filter(|&r| common_bit(99, r)).count();
         assert!(
             (4500..=5500).contains(&ones),
             "common coin strongly biased: {ones}/10000"
@@ -320,61 +169,5 @@ mod tests {
         let mut c = SeededLocalCoin::for_process(123, ProcessId(0));
         let ones = (0..10_000).filter(|_| c.flip()).count();
         assert!((4500..=5500).contains(&ones), "local coin biased: {ones}");
-    }
-
-    #[test]
-    fn biased_coin_respects_probability() {
-        let mut c = BiasedLocalCoin::new(5, ProcessId(0), 0.9);
-        let ones = (0..10_000).filter(|_| c.flip()).count();
-        assert!(ones > 8500, "p=0.9 coin returned only {ones} ones");
-        let mut never = BiasedLocalCoin::new(5, ProcessId(0), 0.0);
-        assert!((0..100).all(|_| !never.flip()));
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn biased_coin_rejects_bad_p() {
-        let _ = BiasedLocalCoin::new(0, ProcessId(0), 1.5);
-    }
-
-    #[test]
-    fn constant_and_alternating() {
-        let mut k = ConstantCoin(true);
-        assert!(k.flip() && k.flip());
-        assert!(CommonCoin::bit(&k, 9));
-        let mut alt = AlternatingCoin::new();
-        assert!(!alt.flip());
-        assert!(alt.flip());
-        assert!(!alt.flip());
-        assert!(!CommonCoin::bit(&AlternatingCoin::new(), 2));
-        assert!(CommonCoin::bit(&AlternatingCoin::new(), 3));
-    }
-
-    #[test]
-    fn scripted_coin_replays_then_repeats_last() {
-        let mut c = ScriptedCoin::new(vec![true, false]);
-        assert!(c.flip());
-        assert!(!c.flip());
-        assert!(!c.flip()); // repeats last
-        let cc = ScriptedCoin::new(vec![true, false]);
-        assert!(CommonCoin::bit(&cc, 1));
-        assert!(!CommonCoin::bit(&cc, 2));
-        assert!(!CommonCoin::bit(&cc, 50));
-        let empty = ScriptedCoin::new(vec![]);
-        assert!(!CommonCoin::bit(&empty, 1));
-    }
-
-    #[test]
-    fn traits_are_object_safe() {
-        let mut coins: Vec<Box<dyn LocalCoin>> = vec![
-            Box::new(ConstantCoin(false)),
-            Box::new(AlternatingCoin::new()),
-            Box::new(SeededLocalCoin::for_process(1, ProcessId(0))),
-        ];
-        for c in &mut coins {
-            let _ = c.flip();
-        }
-        let cc: Box<dyn CommonCoin> = Box::new(SeededCommonCoin::new(3));
-        let _ = cc.bit(1);
     }
 }

@@ -10,8 +10,8 @@
 //!   extension of Ben-Or 1983),
 //! * [`common_coin_hybrid`] — Algorithm 3, common-coin consensus (a hybrid
 //!   extension of the Friedman–Mostéfaoui–Raynal protocol),
-//! * [`ben_or_classic`] / [`common_coin_classic`] — the pure
-//!   message-passing baselines the paper extends,
+//! * the pure message-passing baselines the paper extends — the same
+//!   algorithms under [`ProtocolConfig::pure_message_passing`],
 //! * [`InvariantChecker`] — online verification of the paper's WA1/WA2
 //!   weak-agreement predicates plus agreement and validity.
 //!
@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod baselines;
 mod common_coin_alg;
 mod config;
 mod env;
@@ -63,7 +62,6 @@ pub mod sm;
 pub mod traffic;
 mod value;
 
-pub use baselines::{ben_or_classic, common_coin_classic};
 pub use common_coin_alg::{common_coin_hybrid, common_coin_hybrid_instance};
 pub use config::{Decision, ProtocolConfig};
 pub use env::{Env, ObsEvent};
@@ -75,7 +73,7 @@ pub use multivalued::{
     log_body_decision, multivalued_propose, mv_body_decision, queue_proposal, run_multivalued_body,
     run_replicated_log, LogDigest, MvDecision, INSTANCE_STRIDE,
 };
-pub use observer::{FanoutObserver, InvariantChecker, Observer};
+pub use observer::{InvariantChecker, Observer};
 pub use pattern::{credited_set, msg_exchange, Exchange, RecClass, RecSet, Supporters};
 pub use payload::{Payload, MAX_PAYLOAD};
 pub use traffic::{ArrivalProcess, TrafficSpec, TrafficState};

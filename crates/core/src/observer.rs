@@ -18,7 +18,6 @@ use crate::{fmt_est, Bit, ObsEvent};
 use ofa_topology::ProcessId;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::fmt;
 
 /// A sink for protocol events, shared by all processes of a run.
 pub trait Observer: Send + Sync {
@@ -236,38 +235,10 @@ impl Observer for InvariantChecker {
     }
 }
 
-/// An [`Observer`] that forwards to several observers (e.g. a tracer plus
-/// the invariant checker).
-pub struct FanoutObserver {
-    sinks: Vec<std::sync::Arc<dyn Observer>>,
-}
-
-impl FanoutObserver {
-    /// Creates a fan-out over the given observers.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn Observer>>) -> Self {
-        FanoutObserver { sinks }
-    }
-}
-
-impl fmt::Debug for FanoutObserver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FanoutObserver({} sinks)", self.sinks.len())
-    }
-}
-
-impl Observer for FanoutObserver {
-    fn on_event(&self, who: ProcessId, event: &ObsEvent) {
-        for s in &self.sinks {
-            s.on_event(who, event);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Est;
-    use std::sync::Arc;
 
     fn est2(round: u64, est2: Est) -> ObsEvent {
         ObsEvent::Est2 {
@@ -420,21 +391,5 @@ mod tests {
         c.on_event(ProcessId(0), &est2(1, Some(Bit::One)));
         c.on_event(ProcessId(1), &est2(1, Some(Bit::Zero)));
         c.assert_clean();
-    }
-
-    #[test]
-    fn fanout_forwards_to_all() {
-        let a = Arc::new(InvariantChecker::new());
-        let b = Arc::new(InvariantChecker::new());
-        let fan = FanoutObserver::new(vec![a.clone(), b.clone()]);
-        fan.on_event(
-            ProcessId(0),
-            &ObsEvent::Propose {
-                instance: 0,
-                value: Bit::One,
-            },
-        );
-        assert_eq!(a.proposals().len(), 1);
-        assert_eq!(b.proposals().len(), 1);
     }
 }

@@ -226,9 +226,9 @@ impl Explorer {
     ///
     /// # Panics
     ///
-    /// Panics if the base scenario is invalid, carries an observer or a
-    /// non-serializable custom coin (the search must be able to commit
-    /// any candidate as JSON), or the population is zero.
+    /// Panics if the base scenario is invalid or has a custom body (the
+    /// search must be able to commit any candidate as JSON; an observer
+    /// is dropped), or the population is zero.
     pub fn new(config: ExploreConfig) -> Explorer {
         let state = SearchState::fresh(config.seed);
         Explorer::with_state(config, state)
@@ -269,7 +269,7 @@ impl Explorer {
         assert!(
             serde_json::to_string(&config.base)
                 .is_ok_and(|json| serde_json::from_str::<Scenario>(&json).is_ok()),
-            "explorer base scenario must round-trip as JSON (no custom coins)"
+            "explorer base scenario must round-trip as JSON (no custom body)"
         );
         Explorer { config, state }
     }

@@ -36,9 +36,9 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
+use ofa_coins::SeededLocalCoin;
 use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer};
-use ofa_scenario::{Backend, BackendKind, CrashTrigger, Outcome, ProcAccount, Scenario};
+use ofa_scenario::{Backend, BackendKind, CoinSpec, CrashTrigger, Outcome, ProcAccount, Scenario};
 use ofa_sharedmem::{MemoryBank, Slot};
 use ofa_topology::{Partition, ProcessId};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,7 +56,9 @@ struct ThreadEnv {
     receiver: Receiver<Msg>,
     memory: MemoryBank,
     account: ProcAccount,
-    common_coin: Arc<dyn CommonCoin>,
+    coin: CoinSpec,
+    /// The seed [`CoinSpec::bit`] reads ([`Scenario::coin_seed`]).
+    coin_seed: u64,
     local_coin: SeededLocalCoin,
     observer: Option<Arc<dyn Observer>>,
     stop: Arc<AtomicBool>,
@@ -150,7 +152,7 @@ impl Env for ThreadEnv {
     fn common_coin(&mut self, round: u64) -> Result<Bit, Halt> {
         self.step()?;
         self.account.counters.common_coin_queries += 1;
-        Ok(Bit::from(self.common_coin.bit(round)))
+        Ok(Bit::from(self.coin.bit(self.coin_seed, round)))
     }
 
     fn observe(&mut self, event: ObsEvent) {
@@ -227,7 +229,6 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
         receivers.push(rx);
     }
     let memory = MemoryBank::for_partition(&scenario.partition);
-    let common_coin = scenario.build_coin();
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
 
@@ -246,7 +247,8 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
             receiver,
             memory: memory.clone(),
             account: ProcAccount::new(&scenario.crashes, me),
-            common_coin: Arc::clone(&common_coin),
+            coin: scenario.coin.clone(),
+            coin_seed: scenario.coin_seed(),
             local_coin: SeededLocalCoin::for_process(scenario.seed, me),
             observer: scenario.observer.clone(),
             stop: Arc::clone(&stop),

@@ -1,9 +1,6 @@
 //! The declarative description of one consensus execution.
 
 use crate::{Body, ChurnPlan, CostModel, CrashPlan, DelayModel, NetworkModel, ProcessBody};
-use ofa_coins::{
-    AlternatingCoin, CommonCoin, ConstantCoin, ScriptedCoin, SeededCommonCoin, COIN_DOMAIN_SEP,
-};
 use ofa_core::{Algorithm, Bit, Observer, ProtocolConfig};
 use ofa_topology::Partition;
 use serde::{Deserialize, Serialize};
@@ -11,97 +8,34 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Which common coin a scenario uses (paper §II-B).
-///
-/// All variants except [`CoinSpec::Custom`] are plain data and serialize
-/// with the scenario; `Custom` wraps an arbitrary [`CommonCoin`] object
-/// and serializes as the marker string `"custom"`, which deliberately
-/// fails to deserialize.
-#[derive(Clone)]
+/// Which common coin a scenario uses (paper §II-B): plain data, stored
+/// with the scenario and read by every backend through [`CoinSpec::bit`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum CoinSpec {
-    /// The default: a fair seeded coin derived from the scenario seed via
-    /// [`COIN_DOMAIN_SEP`] — identical across all backends.
+    /// The default: a fair seeded coin ([`ofa_coins::common_bit`]) keyed
+    /// by [`Scenario::coin_seed`] — identical across all backends.
     Seeded,
     /// An adversarial coin that always returns the same bit.
     Constant(Bit),
-    /// A coin that alternates by round parity.
+    /// A coin that alternates by round parity: `true` on odd rounds.
     Alternating,
-    /// A coin replaying a fixed script (then repeating its last bit).
+    /// A coin replaying a fixed script, then repeating its last bit
+    /// (`false` for an empty script). Rounds are 1-based in the paper:
+    /// round `r` reads `script[r - 1]`.
     Scripted(Vec<bool>),
-    /// An arbitrary coin object (not serializable).
-    Custom(Arc<dyn CommonCoin>),
 }
 
 impl CoinSpec {
-    /// Materializes the coin for a run with the given master seed.
-    pub fn build(&self, seed: u64) -> Arc<dyn CommonCoin> {
+    /// The common bit `b_r` for `round` of a run whose coin seed is
+    /// `coin_seed` (only [`CoinSpec::Seeded`] reads the seed).
+    pub fn bit(&self, coin_seed: u64, round: u64) -> bool {
         match self {
-            CoinSpec::Seeded => Arc::new(SeededCommonCoin::new(seed ^ COIN_DOMAIN_SEP)),
-            CoinSpec::Constant(b) => Arc::new(ConstantCoin(b.as_bool())),
-            CoinSpec::Alternating => Arc::new(AlternatingCoin::new()),
-            CoinSpec::Scripted(script) => Arc::new(ScriptedCoin::new(script.clone())),
-            CoinSpec::Custom(coin) => Arc::clone(coin),
-        }
-    }
-}
-
-impl fmt::Debug for CoinSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoinSpec::Seeded => write!(f, "Seeded"),
-            CoinSpec::Constant(b) => f.debug_tuple("Constant").field(b).finish(),
-            CoinSpec::Alternating => write!(f, "Alternating"),
-            CoinSpec::Scripted(s) => f.debug_tuple("Scripted").field(s).finish(),
-            CoinSpec::Custom(_) => f.debug_tuple("Custom").field(&"..").finish(),
-        }
-    }
-}
-
-impl PartialEq for CoinSpec {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (CoinSpec::Seeded, CoinSpec::Seeded) => true,
-            (CoinSpec::Constant(a), CoinSpec::Constant(b)) => a == b,
-            (CoinSpec::Alternating, CoinSpec::Alternating) => true,
-            (CoinSpec::Scripted(a), CoinSpec::Scripted(b)) => a == b,
-            (CoinSpec::Custom(a), CoinSpec::Custom(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
-impl Serialize for CoinSpec {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            CoinSpec::Seeded => serde::Value::Str("Seeded".to_string()),
-            CoinSpec::Constant(b) => {
-                serde::Value::Map(vec![("Constant".to_string(), b.to_value())])
-            }
-            CoinSpec::Alternating => serde::Value::Str("Alternating".to_string()),
-            CoinSpec::Scripted(s) => {
-                serde::Value::Map(vec![("Scripted".to_string(), s.to_value())])
-            }
-            CoinSpec::Custom(_) => serde::Value::Str("custom".to_string()),
-        }
-    }
-}
-
-impl Deserialize for CoinSpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) if s == "Seeded" => Ok(CoinSpec::Seeded),
-            serde::Value::Str(s) if s == "Alternating" => Ok(CoinSpec::Alternating),
-            _ => {
-                if let Some(b) = v.get("Constant") {
-                    return Deserialize::from_value(b).map(CoinSpec::Constant);
-                }
-                if let Some(s) = v.get("Scripted") {
-                    return Deserialize::from_value(s).map(CoinSpec::Scripted);
-                }
-                Err(serde::Error::msg(
-                    "CoinSpec: expected Seeded | Alternating | {Constant} | {Scripted} \
-                     (custom coins are code, not data)",
-                ))
+            CoinSpec::Seeded => ofa_coins::common_bit(coin_seed, round),
+            CoinSpec::Constant(b) => b.as_bool(),
+            CoinSpec::Alternating => round % 2 == 1,
+            CoinSpec::Scripted(script) => {
+                let i = (round.max(1) - 1) as usize;
+                (script.get(i).or(script.last()).copied()).unwrap_or(false)
             }
         }
     }
@@ -209,11 +143,10 @@ fn engine_before_the_knob() -> Engine {
 ///
 /// Fields that are plain data serialize via serde and round-trip
 /// losslessly, so scenarios can be stored, shipped, and replayed
-/// bit-for-bit on the simulator. The three hook fields that carry code
-/// rather than data — a [`Body::Custom`] body, a [`CoinSpec::Custom`]
-/// coin, and the [`Scenario::observer`] — do not survive serialization
-/// (the observer is silently dropped; custom bodies/coins fail to
-/// deserialize).
+/// bit-for-bit on the simulator. The two hooks that carry code rather
+/// than data — a [`Body::Custom`] body and the [`Scenario::observer`] —
+/// do not survive serialization (the observer is silently dropped; a
+/// custom body fails to deserialize).
 ///
 /// # Examples
 ///
@@ -459,13 +392,6 @@ impl Scenario {
         self
     }
 
-    /// Substitutes an arbitrary common-coin object (shorthand for
-    /// [`CoinSpec::Custom`]).
-    pub fn common_coin(mut self, coin: Arc<dyn CommonCoin>) -> Self {
-        self.coin = CoinSpec::Custom(coin);
-        self
-    }
-
     /// Attaches an observer (e.g. [`ofa_core::InvariantChecker`]).
     pub fn observer(mut self, observer: Arc<dyn Observer>) -> Self {
         self.observer = Some(observer);
@@ -518,14 +444,12 @@ impl Scenario {
         Duration::from_millis(self.timeout_ms)
     }
 
-    /// Materializes the common coin for this scenario's seed.
-    pub fn build_coin(&self) -> Arc<dyn CommonCoin> {
-        self.coin.build(self.seed)
-    }
-
-    /// Runs this scenario on `backend` (sugar for `backend.run(self)`).
-    pub fn run_on<B: crate::Backend + ?Sized>(&self, backend: &B) -> crate::Outcome {
-        backend.run(self)
+    /// The seed of this scenario's common coin ([`CoinSpec::bit`]): the
+    /// master seed under [`ofa_coins::COIN_DOMAIN_SEP`], so the coin's
+    /// stream differs from the delay and local-coin streams. The one place
+    /// the separator is applied.
+    pub fn coin_seed(&self) -> u64 {
+        self.seed ^ ofa_coins::COIN_DOMAIN_SEP
     }
 
     /// Checks internal consistency: the proposal vector (and the
@@ -784,12 +708,87 @@ mod tests {
     }
 
     #[test]
+    fn coin_specs_keep_their_stored_bytes() {
+        // The bytes stored scenarios and snapshots hold.
+        let rows = [
+            (CoinSpec::Seeded, r#""Seeded""#),
+            (CoinSpec::Constant(Bit::Zero), r#"{"Constant":"Zero"}"#),
+            (CoinSpec::Constant(Bit::One), r#"{"Constant":"One"}"#),
+            (CoinSpec::Alternating, r#""Alternating""#),
+            (
+                CoinSpec::Scripted(vec![true, false, false, true]),
+                r#"{"Scripted":[true,false,false,true]}"#,
+            ),
+            (CoinSpec::Scripted(vec![]), r#"{"Scripted":[]}"#),
+        ];
+        for (coin, json) in rows {
+            assert_eq!(serde_json::to_string(&coin).unwrap(), json);
+            assert_eq!(serde_json::from_str::<CoinSpec>(json).unwrap(), coin);
+        }
+        // The marker of a coin given as code is refused.
+        assert!(serde_json::from_str::<CoinSpec>(r#""custom""#).is_err());
+    }
+
+    /// `CoinSpec::bit` over rounds `0..=64`, one character per round: a
+    /// stored scenario must replay every coin bit it drew.
+    #[test]
+    fn every_coin_keeps_its_bits() {
+        let row = |coin: &CoinSpec, seed: u64| -> String {
+            (0..=64)
+                .map(|r| if coin.bit(seed, r) { '1' } else { '0' })
+                .collect()
+        };
+        // Scenario seeds 0, 5 and 42 under the domain separator, then the
+        // same numbers as raw coin seeds (the exhaustive explorer's).
+        let seeds = [0, 5, 42];
+        let seeded = [
+            "10000110101110011100110101100000011111010001100010111011100101110",
+            "00011010101111110001010100001100010101001110001100000010110111111",
+            "01010111010000001000110111001101101000110110011000100010100101000",
+        ];
+        let raw = [
+            "11110000010110001010100110101001111101001010110110110111010110100",
+            "00101010011010110101111000101101000011100001101011100101110010001",
+            "10100110101000000001010011100000000010010001000101010110011110011",
+        ];
+        for ((seed, seeded), raw) in seeds.into_iter().zip(seeded).zip(raw) {
+            let sc = Scenario::new(Partition::single_cluster(2), Algorithm::CommonCoin).seed(seed);
+            assert_eq!(
+                row(&CoinSpec::Seeded, sc.coin_seed()),
+                seeded,
+                "seed {seed}"
+            );
+            assert_eq!(row(&CoinSpec::Seeded, seed), raw, "raw seed {seed}");
+        }
+        let ones = "1".repeat(65);
+        let fixed = [
+            (CoinSpec::Constant(Bit::Zero), "0".repeat(65)),
+            (CoinSpec::Constant(Bit::One), ones.clone()),
+            (CoinSpec::Alternating, "01".repeat(32) + "0"),
+            (
+                CoinSpec::Scripted(vec![true, false, false, true]),
+                "1100".to_string() + &ones[4..],
+            ),
+            (
+                CoinSpec::Scripted(vec![false, false, true]),
+                "000".to_string() + &ones[3..],
+            ),
+            (CoinSpec::Scripted(vec![]), "0".repeat(65)),
+        ];
+        for (coin, bits) in fixed {
+            for seed in [0, 5, 42, 5 ^ ofa_coins::COIN_DOMAIN_SEP] {
+                assert_eq!(row(&coin, seed), bits, "{coin:?} at seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn seeded_coin_uses_domain_separator() {
         let sc = Scenario::new(Partition::single_cluster(2), Algorithm::CommonCoin).seed(5);
-        let direct = SeededCommonCoin::new(5 ^ COIN_DOMAIN_SEP);
-        let built = sc.build_coin();
+        assert_eq!(sc.coin_seed(), 5 ^ ofa_coins::COIN_DOMAIN_SEP);
         for r in 1..=32 {
-            assert_eq!(built.bit(r), direct.bit(r));
+            let direct = ofa_coins::common_bit(5 ^ ofa_coins::COIN_DOMAIN_SEP, r);
+            assert_eq!(sc.coin.bit(sc.coin_seed(), r), direct);
         }
     }
 

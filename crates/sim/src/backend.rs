@@ -3,8 +3,8 @@
 
 use crate::checkpoint::{EngineSnap, ProcSnap};
 use crate::conductor::{conduct, TimedScheduler};
-use crate::par::{conduct_sharded, leg_machine, LegResult};
-use ofa_coins::CommonCoin;
+use crate::engine::Machine;
+use crate::par::{conduct_sharded, LegResult, Resume};
 use ofa_core::sm::SmTopology;
 use ofa_core::{Bit, Decision, Halt, Observer, ProtocolConfig};
 use ofa_metrics::{CounterSnapshot, ServiceStats};
@@ -12,7 +12,7 @@ use ofa_scenario::{
     default_workers, Backend, BackendKind, Body, ChurnPlan, CoinSpec, CostModel, CrashPlan,
     DivergeSpec, Engine, Outcome, Scenario, Snapshot, TimedEvent, VirtualTime, SNAPSHOT_VERSION,
 };
-use ofa_topology::Partition;
+use ofa_topology::{Partition, ProcessId};
 use serde::{Deserialize as _, Serialize as _};
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,10 +78,14 @@ impl Sim {
     ///
     /// Panics if the scenario cannot checkpoint: a custom (blocking)
     /// body or an explicit [`Engine::Threads`] request, a retained trace
-    /// ([`Scenario::keep_trace`]), an observer, or a [`CoinSpec::Custom`]
-    /// coin (snapshots must serialize; custom coins cannot).
+    /// ([`Scenario::keep_trace`]), or an observer — a snapshot holds data,
+    /// and none of these is.
     pub fn run_until(&self, scenario: &Scenario, stop_at: VirtualTime) -> RunOutcome {
-        run_leg(scenario, None, Some(stop_at))
+        scenario.assert_valid();
+        let started = Instant::now();
+        let shards = checkpoint_shards(scenario).unwrap_or_else(|e| panic!("{e}"));
+        let spec = RunSpec::from_scenario(scenario);
+        run_sharded(scenario, spec, shards, None, Some(stop_at), started)
     }
 
     /// Resumes a checkpoint to completion (same as [`Backend::run_from`]).
@@ -285,7 +289,9 @@ pub(crate) struct RunSpec {
     pub costs: CostModel,
     pub crash_plan: CrashPlan,
     pub churn: ChurnPlan,
-    pub common_coin: Arc<dyn CommonCoin>,
+    pub coin: CoinSpec,
+    /// [`Scenario::coin_seed`], or the exhaustive explorer's own seed.
+    pub coin_seed: u64,
     pub observer: Option<Arc<dyn Observer>>,
     pub keep_trace: bool,
     pub max_events: u64,
@@ -311,7 +317,8 @@ impl RunSpec {
             churn: scenario
                 .churn
                 .resolve(scenario.seed, scenario.partition.n(), &scenario.crashes),
-            common_coin: scenario.build_coin(),
+            coin: scenario.coin.clone(),
+            coin_seed: scenario.coin_seed(),
             observer: scenario.observer.clone(),
             keep_trace: scenario.keep_trace,
             max_events: scenario.max_events,
@@ -331,20 +338,24 @@ pub(crate) fn run_scenario(scenario: &Scenario) -> Outcome {
             let raw = conduct(RunSpec::from_scenario(scenario), &mut scheduler);
             finish_outcome(Engine::Threads, raw, started)
         }
-        Some(shards) => expect_done(run_sharded(scenario, shards, None, None, started)),
+        Some(shards) => {
+            let spec = RunSpec::from_scenario(scenario);
+            expect_done(run_sharded(scenario, spec, shards, None, None, started))
+        }
     }
 }
 
-/// Runs one leg — fresh or resumed, to completion or to a cut — on
-/// `shards` shards of the event loop, and shapes the result.
+/// Runs one leg of `scenario`'s `spec` — fresh or resumed, to
+/// completion or to a cut — on `shards` shards of the event loop, and
+/// shapes the result.
 fn run_sharded(
     scenario: &Scenario,
+    spec: RunSpec,
     shards: usize,
-    resume: Option<&EngineSnap>,
+    resume: Option<Resume>,
     stop_at: Option<VirtualTime>,
     started: Instant,
 ) -> RunOutcome {
-    let spec = RunSpec::from_scenario(scenario);
     let net = scenario.network.compile(&scenario.partition);
     let cut = stop_at.map(|t| t.ticks());
     match conduct_sharded(spec, &net, shards, resume, cut) {
@@ -430,27 +441,12 @@ fn checkpoint_shards(scenario: &Scenario) -> Result<usize, String> {
         "checkpointing cannot retain an ordered trace (the multiset hash is always kept)"
     } else if scenario.observer.is_some() {
         "checkpointing does not capture observer state"
-    } else if matches!(scenario.coin, CoinSpec::Custom(_)) {
-        "checkpointing requires a serializable coin spec"
     } else if let Some(shards) = resolve_shards(scenario) {
         return Ok(shards);
     } else {
         "the thread engine cannot checkpoint; use an event engine"
     };
     Err(refusal.to_string())
-}
-
-/// Runs one checkpoint-capable leg — fresh or resumed, to completion or
-/// to a cut.
-fn run_leg(
-    scenario: &Scenario,
-    resume: Option<&EngineSnap>,
-    stop_at: Option<VirtualTime>,
-) -> RunOutcome {
-    scenario.assert_valid();
-    let started = Instant::now();
-    let shards = checkpoint_shards(scenario).unwrap_or_else(|e| panic!("{e}"));
-    run_sharded(scenario, shards, resume, stop_at, started)
 }
 
 /// Decodes a snapshot's engine state and continues it under `scenario`
@@ -460,8 +456,10 @@ fn resume_leg(
     scenario: &Scenario,
     stop_at: Option<VirtualTime>,
 ) -> RunOutcome {
-    let snap = decode_snapshot(snapshot, scenario).unwrap_or_else(|e| panic!("{e}"));
-    run_leg(scenario, Some(&snap), stop_at)
+    let started = Instant::now();
+    let (shards, spec, resume) =
+        decode_snapshot(snapshot, scenario).unwrap_or_else(|e| panic!("{e}"));
+    run_sharded(scenario, spec, shards, Some(resume), stop_at, started)
 }
 
 /// Decodes `snapshot`'s engine state for a resume under `scenario`, and
@@ -472,15 +470,17 @@ fn resume_leg(
 /// that names a process outside `0..n` or is timed before the cut, and
 /// a machine that does not load into the one the scenario builds for
 /// its process (another body kind, or a part shaped for another `n`).
-/// The one decoder behind every resume and [`Sim::check_snapshot`].
+/// The one decoder behind every resume and [`Sim::check_snapshot`]: it
+/// returns the leg's shard count and spec, and the engine state with
+/// every live machine built and loaded — once, for the leg to take.
 fn decode_snapshot(
     snapshot: &Snapshot,
     scenario: &Scenario,
-) -> Result<EngineSnap, CheckpointError> {
+) -> Result<(usize, RunSpec, Resume), CheckpointError> {
     use CheckpointError::Refused;
     scenario.validate().map_err(Refused)?;
-    checkpoint_shards(scenario).map_err(Refused)?;
-    let snap = EngineSnap::from_value(&snapshot.engine_state)?;
+    let shards = checkpoint_shards(scenario).map_err(Refused)?;
+    let mut snap = EngineSnap::from_value(&snapshot.engine_state)?;
     if snap.at != snapshot.at.ticks() {
         return Err(Refused(format!(
             "snapshot cut time {} disagrees with its engine state ({})",
@@ -524,12 +524,20 @@ fn decode_snapshot(
     }
     let spec = RunSpec::from_scenario(scenario);
     let topo = Arc::new(SmTopology::new(scenario.partition.clone()));
-    for (i, m) in snap.machines.iter().enumerate() {
-        if let Some(m) = m {
-            leg_machine(&spec, &topo, i, Some(m)).map_err(Refused)?;
-        }
+    // A finished process is never dispatched again, so it has no machine
+    // snapshot; the leg builds a fresh machine to hold its place.
+    let mut machines = Vec::with_capacity(n);
+    for (i, m) in std::mem::take(&mut snap.machines).into_iter().enumerate() {
+        let Some(m) = m else {
+            machines.push(None);
+            continue;
+        };
+        let mut machine = Machine::build(&spec, &topo, i);
+        let who = ProcessId(i);
+        (machine.restore(m)).map_err(|e| Refused(format!("the machine of {who}: {e}")))?;
+        machines.push(Some(machine));
     }
-    Ok(snap)
+    Ok((shards, spec, Resume { snap, machines }))
 }
 
 #[cfg(test)]

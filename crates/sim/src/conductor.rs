@@ -20,8 +20,10 @@
 
 use crate::backend::{rejoin_coin_seed, RawOutcome, RunSpec};
 use crate::order::{EventKey, Keyed, SendCounters};
-use crate::{CostModel, CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime};
-use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
+use crate::{
+    CoinSpec, CostModel, CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime,
+};
+use ofa_coins::SeededLocalCoin;
 use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer};
 use ofa_metrics::ServiceStats;
 use ofa_scenario::ProcAccount;
@@ -177,7 +179,9 @@ pub(crate) struct Shared {
     /// workload-level PRFs. Rejoined incarnations see the *master* seed
     /// (their local-coin stream uses [`rejoin_coin_seed`] separately).
     seed: u64,
-    common_coin: Arc<dyn CommonCoin>,
+    coin: CoinSpec,
+    /// The seed [`CoinSpec::bit`] reads.
+    coin_seed: u64,
     observer: Option<Arc<dyn Observer>>,
     trace: Mutex<TraceRecorder>,
     /// `true` per process iff it appears in the churn plan — surfaced as
@@ -336,7 +340,7 @@ impl Env for SimEnv {
     fn common_coin(&mut self, round: u64) -> Result<Bit, Halt> {
         self.step()?;
         self.clock += self.shared.costs.coin_cost;
-        let bit = Bit::from(self.shared.common_coin.bit(round));
+        let bit = Bit::from(self.shared.coin.bit(self.shared.coin_seed, round));
         self.account.counters.common_coin_queries += 1;
         self.trace(TraceEvent::Coin {
             who: self.me,
@@ -451,7 +455,8 @@ pub(crate) fn conduct<S: Scheduler>(spec: RunSpec, scheduler: &mut S) -> RawOutc
         wake_time: (0..n).map(|_| AtomicU64::new(0)).collect(),
         memory: MemoryBank::for_partition(&spec.partition),
         seed: spec.seed,
-        common_coin: Arc::clone(&spec.common_coin),
+        coin: spec.coin.clone(),
+        coin_seed: spec.coin_seed,
         observer: spec.observer.clone(),
         trace: Mutex::new(TraceRecorder::new(spec.keep_trace)),
         churn_planned: (0..n)

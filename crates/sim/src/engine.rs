@@ -49,17 +49,15 @@
 
 use crate::backend::RunSpec;
 use crate::checkpoint::{Finished, ProcSnap};
-use ofa_coins::{CommonCoin, LocalCoin, SeededLocalCoin};
+use ofa_coins::SeededLocalCoin;
 use ofa_core::sm::{
     ConsensusSm, ConsensusSnap, LogSm, LogSnap, MultivaluedSm, MvProgress, MvSnap, OutItem,
     Progress, SmCtx, SmTopology,
 };
 use ofa_core::TrafficState;
-use ofa_core::{mv_body_decision, Bit, Decision, Halt, Msg, MsgKind, ObsEvent, Observer};
+use ofa_core::{mv_body_decision, Bit, Decision, Halt, Msg, MsgKind, ObsEvent};
 use ofa_metrics::ServiceStats;
-use ofa_scenario::{
-    Body, CostModel, CrashPlan, ProcAccount, TraceEvent, TraceRecorder, VirtualTime,
-};
+use ofa_scenario::{Body, CrashPlan, ProcAccount, TraceEvent, TraceRecorder, VirtualTime};
 use ofa_sharedmem::{ClusterMemory, Slot};
 use ofa_topology::ProcessId;
 use serde::{Deserialize, Serialize};
@@ -355,19 +353,15 @@ impl ProcState {
     pub(crate) fn ctx<'a>(
         &'a mut self,
         me: ProcessId,
-        costs: CostModel,
+        spec: &'a RunSpec,
         memory: &'a ClusterMemory,
-        common_coin: &'a dyn CommonCoin,
-        observer: Option<&'a dyn Observer>,
         trace: &'a mut TraceRecorder,
     ) -> EventCtx<'a> {
         EventCtx {
             me,
-            costs,
+            spec,
             state: self,
             memory,
-            common_coin,
-            observer,
             trace,
         }
     }
@@ -387,11 +381,10 @@ pub(crate) enum Input {
 /// conductor's `SimEnv`, in the same order.
 pub(crate) struct EventCtx<'a> {
     me: ProcessId,
-    costs: CostModel,
+    /// The run-wide services: costs, the common coin, the observer.
+    spec: &'a RunSpec,
     state: &'a mut ProcState,
     memory: &'a ClusterMemory,
-    common_coin: &'a dyn CommonCoin,
-    observer: Option<&'a dyn Observer>,
     trace: &'a mut TraceRecorder,
 }
 
@@ -410,7 +403,7 @@ impl EventCtx<'_> {
 impl SmCtx for EventCtx<'_> {
     fn send(&mut self, to: ProcessId, msg: MsgKind) -> Result<u64, Halt> {
         self.step()?;
-        self.state.clock += self.costs.send_cost;
+        self.state.clock += self.spec.costs.send_cost;
         self.state.account.counters.messages_sent += 1;
         self.record(TraceEvent::Send {
             who: self.me,
@@ -429,7 +422,7 @@ impl SmCtx for EventCtx<'_> {
         if !st.account.steps_at_once(n as u64) {
             return None;
         }
-        let stride = self.costs.send_cost;
+        let stride = self.spec.costs.send_cost;
         let sent_at = st.clock + stride;
         st.clock += n as u64 * stride;
         st.account.counters.messages_sent += n as u64;
@@ -446,7 +439,7 @@ impl SmCtx for EventCtx<'_> {
 
     fn cluster_propose(&mut self, slot: Slot, enc: u64) -> Result<u64, Halt> {
         self.step()?;
-        self.state.clock += self.costs.sm_op_cost;
+        self.state.clock += self.spec.costs.sm_op_cost;
         let decided = self.memory.propose_raw(slot, enc);
         self.state.account.counters.cluster_proposes += 1;
         self.record(TraceEvent::ClusterPropose {
@@ -461,7 +454,7 @@ impl SmCtx for EventCtx<'_> {
 
     fn local_coin(&mut self) -> Result<Bit, Halt> {
         self.step()?;
-        self.state.clock += self.costs.coin_cost;
+        self.state.clock += self.spec.costs.coin_cost;
         let bit = Bit::from(self.state.local_coin.flip());
         self.state.account.counters.local_coin_flips += 1;
         self.record(TraceEvent::Coin {
@@ -474,8 +467,8 @@ impl SmCtx for EventCtx<'_> {
 
     fn common_coin(&mut self, index: u64) -> Result<Bit, Halt> {
         self.step()?;
-        self.state.clock += self.costs.coin_cost;
-        let bit = Bit::from(self.common_coin.bit(index));
+        self.state.clock += self.spec.costs.coin_cost;
+        let bit = Bit::from(self.spec.coin.bit(self.spec.coin_seed, index));
         self.state.account.counters.common_coin_queries += 1;
         self.record(TraceEvent::Coin {
             who: self.me,
@@ -493,7 +486,7 @@ impl SmCtx for EventCtx<'_> {
                 round,
             });
         }
-        if let Some(obs) = self.observer {
+        if let Some(obs) = &self.spec.observer {
             obs.on_event(self.me, &event);
         }
     }
@@ -588,10 +581,9 @@ mod tests {
     fn a_step_crash_inside_a_broadcast_keeps_the_sent_prefix() {
         use super::{Machine, ProcState};
         use crate::backend::RunSpec;
-        use ofa_coins::ConstantCoin;
         use ofa_core::sm::{OutItem, Progress, SmTopology};
         use ofa_core::{Halt, ProtocolConfig};
-        use ofa_scenario::{CostModel, Scenario, TraceRecorder};
+        use ofa_scenario::{CoinSpec, CostModel, Scenario, TraceRecorder};
         use ofa_sharedmem::MemoryBank;
         // `start` is one cluster propose (step 1) and then the first
         // broadcast, sends 0..n at steps 2..: a trigger at step 4 lets
@@ -606,20 +598,14 @@ mod tests {
             &Scenario::new(part.clone(), Algorithm::LocalCoin)
                 .proposals_all(Bit::One)
                 .config(ProtocolConfig::default())
+                .coin(CoinSpec::Constant(Bit::Zero))
                 .seed(7),
         );
         let run = |plan: &CrashPlan| {
             let mut state = ProcState::for_process(7, me, plan);
             let mut trace = TraceRecorder::new(true);
             let mut machine = Machine::build(&spec, &topo, me.index());
-            let mut ctx = state.ctx(
-                me,
-                CostModel::new(),
-                bank.memory_of(&part, me),
-                &ConstantCoin(false),
-                None,
-                &mut trace,
-            );
+            let mut ctx = state.ctx(me, &spec, bank.memory_of(&part, me), &mut trace);
             let progress = machine.start(&mut ctx);
             (progress, state.account.counters.messages_sent, trace)
         };

@@ -14,8 +14,7 @@
 
 use crate::backend::RunSpec;
 use crate::conductor::{conduct, SchedEvent, Scheduler};
-use crate::CrashPlan;
-use ofa_coins::SeededCommonCoin;
+use crate::{CoinSpec, CrashPlan};
 use ofa_core::{Algorithm, Bit, Halt, InvariantChecker, ProtocolConfig};
 use ofa_topology::{Partition, ProcessId};
 use std::sync::Arc;
@@ -191,7 +190,10 @@ impl Explorer {
             costs: crate::CostModel::default(),
             crash_plan: self.crash_plan.clone(),
             churn: crate::ChurnPlan::new(),
-            common_coin: Arc::new(SeededCommonCoin::new(self.seed)),
+            // The explorer's own seed, without the scenario's domain
+            // separator: the coin stream it has always explored.
+            coin: CoinSpec::Seeded,
+            coin_seed: self.seed,
             observer: Some(checker.clone()),
             keep_trace: false,
             max_events: 200_000,

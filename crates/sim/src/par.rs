@@ -822,7 +822,9 @@ struct ShardState<'a> {
 }
 
 impl<'a> ShardState<'a> {
-    /// Builds shard `id`: fresh, or restored from a checkpoint.
+    /// Builds shard `id`: fresh, or restored from a checkpoint's engine
+    /// state and its members' machines, loaded in member order (a
+    /// finished member has none, and a fresh machine holds its place).
     fn build(
         id: usize,
         layout: &'a Layout,
@@ -830,16 +832,16 @@ impl<'a> ShardState<'a> {
         net: &'a NetIndex,
         topo: &'a Arc<SmTopology>,
         memory: &'a MemoryBank,
-        resume: Option<&EngineSnap>,
+        resume: Option<(&EngineSnap, Vec<Option<Machine>>)>,
     ) -> Self {
         let members = &layout.members[id];
+        let (resume, loaded) = resume.unzip();
+        let mut loaded = loaded.into_iter().flatten();
         let machines = members
             .iter()
             .map(|&g| {
-                let i = g as usize;
-                let snap = resume.and_then(|snap| snap.machines[i].as_ref());
-                leg_machine(spec, topo, i, snap)
-                    .expect("resume: machine snapshots were loaded before the leg")
+                let fresh = || Machine::build(spec, topo, g as usize);
+                loaded.next().flatten().unwrap_or_else(fresh)
             })
             .collect();
         let procs: Vec<ProcState> = members
@@ -1155,14 +1157,8 @@ impl<'a> ShardState<'a> {
     /// routes the resulting progress (sends, termination records).
     fn dispatch(&mut self, li: usize, input: Input) {
         let me = ProcessId(self.members()[li] as usize);
-        let mut ctx = self.procs[li].ctx(
-            me,
-            self.spec.costs,
-            self.memory.memory_of(self.topo.partition(), me),
-            self.spec.common_coin.as_ref(),
-            self.spec.observer.as_deref(),
-            &mut self.trace,
-        );
+        let memory = self.memory.memory_of(self.topo.partition(), me);
+        let mut ctx = self.procs[li].ctx(me, self.spec, memory, &mut self.trace);
         let sm = &mut self.machines[li];
         let progress = match input {
             Input::Start => sm.start(&mut ctx),
@@ -2100,22 +2096,12 @@ impl Coordinator<'_> {
     }
 }
 
-/// Process `i`'s machine at the start of a leg: built as a fresh run
-/// builds it, then loaded with `snap`, its checkpoint, if it has one. A
-/// finished process is never dispatched again, so it has none and the
-/// fresh machine holds its place.
-pub(crate) fn leg_machine(
-    spec: &RunSpec,
-    topo: &Arc<SmTopology>,
-    i: usize,
-    snap: Option<&MachineSnap>,
-) -> Result<Machine, String> {
-    let mut machine = Machine::build(spec, topo, i);
-    if let Some(snap) = snap {
-        let who = ProcessId(i);
-        (machine.restore(snap.clone())).map_err(|e| format!("the machine of {who}: {e}"))?;
-    }
-    Ok(machine)
+/// Where a resumed leg starts: the decoded engine state (its `machines`
+/// taken out) and, per process, its machine built and loaded from it —
+/// `None` for a finished process, which is never dispatched again.
+pub(crate) struct Resume {
+    pub(crate) snap: EngineSnap,
+    pub(crate) machines: Vec<Option<Machine>>,
 }
 
 /// How a [`conduct_sharded`] leg ended: ran to completion, or paused at
@@ -2141,14 +2127,14 @@ pub(crate) enum LegResult {
 ///
 /// Panics if the spec's body is [`Body::Custom`](ofa_scenario::Body) —
 /// custom bodies are blocking code; route them to the thread conductor —
-/// or if a resume snapshot's shape does not match the spec (wrong
-/// process count, undecodable machine state), which the backend's
-/// snapshot check refuses before any leg starts.
+/// or if a resume's shape does not match the spec (wrong process
+/// count), which the backend's snapshot check refuses before any leg
+/// starts.
 pub(crate) fn conduct_sharded(
     spec: RunSpec,
     net: &NetIndex,
     shards: usize,
-    resume: Option<&EngineSnap>,
+    resume: Option<Resume>,
     stop_at: Option<u64>,
 ) -> LegResult {
     let n = spec.partition.n();
@@ -2158,8 +2144,13 @@ pub(crate) fn conduct_sharded(
         "need one proposal per process (got {} for n={n})",
         spec.proposals.len()
     );
+    let (resume, mut loaded) = match resume {
+        Some(Resume { snap, machines }) => (Some(snap), machines),
+        None => (None, Vec::new()),
+    };
+    let resume = resume.as_ref();
     if let Some(snap) = resume {
-        assert_eq!(snap.machines.len(), n, "snapshot is for a different n");
+        assert_eq!(loaded.len(), n, "snapshot is for a different n");
         assert_eq!(snap.procs.len(), n, "snapshot is for a different n");
     }
     let shards = shards.clamp(1, spec.partition.m());
@@ -2188,17 +2179,24 @@ pub(crate) fn conduct_sharded(
         }
     };
     let (layout, spec, topo, bank) = (&layout, &spec, &topo, &bank);
+    // A resumed shard takes its own members' loaded machines.
+    let mut own = |id: usize| {
+        let members = layout.members[id].iter();
+        resume.map(|snap| (snap, members.map(|&g| loaded[g as usize].take()).collect()))
+    };
     // Every shard builds itself (and takes its initial steps) on the
     // thread that will drive it.
-    let build = move |id: usize| ShardState::build(id, layout, spec, net, topo, bank, resume);
+    let build =
+        move |id: usize, resume| ShardState::build(id, layout, spec, net, topo, bank, resume);
 
     std::thread::scope(|scope| {
         let remote = (1..shards)
             .map(|id| {
                 let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
                 let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+                let resume = own(id);
                 scope.spawn(move || {
-                    let mut st = build(id);
+                    let mut st = build(id, resume);
                     let _ = reply_tx.send(Reply::Ran(st.report(0)));
                     // Ends when the coordinator drops its sender.
                     for cmd in cmd_rx {
@@ -2211,7 +2209,7 @@ pub(crate) fn conduct_sharded(
             })
             .collect();
         let mut all = Coordinator {
-            local: build(0),
+            local: build(0, own(0)),
             remote,
             pending_in: fresh_buffers(shards),
             next_at: vec![None; shards],

@@ -270,12 +270,6 @@ impl Partition {
         self.clusters.iter().any(|s| s.is_majority_of(self.n))
     }
 
-    /// Strict-majority test over the whole system (`|set| > n/2`).
-    #[inline]
-    pub fn is_majority(&self, set: &ProcessSet) -> bool {
-        set.is_majority_of(self.n)
-    }
-
     /// `true` for the `m = n` extreme (pure message-passing model).
     pub fn is_pure_message_passing(&self) -> bool {
         self.m() == self.n

@@ -6,9 +6,8 @@
 //! either stall the common-coin algorithm (indulgence) or force its
 //! deciding round.
 
-use one_for_all::coins::{ConstantCoin, ScriptedCoin};
 use one_for_all::consensus::{Algorithm, Bit, InvariantChecker};
-use one_for_all::prelude::{Backend, Scenario, Sim};
+use one_for_all::prelude::{Backend, CoinSpec, Scenario, Sim};
 use one_for_all::scenario::DelayModel;
 use one_for_all::topology::{Partition, ProcessId};
 use std::sync::Arc;
@@ -51,10 +50,12 @@ fn adversarial_common_coin_stalls_safely() {
     let out = Sim.run(
         &Scenario::new(Partition::even(4, 2), Algorithm::CommonCoin)
             .proposals_all(Bit::One)
-            .common_coin(Arc::new(ConstantCoin(false)))
+            .coin(CoinSpec::Constant(Bit::Zero))
             .max_rounds(12)
             .seed(1),
     );
+    assert_eq!(out.trace_hash, Some(0x4258_a06d_c7ce_65aa));
+    assert_eq!(out.events_processed, 192);
     assert_eq!(out.deciders(), 0, "coin never matches: no decision");
     assert!(out.agreement_holds());
     // All processes ran out the round budget rather than crashing.
@@ -69,9 +70,11 @@ fn matching_coin_decides_immediately() {
     let out = Sim.run(
         &Scenario::new(Partition::even(4, 2), Algorithm::CommonCoin)
             .proposals_all(Bit::One)
-            .common_coin(Arc::new(ConstantCoin(true)))
+            .coin(CoinSpec::Constant(Bit::One))
             .seed(1),
     );
+    assert_eq!(out.trace_hash, Some(0xfae8_f1da_5fea_baec));
+    assert_eq!(out.events_processed, 32);
     assert!(out.all_correct_decided);
     assert_eq!(out.decided_value, Some(Bit::One));
     assert_eq!(out.max_decision_round, 1);
@@ -84,9 +87,11 @@ fn scripted_coin_pins_the_deciding_round() {
     let out = Sim.run(
         &Scenario::new(Partition::single_cluster(3), Algorithm::CommonCoin)
             .proposals_all(Bit::One)
-            .common_coin(Arc::new(ScriptedCoin::new(vec![false, false, true])))
+            .coin(CoinSpec::Scripted(vec![false, false, true]))
             .seed(9),
     );
+    assert_eq!(out.trace_hash, Some(0xe46b_4184_1aa7_145f));
+    assert_eq!(out.events_processed, 36);
     assert!(out.all_correct_decided);
     for d in out.decisions.iter().flatten() {
         assert_eq!(d.value, Bit::One);

@@ -28,9 +28,8 @@ fn facade_reexports_resolve() {
     assert_eq!(cons.propose(3), 3);
 
     // coins (ofa-coins)
-    use one_for_all::coins::CommonCoin as _;
-    let coin = one_for_all::coins::SeededCommonCoin::new(1);
-    assert_eq!(coin.bit(5), coin.bit(5));
+    let bit = one_for_all::coins::common_bit;
+    assert_eq!(bit(1, 5), bit(1, 5));
 
     // metrics (ofa-metrics)
     let s = one_for_all::metrics::Summary::of([1.0, 2.0, 3.0]);

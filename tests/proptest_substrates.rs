@@ -1,8 +1,9 @@
 //! Property-based tests of the substrate crates (shared memory, graphs,
 //! coins, metrics).
 
-use one_for_all::coins::{CommonCoin, SeededCommonCoin};
+use one_for_all::coins::common_bit;
 use one_for_all::metrics::{Histogram, Summary};
+use one_for_all::scenario::CoinSpec;
 use one_for_all::sharedmem::{CasConsensus, ClusterMemory, CodableValue, Slot};
 use one_for_all::topology::{MmGraph, ProcessId};
 use proptest::prelude::*;
@@ -64,12 +65,10 @@ proptest! {
         prop_assert!(g.is_connected(), "spanning path guarantees connectivity");
     }
 
-    /// The common coin is a pure function of (seed, round).
+    /// The seeded common coin is the pure function of (seed, round).
     #[test]
     fn common_coin_is_deterministic(seed in any::<u64>(), round in 1u64..10_000) {
-        let a = SeededCommonCoin::new(seed);
-        let b = SeededCommonCoin::new(seed);
-        prop_assert_eq!(a.bit(round), b.bit(round));
+        prop_assert_eq!(CoinSpec::Seeded.bit(seed, round), common_bit(seed, round));
     }
 
     /// Summary statistics respect basic order axioms.
