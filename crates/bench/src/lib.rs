@@ -37,21 +37,9 @@ pub mod experiments {
 use ofa_metrics::Table;
 
 /// Every experiment id, in presentation order. The single source of
-/// truth for "all experiments" — `run_all`, the `experiments` binary's
-/// `--quick` path, and CI smoke loops all iterate this.
+/// truth for "all experiments" — the `experiments` binary and CI smoke
+/// loops iterate this.
 pub const ALL_IDS: [&str; 10] = ["E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10"];
-
-/// Runs every experiment at its default scale, returning `(id, table)`
-/// pairs in order.
-pub fn run_all() -> Vec<(&'static str, Table)> {
-    ALL_IDS
-        .iter()
-        .map(|id| {
-            let t = run_one_scaled(id, Scale::Full).expect("ALL_IDS entries are valid");
-            (*id, t)
-        })
-        .collect()
-}
 
 /// Runs one experiment by id (case-insensitive), at default scale.
 pub fn run_one(id: &str) -> Option<Table> {

@@ -79,11 +79,6 @@ impl SeededLocalCoin {
         self.rng.gen_bool(0.5)
     }
 
-    /// Number of flips performed.
-    pub fn flip_count(&self) -> u64 {
-        self.flips
-    }
-
     /// The coin's raw state — generator words plus flip count — for
     /// checkpointing a run mid-flight.
     pub fn state(&self) -> ([u64; 4], u64) {
@@ -149,7 +144,6 @@ mod tests {
         let sa: Vec<bool> = (0..100).map(|_| a.flip()).collect();
         let sb: Vec<bool> = (0..100).map(|_| b.flip()).collect();
         assert_eq!(sa, sb);
-        assert_eq!(a.flip_count(), 100);
     }
 
     #[test]

@@ -67,16 +67,6 @@ impl Table {
         self
     }
 
-    /// Appends a row from anything `Display` (numbers, ids, …).
-    pub fn row_display<I, D>(&mut self, cells: I) -> &mut Self
-    where
-        I: IntoIterator<Item = D>,
-        D: fmt::Display,
-    {
-        let row: Vec<String> = cells.into_iter().map(|d| d.to_string()).collect();
-        self.row(row)
-    }
-
     /// The table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -296,13 +286,6 @@ mod tests {
         assert!(t.find_row("gamma").is_none());
         assert_eq!(t.columns()[0], "name");
         assert_eq!(t.title(), "title");
-    }
-
-    #[test]
-    fn row_display_accepts_numbers() {
-        let mut t = Table::new("t", &["a", "b"]);
-        t.row_display([1.5, 2.0]);
-        assert_eq!(t.cell(0, 0), Some("1.5"));
     }
 
     #[test]

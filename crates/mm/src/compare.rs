@@ -7,12 +7,11 @@
 //! | objects a process invokes per phase | `1` | `α_i + 1` |
 //! | "one for all" amplification | yes | impossible |
 
-use crate::{MmBenOr, MmMemories};
+use crate::protocol::run_mm;
 use ofa_core::Algorithm;
 use ofa_scenario::{Backend, Scenario};
 use ofa_sim::Sim;
 use ofa_topology::{MmGraph, Partition, ProcessId};
-use std::sync::Arc;
 
 /// One row of the E6 comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,15 +87,8 @@ pub fn measured(partition: &Partition, graph: &MmGraph, seed: u64) -> (f64, f64)
         total_proposes as f64 / (2.0 * total_rounds as f64)
     };
 
-    // m&m run.
-    let memories = Arc::new(MmMemories::new(graph.clone()));
-    let body = Arc::new(MmBenOr::new(Arc::clone(&memories)));
-    let _ = Sim.run(
-        &Scenario::new(Partition::singletons(n), Algorithm::LocalCoin)
-            .custom_body(body)
-            .proposals_split(n / 2)
-            .seed(seed),
-    );
+    // m&m run: the comparator's own invocation accounting.
+    let (_, memories) = run_mm(graph, n / 2, seed);
     let mm_mean = {
         let per: Vec<f64> = (0..n)
             .filter_map(|i| memories.invocations_per_phase(ProcessId(i)))
@@ -144,6 +136,59 @@ mod tests {
         assert!(hybrid > 0.45 && hybrid <= 1.0, "hybrid = {hybrid}");
         // m&m: the mean of α_i + 1 is 3.0 on Fig 2.
         assert!((mm - 3.0).abs() < 1e-9, "mm = {mm}");
+    }
+
+    /// The m&m runs behind E6's six scenarios at seed 1: trace hash,
+    /// events processed, and each process's decision as `value@round`
+    /// (`r` = relayed). Recorded from the hand-written Ben-Or loop this
+    /// comparator used before it ran Algorithm 2.
+    #[test]
+    fn e6_mm_runs_keep_their_pins() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xE6);
+        let pins: [(MmGraph, u64, u64, &str); 6] = [
+            (
+                MmGraph::fig2(),
+                0x883fcd5f04ef339c,
+                125,
+                "1@2 1@2 1@2 1@2 1@2",
+            ),
+            (MmGraph::ring(8), 0x0f06a47c842881d2, 448, &"0@3 ".repeat(8)),
+            (MmGraph::star(8), 0x0c20cf67728a8957, 192, &"1@1 ".repeat(8)),
+            (
+                MmGraph::grid(3, 3),
+                0x72e2a5a23fec2022,
+                729,
+                &"0@4 ".repeat(9),
+            ),
+            (
+                MmGraph::random_gnp(10, 0.3, &mut rng),
+                0x6455e0ed2ae88d61,
+                590,
+                "1@2 1@3r 1@3r 1@3r 1@3r 1@3r 1@3r 1@3r 1@3r 1@2",
+            ),
+            (
+                MmGraph::complete(6),
+                0x8cd8a838b520a13f,
+                108,
+                &"1@1 ".repeat(6),
+            ),
+        ];
+        for (graph, hash, events, decisions) in pins {
+            let (out, _) = run_mm(&graph, graph.n() / 2, 1);
+            let got: Vec<String> = out
+                .decisions
+                .iter()
+                .map(|d| {
+                    let d = d.expect("every process decides");
+                    let relayed = if d.relayed { "r" } else { "" };
+                    format!("{}@{}{relayed}", d.value.as_bool() as u8, d.round)
+                })
+                .collect();
+            assert_eq!(got.join(" "), decisions.trim_end(), "n = {}", graph.n());
+            assert_eq!(out.trace_hash, Some(hash), "n = {}", graph.n());
+            assert_eq!(out.events_processed, events, "n = {}", graph.n());
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * [`MmMemories`] — the `n` per-process memories with domain access
 //!   control and invocation accounting,
-//! * [`MmBenOr`] — a Ben-Or-style comparator protocol reconstructed on
-//!   that substrate (see `protocol` module docs for the substitution
-//!   note), runnable under the `ofa-sim` conductor,
+//! * [`MmBenOr`] — the comparator: Algorithm 2 with amplification off
+//!   and the m&m domain step as its memory step (see `protocol` module
+//!   docs for the substitution note), runnable under the `ofa-sim`
+//!   conductor,
 //! * [`analytic`] / [`measured`] — the §III-C quantities: `m` vs `n`
 //!   memories, `1` vs `α_i + 1` consensus-object invocations per process
 //!   per phase.

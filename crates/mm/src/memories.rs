@@ -6,10 +6,9 @@
 //! directly, its neighbors remotely. Contrast with the hybrid model's `m`
 //! disjoint cluster memories, each accessed by exactly one cluster.
 
-use ofa_sharedmem::{ClusterMemory, Slot};
-use ofa_topology::{MmGraph, ProcessId, ProcessSet};
+use ofa_sharedmem::{MemoryBank, Slot};
+use ofa_topology::{ClusterId, MmGraph, ProcessId, ProcessSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The `n` per-process memories of a uniform m&m system, with domain
 /// access control and per-accessor invocation accounting.
@@ -30,7 +29,8 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct MmMemories {
     graph: MmGraph,
-    memories: Vec<Arc<ClusterMemory>>,
+    /// Memory `i` is the `p_i`-centered memory.
+    memories: MemoryBank,
     domains: Vec<ProcessSet>,
     invocations_by: Vec<AtomicU64>,
     phase_entries: Vec<AtomicU64>,
@@ -42,7 +42,7 @@ impl MmMemories {
         let n = graph.n();
         MmMemories {
             domains: graph.domains(),
-            memories: (0..n).map(|_| Arc::new(ClusterMemory::new())).collect(),
+            memories: MemoryBank::with_len(n),
             invocations_by: (0..n).map(|_| AtomicU64::new(0)).collect(),
             phase_entries: (0..n).map(|_| AtomicU64::new(0)).collect(),
             graph,
@@ -74,7 +74,9 @@ impl MmMemories {
             self.domains[owner.index()],
         );
         self.invocations_by[accessor.index()].fetch_add(1, Ordering::Relaxed);
-        self.memories[owner.index()].propose_raw(slot, enc)
+        self.memories
+            .memory(ClusterId(owner.index()))
+            .propose_raw(slot, enc)
     }
 
     /// Records that `accessor` entered a protocol phase (denominator of
@@ -104,19 +106,10 @@ impl MmMemories {
         }
     }
 
-    /// Total invocations across all processes.
-    pub fn total_invocations(&self) -> u64 {
-        self.invocations_by
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Number of memories that materialized at least one consensus object.
     pub fn touched_memories(&self) -> usize {
-        self.memories
-            .iter()
-            .filter(|m| m.object_count() > 0)
+        (0..self.memories.len())
+            .filter(|&i| self.memories.memory(ClusterId(i)).object_count() > 0)
             .count()
     }
 }
@@ -164,7 +157,6 @@ mod tests {
         assert_eq!(mems.invocations_by(me), 4); // α_3 + 1 = 4
         assert_eq!(mems.invocations_per_phase(me), Some(4.0));
         assert_eq!(mems.invocations_per_phase(ProcessId(0)), None);
-        assert_eq!(mems.total_invocations(), 4);
         assert_eq!(mems.touched_memories(), 4);
         assert_eq!(mems.memory_count(), 5);
     }

@@ -1,11 +1,12 @@
 //! # `ofa-runtime` — real-concurrency runtime for hybrid-model consensus
 //!
 //! Runs the `ofa-core` algorithms with *genuine* parallelism: one OS
-//! thread per process, crossbeam channels as the reliable asynchronous
-//! network, and the real lock-free `ofa-sharedmem` consensus objects as
-//! each cluster's memory. This is the deployment the paper motivates —
-//! each cluster a multicore address space, message passing in between —
-//! collapsed onto one machine.
+//! thread per process, `std::sync::mpsc` channels as the reliable
+//! asynchronous network, and one `ofa-sharedmem` cluster memory per
+//! cluster, whose lock orders the concurrent proposes of its members.
+//! This is the deployment the paper motivates — each cluster a multicore
+//! address space, message passing in between — collapsed onto one
+//! machine.
 //!
 //! Where `ofa-sim` gives determinism and virtual time, this runtime gives
 //! real races and wall-clock latency. Both execute the *same* protocol
@@ -35,13 +36,13 @@
 
 #![warn(missing_docs)]
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ofa_coins::SeededLocalCoin;
 use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer};
 use ofa_scenario::{Backend, BackendKind, CoinSpec, CrashTrigger, Outcome, ProcAccount, Scenario};
 use ofa_sharedmem::{MemoryBank, Slot};
 use ofa_topology::{Partition, ProcessId};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,7 +225,7 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded::<Msg>();
+        let (tx, rx) = channel::<Msg>();
         senders.push(tx);
         receivers.push(rx);
     }
@@ -232,7 +233,7 @@ fn run_scenario(scenario: &Scenario) -> Outcome {
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
 
-    let (done_tx, done_rx) = unbounded::<Done>();
+    let (done_tx, done_rx) = channel::<Done>();
     let mut handles = Vec::with_capacity(n);
     for (i, receiver) in receivers.into_iter().enumerate() {
         let me = ProcessId(i);

@@ -2,19 +2,21 @@
 //!
 //! Algorithm 2 needs, per cluster, two unbounded arrays of consensus
 //! objects `CONS_x[r, 1]` and `CONS_x[r, 2]` (`r >= 1`); Algorithm 3 needs
-//! a single array `CONS_x[r]`. [`ClusterMemory`] materializes objects
-//! lazily on first access, so the "unbounded array" of the paper costs
-//! memory only for rounds actually executed. [`MemoryBank`] holds one
-//! [`ClusterMemory`] per cluster of a partition.
+//! a single array `CONS_x[r]`. The algorithms use one fact about these
+//! objects: `propose` returns the first proposal. [`ClusterMemory`]
+//! realizes the paper's compare&swap object directly: one lock orders
+//! every propose to the memory, and the first write to a [`Slot`] wins.
+//! A slot exists once it is first proposed to, so the "unbounded array"
+//! of the paper costs memory only for rounds actually executed.
+//! [`MemoryBank`] holds one [`ClusterMemory`] per cluster of a partition.
 
-use crate::{CasConsensus, CodableValue};
+use crate::CodableValue;
 use ofa_topology::{ClusterId, Partition};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
 /// Address of one consensus object inside a cluster memory: protocol
 /// instance, round number, and phase within the round.
 ///
@@ -63,8 +65,8 @@ impl fmt::Display for Slot {
     }
 }
 
-/// The shared memory of one cluster: a lazily-allocated, unbounded array of
-/// wait-free consensus objects, indexed by [`Slot`].
+/// The shared memory of one cluster: an unbounded array of
+/// first-proposer-wins consensus objects, indexed by [`Slot`].
 ///
 /// Values are stored in their [`CodableValue`] `u64` encoding so that one
 /// memory can serve consensus over any codable type; the typed wrappers
@@ -84,22 +86,8 @@ impl fmt::Display for Slot {
 /// ```
 #[derive(Default)]
 pub struct ClusterMemory {
-    objects: Mutex<HashMap<Slot, Arc<CasConsensus<RawWord>>>>,
+    words: Mutex<HashMap<Slot, u64>>,
     proposes: AtomicU64,
-}
-
-/// Internal codable wrapper for raw `u64` payloads (must stay below the
-/// sentinel; enforced by `propose_raw`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RawWord(u64);
-
-impl CodableValue for RawWord {
-    fn encode(self) -> u64 {
-        self.0
-    }
-    fn decode(word: u64) -> Self {
-        RawWord(word)
-    }
 }
 
 impl ClusterMemory {
@@ -109,28 +97,15 @@ impl ClusterMemory {
     }
 
     /// Proposes the encoded value `enc` to the consensus object at `slot`,
-    /// returning the decided encoding. Lock usage is confined to the
-    /// object directory; the consensus object itself is lock-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `enc == u64::MAX` (reserved sentinel).
+    /// returning the decided encoding: the first word proposed there.
     pub fn propose_raw(&self, slot: Slot, enc: u64) -> u64 {
-        assert_ne!(enc, u64::MAX, "u64::MAX is reserved as the empty sentinel");
         self.proposes.fetch_add(1, Ordering::Relaxed);
-        let obj = self.object(slot);
-        obj.propose(RawWord(enc)).0
+        *self.words.lock().entry(slot).or_insert(enc)
     }
 
     /// Typed convenience over [`ClusterMemory::propose_raw`].
     pub fn propose<V: CodableValue>(&self, slot: Slot, value: V) -> V {
         V::decode(self.propose_raw(slot, value.encode()))
-    }
-
-    /// The value already decided at `slot`, if any.
-    pub fn decided_raw(&self, slot: Slot) -> Option<u64> {
-        let objects = self.objects.lock();
-        objects.get(&slot).and_then(|o| o.decided()).map(|w| w.0)
     }
 
     /// Total `propose` invocations on this memory — the §III-C metric
@@ -139,21 +114,19 @@ impl ClusterMemory {
         self.proposes.load(Ordering::Relaxed)
     }
 
-    /// Number of consensus objects materialized so far.
+    /// Number of consensus objects proposed to so far.
     pub fn object_count(&self) -> usize {
-        self.objects.lock().len()
+        self.words.lock().len()
     }
 
     /// The decided contents of this memory in canonical (sorted) order,
-    /// plus the propose counter — everything a checkpoint needs. Every
-    /// materialized object in a quiescent deterministic run is decided
-    /// (propose decides immediately), so undecided objects are skipped:
-    /// they are indistinguishable from never-materialized ones.
+    /// plus the propose counter — everything a checkpoint needs.
     pub fn checkpoint(&self) -> (Vec<(Slot, u64)>, u64) {
-        let objects = self.objects.lock();
-        let mut decided: Vec<(Slot, u64)> = objects
+        let mut decided: Vec<(Slot, u64)> = self
+            .words
+            .lock()
             .iter()
-            .filter_map(|(slot, obj)| obj.decided().map(|w| (*slot, w.0)))
+            .map(|(&slot, &w)| (slot, w))
             .collect();
         decided.sort_unstable();
         (decided, self.propose_count())
@@ -163,22 +136,10 @@ impl ClusterMemory {
     /// is re-decided directly (without charging the propose counter) and
     /// the counter is restored to its captured value.
     pub fn restore(decided: &[(Slot, u64)], proposes: u64) -> Self {
-        let mem = ClusterMemory::new();
-        {
-            let mut objects = mem.objects.lock();
-            for &(slot, word) in decided {
-                let obj: Arc<CasConsensus<RawWord>> = Arc::default();
-                obj.propose(RawWord(word));
-                objects.insert(slot, obj);
-            }
+        ClusterMemory {
+            words: Mutex::new(decided.iter().copied().collect()),
+            proposes: AtomicU64::new(proposes),
         }
-        mem.proposes.store(proposes, Ordering::Relaxed);
-        mem
-    }
-
-    fn object(&self, slot: Slot) -> Arc<CasConsensus<RawWord>> {
-        let mut objects = self.objects.lock();
-        Arc::clone(objects.entry(slot).or_default())
     }
 }
 
@@ -308,8 +269,7 @@ mod tests {
         let s = Slot::new(4, 2);
         assert_eq!(mem.propose_raw(s, 100), 100);
         assert_eq!(mem.propose_raw(s, 200), 100);
-        assert_eq!(mem.decided_raw(s), Some(100));
-        assert_eq!(mem.decided_raw(Slot::new(4, 1)), None);
+        assert_eq!(mem.checkpoint(), (vec![(s, 100)], 2));
     }
 
     #[test]
@@ -322,9 +282,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sentinel")]
-    fn sentinel_is_rejected() {
-        ClusterMemory::new().propose_raw(Slot::new(1, 1), u64::MAX);
+    fn every_word_is_a_proposal() {
+        let mem = ClusterMemory::new();
+        let s = Slot::new(1, 1);
+        assert_eq!(mem.propose_raw(s, u64::MAX), u64::MAX);
+        assert_eq!(mem.propose_raw(s, 0), u64::MAX);
+        let (decided, proposes) = mem.checkpoint();
+        assert_eq!(decided, vec![(s, u64::MAX)]);
+        let back = ClusterMemory::restore(&decided, proposes);
+        assert_eq!(back.propose_raw(s, 1), u64::MAX);
+        assert_eq!(back.propose_count(), 3);
+        assert_eq!(back.checkpoint().0, decided);
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Intra-cluster shared memory for the hybrid communication model
 //! (Raynal & Cao, ICDCS 2019, §II-A).
 //!
-//! Each cluster `P[x]` owns a memory `MEM_x` of atomic registers enriched
-//! with a synchronization operation of consensus number ∞, so deterministic
-//! wait-free consensus is solvable *inside* a cluster. This crate provides
-//! that substrate:
+//! Each cluster `P[x]` owns a memory `MEM_x` that provides consensus
+//! objects `CONS_x[r, ph]`, so deterministic wait-free consensus is
+//! solvable *inside* a cluster. The paper builds them from compare&swap;
+//! the algorithms use one fact about them: `propose` returns the first
+//! proposal. This crate realizes that object directly — one lock orders
+//! every propose to a memory, and the first write to a slot wins:
 //!
-//! * [`AtomicRegister`] / [`WordRegister`] — linearizable registers,
-//! * [`CasCell`], [`TestAndSet`], [`FetchAdd`], [`LlScCell`] — the
-//!   synchronization primitives the paper cites (Herlihy's hierarchy),
-//! * [`CasConsensus`] — the wait-free first-proposal-wins consensus object
-//!   used as `CONS_x[r, ph]`,
-//! * [`TasConsensus`] — the classic 2-process construction from `test&set`,
-//! * [`ClusterMemory`] / [`MemoryBank`] — the lazily-allocated unbounded
-//!   arrays of consensus objects, one memory per cluster.
+//! * [`ClusterMemory`] — one cluster's unbounded array of consensus
+//!   objects, addressed by [`Slot`],
+//! * [`MemoryBank`] — one memory per cluster of a partition,
+//! * [`CodableValue`] — the `u64` word encoding of proposed values.
 //!
 //! # Examples
 //!
@@ -30,13 +28,18 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 mod cluster_memory;
-mod consensus;
-mod primitives;
-mod register;
+mod codable;
 
 pub use cluster_memory::{ClusterMemory, MemoryBank, Slot};
-pub use consensus::{CasConsensus, CodableValue, TasConsensus};
-pub use primitives::{CasCell, FetchAdd, LlScCell, LlToken, TestAndSet};
-pub use register::{AtomicRegister, WordRegister};
+pub use codable::CodableValue;

@@ -20,13 +20,13 @@
 
 use crate::backend::{rejoin_coin_seed, RawOutcome, RunSpec};
 use crate::order::{EventKey, Keyed, SendCounters};
-use crate::{
-    CoinSpec, CostModel, CrashTrigger, Fate, NetIndex, TraceEvent, TraceRecorder, VirtualTime,
-};
 use ofa_coins::SeededLocalCoin;
 use ofa_core::{Bit, Decision, Env, Halt, Msg, MsgKind, ObsEvent, Observer};
 use ofa_metrics::ServiceStats;
-use ofa_scenario::ProcAccount;
+use ofa_scenario::{
+    CoinSpec, CostModel, CrashTrigger, Fate, NetIndex, ProcAccount, TraceEvent, TraceRecorder,
+    VirtualTime,
+};
 use ofa_sharedmem::{MemoryBank, Slot};
 use ofa_topology::{Partition, ProcessId};
 use parking_lot::Mutex;

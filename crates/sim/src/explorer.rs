@@ -14,8 +14,8 @@
 
 use crate::backend::RunSpec;
 use crate::conductor::{conduct, SchedEvent, Scheduler};
-use crate::{CoinSpec, CrashPlan};
 use ofa_core::{Algorithm, Bit, Halt, InvariantChecker, ProtocolConfig};
+use ofa_scenario::{CoinSpec, CrashPlan};
 use ofa_topology::{Partition, ProcessId};
 use std::sync::Arc;
 
@@ -183,13 +183,13 @@ impl Explorer {
         let checker = Arc::new(InvariantChecker::new());
         let spec = RunSpec {
             partition: self.partition.clone(),
-            body: crate::Body::Algo(self.algorithm),
+            body: ofa_scenario::Body::Algo(self.algorithm),
             config: self.config,
             proposals: self.proposals.clone(),
             seed: self.seed,
-            costs: crate::CostModel::default(),
+            costs: ofa_scenario::CostModel::default(),
             crash_plan: self.crash_plan.clone(),
-            churn: crate::ChurnPlan::new(),
+            churn: ofa_scenario::ChurnPlan::new(),
             // The explorer's own seed, without the scenario's domain
             // separator: the coin stream it has always explored.
             coin: CoinSpec::Seeded,
@@ -390,7 +390,8 @@ mod tests {
     fn at_time_crash_rejected() {
         let _ = Explorer::new(Partition::from_sizes(&[2]).unwrap(), Algorithm::LocalCoin)
             .crashes(
-                CrashPlan::new().crash_at_time(ProcessId(0), crate::VirtualTime::from_ticks(5)),
+                CrashPlan::new()
+                    .crash_at_time(ProcessId(0), ofa_scenario::VirtualTime::from_ticks(5)),
             )
             .max_schedules(10)
             .run();
@@ -399,7 +400,7 @@ mod tests {
     #[test]
     fn trigger_enum_is_public() {
         // AtStep(0) crashes are the explorer-friendly form.
-        let t = crate::CrashTrigger::AtStep(0);
+        let t = ofa_scenario::CrashTrigger::AtStep(0);
         assert_eq!(format!("{t:?}"), "AtStep(0)");
     }
 }

@@ -9,21 +9,22 @@
 //! The simulator itself has **three interchangeable engines**, selected
 //! by [`ofa_scenario::Scenario::engine`] and implemented by two loops:
 //!
-//! * [`Engine::Threads`] — the conductor, and the reference: each
-//!   process runs the *actual* blocking `ofa-core` algorithm on its own
-//!   OS thread, serialized by a conductor baton (exercises the real
-//!   concurrent `ofa-sharedmem` objects);
-//! * [`Engine::EventDriven`] — the sharded event loop with **one
-//!   shard** on the calling thread: each process is a resumable
-//!   `ofa_core::sm` state machine stepped straight off the event heap —
-//!   no threads, no baton — which lifts the process-count ceiling from
-//!   thousands to tens of thousands (the benchmark's
-//!   `consensus-fastpath` cell runs `n = 5 000`);
-//! * [`Engine::ParallelEvent`] — the same event loop with `W` shards on
-//!   `W` threads: shards own whole *clusters* and exchange cross-shard
-//!   deliveries at deterministic virtual-time epoch barriers (the
-//!   benchmark's `kv-serve-par2` cell: the `n = 1 000` replicated KV on
-//!   two shards, with `kv-serve`'s trace hash).
+//! * [`Engine::Threads`](ofa_scenario::Engine::Threads) — the
+//!   conductor, and the reference: each process runs the *actual*
+//!   blocking `ofa-core` algorithm on its own OS thread, serialized by a
+//!   conductor baton;
+//! * [`Engine::EventDriven`](ofa_scenario::Engine::EventDriven) — the
+//!   sharded event loop with **one shard** on the calling thread: each
+//!   process is a resumable `ofa_core::sm` state machine stepped
+//!   straight off the event heap — no threads, no baton — which lifts
+//!   the process-count ceiling from thousands to tens of thousands (the
+//!   benchmark's `consensus-fastpath` cell runs `n = 5 000`);
+//! * [`Engine::ParallelEvent`](ofa_scenario::Engine::ParallelEvent) —
+//!   the same event loop with `W` shards on `W` threads: shards own
+//!   whole *clusters* and exchange cross-shard deliveries at
+//!   deterministic virtual-time epoch barriers (the benchmark's
+//!   `kv-serve-par2` cell: the `n = 1 000` replicated KV on two shards,
+//!   with `kv-serve`'s trace hash).
 //!
 //! All engines produce identical outcomes — decisions, counters, event
 //! counts, trace hashes — for any declarative scenario, and the
@@ -86,13 +87,3 @@ mod queue;
 pub use backend::override_available_cores;
 pub use backend::{CheckpointError, RunOutcome, Sim};
 pub use explorer::{ExploreReport, Explorer};
-
-// The substrate-neutral scenario vocabulary used to live in this crate;
-// it now lives in `ofa-scenario` and is re-exported here so existing
-// `ofa_sim::{CrashPlan, …}` imports keep working.
-pub use ofa_scenario::{
-    Backend, Body, ChurnEvent, ChurnPlan, CoinSpec, CostModel, CrashPlan, CrashTrigger, DelayModel,
-    Engine, Fate, LatencyDist, LinkClasses, LinkOverride, NetIndex, NetworkModel, Outcome,
-    ProcessBody, Scenario, Sweep, SweepReport, SweepRun, SweepView, TimedEvent, TraceEvent,
-    TraceRecorder, VirtualTime,
-};

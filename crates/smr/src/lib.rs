@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use ofa_core::Algorithm;
-//! use ofa_sim::CrashPlan;
+//! use ofa_scenario::CrashPlan;
 //! use ofa_smr::{run_replicated_kv, Command};
 //! use ofa_topology::Partition;
 //!

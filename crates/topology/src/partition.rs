@@ -254,30 +254,9 @@ impl Partition {
         self.clusters.iter().map(|s| s.len()).collect()
     }
 
-    /// The id of a largest cluster.
-    pub fn largest_cluster(&self) -> ClusterId {
-        let (x, _) = self
-            .clusters
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.len())
-            .expect("partition is non-empty");
-        ClusterId(x)
-    }
-
     /// `true` if some single cluster holds a strict majority of processes.
     pub fn has_majority_cluster(&self) -> bool {
         self.clusters.iter().any(|s| s.is_majority_of(self.n))
-    }
-
-    /// `true` for the `m = n` extreme (pure message-passing model).
-    pub fn is_pure_message_passing(&self) -> bool {
-        self.m() == self.n
-    }
-
-    /// `true` for the `m = 1` extreme (pure shared-memory model).
-    pub fn is_pure_shared_memory(&self) -> bool {
-        self.m() == 1
     }
 }
 
@@ -332,7 +311,6 @@ mod tests {
             &ProcessSet::from_indices(7, [1, 2, 3, 4])
         );
         assert!(p.has_majority_cluster());
-        assert_eq!(p.largest_cluster(), ClusterId(1));
     }
 
     #[test]
@@ -355,10 +333,9 @@ mod tests {
     #[test]
     fn extremes() {
         let mp = Partition::singletons(5);
-        assert!(mp.is_pure_message_passing());
         assert_eq!(mp.m(), 5);
         let sm = Partition::single_cluster(5);
-        assert!(sm.is_pure_shared_memory());
+        assert_eq!(sm.m(), 1);
         assert_eq!(sm.cluster(ClusterId(0)).len(), 5);
     }
 

@@ -12,7 +12,7 @@
 //! |---|---|---|
 //! | [`consensus`] | `ofa-core` | Algorithms 1–3 (blocking + resumable [`consensus::sm`] machines), baselines, invariants |
 //! | [`topology`] | `ofa-topology` | partitions, predicate, m&m graphs |
-//! | [`sharedmem`] | `ofa-sharedmem` | registers, CAS consensus objects |
+//! | [`sharedmem`] | `ofa-sharedmem` | cluster memory: first-proposer-wins consensus objects |
 //! | [`coins`] | `ofa-coins` | local/common/adversarial coins |
 //! | [`scenario`] | `ofa-scenario` | `Scenario` values, `Backend` trait, unified `Outcome`, `Sweep`, [`scenario::Engine`] knob |
 //! | [`sim`] | `ofa-sim` | deterministic backend (`Sim`): thread-conductor + event-driven engines, explorer |

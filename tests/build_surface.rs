@@ -23,9 +23,8 @@ fn facade_reexports_resolve() {
     assert_eq!(part.n(), 7);
 
     // sharedmem (ofa-sharedmem)
-    let cons: one_for_all::sharedmem::CasConsensus<u8> =
-        one_for_all::sharedmem::CasConsensus::new();
-    assert_eq!(cons.propose(3), 3);
+    let mem: one_for_all::sharedmem::ClusterMemory = one_for_all::sharedmem::ClusterMemory::new();
+    assert_eq!(mem.propose(one_for_all::sharedmem::Slot::new(1, 1), 3u8), 3);
 
     // coins (ofa-coins)
     let bit = one_for_all::coins::common_bit;

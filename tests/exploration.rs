@@ -1,7 +1,8 @@
 //! Integration: exhaustive schedule exploration of small systems.
 
 use one_for_all::consensus::{Algorithm, Bit, ProtocolConfig};
-use one_for_all::sim::{CrashPlan, Explorer};
+use one_for_all::scenario::CrashPlan;
+use one_for_all::sim::Explorer;
 use one_for_all::topology::{Partition, ProcessId};
 
 #[test]

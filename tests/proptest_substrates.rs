@@ -4,23 +4,25 @@
 use one_for_all::coins::common_bit;
 use one_for_all::metrics::{Histogram, Summary};
 use one_for_all::scenario::CoinSpec;
-use one_for_all::sharedmem::{CasConsensus, ClusterMemory, CodableValue, Slot};
+use one_for_all::sharedmem::{ClusterMemory, CodableValue, Slot};
 use one_for_all::topology::{MmGraph, ProcessId};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A consensus object decides the first proposal and never changes.
+    /// A consensus object decides the first proposed word and never
+    /// changes; every proposal is counted.
     #[test]
-    fn cas_consensus_is_first_wins(proposals in proptest::collection::vec(0u8..=255, 1..20)) {
-        let cons: CasConsensus<u8> = CasConsensus::new();
+    fn cas_consensus_is_first_wins(proposals in proptest::collection::vec(any::<u64>(), 1..20)) {
+        let mem = ClusterMemory::new();
+        let slot = Slot::new(1, 1);
         let first = proposals[0];
         for &p in &proposals {
-            prop_assert_eq!(cons.propose(p), first);
+            prop_assert_eq!(mem.propose_raw(slot, p), first);
         }
-        prop_assert_eq!(cons.decided(), Some(first));
-        prop_assert_eq!(cons.proposal_count(), proposals.len() as u64);
+        prop_assert_eq!(mem.checkpoint().0, vec![(slot, first)]);
+        prop_assert_eq!(mem.propose_count(), proposals.len() as u64);
     }
 
     /// Codable round-trips for nested Option encodings (the est2 domain).

@@ -68,7 +68,7 @@ fn trace_retention_does_not_change_the_execution() {
     let events = fat.events.expect("trace kept");
     assert_eq!(events.len() as u64, {
         // hash-only recorder counted the same number of events
-        let mut recorder = one_for_all::sim::TraceRecorder::new(false);
+        let mut recorder = one_for_all::scenario::TraceRecorder::new(false);
         for e in &events {
             recorder.record(e.at, e.event);
         }
